@@ -7,7 +7,6 @@ resolvent equation. Includes deterministic synthetic sources (white noise,
 narrowband BPSK, NC-OFDM), a binary capture container, and a CLI.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .curves import DensityCurve
 from .estimation import (
     EsdFunction,
@@ -70,3 +69,7 @@ from .theory import (
 )
 
 __version__ = "0.1.0"
+
+# the hot kernels (theory.quartic_roots_batch, estimation.kde_eval) are plain
+# NumPy; callers record this name next to the numbers they report
+kernel_backend = "pure"

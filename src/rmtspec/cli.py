@@ -10,7 +10,8 @@ Subcommands:
     compare         KS and L1 distances between two saved curves
 
 Exit codes: 0 success, 1 validation/usage/IO error, 2 numerical failure.
-``RMT_THREADS`` caps BLAS thread pools when threadpoolctl is installed.
+``RMT_THREADS`` caps BLAS thread pools when threadpoolctl is installed; without
+it the setting is ignored with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,43 +36,10 @@ from .linalg import (
     standardize_rows,
 )
 
-__all__ = ["run_cli", "main", "RunConfig"]
+__all__ = ["run_cli", "main"]
 
 _DEFAULT_BINS = 40
 _PROJ_BINS = 12
-
-
-@dataclass
-class RunConfig:
-    """Validated options of one CLI invocation."""
-
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    signal: str | None = None
-    rows: int = 0
-    cols: int = 0
-    tau: int = 0
-    q: float = 0.0
-    epsilon: float = 1e-3
-    c: float = 0.0
-    bins: int = _DEFAULT_BINS
-    bandwidth: float | None = None
-    seed: int = 0
-    snr_db: float = math.inf
-    standardize: bool = True
-    freq_domain: bool = False
-    variance: float = 1.0
-    carrier: float = 0.25
-    band: float = 1.0 / 6.0
-    symbol_rate: float = 1.0 / 16.0
-    n_fft: int = 1024
-    occupied: str = ""
-    points: int = 1001
-    empirical_col: str | None = None
-    theory_col: str | None = None
-    empirical_path: str | None = None
-    theory_path: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--freq-domain", action="store_true",
                    help="ncofdm only: store the per-frame DFT, rows = subcarriers")
     g.add_argument("-o", "--output", required=True)
+    g.set_defaults(func=_cmd_generate)
 
     an = sub.add_parser("analyze", help="analyze a capture file")
     ansub = an.add_subparsers(dest="analysis", required=True, parser_class=_Parser)
@@ -112,12 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ac.add_argument("--bins", type=int, default=_DEFAULT_BINS)
     ac.add_argument("--bandwidth", type=float, default=None)
     ac.add_argument("-o", "--output", required=True)
+    ac.set_defaults(func=_cmd_analyze_cov)
     al = ansub.add_parser("lagged", help="complex spectrum of the lagged correlation")
     al.add_argument("-i", "--input", required=True)
     al.add_argument("--tau", type=int, required=True)
     al.add_argument("--no-standardize", action="store_true")
     al.add_argument("--bins", type=int, default=_PROJ_BINS)
     al.add_argument("-o", "--output", required=True)
+    al.set_defaults(func=_cmd_analyze_lagged)
 
     th = sub.add_parser("theory", help="theoretical benchmark curves")
     thsub = th.add_subparsers(dest="law", required=True, parser_class=_Parser)
@@ -125,10 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--c", type=float, required=True, help="dimension ratio p/n")
     tm.add_argument("--points", type=int, default=1001)
     tm.add_argument("-o", "--output", required=True)
+    tm.set_defaults(func=_cmd_theory_mp)
     tl = thsub.add_parser("lagged", help="lagged-spectrum density (quartic resolvent)")
     tl.add_argument("--q", type=float, required=True, help="information-to-noise ratio T/N")
     tl.add_argument("--epsilon", type=float, default=1e-3)
     tl.add_argument("-o", "--output", required=True)
+    tl.set_defaults(func=_cmd_theory_lagged)
 
     cp = sub.add_parser("compare", help="KS and L1 distances between saved curves")
     cp.add_argument("--empirical", required=True)
@@ -136,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--empirical-col", default=None)
     cp.add_argument("--theory-col", default=None)
     cp.add_argument("-o", "--output", required=True)
+    cp.set_defaults(func=_cmd_compare)
     return p
 
 
@@ -150,6 +123,8 @@ def _cap_threads() -> None:
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        print("warning: RMT_THREADS is ignored because threadpoolctl is not installed",
+              file=sys.stderr)
         return
     threadpool_limits(limits=limit)
 
@@ -160,65 +135,66 @@ def _parse_occupied(text: str) -> np.ndarray:
     ranges = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
-        ranges.append((int(lo), int(hi or lo)))
+        try:
+            ranges.append((int(lo), int(hi or lo)))
+        except ValueError:
+            raise RmtError(f"--occupied: bad range {part!r}, expected LO:HI or N") from None
     return signals.occupied_from_ranges(ranges)
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    rows, cols = cfg.rows, cfg.cols
+def _cmd_generate(ns: argparse.Namespace) -> int:
+    rows, cols = ns.rows, ns.cols
     if rows < 1 or cols < 1:
         raise RmtError("rows and cols must be >= 1")
-    if cfg.freq_domain and cfg.signal != "ncofdm":
+    if ns.freq_domain and ns.signal != "ncofdm":
         raise RmtError("--freq-domain applies to the ncofdm signal only")
 
-    if cfg.signal == "wgn":
-        stream = signals.gen_wgn(signals.WgnSpec(cfg.seed, rows * cols, cfg.variance))
-    elif cfg.signal == "narrowband":
+    if ns.signal == "wgn":
+        stream = signals.gen_wgn(signals.WgnSpec(ns.seed, rows * cols, ns.variance))
+    elif ns.signal == "narrowband":
         stream = signals.gen_narrowband(signals.NarrowbandSpec(
-            cfg.seed, rows * cols, cfg.carrier, cfg.band, cfg.symbol_rate))
+            ns.seed, rows * cols, ns.carrier, ns.band, ns.symbol_rate))
     else:
-        spec = signals.NcofdmSpec(cfg.seed, cfg.n_fft, _parse_occupied(cfg.occupied))
-        if cfg.freq_domain:
-            if rows != cfg.n_fft:
-                raise RmtError(f"--freq-domain needs --rows == n_fft ({cfg.n_fft})")
+        spec = signals.NcofdmSpec(ns.seed, ns.n_fft, _parse_occupied(ns.occupied))
+        if ns.freq_domain:
+            if rows != ns.n_fft:
+                raise RmtError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
             stream = signals.gen_ncofdm_frames(spec, n_frames=cols)
         else:
-            n_frames = -(-rows * cols // cfg.n_fft)
+            n_frames = -(-rows * cols // ns.n_fft)
             stream = signals.gen_ncofdm_frames(spec, n_frames=n_frames)
 
-    if not math.isinf(cfg.snr_db):
-        stream = signals.add_awgn(stream, cfg.snr_db, seed=cfg.seed + 1)
+    if not math.isinf(ns.snr_db):
+        stream = signals.add_awgn(stream, ns.snr_db, seed=ns.seed + 1)
 
-    if cfg.signal == "ncofdm" and cfg.freq_domain:
-        payload = signals.spectrogram_matrix(stream, cfg.n_fft)
-    elif stream.is_complex:
-        payload = stream.samples[: rows * cols].reshape(rows, cols)
+    if ns.freq_domain:
+        payload = signals.spectrogram_matrix(stream, ns.n_fft)
     else:
         payload = stream.samples[: rows * cols].reshape(rows, cols)
-    fileio.write_capture(cfg.output_path, payload)
+    fileio.write_capture(ns.output, payload)
     return 0
 
 
-def _load_matrix(cfg: RunConfig) -> DataMatrix:
-    X = fileio.read_capture(cfg.input_path)
-    if cfg.standardize:
+def _load_matrix(ns: argparse.Namespace) -> DataMatrix:
+    X = fileio.read_capture(ns.input)
+    if not ns.no_standardize:
         X = standardize_rows(X)
     return X
 
 
-def _cmd_analyze_cov(cfg: RunConfig) -> int:
-    X = _load_matrix(cfg)
+def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
+    X = _load_matrix(ns)
     spec = eigvals_symmetric(sample_covariance(X))
     vals = estimation.snap_zeros(spec.values)
     ratio = X.p / X.n
     prm = theory.mp_params(ratio)
 
     nonzero = vals[vals > 0]
-    kcfg = estimation.KernelConfig(bandwidth=cfg.bandwidth)
+    kcfg = estimation.KernelConfig(bandwidth=ns.bandwidth)
     snapped = RealSpectrum(vals, matrix_trace=float(vals.sum()))
     kde = estimation.eigenvalue_density(snapped, kcfg)
     atom_share = kde.point_mass_at_zero
-    hist = estimation.histogram_density(nonzero, bins=cfg.bins)
+    hist = estimation.histogram_density(nonzero, bins=ns.bins)
     hist = DensityCurve(hist.xs, hist.ys * (1.0 - atom_share), point_mass_at_zero=atom_share)
 
     lo = min(0.0, float(nonzero.min()) - 0.5)
@@ -226,39 +202,39 @@ def _cmd_analyze_cov(cfg: RunConfig) -> int:
     grid = np.linspace(lo, hi, 1024)
     mp_curve = DensityCurve(grid, theory.mp_density(grid, ratio),
                             point_mass_at_zero=prm.point_mass_at_zero)
-    fileio.write_density_csv(cfg.output_path, [hist, kde, mp_curve], ["hist", "kde", "mp"])
+    fileio.write_density_csv(ns.output, [hist, kde, mp_curve], ["hist", "kde", "mp"])
     return 0
 
 
-def _cmd_analyze_lagged(cfg: RunConfig) -> int:
-    X = _load_matrix(cfg)
-    cspec = eigvals_general(lagged_correlation(X, cfg.tau))
+def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
+    X = _load_matrix(ns)
+    cspec = eigvals_general(lagged_correlation(X, ns.tau))
 
     lines = ["re,im"]
     for v in cspec.values:
         lines.append(f"{v.real:.9g},{v.imag:.9g}")
-    fileio._atomic_write(cfg.output_path, ("\n".join(lines) + "\n").encode())
+    fileio._atomic_write(ns.output, ("\n".join(lines) + "\n").encode())
 
-    base, ext = os.path.splitext(cfg.output_path)
+    base, ext = os.path.splitext(ns.output)
     for axis in ("x", "y"):
-        curve = estimation.projection_density(cspec, axis=axis, bins=cfg.bins)
+        curve = estimation.projection_density(cspec, axis=axis, bins=ns.bins)
         fileio.write_density_csv(f"{base}.{axis}{ext or '.csv'}", [curve], [f"proj_{axis}"])
     return 0
 
 
-def _cmd_theory_mp(cfg: RunConfig) -> int:
-    prm = theory.mp_params(cfg.c)
-    grid = np.linspace(prm.a, prm.b, cfg.points)
-    curve = DensityCurve(grid, theory.mp_density(grid, cfg.c),
+def _cmd_theory_mp(ns: argparse.Namespace) -> int:
+    prm = theory.mp_params(ns.c)
+    grid = np.linspace(prm.a, prm.b, ns.points)
+    curve = DensityCurve(grid, theory.mp_density(grid, ns.c),
                          point_mass_at_zero=prm.point_mass_at_zero)
-    fileio.write_density_csv(cfg.output_path, [curve], ["mp"])
+    fileio.write_density_csv(ns.output, [curve], ["mp"])
     return 0
 
 
-def _cmd_theory_lagged(cfg: RunConfig) -> int:
+def _cmd_theory_lagged(ns: argparse.Namespace) -> int:
     curve = theory.lagged_density_symmetric(
-        theory.GreenSolveConfig(Q=cfg.q, epsilon=cfg.epsilon))
-    fileio.write_density_csv(cfg.output_path, [curve], ["rho_s"])
+        theory.GreenSolveConfig(Q=ns.q, epsilon=ns.epsilon))
+    fileio.write_density_csv(ns.output, [curve], ["rho_s"])
     return 0
 
 
@@ -280,11 +256,11 @@ def _pick_column(curves: dict[str, DensityCurve], requested: str | None,
     return next(iter(curves))
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    emp = fileio.read_density_csv(cfg.empirical_path)
-    th = fileio.read_density_csv(cfg.theory_path)
-    emp_col = _pick_column(emp, cfg.empirical_col, ("kde", "hist"))
-    th_col = _pick_column(th, cfg.theory_col, ("mp", "rho_s"))
+def _cmd_compare(ns: argparse.Namespace) -> int:
+    emp = fileio.read_density_csv(ns.empirical)
+    th = fileio.read_density_csv(ns.theory)
+    emp_col = _pick_column(emp, ns.empirical_col, ("kde", "hist"))
+    th_col = _pick_column(th, ns.theory_col, ("mp", "rho_s"))
     a, b = emp[emp_col], th[th_col]
 
     l1 = estimation.l1_distance(a, b)
@@ -292,49 +268,14 @@ def _cmd_compare(cfg: RunConfig) -> int:
     ks = float(np.abs(_curve_cdf(a, grid) - _curve_cdf(b, grid)).max())
 
     report = (
-        f"empirical: {cfg.empirical_path} [{emp_col}]\n"
-        f"theory: {cfg.theory_path} [{th_col}]\n"
+        f"empirical: {ns.empirical} [{emp_col}]\n"
+        f"theory: {ns.theory} [{th_col}]\n"
         f"L1 = {l1:.9g}\n"
         f"KS = {ks:.9g}\n"
     )
-    fileio._atomic_write(cfg.output_path, report.encode())
+    fileio._atomic_write(ns.output, report.encode())
     print(report, end="")
     return 0
-
-
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=ns.subcommand)
-    cfg.output_path = getattr(ns, "output", None)
-    cfg.input_path = getattr(ns, "input", None)
-    for src, dst in [
-        ("signal", "signal"), ("rows", "rows"), ("cols", "cols"), ("tau", "tau"),
-        ("q", "q"), ("epsilon", "epsilon"), ("c", "c"), ("bins", "bins"),
-        ("bandwidth", "bandwidth"), ("seed", "seed"), ("snr_db", "snr_db"),
-        ("freq_domain", "freq_domain"), ("variance", "variance"),
-        ("carrier", "carrier"), ("band", "band"), ("symbol_rate", "symbol_rate"),
-        ("n_fft", "n_fft"), ("occupied", "occupied"), ("points", "points"),
-        ("empirical_col", "empirical_col"), ("theory_col", "theory_col"),
-        ("empirical", "empirical_path"), ("theory", "theory_path"),
-    ]:
-        if hasattr(ns, src) and getattr(ns, src) is not None:
-            setattr(cfg, dst, getattr(ns, src))
-    if hasattr(ns, "no_standardize"):
-        cfg.standardize = not ns.no_standardize
-    if getattr(ns, "subcommand", None) == "analyze":
-        cfg.subcommand = f"analyze-{ns.analysis}"
-    elif getattr(ns, "subcommand", None) == "theory":
-        cfg.subcommand = f"theory-{ns.law}"
-    return cfg
-
-
-_DISPATCH = {
-    "generate": _cmd_generate,
-    "analyze-cov": _cmd_analyze_cov,
-    "analyze-lagged": _cmd_analyze_lagged,
-    "theory-mp": _cmd_theory_mp,
-    "theory-lagged": _cmd_theory_lagged,
-    "compare": _cmd_compare,
-}
 
 
 def run_cli(argv) -> int:
@@ -345,8 +286,7 @@ def run_cli(argv) -> int:
         return int(exc.code or 0)
     try:
         _cap_threads()
-        cfg = _to_config(ns)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return ns.func(ns)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

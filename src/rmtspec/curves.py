@@ -1,5 +1,5 @@
-"""Sampled density curves: strictly increasing grid, non-negative ordinates,
-optional point mass at the origin."""
+"""Sampled density curves: finite, strictly increasing grid, finite
+non-negative ordinates, optional point mass at the origin."""
 
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ class DensityCurve:
         ys = np.asarray(self.ys, dtype=np.float64)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("xs and ys must be equal-length 1-d arrays (>= 2 points)")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("xs and ys must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly increasing")
         if np.any(ys < 0):

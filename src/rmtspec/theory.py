@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ._kernels import quartic_roots_batch
 from .curves import DensityCurve
 from .errors import (
     BranchAmbiguity,
@@ -45,6 +44,7 @@ __all__ = [
     "mp_cdf",
     "GreenSolveConfig",
     "green_quartic_coeffs",
+    "quartic_roots_batch",
     "solve_quartic",
     "green_function",
     "lagged_point_mass",
@@ -74,8 +74,8 @@ class MpParams:
 
 
 def mp_params(c: float) -> MpParams:
-    if not c > 0:
-        raise InvalidRatio(f"dimension ratio must be positive, got {c}")
+    if not (c > 0 and math.isfinite(c)):
+        raise InvalidRatio(f"dimension ratio must be positive and finite, got {c}")
     s = math.sqrt(c)
     return MpParams(
         c=float(c),
@@ -174,10 +174,10 @@ class GreenSolveConfig:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.Q > 0:
-            raise InvalidRatio(f"Q must be positive, got {self.Q}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (self.Q > 0 and math.isfinite(self.Q)):
+            raise InvalidRatio(f"Q must be positive and finite, got {self.Q}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.grid is not None:
             g = np.asarray(self.grid, dtype=np.float64)
             if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
@@ -185,37 +185,67 @@ class GreenSolveConfig:
             object.__setattr__(self, "grid", g)
 
 
-def green_quartic_coeffs(z: complex, Q: float) -> np.ndarray:
-    """Descending-degree coefficients of the resolvent quartic at z."""
+def green_quartic_coeffs(z, Q: float) -> np.ndarray:
+    """Descending-degree coefficients of the resolvent quartic at z.
+
+    Vectorized over ``z``: a scalar gives shape (5,), an array of shape
+    (...) gives (..., 5).
+    """
     if not Q > 0:
         raise InvalidRatio(f"Q must be positive, got {Q}")
-    if z == 0:
+    z = np.asarray(z, dtype=np.complex128)
+    if np.any(z == 0):
         raise ValueError("z must be nonzero")
-    z = complex(z)
     r = 1.0 / Q - 1.0
-    return np.array(
-        [
-            z * z / Q**3,
-            -2.0 * r * z / Q**2,
-            -(z * z - r * r) / Q,
-            2.0 * r * z,
-            2.0 - 1.0 / Q,
-        ],
-        dtype=np.complex128,
-    )
-
-
-def _coeffs_grid(xs: np.ndarray, eps: float, Q: float) -> np.ndarray:
-    z = xs.astype(np.complex128) - 1j * eps
-    r = 1.0 / Q - 1.0
-    m = len(xs)
-    c = np.empty((m, 5), dtype=np.complex128)
-    c[:, 0] = z * z / Q**3
-    c[:, 1] = -2.0 * r * z / Q**2
-    c[:, 2] = -(z * z - r * r) / Q
-    c[:, 3] = 2.0 * r * z
-    c[:, 4] = 2.0 - 1.0 / Q
+    c = np.empty(z.shape + (5,), dtype=np.complex128)
+    c[..., 0] = z * z / Q**3
+    c[..., 1] = -2.0 * r * z / Q**2
+    c[..., 2] = -(z * z - r * r) / Q
+    c[..., 3] = 2.0 * r * z
+    c[..., 4] = 2.0 - 1.0 / Q
     return c
+
+
+def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of a batch of quartics, descending-degree coefficients.
+
+    Companion-matrix eigenvalues followed by two Newton polish steps; a
+    polish step is kept only where it lowers the residual.
+
+    Parameters
+    ----------
+    coeffs : (m, 5) complex array; ``coeffs[i, 0]`` must be nonzero.
+
+    Returns
+    -------
+    (m, 4) complex array of roots, each row sorted by (real, imag).
+    """
+    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[1] != 5:
+        raise ValueError("coeffs must have shape (m, 5)")
+    m = c.shape[0]
+    a = c[:, 1:] / c[:, :1]  # monic: x^4 + a0 x^3 + a1 x^2 + a2 x + a3
+
+    comp = np.zeros((m, 4, 4), dtype=np.complex128)
+    comp[:, 0, :] = -a
+    comp[:, 1, 0] = 1.0
+    comp[:, 2, 1] = 1.0
+    comp[:, 3, 2] = 1.0
+    roots = np.linalg.eigvals(comp)
+
+    for _ in range(2):
+        p = ((roots + a[:, :1]) * roots + a[:, 1:2]) * roots * roots \
+            + a[:, 2:3] * roots + a[:, 3:4]
+        dp = ((4.0 * roots + 3.0 * a[:, :1]) * roots + 2.0 * a[:, 1:2]) * roots \
+            + a[:, 2:3]
+        step = np.where(dp != 0.0, p / np.where(dp != 0.0, dp, 1.0), 0.0)
+        cand = roots - step
+        p_new = ((cand + a[:, :1]) * cand + a[:, 1:2]) * cand * cand \
+            + a[:, 2:3] * cand + a[:, 3:4]
+        roots = np.where(np.abs(p_new) < np.abs(p), cand, roots)
+
+    order = np.lexsort((roots.imag, roots.real), axis=1)
+    return np.take_along_axis(roots, order, axis=1)
 
 
 def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -318,7 +348,7 @@ def green_scan(cfg: GreenSolveConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     xs = cfg.grid if cfg.grid is not None else _default_grid(cfg.Q, cfg.epsilon)
     eps = cfg.epsilon
-    coeffs = _coeffs_grid(xs, eps, cfg.Q)
+    coeffs = green_quartic_coeffs(xs - 1j * eps, cfg.Q)
     roots = quartic_roots_batch(coeffs)
 
     m = len(xs)

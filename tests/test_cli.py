@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rmtspec import l1_distance, read_density_csv
@@ -24,6 +26,24 @@ class TestDispatch:
     def test_freq_domain_rejected_for_wgn(self, tmp_path):
         assert _run("generate", "--signal", "wgn", "--rows", "4", "--cols", "4",
                     "--freq-domain", "-o", str(tmp_path / "x.rmtc")) == 1
+
+    def test_theory_mp_infinite_ratio(self, tmp_path):
+        out = tmp_path / "mp.csv"
+        assert _run("theory", "mp", "--c", "inf", "-o", str(out)) == 1
+        assert not out.exists()
+
+    def test_bad_occupied_range(self, tmp_path, capsys):
+        assert _run("generate", "--signal", "ncofdm", "--rows", "64", "--cols", "4",
+                    "--occupied", "a:b", "-o", str(tmp_path / "x.rmtc")) == 1
+        err = capsys.readouterr().err
+        assert "--occupied" in err and "'a:b'" in err
+
+    def test_rmt_threads_without_threadpoolctl_warns(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RMT_THREADS", "1")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
+        err = capsys.readouterr().err
+        assert "RMT_THREADS" in err and "threadpoolctl" in err
 
 
 class TestPipelines:

@@ -17,6 +17,16 @@ class TestDensityCurve:
         with pytest.raises(ValueError):
             DensityCurve(np.array([0.0, 1.0]), np.zeros(2), point_mass_at_zero=1.5)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            DensityCurve(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError):
+            DensityCurve(np.array([0.0, 1.0]), np.array([0.0, np.inf]))
+        with pytest.raises(ValueError):
+            DensityCurve(np.array([0.0, np.nan]), np.zeros(2))
+        with pytest.raises(ValueError):
+            DensityCurve(np.array([0.0, 1.0]), np.zeros(2), point_mass_at_zero=np.nan)
+
     def test_masses(self):
         xs = np.linspace(0, 2, 101)
         c = DensityCurve(xs, np.full(101, 0.25), point_mass_at_zero=0.5)

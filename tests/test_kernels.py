@@ -1,17 +1,12 @@
-"""Backend equivalence: the compiled extension and the NumPy fallback must
-agree on both kernels."""
+"""Hot kernels: the batched quartic root solve behind the lagged-spectrum
+density (``theory.quartic_roots_batch``) and kernel density evaluation
+(``estimation.kde_eval``)."""
 
 import numpy as np
 import pytest
 
-from rmtspec._kernels import BACKEND, _pure
-
-try:
-    from rmtspec._kernels import _core
-except ImportError:
-    _core = None
-
-BACKENDS = [_pure] if _core is None else [_pure, _core]
+from rmtspec.estimation import kde_eval
+from rmtspec.theory import quartic_roots_batch
 
 
 def _random_coeffs(rng, m):
@@ -21,62 +16,31 @@ def _random_coeffs(rng, m):
     return c
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
 class TestQuarticKernel:
-    def test_known_factorization(self, impl):
-        roots = impl.quartic_roots_batch(np.array([[1, -10, 35, -50, 24]], complex))[0]
+    def test_known_factorization(self):
+        roots = quartic_roots_batch(np.array([[1, -10, 35, -50, 24]], complex))[0]
         np.testing.assert_allclose(roots, [1, 2, 3, 4], atol=1e-9)
 
-    def test_residuals_small(self, impl, rng):
+    def test_residuals_small(self, rng):
         c = _random_coeffs(rng, 200)
-        roots = impl.quartic_roots_batch(c)
+        roots = quartic_roots_batch(c)
         for i in range(200):
             for r in roots[i]:
                 res = abs(np.polyval(c[i], r)) / np.linalg.norm(c[i])
                 assert res < 1e-10
 
-    def test_rows_sorted(self, impl, rng):
-        roots = impl.quartic_roots_batch(_random_coeffs(rng, 50))
+    def test_rows_sorted(self, rng):
+        roots = quartic_roots_batch(_random_coeffs(rng, 50))
         for row in roots:
             key = [(r.real, r.imag) for r in row]
             assert key == sorted(key)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
 class TestKdeKernel:
-    def test_single_point(self, impl):
-        out = impl.kde_eval(np.array([0.0]), np.array([0.0]), 1.0, 0)
+    def test_single_point(self):
+        out = kde_eval(np.array([0.0]), np.array([0.0]), 1.0, 0)
         assert out[0] == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-13)
 
-    def test_epanechnikov_support(self, impl):
-        out = impl.kde_eval(np.array([0.0]), np.array([0.0, 0.5, 1.5]), 1.0, 1)
+    def test_epanechnikov_support(self):
+        out = kde_eval(np.array([0.0]), np.array([0.0, 0.5, 1.5]), 1.0, 1)
         np.testing.assert_allclose(out, [0.75, 0.75 * 0.75, 0.0], atol=1e-14)
-
-
-@pytest.mark.skipif(_core is None, reason="compiled extension not built")
-class TestBackendAgreement:
-    def test_quartic_agreement(self, rng):
-        c = _random_coeffs(rng, 500)
-        a = _pure.quartic_roots_batch(c)
-        b = _core.quartic_roots_batch(c)
-        np.testing.assert_allclose(a, b, atol=1e-10, rtol=1e-10)
-
-    def test_quartic_agreement_green_coeffs(self, rng):
-        from rmtspec.theory import _coeffs_grid
-        xs = np.linspace(-3, 3, 301)
-        for Q in (0.5, 1.0, 10.0):
-            c = _coeffs_grid(xs[np.abs(xs) > 1e-9], 1e-3, Q)
-            a = _pure.quartic_roots_batch(c)
-            b = _core.quartic_roots_batch(c)
-            np.testing.assert_allclose(a, b, atol=1e-10, rtol=1e-8)
-
-    def test_kde_agreement(self, rng):
-        s = rng.standard_normal(400)
-        grid = np.linspace(-4, 4, 777)
-        for kernel in (0, 1):
-            a = _pure.kde_eval(s, grid, 0.3, kernel)
-            b = _core.kde_eval(s, grid, 0.3, kernel)
-            np.testing.assert_allclose(a, b, atol=1e-13)
-
-    def test_selected_backend_exposed(self):
-        assert BACKEND in ("cython", "pure")

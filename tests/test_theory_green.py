@@ -48,6 +48,18 @@ class TestQuarticCoeffs:
         with pytest.raises(ValueError):
             green_quartic_coeffs(0.0, 1.0)
 
+    def test_array_matches_scalar_calls(self):
+        z = np.linspace(-3.0, 3.0, 601) - 1j * 1e-3
+        for Q in (0.5, 1.0, 10.0):
+            got = green_quartic_coeffs(z, Q)
+            assert got.shape == (601, 5)
+            want = np.stack([green_quartic_coeffs(v, Q) for v in z])
+            np.testing.assert_array_equal(got, want)
+
+    def test_array_containing_zero(self):
+        with pytest.raises(ValueError):
+            green_quartic_coeffs(np.array([1.0 - 1e-3j, 0.0, 2.0]), 1.0)
+
 
 class TestSolveQuartic:
     def test_constructed_factorization(self):
@@ -157,6 +169,16 @@ class TestLaggedDensity:
         d_coarse = np.trapezoid(np.abs(curves[1e-2].ys - curves[1e-3].ys), grid)
         d_fine = np.trapezoid(np.abs(curves[1e-3].ys - curves[1e-4].ys), grid)
         assert d_fine < d_coarse
+
+    @pytest.mark.parametrize("Q", [0.0, -1.0, np.inf, np.nan])
+    def test_config_rejects_invalid_q(self, Q):
+        with pytest.raises(InvalidRatio):
+            GreenSolveConfig(Q=Q)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan])
+    def test_config_rejects_invalid_epsilon(self, eps):
+        with pytest.raises(ValueError):
+            GreenSolveConfig(Q=1.0, epsilon=eps)
 
     def test_custom_grid_respected(self):
         grid = np.linspace(-3.0, 3.0, 501)

@@ -22,10 +22,9 @@ class TestMpParams:
         assert 0 <= prm.a < prm.b
 
     def test_invalid_ratio(self):
-        with pytest.raises(InvalidRatio):
-            mp_params(0.0)
-        with pytest.raises(InvalidRatio):
-            mp_params(-1.0)
+        for c in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InvalidRatio):
+                mp_params(c)
 
 
 class TestMpDensity:
