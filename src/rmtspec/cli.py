@@ -183,6 +183,7 @@ def _load_matrix(ns: argparse.Namespace) -> DataMatrix:
 
 
 def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
+    kcfg = estimation.KernelConfig(bandwidth=ns.bandwidth)
     X = _load_matrix(ns)
     spec = eigvals_symmetric(sample_covariance(X))
     vals = estimation.snap_zeros(spec.values)
@@ -190,7 +191,6 @@ def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
     prm = theory.mp_params(ratio)
 
     nonzero = vals[vals > 0]
-    kcfg = estimation.KernelConfig(bandwidth=ns.bandwidth)
     snapped = RealSpectrum(vals, matrix_trace=float(vals.sum()))
     kde = estimation.eigenvalue_density(snapped, kcfg)
     atom_share = kde.point_mass_at_zero
@@ -210,14 +210,17 @@ def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
     X = _load_matrix(ns)
     cspec = eigvals_general(lagged_correlation(X, ns.tau))
 
+    # every curve is built before any file is written, so a failure leaves none
+    curves = {axis: estimation.projection_density(cspec, axis=axis, bins=ns.bins)
+              for axis in ("x", "y")}
+
     lines = ["re,im"]
     for v in cspec.values:
         lines.append(f"{v.real:.9g},{v.imag:.9g}")
     fileio._atomic_write(ns.output, ("\n".join(lines) + "\n").encode())
 
     base, ext = os.path.splitext(ns.output)
-    for axis in ("x", "y"):
-        curve = estimation.projection_density(cspec, axis=axis, bins=ns.bins)
+    for axis, curve in curves.items():
         fileio.write_density_csv(f"{base}.{axis}{ext or '.csv'}", [curve], [f"proj_{axis}"])
     return 0
 

@@ -43,7 +43,10 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel shape and bandwidth; ``bandwidth=None`` selects Silverman's rule."""
+    """Kernel shape and bandwidth; ``bandwidth=None`` selects Silverman's rule.
+
+    An explicit bandwidth must be finite and positive.
+    """
 
     kernel: str = "gaussian"
     bandwidth: float | None = None
@@ -51,8 +54,9 @@ class KernelConfig:
     def __post_init__(self):
         if self.kernel not in _KERNEL_IDS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise BandwidthNonPositive(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise BandwidthNonPositive(
+                f"bandwidth must be finite and positive, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)

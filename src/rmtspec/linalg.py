@@ -4,6 +4,11 @@ Covers row standardization, sample covariance (optionally shaped by a
 population covariance), time-lagged correlation with its shift matrix, the
 symmetric/antisymmetric split, and eigenvalue extraction for both the
 symmetric and the general (complex-spectrum) case.
+
+A p x p matrix built from p x n data has rank at most n. When it keeps that
+data and n < p, its eigenvalues are solved on the small side: AB and BA share
+their nonzero eigenvalues, so an n x n eigensolve plus p - n exact zeros gives
+the whole spectrum.
 """
 
 from __future__ import annotations
@@ -65,19 +70,36 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Real symmetric PSD matrix with the (p, n) it was estimated from."""
+    """Real symmetric PSD matrix with the (p, n) it was estimated from.
+
+    ``data``, when given, is the p x n array ``a`` with ``entries = a a^T / n``.
+    """
 
     entries: np.ndarray
     source_dims: tuple[int, int]
+    data: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _check_source(self.entries, self.data)
 
 
 @dataclass(frozen=True)
 class LaggedMatrix:
-    """Lag-tau correlation matrix; non-symmetric for tau > 0."""
+    """Lag-tau correlation matrix; non-symmetric for tau > 0.
+
+    ``data``, when given, is the p x T array ``a`` with
+    ``entries = a[:, :T-tau] a[:, tau:]^T / T``.
+    """
 
     entries: np.ndarray
     tau: int
     source_dims: tuple[int, int]
+    data: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _check_source(self.entries, self.data)
+        if self.data is not None and not 0 <= self.tau < self.data.shape[1]:
+            raise LagOutOfRange(f"tau={self.tau} outside [0, {self.data.shape[1] - 1}]")
 
 
 @dataclass(frozen=True)
@@ -154,7 +176,7 @@ def sample_covariance(X: DataMatrix, T: CovarianceMatrix | None = None) -> Covar
         a = s @ a
     cov = (a @ a.T) / n
     cov = 0.5 * (cov + cov.T)
-    return CovarianceMatrix(cov, source_dims=(p, n))
+    return CovarianceMatrix(cov, source_dims=(p, n), data=a)
 
 
 def shift_matrix(T: int, tau: int) -> np.ndarray:
@@ -184,7 +206,7 @@ def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
         C = 0.5 * (C + C.T)
     else:
         C = (a[:, : T - tau] @ a[:, tau:].T) / T
-    return LaggedMatrix(C, tau=tau, source_dims=(p, T))
+    return LaggedMatrix(C, tau=tau, source_dims=(p, T), data=a)
 
 
 def split_symmetric(C: LaggedMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -195,21 +217,53 @@ def split_symmetric(C: LaggedMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigvals_symmetric(A) -> RealSpectrum:
-    """All eigenvalues of a symmetric matrix, ascending."""
+    """All eigenvalues of a symmetric matrix, ascending.
+
+    A ``CovarianceMatrix`` that keeps its p x n data with n < p is solved as
+    ``eigvalsh(a^T a / n)`` plus p - n exact zeros; anything else, including
+    a raw array, by a dense eigensolve of the matrix itself.
+    """
     a = np.asarray(A.entries if hasattr(A, "entries") else A, dtype=np.float64)
     _require_symmetric(a)
-    w = np.linalg.eigvalsh(a)
+    if isinstance(A, CovarianceMatrix) and A.data is not None and A.data.shape[1] < a.shape[0]:
+        d = A.data
+        w = np.linalg.eigvalsh(d.T @ d / d.shape[1])
+        w = np.concatenate([np.zeros(a.shape[0] - len(w)), w])
+    else:
+        w = np.linalg.eigvalsh(a)
+    # the trace of the p x p matrix cross-checks the small-side solve as well
     return RealSpectrum(values=w, matrix_trace=float(np.trace(a)))
 
 
 def eigvals_general(C) -> ComplexSpectrum:
-    """All (generally complex) eigenvalues of a square matrix."""
+    """All (generally complex) eigenvalues of a square matrix.
+
+    A ``LaggedMatrix`` that keeps its p x T data with m = T - tau < p is
+    solved as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros;
+    anything else, including a raw array, by a dense eigensolve.
+    """
     a = np.asarray(C.entries if hasattr(C, "entries") else C)
+    small = None
+    if isinstance(C, LaggedMatrix) and C.data is not None:
+        d, tau = C.data, C.tau
+        m = d.shape[1] - tau
+        if m < a.shape[0]:
+            small = d[:, tau:].T @ d[:, :m] / d.shape[1]
     try:
-        w = np.linalg.eigvals(a)
+        w = np.linalg.eigvals(a if small is None else small)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+    if small is not None:
+        w = np.concatenate([np.zeros(a.shape[0] - len(w)), w])
     return ComplexSpectrum(values=w)
+
+
+def _check_source(entries: np.ndarray, data: np.ndarray | None) -> None:
+    if data is not None and (np.ndim(data) != 2 or np.shape(data)[0] != np.shape(entries)[0]):
+        raise DimensionMismatch(
+            f"source data of shape {np.shape(data)} does not match a matrix of "
+            f"shape {np.shape(entries)}"
+        )
 
 
 def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:

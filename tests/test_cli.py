@@ -1,7 +1,11 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rmtspec
 from rmtspec import l1_distance, read_density_csv
 from rmtspec.cli import run_cli
 
@@ -44,6 +48,50 @@ class TestDispatch:
         assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
         err = capsys.readouterr().err
         assert "RMT_THREADS" in err and "threadpoolctl" in err
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_analyze_cov_infinite_bandwidth(self, tmp_path, capsys):
+        cap = tmp_path / "cap.rmtc"
+        out = tmp_path / "d.csv"
+        assert _run("generate", "--signal", "wgn", "--seed", "2",
+                    "--rows", "8", "--cols", "32", "-o", str(cap)) == 0
+        assert _run("analyze", "cov", "-i", str(cap), "--bandwidth", "inf",
+                    "-o", str(out)) == 1
+        assert "bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analyze_lagged_failure_writes_nothing(self, tmp_path):
+        cap = tmp_path / "cap.rmtc"
+        assert _run("generate", "--signal", "wgn", "--seed", "2",
+                    "--rows", "8", "--cols", "32", "-o", str(cap)) == 0
+        assert _run("analyze", "lagged", "-i", str(cap), "--tau", "1", "--bins", "0",
+                    "-o", str(tmp_path / "cloud.csv")) == 1
+        for name in ("cloud.csv", "cloud.x.csv", "cloud.y.csv"):
+            assert not (tmp_path / name).exists()
+
+
+class TestModuleEntry:
+    """``python -m rmtspec`` runs the CLI in a fresh interpreter."""
+
+    @staticmethod
+    def _module(*args, cwd):
+        src = str(Path(rmtspec.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "rmtspec", *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_theory_mp_writes_file(self, tmp_path):
+        out = tmp_path / "mp.csv"
+        proc = self._module("theory", "mp", "--c", "0.5", "-o", str(out), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert read_density_csv(str(out))["mp"].total_mass() == pytest.approx(1.0, abs=0.02)
+
+    def test_bare_invocation_prints_usage(self, tmp_path):
+        proc = self._module(cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "usage" in proc.stderr
 
 
 class TestPipelines:

@@ -133,8 +133,9 @@ class TestKde:
         np.testing.assert_allclose(c0.ys, c1.ys, atol=1e-12)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(BandwidthNonPositive):
-            KernelConfig(bandwidth=-1.0)
+        for h in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(BandwidthNonPositive, match="bandwidth"):
+                KernelConfig(bandwidth=h)
 
 
 class TestHistogram:

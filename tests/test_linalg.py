@@ -274,3 +274,51 @@ class TestTypes:
         from rmtspec import RealSpectrum
         with pytest.raises(ValueError):
             RealSpectrum(values=np.array([1.0, 2.0]), matrix_trace=10.0)
+
+
+class TestSmallSide:
+    """The rank-deficient small-side solves against dense p x p eigensolves."""
+
+    @given(p=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           standardize=st.booleans(), population=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_solve(self, p, n, seed, standardize, population):
+        g = np.random.default_rng(seed)
+        X = DataMatrix(g.standard_normal((p, n)))
+        if standardize and n >= 2:
+            X = standardize_rows(X)
+        T = None
+        if population:
+            B = g.standard_normal((p, p))
+            T = CovarianceMatrix(B @ B.T, (p, p))
+
+        cov = sample_covariance(X, T)
+        got = eigvals_symmetric(cov).values
+        want = np.linalg.eigvalsh(cov.entries)
+        scale = max(1.0, np.abs(want).max())
+        assert greedy_pairing_residual(got, want) <= 1e-10 * scale
+        if p > n:
+            assert np.count_nonzero(got == 0.0) >= p - n
+        # a raw array has no source data: it takes the dense path unchanged
+        np.testing.assert_array_equal(eigvals_symmetric(cov.entries).values, np.sort(want))
+
+        # standardization bypassed for raw data: the contract is the raw product
+        Xl = DataMatrix(X.entries, standardized=True)
+        for tau in sorted({0, 1, n - 1} & set(range(n))):
+            C = lagged_correlation(Xl, tau)
+            got = eigvals_general(C).values
+            want = np.linalg.eigvals(C.entries)
+            scale = max(1.0, np.abs(want).max())
+            assert greedy_pairing_residual(got, want) <= 1e-10 * scale
+            if p > n - tau:
+                assert np.count_nonzero(got == 0.0) >= p - (n - tau)
+            np.testing.assert_array_equal(eigvals_general(C.entries).values,
+                                          ComplexSpectrum(want).values)
+
+    def test_source_data_shape_checked(self, rng):
+        a = rng.standard_normal((4, 3))
+        with pytest.raises(DimensionMismatch):
+            CovarianceMatrix(a @ a.T / 3, (4, 3), data=a[:3])
+        from rmtspec.linalg import LaggedMatrix
+        with pytest.raises(LagOutOfRange):
+            LaggedMatrix(np.zeros((4, 4)), 3, (4, 3), data=a)
