@@ -227,7 +227,11 @@ def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
 
 def _cmd_theory_mp(ns: argparse.Namespace) -> int:
     prm = theory.mp_params(ns.c)
-    grid = np.linspace(prm.a, prm.b, ns.points)
+    # abscissas cluster at both edges, where the density has a square-root
+    # zero or, at c = 1, an x^(-1/2) pole that a uniform grid under-samples
+    u = np.linspace(0.0, 1.0, ns.points)
+    grid = prm.a + (prm.b - prm.a) * 0.5 * (1.0 - np.cos(np.pi * u))
+    grid[0], grid[-1] = prm.a, prm.b
     curve = DensityCurve(grid, theory.mp_density(grid, ns.c),
                          point_mass_at_zero=prm.point_mass_at_zero)
     fileio.write_density_csv(ns.output, [curve], ["mp"])

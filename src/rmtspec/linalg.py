@@ -8,11 +8,14 @@ symmetric and the general (complex-spectrum) case.
 A p x p matrix built from p x n data has rank at most n. When it keeps that
 data and n < p, its eigenvalues are solved on the small side: AB and BA share
 their nonzero eigenvalues, so an n x n eigensolve plus p - n exact zeros gives
-the whole spectrum.
+the whole spectrum. The matrices that ``sample_covariance`` and
+``lagged_correlation`` return hold only that data and form the p x p product
+the first time ``entries`` is read, so the small side never builds it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,38 +71,54 @@ class DataMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
 class CovarianceMatrix:
     """Real symmetric PSD matrix with the (p, n) it was estimated from.
 
-    ``data``, when given, is the p x n array ``a`` with ``entries = a a^T / n``.
+    Built from ``entries``, from ``data`` (the p x n array ``a`` with
+    ``entries = a a^T / n``), or both. When only ``data`` is given, the
+    p x p ``entries`` is formed the first time it is read.
     """
 
-    entries: np.ndarray
-    source_dims: tuple[int, int]
-    data: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, entries: np.ndarray | None, source_dims: tuple[int, int],
+                 data: np.ndarray | None = None):
+        _check_source(entries, data)
+        if entries is not None:
+            self.entries = entries
+        self.source_dims = source_dims
+        self.data = data
 
-    def __post_init__(self):
-        _check_source(self.entries, self.data)
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        return _gram(self.data)
 
 
-@dataclass(frozen=True)
 class LaggedMatrix:
     """Lag-tau correlation matrix; non-symmetric for tau > 0.
 
-    ``data``, when given, is the p x T array ``a`` with
-    ``entries = a[:, :T-tau] a[:, tau:]^T / T``.
+    Built from ``entries``, from ``data`` (the p x T array ``a`` with
+    ``entries = a[:, :T-tau] a[:, tau:]^T / T``, symmetrized at tau = 0),
+    or both. When only ``data`` is given, the p x p ``entries`` is formed the
+    first time it is read.
     """
 
-    entries: np.ndarray
-    tau: int
-    source_dims: tuple[int, int]
-    data: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, entries: np.ndarray | None, tau: int, source_dims: tuple[int, int],
+                 data: np.ndarray | None = None):
+        _check_source(entries, data)
+        if data is not None and not 0 <= tau < data.shape[1]:
+            raise LagOutOfRange(f"tau={tau} outside [0, {data.shape[1] - 1}]")
+        if entries is not None:
+            self.entries = entries
+        self.tau = tau
+        self.source_dims = source_dims
+        self.data = data
 
-    def __post_init__(self):
-        _check_source(self.entries, self.data)
-        if self.data is not None and not 0 <= self.tau < self.data.shape[1]:
-            raise LagOutOfRange(f"tau={self.tau} outside [0, {self.data.shape[1] - 1}]")
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        a, tau = self.data, self.tau
+        T = a.shape[1]
+        if tau == 0:
+            return _gram(a)
+        return (a[:, : T - tau] @ a[:, tau:].T) / T
 
 
 @dataclass(frozen=True)
@@ -174,9 +193,7 @@ def sample_covariance(X: DataMatrix, T: CovarianceMatrix | None = None) -> Covar
             )
         s = matrix_sqrt_psd(T).entries
         a = s @ a
-    cov = (a @ a.T) / n
-    cov = 0.5 * (cov + cov.T)
-    return CovarianceMatrix(cov, source_dims=(p, n), data=a)
+    return CovarianceMatrix(None, source_dims=(p, n), data=a)
 
 
 def shift_matrix(T: int, tau: int) -> np.ndarray:
@@ -201,12 +218,7 @@ def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
     p, T = a.shape
     if not 0 <= tau <= T - 1:
         raise LagOutOfRange(f"tau={tau} outside [0, {T - 1}]")
-    if tau == 0:
-        C = (a @ a.T) / T
-        C = 0.5 * (C + C.T)
-    else:
-        C = (a[:, : T - tau] @ a[:, tau:].T) / T
-    return LaggedMatrix(C, tau=tau, source_dims=(p, T), data=a)
+    return LaggedMatrix(None, tau=tau, source_dims=(p, T), data=a)
 
 
 def split_symmetric(C: LaggedMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -220,46 +232,64 @@ def eigvals_symmetric(A) -> RealSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
     A ``CovarianceMatrix`` that keeps its p x n data with n < p is solved as
-    ``eigvalsh(a^T a / n)`` plus p - n exact zeros; anything else, including
-    a raw array, by a dense eigensolve of the matrix itself.
+    ``eigvalsh(a^T a / n)`` plus p - n exact zeros, without forming the
+    p x p matrix; anything else, including a raw array, by a dense
+    eigensolve of the matrix itself. The matrix solved is checked for
+    symmetry, and the eigenvalue sum against its trace.
     """
-    a = np.asarray(A.entries if hasattr(A, "entries") else A, dtype=np.float64)
-    _require_symmetric(a)
-    if isinstance(A, CovarianceMatrix) and A.data is not None and A.data.shape[1] < a.shape[0]:
+    if isinstance(A, CovarianceMatrix) and A.data is not None \
+            and A.data.shape[1] < A.data.shape[0]:
         d = A.data
-        w = np.linalg.eigvalsh(d.T @ d / d.shape[1])
-        w = np.concatenate([np.zeros(a.shape[0] - len(w)), w])
+        p, n = d.shape
+        small = d.T @ d / n
+        _require_symmetric(small)
+        w = np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(small)])
+        # ||a||_F^2 / n, taken from the data rather than the matrix solved
+        trace = float(np.einsum("ij,ij->", d, d)) / n
     else:
+        a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
+        _require_symmetric(a)
         w = np.linalg.eigvalsh(a)
-    # the trace of the p x p matrix cross-checks the small-side solve as well
-    return RealSpectrum(values=w, matrix_trace=float(np.trace(a)))
+        trace = float(np.trace(a))
+    return RealSpectrum(values=w, matrix_trace=trace)
 
 
 def eigvals_general(C) -> ComplexSpectrum:
     """All (generally complex) eigenvalues of a square matrix.
 
     A ``LaggedMatrix`` that keeps its p x T data with m = T - tau < p is
-    solved as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros;
-    anything else, including a raw array, by a dense eigensolve.
+    solved as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros,
+    without forming the p x p matrix; anything else, including a raw array,
+    by a dense eigensolve.
     """
-    a = np.asarray(C.entries if hasattr(C, "entries") else C)
-    small = None
-    if isinstance(C, LaggedMatrix) and C.data is not None:
+    zeros = 0
+    if isinstance(C, LaggedMatrix) and C.data is not None \
+            and C.data.shape[1] - C.tau < C.data.shape[0]:
         d, tau = C.data, C.tau
-        m = d.shape[1] - tau
-        if m < a.shape[0]:
-            small = d[:, tau:].T @ d[:, :m] / d.shape[1]
+        p, T = d.shape
+        m = T - tau
+        a = d[:, tau:].T @ d[:, :m] / T
+        zeros = p - m
+    else:
+        a = np.asarray(getattr(C, "entries", C))
     try:
-        w = np.linalg.eigvals(a if small is None else small)
+        w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if small is not None:
-        w = np.concatenate([np.zeros(a.shape[0] - len(w)), w])
-    return ComplexSpectrum(values=w)
+    return ComplexSpectrum(values=np.concatenate([np.zeros(zeros), w]))
 
 
-def _check_source(entries: np.ndarray, data: np.ndarray | None) -> None:
-    if data is not None and (np.ndim(data) != 2 or np.shape(data)[0] != np.shape(entries)[0]):
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Symmetrized a a^T / n of a p x n array."""
+    g = (a @ a.T) / a.shape[1]
+    return 0.5 * (g + g.T)
+
+
+def _check_source(entries: np.ndarray | None, data: np.ndarray | None) -> None:
+    if entries is None and data is None:
+        raise ValueError("a matrix needs its entries, its source data, or both")
+    if data is not None and (np.ndim(data) != 2 or (
+            entries is not None and np.shape(data)[0] != np.shape(entries)[0])):
         raise DimensionMismatch(
             f"source data of shape {np.shape(data)} does not match a matrix of "
             f"shape {np.shape(entries)}"

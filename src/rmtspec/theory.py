@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .curves import DensityCurve
 from .errors import (
@@ -101,56 +100,33 @@ def mp_density(x, c: float):
     return out
 
 
-def _mp_segment(lo: float, hi: float, prm: MpParams) -> float:
-    """Integral of the continuous density over [lo, hi] within the support.
-
-    The lower support edge is a square-root (or, at c = 1, an inverse
-    square-root) endpoint; substituting x = a + u^2 removes it.
-    """
-    c = prm.c
-    if hi <= lo:
-        return 0.0
-    if lo <= prm.a + 1e-12 * max(1.0, prm.b):
-
-        def g(u):
-            xx = prm.a + u * u
-            return np.sqrt(np.clip((prm.b - xx) * (xx - prm.a), 0.0, None)) \
-                / (np.pi * c * xx) * u if xx > 0 else 0.0
-
-        return quad(g, 0.0, math.sqrt(hi - prm.a), limit=200)[0]
-    return quad(lambda t: mp_density(t, c), lo, hi, limit=200)[0]
-
-
 def mp_cdf(x, c: float):
-    """Marcenko-Pastur CDF (atom at zero included), adaptive quadrature.
+    """Marcenko-Pastur CDF (atom at zero included), in closed form.
 
-    Accepts a scalar or an array; array evaluation integrates segment by
-    segment between the sorted points, so each density interval is
-    integrated once.
+    Vectorized over ``x``. Inside the support the continuous part is the
+    antiderivative of ``sqrt((b-x)(x-a)) / x`` taken from ``a``,
+
+        r + (a+b)/2 (asin s + pi/2) - sqrt(ab) (asin t + pi/2),
+        r = sqrt((b-x)(x-a)), s = (2x-a-b)/(b-a), t = ((a+b)x-2ab)/((b-a)x),
+
+    divided by ``2 pi c``; the last term vanishes when ``a = 0``. Each
+    ``asin + pi/2`` is written as an ``atan2`` of ``x - a`` and ``b - x``,
+    which keeps full accuracy next to the edges where ``asin`` loses digits.
+    ``F = 0`` below 0, the atom on ``[0, a]`` and 1 from ``b`` on, exactly.
     """
     prm = mp_params(c)
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.zeros(xv.shape, dtype=np.float64)
-    atom = prm.point_mass_at_zero
-
-    order = np.argsort(xv)
-    acc = 0.0
-    prev = prm.a
-    for idx in order:
-        t = xv[idx]
-        if t < 0:
-            out[idx] = 0.0
-            continue
-        if t <= prm.a:
-            out[idx] = atom
-            continue
-        hi = min(t, prm.b)
-        if hi > prev:
-            acc += _mp_segment(prev, hi, prm)
-            prev = hi
-        out[idx] = min(atom + acc, 1.0)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
+    a, b, atom = prm.a, prm.b, prm.point_mass_at_zero
+    xv = np.asarray(x, dtype=np.float64)
+    u = np.clip(xv - a, 0.0, b - a)
+    v = np.clip(b - xv, 0.0, b - a)
+    r = np.sqrt(u * v)
+    g = math.sqrt(a * b)
+    cont = (r + 0.5 * (a + b) * np.arctan2(2.0 * r, v - u)
+            - g * np.arctan2(2.0 * g * r, a * v - b * u)) / (2.0 * math.pi * c)
+    # u = 0 gives cont = 0 exactly, so the clip also leaves F = atom on [0, a]
+    out = np.where(xv < 0, 0.0, np.where(xv >= b, 1.0, np.clip(atom + cont, atom, 1.0)))
+    if out.ndim == 0:
+        return float(out)
     return out
 
 

@@ -2,10 +2,14 @@
 
 Kept deliberately separate from the package: closed-form root formulas
 (quadratic/Cardano) instead of LAPACK eigensolvers, and explicit index sums
-instead of matrix products.
+instead of matrix products, adaptive quadrature instead of closed-form
+integrals.
 """
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
 
 
 def charpoly_eigs(A):
@@ -93,3 +97,29 @@ def greedy_pairing_residual(a, b):
         worst = max(worst, dists[k])
         b.pop(k)
     return worst
+
+
+def mp_cdf_quad(x, c):
+    """Marcenko-Pastur CDF at scalar ``x`` by adaptive quadrature of the
+    density. The substitution x = a + u^2 removes the square-root (at c = 1,
+    inverse square-root) lower edge. Near c = 1 the integrand still turns
+    from 0 to its plateau over a width sqrt(a) that can be far below the
+    interval, so breakpoints at sqrt(a) times powers of 10 expose it."""
+    s = math.sqrt(c)
+    a, b = (1.0 - s) ** 2, (1.0 + s) ** 2
+    atom = max(0.0, 1.0 - 1.0 / c)
+    if x < 0:
+        return 0.0
+    if x <= a:
+        return atom
+
+    def g(u):  # 2u times the density at t = a + u^2
+        t = a + u * u
+        # u^2 / t, whose limit at t = 0 (a = 0, i.e. c = 1) is 1
+        ratio = u * u / t if t > 0 else 1.0
+        return ratio * math.sqrt(max(b - t, 0.0)) / (math.pi * c)
+
+    hi = math.sqrt(min(x, b) - a)
+    points = [math.sqrt(a) * 10.0**k for k in range(20)]
+    points = [p for p in points if 0.0 < p < hi] or None
+    return atom + quad(g, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)[0]

@@ -93,6 +93,15 @@ class TestModuleEntry:
         assert proc.returncode == 1
         assert "usage" in proc.stderr
 
+    def test_import_does_not_load_scipy(self, tmp_path):
+        src = str(Path(rmtspec.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import rmtspec.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code, src], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestPipelines:
     def test_wgn_cov_against_mp(self, tmp_path):
@@ -127,6 +136,14 @@ class TestPipelines:
         curve = read_density_csv(str(out))["mp"]
         assert curve.xs[0] == pytest.approx(1.0)
         assert curve.xs[-1] == pytest.approx(9.0)
+
+    def test_theory_mp_c1_mass(self, tmp_path):
+        # c = 1 puts an x^(-1/2) pole at the lower edge 0
+        out = tmp_path / "mp1.csv"
+        assert _run("theory", "mp", "--c", "1", "-o", str(out)) == 0
+        curve = read_density_csv(str(out))["mp"]
+        assert curve.xs[0] == 0.0 and curve.xs[-1] == 4.0
+        assert curve.total_mass() == pytest.approx(1.0, abs=0.02)
 
     def test_theory_lagged_writes_curve(self, tmp_path):
         out = tmp_path / "rho.csv"

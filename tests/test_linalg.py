@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from rmtspec import (
     ComplexSpectrum,
     CovarianceMatrix,
     DataMatrix,
+    LaggedMatrix,
     eigvals_general,
     eigvals_symmetric,
     lagged_correlation,
@@ -319,6 +322,35 @@ class TestSmallSide:
         a = rng.standard_normal((4, 3))
         with pytest.raises(DimensionMismatch):
             CovarianceMatrix(a @ a.T / 3, (4, 3), data=a[:3])
-        from rmtspec.linalg import LaggedMatrix
         with pytest.raises(LagOutOfRange):
             LaggedMatrix(np.zeros((4, 4)), 3, (4, 3), data=a)
+
+    def test_entries_built_on_first_access(self, rng):
+        X = standardize_rows(DataMatrix(rng.standard_normal((6, 4))))
+        a = X.entries
+        B = rng.standard_normal((6, 6))
+        T = CovarianceMatrix(B @ B.T, (6, 6))
+        for pop, src in ((None, a), (T, matrix_sqrt_psd(T).entries @ a)):
+            cov = sample_covariance(X, pop)
+            eigvals_symmetric(cov)
+            assert "entries" not in vars(cov)  # the small side never builds it
+            c = src @ src.T / 4
+            np.testing.assert_array_equal(cov.entries, 0.5 * (c + c.T))
+        c = a @ a.T / 4
+        np.testing.assert_array_equal(lagged_correlation(X, 0).entries, 0.5 * (c + c.T))
+        C1 = lagged_correlation(X, 1)
+        eigvals_general(C1)
+        assert "entries" not in vars(C1)
+        np.testing.assert_array_equal(C1.entries, a[:, :3] @ a[:, 1:].T / 4)
+
+    def test_small_side_memory(self):
+        X = standardize_rows(DataMatrix(np.random.default_rng(5).standard_normal((2048, 64))))
+        tracemalloc.start()
+        try:
+            eigvals_symmetric(sample_covariance(X))
+            eigvals_general(lagged_correlation(X, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2048 x 2048 float64 matrix alone is 32 MiB
+        assert peak < 4 * 2**20

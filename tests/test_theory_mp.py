@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmtspec import mp_cdf, mp_density, mp_params
 from rmtspec.errors import InvalidRatio
+
+from oracles import mp_cdf_quad
 
 
 class TestMpParams:
@@ -95,3 +99,24 @@ class TestMpCdf:
         F = mp_cdf(xs, 0.5)
         for x, f in zip(xs, F):
             assert mp_cdf(float(x), 0.5) == pytest.approx(f, abs=1e-10)
+
+    @given(c=st.floats(0.05, 50.0),
+           ts=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=12))
+    @example(c=1.0, ts=[0.0])  # a = 0: the x^(-1/2) pole sits at the lower edge
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_against_quadrature(self, c, ts):
+        prm = mp_params(c)
+        a, b, atom = prm.a, prm.b, prm.point_mass_at_zero
+        xs = np.sort(np.concatenate([
+            a + (b - a) * np.asarray(ts),
+            [-1.0, -1e-300, 0.0, a, np.nextafter(a, b), np.nextafter(b, a), b, b + 1.0],
+        ]))
+        F = mp_cdf(xs, c)
+        # non-decreasing up to rounding of the O(1) terms that cancel near the edges
+        assert np.all(np.diff(F) >= -1e-14)
+        assert np.all(F[xs < 0] == 0.0)
+        assert np.all(F[(xs >= 0) & (xs <= a)] == atom)
+        assert np.all(F[xs >= b] == 1.0)
+        assert mp_cdf(a, c) == atom and mp_cdf(b, c) == 1.0
+        for x, f in zip(xs, F):
+            assert f == pytest.approx(mp_cdf_quad(float(x), c), abs=1e-8)
