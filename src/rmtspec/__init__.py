@@ -21,6 +21,7 @@ from .estimation import (
     projection_density,
     silverman_bandwidth,
     snap_zeros,
+    split_atom,
 )
 from .fileio import read_capture, read_density_csv, write_capture, write_density_csv
 from .linalg import (

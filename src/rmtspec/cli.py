@@ -28,7 +28,6 @@ from .curves import DensityCurve
 from .errors import NumericalError, RmtError
 from .linalg import (
     DataMatrix,
-    RealSpectrum,
     eigvals_general,
     eigvals_symmetric,
     lagged_correlation,
@@ -186,14 +185,11 @@ def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
     kcfg = estimation.KernelConfig(bandwidth=ns.bandwidth)
     X = _load_matrix(ns)
     spec = eigvals_symmetric(sample_covariance(X))
-    vals = estimation.snap_zeros(spec.values)
     ratio = X.p / X.n
     prm = theory.mp_params(ratio)
 
-    nonzero = vals[vals > 0]
-    snapped = RealSpectrum(vals, matrix_trace=float(vals.sum()))
-    kde = estimation.eigenvalue_density(snapped, kcfg)
-    atom_share = kde.point_mass_at_zero
+    kde = estimation.eigenvalue_density(spec, kcfg)
+    nonzero, atom_share = estimation.split_atom(spec.values)
     hist = estimation.histogram_density(nonzero, bins=ns.bins)
     hist = DensityCurve(hist.xs, hist.ys * (1.0 - atom_share), point_mass_at_zero=atom_share)
 
@@ -226,6 +222,8 @@ def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theory_mp(ns: argparse.Namespace) -> int:
+    if ns.points < 2:
+        raise RmtError(f"--points must be >= 2, got {ns.points}")
     prm = theory.mp_params(ns.c)
     # abscissas cluster at both edges, where the density has a square-root
     # zero or, at c = 1, an x^(-1/2) pole that a uniform grid under-samples
@@ -243,12 +241,6 @@ def _cmd_theory_lagged(ns: argparse.Namespace) -> int:
         theory.GreenSolveConfig(Q=ns.q, epsilon=ns.epsilon))
     fileio.write_density_csv(ns.output, [curve], ["rho_s"])
     return 0
-
-
-def _curve_cdf(curve: DensityCurve, grid: np.ndarray) -> np.ndarray:
-    ys = curve(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (ys[1:] + ys[:-1]))])
-    return cdf + curve.point_mass_at_zero * (grid >= 0.0)
 
 
 def _pick_column(curves: dict[str, DensityCurve], requested: str | None,
@@ -271,8 +263,9 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     a, b = emp[emp_col], th[th_col]
 
     l1 = estimation.l1_distance(a, b)
-    grid = np.linspace(min(a.xs[0], b.xs[0]), max(a.xs[-1], b.xs[-1]), 4096)
-    ks = float(np.abs(_curve_cdf(a, grid) - _curve_cdf(b, grid)).max())
+    # exact curve CDFs, compared at every knot of either curve
+    knots = np.union1d(a.xs, b.xs)
+    ks = float(np.abs(a.cdf(knots) - b.cdf(knots)).max())
 
     report = (
         f"empirical: {ns.empirical} [{emp_col}]\n"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DensityCurve", "resample"]
+__all__ = ["DensityCurve", "resample", "union_grid"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,23 @@ class DensityCurve:
         """Linear interpolation, zero outside the grid."""
         return np.interp(np.asarray(x, dtype=np.float64), self.xs, self.ys,
                          left=0.0, right=0.0)
+
+    def cdf(self, x) -> np.ndarray:
+        """Exact integral of the linear interpolant up to ``x``, plus the atom
+        from ``x >= 0`` on."""
+        x = np.asarray(x, dtype=np.float64)
+        t = np.clip(x, self.xs[0], self.xs[-1])
+        i = np.minimum(np.searchsorted(self.xs, t, side="right"), len(self.xs) - 1) - 1
+        knots = np.concatenate(
+            [[0.0], np.cumsum(np.diff(self.xs) * 0.5 * (self.ys[1:] + self.ys[:-1]))])
+        # the interpolant is linear on [xs[i], t], so this trapezoid is exact
+        part = (t - self.xs[i]) * 0.5 * (self.ys[i] + self(t))
+        return knots[i] + part + self.point_mass_at_zero * (x >= 0.0)
+
+
+def union_grid(curves) -> np.ndarray:
+    """2048 evenly spaced abscissas spanning the union of the curves' supports."""
+    return np.linspace(min(c.xs[0] for c in curves), max(c.xs[-1] for c in curves), 2048)
 
 
 def resample(curve: DensityCurve, grid: np.ndarray) -> DensityCurve:

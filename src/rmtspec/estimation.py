@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DensityCurve
+from .curves import DensityCurve, union_grid
 from .errors import (
     BandwidthNonPositive,
     DegenerateSample,
@@ -30,13 +30,13 @@ __all__ = [
     "ks_distance",
     "l1_distance",
     "complex_projection_samples",
+    "split_atom",
     "snap_zeros",
     "eigenvalue_density",
     "projection_density",
 ]
 
 _KERNEL_IDS = {"gaussian": 0, "epanechnikov": 1}
-_RESAMPLE_POINTS = 2048
 _ZERO_REL_TOL = 1e-8
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -169,12 +169,6 @@ def ks_distance(esd: EsdFunction, cdf) -> float:
     return float(max(np.abs(hi - F).max(), np.abs(lo - F_left).max()))
 
 
-def _union_grid(a: DensityCurve, b: DensityCurve, points: int = _RESAMPLE_POINTS) -> np.ndarray:
-    lo = min(a.xs[0], b.xs[0])
-    hi = max(a.xs[-1], b.xs[-1])
-    return np.linspace(lo, hi, points)
-
-
 def l1_distance(curve_a: DensityCurve, curve_b: DensityCurve) -> float:
     """L1 distance between two density curves plus |difference of atoms|.
 
@@ -185,7 +179,7 @@ def l1_distance(curve_a: DensityCurve, curve_b: DensityCurve) -> float:
     if curve_a.xs[-1] < curve_b.xs[0] or curve_b.xs[-1] < curve_a.xs[0]:
         warnings.warn("density supports are disjoint", DisjointSupportsWarning,
                       stacklevel=2)
-    grid = _union_grid(curve_a, curve_b)
+    grid = union_grid([curve_a, curve_b])
     diff = np.abs(curve_a(grid) - curve_b(grid))
     return float(np.trapezoid(diff, grid)
                  + abs(curve_a.point_mass_at_zero - curve_b.point_mass_at_zero))
@@ -204,8 +198,8 @@ def complex_projection_samples(spec: ComplexSpectrum, axis: str = "x") -> np.nda
     return math.sqrt(2.0) * parts
 
 
-def snap_zeros(values: np.ndarray, rel_tol: float = _ZERO_REL_TOL) -> np.ndarray:
-    """Set entries tiny relative to the largest magnitude exactly to zero.
+def snap_zeros(values: np.ndarray) -> np.ndarray:
+    """Set entries below 1e-8 times the largest magnitude exactly to zero.
 
     Rank-deficient covariance/lagged matrices produce eigenvalues that are
     zero up to rounding; snapping aligns them with the theoretical atom at
@@ -214,49 +208,47 @@ def snap_zeros(values: np.ndarray, rel_tol: float = _ZERO_REL_TOL) -> np.ndarray
     v = np.asarray(values).copy()
     scale = np.abs(v).max() if v.size else 0.0
     if scale > 0:
-        v[np.abs(v) < rel_tol * scale] = 0.0
+        v[np.abs(v) < _ZERO_REL_TOL * scale] = 0.0
     return v
 
 
+def split_atom(values) -> tuple[np.ndarray, float]:
+    """Nonzero values (order kept) and the zero share, by ``snap_zeros``' rule."""
+    v = np.asarray(values)
+    if v.size == 0:
+        raise EmptySpectrum("empty spectrum")
+    nonzero = v[snap_zeros(v) != 0]
+    return nonzero, 1.0 - len(nonzero) / len(v)
+
+
 def eigenvalue_density(spec: RealSpectrum, cfg: KernelConfig | None = None,
-                       grid=None, zero_rel_tol: float = _ZERO_REL_TOL) -> DensityCurve:
+                       grid=None) -> DensityCurve:
     """Atom-aware KDE of a real spectrum.
 
-    Eigenvalues below ``zero_rel_tol * max|eig|`` are counted into the point
-    mass at zero and excluded from the KDE; the continuous part is weighted
-    by its share so curve-plus-atom integrates to one.
+    The eigenvalues ``split_atom`` counts as zero form the point mass at zero
+    and are excluded from the KDE; the continuous part is weighted by its
+    share so curve-plus-atom integrates to one.
     """
     cfg = cfg or KernelConfig()
-    vals = spec.values
-    if vals.size == 0:
-        raise EmptySpectrum("empty spectrum")
-    scale = np.abs(vals).max()
-    nonzero = vals[np.abs(vals) > zero_rel_tol * scale] if scale > 0 else vals[:0]
-    atom = 1.0 - len(nonzero) / len(vals)
+    nonzero, atom = split_atom(spec.values)
     if len(nonzero) < 2:
         raise DegenerateSample("fewer than 2 nonzero eigenvalues")
     h = cfg.bandwidth if cfg.bandwidth is not None else silverman_bandwidth(nonzero)
     if grid is None:
         grid = np.linspace(nonzero.min() - 5 * h, nonzero.max() + 5 * h, 1024)
-    curve = kde_estimate(RealSpectrum(nonzero, matrix_trace=float(nonzero.sum())),
-                         KernelConfig(cfg.kernel, h), grid)
+    curve = kde_estimate(nonzero, KernelConfig(cfg.kernel, h), grid)
     return DensityCurve(curve.xs, curve.ys * (1.0 - atom), point_mass_at_zero=atom)
 
 
 def projection_density(spec: ComplexSpectrum, axis: str = "x", bins: int = 12,
-                       range: tuple[float, float] | None = None,
-                       zero_rel_tol: float = _ZERO_REL_TOL) -> DensityCurve:
+                       range: tuple[float, float] | None = None) -> DensityCurve:
     """Atom-aware histogram of the sqrt(2)-rescaled axis projection.
 
-    Eigenvalues with magnitude below ``zero_rel_tol * max|eig|`` form the
-    point mass at zero (the rank-deficiency atom of the lagged matrix); the
-    remaining projections are histogrammed and weighted by their share.
+    The eigenvalues ``split_atom`` counts as zero form the point mass at zero
+    (the rank-deficiency atom of the lagged matrix); the remaining
+    projections are histogrammed and weighted by their share.
     """
-    if len(spec.values) == 0:
-        raise EmptySpectrum("empty complex spectrum")
-    mags = np.abs(spec.values)
-    nonzero = spec.values[mags > zero_rel_tol * mags.max()]
-    atom = 1.0 - len(nonzero) / len(spec.values)
+    nonzero, atom = split_atom(spec.values)
     proj = complex_projection_samples(ComplexSpectrum(nonzero), axis)
     hist = histogram_density(proj, bins=bins, range=range)
     return DensityCurve(hist.xs, hist.ys * (1.0 - atom), point_mass_at_zero=atom)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DensityCurve
+from .curves import DensityCurve, union_grid
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -170,9 +170,7 @@ def write_density_csv(path: str, curves, labels) -> None:
         xs = curves[0].xs
         cols = [c.ys for c in curves]
     else:
-        lo = min(c.xs[0] for c in curves)
-        hi = max(c.xs[-1] for c in curves)
-        xs = np.linspace(lo, hi, 2048)
+        xs = union_grid(curves)
         cols = [c(xs) for c in curves]
 
     lines = []
@@ -186,12 +184,17 @@ def write_density_csv(path: str, curves, labels) -> None:
 
 
 def read_density_csv(path: str) -> dict[str, DensityCurve]:
-    """Parse a CSV written by ``write_density_csv`` back into curves."""
+    """Parse a CSV written by ``write_density_csv`` back into curves.
+
+    The header needs ``x`` and at least one curve column, and every data row
+    needs one field per header column; otherwise ``ValueError`` names the
+    file and the line.
+    """
     atoms: dict[str, float] = {}
     header: list[str] | None = None
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -201,10 +204,16 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
                     key, val = body[len("point_mass_"):].split("=", 1)
                     atoms[key] = float(val)
                 continue
+            fields = line.split(",")
             if header is None:
-                header = line.split(",")
+                if len(fields) < 2:
+                    raise ValueError(f"{path}:{lineno}: header {line!r} names no curve column")
+                header = fields
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(fields)} fields, "
+                                 f"header has {len(header)}")
+            rows.append(list(map(float, fields)))
     if header is None or not rows:
         raise ValueError(f"{path} contains no curve data")
     data = np.asarray(rows)

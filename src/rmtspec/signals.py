@@ -86,6 +86,9 @@ class NarrowbandSpec:
             raise AliasingConfig(f"carrier {self.carrier_norm} outside (0, 0.5)")
         if self.carrier_norm + self.band_norm / 2 >= 0.5:
             raise AliasingConfig("carrier + band/2 reaches the Nyquist edge")
+        if not 0 < self.symbol_rate_norm < math.inf:
+            raise ValueError(
+                f"symbol rate must be finite and positive, got {self.symbol_rate_norm}")
         sps = 1.0 / self.symbol_rate_norm
         if abs(sps - round(sps)) > 1e-9 or round(sps) < 1:
             raise ValueError("1/symbol_rate_norm must be a positive integer sample count")

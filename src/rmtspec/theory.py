@@ -165,20 +165,30 @@ def green_quartic_coeffs(z, Q: float) -> np.ndarray:
     """Descending-degree coefficients of the resolvent quartic at z.
 
     Vectorized over ``z``: a scalar gives shape (5,), an array of shape
-    (...) gives (..., 5).
+    (...) gives (..., 5). Coefficients that overflow, or a leading
+    coefficient that underflows to zero (an extreme ``Q`` or ``|z|``), are
+    refused here rather than handed to the root finder.
     """
     if not Q > 0:
         raise InvalidRatio(f"Q must be positive, got {Q}")
     z = np.asarray(z, dtype=np.complex128)
     if np.any(z == 0):
         raise ValueError("z must be nonzero")
+    Q = np.float64(Q)  # overflows to inf where a Python float would raise
     r = 1.0 / Q - 1.0
     c = np.empty(z.shape + (5,), dtype=np.complex128)
-    c[..., 0] = z * z / Q**3
-    c[..., 1] = -2.0 * r * z / Q**2
-    c[..., 2] = -(z * z - r * r) / Q
-    c[..., 3] = 2.0 * r * z
-    c[..., 4] = 2.0 - 1.0 / Q
+    with np.errstate(all="ignore"):
+        c[..., 0] = z * z / Q**3
+        c[..., 1] = -2.0 * r * z / Q**2
+        c[..., 2] = -(z * z - r * r) / Q
+        c[..., 3] = 2.0 * r * z
+        c[..., 4] = 2.0 - 1.0 / Q
+    if not np.all(np.isfinite(c)):
+        raise InvalidRatio(f"quartic coefficients are not finite at Q = {Q}")
+    if np.any(c[..., 0] == 0):
+        raise DegenerateLeadingCoefficient(
+            f"leading coefficient z^2/Q^3 is zero at Q = {Q}, "
+            f"min |z| = {np.abs(z).min():.3g}")
     return c
 
 

@@ -3,15 +3,52 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rmtspec
-from rmtspec import l1_distance, read_density_csv
+from rmtspec import DensityCurve, l1_distance, read_density_csv, write_density_csv
 from rmtspec.cli import run_cli
 
 
 def _run(*args):
     return run_cli(list(args))
+
+
+_CURVE = "x,mp\n0,0.5\n2,0.5\n"
+_COMPARE = ["compare", "--empirical", "{emp}", "--theory", "{th}"]
+
+# argv (without -o) and input files that must be refused where the value
+# enters: exit 1 or 2, one "error:" line on stderr, no traceback, no output
+CONTRACT_CASES = {
+    "mp-points-0": (["theory", "mp", "--c", "2", "--points", "0"], {}),
+    "narrowband-rate-0": (["generate", "--signal", "narrowband", "--rows", "4",
+                           "--cols", "64", "--symbol-rate", "0"], {}),
+    "narrowband-rate-nan": (["generate", "--signal", "narrowband", "--rows", "4",
+                             "--cols", "64", "--symbol-rate", "nan"], {}),
+    "lagged-q-huge": (["theory", "lagged", "--q", "1e300"], {}),
+    "lagged-q-tiny": (["theory", "lagged", "--q", "1e-300"], {}),
+    "lagged-epsilon-tiny": (["theory", "lagged", "--q", "0.5", "--epsilon", "1e-300"], {}),
+    "compare-x-only": (_COMPARE, {"emp": "x\n0\n2\n", "th": _CURVE}),
+    "compare-short-rows": (_COMPARE, {"emp": "x,kde\n0\n2\n", "th": _CURVE}),
+}
+
+
+def _contract_argv(name, tmp_path):
+    argv, files = CONTRACT_CASES[name]
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key}.csv"
+        paths[key].write_text(text)
+    out = tmp_path / "out"
+    return [a.format(**paths) for a in argv] + ["-o", str(out)], out
+
+
+def _assert_refused(rc, err, out):
+    assert rc in (1, 2)
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 class TestDispatch:
@@ -93,6 +130,11 @@ class TestModuleEntry:
         assert proc.returncode == 1
         assert "usage" in proc.stderr
 
+    def test_input_contract(self, tmp_path):
+        argv, out = _contract_argv("lagged-q-huge", tmp_path)
+        proc = self._module(*argv, cwd=tmp_path)
+        _assert_refused(proc.returncode, proc.stderr, out)
+
     def test_import_does_not_load_scipy(self, tmp_path):
         src = str(Path(rmtspec.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import rmtspec.cli; "
@@ -101,6 +143,15 @@ class TestModuleEntry:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestInputContract:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+    def test_refused_in_process(self, name, tmp_path, capsys):
+        argv, out = _contract_argv(name, tmp_path)
+        rc = run_cli(argv)
+        _assert_refused(rc, capsys.readouterr().err, out)
 
 
 class TestPipelines:
@@ -127,6 +178,17 @@ class TestPipelines:
                     "-o", str(report)) == 0
         text = report.read_text()
         assert "L1 = " in text and "KS = " in text
+
+    @pytest.mark.filterwarnings("ignore::rmtspec.errors.DisjointSupportsWarning")
+    def test_compare_disjoint_boxes(self, tmp_path):
+        # the curve CDFs are exact: KS between disjoint unit boxes is 1, not more
+        emp, th, report = (tmp_path / n for n in ("a.csv", "b.csv", "r.txt"))
+        box = np.ones(2)
+        write_density_csv(str(emp), [DensityCurve(np.array([0.0, 1.0]), box)], ["kde"])
+        write_density_csv(str(th), [DensityCurve(np.array([2.0, 3.0]), box)], ["mp"])
+        assert _run("compare", "--empirical", str(emp), "--theory", str(th),
+                    "-o", str(report)) == 0
+        assert report.read_text().splitlines()[-1] == "KS = 1"
 
     def test_theory_mp_c4_support_and_atom(self, tmp_path):
         out = tmp_path / "mp4.csv"

@@ -20,6 +20,7 @@ from rmtspec import (
     projection_density,
     silverman_bandwidth,
     snap_zeros,
+    split_atom,
 )
 from rmtspec.errors import (
     BandwidthNonPositive,
@@ -262,3 +263,41 @@ class TestSnapAndAtomKde:
         curve = eigenvalue_density(_spec(vals))
         assert curve.point_mass_at_zero == pytest.approx(0.75)
         assert curve.total_mass() == pytest.approx(1.0, abs=0.02)
+
+    def test_eigenvalue_density_all_zero_raises(self):
+        with pytest.raises(DegenerateSample):
+            eigenvalue_density(_spec(np.zeros(5)))
+
+    def test_projection_density_all_zero_raises(self):
+        with pytest.raises(EmptySpectrum):
+            projection_density(ComplexSpectrum(np.zeros(5, complex)), axis="x")
+
+
+def _zero_set_cases():
+    rng = np.random.default_rng(17)
+    real = np.concatenate([rng.standard_normal(40), 1e-12 * rng.standard_normal(10),
+                           [0.0, -0.0, 1e-30]])
+    scale = np.abs(real).max()
+    edge = np.array([scale, 1e-8 * scale, np.nextafter(1e-8 * scale, 0.0)])
+    cplx = real * np.exp(1j * rng.uniform(0, 2 * np.pi, real.size))
+    return [real, np.concatenate([real, edge]), cplx, np.zeros(6), np.zeros(3, complex),
+            np.array([0.0, 2.5]), np.array([7.0])]
+
+
+class TestSplitAtom:
+    @pytest.mark.parametrize("values", _zero_set_cases())
+    def test_zero_set_matches_snap_zeros(self, values):
+        rng = np.random.default_rng(3)
+        values = values[rng.permutation(values.size)]
+        mags = np.abs(values)
+        zero = (mags < 1e-8 * mags.max()) | (mags.max() == 0)
+        snapped = snap_zeros(values)
+        np.testing.assert_array_equal(snapped == 0, zero)
+        np.testing.assert_array_equal(snapped[~zero], values[~zero])
+        nonzero, atom = split_atom(values)
+        np.testing.assert_array_equal(nonzero, values[~zero])
+        assert atom == pytest.approx(zero.sum() / values.size, abs=1e-15)
+
+    def test_empty_raises(self):
+        with pytest.raises(EmptySpectrum):
+            split_atom(np.array([]))

@@ -121,3 +121,14 @@ class TestDensityCsv:
         assert set(curves) == {"a", "b"}
         assert curves["a"].xs[0] == 0.0
         assert curves["a"].xs[-1] == 2.0
+
+    @pytest.mark.parametrize("text, line", [
+        ("x\n0\n1\n", 1),
+        ("# point_mass_kde=0.5\nx,kde\n0,1\n1\n", 4),
+        ("x,kde\n0,1\n1,1,1\n", 3),
+    ])
+    def test_rejects_bad_shape(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv:{line}: "):
+            read_density_csv(str(path))

@@ -72,6 +72,11 @@ class TestNarrowband:
         with pytest.raises(AliasingConfig):
             NarrowbandSpec(seed=0, length=8, carrier_norm=0.45, band_norm=0.2)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.25, float("nan"), float("inf")])
+    def test_symbol_rate_must_be_finite_positive(self, rate):
+        with pytest.raises(ValueError, match="symbol rate must be finite and positive"):
+            NarrowbandSpec(seed=0, length=8, symbol_rate_norm=rate)
+
 
 class TestNcofdm:
     def test_default_occupied_count(self):

@@ -42,11 +42,19 @@ class TestQuarticCoeffs:
         got = green_quartic_coeffs(3 - 0.001j, 10.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid(self):
         with pytest.raises(InvalidRatio):
             green_quartic_coeffs(1.0, 0.0)
         with pytest.raises(ValueError):
             green_quartic_coeffs(0.0, 1.0)
+        # extreme Q or |z|: overflowing coefficients, or z^2/Q^3 flushed to 0
+        with pytest.raises(InvalidRatio):
+            green_quartic_coeffs(1.0 - 1e-3j, 1e-300)
+        with pytest.raises(DegenerateLeadingCoefficient):
+            green_quartic_coeffs(1.0 - 1e-3j, 1e300)
+        with pytest.raises(DegenerateLeadingCoefficient):
+            green_quartic_coeffs(np.array([1.0, -1e-300j]), 0.5)
 
     def test_array_matches_scalar_calls(self):
         z = np.linspace(-3.0, 3.0, 601) - 1j * 1e-3
