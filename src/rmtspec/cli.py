@@ -27,7 +27,6 @@ from . import estimation, fileio, signals, theory
 from .curves import DensityCurve
 from .errors import NumericalError, RmtError
 from .linalg import (
-    DataMatrix,
     eigvals_general,
     eigvals_symmetric,
     lagged_correlation,
@@ -83,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     al = ansub.add_parser("lagged", help="complex spectrum of the lagged correlation")
     al.add_argument("-i", "--input", required=True)
     al.add_argument("--tau", type=int, required=True)
-    al.add_argument("--no-standardize", action="store_true")
     al.add_argument("--bins", type=int, default=_PROJ_BINS)
     al.add_argument("-o", "--output", required=True)
     al.set_defaults(func=_cmd_analyze_lagged)
@@ -163,8 +161,7 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
             n_frames = -(-rows * cols // ns.n_fft)
             stream = signals.gen_ncofdm_frames(spec, n_frames=n_frames)
 
-    if not math.isinf(ns.snr_db):
-        stream = signals.add_awgn(stream, ns.snr_db, seed=ns.seed + 1)
+    stream = signals.add_awgn(stream, ns.snr_db, seed=ns.seed + 1)
 
     if ns.freq_domain:
         payload = signals.spectrogram_matrix(stream, ns.n_fft)
@@ -174,16 +171,11 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_matrix(ns: argparse.Namespace) -> DataMatrix:
+def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
+    kcfg = estimation.KernelConfig(bandwidth=ns.bandwidth)
     X = fileio.read_capture(ns.input)
     if not ns.no_standardize:
         X = standardize_rows(X)
-    return X
-
-
-def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
-    kcfg = estimation.KernelConfig(bandwidth=ns.bandwidth)
-    X = _load_matrix(ns)
     spec = eigvals_symmetric(sample_covariance(X))
     ratio = X.p / X.n
     prm = theory.mp_params(ratio)
@@ -203,7 +195,7 @@ def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
-    X = _load_matrix(ns)
+    X = standardize_rows(fileio.read_capture(ns.input))
     cspec = eigvals_general(lagged_correlation(X, ns.tau))
 
     # every curve is built before any file is written, so a failure leaves none

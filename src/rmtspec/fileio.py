@@ -186,9 +186,9 @@ def write_density_csv(path: str, curves, labels) -> None:
 def read_density_csv(path: str) -> dict[str, DensityCurve]:
     """Parse a CSV written by ``write_density_csv`` back into curves.
 
-    The header needs ``x`` and at least one curve column, and every data row
-    needs one field per header column; otherwise ``ValueError`` names the
-    file and the line.
+    The header needs ``x`` and at least one curve column, each label once,
+    and every data row needs one number per header column; otherwise
+    ``ValueError`` names the file and the line.
     """
     atoms: dict[str, float] = {}
     header: list[str] | None = None
@@ -208,12 +208,17 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
             if header is None:
                 if len(fields) < 2:
                     raise ValueError(f"{path}:{lineno}: header {line!r} names no curve column")
+                if len(set(fields)) < len(fields):
+                    raise ValueError(f"{path}:{lineno}: header {line!r} repeats a label")
                 header = fields
                 continue
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{lineno}: {len(fields)} fields, "
                                  f"header has {len(header)}")
-            rows.append(list(map(float, fields)))
+            try:
+                rows.append(list(map(float, fields)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if header is None or not rows:
         raise ValueError(f"{path} contains no curve data")
     data = np.asarray(rows)

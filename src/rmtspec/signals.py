@@ -59,8 +59,8 @@ class WgnSpec:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(f"variance must be finite and positive, got {self.variance}")
         if self.length < 1:
             raise ValueError("length must be >= 1")
 
@@ -84,6 +84,8 @@ class NarrowbandSpec:
     def __post_init__(self):
         if not 0 < self.carrier_norm < 0.5:
             raise AliasingConfig(f"carrier {self.carrier_norm} outside (0, 0.5)")
+        if not 0 < self.band_norm < math.inf:
+            raise ValueError(f"band must be finite and positive, got {self.band_norm}")
         if self.carrier_norm + self.band_norm / 2 >= 0.5:
             raise AliasingConfig("carrier + band/2 reaches the Nyquist edge")
         if not 0 < self.symbol_rate_norm < math.inf:
@@ -187,13 +189,20 @@ def dft(frame, direction: str = "forward") -> np.ndarray:
 
 def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     """Add seeded Gaussian noise at the given SNR (complex noise for complex
-    input); ``snr_db=inf`` returns the stream unchanged."""
+    input); ``snr_db=+inf`` returns the stream unchanged. NaN, ``-inf`` and an
+    SNR whose linear ratio is not a positive double are refused."""
     if len(stream) == 0:
         raise ValueError("empty stream")
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return stream
     power = float(np.mean(np.abs(stream.samples) ** 2))
-    nvar = power / 10.0 ** (snr_db / 10.0)
+    try:
+        nvar = power / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        nvar = math.nan
+    if not math.isfinite(nvar):
+        raise ValueError(f"snr_db = {snr_db} gives no finite noise variance "
+                         "(give a finite SNR, or +inf for no noise)")
     rng = _rng(seed)
     if stream.is_complex:
         noise = rng.normal(0.0, math.sqrt(nvar / 2), size=(2, len(stream)))

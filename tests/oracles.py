@@ -59,6 +59,24 @@ def _cubic_roots(a, b, c, d):
     return t - b / 3.0
 
 
+def green_quartic_terms(z, Q):
+    """Descending-degree coefficients of the resolvent quartic in ``G``
+    itself, the form the package's quartic in ``w = zG`` is derived from:
+
+        z^2 G^4 / Q^3 - 2 r z G^3 / Q^2 - (z^2 - r^2) G^2 / Q + 2 r z G + 2 - 1/Q,
+
+    with ``r = 1/Q - 1``. Plain arithmetic, so ``z`` and ``Q`` may be floats,
+    arrays, mpmath numbers or sympy symbols; returns a list of five."""
+    r = 1 / Q - 1
+    return [z**2 / Q**3, -2 * r * z / Q**2, -(z**2 - r**2) / Q, 2 * r * z, 2 - 1 / Q]
+
+
+def green_quartic_coeffs_g(z, Q):
+    """``green_quartic_terms`` for double ``z`` of shape (...): (..., 5)."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.stack(np.broadcast_arrays(*green_quartic_terms(z, float(Q))), axis=-1)
+
+
 def sample_cov_loops(X):
     """(1/n) X X^T by explicit triple loop."""
     p, n = X.shape

@@ -17,20 +17,29 @@ def _run(*args):
 
 _CURVE = "x,mp\n0,0.5\n2,0.5\n"
 _COMPARE = ["compare", "--empirical", "{emp}", "--theory", "{th}"]
+_WGN = ["generate", "--signal", "wgn", "--rows", "4", "--cols", "64"]
+_NARROWBAND = ["generate", "--signal", "narrowband", "--rows", "4", "--cols", "64"]
 
 # argv (without -o) and input files that must be refused where the value
 # enters: exit 1 or 2, one "error:" line on stderr, no traceback, no output
 CONTRACT_CASES = {
     "mp-points-0": (["theory", "mp", "--c", "2", "--points", "0"], {}),
-    "narrowband-rate-0": (["generate", "--signal", "narrowband", "--rows", "4",
-                           "--cols", "64", "--symbol-rate", "0"], {}),
-    "narrowband-rate-nan": (["generate", "--signal", "narrowband", "--rows", "4",
-                             "--cols", "64", "--symbol-rate", "nan"], {}),
+    "narrowband-rate-0": (_NARROWBAND + ["--symbol-rate", "0"], {}),
+    "narrowband-rate-nan": (_NARROWBAND + ["--symbol-rate", "nan"], {}),
     "lagged-q-huge": (["theory", "lagged", "--q", "1e300"], {}),
     "lagged-q-tiny": (["theory", "lagged", "--q", "1e-300"], {}),
     "lagged-epsilon-tiny": (["theory", "lagged", "--q", "0.5", "--epsilon", "1e-300"], {}),
     "compare-x-only": (_COMPARE, {"emp": "x\n0\n2\n", "th": _CURVE}),
     "compare-short-rows": (_COMPARE, {"emp": "x,kde\n0\n2\n", "th": _CURVE}),
+    "compare-repeated-label": (_COMPARE, {"emp": "x,kde,kde\n0,1,0\n2,1,0\n", "th": _CURVE}),
+    "compare-non-numeric": (_COMPARE, {"emp": "x,kde\n0,0.5\n2,a\n", "th": _CURVE}),
+    "wgn-variance-inf": (_WGN + ["--variance", "inf"], {}),
+    "wgn-snr-nan": (_WGN + ["--snr-db", "nan"], {}),
+    "wgn-snr-minus-inf": (_WGN + ["--snr-db=-inf"], {}),
+    "wgn-snr-huge": (_WGN + ["--snr-db", "1e308"], {}),
+    "wgn-snr-minus-huge": (_WGN + ["--snr-db=-1e308"], {}),
+    "narrowband-band-nan": (_NARROWBAND + ["--band", "nan"], {}),
+    "narrowband-band-negative": (_NARROWBAND + ["--band=-3"], {}),
 }
 
 
@@ -106,6 +115,13 @@ class TestDispatch:
                     "-o", str(tmp_path / "cloud.csv")) == 1
         for name in ("cloud.csv", "cloud.x.csv", "cloud.y.csv"):
             assert not (tmp_path / name).exists()
+
+
+    def test_analyze_lagged_has_no_no_standardize(self, tmp_path, capsys):
+        # lagged_correlation needs standardized rows, so the flag could only fail
+        assert _run("analyze", "lagged", "-i", str(tmp_path / "c.rmtc"), "--tau", "1",
+                    "--no-standardize", "-o", str(tmp_path / "cloud.csv")) == 1
+        assert "unrecognized arguments: --no-standardize" in capsys.readouterr().err
 
 
 class TestModuleEntry:

@@ -126,6 +126,8 @@ class TestDensityCsv:
         ("x\n0\n1\n", 1),
         ("# point_mass_kde=0.5\nx,kde\n0,1\n1\n", 4),
         ("x,kde\n0,1\n1,1,1\n", 3),
+        ("x,kde,kde\n0,1,0\n1,1,0\n", 1),
+        ("x,kde\n0,1\n1,a\n", 3),
     ])
     def test_rejects_bad_shape(self, tmp_path, text, line):
         path = tmp_path / "bad.csv"

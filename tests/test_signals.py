@@ -39,6 +39,12 @@ class TestWgn:
         assert 3.95 <= s.var() <= 4.05
 
 
+    @pytest.mark.parametrize("variance", [0.0, -1.0, float("nan"), float("inf")])
+    def test_variance_must_be_finite_positive(self, variance):
+        with pytest.raises(ValueError, match="variance must be finite and positive"):
+            WgnSpec(seed=0, length=8, variance=variance)
+
+
 class TestNarrowband:
     def test_pure_cosine_single_symbol(self):
         spec = NarrowbandSpec(seed=0, length=8, carrier_norm=0.25,
@@ -71,6 +77,11 @@ class TestNarrowband:
     def test_aliasing_guard(self):
         with pytest.raises(AliasingConfig):
             NarrowbandSpec(seed=0, length=8, carrier_norm=0.45, band_norm=0.2)
+
+    @pytest.mark.parametrize("band", [0.0, -3.0, float("nan"), float("inf")])
+    def test_band_must_be_finite_positive(self, band):
+        with pytest.raises(ValueError, match="band must be finite and positive"):
+            NarrowbandSpec(seed=0, length=8, band_norm=band)
 
     @pytest.mark.parametrize("rate", [0.0, -0.25, float("nan"), float("inf")])
     def test_symbol_rate_must_be_finite_positive(self, rate):
@@ -147,6 +158,13 @@ class TestAwgn:
         s = gen_wgn(WgnSpec(seed=8, length=100))
         out = add_awgn(s, np.inf, seed=1)
         np.testing.assert_array_equal(out.samples, s.samples)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf, 1e308, -1e308])
+    def test_snr_without_finite_noise_variance_refused(self, snr_db):
+        s = gen_wgn(WgnSpec(seed=8, length=100))
+        with pytest.raises(ValueError, match="snr_db"):
+            add_awgn(s, snr_db, seed=1)
 
     def test_zero_db_noise_power(self):
         clean = SampleStream(np.ones(1_000_000))

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from rmtspec import (
+    read_density_csv,
     DensityCurve,
     GreenSolveConfig,
     green_function,
+    green_scan,
     green_quartic_coeffs,
     lagged_density_symmetric,
     lagged_point_mass,
     project_density,
     solve_quartic,
 )
+from rmtspec.cli import run_cli
 from rmtspec.errors import (
     BranchAmbiguity,
     DegenerateLeadingCoefficient,
@@ -18,43 +21,47 @@ from rmtspec.errors import (
     NotNormalized,
 )
 
-from oracles import greedy_pairing_residual
+from oracles import greedy_pairing_residual, green_quartic_terms
 
 
 class TestQuarticCoeffs:
     def test_q1_units(self):
         np.testing.assert_allclose(green_quartic_coeffs(1.0, 1.0), [1, 0, -1, 0, 1], atol=1e-15)
-        np.testing.assert_allclose(green_quartic_coeffs(2.0, 1.0), [4, 0, -4, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(green_quartic_coeffs(2.0, 1.0), [1, 0, -4, 0, 4], atol=1e-15)
 
     def test_symbolic_oracle(self):
+        # the quartic in G is the source of truth; the package solves
+        # z^2 P(w/z) in w = zG
         sympy = pytest.importorskip("sympy")
-        G, z, Q = sympy.symbols("G z Q")
-        expr = (
-            z**2 * G**4 / Q**3
-            - 2 * (1 / Q - 1) * z * G**3 / Q**2
-            - (z**2 - (1 / Q - 1) ** 2) * G**2 / Q
-            + 2 * (1 / Q - 1) * z * G
-            + 2 - 1 / Q
-        )
-        poly = sympy.Poly(sympy.expand(expr), G)
-        zval, qval = 3 - sympy.I / 1000, 10
-        want = [complex(c.subs({z: zval, Q: qval})) for c in poly.all_coeffs()]
-        got = green_quartic_coeffs(3 - 0.001j, 10.0)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        G, w, z, Q = sympy.symbols("G w z Q")
+        P = sum(c * G ** (4 - k) for k, c in enumerate(green_quartic_terms(z, Q)))
+        poly = sympy.Poly(sympy.expand(z**2 * P.subs(G, w / z)), w)
+        for zval, qval in [(3 - sympy.I / 1000, 10), (sympy.Rational(1, 20) - sympy.I / 10**4,
+                                                      sympy.Rational(1, 4)), (0, 2)]:
+            want = [complex(c.subs({z: zval, Q: qval})) for c in poly.all_coeffs()]
+            got = green_quartic_coeffs(complex(zval), float(qval))
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid(self):
         with pytest.raises(InvalidRatio):
             green_quartic_coeffs(1.0, 0.0)
-        with pytest.raises(ValueError):
-            green_quartic_coeffs(0.0, 1.0)
-        # extreme Q or |z|: overflowing coefficients, or z^2/Q^3 flushed to 0
+        # extreme Q: overflowing coefficients, or 1/Q^3 flushed to 0
         with pytest.raises(InvalidRatio):
             green_quartic_coeffs(1.0 - 1e-3j, 1e-300)
         with pytest.raises(DegenerateLeadingCoefficient):
             green_quartic_coeffs(1.0 - 1e-3j, 1e300)
-        with pytest.raises(DegenerateLeadingCoefficient):
-            green_quartic_coeffs(np.array([1.0, -1e-300j]), 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("Q", [0.25, 1.0, 4.0])
+    def test_zero_z(self, Q):
+        # at z = 0 only the z-free terms remain: (w^2/Q) (w/Q - r)^2
+        r = 1.0 / Q - 1.0
+        want = [1.0 / Q**3, -2.0 * r / Q**2, r * r / Q, 0.0, 0.0]
+        np.testing.assert_array_equal(green_quartic_coeffs(0.0, Q), want)
+        # |z|^2 below the smallest double flushes to the same row
+        got = green_quartic_coeffs(np.array([1.0, -1e-300j]), Q)
+        np.testing.assert_array_equal(got[1], want)
 
     def test_array_matches_scalar_calls(self):
         z = np.linspace(-3.0, 3.0, 601) - 1j * 1e-3
@@ -65,8 +72,10 @@ class TestQuarticCoeffs:
             np.testing.assert_array_equal(got, want)
 
     def test_array_containing_zero(self):
-        with pytest.raises(ValueError):
-            green_quartic_coeffs(np.array([1.0 - 1e-3j, 0.0, 2.0]), 1.0)
+        got = green_quartic_coeffs(np.array([1.0 - 1e-3j, 0.0, 2.0]), 0.5)
+        want = np.stack([green_quartic_coeffs(v, 0.5) for v in (1.0 - 1e-3j, 0.0, 2.0)])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[1], [8.0, -8.0, 2.0, 0.0, 0.0])
 
 
 class TestSolveQuartic:
@@ -104,11 +113,11 @@ class TestGreenFunction:
         assert abs(z * g - 1.0) < 1e-2
 
     def test_asymptote_is_approximate_root(self):
-        # substituting G = 1/z into the quartic cancels all O(1) terms
+        # substituting w = zG = 1 into the quartic cancels all O(z^2) terms
         z, Q = 1000.0 - 0.001j, 10.0
         c = green_quartic_coeffs(z, Q)
-        val = np.polyval(c, 1.0 / z)
-        assert abs(val) < 1e-4  # O(z^-2)
+        val = np.polyval(c, 1.0)
+        assert abs(val) / np.linalg.norm(c) < 1e-4  # O(z^-2)
 
     def test_positive_density_inside_support(self):
         for x in (0.1, 0.5, 1.0, 1.9):
@@ -130,14 +139,25 @@ class TestGreenFunction:
                 z = x - 1e-3j
                 c = green_quartic_coeffs(z, Q)
                 g = green_function(z, Q)
-                assert abs(np.polyval(c, g)) / np.linalg.norm(c) <= 1e-9
+                assert abs(np.polyval(c, z * g)) / np.linalg.norm(c) <= 1e-9
+
+    def test_gate_checks_only_the_returned_root(self):
+        # at Q = 1e4 near the origin the discarded roots with |w| ~ Q carry
+        # residuals above the tolerance; the returned root is at rounding level
+        z, Q = -1e-3j, 1e4
+        c = green_quartic_coeffs(z, Q)
+        w = solve_quartic(c, residual_tol=1.0)
+        res = np.abs(np.polyval(c, w)) / np.linalg.norm(c)
+        assert res.max() > 1e-9
+        g = green_function(z, Q)
+        assert abs(np.polyval(c, z * g)) / np.linalg.norm(c) <= 1e-15
 
     def test_branch_ambiguity_near_collision(self):
         # at the Q=1 support edge the physical root and its partner collide
         # as eps -> 0; with eps tiny their gap is far below the ambiguity
         # tolerance and a `previous` between them must refuse to choose
         z = 2.0 - 1e-14j
-        roots = solve_quartic(green_quartic_coeffs(z, 1.0))
+        roots = solve_quartic(green_quartic_coeffs(z, 1.0)) / z
         d = np.sort(np.abs(roots[:, None] - roots[None, :]), axis=None)
         close_pair = d[4]  # smallest nonzero pairwise distance
         assert close_pair < 1e-6
@@ -147,6 +167,61 @@ class TestGreenFunction:
         midpoint = 0.5 * (roots[i] + roots[j])
         with pytest.raises(BranchAmbiguity):
             green_function(z, 1.0, previous=midpoint)
+
+
+def _branch_points(Q):
+    """Positive real z where two roots of the quartic meet (the support edges
+    among them): the zeros of its discriminant, from the quartic in G."""
+    sympy = pytest.importorskip("sympy")
+    G, z = sympy.symbols("G z")
+    P = sum(c * G ** (4 - k) for k, c in enumerate(green_quartic_terms(z, sympy.nsimplify(Q))))
+    disc = sympy.Poly(sympy.discriminant(sympy.Poly(P, G)), z)
+    zs = np.roots([float(c) for c in disc.all_coeffs()])
+    return sorted(float(t.real) for t in zs if abs(t.imag) < 1e-9 and t.real > 1e-6)
+
+
+class TestMpmathOracle:
+    """green_scan against 30-digit roots of the quartic in G, near the origin,
+    at the branch points and at the grid ends."""
+
+    @pytest.mark.parametrize("Q", [0.25, 0.5, 4.0])
+    def test_green_scan_matches_30_digit_roots(self, Q):
+        mpmath = pytest.importorskip("mpmath")
+        from rmtspec.theory import _default_grid
+
+        eps = 1e-4
+        base = _default_grid(Q, eps)
+        L = float(base[-1])
+        edges = _branch_points(Q)
+        pts = [0.0, 5e-5, -5e-5, L, -L] + edges + [-e for e in edges]
+        xs, G = green_scan(GreenSolveConfig(Q=Q, epsilon=eps, grid=np.union1d(base, pts)))
+        u = np.finfo(float).eps / 2
+        with mpmath.workdps(30):
+            for x in pts:
+                k = int(np.searchsorted(xs, x))
+                z = complex(x, -eps)
+                c = green_quartic_terms(mpmath.mpc(x, -eps), mpmath.mpf(Q))
+                roots = mpmath.polyroots(c, maxsteps=200, extraprec=100)
+                g = min(roots, key=lambda t: abs(t - G[k]))
+                err = float(abs(g - G[k]) / abs(g))
+                # the root's relative condition number in the w-quartic: near
+                # the origin for Q < 1 it sits next to its partner (w = 1 - Q
+                # is a double root at z = 0) and double precision gives less
+                cw = green_quartic_coeffs(z, Q)
+                w = z * G[k]
+                kappa = sum(abs(cw[j]) * abs(w) ** (4 - j) for j in range(5)) / (
+                    abs(w) * abs(np.polyval(np.polyder(cw), w)))
+                assert err <= max(1e-12, 4 * u * kappa), (x, err, u * kappa)
+                assert g.imag >= 0, (x, g)
+
+
+# the theory-sweep grid of the pipeline benchmark
+@pytest.mark.parametrize("eps", ["1e-3", "3e-4", "1e-4"])
+@pytest.mark.parametrize("Q", ["0.25", "0.5", "1", "2", "4", "10"])
+def test_theory_lagged_sweep(Q, eps, tmp_path):
+    out = tmp_path / "rho.csv"
+    assert run_cli(["theory", "lagged", "--q", Q, "--epsilon", eps, "-o", str(out)]) == 0
+    assert read_density_csv(str(out))["rho_s"].total_mass() == pytest.approx(1.0, abs=0.02)
 
 
 class TestLaggedDensity:
@@ -192,6 +267,14 @@ class TestLaggedDensity:
         grid = np.linspace(-3.0, 3.0, 501)
         curve = lagged_density_symmetric(GreenSolveConfig(Q=2.0, grid=grid))
         np.testing.assert_array_equal(curve.xs, grid)
+
+    def test_grid_starting_nearest_the_origin(self):
+        # the sweep from the right end covers the whole grid, the inner one none
+        grid = np.concatenate([[-0.01], np.linspace(0.1, 3.0, 300)])
+        _, G = green_scan(GreenSolveConfig(Q=2.0, grid=grid))
+        _, G_pos = green_scan(GreenSolveConfig(Q=2.0, grid=grid[1:]))
+        np.testing.assert_array_equal(G[1:], G_pos)
+        assert G[0].imag > 0
 
     def test_large_q_semicircle_limit(self):
         # Q -> inf: density tends to a semicircle of radius sqrt(2/Q)
