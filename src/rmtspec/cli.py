@@ -17,6 +17,7 @@ it the setting is ignored with a warning on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -49,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# built on first use and kept: parse_args fills a fresh namespace on every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rmtspec", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -202,10 +205,8 @@ def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
     curves = {axis: estimation.projection_density(cspec, axis=axis, bins=ns.bins)
               for axis in ("x", "y")}
 
-    lines = ["re,im"]
-    for v in cspec.values:
-        lines.append(f"{v.real:.9g},{v.imag:.9g}")
-    fileio._atomic_write(ns.output, ("\n".join(lines) + "\n").encode())
+    v = cspec.values
+    fileio.write_table_csv(ns.output, ["re,im"], np.column_stack([v.real, v.imag]))
 
     base, ext = os.path.splitext(ns.output)
     for axis, curve in curves.items():

@@ -43,6 +43,7 @@ __all__ = [
     "write_capture",
     "read_capture",
     "write_density_csv",
+    "write_table_csv",
     "read_density_csv",
 ]
 
@@ -107,25 +108,28 @@ def write_capture(path: str, matrix, dtype: int | None = None) -> None:
         raise DimensionMismatch(f"capture payload must be 2-d, got shape {a.shape}")
     if dtype is None:
         dtype = DTYPE_F32_COMPLEX if np.iscomplexobj(a) else DTYPE_F32_REAL
-    if dtype == DTYPE_F32_COMPLEX:
-        z = a.astype(np.complex64)
-        flat = np.empty(a.size * 2, dtype="<f4")
-        flat[0::2] = z.real.reshape(-1)
-        flat[1::2] = z.imag.reshape(-1)
-        body = flat.tobytes()
-    elif dtype == DTYPE_F32_REAL:
-        if np.iscomplexobj(a):
-            raise UnsupportedDtype("cannot store complex data as f32 real")
-        body = a.astype("<f4").tobytes()
-    elif dtype == DTYPE_I16_REAL:
-        if np.iscomplexobj(a):
-            raise UnsupportedDtype("cannot store complex data as i16 real")
-        q = np.clip(np.round(a * 32768.0), -32768, 32767).astype("<i2")
-        body = q.tobytes()
-    else:
-        raise UnsupportedDtype(f"dtype code {dtype} not supported")
+    # an f32 cast of a value beyond its range gives inf: refused below, not warned
+    with np.errstate(over="ignore"):
+        if dtype == DTYPE_F32_COMPLEX:
+            z = a.astype(np.complex64)
+            payload = np.empty(a.size * 2, dtype="<f4")
+            payload[0::2] = z.real.reshape(-1)
+            payload[1::2] = z.imag.reshape(-1)
+        elif dtype == DTYPE_F32_REAL:
+            if np.iscomplexobj(a):
+                raise UnsupportedDtype("cannot store complex data as f32 real")
+            payload = a.astype("<f4")
+        elif dtype == DTYPE_I16_REAL:
+            if np.iscomplexobj(a):
+                raise UnsupportedDtype("cannot store complex data as i16 real")
+            payload = np.clip(np.round(a * 32768.0), -32768, 32767).astype("<i2")
+        else:
+            raise UnsupportedDtype(f"dtype code {dtype} not supported")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"capture payload is not finite as f32: largest |value| is "
+                         f"{np.abs(a).max():.4g}, f32 holds up to {np.finfo(np.float32).max:.4g}")
     header = CaptureHeader(dtype=dtype, rows=a.shape[0], cols=a.shape[1])
-    _atomic_write(path, header.pack() + body)
+    _atomic_write(path, header.pack() + payload.tobytes())
 
 
 def read_capture(path: str) -> DataMatrix:
@@ -173,14 +177,19 @@ def write_density_csv(path: str, curves, labels) -> None:
         xs = union_grid(curves)
         cols = [c(xs) for c in curves]
 
-    lines = []
-    for label, c in zip(labels, curves):
-        if c.point_mass_at_zero > 0:
-            lines.append(f"# point_mass_{label}={c.point_mass_at_zero:.9g}")
+    lines = [f"# point_mass_{label}={c.point_mass_at_zero:.9g}"
+             for label, c in zip(labels, curves) if c.point_mass_at_zero > 0]
     lines.append("x," + ",".join(labels))
-    for i, x in enumerate(xs):
-        lines.append(f"{x:.9g}," + ",".join(f"{col[i]:.9g}" for col in cols))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_table_csv(path, lines, np.column_stack([xs, *cols]))
+
+
+def write_table_csv(path: str, head: list[str], table: np.ndarray) -> None:
+    """Write the ``head`` lines, then one comma-separated row per row of the 2-d
+    ``table``, every value with 9 significant digits (``%.9g``, the same string
+    as ``f"{v:.9g}"``), formatted in one pass over the whole table."""
+    rows, cols = table.shape
+    body = "\n".join([",".join(["%.9g"] * cols)] * rows) % tuple(table.ravel().tolist())
+    _atomic_write(path, ("\n".join([*head, body]) + "\n").encode("utf-8"))
 
 
 def read_density_csv(path: str) -> dict[str, DensityCurve]:

@@ -76,7 +76,7 @@ class CovarianceMatrix:
 
     Built from ``entries``, from ``data`` (the p x n array ``a`` with
     ``entries = a a^T / n``), or both. When only ``data`` is given, the
-    p x p ``entries`` is formed the first time it is read.
+    p x p ``entries`` is formed the first time it is read, exactly symmetric.
     """
 
     def __init__(self, entries: np.ndarray | None, source_dims: tuple[int, int],
@@ -86,6 +86,7 @@ class CovarianceMatrix:
             self.entries = entries
         self.source_dims = source_dims
         self.data = data
+        self._formed_from_data = entries is None
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -235,7 +236,9 @@ def eigvals_symmetric(A) -> RealSpectrum:
     ``eigvalsh(a^T a / n)`` plus p - n exact zeros, without forming the
     p x p matrix; anything else, including a raw array, by a dense
     eigensolve of the matrix itself. The matrix solved is checked for
-    symmetry, and the eigenvalue sum against its trace.
+    symmetry, except the ``entries`` a ``CovarianceMatrix`` formed from its
+    data (symmetrized by construction); the eigenvalue sum is checked
+    against the trace.
     """
     if isinstance(A, CovarianceMatrix) and A.data is not None \
             and A.data.shape[1] < A.data.shape[0]:
@@ -248,7 +251,8 @@ def eigvals_symmetric(A) -> RealSpectrum:
         trace = float(np.einsum("ij,ij->", d, d)) / n
     else:
         a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
-        _require_symmetric(a)
+        if not (isinstance(A, CovarianceMatrix) and A._formed_from_data):
+            _require_symmetric(a)
         w = np.linalg.eigvalsh(a)
         trace = float(np.trace(a))
     return RealSpectrum(values=w, matrix_trace=trace)

@@ -264,27 +264,46 @@ def solve_quartic(coeffs, residual_tol: float = 1e-9) -> np.ndarray:
     return roots
 
 
-def _pick_branch(roots: np.ndarray, target: complex, x: float,
-                 require_unambiguous: bool) -> complex:
-    d = np.abs(roots - target)
-    order = np.argsort(d)
-    if require_unambiguous and d[order[1]] < _AMBIGUITY_TOL and \
-            np.abs(roots[order[0]] - roots[order[1]]) < _AMBIGUITY_TOL:
-        raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
-    return complex(roots[order[0]])
-
-
 def _track(z: np.ndarray, Q: float, residual_tol: float, previous=None) -> np.ndarray:
     """Physical G along ``z`` in order: at each point the root ``w/z`` nearest the
-    previous pick (the first: nearest ``previous``, else ``1/z``). Every pick must
-    have its w-residual within ``residual_tol`` and ``Im G >= -1e-9``."""
+    previous pick (the first: nearest ``previous``, else ``1/z``), ties to the lower
+    root index. Every pick after the first, and the first when ``previous`` is
+    given, must be unambiguous; every pick must have its w-residual within
+    ``residual_tol`` and ``Im G >= -1e-9``.
+
+    "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
+    those at point i. All the maps are formed at once and composed along the
+    sweep by prefix doubling, so no Python loop runs over the points."""
     coeffs = green_quartic_coeffs(z, Q)
     roots = quartic_roots_batch(coeffs) / z[:, None]
-    G = np.empty(len(z), dtype=np.complex128)
-    for i in range(len(z)):
-        target = 1.0 / complex(z[i]) if previous is None else previous
-        previous = G[i] = _pick_branch(roots[i], target, float(z[i].real),
-                                       require_unambiguous=previous is not None)
+    m = len(z)
+    seed = 1.0 / complex(z[0]) if previous is None else previous
+    # dist[i, j, k] = |root k at i - root j at i-1|; at i = 0 every j is the seed
+    dist = np.empty((m, 4, 4))
+    dist[0] = np.abs(roots[0] - seed)
+    dist[1:] = np.abs(roots[1:, None, :] - roots[:-1, :, None])
+    # nearest[i] maps root j at i-1 to root k at i; nearest[0] is constant, so
+    # after the doubling nearest[i, j] is the pick at i for every j
+    nearest = np.argmin(dist, axis=2)
+    step = 1
+    while step < m:
+        nearest[step:] = np.take_along_axis(nearest[step:], nearest[:-step], axis=1)
+        step *= 2
+    picks = nearest[:, 0]
+    at = np.arange(m)
+    G = roots[at, picks]
+
+    # ambiguous: the runner-up is within the tolerance of the previous pick and of the pick
+    d = dist[at, np.concatenate(([0], picks[:-1]))]
+    d[at, picks] = np.inf
+    second = np.argmin(d, axis=1)
+    ambiguous = (d[at, second] < _AMBIGUITY_TOL) & \
+        (np.abs(G - roots[at, second]) < _AMBIGUITY_TOL)
+    ambiguous[0] &= previous is not None
+    if ambiguous.any():
+        x = float(z[np.argmax(ambiguous)].real)
+        raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
+
     res = _residuals(coeffs, (z * G)[:, None]).max()
     if res > residual_tol:
         raise NoConvergence(f"relative residual {res:.3e} above {residual_tol}")

@@ -3,13 +3,19 @@
 Kept deliberately separate from the package: closed-form root formulas
 (quadratic/Cardano) instead of LAPACK eigensolvers, and explicit index sums
 instead of matrix products, adaptive quadrature instead of closed-form
-integrals.
+integrals. The branch tracker and the CSV writers are kept here as the plain
+per-point / per-row loops the package's vectorized forms must match bit for
+bit.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from rmtspec import theory
+from rmtspec.curves import union_grid
+from rmtspec.errors import BranchAmbiguity, NegativeDensity, NoConvergence
 
 
 def charpoly_eigs(A):
@@ -141,3 +147,57 @@ def mp_cdf_quad(x, c):
     points = [math.sqrt(a) * 10.0**k for k in range(20)]
     points = [p for p in points if 0.0 < p < hi] or None
     return atom + quad(g, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)[0]
+
+
+def _pick_branch(roots, target, x, require_unambiguous):
+    d = np.abs(roots - target)
+    order = np.argsort(d, kind="stable")
+    tol = theory._AMBIGUITY_TOL
+    if require_unambiguous and d[order[1]] < tol and np.abs(roots[order[0]] - roots[order[1]]) < tol:
+        raise BranchAmbiguity(x, f"two roots within {tol} of the previous value")
+    return complex(roots[order[0]])
+
+
+def reference_track(z, Q, residual_tol, previous=None):
+    """The branch tracker as a loop over the points: at each point the root
+    nearest the previous pick (the first: nearest ``previous``, else ``1/z``),
+    with the ambiguity test on every pick that has a previous value, then the
+    residual and ``Im G`` gates. Drop-in for ``rmtspec.theory._track``; the
+    roots come from ``theory.quartic_roots_batch``, looked up at call time."""
+    coeffs = theory.green_quartic_coeffs(z, Q)
+    roots = theory.quartic_roots_batch(coeffs) / z[:, None]
+    G = np.empty(len(z), dtype=np.complex128)
+    for i in range(len(z)):
+        target = 1.0 / complex(z[i]) if previous is None else previous
+        previous = G[i] = _pick_branch(roots[i], target, float(z[i].real),
+                                       require_unambiguous=previous is not None)
+    res = theory._residuals(coeffs, (z * G)[:, None]).max()
+    if res > residual_tol:
+        raise NoConvergence(f"relative residual {res:.3e} above {residual_tol}")
+    if G.imag.min() < -theory._IM_CLAMP:
+        raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
+    return G
+
+
+def reference_density_csv(curves, labels):
+    """Bytes of a density CSV formatted row by row with f-strings: atoms as
+    ``# point_mass_<label>=`` lines, the ``x,<labels>`` header, then 9
+    significant digits per value; curves on different grids are resampled
+    onto the union grid."""
+    if all(np.array_equal(c.xs, curves[0].xs) for c in curves):
+        xs, cols = curves[0].xs, [c.ys for c in curves]
+    else:
+        xs = union_grid(curves)
+        cols = [c(xs) for c in curves]
+    lines = [f"# point_mass_{label}={c.point_mass_at_zero:.9g}"
+             for label, c in zip(labels, curves) if c.point_mass_at_zero > 0]
+    lines.append("x," + ",".join(labels))
+    for i, x in enumerate(xs):
+        lines.append(f"{x:.9g}," + ",".join(f"{col[i]:.9g}" for col in cols))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_cloud_csv(values):
+    """Bytes of ``analyze lagged``'s eigenvalue cloud, one ``re,im`` row per value."""
+    lines = ["re,im"] + [f"{v.real:.9g},{v.imag:.9g}" for v in values]
+    return ("\n".join(lines) + "\n").encode()

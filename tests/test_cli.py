@@ -8,7 +8,11 @@ import pytest
 
 import rmtspec
 from rmtspec import DensityCurve, l1_distance, read_density_csv, write_density_csv
+from rmtspec import cli, fileio, theory
 from rmtspec.cli import run_cli
+from rmtspec.linalg import eigvals_general, lagged_correlation, standardize_rows
+
+from oracles import reference_cloud_csv
 
 
 def _run(*args):
@@ -38,6 +42,8 @@ CONTRACT_CASES = {
     "wgn-snr-minus-inf": (_WGN + ["--snr-db=-inf"], {}),
     "wgn-snr-huge": (_WGN + ["--snr-db", "1e308"], {}),
     "wgn-snr-minus-huge": (_WGN + ["--snr-db=-1e308"], {}),
+    "wgn-variance-beyond-f32": (_WGN + ["--variance", "1e308"], {}),
+    "wgn-snr-noise-beyond-f32": (_WGN + ["--snr-db=-3000"], {}),
     "narrowband-band-nan": (_NARROWBAND + ["--band", "nan"], {}),
     "narrowband-band-negative": (_NARROWBAND + ["--band=-3"], {}),
 }
@@ -122,6 +128,54 @@ class TestDispatch:
         assert _run("analyze", "lagged", "-i", str(tmp_path / "c.rmtc"), "--tau", "1",
                     "--no-standardize", "-o", str(tmp_path / "cloud.csv")) == 1
         assert "unrecognized arguments: --no-standardize" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    """One argparse tree serves every in-process call: defaults and flags of
+    one call never reach the next."""
+
+    def test_flags_and_defaults_do_not_leak(self, tmp_path):
+        cap = tmp_path / "c.rmtc"
+        assert _run("generate", "--signal", "wgn", "--seed", "5",
+                    "--rows", "64", "--cols", "16", "-o", str(cap)) == 0
+        raw, std, std_again = (tmp_path / n for n in ("raw.csv", "std.csv", "std2.csv"))
+        assert _run("analyze", "cov", "-i", str(cap), "-o", str(std)) == 0
+        assert _run("analyze", "cov", "--no-standardize", "-i", str(cap), "-o", str(raw)) == 0
+        assert _run("analyze", "cov", "-i", str(cap), "-o", str(std_again)) == 0
+        assert std_again.read_bytes() == std.read_bytes() != raw.read_bytes()
+
+        fine, default, explicit = (tmp_path / n for n in ("e4.csv", "d.csv", "e3.csv"))
+        assert _run("theory", "lagged", "--q", "4", "--epsilon", "1e-4", "-o", str(fine)) == 0
+        assert _run("theory", "lagged", "--q", "4", "-o", str(default)) == 0
+        assert _run("theory", "lagged", "--q", "4", "--epsilon", "1e-3", "-o", str(explicit)) == 0
+        assert default.read_bytes() == explicit.read_bytes() != fine.read_bytes()
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_after_success(self, tmp_path, capsys):
+        out = tmp_path / "mp.csv"
+        assert _run("theory", "mp", "--c", "2", "-o", str(out)) == 0
+        assert _run("theory", "mp", "--c", "2", "--bogus", "-o", str(out)) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert _run("theory", "mp", "-o", str(out)) == 1
+        assert _run("theory", "mp", "--c", "2", "-o", str(out)) == 0
+
+
+def test_layers_are_looked_up_through_their_modules(tmp_path, monkeypatch):
+    # per-layer benchmark spans replace these module attributes; a caller that
+    # bound one at import would leave its span idle
+    counts = {}
+    for mod, name in ((theory, "quartic_roots_batch"), (theory, "green_scan"),
+                      (theory, "green_function"), (fileio, "write_density_csv")):
+        fn = getattr(mod, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    assert _run("theory", "lagged", "--q", "2", "-o", str(tmp_path / "rho.csv")) == 0
+    assert set(counts) == {"quartic_roots_batch", "green_scan", "green_function",
+                           "write_density_csv"}
 
 
 class TestModuleEntry:
@@ -239,6 +293,9 @@ class TestPipelines:
         lines = cloud.read_text().strip().splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 65
+        X = standardize_rows(rmtspec.read_capture(str(cap)))
+        values = eigvals_general(lagged_correlation(X, 1)).values
+        assert cloud.read_bytes() == reference_cloud_csv(values)
         for axis in ("x", "y"):
             proj = read_density_csv(str(tmp_path / f"cloud.{axis}.csv"))[f"proj_{axis}"]
             assert proj.total_mass() == pytest.approx(1.0, abs=0.02)

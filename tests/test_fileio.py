@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rmtspec import (
     DataMatrix,
@@ -9,8 +12,10 @@ from rmtspec import (
     write_capture,
     write_density_csv,
 )
-from rmtspec.fileio import DTYPE_I16_REAL
+from rmtspec.fileio import DTYPE_F32_COMPLEX, DTYPE_I16_REAL, write_table_csv
 from rmtspec.errors import BadMagic, TruncatedPayload, UnsupportedVersion
+
+from oracles import reference_density_csv
 
 
 class TestCaptureFormat:
@@ -85,7 +90,64 @@ class TestCaptureFormat:
         np.testing.assert_array_equal(read_capture(str(path)).entries, m.entries)
 
 
+    @pytest.mark.parametrize("a, dtype", [
+        (np.array([[1.0, 1e308]]), None),
+        (np.array([[1.0, -4e38]]), None),
+        (np.array([[1.0 + 1e300j, 0.0]]), None),
+        (np.array([[1.0, np.nan]]), None),
+        (np.array([[1e39, 0.0]]), DTYPE_F32_COMPLEX),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_payload_beyond_f32(self, tmp_path, a, dtype):
+        path = tmp_path / "o.rmtc"
+        with pytest.raises(ValueError, match="not finite as f32"):
+            write_capture(str(path), a, dtype=dtype)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _special_curve():
+    """Signed zero, the smallest subnormal, tiny and huge magnitudes, integral values."""
+    xs = np.array([-1e300, -2.0, -0.0, 5e-324, 1e-300, 1.0, 3.0, 2.0**53, 1e300])
+    ys = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, 3.0, 123456789.0, 1e16, 0.1])
+    return DensityCurve(xs, ys, point_mass_at_zero=1e-300)
+
+
+def _cov_shaped_curves(rng):
+    """A histogram, a KDE and an MP overlay on three different grids, with atoms."""
+    edges = np.linspace(0.1, 3.7, 41)
+    hist = DensityCurve(0.5 * (edges[1:] + edges[:-1]), rng.random(40), point_mass_at_zero=0.25)
+    kde_xs = np.linspace(-0.4, 4.2, 512)
+    kde = DensityCurve(kde_xs, np.exp(-(kde_xs - 1.5) ** 2), point_mass_at_zero=0.25)
+    mp_xs = np.linspace(-0.5, 4.3, 1024)
+    mp = DensityCurve(mp_xs, np.clip(np.sin(mp_xs), 0.0, None), point_mass_at_zero=0.25)
+    return [hist, kde, mp], ["hist", "kde", "mp"]
+
+
 class TestDensityCsv:
+    def test_bytes_match_row_by_row_writer(self, tmp_path, rng):
+        xs = np.linspace(-3.0, 3.0, 4265)
+        cases = [
+            ([DensityCurve(xs, np.abs(np.sin(7.3 * xs)) / 3.0)], ["rho_s"]),
+            ([DensityCurve(xs, np.exp(-xs**2), point_mass_at_zero=0.5)], ["rho_s"]),
+            ([_special_curve()], ["s"]),
+            ([_special_curve(), DensityCurve(np.array([-1.0, 0.0, 2.0]), np.ones(3))], ["s", "t"]),
+            _cov_shaped_curves(rng),
+        ]
+        for curves, labels in cases:
+            path = tmp_path / "d.csv"
+            write_density_csv(str(path), curves, labels)
+            assert path.read_bytes() == reference_density_csv(curves, labels)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats(allow_subnormal=True)))
+    @settings(max_examples=200, deadline=None)
+    def test_table_rows_match_fstrings(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("t") / "t.csv"
+        write_table_csv(str(path), ["# c", "a,b"], table)
+        want = ["# c", "a,b"] + [",".join(f"{v:.9g}" for v in row) for row in table]
+        assert path.read_text() == "\n".join(want) + "\n"
+
+
     def test_row_count(self, tmp_path):
         path = tmp_path / "d.csv"
         xs = np.array([0.0, 1.0, 2.0])

@@ -230,6 +230,28 @@ class TestEigvals:
     def test_rejects_asymmetric(self, rng):
         with pytest.raises(NotSymmetric):
             eigvals_symmetric(rng.standard_normal((4, 4)))
+        # explicit entries are checked, also when the source data comes along
+        a = rng.standard_normal((4, 4))
+        with pytest.raises(NotSymmetric):
+            eigvals_symmetric(CovarianceMatrix(a, source_dims=(4, 8)))
+        with pytest.raises(NotSymmetric):
+            eigvals_symmetric(CovarianceMatrix(a, (4, 8), data=rng.standard_normal((4, 8))))
+
+    def test_entries_formed_from_data_skip_the_symmetry_scan(self, rng, monkeypatch):
+        import rmtspec.linalg as linalg
+
+        calls = []
+        check = linalg._require_symmetric
+        monkeypatch.setattr(linalg, "_require_symmetric", lambda a: calls.append(a) or check(a))
+        X = standardize_rows(DataMatrix(rng.standard_normal((6, 40))))
+        C = sample_covariance(X)
+        s = eigvals_symmetric(C)
+        assert calls == []
+        assert np.array_equal(C.entries, C.entries.T)
+        assert np.array_equal(s.values, np.linalg.eigvalsh(C.entries))
+        # the same matrix passed as entries is scanned
+        eigvals_symmetric(CovarianceMatrix(C.entries, (6, 40)))
+        assert len(calls) == 1
 
     def test_rotation_matrix(self):
         s = eigvals_general(np.array([[0.0, -1.0], [1.0, 0.0]]))

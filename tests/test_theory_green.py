@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from rmtspec import theory
 from rmtspec import (
     read_density_csv,
     DensityCurve,
@@ -19,9 +24,10 @@ from rmtspec.errors import (
     DegenerateLeadingCoefficient,
     InvalidRatio,
     NotNormalized,
+    RmtError,
 )
 
-from oracles import greedy_pairing_residual, green_quartic_terms
+from oracles import greedy_pairing_residual, green_quartic_terms, reference_track
 
 
 class TestQuarticCoeffs:
@@ -167,6 +173,129 @@ class TestGreenFunction:
         midpoint = 0.5 * (roots[i] + roots[j])
         with pytest.raises(BranchAmbiguity):
             green_function(z, 1.0, previous=midpoint)
+
+
+def _outcome(fn):
+    """("ok", what ``fn`` returns), or the type and message of the error it raises."""
+    try:
+        return "ok", fn()
+    except RmtError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":  # bit for bit, signed zeros included
+        assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
+    else:
+        assert got[1] == want[1]
+
+
+def _reference_scan(cfg):
+    with mock.patch.object(theory, "_track", reference_track):
+        return _outcome(lambda: green_scan(cfg)[1])
+
+
+@st.composite
+def _grids(draw):
+    """Strictly increasing grids: evenly spaced ones over a random window (on
+    one side of 0 or across it) and scattered ones of a few points."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-4.0, 4.0))
+        span = draw(st.floats(1e-3, 8.0))
+        return np.linspace(lo, lo + span, draw(st.integers(2, 400)))
+    return np.sort(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40, unique=True)))
+
+
+_Q = st.floats(1e-3, 20.0)
+_EPS = st.floats(1e-5, 1e-2)
+
+
+class TestVectorizedTracker:
+    """green_scan and green_function against the per-point loop, bit for bit:
+    same picks, same errors at the same x."""
+
+    @given(Q=_Q, eps=_EPS, xs=_grids())
+    @example(Q=2.0, eps=1e-3, xs=np.linspace(-3.0, 3.0, 601))  # straddles 0
+    @example(Q=0.25, eps=1e-4, xs=np.linspace(0.01, 4.0, 400))  # one side
+    @example(Q=0.5, eps=1e-3, xs=np.linspace(-4.0, -0.5, 300))  # one side, left
+    @example(Q=1.0, eps=1e-3, xs=np.array([-1.0, 0.5]))  # two 1-point sweeps
+    @example(Q=1e-3, eps=1e-5, xs=np.array([-0.01, 0.2, 0.3]))  # xs[0] nearest 0
+    @example(Q=2.0, eps=1e-3, xs=np.concatenate([[-0.01], np.linspace(0.1, 3.0, 300)]))
+    @settings(max_examples=150, deadline=None)
+    def test_green_scan_matches_reference(self, Q, eps, xs):
+        cfg = GreenSolveConfig(Q=Q, epsilon=eps, grid=xs)
+        _assert_same_outcome(_outcome(lambda: green_scan(cfg)[1]), _reference_scan(cfg))
+
+    @pytest.mark.parametrize("Q", [1e-3, 0.25, 1.0, 10.0])
+    def test_default_grid_matches_reference(self, Q):
+        cfg = GreenSolveConfig(Q=Q, epsilon=1e-4)
+        _assert_same_outcome(_outcome(lambda: green_scan(cfg)[1]), _reference_scan(cfg))
+
+    @given(rows=st.lists(st.lists(st.builds(complex, st.integers(0, 3), st.integers(0, 2)),
+                                  min_size=4, max_size=4), min_size=1, max_size=40),
+           scale=st.sampled_from([1e-7, 4e-7, 1.0]),
+           previous=st.none() | st.builds(complex, st.integers(0, 3), st.integers(0, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_tracking_rule_on_lattice_roots(self, rows, scale, previous):
+        # roots on a small lattice give exact distance ties (first index wins)
+        # and, at scales below the 1e-6 tolerance, ambiguous steps everywhere
+        roots = np.array(rows) * scale
+        z = np.ones(len(rows), dtype=complex)  # G = w/z = w exactly; the seed 1/z is 1
+        seed = None if previous is None else previous * scale
+        with mock.patch.object(theory, "quartic_roots_batch", lambda c: roots.copy()):
+            got = _outcome(lambda: theory._track(z, 1.0, np.inf, seed))
+            want = _outcome(lambda: reference_track(z, 1.0, np.inf, seed))
+        _assert_same_outcome(got, want)
+
+    @given(eps=st.floats(1e-16, 1e-12), center=st.sampled_from([0.0, 2.0]),
+           offset=st.floats(-1e-11, 1e-11), step=st.floats(1e-15, 1e-11),
+           n=st.integers(2, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_near_root_collisions_match_reference(self, eps, center, offset, step, n):
+        # at Q = 1 roots meet at x = 0 and x = 2; with eps this small, grids
+        # that fine put several roots within the ambiguity tolerance
+        xs = center + offset + step * np.arange(n)
+        assume(np.all(np.diff(xs) > 0))
+        cfg = GreenSolveConfig(Q=1.0, epsilon=eps, grid=xs)
+        _assert_same_outcome(_outcome(lambda: green_scan(cfg)[1]), _reference_scan(cfg))
+
+    @given(Q=_Q, eps=_EPS, x=st.floats(-5.0, 5.0), dx=st.floats(-0.05, 0.05),
+           kind=st.sampled_from(["nearby", "midpoint", "arbitrary"]),
+           arbitrary=st.complex_numbers(max_magnitude=50.0))
+    @example(Q=1.0, eps=1e-14, x=2.0, dx=0.0, kind="midpoint", arbitrary=0j)
+    @settings(max_examples=150, deadline=None)
+    def test_green_function_previous_matches_reference(self, Q, eps, x, dx, kind, arbitrary):
+        z = complex(x, -eps)
+        if kind == "nearby":  # the continuation seed a sweep would pass
+            status, previous = _outcome(lambda: green_function(complex(x + dx, -eps), Q))
+            if status != "ok":
+                return
+        elif kind == "midpoint":  # halfway between the two closest roots
+            roots = theory.quartic_roots_batch(green_quartic_coeffs(np.array([z]), Q))[0] / z
+            gap = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(4, np.inf))
+            i, j = np.unravel_index(np.argmin(gap), gap.shape)
+            previous = complex(0.5 * (roots[i] + roots[j]))
+        else:
+            previous = arbitrary
+        got = _outcome(lambda: green_function(z, Q, previous=previous))
+        want = _outcome(lambda: complex(reference_track(np.array([z]), Q, 1e-9, previous)[0]))
+        _assert_same_outcome(got, want)
+
+    def test_ambiguity_mid_sweep_at_the_same_x(self):
+        # at the Q = 1 edge x = 2 two roots meet; with eps = 1e-14 and a grid
+        # step of 1e-13 there, both continue within 1e-6 of the previous pick
+        grid = np.concatenate([np.linspace(-2.5, 2.0 - 1e-11, 400),
+                               2.0 + np.arange(-10, 11) * 1e-13,
+                               np.linspace(2.0 + 1e-11, 2.5, 40)])
+        cfg = GreenSolveConfig(Q=1.0, epsilon=1e-14, grid=grid)
+        with pytest.raises(BranchAmbiguity) as got:
+            green_scan(cfg)
+        with mock.patch.object(theory, "_track", reference_track), \
+                pytest.raises(BranchAmbiguity) as want:
+            green_scan(cfg)
+        assert got.value.x == want.value.x
+        assert grid[20] < got.value.x < grid[-20]  # neither end of the sweep
 
 
 def _branch_points(Q):
