@@ -47,6 +47,10 @@ class NotSymmetric(ValidationError):
     pass
 
 
+class NonFiniteData(ValidationError):
+    """A data matrix holds NaN or inf (a capture payload, for one)."""
+
+
 class ConvergenceFailure(NumericalError):
     pass
 

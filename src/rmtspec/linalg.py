@@ -24,6 +24,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     LagOutOfRange,
+    NonFiniteData,
     NotPSD,
     NotStandardized,
     NotSymmetric,
@@ -59,7 +60,7 @@ class DataMatrix:
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("data matrix contains non-finite entries")
+            raise NonFiniteData("data matrix contains non-finite entries")
         object.__setattr__(self, "entries", a)
 
     @property

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,7 @@ class GreenSolveConfig:
     """Configuration for the lagged-spectrum solve.
 
     Q : information-to-noise ratio T/N.
-    epsilon : offset below the real axis (z = x - i*eps).
+    epsilon : offset below the real axis (z = x - i*eps); a normal double.
     grid : evaluation abscissas; automatic when None.
     residual_tol : relative quartic residual accepted per point.
     """
@@ -155,6 +156,9 @@ class GreenSolveConfig:
             raise InvalidRatio(f"Q must be positive and finite, got {self.Q}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.epsilon < sys.float_info.min:  # the default grid's step eps/4 would be 0
+            raise ValueError(f"epsilon must be at least {sys.float_info.min} (a normal "
+                             f"double), got {self.epsilon}")
         if self.grid is not None:
             g = np.asarray(self.grid, dtype=np.float64)
             if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
@@ -191,17 +195,123 @@ def green_quartic_coeffs(z, Q: float) -> np.ndarray:
     return c
 
 
-# a polish step that overflows (dp ~ 0 at a near-double root) is never kept
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
+
+
+def _value(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The monic ``x^n + a[:, 0] x^(n-1) + ... + a[:, n-1]`` at ``x`` (m, k), by Horner."""
+    p = x + a[:, :1]
+    for j in range(1, a.shape[1]):
+        p = p * x + a[:, j : j + 1]
+    return p
+
+
+def _polish(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Two Newton steps on the monic ``a``, each kept only where it lowers |P|."""
+    n = a.shape[1]
+    slope = a[:, :-1] * (np.arange(n - 1, 0, -1) / n)  # P'/n, monic
+    p = _value(a, x)
+    for _ in range(2):
+        cand = x - p / (n * _value(slope, x))
+        p_cand = _value(a, cand)
+        keep = np.abs(p_cand) < np.abs(p)
+        x = np.where(keep, cand, x)
+        p = np.where(keep, p_cand, p)
+    return x
+
+
+def _largest(x: np.ndarray) -> np.ndarray:
+    """The largest-modulus entry of each row, as an (m, 1) column."""
+    return np.take_along_axis(x, np.argmax(np.abs(x), axis=1)[:, None], axis=1)
+
+
+def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(m, 2) roots of ``x^2 + b x + c``: the larger as ``-(b + d)/2`` with the
+    sign of ``d = sqrt(b^2 - 4c)`` that avoids cancellation, the other as ``c/x1``."""
+    d = np.sqrt(b * b - 4.0 * c)
+    d = np.where(b.real * d.real + b.imag * d.imag < 0.0, -d, d)
+    x1 = -0.5 * (b + d)
+    return np.stack([x1, np.where(x1 == 0, 0.0, c / x1)], axis=1)
+
+
+def _cbrt(v: np.ndarray) -> np.ndarray:
+    """Principal cube root of complex ``v``, in polar form (``v ** (1/3)`` is slower)."""
+    r = np.cbrt(np.abs(v))
+    phi = np.angle(v) / 3.0
+    out = np.empty_like(v)
+    out.real = r * np.cos(phi)
+    out.imag = r * np.sin(phi)
+    return out
+
+
+def _cubic_roots(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(m, 3) roots of ``x^3 + b x^2 + c x + d`` by Cardano: ``x = t - b/3`` gives
+    ``t^3 + p t + q``, ``t = u - p/(3u)`` over the three cube roots ``u`` of
+    ``-q/2 +- sqrt(q^2/4 + p^3/27)``, signed for the larger modulus."""
+    p = c - b * b / 3.0
+    q = (2.0 * b * b / 27.0 - c / 3.0) * b + d
+    disc = np.sqrt(0.25 * q * q + p * p * p / 27.0)
+    hq = 0.5 * q
+    u3 = np.where(np.abs(disc - hq) >= np.abs(disc + hq), disc - hq, -disc - hq)
+    u = _cbrt(u3)
+    v = np.where(u == 0, 0.0, p / (3.0 * u))  # u = 0 only at p = q = 0
+    t = u[:, None] * _CUBE_ROOTS_OF_UNITY - v[:, None] * _CUBE_ROOTS_OF_UNITY.conj()
+    return t - b[:, None] / 3.0
+
+
+def _ferrari_roots(a: np.ndarray) -> np.ndarray:
+    """(m, 4) roots of the monic quartic ``a`` by Ferrari: ``x = y - a0/4`` gives
+    ``y^4 + p y^2 + q y + r``; with the largest-modulus root ``n`` of the resolvent
+    ``n^3 + p n^2 + (p^2/4 - r) n - q^2/8`` and ``s = sqrt(2n)`` it splits into
+    ``y^2 -+ s y + p/2 + n +- q/(2s)``."""
+    a0, a1, a2, a3 = a.T
+    h = 0.25 * a0
+    h2 = h * h
+    p = a1 - 6.0 * h2
+    q = a2 - 2.0 * a1 * h + 8.0 * h2 * h
+    r = a3 - a2 * h + a1 * h2 - 3.0 * h2 * h2
+    n = _largest(_cubic_roots(p, 0.25 * p * p - r, -0.125 * q * q))[:, 0]
+    s = np.sqrt(2.0 * n)
+    k = np.where(s == 0, 0.0, q / (2.0 * s))  # s = 0 only at q = 0
+    y = np.concatenate([_quadratic_roots(-s, 0.5 * p + n + k),
+                        _quadratic_roots(s, 0.5 * p + n - k)], axis=1)
+    return y - h[:, None]
+
+
+def _deflate(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Monic ``a`` (m, n) divided by ``(t - x)`` for its largest-modulus root ``x``
+    (m, 1), by backward synthetic division from the constant term: (m, n-1)."""
+    b = np.empty_like(a[:, 1:])
+    b[:, -1:] = -a[:, -1:] / x
+    for j in range(a.shape[1] - 2, 0, -1):
+        b[:, j - 1 : j] = (b[:, j : j + 1] - a[:, j : j + 1]) / x
+    return np.where(x == 0, 0.0, b)  # x = 0 largest: every root is 0
+
+
+def _ldexp(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``v * 2**e`` for a C-contiguous complex ``v``, exact wherever the result is normal."""
+    parts = v.view(np.float64).reshape(v.shape + (2,))
+    return np.ldexp(parts, e[..., None]).view(np.complex128)[..., 0]
+
+
+# a quotient by zero (a Newton step at a double root, a division by a zero
+# root) is masked by np.where and never kept
 @np.errstate(all="ignore")
 def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """Roots of a batch of quartics, descending-degree coefficients.
 
-    Companion-matrix eigenvalues followed by two Newton polish steps; a
-    polish step is kept only where it lowers the residual.
+    Closed form, vectorized over the batch. The monic quartic is scaled by a
+    power of two so that its roots are O(1). Ferrari's solve gives the
+    largest-modulus root, which is Newton-polished and divided out; Cardano's
+    solve of the cubic left gives its largest root, polished and divided out in
+    turn; the quadratic left is solved without cancellation. Taking the roots
+    largest first keeps the small ones accurate where Ferrari's shift by
+    ``-a0/4`` would cluster them. All four then get two Newton polish steps on
+    the quartic, each kept only where it lowers the residual.
 
     Parameters
     ----------
-    coeffs : (m, 5) complex array; ``coeffs[i, 0]`` must be nonzero.
+    coeffs : (m, 5) complex array, finite; ``coeffs[i, 0]`` must be nonzero.
 
     Returns
     -------
@@ -210,26 +320,20 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     c = np.ascontiguousarray(coeffs, dtype=np.complex128)
     if c.ndim != 2 or c.shape[1] != 5:
         raise ValueError("coeffs must have shape (m, 5)")
-    m = c.shape[0]
+    if not np.isfinite(c).all():
+        raise ValueError("coeffs must be finite")
     a = c[:, 1:] / c[:, :1]  # monic: x^4 + a0 x^3 + a1 x^2 + a2 x + a3
+    # x = 2^e t with 2^e ~ max_j |a_j|^(1/(j+1)), the size of the largest root
+    e = np.frexp(np.max(np.abs(a) ** (1.0 / np.arange(1, 5)), axis=1))[1][:, None]
+    a = _ldexp(a, -e * np.arange(1, 5))
 
-    comp = np.zeros((m, 4, 4), dtype=np.complex128)
-    comp[:, 0, :] = -a
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 3, 2] = 1.0
-    roots = np.linalg.eigvals(comp)
+    x4 = _polish(a, _largest(_ferrari_roots(a)))
+    b = _deflate(a, x4)
+    x3 = _polish(b, _largest(_cubic_roots(*b.T)))
+    d = _deflate(b, x3)
+    roots = _polish(a, np.concatenate([_quadratic_roots(*d.T), x3, x4], axis=1))
 
-    for _ in range(2):
-        p = ((roots + a[:, :1]) * roots + a[:, 1:2]) * roots * roots \
-            + a[:, 2:3] * roots + a[:, 3:4]
-        dp = ((4.0 * roots + 3.0 * a[:, :1]) * roots + 2.0 * a[:, 1:2]) * roots \
-            + a[:, 2:3]
-        cand = roots - p / dp
-        p_new = ((cand + a[:, :1]) * cand + a[:, 1:2]) * cand * cand \
-            + a[:, 2:3] * cand + a[:, 3:4]
-        roots = np.where(np.abs(p_new) < np.abs(p), cand, roots)
-
+    roots = _ldexp(roots, e)
     order = np.lexsort((roots.imag, roots.real), axis=1)
     return np.take_along_axis(roots, order, axis=1)
 
@@ -248,7 +352,7 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def solve_quartic(coeffs, residual_tol: float = 1e-9) -> np.ndarray:
     """All four roots of a quartic, sorted by (real, imag).
 
-    Companion-matrix eigenvalues followed by two Newton polish steps; raises
+    The closed-form solve of ``quartic_roots_batch`` on a batch of one; raises
     ``NoConvergence`` if any relative residual exceeds ``residual_tol``.
     """
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)

@@ -1,9 +1,10 @@
 """Independent oracles used across the test suite.
 
 Kept deliberately separate from the package: closed-form root formulas
-(quadratic/Cardano) instead of LAPACK eigensolvers, and explicit index sums
-instead of matrix products, adaptive quadrature instead of closed-form
-integrals. The branch tracker and the CSV writers are kept here as the plain
+(quadratic/Cardano) instead of LAPACK eigensolvers and, the other way round,
+companion-matrix eigenvalues instead of the package's closed-form quartic
+solve; explicit index sums instead of matrix products, adaptive quadrature
+instead of closed-form integrals. The branch tracker and the CSV writers are kept here as the plain
 per-point / per-row loops the package's vectorized forms must match bit for
 bit.
 """
@@ -63,6 +64,34 @@ def _cubic_roots(a, b, c, d):
         w = np.exp(2j * np.pi / 3.0)
         t = np.array([u + v, u * w + v * w**2, u * w**2 + v * w])
     return t - b / 3.0
+
+
+@np.errstate(all="ignore")
+def companion_roots(coeffs):
+    """Roots of a batch of quartics, (m, 5) descending-degree coefficients, as
+    companion-matrix eigenvalues (LAPACK ``geev``) followed by two Newton polish
+    steps, each kept only where it lowers |P|; rows sorted by (real, imag)."""
+    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    a = c[:, 1:] / c[:, :1]  # monic: x^4 + a0 x^3 + a1 x^2 + a2 x + a3
+    comp = np.zeros((c.shape[0], 4, 4), dtype=np.complex128)
+    comp[:, 0, :] = -a
+    comp[:, 1, 0] = 1.0
+    comp[:, 2, 1] = 1.0
+    comp[:, 3, 2] = 1.0
+    roots = np.linalg.eigvals(comp)
+
+    for _ in range(2):
+        p = ((roots + a[:, :1]) * roots + a[:, 1:2]) * roots * roots \
+            + a[:, 2:3] * roots + a[:, 3:4]
+        dp = ((4.0 * roots + 3.0 * a[:, :1]) * roots + 2.0 * a[:, 1:2]) * roots \
+            + a[:, 2:3]
+        cand = roots - p / dp
+        p_new = ((cand + a[:, :1]) * cand + a[:, 1:2]) * cand * cand \
+            + a[:, 2:3] * cand + a[:, 3:4]
+        roots = np.where(np.abs(p_new) < np.abs(p), cand, roots)
+
+    order = np.lexsort((roots.imag, roots.real), axis=1)
+    return np.take_along_axis(roots, order, axis=1)
 
 
 def green_quartic_terms(z, Q):

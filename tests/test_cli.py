@@ -33,6 +33,7 @@ CONTRACT_CASES = {
     "lagged-q-huge": (["theory", "lagged", "--q", "1e300"], {}),
     "lagged-q-tiny": (["theory", "lagged", "--q", "1e-300"], {}),
     "lagged-epsilon-tiny": (["theory", "lagged", "--q", "0.5", "--epsilon", "1e-300"], {}),
+    "lagged-epsilon-subnormal": (["theory", "lagged", "--q", "1", "--epsilon", "5e-324"], {}),
     "compare-x-only": (_COMPARE, {"emp": "x\n0\n2\n", "th": _CURVE}),
     "compare-short-rows": (_COMPARE, {"emp": "x,kde\n0\n2\n", "th": _CURVE}),
     "compare-repeated-label": (_COMPARE, {"emp": "x,kde,kde\n0,1,0\n2,1,0\n", "th": _CURVE}),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,14 @@ from rmtspec import (
     write_capture,
     write_density_csv,
 )
-from rmtspec.fileio import DTYPE_F32_COMPLEX, DTYPE_I16_REAL, write_table_csv
-from rmtspec.errors import BadMagic, TruncatedPayload, UnsupportedVersion
+from rmtspec.fileio import DTYPE_F32_COMPLEX, DTYPE_F32_REAL, DTYPE_I16_REAL, write_table_csv
+from rmtspec.errors import (
+    BadMagic,
+    NonFiniteData,
+    TruncatedPayload,
+    UnsupportedVersion,
+    ValidationError,
+)
 
 from oracles import reference_density_csv
 
@@ -103,6 +111,54 @@ class TestCaptureFormat:
         with pytest.raises(ValueError, match="not finite as f32"):
             write_capture(str(path), a, dtype=dtype)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_a_validation_error(self, tmp_path, dtype, bad):
+        # write_capture refuses these, so the payload is written by hand
+        path = tmp_path / "n.rmtc"
+        path.write_bytes(struct.pack("<4sHHII16s", b"RMTC", 1, dtype, 1, 2, bytes(16))
+                         + np.array([1.0, bad, 0.5, 0.25], dtype="<f4").tobytes())
+        with pytest.raises(NonFiniteData, match="non-finite"):
+            read_capture(str(path))
+
+
+def _capture_bytes(magic, version, dtype, rows, cols, reserved, payload):
+    return struct.pack("<4sHHII16s", magic, version, dtype, rows, cols, reserved) + payload
+
+
+# headers with each field valid or anything, payload bytes anything, the file
+# sometimes cut short; or bytes anything at all
+_ANY_CAPTURE = st.builds(
+    lambda head, payload, cut: _capture_bytes(*head, payload)[:cut],
+    st.tuples(st.just(b"RMTC") | st.binary(min_size=4, max_size=4),
+              st.just(1) | st.integers(0, 2**16 - 1),
+              st.integers(0, 2) | st.integers(0, 2**16 - 1),
+              st.integers(0, 6) | st.integers(0, 2**32 - 1),
+              st.integers(0, 6) | st.integers(0, 2**32 - 1),
+              st.binary(min_size=16, max_size=16)),
+    st.binary(max_size=256), st.none() | st.integers(0, 300),
+) | st.binary(max_size=128)
+
+# well-formed f32 captures of the promised length, NaN and inf values included
+_F32_CAPTURE = st.tuples(st.sampled_from([DTYPE_F32_REAL, DTYPE_F32_COMPLEX]),
+                         st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda h: st.lists(st.floats(width=32), min_size=h[1] * h[2] * (1 + h[0]),
+                       max_size=h[1] * h[2] * (1 + h[0])).map(
+        lambda v: _capture_bytes(b"RMTC", 1, *h, bytes(16), np.array(v, "<f4").tobytes())))
+
+
+class TestReadCaptureFuzz:
+    @given(raw=_ANY_CAPTURE | _F32_CAPTURE)
+    @settings(max_examples=500, deadline=None)
+    def test_refuses_only_with_validation_errors(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.rmtc"
+        path.write_bytes(raw)
+        try:
+            m = read_capture(str(path))
+        except ValidationError:  # CaptureFormatError is one too
+            return
+        assert m.entries.ndim == 2 and np.all(np.isfinite(m.entries))
 
 
 def _special_curve():

@@ -21,6 +21,7 @@ from rmtspec import (
 )
 from rmtspec.errors import (
     LagOutOfRange,
+    NonFiniteData,
     NotPSD,
     NotStandardized,
     NotSymmetric,
@@ -288,7 +289,7 @@ class TestEigvals:
 
 class TestTypes:
     def test_data_matrix_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteData):
             DataMatrix(np.array([[1.0, np.nan]]))
 
     def test_complex_spectrum_sorted(self):

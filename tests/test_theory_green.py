@@ -387,10 +387,13 @@ class TestLaggedDensity:
         with pytest.raises(InvalidRatio):
             GreenSolveConfig(Q=Q)
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan, 5e-324, 1e-310])
     def test_config_rejects_invalid_epsilon(self, eps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="epsilon"):
             GreenSolveConfig(Q=1.0, epsilon=eps)
+
+    def test_config_accepts_smallest_normal_epsilon(self):
+        assert GreenSolveConfig(Q=1.0, epsilon=2.2250738585072014e-308).epsilon > 0
 
     def test_custom_grid_respected(self):
         grid = np.linspace(-3.0, 3.0, 501)
