@@ -66,7 +66,6 @@ from .theory import (
     mp_density,
     mp_params,
     project_density,
-    solve_quartic,
 )
 
 __version__ = "0.1.0"

@@ -256,8 +256,9 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     a, b = emp[emp_col], th[th_col]
 
     l1 = estimation.l1_distance(a, b)
-    # exact curve CDFs, compared at every knot of either curve
-    knots = np.union1d(a.xs, b.xs)
+    # exact curve CDFs, compared at every knot of either curve and just left
+    # of 0, the one point where a curve CDF jumps (by its atom)
+    knots = np.concatenate([a.xs, b.xs, [np.nextafter(0.0, -np.inf)]])
     ks = float(np.abs(a.cdf(knots) - b.cdf(knots)).max())
 
     report = (

@@ -5,12 +5,12 @@ population covariance), time-lagged correlation with its shift matrix, the
 symmetric/antisymmetric split, and eigenvalue extraction for both the
 symmetric and the general (complex-spectrum) case.
 
-A p x p matrix built from p x n data has rank at most n. When it keeps that
-data and n < p, its eigenvalues are solved on the small side: AB and BA share
-their nonzero eigenvalues, so an n x n eigensolve plus p - n exact zeros gives
-the whole spectrum. The matrices that ``sample_covariance`` and
-``lagged_correlation`` return hold only that data and form the p x p product
-the first time ``entries`` is read, so the small side never builds it.
+A p x p matrix built from p x n data has rank at most n. ``CovarianceMatrix``
+and ``LaggedMatrix`` are built from that data alone and form the p x p product
+the first time ``entries`` is read. When n < p their eigenvalues are solved on
+the small side, which never builds it: AB and BA share their nonzero
+eigenvalues, so an n x n eigensolve plus p - n exact zeros gives the whole
+spectrum.
 """
 
 from __future__ import annotations
@@ -73,21 +73,14 @@ class DataMatrix:
 
 
 class CovarianceMatrix:
-    """Real symmetric PSD matrix with the (p, n) it was estimated from.
+    """Real symmetric PSD matrix ``a a^T / n`` of the p x n array ``data``.
 
-    Built from ``entries``, from ``data`` (the p x n array ``a`` with
-    ``entries = a a^T / n``), or both. When only ``data`` is given, the
-    p x p ``entries`` is formed the first time it is read, exactly symmetric.
+    The p x p ``entries`` is formed the first time it is read, exactly
+    symmetric.
     """
 
-    def __init__(self, entries: np.ndarray | None, source_dims: tuple[int, int],
-                 data: np.ndarray | None = None):
-        _check_source(entries, data)
-        if entries is not None:
-            self.entries = entries
-        self.source_dims = source_dims
+    def __init__(self, data: np.ndarray):
         self.data = data
-        self._formed_from_data = entries is None
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -95,24 +88,17 @@ class CovarianceMatrix:
 
 
 class LaggedMatrix:
-    """Lag-tau correlation matrix; non-symmetric for tau > 0.
+    """Lag-tau correlation matrix ``a[:, :T-tau] a[:, tau:]^T / T`` of the
+    p x T array ``data``, symmetrized at tau = 0; non-symmetric for tau > 0.
 
-    Built from ``entries``, from ``data`` (the p x T array ``a`` with
-    ``entries = a[:, :T-tau] a[:, tau:]^T / T``, symmetrized at tau = 0),
-    or both. When only ``data`` is given, the p x p ``entries`` is formed the
-    first time it is read.
+    The p x p ``entries`` is formed the first time it is read.
     """
 
-    def __init__(self, entries: np.ndarray | None, tau: int, source_dims: tuple[int, int],
-                 data: np.ndarray | None = None):
-        _check_source(entries, data)
-        if data is not None and not 0 <= tau < data.shape[1]:
+    def __init__(self, data: np.ndarray, tau: int):
+        if not 0 <= tau < data.shape[1]:
             raise LagOutOfRange(f"tau={tau} outside [0, {data.shape[1] - 1}]")
-        if entries is not None:
-            self.entries = entries
-        self.tau = tau
-        self.source_dims = source_dims
         self.data = data
+        self.tau = tau
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -170,32 +156,28 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     return DataMatrix(centered / std, standardized=True)
 
 
-def matrix_sqrt_psd(T: CovarianceMatrix) -> CovarianceMatrix:
+def matrix_sqrt_psd(T: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root S with S @ S = T."""
-    a = np.asarray(T.entries, dtype=np.float64)
+    a = np.asarray(T, dtype=np.float64)
     _require_symmetric(a)
     w, V = np.linalg.eigh(a)
     norm = max(np.abs(w).max(), 1e-300)
     if w.min() < -1e-8 * norm:
         raise NotPSD(f"minimum eigenvalue {w.min()} below PSD tolerance")
     s = V @ (np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T)
-    s = 0.5 * (s + s.T)
-    return CovarianceMatrix(s, source_dims=T.source_dims)
+    return 0.5 * (s + s.T)
 
 
-def sample_covariance(X: DataMatrix, T: CovarianceMatrix | None = None) -> CovarianceMatrix:
-    """Sample covariance (1/n) S X X^T S, S the PSD root of the population
-    matrix ``T`` (identity when omitted)."""
+def sample_covariance(X: DataMatrix, T: np.ndarray | None = None) -> CovarianceMatrix:
+    """Sample covariance (1/n) S X X^T S, S the PSD root of the p x p
+    population matrix ``T`` (identity when omitted)."""
     a = X.entries
-    p, n = a.shape
     if T is not None:
-        if np.asarray(T.entries).shape != (p, p):
-            raise DimensionMismatch(
-                f"population matrix is {np.asarray(T.entries).shape}, data has p={p}"
-            )
-        s = matrix_sqrt_psd(T).entries
-        a = s @ a
-    return CovarianceMatrix(None, source_dims=(p, n), data=a)
+        p = a.shape[0]
+        if np.shape(T) != (p, p):
+            raise DimensionMismatch(f"population matrix is {np.shape(T)}, data has p={p}")
+        a = matrix_sqrt_psd(T) @ a
+    return CovarianceMatrix(a)
 
 
 def shift_matrix(T: int, tau: int) -> np.ndarray:
@@ -216,16 +198,13 @@ def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
     """
     if not X.standardized:
         raise NotStandardized("lagged_correlation requires a standardized matrix")
-    a = X.entries
-    p, T = a.shape
-    if not 0 <= tau <= T - 1:
-        raise LagOutOfRange(f"tau={tau} outside [0, {T - 1}]")
-    return LaggedMatrix(None, tau=tau, source_dims=(p, T), data=a)
+    return LaggedMatrix(X.entries, tau)
 
 
-def split_symmetric(C: LaggedMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(C + C^T)/2 and (C - C^T)/2; the parts sum back to C exactly."""
-    a = np.asarray(C.entries, dtype=np.float64)
+def split_symmetric(C: LaggedMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C + C^T)/2 and (C - C^T)/2 of a ``LaggedMatrix`` or a square array;
+    the parts sum back to C exactly."""
+    a = np.asarray(getattr(C, "entries", C), dtype=np.float64)
     sym = 0.5 * (a + a.T)
     return sym, a - sym
 
@@ -233,16 +212,13 @@ def split_symmetric(C: LaggedMatrix) -> tuple[np.ndarray, np.ndarray]:
 def eigvals_symmetric(A) -> RealSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    A ``CovarianceMatrix`` that keeps its p x n data with n < p is solved as
+    A ``CovarianceMatrix`` is solved from its p x n data: when n < p as
     ``eigvalsh(a^T a / n)`` plus p - n exact zeros, without forming the
-    p x p matrix; anything else, including a raw array, by a dense
-    eigensolve of the matrix itself. The matrix solved is checked for
-    symmetry, except the ``entries`` a ``CovarianceMatrix`` formed from its
-    data (symmetrized by construction); the eigenvalue sum is checked
-    against the trace.
+    p x p matrix, otherwise from its formed ``entries``, symmetric by
+    construction and not scanned again. A raw array is checked for symmetry
+    and solved dense. The eigenvalue sum is checked against the trace.
     """
-    if isinstance(A, CovarianceMatrix) and A.data is not None \
-            and A.data.shape[1] < A.data.shape[0]:
+    if isinstance(A, CovarianceMatrix) and A.data.shape[1] < A.data.shape[0]:
         d = A.data
         p, n = d.shape
         small = d.T @ d / n
@@ -252,7 +228,7 @@ def eigvals_symmetric(A) -> RealSpectrum:
         trace = float(np.einsum("ij,ij->", d, d)) / n
     else:
         a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
-        if not (isinstance(A, CovarianceMatrix) and A._formed_from_data):
+        if not isinstance(A, CovarianceMatrix):
             _require_symmetric(a)
         w = np.linalg.eigvalsh(a)
         trace = float(np.trace(a))
@@ -262,14 +238,13 @@ def eigvals_symmetric(A) -> RealSpectrum:
 def eigvals_general(C) -> ComplexSpectrum:
     """All (generally complex) eigenvalues of a square matrix.
 
-    A ``LaggedMatrix`` that keeps its p x T data with m = T - tau < p is
-    solved as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros,
-    without forming the p x p matrix; anything else, including a raw array,
-    by a dense eigensolve.
+    A ``LaggedMatrix`` is solved from its p x T data: when m = T - tau < p
+    as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros,
+    without forming the p x p matrix, otherwise from its formed ``entries``.
+    A raw array is solved dense.
     """
     zeros = 0
-    if isinstance(C, LaggedMatrix) and C.data is not None \
-            and C.data.shape[1] - C.tau < C.data.shape[0]:
+    if isinstance(C, LaggedMatrix) and C.data.shape[1] - C.tau < C.data.shape[0]:
         d, tau = C.data, C.tau
         p, T = d.shape
         m = T - tau
@@ -288,17 +263,6 @@ def _gram(a: np.ndarray) -> np.ndarray:
     """Symmetrized a a^T / n of a p x n array."""
     g = (a @ a.T) / a.shape[1]
     return 0.5 * (g + g.T)
-
-
-def _check_source(entries: np.ndarray | None, data: np.ndarray | None) -> None:
-    if entries is None and data is None:
-        raise ValueError("a matrix needs its entries, its source data, or both")
-    if data is not None and (np.ndim(data) != 2 or (
-            entries is not None and np.shape(data)[0] != np.shape(entries)[0])):
-        raise DimensionMismatch(
-            f"source data of shape {np.shape(data)} does not match a matrix of "
-            f"shape {np.shape(entries)}"
-        )
 
 
 def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:

@@ -120,7 +120,6 @@ class NcofdmSpec:
 @dataclass(frozen=True)
 class SampleStream:
     samples: np.ndarray
-    sample_rate_norm: float = 1.0
 
     def __post_init__(self):
         s = np.asarray(self.samples)

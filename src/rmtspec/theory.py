@@ -46,7 +46,6 @@ __all__ = [
     "GreenSolveConfig",
     "green_quartic_coeffs",
     "quartic_roots_batch",
-    "solve_quartic",
     "green_function",
     "lagged_point_mass",
     "green_scan",
@@ -58,6 +57,8 @@ log = logging.getLogger(__name__)
 
 _AMBIGUITY_TOL = 1e-6
 _IM_CLAMP = 1e-9
+_RESIDUAL_TOL = 1e-9  # relative w-quartic residual accepted per point
+_MAX_GRID_POINTS = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -143,13 +144,11 @@ class GreenSolveConfig:
     Q : information-to-noise ratio T/N.
     epsilon : offset below the real axis (z = x - i*eps); a normal double.
     grid : evaluation abscissas; automatic when None.
-    residual_tol : relative quartic residual accepted per point.
     """
 
     Q: float
     epsilon: float = 1e-3
     grid: np.ndarray | None = None
-    residual_tol: float = 1e-9
 
     def __post_init__(self):
         if not (self.Q > 0 and math.isfinite(self.Q)):
@@ -311,7 +310,8 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    coeffs : (m, 5) complex array, finite; ``coeffs[i, 0]`` must be nonzero.
+    coeffs : (m, 5) complex array, finite; ``coeffs[i, 0]`` must be nonzero
+        (``DegenerateLeadingCoefficient`` otherwise).
 
     Returns
     -------
@@ -322,6 +322,9 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
         raise ValueError("coeffs must have shape (m, 5)")
     if not np.isfinite(c).all():
         raise ValueError("coeffs must be finite")
+    if not c[:, 0].all():
+        row = int(np.argmin(c[:, 0] != 0))
+        raise DegenerateLeadingCoefficient(f"leading coefficient of row {row} is zero")
     a = c[:, 1:] / c[:, :1]  # monic: x^4 + a0 x^3 + a1 x^2 + a2 x + a3
     # x = 2^e t with 2^e ~ max_j |a_j|^(1/(j+1)), the size of the largest root
     e = np.frexp(np.max(np.abs(a) ** (1.0 / np.arange(1, 5)), axis=1))[1][:, None]
@@ -349,31 +352,16 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (np.abs(acc) / scale).reshape(np.shape(roots))
 
 
-def solve_quartic(coeffs, residual_tol: float = 1e-9) -> np.ndarray:
-    """All four roots of a quartic, sorted by (real, imag).
-
-    The closed-form solve of ``quartic_roots_batch`` on a batch of one; raises
-    ``NoConvergence`` if any relative residual exceeds ``residual_tol``.
-    """
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if c.shape != (5,):
-        raise ValueError("expected 5 coefficients")
-    scale = np.abs(c).max()
-    if scale == 0.0 or np.abs(c[0]) < 1e-14 * scale:
-        raise DegenerateLeadingCoefficient(f"leading coefficient {c[0]!r} is (near) zero")
-    roots = quartic_roots_batch(c[None, :])[0]
-    res = _residuals(c[None, :], roots[None, :])[0]
-    if res.max() > residual_tol:
-        raise NoConvergence(f"relative residual {res.max():.3e} above {residual_tol}")
-    return roots
-
-
-def _track(z: np.ndarray, Q: float, residual_tol: float, previous=None) -> np.ndarray:
+# a root w/z that overflows (|z| near the smallest double) gives inf and NaN
+# distances; the picks they reach are refused below, without a warning
+@np.errstate(all="ignore")
+def _track(z: np.ndarray, Q: float, previous=None) -> np.ndarray:
     """Physical G along ``z`` in order: at each point the root ``w/z`` nearest the
     previous pick (the first: nearest ``previous``, else ``1/z``), ties to the lower
-    root index. Every pick after the first, and the first when ``previous`` is
-    given, must be unambiguous; every pick must have its w-residual within
-    ``residual_tol`` and ``Im G >= -1e-9``.
+    root index. Every pick must be finite; every pick after the first, and the
+    first when ``previous`` is given, must be unambiguous; every pick must have
+    its w-residual within ``_RESIDUAL_TOL`` and ``Im G >= -1e-9``. NaN fails
+    both gates.
 
     "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
     those at point i. All the maps are formed at once and composed along the
@@ -396,6 +384,9 @@ def _track(z: np.ndarray, Q: float, residual_tol: float, previous=None) -> np.nd
     picks = nearest[:, 0]
     at = np.arange(m)
     G = roots[at, picks]
+    if not np.isfinite(G).all():
+        x = float(z[np.argmin(np.isfinite(G))].real)
+        raise NoConvergence(f"non-finite root at x = {x}")
 
     # ambiguous: the runner-up is within the tolerance of the previous pick and of the pick
     d = dist[at, np.concatenate(([0], picks[:-1]))]
@@ -409,15 +400,14 @@ def _track(z: np.ndarray, Q: float, residual_tol: float, previous=None) -> np.nd
         raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
 
     res = _residuals(coeffs, (z * G)[:, None]).max()
-    if res > residual_tol:
-        raise NoConvergence(f"relative residual {res:.3e} above {residual_tol}")
-    if G.imag.min() < -_IM_CLAMP:
+    if not res <= _RESIDUAL_TOL:
+        raise NoConvergence(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
+    if not G.imag.min() >= -_IM_CLAMP:
         raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
 
 
-def green_function(z: complex, Q: float, previous: complex | None = None,
-                   residual_tol: float = 1e-9) -> complex:
+def green_function(z: complex, Q: float, previous: complex | None = None) -> complex:
     """Physical root of the resolvent quartic at a single point.
 
     With ``previous`` supplied the root nearest to it is taken (continuity);
@@ -427,7 +417,7 @@ def green_function(z: complex, Q: float, previous: complex | None = None,
     z = complex(z)
     if not z.imag < 0:
         raise ValueError("green_function requires Im z < 0")
-    return complex(_track(np.array([z]), Q, residual_tol, previous)[0])
+    return complex(_track(np.array([z]), Q, previous)[0])
 
 
 def lagged_point_mass(Q: float) -> float:
@@ -445,10 +435,16 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
         L *= 1.4
 
     core_hw = 60.0 * eps
-    core = np.arange(0.0, core_hw, eps / 4.0)
     geo_hi = max(4.0 * core_hw, 0.15 * L)
-    geo = np.geomspace(core_hw, geo_hi, 64)
     outer_step = min(0.01, L / 1200.0)
+    # 240 core, 64 geometric and the outer points on each side, counted before
+    # anything is allocated: L grows as Q^(-1/2), and Q = 1e-20 would ask for TiB
+    count = 2 * (240 + 64 + max(0, math.ceil((L - geo_hi) / outer_step))) + 1
+    if count > _MAX_GRID_POINTS:
+        raise InvalidRatio(f"Q = {Q} needs a default grid of {count} points, "
+                           f"more than {_MAX_GRID_POINTS}")
+    core = np.arange(0.0, core_hw, eps / 4.0)
+    geo = np.geomspace(core_hw, geo_hi, 64)
     outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)
     pos = np.unique(np.concatenate([core, geo, outer]))
     pos = pos[pos > 0]
@@ -484,7 +480,7 @@ def green_scan(cfg: GreenSolveConfig) -> tuple[np.ndarray, np.ndarray]:
     else:
         segments = [range(0, m)]
     for seg in filter(None, segments):  # the inner sweep is empty when xs[0] is nearest 0
-        G[seg] = _track(zs[seg], cfg.Q, cfg.residual_tol)
+        G[seg] = _track(zs[seg], cfg.Q)
     return xs, G
 
 

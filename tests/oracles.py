@@ -178,32 +178,48 @@ def mp_cdf_quad(x, c):
     return atom + quad(g, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)[0]
 
 
-def _pick_branch(roots, target, x, require_unambiguous):
+def _pick_branch(roots, target, require_unambiguous):
+    """The root nearest ``target``, ties to the lower index, and whether the
+    runner-up is within the ambiguity tolerance of both ``target`` and it."""
     d = np.abs(roots - target)
     order = np.argsort(d, kind="stable")
     tol = theory._AMBIGUITY_TOL
-    if require_unambiguous and d[order[1]] < tol and np.abs(roots[order[0]] - roots[order[1]]) < tol:
-        raise BranchAmbiguity(x, f"two roots within {tol} of the previous value")
-    return complex(roots[order[0]])
+    ambiguous = require_unambiguous and d[order[1]] < tol and \
+        np.abs(roots[order[0]] - roots[order[1]]) < tol
+    return complex(roots[order[0]]), ambiguous
 
 
-def reference_track(z, Q, residual_tol, previous=None):
+@np.errstate(all="ignore")
+def reference_track(z, Q, previous=None):
     """The branch tracker as a loop over the points: at each point the root
     nearest the previous pick (the first: nearest ``previous``, else ``1/z``),
-    with the ambiguity test on every pick that has a previous value, then the
-    residual and ``Im G`` gates. Drop-in for ``rmtspec.theory._track``; the
-    roots come from ``theory.quartic_roots_batch``, looked up at call time."""
+    with the ambiguity test on every pick that has a previous value. Then, in
+    this order: a non-finite pick, the first ambiguous pick, the residual and
+    the ``Im G`` gate (NaN fails both) refuse the sweep. Drop-in for
+    ``rmtspec.theory._track``; the roots come from
+    ``theory.quartic_roots_batch`` and the tolerance from
+    ``theory._RESIDUAL_TOL``, looked up at call time."""
     coeffs = theory.green_quartic_coeffs(z, Q)
     roots = theory.quartic_roots_batch(coeffs) / z[:, None]
     G = np.empty(len(z), dtype=np.complex128)
+    ambiguous = []
     for i in range(len(z)):
         target = 1.0 / complex(z[i]) if previous is None else previous
-        previous = G[i] = _pick_branch(roots[i], target, float(z[i].real),
-                                       require_unambiguous=previous is not None)
+        previous, tie = _pick_branch(roots[i], target, previous is not None)
+        G[i] = previous
+        if tie:
+            ambiguous.append(i)
+    for i in range(len(z)):
+        if not np.isfinite(G[i]):
+            raise NoConvergence(f"non-finite root at x = {float(z[i].real)}")
+    if ambiguous:
+        raise BranchAmbiguity(float(z[ambiguous[0]].real),
+                              f"two roots within {theory._AMBIGUITY_TOL} of the previous value")
     res = theory._residuals(coeffs, (z * G)[:, None]).max()
-    if res > residual_tol:
-        raise NoConvergence(f"relative residual {res:.3e} above {residual_tol}")
-    if G.imag.min() < -theory._IM_CLAMP:
+    tol = theory._RESIDUAL_TOL
+    if not res <= tol:
+        raise NoConvergence(f"relative residual {res:.3e} above {tol}")
+    if not G.imag.min() >= -theory._IM_CLAMP:
         raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
 

@@ -34,6 +34,8 @@ CONTRACT_CASES = {
     "lagged-q-tiny": (["theory", "lagged", "--q", "1e-300"], {}),
     "lagged-epsilon-tiny": (["theory", "lagged", "--q", "0.5", "--epsilon", "1e-300"], {}),
     "lagged-epsilon-subnormal": (["theory", "lagged", "--q", "1", "--epsilon", "5e-324"], {}),
+    "lagged-q-grid-too-large": (["theory", "lagged", "--q", "1e-20"], {}),
+    "lagged-q-huge-epsilon-tiny": (["theory", "lagged", "--q", "1e30", "--epsilon", "1e-300"], {}),
     "compare-x-only": (_COMPARE, {"emp": "x\n0\n2\n", "th": _CURVE}),
     "compare-short-rows": (_COMPARE, {"emp": "x,kde\n0\n2\n", "th": _CURVE}),
     "compare-repeated-label": (_COMPARE, {"emp": "x,kde,kde\n0,1,0\n2,1,0\n", "th": _CURVE}),
@@ -260,6 +262,17 @@ class TestPipelines:
         assert _run("compare", "--empirical", str(emp), "--theory", str(th),
                     "-o", str(report)) == 0
         assert report.read_text().splitlines()[-1] == "KS = 1"
+
+    def test_compare_sees_the_atom_jump(self, tmp_path):
+        # a: atom 0.5 plus density 0.5 on [0, 1]; b: density 0.5 on [-1, 1].
+        # The CDFs agree at every knot; just left of 0, a's is 0 and b's 0.5
+        emp, th, report = (tmp_path / n for n in ("a.csv", "b.csv", "r.txt"))
+        half = np.full(2, 0.5)
+        write_density_csv(str(emp), [DensityCurve(np.array([0.0, 1.0]), half, 0.5)], ["kde"])
+        write_density_csv(str(th), [DensityCurve(np.array([-1.0, 1.0]), half)], ["mp"])
+        assert _run("compare", "--empirical", str(emp), "--theory", str(th),
+                    "-o", str(report)) == 0
+        assert report.read_text().splitlines()[-1] == "KS = 0.5"
 
     def test_theory_mp_c4_support_and_atom(self, tmp_path):
         out = tmp_path / "mp4.csv"

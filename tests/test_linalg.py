@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rmtspec import (
     ComplexSpectrum,
-    CovarianceMatrix,
     DataMatrix,
     LaggedMatrix,
     eigvals_general,
@@ -63,24 +62,24 @@ class TestStandardize:
 
 class TestMatrixSqrt:
     def test_identity(self):
-        S = matrix_sqrt_psd(CovarianceMatrix(np.eye(3), (3, 3)))
-        np.testing.assert_allclose(S.entries, np.eye(3), atol=1e-12)
+        S = matrix_sqrt_psd(np.eye(3))
+        np.testing.assert_allclose(S, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        S = matrix_sqrt_psd(CovarianceMatrix(np.diag([4.0, 9.0]), (2, 2)))
-        np.testing.assert_allclose(S.entries, np.diag([2.0, 3.0]), atol=1e-12)
+        S = matrix_sqrt_psd(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(S, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_random_psd_squares_back(self, rng):
         B = rng.standard_normal((5, 5))
         T = B @ B.T
-        S = matrix_sqrt_psd(CovarianceMatrix(T, (5, 5))).entries
+        S = matrix_sqrt_psd(T)
         err = np.linalg.norm(S @ S - T) / np.linalg.norm(T)
         assert err < 1e-8
         np.testing.assert_allclose(S, S.T, atol=1e-12)
 
     def test_not_psd(self):
         with pytest.raises(NotPSD):
-            matrix_sqrt_psd(CovarianceMatrix(np.diag([1.0, -0.5]), (2, 2)))
+            matrix_sqrt_psd(np.diag([1.0, -0.5]))
 
 
 class TestSampleCovariance:
@@ -102,15 +101,15 @@ class TestSampleCovariance:
     def test_population_shaping(self, rng):
         X = rng.standard_normal((4, 16))
         B = rng.standard_normal((4, 4))
-        T = CovarianceMatrix(B @ B.T, (4, 4))
-        S = matrix_sqrt_psd(T).entries
+        T = B @ B.T
+        S = matrix_sqrt_psd(T)
         A = sample_covariance(DataMatrix(X), T).entries
         np.testing.assert_allclose(A, S @ X @ X.T @ S / 16, atol=1e-10)
 
     def test_population_dim_mismatch(self, rng):
         X = DataMatrix(rng.standard_normal((4, 8)))
         with pytest.raises(DimensionMismatch):
-            sample_covariance(X, CovarianceMatrix(np.eye(3), (3, 3)))
+            sample_covariance(X, np.eye(3))
 
     def test_psd_output(self, rng):
         X = DataMatrix(rng.standard_normal((6, 4)))  # p > n: rank deficient
@@ -183,21 +182,20 @@ class TestLaggedCorrelation:
         X = standardize_rows(DataMatrix(rng.standard_normal((3, 10))))
         with pytest.raises(LagOutOfRange):
             lagged_correlation(X, 10)
+        with pytest.raises(LagOutOfRange):
+            LaggedMatrix(X.entries, 10)
 
 
 class TestSplitSymmetric:
     def test_symmetric_input(self, rng):
         M = rng.standard_normal((4, 4))
         M = M + M.T
-        from rmtspec.linalg import LaggedMatrix
-        sym, asym = split_symmetric(LaggedMatrix(M, 0, (4, 4)))
+        sym, asym = split_symmetric(M)
         np.testing.assert_allclose(sym, M, atol=1e-14)
         np.testing.assert_allclose(asym, 0.0, atol=1e-14)
 
     def test_small_example(self):
-        from rmtspec.linalg import LaggedMatrix
-        C = LaggedMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, (2, 2))
-        sym, asym = split_symmetric(C)
+        sym, asym = split_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
         np.testing.assert_array_equal(sym, [[0, 0.5], [0.5, 0]])
         np.testing.assert_array_equal(asym, [[0, 0.5], [-0.5, 0]])
 
@@ -205,8 +203,7 @@ class TestSplitSymmetric:
     @settings(max_examples=25, deadline=None)
     def test_reconstruction_and_spectra(self, seed):
         g = np.random.default_rng(seed)
-        from rmtspec.linalg import LaggedMatrix
-        C = LaggedMatrix(g.standard_normal((6, 6)), 1, (6, 6))
+        C = LaggedMatrix(g.standard_normal((6, 8)), 1)
         sym, asym = split_symmetric(C)
         np.testing.assert_allclose(sym + asym, C.entries, atol=1e-14)
         assert np.abs(np.linalg.eigvals(sym).imag).max() < 1e-10
@@ -231,12 +228,9 @@ class TestEigvals:
     def test_rejects_asymmetric(self, rng):
         with pytest.raises(NotSymmetric):
             eigvals_symmetric(rng.standard_normal((4, 4)))
-        # explicit entries are checked, also when the source data comes along
-        a = rng.standard_normal((4, 4))
+        # a matrix object other than a covariance is scanned like an array
         with pytest.raises(NotSymmetric):
-            eigvals_symmetric(CovarianceMatrix(a, source_dims=(4, 8)))
-        with pytest.raises(NotSymmetric):
-            eigvals_symmetric(CovarianceMatrix(a, (4, 8), data=rng.standard_normal((4, 8))))
+            eigvals_symmetric(LaggedMatrix(rng.standard_normal((4, 8)), 1))
 
     def test_entries_formed_from_data_skip_the_symmetry_scan(self, rng, monkeypatch):
         import rmtspec.linalg as linalg
@@ -250,8 +244,8 @@ class TestEigvals:
         assert calls == []
         assert np.array_equal(C.entries, C.entries.T)
         assert np.array_equal(s.values, np.linalg.eigvalsh(C.entries))
-        # the same matrix passed as entries is scanned
-        eigvals_symmetric(CovarianceMatrix(C.entries, (6, 40)))
+        # the same matrix passed as a raw array is scanned
+        eigvals_symmetric(C.entries)
         assert len(calls) == 1
 
     def test_rotation_matrix(self):
@@ -316,7 +310,7 @@ class TestSmallSide:
         T = None
         if population:
             B = g.standard_normal((p, p))
-            T = CovarianceMatrix(B @ B.T, (p, p))
+            T = B @ B.T
 
         cov = sample_covariance(X, T)
         got = eigvals_symmetric(cov).values
@@ -341,19 +335,12 @@ class TestSmallSide:
             np.testing.assert_array_equal(eigvals_general(C.entries).values,
                                           ComplexSpectrum(want).values)
 
-    def test_source_data_shape_checked(self, rng):
-        a = rng.standard_normal((4, 3))
-        with pytest.raises(DimensionMismatch):
-            CovarianceMatrix(a @ a.T / 3, (4, 3), data=a[:3])
-        with pytest.raises(LagOutOfRange):
-            LaggedMatrix(np.zeros((4, 4)), 3, (4, 3), data=a)
-
     def test_entries_built_on_first_access(self, rng):
         X = standardize_rows(DataMatrix(rng.standard_normal((6, 4))))
         a = X.entries
         B = rng.standard_normal((6, 6))
-        T = CovarianceMatrix(B @ B.T, (6, 6))
-        for pop, src in ((None, a), (T, matrix_sqrt_psd(T).entries @ a)):
+        T = B @ B.T
+        for pop, src in ((None, a), (T, matrix_sqrt_psd(T) @ a)):
             cov = sample_covariance(X, pop)
             eigvals_symmetric(cov)
             assert "entries" not in vars(cov)  # the small side never builds it

@@ -16,7 +16,6 @@ from rmtspec import (
     lagged_density_symmetric,
     lagged_point_mass,
     project_density,
-    solve_quartic,
 )
 from rmtspec.cli import run_cli
 from rmtspec.errors import (
@@ -85,12 +84,14 @@ class TestQuarticCoeffs:
 
 
 class TestSolveQuartic:
+    """Single quartics solved by ``quartic_roots_batch``, a batch of one row."""
+
     def test_constructed_factorization(self):
-        roots = solve_quartic([1, -10, 35, -50, 24])
+        roots = theory.quartic_roots_batch([[1, -10, 35, -50, 24]])[0]
         np.testing.assert_allclose(roots, [1, 2, 3, 4], atol=1e-9)
 
     def test_roots_of_unity(self):
-        roots = solve_quartic([1, 0, 0, 0, -1])
+        roots = theory.quartic_roots_batch([[1, 0, 0, 0, -1]])[0]
         want = np.array([-1, 0 - 1j, 0 + 1j, 1])
         assert greedy_pairing_residual(roots, want) < 1e-10
 
@@ -98,17 +99,17 @@ class TestSolveQuartic:
         rng = np.random.default_rng(5)
         for _ in range(50):
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            roots = solve_quartic(c)
+            roots = theory.quartic_roots_batch(c[None, :])[0]
             np.testing.assert_allclose(roots.sum(), -c[1] / c[0], atol=1e-8, rtol=1e-8)
             np.testing.assert_allclose(np.prod(roots), c[4] / c[0], atol=1e-8, rtol=1e-8)
 
     def test_sorted_output(self):
-        roots = solve_quartic([1, -10, 35, -50, 24])
+        roots = theory.quartic_roots_batch([[1, -10, 35, -50, 24]])[0]
         assert list(roots.real) == sorted(roots.real)
 
     def test_degenerate_leading(self):
-        with pytest.raises(DegenerateLeadingCoefficient):
-            solve_quartic([0, 1, 2, 3, 4])
+        with pytest.raises(DegenerateLeadingCoefficient, match="row 1"):
+            theory.quartic_roots_batch([[1, 0, 0, 0, -1], [0, 1, 2, 3, 4]])
 
 
 class TestGreenFunction:
@@ -152,7 +153,7 @@ class TestGreenFunction:
         # residuals above the tolerance; the returned root is at rounding level
         z, Q = -1e-3j, 1e4
         c = green_quartic_coeffs(z, Q)
-        w = solve_quartic(c, residual_tol=1.0)
+        w = theory.quartic_roots_batch(c[None, :])[0]
         res = np.abs(np.polyval(c, w)) / np.linalg.norm(c)
         assert res.max() > 1e-9
         g = green_function(z, Q)
@@ -163,7 +164,7 @@ class TestGreenFunction:
         # as eps -> 0; with eps tiny their gap is far below the ambiguity
         # tolerance and a `previous` between them must refuse to choose
         z = 2.0 - 1e-14j
-        roots = solve_quartic(green_quartic_coeffs(z, 1.0)) / z
+        roots = theory.quartic_roots_batch(green_quartic_coeffs(z, 1.0)[None, :])[0] / z
         d = np.sort(np.abs(roots[:, None] - roots[None, :]), axis=None)
         close_pair = d[4]  # smallest nonzero pairwise distance
         assert close_pair < 1e-6
@@ -243,9 +244,11 @@ class TestVectorizedTracker:
         roots = np.array(rows) * scale
         z = np.ones(len(rows), dtype=complex)  # G = w/z = w exactly; the seed 1/z is 1
         seed = None if previous is None else previous * scale
-        with mock.patch.object(theory, "quartic_roots_batch", lambda c: roots.copy()):
-            got = _outcome(lambda: theory._track(z, 1.0, np.inf, seed))
-            want = _outcome(lambda: reference_track(z, 1.0, np.inf, seed))
+        # the fake roots are no roots of the quartic: the residual gate is opened
+        with mock.patch.object(theory, "quartic_roots_batch", lambda c: roots.copy()), \
+                mock.patch.object(theory, "_RESIDUAL_TOL", np.inf):
+            got = _outcome(lambda: theory._track(z, 1.0, seed))
+            want = _outcome(lambda: reference_track(z, 1.0, seed))
         _assert_same_outcome(got, want)
 
     @given(eps=st.floats(1e-16, 1e-12), center=st.sampled_from([0.0, 2.0]),
@@ -279,7 +282,7 @@ class TestVectorizedTracker:
         else:
             previous = arbitrary
         got = _outcome(lambda: green_function(z, Q, previous=previous))
-        want = _outcome(lambda: complex(reference_track(np.array([z]), Q, 1e-9, previous)[0]))
+        want = _outcome(lambda: complex(reference_track(np.array([z]), Q, previous)[0]))
         _assert_same_outcome(got, want)
 
     def test_ambiguity_mid_sweep_at_the_same_x(self):
