@@ -11,17 +11,15 @@ from .curves import DensityCurve
 from .estimation import (
     EsdFunction,
     KernelConfig,
-    complex_projection_samples,
     eigenvalue_density,
-    esd_eval,
     histogram_density,
-    kde_estimate,
     ks_distance,
     l1_distance,
     projection_density,
     silverman_bandwidth,
     snap_zeros,
     split_atom,
+    with_atom,
 )
 from .fileio import read_capture, read_density_csv, write_capture, write_density_csv
 from .linalg import (

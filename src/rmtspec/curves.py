@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DensityCurve", "resample", "union_grid"]
+__all__ = ["DensityCurve", "union_grid"]
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,3 @@ class DensityCurve:
 def union_grid(curves) -> np.ndarray:
     """2048 evenly spaced abscissas spanning the union of the curves' supports."""
     return np.linspace(min(c.xs[0] for c in curves), max(c.xs[-1] for c in curves), 2048)
-
-
-def resample(curve: DensityCurve, grid: np.ndarray) -> DensityCurve:
-    """Linear-interpolation resampling onto `grid` (zero outside support)."""
-    return DensityCurve(np.asarray(grid, float), curve(grid),
-                        point_mass_at_zero=curve.point_mass_at_zero)

@@ -22,38 +22,32 @@ from .linalg import ComplexSpectrum, RealSpectrum
 __all__ = [
     "KernelConfig",
     "EsdFunction",
-    "esd_eval",
     "silverman_bandwidth",
     "kde_eval",
-    "kde_estimate",
     "histogram_density",
     "ks_distance",
     "l1_distance",
-    "complex_projection_samples",
     "split_atom",
     "snap_zeros",
+    "with_atom",
     "eigenvalue_density",
     "projection_density",
 ]
 
-_KERNEL_IDS = {"gaussian": 0, "epanechnikov": 1}
 _ZERO_REL_TOL = 1e-8
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel shape and bandwidth; ``bandwidth=None`` selects Silverman's rule.
+    """Gaussian-kernel bandwidth; ``bandwidth=None`` selects Silverman's rule.
 
     An explicit bandwidth must be finite and positive.
     """
 
-    kernel: str = "gaussian"
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.kernel not in _KERNEL_IDS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
             raise BandwidthNonPositive(
                 f"bandwidth must be finite and positive, got {self.bandwidth}")
@@ -80,11 +74,6 @@ class EsdFunction:
         return idx / self.count
 
 
-def esd_eval(spec: RealSpectrum, x) -> float:
-    """Fraction of eigenvalues <= x."""
-    return float(EsdFunction(spec.values)(x))
-
-
 def silverman_bandwidth(samples) -> float:
     """Silverman's rule of thumb: 0.9 min(std, IQR/1.34) m^(-1/5).
 
@@ -101,11 +90,8 @@ def silverman_bandwidth(samples) -> float:
     return 0.9 * spread * len(s) ** (-0.2)
 
 
-def kde_eval(samples: np.ndarray, grid: np.ndarray, h: float, kernel: int) -> np.ndarray:
-    """Kernel density estimate of `samples` on `grid` with bandwidth `h`.
-
-    kernel: 0 = gaussian, 1 = epanechnikov.
-    """
+def kde_eval(samples: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian kernel density estimate of `samples` on `grid` with bandwidth `h`."""
     s = np.asarray(samples, dtype=np.float64).ravel()
     x = np.asarray(grid, dtype=np.float64).ravel()
     out = np.zeros(len(x), dtype=np.float64)
@@ -115,36 +101,20 @@ def kde_eval(samples: np.ndarray, grid: np.ndarray, h: float, kernel: int) -> np
     chunk = max(1, int(4_000_000 // max(len(s), 1)))
     for lo in range(0, len(x), chunk):
         u = (x[lo:lo + chunk, None] - s[None, :]) / h
-        if kernel == 0:
-            k = np.exp(-0.5 * u * u) / _SQRT_2PI
-        else:
-            k = 0.75 * np.clip(1.0 - u * u, 0.0, None)
+        k = np.exp(-0.5 * u * u) / _SQRT_2PI
         out[lo:lo + chunk] = k.sum(axis=1)
     out /= len(s) * h
     return out
 
 
-def kde_estimate(spec: RealSpectrum | np.ndarray, cfg: KernelConfig, grid) -> DensityCurve:
-    """Kernel density estimate of a spectrum on explicit abscissas."""
-    vals = spec.values if isinstance(spec, RealSpectrum) else np.asarray(spec, float).ravel()
-    if vals.size == 0:
-        raise EmptySpectrum("cannot estimate a density from zero eigenvalues")
-    h = cfg.bandwidth if cfg.bandwidth is not None else silverman_bandwidth(vals)
-    if not h > 0:
-        raise BandwidthNonPositive(f"bandwidth must be positive, got {h}")
-    xs = np.asarray(grid, dtype=np.float64)
-    ys = kde_eval(vals, xs, float(h), _KERNEL_IDS[cfg.kernel])
-    return DensityCurve(xs, ys)
-
-
-def histogram_density(samples, bins: int, range: tuple[float, float] | None = None) -> DensityCurve:
+def histogram_density(samples, bins: int) -> DensityCurve:
     """Density-normalized histogram as a step curve sampled at bin centers."""
     s = np.asarray(samples, dtype=np.float64).ravel()
     if s.size == 0:
         raise EmptyInput("cannot histogram an empty sample set")
     if bins < 1:
         raise EmptyInput(f"bins must be >= 1, got {bins}")
-    heights, edges = np.histogram(s, bins=bins, range=range, density=True)
+    heights, edges = np.histogram(s, bins=bins, density=True)
     centers = 0.5 * (edges[1:] + edges[:-1])
     # anchor the outer edges at the boundary heights: the trapezoid mass of
     # the resulting polyline telescopes to exactly sum(height * width)
@@ -185,19 +155,6 @@ def l1_distance(curve_a: DensityCurve, curve_b: DensityCurve) -> float:
                  + abs(curve_a.point_mass_at_zero - curve_b.point_mass_at_zero))
 
 
-def complex_projection_samples(spec: ComplexSpectrum, axis: str = "x") -> np.ndarray:
-    """sqrt(2)-rescaled real or imaginary parts of a complex spectrum."""
-    if len(spec.values) == 0:
-        raise EmptySpectrum("empty complex spectrum")
-    if axis == "x":
-        parts = spec.values.real
-    elif axis == "y":
-        parts = spec.values.imag
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return math.sqrt(2.0) * parts
-
-
 def snap_zeros(values: np.ndarray) -> np.ndarray:
     """Set entries below 1e-8 times the largest magnitude exactly to zero.
 
@@ -221,9 +178,16 @@ def split_atom(values) -> tuple[np.ndarray, float]:
     return nonzero, 1.0 - len(nonzero) / len(v)
 
 
+def with_atom(curve: DensityCurve, atom: float) -> DensityCurve:
+    """``curve`` weighted by the nonzero share ``1 - atom``, with ``atom`` as its
+    point mass at zero: a unit-mass density of the nonzero eigenvalues becomes
+    a unit-mass curve-plus-atom of the whole spectrum."""
+    return DensityCurve(curve.xs, curve.ys * (1.0 - atom), point_mass_at_zero=atom)
+
+
 def eigenvalue_density(spec: RealSpectrum, cfg: KernelConfig | None = None,
                        grid=None) -> DensityCurve:
-    """Atom-aware KDE of a real spectrum.
+    """Atom-aware Gaussian KDE of a real spectrum.
 
     The eigenvalues ``split_atom`` counts as zero form the point mass at zero
     and are excluded from the KDE; the continuous part is weighted by its
@@ -234,21 +198,25 @@ def eigenvalue_density(spec: RealSpectrum, cfg: KernelConfig | None = None,
     if len(nonzero) < 2:
         raise DegenerateSample("fewer than 2 nonzero eigenvalues")
     h = cfg.bandwidth if cfg.bandwidth is not None else silverman_bandwidth(nonzero)
+    if not h > 0:
+        raise BandwidthNonPositive(f"bandwidth must be positive, got {h}")
     if grid is None:
         grid = np.linspace(nonzero.min() - 5 * h, nonzero.max() + 5 * h, 1024)
-    curve = kde_estimate(nonzero, KernelConfig(cfg.kernel, h), grid)
-    return DensityCurve(curve.xs, curve.ys * (1.0 - atom), point_mass_at_zero=atom)
+    return with_atom(DensityCurve(grid, kde_eval(nonzero, grid, float(h))), atom)
 
 
-def projection_density(spec: ComplexSpectrum, axis: str = "x", bins: int = 12,
-                       range: tuple[float, float] | None = None) -> DensityCurve:
-    """Atom-aware histogram of the sqrt(2)-rescaled axis projection.
+def projection_density(spec: ComplexSpectrum, axis: str = "x", bins: int = 12) -> DensityCurve:
+    """Atom-aware histogram of the sqrt(2)-rescaled real (``axis='x'``) or
+    imaginary (``axis='y'``) parts of a complex spectrum.
 
     The eigenvalues ``split_atom`` counts as zero form the point mass at zero
     (the rank-deficiency atom of the lagged matrix); the remaining
     projections are histogrammed and weighted by their share.
     """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     nonzero, atom = split_atom(spec.values)
-    proj = complex_projection_samples(ComplexSpectrum(nonzero), axis)
-    hist = histogram_density(proj, bins=bins, range=range)
-    return DensityCurve(hist.xs, hist.ys * (1.0 - atom), point_mass_at_zero=atom)
+    if nonzero.size == 0:
+        raise EmptySpectrum("every eigenvalue of the complex spectrum is zero")
+    parts = nonzero.real if axis == "x" else nonzero.imag
+    return with_atom(histogram_density(math.sqrt(2.0) * parts, bins=bins), atom)

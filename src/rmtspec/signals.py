@@ -168,7 +168,7 @@ def gen_ncofdm_frames(spec: NcofdmSpec, n_frames: int) -> SampleStream:
     bits = rng.integers(0, 2, size=(n_frames, len(spec.occupied))) * 2.0 - 1.0
     freq = np.zeros((n_frames, spec.n_fft), dtype=np.complex128)
     freq[:, spec.occupied] = bits
-    time = np.fft.ifft(freq, axis=1, norm="ortho")
+    time = dft(freq, "inverse")
     return SampleStream(time.reshape(-1))
 
 

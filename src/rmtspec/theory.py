@@ -50,6 +50,7 @@ __all__ = [
     "lagged_point_mass",
     "green_scan",
     "lagged_density_symmetric",
+    "require_unit_mass",
     "project_density",
 ]
 
@@ -58,6 +59,7 @@ log = logging.getLogger(__name__)
 _AMBIGUITY_TOL = 1e-6
 _IM_CLAMP = 1e-9
 _RESIDUAL_TOL = 1e-9  # relative w-quartic residual accepted per point
+_MASS_TOL = 0.02  # |curve-plus-atom mass - 1| accepted for a theory curve
 _MAX_GRID_POINTS = 10**6
 
 
@@ -509,18 +511,24 @@ def lagged_density_symmetric(cfg: GreenSolveConfig) -> DensityCurve:
     return DensityCurve(xs, ys, point_mass_at_zero=atom)
 
 
-def project_density(rho_s: DensityCurve, axis: str = "x") -> DensityCurve:
+def require_unit_mass(curve: DensityCurve, what: str) -> None:
+    """Raise ``NotNormalized``, naming ``what``, when the curve-plus-atom mass
+    misses 1 by more than 0.02."""
+    mass = curve.total_mass()
+    if abs(mass - 1.0) > _MASS_TOL:
+        raise NotNormalized(f"{what} has mass {mass:.4f}, more than {_MASS_TOL} from 1")
+
+
+def project_density(rho_s: DensityCurve) -> DensityCurve:
     """Rescale a symmetric-problem density to the axis-projection frame.
 
     Returns the curve ``x -> sqrt(2) * rho(sqrt(2) x)``; the ordinate factor
-    keeps the projection normalized. The antisymmetric-problem density used
-    for ``axis='y'`` is taken equal to the symmetric one (radially symmetric
-    spectrum), so both axes share one transform. Point mass is unaffected.
+    keeps the projection normalized. The antisymmetric-problem density of
+    the y axis is taken equal to the symmetric one (radially symmetric
+    spectrum), so both axes share this one transform. Point mass is
+    unaffected.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if abs(rho_s.total_mass() - 1.0) > 0.02:
-        raise NotNormalized(f"input curve mass {rho_s.total_mass():.4f} is not ~1")
+    require_unit_mass(rho_s, "input curve")
     root2 = math.sqrt(2.0)
     return DensityCurve(rho_s.xs / root2, rho_s.ys * root2,
                         point_mass_at_zero=rho_s.point_mass_at_zero)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rmtspec as r
+from rmtspec.estimation import kde_eval
 
 # fixed seeds per criterion keep every run identical
 SEED_C1 = 101
@@ -164,7 +165,7 @@ def _projection_l1(cloud, theory_curve, axis):
     share = len(nonzero) / len(cloud.values)
     emp_raw = r.DensityCurve(hist.xs, hist.ys * share,
                              point_mass_at_zero=1.0 - share)
-    l1_b = r.l1_distance(emp_raw, r.project_density(theory_curve, axis=axis))
+    l1_b = r.l1_distance(emp_raw, r.project_density(theory_curve))
     return l1_a, l1_b
 
 
@@ -264,8 +265,7 @@ def test_criterion_7_normalization_suite():
         s = rng.standard_normal(300) * scale
         h = r.silverman_bandwidth(s)
         grid = np.linspace(s.min() - 5 * h, s.max() + 5 * h, 4001)
-        mass = r.kde_estimate(r.RealSpectrum(s, float(s.sum())),
-                              r.KernelConfig(), grid).continuous_mass()
+        mass = np.trapezoid(kde_eval(s, grid, h), grid)
         assert abs(mass - 1.0) <= 0.02
     _pass("7", f"MP integrals {' '.join(details)} (+-1e-4); KDE masses within 0.02")
 

@@ -36,6 +36,11 @@ CONTRACT_CASES = {
     "lagged-epsilon-subnormal": (["theory", "lagged", "--q", "1", "--epsilon", "5e-324"], {}),
     "lagged-q-grid-too-large": (["theory", "lagged", "--q", "1e-20"], {}),
     "lagged-q-huge-epsilon-tiny": (["theory", "lagged", "--q", "1e30", "--epsilon", "1e-300"], {}),
+    # curves whose mass misses 1 by more than 0.02 on the default grid
+    "lagged-mass-q0.1-eps1": (["theory", "lagged", "--q", "0.1", "--epsilon", "1"], {}),
+    "lagged-mass-q0.1-eps10": (["theory", "lagged", "--q", "0.1", "--epsilon", "10"], {}),
+    "lagged-mass-q1e8-eps1e-12": (["theory", "lagged", "--q", "1e8", "--epsilon", "1e-12"], {}),
+    "lagged-mass-q1e8-eps1e-8": (["theory", "lagged", "--q", "1e8", "--epsilon", "1e-8"], {}),
     "compare-x-only": (_COMPARE, {"emp": "x\n0\n2\n", "th": _CURVE}),
     "compare-short-rows": (_COMPARE, {"emp": "x,kde\n0\n2\n", "th": _CURVE}),
     "compare-repeated-label": (_COMPARE, {"emp": "x,kde,kde\n0,1,0\n2,1,0\n", "th": _CURVE}),
@@ -104,6 +109,12 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "RMT_THREADS" in err and "threadpoolctl" in err
 
+    def test_theory_lagged_names_the_missed_mass(self, tmp_path, capsys):
+        # refusal itself is a CONTRACT_CASES entry; this checks what it names
+        argv, _ = _contract_argv("lagged-mass-q0.1-eps1", tmp_path)
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "Q=0.1" in err and "epsilon=1 " in err and "mass 0.9777" in err, err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_analyze_cov_infinite_bandwidth(self, tmp_path, capsys):
@@ -273,6 +284,17 @@ class TestPipelines:
         assert _run("compare", "--empirical", str(emp), "--theory", str(th),
                     "-o", str(report)) == 0
         assert report.read_text().splitlines()[-1] == "KS = 0.5"
+
+    def test_compare_sees_the_crossing(self, tmp_path):
+        # density 2x against 1 on [0, 1]: the CDFs x^2 and x agree at both
+        # knots and differ most, by 0.25, where the densities cross at 0.5
+        emp, th, report = (tmp_path / n for n in ("a.csv", "b.csv", "r.txt"))
+        xs = np.array([0.0, 1.0])
+        write_density_csv(str(emp), [DensityCurve(xs, np.array([0.0, 2.0]))], ["kde"])
+        write_density_csv(str(th), [DensityCurve(xs, np.ones(2))], ["mp"])
+        assert _run("compare", "--empirical", str(emp), "--theory", str(th),
+                    "-o", str(report)) == 0
+        assert report.read_text().splitlines()[-1] == "KS = 0.25"
 
     def test_theory_mp_c4_support_and_atom(self, tmp_path):
         out = tmp_path / "mp4.csv"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmtspec.curves import DensityCurve, resample, union_grid
+from rmtspec.curves import DensityCurve, union_grid
 
 
 @st.composite
@@ -49,13 +49,6 @@ class TestDensityCurve:
     def test_call_interpolates_zero_outside(self):
         c = DensityCurve(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(c(np.array([-1.0, 0.5, 2.0])), [0.0, 1.0, 0.0])
-
-    def test_resample(self):
-        xs = np.linspace(0, 1, 11)
-        c = DensityCurve(xs, xs.copy(), point_mass_at_zero=0.25)
-        r = resample(c, np.linspace(-0.5, 1.5, 21))
-        assert r.point_mass_at_zero == 0.25
-        assert r(0.5) == pytest.approx(0.5)
 
     def test_union_grid(self):
         a = DensityCurve(np.array([-1.0, 0.5]), np.ones(2))

@@ -9,11 +9,8 @@ from rmtspec import (
     EsdFunction,
     KernelConfig,
     RealSpectrum,
-    complex_projection_samples,
     eigenvalue_density,
-    esd_eval,
     histogram_density,
-    kde_estimate,
     ks_distance,
     l1_distance,
     mp_cdf,
@@ -29,6 +26,7 @@ from rmtspec.errors import (
     EmptyInput,
     EmptySpectrum,
 )
+from rmtspec.estimation import kde_eval
 
 
 def _spec(values):
@@ -38,16 +36,14 @@ def _spec(values):
 
 class TestEsd:
     def test_basic_fraction(self):
-        assert esd_eval(_spec([1, 2, 3]), 2.0) == pytest.approx(2 / 3)
+        assert EsdFunction(np.array([1.0, 2.0, 3.0]))(2.0) == pytest.approx(2 / 3)
 
     def test_outside_range(self):
-        s = _spec([1, 2, 3])
-        assert esd_eval(s, 0.0) == 0.0
-        assert esd_eval(s, 3.0) == 1.0
-        assert esd_eval(s, 99.0) == 1.0
+        esd = EsdFunction(np.array([3.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(esd(np.array([0.0, 3.0, 99.0])), [0.0, 1.0, 1.0])
 
     def test_ties_counted_leq(self):
-        assert esd_eval(_spec([1, 1, 1]), 1.0) == 1.0
+        assert EsdFunction(np.array([1.0, 1.0, 1.0]))(1.0) == 1.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptySpectrum):
@@ -85,25 +81,20 @@ class TestSilverman:
 
 class TestKde:
     def test_single_eigenvalue_gaussian(self):
-        c = kde_estimate(_spec([0.0]), KernelConfig(bandwidth=1.0), np.array([0.0, 1.0]))
-        assert c.ys[0] == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-12)
+        ys = kde_eval(np.array([0.0]), np.array([0.0, 1.0]), 2.0)
+        np.testing.assert_allclose(ys, np.exp([0.0, -0.125]) / (2.0 * np.sqrt(2 * np.pi)),
+                                   rtol=1e-12)
 
     def test_two_eigenvalues_at_zero(self):
-        c = kde_estimate(_spec([-1.0, 1.0]), KernelConfig(bandwidth=1.0), np.array([0.0, 2.0]))
+        c = eigenvalue_density(_spec([-1.0, 1.0]), KernelConfig(bandwidth=1.0),
+                               np.array([0.0, 2.0]))
         assert c.ys[0] == pytest.approx(np.exp(-0.5) / np.sqrt(2 * np.pi), rel=1e-12)
-
-    def test_epanechnikov_value(self):
-        c = kde_estimate(_spec([0.0]), KernelConfig("epanechnikov", 2.0),
-                         np.array([0.0, 1.0, 3.0]))
-        assert c.ys[0] == pytest.approx(0.75 / 2.0, rel=1e-12)
-        assert c.ys[1] == pytest.approx(0.75 * (1 - 0.25) / 2.0, rel=1e-12)
-        assert c.ys[2] == 0.0
 
     def test_normal_sample_l1(self):
         rng = np.random.default_rng(5)
         s = rng.standard_normal(500)
         grid = np.linspace(-5, 5, 2001)
-        c = kde_estimate(_spec(s), KernelConfig(), grid)
+        c = eigenvalue_density(_spec(s), grid=grid)
         normal = np.exp(-0.5 * grid**2) / np.sqrt(2 * np.pi)
         assert np.trapezoid(np.abs(c.ys - normal), grid) <= 0.08
 
@@ -111,27 +102,23 @@ class TestKde:
         s = rng.standard_normal(200) * 3.0
         h = silverman_bandwidth(s)
         grid = np.linspace(s.min() - 5 * h, s.max() + 5 * h, 4001)
-        c = kde_estimate(_spec(s), KernelConfig(), grid)
+        c = eigenvalue_density(_spec(s), grid=grid)
+        assert c.point_mass_at_zero == 0.0
         assert c.continuous_mass() == pytest.approx(1.0, abs=0.02)
 
     def test_linearity_union(self, rng):
         a = rng.standard_normal(30)
         b = rng.standard_normal(50) + 1.0
         grid = np.linspace(-6, 7, 801)
-        cfg = KernelConfig(bandwidth=0.7)
-        ca = kde_estimate(_spec(a), cfg, grid)
-        cb = kde_estimate(_spec(b), cfg, grid)
-        cu = kde_estimate(_spec(np.concatenate([a, b])), cfg, grid)
-        blend = (30 * ca.ys + 50 * cb.ys) / 80
-        np.testing.assert_allclose(cu.ys, blend, atol=1e-12)
+        ya, yb = kde_eval(a, grid, 0.7), kde_eval(b, grid, 0.7)
+        yu = kde_eval(np.concatenate([a, b]), grid, 0.7)
+        np.testing.assert_allclose(yu, (30 * ya + 50 * yb) / 80, atol=1e-12)
 
     def test_shift_equivariance(self, rng):
         s = rng.standard_normal(40)
         grid = np.linspace(-5, 5, 501)
-        cfg = KernelConfig(bandwidth=0.5)
-        c0 = kde_estimate(_spec(s), cfg, grid)
-        c1 = kde_estimate(_spec(s + 2.5), cfg, grid + 2.5)
-        np.testing.assert_allclose(c0.ys, c1.ys, atol=1e-12)
+        np.testing.assert_allclose(kde_eval(s, grid, 0.5), kde_eval(s + 2.5, grid + 2.5, 0.5),
+                                   atol=1e-12)
 
     def test_bad_bandwidth(self):
         for h in (-1.0, 0.0, np.inf, np.nan):
@@ -141,7 +128,9 @@ class TestKde:
 
 class TestHistogram:
     def test_single_sample_one_bin(self):
-        c = histogram_density([0.5], bins=1, range=(0.0, 1.0))
+        # numpy spans a single value with the unit bin around it, here [0, 1]
+        c = histogram_density([0.5], bins=1)
+        np.testing.assert_array_equal(c.xs, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(c.ys, 1.0)
         assert c.continuous_mass() == pytest.approx(1.0, abs=1e-12)
 
@@ -231,18 +220,24 @@ class TestL1:
 
 class TestProjections:
     def test_single_value(self):
+        # one sample is histogrammed in the unit bin centred on it
         s = ComplexSpectrum(np.array([1 + 2j]))
-        np.testing.assert_allclose(complex_projection_samples(s, "x"), [np.sqrt(2)])
-        np.testing.assert_allclose(complex_projection_samples(s, "y"), [2 * np.sqrt(2)])
+        for axis, centre in (("x", np.sqrt(2)), ("y", 2 * np.sqrt(2))):
+            c = projection_density(s, axis=axis, bins=1)
+            np.testing.assert_allclose(c.xs, centre + np.array([-0.5, 0.0, 0.5]))
 
     def test_conjugate_pair_symmetric(self):
-        s = ComplexSpectrum(np.array([1j, -1j]))
-        y = np.sort(complex_projection_samples(s, "y"))
-        np.testing.assert_allclose(y, [-np.sqrt(2), np.sqrt(2)])
+        c = projection_density(ComplexSpectrum(np.array([1j, -1j])), axis="y", bins=2)
+        np.testing.assert_allclose(c.xs[[0, -1]], [-np.sqrt(2), np.sqrt(2)])
+        np.testing.assert_allclose(c.ys, c.ys[::-1])
 
     def test_empty(self):
         with pytest.raises(EmptySpectrum):
-            complex_projection_samples(ComplexSpectrum(np.array([])), "x")
+            projection_density(ComplexSpectrum(np.array([])), axis="x")
+
+    def test_bad_axis(self):
+        with pytest.raises(ValueError, match="axis"):
+            projection_density(ComplexSpectrum(np.array([1 + 1j])), axis="z")
 
     def test_projection_density_atom(self):
         vals = np.concatenate([np.zeros(60), np.ones(20) + 1j, np.ones(20) - 1j])

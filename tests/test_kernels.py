@@ -170,9 +170,5 @@ class TestAgainstCompanionOracle:
 
 class TestKdeKernel:
     def test_single_point(self):
-        out = kde_eval(np.array([0.0]), np.array([0.0]), 1.0, 0)
+        out = kde_eval(np.array([0.0]), np.array([0.0]), 1.0)
         assert out[0] == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-13)
-
-    def test_epanechnikov_support(self):
-        out = kde_eval(np.array([0.0]), np.array([0.0, 0.5, 1.5]), 1.0, 1)
-        np.testing.assert_allclose(out, [0.75, 0.75 * 0.75, 0.0], atol=1e-14)

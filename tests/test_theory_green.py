@@ -435,7 +435,7 @@ class TestProjectDensity:
 
     def test_mass_preserved(self):
         curve = lagged_density_symmetric(GreenSolveConfig(Q=10.0))
-        proj = project_density(curve, axis="y")
+        proj = project_density(curve)
         assert proj.total_mass() == pytest.approx(curve.total_mass(), abs=1e-9)
 
     def test_rejects_unnormalized(self):
