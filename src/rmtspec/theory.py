@@ -16,7 +16,8 @@ Two families:
   only the continuous part in its ordinates.
 
 The physical resolvent branch is fixed by its ``G ~ 1/z`` decay at large
-``|z|`` and tracked by continuity from the outer grid ends inward.
+``|z|`` and tracked by continuity from the largest ``|x|`` of the grid inward,
+once for each ``|x|``: the negative half-axis is its mirror image.
 """
 
 from __future__ import annotations
@@ -354,22 +355,54 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (np.abs(acc) / scale).reshape(np.shape(roots))
 
 
+def _roots(z: np.ndarray, Q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The w-quartic coefficients at each ``z`` and its four roots as ``G = w/z``."""
+    coeffs = green_quartic_coeffs(z, Q)
+    return coeffs, quartic_roots_batch(coeffs) / z[:, None]
+
+
+def _gated(z, coeffs, roots, picks, d, checked) -> np.ndarray:
+    """The picked roots ``G = roots[i, picks[i]]``, refused unless all pass, in this
+    order: every pick finite; no checked pick ambiguous, i.e. with a runner-up
+    within ``_AMBIGUITY_TOL`` of both the pick and the value it was measured
+    against (``d[i]``: the distances of the roots at ``i`` from that value); every
+    w-residual within ``_RESIDUAL_TOL``; ``Im G >= -1e-9``. NaN fails the last two.
+    ``d`` is overwritten."""
+    at = np.arange(len(z))
+    G = roots[at, picks]
+    if not np.isfinite(G).all():
+        x = float(z[np.argmin(np.isfinite(G))].real)
+        raise NoConvergence(f"non-finite root at x = {x}")
+
+    d[at, picks] = np.inf
+    second = np.argmin(d, axis=1)
+    ambiguous = checked & (d[at, second] < _AMBIGUITY_TOL) & \
+        (np.abs(G - roots[at, second]) < _AMBIGUITY_TOL)
+    if ambiguous.any():
+        x = float(z[np.argmax(ambiguous)].real)
+        raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
+
+    res = _residuals(coeffs, (z * G)[:, None]).max()
+    if not res <= _RESIDUAL_TOL:
+        raise NoConvergence(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
+    if not G.imag.min() >= -_IM_CLAMP:
+        raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
+    return G
+
+
 # a root w/z that overflows (|z| near the smallest double) gives inf and NaN
-# distances; the picks they reach are refused below, without a warning
+# distances; the picks they reach are refused by the gates, without a warning
 @np.errstate(all="ignore")
 def _track(z: np.ndarray, Q: float, previous=None) -> np.ndarray:
     """Physical G along ``z`` in order: at each point the root ``w/z`` nearest the
     previous pick (the first: nearest ``previous``, else ``1/z``), ties to the lower
-    root index. Every pick must be finite; every pick after the first, and the
-    first when ``previous`` is given, must be unambiguous; every pick must have
-    its w-residual within ``_RESIDUAL_TOL`` and ``Im G >= -1e-9``. NaN fails
-    both gates.
+    root index, through the ``_gated`` gates; every pick after the first, and the
+    first when ``previous`` is given, must be unambiguous.
 
     "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
     those at point i. All the maps are formed at once and composed along the
     sweep by prefix doubling, so no Python loop runs over the points."""
-    coeffs = green_quartic_coeffs(z, Q)
-    roots = quartic_roots_batch(coeffs) / z[:, None]
+    coeffs, roots = _roots(z, Q)
     m = len(z)
     seed = 1.0 / complex(z[0]) if previous is None else previous
     # dist[i, j, k] = |root k at i - root j at i-1|; at i = 0 every j is the seed
@@ -384,42 +417,38 @@ def _track(z: np.ndarray, Q: float, previous=None) -> np.ndarray:
         nearest[step:] = np.take_along_axis(nearest[step:], nearest[:-step], axis=1)
         step *= 2
     picks = nearest[:, 0]
-    at = np.arange(m)
-    G = roots[at, picks]
-    if not np.isfinite(G).all():
-        x = float(z[np.argmin(np.isfinite(G))].real)
-        raise NoConvergence(f"non-finite root at x = {x}")
-
-    # ambiguous: the runner-up is within the tolerance of the previous pick and of the pick
-    d = dist[at, np.concatenate(([0], picks[:-1]))]
-    d[at, picks] = np.inf
-    second = np.argmin(d, axis=1)
-    ambiguous = (d[at, second] < _AMBIGUITY_TOL) & \
-        (np.abs(G - roots[at, second]) < _AMBIGUITY_TOL)
-    ambiguous[0] &= previous is not None
-    if ambiguous.any():
-        x = float(z[np.argmax(ambiguous)].real)
-        raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
-
-    res = _residuals(coeffs, (z * G)[:, None]).max()
-    if not res <= _RESIDUAL_TOL:
-        raise NoConvergence(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
-    if not G.imag.min() >= -_IM_CLAMP:
-        raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
-    return G
+    checked = np.ones(m, dtype=bool)
+    checked[0] = previous is not None
+    d = dist[np.arange(m), np.concatenate(([0], picks[:-1]))]
+    return _gated(z, coeffs, roots, picks, d, checked)
 
 
-def green_function(z: complex, Q: float, previous: complex | None = None) -> complex:
-    """Physical root of the resolvent quartic at a single point.
+@np.errstate(all="ignore")
+def green_function(z, Q: float, previous: complex | None = None):
+    """Physical root of the resolvent quartic at each point of ``z``, each solved on
+    its own.
 
-    With ``previous`` supplied the root nearest to it is taken (continuity);
-    otherwise the root nearest the asymptotic value ``1/z``. Requires
-    ``Im z < 0``; the returned root satisfies ``Im G >= -1e-9``.
+    ``z`` is a scalar (a ``complex`` is returned) or a non-empty 1-D array (an
+    array of G is returned); every point needs ``Im z < 0``. At each point the
+    root nearest ``previous`` is taken (continuity), else the root nearest the
+    asymptotic value ``1/z``. Row ``i`` of an array equals the scalar call at
+    ``z[i]``, bit for bit. The gates of ``_track`` apply to every point, the
+    ambiguity gate only with ``previous`` given; one failing point refuses the
+    call. Every returned root satisfies ``Im G >= -1e-9``.
     """
-    z = complex(z)
-    if not z.imag < 0:
+    zv = np.asarray(z, dtype=np.complex128)
+    if zv.ndim > 1 or zv.size == 0:
+        raise ValueError("green_function takes a scalar or a non-empty 1-D z")
+    if not np.all(zv.imag < 0):
         raise ValueError("green_function requires Im z < 0")
-    return complex(_track(np.array([z]), Q, previous)[0])
+    zs = np.atleast_1d(zv)
+    coeffs, roots = _roots(zs, Q)
+    # Python's complex division, as in _track: NumPy's can differ in the last bit
+    seeds = [1.0 / complex(v) for v in zs] if previous is None else [previous]
+    d = np.abs(roots - np.array(seeds, dtype=np.complex128)[:, None])
+    G = _gated(zs, coeffs, roots, np.argmin(d, axis=1), d,
+               np.full(len(zs), previous is not None))
+    return complex(G[0]) if zv.ndim == 0 else G
 
 
 def lagged_point_mass(Q: float) -> float:
@@ -431,10 +460,19 @@ def lagged_point_mass(Q: float) -> float:
 
 def _default_grid(Q: float, eps: float) -> np.ndarray:
     """Symmetric grid, dense near the origin so that the finite-eps
-    (Lorentzian-smeared) atom and edge singularities are resolved."""
-    L = 2.2 * math.sqrt(2.0 / Q) + 1.2
-    while _edge_density(L, Q, eps) >= 1e-6 and L < 64.0:
-        L *= 1.4
+    (Lorentzian-smeared) atom and edge singularities are resolved.
+
+    Its half-width is the first of ``L0, 1.4 L0, 1.4^2 L0, ...`` (``L0 = 2.2
+    sqrt(2/Q) + 1.2``) where the density ``Im G / pi`` falls below 1e-6, or else
+    the first at or past 64. Every candidate up to that one is solved in a single
+    ``green_function`` call, so a gate failing at a candidate past the one taken
+    refuses the grid too."""
+    candidates = [2.2 * math.sqrt(2.0 / Q) + 1.2]
+    while candidates[-1] < 64.0:
+        candidates.append(candidates[-1] * 1.4)
+    G = green_function(np.array(candidates) - 1j * eps, Q)
+    stop = np.append(G.imag[:-1] / math.pi < 1e-6, True)
+    L = candidates[int(np.argmax(stop))]
 
     core_hw = 60.0 * eps
     geo_hi = max(4.0 * core_hw, 0.15 * L)
@@ -453,36 +491,22 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-def _edge_density(x: float, Q: float, eps: float) -> float:
-    g = green_function(x - 1j * eps, Q)
-    return max(g.imag, 0.0) / math.pi
-
-
 def green_scan(cfg: GreenSolveConfig) -> tuple[np.ndarray, np.ndarray]:
     """Physical resolvent branch on the whole grid.
 
-    Solves the quartic at every ``x - i*eps``, then tracks the branch by
-    continuity: the outermost point of each half-grid is seeded with the
-    asymptotic 1/z root and propagated inward toward the origin. Returns
-    (grid, G values); every G satisfies the residual tolerance and
-    ``Im G >= -1e-9``.
+    The density is even and the w-quartic depends on ``z^2`` only, so
+    ``G(-x - i*eps) = -conj G(x - i*eps)``: the branch is tracked once over the
+    distinct ``|x|`` of the grid, from the largest (seeded with the asymptotic
+    1/z root) inward, and each negative x takes the mirror of its ``|x|``.
+    Returns (grid, G values); every G satisfies the residual tolerance and
+    ``Im G >= -1e-9``. An error names the ``|x|`` it arose at, which on a
+    custom grid may be the mirror of the grid point; on the symmetric default
+    grid it is the grid point itself.
     """
     xs = cfg.grid if cfg.grid is not None else _default_grid(cfg.Q, cfg.epsilon)
-    zs = xs - 1j * cfg.epsilon
-
-    m = len(xs)
-    G = np.empty(m, dtype=np.complex128)
-    # anchor each sweep at its largest-|x| end; grids straddling the origin
-    # get two sweeps meeting in the middle
-    if xs[0] < 0.0 < xs[-1]:
-        mid = int(np.argmin(np.abs(xs)))
-        segments = [range(m - 1, mid - 1, -1), range(0, mid)]
-    elif abs(xs[-1]) >= abs(xs[0]):
-        segments = [range(m - 1, -1, -1)]
-    else:
-        segments = [range(0, m)]
-    for seg in filter(None, segments):  # the inner sweep is empty when xs[0] is nearest 0
-        G[seg] = _track(zs[seg], cfg.Q)
+    ax, back = np.unique(np.abs(xs), return_inverse=True)
+    G = _track(ax[::-1] - 1j * cfg.epsilon, cfg.Q)[::-1][back]
+    G[xs < 0] = -np.conj(G[xs < 0])
     return xs, G
 
 

@@ -6,7 +6,8 @@ companion-matrix eigenvalues instead of the package's closed-form quartic
 solve; explicit index sums instead of matrix products, adaptive quadrature
 instead of closed-form integrals. The branch tracker and the CSV writers are kept here as the plain
 per-point / per-row loops the package's vectorized forms must match bit for
-bit.
+bit, and the lagged-density scan as the two sweeps and the candidate-by-candidate
+edge search that its folded sweep and batched search replace.
 """
 
 import math
@@ -16,7 +17,7 @@ from scipy.integrate import quad
 
 from rmtspec import theory
 from rmtspec.curves import union_grid
-from rmtspec.errors import BranchAmbiguity, NegativeDensity, NoConvergence
+from rmtspec.errors import BranchAmbiguity, InvalidRatio, NegativeDensity, NoConvergence
 
 
 def charpoly_eigs(A):
@@ -222,6 +223,53 @@ def reference_track(z, Q, previous=None):
     if not G.imag.min() >= -theory._IM_CLAMP:
         raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
+
+
+def loop_default_grid(Q, eps):
+    """``theory._default_grid`` with its edge search as a loop: one single-point
+    ``theory.green_function`` call per candidate half-width, widening by 1.4 while
+    the density there is at least 1e-6 and the width below 64."""
+    def edge_density(x):
+        return max(theory.green_function(x - 1j * eps, Q).imag, 0.0) / math.pi
+
+    L = 2.2 * math.sqrt(2.0 / Q) + 1.2
+    while edge_density(L) >= 1e-6 and L < 64.0:
+        L *= 1.4
+
+    core_hw = 60.0 * eps
+    geo_hi = max(4.0 * core_hw, 0.15 * L)
+    outer_step = min(0.01, L / 1200.0)
+    count = 2 * (240 + 64 + max(0, math.ceil((L - geo_hi) / outer_step))) + 1
+    if count > theory._MAX_GRID_POINTS:
+        raise InvalidRatio(f"Q = {Q} needs a default grid of {count} points, "
+                           f"more than {theory._MAX_GRID_POINTS}")
+    core = np.arange(0.0, core_hw, eps / 4.0)
+    geo = np.geomspace(core_hw, geo_hi, 64)
+    outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)
+    pos = np.unique(np.concatenate([core, geo, outer]))
+    pos = pos[pos > 0]
+    return np.concatenate([-pos[::-1], [0.0], pos])
+
+
+def two_sweep_scan(cfg):
+    """``theory.green_scan`` without the fold: ``theory._track`` over each side of
+    the origin, from its largest-|x| end inward (the right side, 0 included,
+    first); a one-sided grid is one sweep from its outer end. The default grid
+    comes from ``loop_default_grid``. Drop-in for ``theory.green_scan``."""
+    xs = cfg.grid if cfg.grid is not None else loop_default_grid(cfg.Q, cfg.epsilon)
+    zs = xs - 1j * cfg.epsilon
+    m = len(xs)
+    G = np.empty(m, dtype=np.complex128)
+    if xs[0] < 0.0 < xs[-1]:
+        mid = int(np.argmin(np.abs(xs)))
+        segments = [range(m - 1, mid - 1, -1), range(0, mid)]
+    elif abs(xs[-1]) >= abs(xs[0]):
+        segments = [range(m - 1, -1, -1)]
+    else:
+        segments = [range(0, m)]
+    for seg in filter(None, segments):  # the inner sweep is empty when xs[0] is nearest 0
+        G[seg] = theory._track(zs[seg], cfg.Q)
+    return xs, G
 
 
 def reference_density_csv(curves, labels):

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,13 @@ from rmtspec.errors import (
     RmtError,
 )
 
-from oracles import greedy_pairing_residual, green_quartic_terms, reference_track
+from oracles import (
+    greedy_pairing_residual,
+    green_quartic_terms,
+    loop_default_grid,
+    reference_track,
+    two_sweep_scan,
+)
 
 
 class TestQuarticCoeffs:
@@ -212,6 +219,41 @@ _Q = st.floats(1e-3, 20.0)
 _EPS = st.floats(1e-5, 1e-2)
 
 
+class TestGreenFunctionBatch:
+    """``green_function`` over an array solves each point on its own."""
+
+    @given(Q=_Q, eps=_EPS,
+           xs=st.lists(st.floats(-70.0, 70.0), min_size=1, max_size=30),
+           previous=st.none() | st.complex_numbers(max_magnitude=50.0))
+    @example(Q=1.0, eps=1e-320, xs=[0.0, 1.0], previous=None)  # both points refused
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scalar_calls(self, Q, eps, xs, previous):
+        z = np.array(xs) - 1j * eps
+        singles = [_outcome(lambda v=v: green_function(v, Q, previous)) for v in z]
+        got = _outcome(lambda: green_function(z, Q, previous))
+        if all(status == "ok" for status, _ in singles):
+            _assert_same_outcome(got, ("ok", np.array([g for _, g in singles])))
+        else:  # one failing point refuses the call, with a gate one of them failed
+            assert got[0] in {status for status, _ in singles}
+
+    def test_scalar_in_complex_out(self):
+        for z in (1.0 - 1e-3j, np.complex128(1.0 - 1e-3j), np.array(1.0 - 1e-3j)):
+            assert type(green_function(z, 2.0)) is complex
+        assert green_function(np.array([1.0 - 1e-3j]), 2.0).shape == (1,)
+
+    @pytest.mark.parametrize("z", [[1.0 - 1e-3j, 2.0 + 0j], [1.0 - 1e-3j, 2.0 + 1e-3j],
+                                   [complex(1.0, np.nan)], [-1e-3j, 1.0 - 0j]])
+    def test_refuses_any_point_off_the_lower_half_plane(self, z):
+        with pytest.raises(ValueError, match="Im z < 0"):
+            green_function(np.array(z), 2.0)
+
+    @pytest.mark.parametrize("z", [np.full((2, 2), 1.0 - 1e-3j), np.full((1, 1), 1.0 - 1e-3j),
+                                   np.array([], dtype=complex)])
+    def test_refuses_other_shapes(self, z):
+        with pytest.raises(ValueError, match="1-D"):
+            green_function(z, 2.0)
+
+
 class TestVectorizedTracker:
     """green_scan and green_function against the per-point loop, bit for bit:
     same picks, same errors at the same x."""
@@ -220,7 +262,7 @@ class TestVectorizedTracker:
     @example(Q=2.0, eps=1e-3, xs=np.linspace(-3.0, 3.0, 601))  # straddles 0
     @example(Q=0.25, eps=1e-4, xs=np.linspace(0.01, 4.0, 400))  # one side
     @example(Q=0.5, eps=1e-3, xs=np.linspace(-4.0, -0.5, 300))  # one side, left
-    @example(Q=1.0, eps=1e-3, xs=np.array([-1.0, 0.5]))  # two 1-point sweeps
+    @example(Q=1.0, eps=1e-3, xs=np.array([-1.0, 0.5]))  # sides interleaved in |x|
     @example(Q=1e-3, eps=1e-5, xs=np.array([-0.01, 0.2, 0.3]))  # xs[0] nearest 0
     @example(Q=2.0, eps=1e-3, xs=np.concatenate([[-0.01], np.linspace(0.1, 3.0, 300)]))
     @settings(max_examples=150, deadline=None)
@@ -299,6 +341,66 @@ class TestVectorizedTracker:
             green_scan(cfg)
         assert got.value.x == want.value.x
         assert grid[20] < got.value.x < grid[-20]  # neither end of the sweep
+
+
+class TestFoldAndBatchedEdgeSearch:
+    """green_scan tracks each |x| once and mirrors the negative half-axis;
+    _default_grid solves every edge candidate in one green_function call. Both
+    against the paths they replace (tests/oracles.py): the two sweeps meeting at
+    the origin and the candidate-by-candidate loop. An error on a custom grid may
+    name the |x| of a negative grid point."""
+
+    @given(Q=_Q, eps=_EPS, pos=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=60,
+                                        unique=True),
+           extra=st.lists(st.floats(-5.0, 5.0), max_size=20, unique=True))
+    @example(Q=2.0, eps=1e-3, pos=list(np.linspace(0.01, 3.0, 300)), extra=[0.0])
+    @settings(max_examples=100, deadline=None)
+    def test_mirror_on_grids_holding_both_signs(self, Q, eps, pos, extra):
+        xs = np.union1d(np.union1d(pos, np.negative(pos)), extra)
+        status, G = _outcome(lambda: green_scan(GreenSolveConfig(Q=Q, epsilon=eps, grid=xs))[1])
+        assume(status == "ok")
+        right, left = np.searchsorted(xs, pos), np.searchsorted(xs, np.negative(pos))
+        assert G[left].tobytes() == (-np.conj(G[right])).tobytes()
+
+    @pytest.mark.parametrize("eps", ["1e-2", "1e-3", "3e-4", "1e-4"])
+    @pytest.mark.parametrize("Q", ["0.1", "0.25", "0.5", "0.75", "1", "1.5", "2", "4", "10",
+                                   "100"])
+    def test_same_grid_and_curve_bytes_as_the_old_paths(self, Q, eps, tmp_path):
+        grid = theory._default_grid(float(Q), float(eps))
+        assert grid.tobytes() == loop_default_grid(float(Q), float(eps)).tobytes()
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        argv = ["theory", "lagged", "--q", Q, "--epsilon", eps, "-o"]
+        assert run_cli(argv + [str(new)]) == 0
+        with mock.patch.object(theory, "green_scan", two_sweep_scan):
+            assert run_cli(argv + [str(old)]) == 0
+        assert new.read_bytes() == old.read_bytes()
+
+    @given(log_q=st.floats(-3.0, 8.0), log_eps=st.floats(-6.0, 0.0))
+    @example(log_q=-150.0, log_eps=-3.0)  # one candidate, at or past 64, whose solve fails
+    @settings(max_examples=100, deadline=None)
+    def test_default_grid_matches_the_loop(self, log_q, log_eps):
+        Q, eps = 10.0**log_q, 10.0**log_eps
+        _assert_same_outcome(_outcome(lambda: theory._default_grid(Q, eps)),
+                             _outcome(lambda: loop_default_grid(Q, eps)))
+
+    def test_theory_lagged_solves_each_quartic_once(self, tmp_path, monkeypatch):
+        # one quartic row per distinct |x| of the grid and one per edge candidate,
+        # the candidates in one green_function call: a second sweep over the
+        # negative half, or a call per candidate, fails this
+        Q, eps = 2.0, 1e-3  # the CLI's default epsilon
+        distinct = np.unique(np.abs(theory._default_grid(Q, eps))).size
+        candidates = [2.2 * math.sqrt(2.0 / Q) + 1.2]
+        while candidates[-1] < 64.0:
+            candidates.append(candidates[-1] * 1.4)
+        rows, calls = [], []
+        solve, green = theory.quartic_roots_batch, theory.green_function
+        monkeypatch.setattr(theory, "quartic_roots_batch",
+                            lambda c: rows.append(len(c)) or solve(c))
+        monkeypatch.setattr(theory, "green_function",
+                            lambda *a, **k: calls.append(a) or green(*a, **k))
+        assert run_cli(["theory", "lagged", "--q", "2", "-o", str(tmp_path / "rho.csv")]) == 0
+        assert len(calls) == 1
+        assert rows == [len(candidates), distinct]
 
 
 def _branch_points(Q):
@@ -404,7 +506,7 @@ class TestLaggedDensity:
         np.testing.assert_array_equal(curve.xs, grid)
 
     def test_grid_starting_nearest_the_origin(self):
-        # the sweep from the right end covers the whole grid, the inner one none
+        # the |x| sweep passes the positive points first, then the mirror of -0.01
         grid = np.concatenate([[-0.01], np.linspace(0.1, 3.0, 300)])
         _, G = green_scan(GreenSolveConfig(Q=2.0, grid=grid))
         _, G_pos = green_scan(GreenSolveConfig(Q=2.0, grid=grid[1:]))
