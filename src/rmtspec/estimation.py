@@ -36,6 +36,7 @@ __all__ = [
 
 _ZERO_REL_TOL = 1e-8
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_KDE_CHUNK_ENTRIES = 1 << 17  # kernel entries (grid x samples) formed per kde_eval chunk
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,9 @@ def kde_eval(samples: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros(len(x), dtype=np.float64)
     if len(s) == 0:
         return out
-    # chunk the grid to bound the (chunk x samples) temporary
-    chunk = max(1, int(4_000_000 // max(len(s), 1)))
+    # chunk the grid to bound the (chunk x samples) temporaries; each grid
+    # point's kernel sum is its own row's, so the chunking changes no bits
+    chunk = max(1, _KDE_CHUNK_ENTRIES // len(s))
     for lo in range(0, len(x), chunk):
         u = (x[lo:lo + chunk, None] - s[None, :]) / h
         k = np.exp(-0.5 * u * u) / _SQRT_2PI

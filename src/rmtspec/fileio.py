@@ -14,6 +14,8 @@ row-major payload.
 
 Complex payloads interleave Re, Im per sample and expand on read to 2*rows
 real rows (real-part block first). Writes are atomic (temp file + rename).
+Reads stream the payload through a small staging buffer into the one f64
+result, so a read holds little more than the matrix it returns.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ DTYPE_F32_COMPLEX = 1
 DTYPE_I16_REAL = 2
 
 _ELEMENT_BYTES = {DTYPE_F32_REAL: 4, DTYPE_F32_COMPLEX: 8, DTYPE_I16_REAL: 2}
+_READ_BLOCK_BYTES = 1 << 22  # payload bytes staged per block by read_capture
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,15 @@ class CaptureHeader:
         return cls(dtype=dtype, rows=rows, cols=cols)
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, *parts) -> None:
+    """Write ``parts`` (bytes or C-contiguous arrays) in order to ``path``
+    through a temp file in the same directory and an atomic rename."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".rmtspec-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -118,41 +124,66 @@ def write_capture(path: str, matrix, dtype: int | None = None) -> None:
         elif dtype == DTYPE_F32_REAL:
             if np.iscomplexobj(a):
                 raise UnsupportedDtype("cannot store complex data as f32 real")
-            payload = a.astype("<f4")
+            payload = a.astype("<f4", order="C")
         elif dtype == DTYPE_I16_REAL:
             if np.iscomplexobj(a):
                 raise UnsupportedDtype("cannot store complex data as i16 real")
-            payload = np.clip(np.round(a * 32768.0), -32768, 32767).astype("<i2")
+            payload = np.clip(np.round(a * 32768.0), -32768, 32767).astype("<i2", order="C")
         else:
             raise UnsupportedDtype(f"dtype code {dtype} not supported")
     if not np.all(np.isfinite(payload)):
         raise ValueError(f"capture payload is not finite as f32: largest |value| is "
                          f"{np.abs(a).max():.4g}, f32 holds up to {np.finfo(np.float32).max:.4g}")
     header = CaptureHeader(dtype=dtype, rows=a.shape[0], cols=a.shape[1])
-    _atomic_write(path, header.pack() + payload.tobytes())
+    _atomic_write(path, header.pack(), payload)
 
 
 def read_capture(path: str) -> DataMatrix:
-    """Read a capture; complex payloads expand to 2*rows real rows."""
+    """Read a capture; complex payloads expand to 2*rows real rows.
+
+    Bytes past the promised payload are ignored. ``TruncatedPayload`` is
+    raised when the file's size, checked before anything is allocated, is
+    short of the promised payload (a pipe or other non-regular file has size
+    0), and when the bytes actually read are (a file that shrinks meanwhile).
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    header = CaptureHeader.unpack(raw)
-    body = raw[_HEADER.size:]
-    expected = header.payload_bytes()
-    if len(body) < expected:
-        raise TruncatedPayload(f"payload is {len(body)} bytes, header promises {expected}")
-    body = body[:expected]
+        header = CaptureHeader.unpack(fh.read(_HEADER.size))
+        expected = header.payload_bytes()
+        available = max(0, os.fstat(fh.fileno()).st_size - _HEADER.size)
+        if available < expected:
+            raise TruncatedPayload(f"payload is {available} bytes, header promises {expected}")
+        a = _read_payload(fh, header)
+    return DataMatrix(a)
+
+
+def _read_payload(fh, header: CaptureHeader) -> np.ndarray:
+    """Fill the f64 result block by block from a small f32 (or i16) buffer,
+    which is freed on return, before ``DataMatrix`` checks the result."""
     rows, cols = header.rows, header.cols
-    if header.dtype == DTYPE_F32_REAL:
-        a = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(rows, cols)
-        return DataMatrix(a)
+    is_complex = header.dtype == DTYPE_F32_COMPLEX
+    out = np.empty((2 * rows if is_complex else rows, cols))
+    row_bytes = cols * _ELEMENT_BYTES[header.dtype]
+    if out.size == 0:
+        return out
+    step = min(rows, max(1, _READ_BLOCK_BYTES // row_bytes))
+    src = np.dtype("<i2" if header.dtype == DTYPE_I16_REAL else "<f4")
+    buf = np.empty(step * row_bytes // src.itemsize, dtype=src)
+    for lo in range(0, rows, step):
+        k = min(step, rows - lo)
+        block = buf[: k * row_bytes // buf.itemsize]
+        got = fh.readinto(block)
+        if got != block.nbytes:
+            raise TruncatedPayload(f"payload is {lo * row_bytes + got} bytes, "
+                                   f"header promises {header.payload_bytes()}")
+        if is_complex:
+            pairs = block.reshape(k, cols, 2)
+            out[lo:lo + k] = pairs[..., 0]
+            out[rows + lo:rows + lo + k] = pairs[..., 1]
+        else:
+            out[lo:lo + k] = block.reshape(k, cols)
     if header.dtype == DTYPE_I16_REAL:
-        a = np.frombuffer(body, dtype="<i2").astype(np.float64).reshape(rows, cols)
-        return DataMatrix(a / 32768.0)
-    flat = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    re = flat[0::2].reshape(rows, cols)
-    im = flat[1::2].reshape(rows, cols)
-    return DataMatrix(np.vstack([re, im]))
+        out /= 32768.0
+    return out
 
 
 def write_density_csv(path: str, curves, labels) -> None:

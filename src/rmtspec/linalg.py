@@ -47,6 +47,8 @@ __all__ = [
     "eigvals_general",
 ]
 
+_STD_CHUNK_BYTES = 1 << 22  # bytes of each row chunk of standardize_rows' std pass
+
 
 @dataclass(frozen=True)
 class DataMatrix:
@@ -142,18 +144,23 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     """Shift/scale each row to mean 0 and sample variance 1 (divisor n-1).
 
     Raises ``ZeroVarianceRow`` on a constant row. Idempotent up to rounding.
+    ``X`` is left as it is; the centered copy is the one new matrix.
     """
     a = X.entries
-    mean = a.mean(axis=1, keepdims=True)
-    centered = a - mean
     # sample std, divisor n-1; a single-column row is constant by definition
     if a.shape[1] < 2:
         raise ZeroVarianceRow(0)
-    std = centered.std(axis=1, ddof=1, keepdims=True)
-    bad = np.where(std[:, 0] == 0.0)[0]
+    centered = a - a.mean(axis=1, keepdims=True)
+    # each row's std is its own pairwise sum, so a row chunk gives the same bits
+    std = np.empty((a.shape[0], 1))
+    step = max(1, _STD_CHUNK_BYTES // centered[0].nbytes)
+    for lo in range(0, a.shape[0], step):
+        std[lo:lo + step] = centered[lo:lo + step].std(axis=1, ddof=1, keepdims=True)
+    bad = np.flatnonzero(std[:, 0] == 0.0)
     if bad.size:
         raise ZeroVarianceRow(int(bad[0]))
-    return DataMatrix(centered / std, standardized=True)
+    np.divide(centered, std, out=centered)
+    return DataMatrix(centered, standardized=True)
 
 
 def matrix_sqrt_psd(T: np.ndarray) -> np.ndarray:

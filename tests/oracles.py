@@ -7,7 +7,11 @@ solve; explicit index sums instead of matrix products, adaptive quadrature
 instead of closed-form integrals. The branch tracker and the CSV writers are kept here as the plain
 per-point / per-row loops the package's vectorized forms must match bit for
 bit, and the lagged-density scan as the two sweeps and the candidate-by-candidate
-edge search that its folded sweep and batched search replace.
+edge search that its folded sweep and batched search replace. The capture
+read, row standardization and kernel density estimate are kept as the
+whole-array forms (one full read, whole-payload conversion, one std over all
+rows, the old grid chunking) that the package's streamed and chunked forms must
+match bit for bit.
 """
 
 import math
@@ -17,7 +21,16 @@ from scipy.integrate import quad
 
 from rmtspec import theory
 from rmtspec.curves import union_grid
-from rmtspec.errors import BranchAmbiguity, InvalidRatio, NegativeDensity, NoConvergence
+from rmtspec.errors import (
+    BranchAmbiguity,
+    InvalidRatio,
+    NegativeDensity,
+    NoConvergence,
+    TruncatedPayload,
+    ZeroVarianceRow,
+)
+from rmtspec.fileio import _HEADER, DTYPE_F32_REAL, DTYPE_I16_REAL, CaptureHeader
+from rmtspec.linalg import DataMatrix
 
 
 def charpoly_eigs(A):
@@ -294,3 +307,57 @@ def reference_cloud_csv(values):
     """Bytes of ``analyze lagged``'s eigenvalue cloud, one ``re,im`` row per value."""
     lines = ["re,im"] + [f"{v.real:.9g},{v.imag:.9g}" for v in values]
     return ("\n".join(lines) + "\n").encode()
+
+
+def reference_read_capture(path):
+    """``read_capture`` as one whole-file read, then a whole-payload f64
+    conversion and a ``vstack`` of the real and imaginary blocks."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header = CaptureHeader.unpack(raw)
+    body = raw[_HEADER.size:]
+    expected = header.payload_bytes()
+    if len(body) < expected:
+        raise TruncatedPayload(f"payload is {len(body)} bytes, header promises {expected}")
+    body = body[:expected]
+    rows, cols = header.rows, header.cols
+    if header.dtype == DTYPE_F32_REAL:
+        a = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(rows, cols)
+        return DataMatrix(a)
+    if header.dtype == DTYPE_I16_REAL:
+        a = np.frombuffer(body, dtype="<i2").astype(np.float64).reshape(rows, cols)
+        return DataMatrix(a / 32768.0)
+    flat = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    re = flat[0::2].reshape(rows, cols)
+    im = flat[1::2].reshape(rows, cols)
+    return DataMatrix(np.vstack([re, im]))
+
+
+def reference_standardize_rows(X):
+    """``standardize_rows`` with one ``std`` over all rows and a new quotient."""
+    a = X.entries
+    mean = a.mean(axis=1, keepdims=True)
+    centered = a - mean
+    if a.shape[1] < 2:
+        raise ZeroVarianceRow(0)
+    std = centered.std(axis=1, ddof=1, keepdims=True)
+    bad = np.where(std[:, 0] == 0.0)[0]
+    if bad.size:
+        raise ZeroVarianceRow(int(bad[0]))
+    return DataMatrix(centered / std, standardized=True)
+
+
+def reference_kde_eval(samples, grid, h):
+    """``kde_eval`` with grid chunks of about four million kernel entries."""
+    s = np.asarray(samples, dtype=np.float64).ravel()
+    x = np.asarray(grid, dtype=np.float64).ravel()
+    out = np.zeros(len(x), dtype=np.float64)
+    if len(s) == 0:
+        return out
+    chunk = max(1, int(4_000_000 // max(len(s), 1)))
+    for lo in range(0, len(x), chunk):
+        u = (x[lo:lo + chunk, None] - s[None, :]) / h
+        k = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+        out[lo:lo + chunk] = k.sum(axis=1)
+    out /= len(s) * h
+    return out

@@ -375,6 +375,16 @@ class TestExitCodes:
         assert outs["raw"] == pytest.approx(192 / 256)
         assert outs["std"] == pytest.approx(193 / 256)
 
+    def test_overflowing_capture_header_refused(self, tmp_path, capsys):
+        cap = tmp_path / "huge.rmtc"
+        cap.write_bytes(fileio.CaptureHeader(fileio.DTYPE_F32_COMPLEX, 2**32 - 1,
+                                             2**32 - 1).pack() + bytes(64))
+        out = tmp_path / "d.csv"
+        assert _run("analyze", "cov", "-i", str(cap), "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        _assert_refused(1, err, out)
+        assert "header promises 147573952520956936200" in err
+
 
 class TestReproducibility:
     def test_identical_seeds_byte_identical(self, tmp_path):

@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from rmtspec import (
     write_capture,
     write_density_csv,
 )
+from rmtspec import fileio
 from rmtspec.fileio import DTYPE_F32_COMPLEX, DTYPE_F32_REAL, DTYPE_I16_REAL, write_table_csv
 from rmtspec.errors import (
     BadMagic,
@@ -23,7 +27,7 @@ from rmtspec.errors import (
     ValidationError,
 )
 
-from oracles import reference_density_csv
+from oracles import reference_density_csv, reference_read_capture
 
 
 class TestCaptureFormat:
@@ -159,6 +163,119 @@ class TestReadCaptureFuzz:
         except ValidationError:  # CaptureFormatError is one too
             return
         assert m.entries.ndim == 2 and np.all(np.isfinite(m.entries))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _outcome(read, path):
+    """The matrix bits ``read`` returns for ``path``, or its refusal."""
+    try:
+        return _bits(read(str(path)).entries).tolist()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+# finite captures of each dtype whose rows cross the staging blocks unevenly,
+# some with trailing bytes
+_VALID_CAPTURE = st.tuples(st.sampled_from([DTYPE_F32_REAL, DTYPE_F32_COMPLEX, DTYPE_I16_REAL]),
+                           st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+                           st.binary(max_size=9)).map(
+    lambda h: _capture_bytes(b"RMTC", 1, *h[:3], bytes(16), _random_payload(*h[:4]) + h[4]))
+
+
+def _random_payload(dtype, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    if dtype == DTYPE_I16_REAL:
+        return rng.integers(-32768, 32768, rows * cols, dtype="<i2").tobytes()
+    n = rows * cols * (2 if dtype == DTYPE_F32_COMPLEX else 1)
+    return rng.standard_normal(n, dtype=np.float32).astype("<f4").tobytes()
+
+
+class TestStreamedRead:
+    """``read_capture`` streams the payload through a staging block; the
+    whole-file reader in the oracles is the reference for bits and refusals."""
+
+    @given(raw=_VALID_CAPTURE | _ANY_CAPTURE, block=st.sampled_from([1, 4, 8, 12, 40, 1 << 22]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_whole_file_reader(self, tmp_path_factory, raw, block):
+        path = tmp_path_factory.getbasetemp() / "stream.rmtc"
+        path.write_bytes(raw)
+        with mock.patch.object(fileio, "_READ_BLOCK_BYTES", block):
+            assert _outcome(read_capture, path) == _outcome(reference_read_capture, path)
+
+    @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX, DTYPE_I16_REAL])
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_dimensions_refused_as_before(self, tmp_path, dtype, rows, cols):
+        path = tmp_path / "e.rmtc"
+        path.write_bytes(_capture_bytes(b"RMTC", 1, dtype, rows, cols, bytes(16), b""))
+        want = _outcome(reference_read_capture, path)
+        assert want[0] is not TruncatedPayload
+        assert _outcome(read_capture, path) == want
+
+    def test_overflowing_header_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "o.rmtc"
+        path.write_bytes(_capture_bytes(b"RMTC", 1, DTYPE_F32_COMPLEX, 2**32 - 1, 2**32 - 1,
+                                        bytes(16), bytes(64)))
+        with pytest.raises(TruncatedPayload, match="header promises 147573952520956936200"):
+            read_capture(str(path))
+
+    def test_file_shrinking_mid_read(self, tmp_path, rng):
+        # the size check sees the whole file; the read then finds it cut short
+        path = tmp_path / "s.rmtc"
+        write_capture(str(path), rng.standard_normal((6, 5)))
+        full = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-7])
+        with mock.patch.object(fileio, "_READ_BLOCK_BYTES", 40), \
+                mock.patch.object(fileio.os, "fstat", lambda fd: full):
+            with pytest.raises(TruncatedPayload, match="payload is 113 bytes, header promises 120"):
+                read_capture(str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_non_regular_file_refused(self, tmp_path):
+        path = tmp_path / "pipe.rmtc"
+        os.mkfifo(path)
+        raw = _capture_bytes(b"RMTC", 1, DTYPE_F32_REAL, 2, 2, bytes(16), bytes(16))
+
+        def feed():
+            with open(path, "wb") as fh:
+                fh.write(raw)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(TruncatedPayload, match="payload is 0 bytes, header promises 16"):
+                read_capture(str(path))
+        finally:
+            writer.join(timeout=5)
+        assert not writer.is_alive()
+
+
+def _old_capture_bytes(a, dtype):
+    """Header plus payload as one ``bytes``, by a formula apart from ``write_capture``."""
+    a = np.asarray(a)
+    if dtype == DTYPE_F32_COMPLEX:
+        body = np.ascontiguousarray(a, dtype=np.complex64).view("<f4").tobytes()
+    elif dtype == DTYPE_F32_REAL:
+        body = a.astype("<f4").tobytes()
+    else:
+        body = np.clip(np.round(a * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    return struct.pack("<4sHHII16s", b"RMTC", 1, dtype, *a.shape, bytes(16)) + body
+
+
+class TestWriteCaptureBytes:
+    @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX, DTYPE_I16_REAL])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bytes_match_concatenated_formula(self, tmp_path, rng, dtype, layout):
+        a = rng.uniform(-1.0, 1.0, (5, 14))
+        if dtype == DTYPE_F32_COMPLEX:
+            a = a + 1j * rng.uniform(-1.0, 1.0, a.shape)
+        a = {"C": a, "F": np.asfortranarray(a), "strided": a[:, ::2]}[layout]
+        path = tmp_path / "w.rmtc"
+        write_capture(str(path), a, dtype=dtype)
+        assert path.read_bytes() == _old_capture_bytes(a, dtype)
+        assert [p.name for p in tmp_path.iterdir()] == ["w.rmtc"]
 
 
 def _special_curve():

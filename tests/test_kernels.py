@@ -5,15 +5,18 @@ roots, Newton-polished), held against the companion-matrix eigenvalue oracle
 ``oracles.companion_roots``; and kernel density evaluation
 (``estimation.kde_eval``)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmtspec import estimation
 from rmtspec.estimation import kde_eval
 from rmtspec.theory import _default_grid, _residuals, green_quartic_coeffs, quartic_roots_batch
 
-from oracles import companion_roots, greedy_pairing_residual
+from oracles import companion_roots, greedy_pairing_residual, reference_kde_eval
 
 _U = np.finfo(float).eps / 2
 
@@ -172,3 +175,27 @@ class TestKdeKernel:
     def test_single_point(self):
         out = kde_eval(np.array([0.0]), np.array([0.0]), 1.0)
         assert out[0] == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-13)
+
+
+class TestKdeChunks:
+    """``kde_eval`` sums the kernel over grid chunks bounded by entry count;
+    the four-million-entry chunking in the oracles is the bit-for-bit reference."""
+
+    @pytest.mark.parametrize("samples, grid", [(2048, 1024), (1, 4265), (7, 1), (3000, 513),
+                                               (200_000, 3)])
+    def test_bits_match_reference(self, samples, grid):
+        rng = np.random.default_rng(samples + grid)
+        s = rng.gamma(2.0, 1.0, samples)
+        x = np.linspace(-0.5, s.max() + 0.5, grid)
+        got, want = kde_eval(s, x, 0.07), reference_kde_eval(s, x, 0.07)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(samples=st.integers(1, 50), grid=st.integers(1, 60), entries=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_reference_at_any_chunk(self, samples, grid, entries, seed):
+        rng = np.random.default_rng(seed)
+        s, x = rng.standard_normal(samples), rng.uniform(-4.0, 4.0, grid)
+        with mock.patch.object(estimation, "_KDE_CHUNK_ENTRIES", entries):
+            got = kde_eval(s, x, 0.3)
+        assert np.array_equal(got.view(np.uint64), reference_kde_eval(s, x, 0.3).view(np.uint64))

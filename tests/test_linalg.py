@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from rmtspec.errors import (
     ZeroVarianceRow,
     DimensionMismatch,
 )
+from rmtspec import linalg
 
 from oracles import (
     charpoly_eigs,
     greedy_pairing_residual,
     lagged_corr_loops,
+    reference_standardize_rows,
     sample_cov_loops,
 )
 
@@ -58,6 +61,56 @@ class TestStandardize:
         with pytest.raises(ZeroVarianceRow) as err:
             standardize_rows(DataMatrix(np.array([[1.0, 2.0], [5.0, 5.0]])))
         assert err.value.row == 1
+
+
+def _standardized_bits(standardize, a):
+    """The bits ``standardize`` returns for ``a``, or the row it refuses."""
+    try:
+        return standardize(DataMatrix(a)).entries.view(np.uint64).tolist()
+    except ZeroVarianceRow as exc:
+        return exc.row
+
+
+class TestStandardizeChunks:
+    """The std pass runs over row chunks; the one-pass form in the oracles is
+    the bit-for-bit reference, refusals included (a tiny scale underflows the
+    variance to zero)."""
+
+    @given(p=st.integers(1, 11), n=st.integers(2, 40), chunk_rows=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-200, 1.0, 1e150]))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_one_pass(self, p, n, chunk_rows, seed, scale):
+        a = scale * (np.random.default_rng(seed).standard_normal((p, n)) + 3.0)
+        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * n):
+            got = _standardized_bits(standardize_rows, a)
+        assert got == _standardized_bits(reference_standardize_rows, a)
+
+    def test_bits_match_one_pass_at_capture_width(self):
+        a = np.random.default_rng(3).standard_normal((300, 4096))
+        got = standardize_rows(DataMatrix(a)).entries
+        want = reference_standardize_rows(DataMatrix(a)).entries
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_input_left_unmodified(self, rng):
+        X = DataMatrix(rng.standard_normal((7, 9)))
+        before = X.entries.copy()
+        Y = standardize_rows(X)
+        assert np.array_equal(X.entries.view(np.uint64), before.view(np.uint64))
+        assert not np.shares_memory(X.entries, Y.entries)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 100])
+    def test_first_constant_row_named(self, rng, chunk_rows):
+        a = rng.standard_normal((9, 6))
+        a[[4, 5, 8]] = 2.5
+        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * 6), \
+                pytest.raises(ZeroVarianceRow) as err:
+            standardize_rows(DataMatrix(a))
+        assert err.value.row == 4
+
+    def test_single_column_names_row_zero(self):
+        with pytest.raises(ZeroVarianceRow) as err:
+            standardize_rows(DataMatrix(np.ones((3, 1))))
+        assert err.value.row == 0
 
 
 class TestMatrixSqrt:
