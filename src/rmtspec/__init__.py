@@ -10,7 +10,6 @@ narrowband BPSK, NC-OFDM), a binary capture container, and a CLI.
 from .curves import DensityCurve
 from .estimation import (
     EsdFunction,
-    KernelConfig,
     eigenvalue_density,
     histogram_density,
     ks_distance,
@@ -31,10 +30,7 @@ from .linalg import (
     eigvals_general,
     eigvals_symmetric,
     lagged_correlation,
-    matrix_sqrt_psd,
     sample_covariance,
-    shift_matrix,
-    split_symmetric,
     standardize_rows,
 )
 from .signals import (
@@ -44,13 +40,11 @@ from .signals import (
     SampleStream,
     WgnSpec,
     add_awgn,
-    dft,
     gen_narrowband,
     gen_ncofdm_frames,
     gen_wgn,
     occupied_from_ranges,
     spectrogram_matrix,
-    stream_to_matrix,
 )
 from .theory import (
     GreenSolveConfig,

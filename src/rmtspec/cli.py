@@ -175,7 +175,6 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
-    kcfg = estimation.KernelConfig(bandwidth=ns.bandwidth)
     X = fileio.read_capture(ns.input)
     if not ns.no_standardize:
         X = standardize_rows(X)
@@ -183,7 +182,7 @@ def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
     ratio = X.p / X.n
     prm = theory.mp_params(ratio)
 
-    kde = estimation.eigenvalue_density(spec, kcfg)
+    kde = estimation.eigenvalue_density(spec, ns.bandwidth)
     nonzero, atom_share = estimation.split_atom(spec.values)
     hist = estimation.with_atom(estimation.histogram_density(nonzero, bins=ns.bins), atom_share)
 

@@ -27,10 +27,6 @@ class ZeroVarianceRow(ValidationError):
         super().__init__(f"row {row} has zero sample variance, cannot standardize")
 
 
-class NotPSD(ValidationError):
-    pass
-
-
 class DimensionMismatch(ValidationError):
     pass
 

@@ -20,7 +20,6 @@ from .errors import (
 from .linalg import ComplexSpectrum, RealSpectrum
 
 __all__ = [
-    "KernelConfig",
     "EsdFunction",
     "silverman_bandwidth",
     "kde_eval",
@@ -37,21 +36,6 @@ __all__ = [
 _ZERO_REL_TOL = 1e-8
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _KDE_CHUNK_ENTRIES = 1 << 17  # kernel entries (grid x samples) formed per kde_eval chunk
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Gaussian-kernel bandwidth; ``bandwidth=None`` selects Silverman's rule.
-
-    An explicit bandwidth must be finite and positive.
-    """
-
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
-            raise BandwidthNonPositive(
-                f"bandwidth must be finite and positive, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -187,21 +171,21 @@ def with_atom(curve: DensityCurve, atom: float) -> DensityCurve:
     return DensityCurve(curve.xs, curve.ys * (1.0 - atom), point_mass_at_zero=atom)
 
 
-def eigenvalue_density(spec: RealSpectrum, cfg: KernelConfig | None = None,
+def eigenvalue_density(spec: RealSpectrum, bandwidth: float | None = None,
                        grid=None) -> DensityCurve:
     """Atom-aware Gaussian KDE of a real spectrum.
 
     The eigenvalues ``split_atom`` counts as zero form the point mass at zero
     and are excluded from the KDE; the continuous part is weighted by its
-    share so curve-plus-atom integrates to one.
+    share so curve-plus-atom integrates to one. ``bandwidth=None`` selects
+    Silverman's rule; either bandwidth must be finite and positive.
     """
-    cfg = cfg or KernelConfig()
     nonzero, atom = split_atom(spec.values)
     if len(nonzero) < 2:
         raise DegenerateSample("fewer than 2 nonzero eigenvalues")
-    h = cfg.bandwidth if cfg.bandwidth is not None else silverman_bandwidth(nonzero)
-    if not h > 0:
-        raise BandwidthNonPositive(f"bandwidth must be positive, got {h}")
+    h = silverman_bandwidth(nonzero) if bandwidth is None else bandwidth
+    if not 0 < h < math.inf:
+        raise BandwidthNonPositive(f"bandwidth must be finite and positive, got {h}")
     if grid is None:
         grid = np.linspace(nonzero.min() - 5 * h, nonzero.max() + 5 * h, 1024)
     return with_atom(DensityCurve(grid, kde_eval(nonzero, grid, float(h))), atom)

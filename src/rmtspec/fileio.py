@@ -13,7 +13,8 @@ row-major payload.
     16      16    reserved, zero
 
 Complex payloads interleave Re, Im per sample and expand on read to 2*rows
-real rows (real-part block first). Writes are atomic (temp file + rename).
+real rows (real-part block first). Writes store f32, real or complex by the
+array's type, and are atomic (temp file + rename).
 Reads stream the payload through a small staging buffer into the one f64
 result, so a read holds little more than the matrix it returns.
 """
@@ -103,34 +104,17 @@ def _atomic_write(path: str, *parts) -> None:
         raise
 
 
-def write_capture(path: str, matrix, dtype: int | None = None) -> None:
-    """Write a matrix (DataMatrix, real or complex 2-d array) as a capture.
-
-    dtype defaults to f32 (complex-interleaved f32 for complex input). i16
-    writes clip to [-1, 1) and scale by 32768 (lossy).
-    """
-    a = np.asarray(matrix.entries if isinstance(matrix, DataMatrix) else matrix)
+def write_capture(path: str, matrix) -> None:
+    """Write a real or complex 2-d array as an f32 real or f32 complex capture."""
+    a = np.asarray(matrix)
     if a.ndim != 2:
         raise DimensionMismatch(f"capture payload must be 2-d, got shape {a.shape}")
-    if dtype is None:
-        dtype = DTYPE_F32_COMPLEX if np.iscomplexobj(a) else DTYPE_F32_REAL
     # an f32 cast of a value beyond its range gives inf: refused below, not warned
     with np.errstate(over="ignore"):
-        if dtype == DTYPE_F32_COMPLEX:
-            z = a.astype(np.complex64)
-            payload = np.empty(a.size * 2, dtype="<f4")
-            payload[0::2] = z.real.reshape(-1)
-            payload[1::2] = z.imag.reshape(-1)
-        elif dtype == DTYPE_F32_REAL:
-            if np.iscomplexobj(a):
-                raise UnsupportedDtype("cannot store complex data as f32 real")
-            payload = a.astype("<f4", order="C")
-        elif dtype == DTYPE_I16_REAL:
-            if np.iscomplexobj(a):
-                raise UnsupportedDtype("cannot store complex data as i16 real")
-            payload = np.clip(np.round(a * 32768.0), -32768, 32767).astype("<i2", order="C")
+        if np.iscomplexobj(a):
+            dtype, payload = DTYPE_F32_COMPLEX, np.ascontiguousarray(a, dtype="<c8")
         else:
-            raise UnsupportedDtype(f"dtype code {dtype} not supported")
+            dtype, payload = DTYPE_F32_REAL, np.ascontiguousarray(a, dtype="<f4")
     if not np.all(np.isfinite(payload)):
         raise ValueError(f"capture payload is not finite as f32: largest |value| is "
                          f"{np.abs(a).max():.4g}, f32 holds up to {np.finfo(np.float32).max:.4g}")

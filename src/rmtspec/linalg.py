@@ -1,9 +1,8 @@
 """Data matrices and their decompositions.
 
-Covers row standardization, sample covariance (optionally shaped by a
-population covariance), time-lagged correlation with its shift matrix, the
-symmetric/antisymmetric split, and eigenvalue extraction for both the
-symmetric and the general (complex-spectrum) case.
+Covers row standardization, sample covariance, time-lagged correlation, and
+eigenvalue extraction for both the symmetric and the general
+(complex-spectrum) case.
 
 A p x p matrix built from p x n data has rank at most n. ``CovarianceMatrix``
 and ``LaggedMatrix`` are built from that data alone and form the p x p product
@@ -25,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     LagOutOfRange,
     NonFiniteData,
-    NotPSD,
     NotStandardized,
     NotSymmetric,
     ZeroVarianceRow,
@@ -38,11 +36,8 @@ __all__ = [
     "RealSpectrum",
     "ComplexSpectrum",
     "standardize_rows",
-    "matrix_sqrt_psd",
     "sample_covariance",
-    "shift_matrix",
     "lagged_correlation",
-    "split_symmetric",
     "eigvals_symmetric",
     "eigvals_general",
 ]
@@ -61,7 +56,8 @@ class DataMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        # min and max carry any NaN and expose any inf without a p x n mask
+        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
             raise NonFiniteData("data matrix contains non-finite entries")
         object.__setattr__(self, "entries", a)
 
@@ -163,57 +159,17 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     return DataMatrix(centered, standardized=True)
 
 
-def matrix_sqrt_psd(T: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root S with S @ S = T."""
-    a = np.asarray(T, dtype=np.float64)
-    _require_symmetric(a)
-    w, V = np.linalg.eigh(a)
-    norm = max(np.abs(w).max(), 1e-300)
-    if w.min() < -1e-8 * norm:
-        raise NotPSD(f"minimum eigenvalue {w.min()} below PSD tolerance")
-    s = V @ (np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T)
-    return 0.5 * (s + s.T)
-
-
-def sample_covariance(X: DataMatrix, T: np.ndarray | None = None) -> CovarianceMatrix:
-    """Sample covariance (1/n) S X X^T S, S the PSD root of the p x p
-    population matrix ``T`` (identity when omitted)."""
-    a = X.entries
-    if T is not None:
-        p = a.shape[0]
-        if np.shape(T) != (p, p):
-            raise DimensionMismatch(f"population matrix is {np.shape(T)}, data has p={p}")
-        a = matrix_sqrt_psd(T) @ a
-    return CovarianceMatrix(a)
-
-
-def shift_matrix(T: int, tau: int) -> np.ndarray:
-    """T x T lag indicator: entry (t, t') is 1 iff t' = t + tau (non-circular)."""
-    if not 0 <= tau <= T - 1:
-        raise LagOutOfRange(f"tau={tau} outside [0, {T - 1}]")
-    D = np.zeros((T, T))
-    idx = np.arange(T - tau)
-    D[idx, idx + tau] = 1.0
-    return D
+def sample_covariance(X: DataMatrix) -> CovarianceMatrix:
+    """Sample covariance (1/n) X X^T."""
+    return CovarianceMatrix(X.entries)
 
 
 def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
-    """Lagged correlation C = (1/T) X D_tau X^T of a standardized matrix.
-
-    Equivalent to C_ij = (1/T) sum_t X[i, t] X[j, t + tau] with the sum
-    truncated at the boundary (no wrap-around).
-    """
+    """Lagged correlation C_ij = (1/T) sum_t X[i, t] X[j, t + tau] of a
+    standardized matrix, the sum truncated at the boundary (no wrap-around)."""
     if not X.standardized:
         raise NotStandardized("lagged_correlation requires a standardized matrix")
     return LaggedMatrix(X.entries, tau)
-
-
-def split_symmetric(C: LaggedMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C + C^T)/2 and (C - C^T)/2 of a ``LaggedMatrix`` or a square array;
-    the parts sum back to C exactly."""
-    a = np.asarray(getattr(C, "entries", C), dtype=np.float64)
-    sym = 0.5 * (a + a.T)
-    return sym, a - sym
 
 
 def eigvals_symmetric(A) -> RealSpectrum:

@@ -22,7 +22,6 @@ from .errors import (
     InsufficientSamples,
     NonPowerOfTwoLength,
 )
-from .linalg import DataMatrix
 
 __all__ = [
     "WgnSpec",
@@ -34,9 +33,7 @@ __all__ = [
     "gen_wgn",
     "gen_narrowband",
     "gen_ncofdm_frames",
-    "dft",
     "add_awgn",
-    "stream_to_matrix",
     "spectrogram_matrix",
 ]
 
@@ -168,22 +165,8 @@ def gen_ncofdm_frames(spec: NcofdmSpec, n_frames: int) -> SampleStream:
     bits = rng.integers(0, 2, size=(n_frames, len(spec.occupied))) * 2.0 - 1.0
     freq = np.zeros((n_frames, spec.n_fft), dtype=np.complex128)
     freq[:, spec.occupied] = bits
-    time = dft(freq, "inverse")
+    time = np.fft.ifft(freq, norm="ortho")
     return SampleStream(time.reshape(-1))
-
-
-def dft(frame, direction: str = "forward") -> np.ndarray:
-    """Unitary DFT (both directions scaled by 1/sqrt(n)); length must be a
-    power of two."""
-    a = np.asarray(frame, dtype=np.complex128)
-    n = a.shape[-1]
-    if n < 1 or n & (n - 1):
-        raise NonPowerOfTwoLength(f"length {n} is not a power of two")
-    if direction == "forward":
-        return np.fft.fft(a, norm="ortho")
-    if direction == "inverse":
-        return np.fft.ifft(a, norm="ortho")
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
@@ -209,21 +192,6 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     return SampleStream(stream.samples + rng.normal(0.0, math.sqrt(nvar), len(stream)))
 
 
-def stream_to_matrix(stream: SampleStream, p: int, n: int) -> DataMatrix:
-    """Frame a stream row-major into p rows of n consecutive samples.
-
-    Complex streams produce 2p real rows: the p real-part rows followed by
-    the p imaginary-part rows.
-    """
-    s = stream.samples
-    if len(s) < p * n:
-        raise InsufficientSamples(f"need {p * n} samples, stream has {len(s)}")
-    block = s[: p * n].reshape(p, n)
-    if np.iscomplexobj(block):
-        return DataMatrix(np.vstack([block.real, block.imag]))
-    return DataMatrix(block.astype(np.float64, copy=False))
-
-
 def spectrogram_matrix(stream: SampleStream, n_fft: int) -> np.ndarray:
     """Per-frame unitary DFT of a complex stream, arranged bins x frames.
 
@@ -235,4 +203,4 @@ def spectrogram_matrix(stream: SampleStream, n_fft: int) -> np.ndarray:
     if n_frames < 1:
         raise InsufficientSamples(f"need at least {n_fft} samples, stream has {len(s)}")
     frames = s[: n_frames * n_fft].reshape(n_frames, n_fft)
-    return dft(frames, "forward").T
+    return np.fft.fft(frames, norm="ortho").T

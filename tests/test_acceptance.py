@@ -30,7 +30,7 @@ def _pass(criterion, detail):
 
 def _wgn_matrix(seed, p, n, standardize):
     stream = r.gen_wgn(r.WgnSpec(seed=seed, length=p * n))
-    X = r.stream_to_matrix(stream, p, n)
+    X = r.DataMatrix(stream.samples[: p * n].reshape(p, n))
     return r.standardize_rows(X) if standardize else X
 
 
@@ -51,7 +51,7 @@ def _case1(p, n, deadline_s, criterion_label):
 
     c = p / n
     grid = np.linspace(1.0, 9.0, 2001)
-    kde = r.eigenvalue_density(spec, r.KernelConfig(), grid=grid)
+    kde = r.eigenvalue_density(spec, grid=grid)
     prm = r.mp_params(c)
     mp_curve = r.DensityCurve(grid, r.mp_density(grid, c),
                               point_mass_at_zero=prm.point_mass_at_zero)
@@ -82,7 +82,7 @@ def case2_result():
     p, n = 512, 2048
     stream = r.gen_narrowband(r.NarrowbandSpec(seed=SEED_C2_NB, length=p * n))
     noisy = r.add_awgn(stream, 10.0, seed=SEED_C2_NB + 1)
-    X = r.standardize_rows(r.stream_to_matrix(noisy, p, n))
+    X = r.standardize_rows(r.DataMatrix(noisy.samples[: p * n].reshape(p, n)))
     ks_nb = _ks_vs_mp(r.eigvals_symmetric(r.sample_covariance(X)).values, p / n)
 
     Xw = _wgn_matrix(SEED_C2_WGN, p, n, standardize=True)
@@ -105,7 +105,7 @@ def test_criterion_2_ratio_calibration_ten_seeds():
     for k in range(10):
         stream = r.gen_narrowband(r.NarrowbandSpec(seed=1000 + k, length=p * n))
         noisy = r.add_awgn(stream, 10.0, seed=2000 + k)
-        X = r.standardize_rows(r.stream_to_matrix(noisy, p, n))
+        X = r.standardize_rows(r.DataMatrix(noisy.samples[: p * n].reshape(p, n)))
         ks_nb = _ks_vs_mp(r.eigvals_symmetric(r.sample_covariance(X)).values, p / n)
         Xw = _wgn_matrix(3000 + k, p, n, standardize=True)
         ks_w = _ks_vs_mp(r.eigvals_symmetric(r.sample_covariance(Xw)).values, p / n)

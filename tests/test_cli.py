@@ -54,6 +54,9 @@ CONTRACT_CASES = {
     "wgn-snr-noise-beyond-f32": (_WGN + ["--snr-db=-3000"], {}),
     "narrowband-band-nan": (_NARROWBAND + ["--band", "nan"], {}),
     "narrowband-band-negative": (_NARROWBAND + ["--band=-3"], {}),
+    "ncofdm-n-fft-not-power-of-two": (["generate", "--signal", "ncofdm", "--rows", "4",
+                                       "--cols", "4", "--n-fft", "1000", "--occupied", "1:5"],
+                                      {}),
 }
 
 
@@ -117,12 +120,14 @@ class TestDispatch:
         assert "Q=0.1" in err and "epsilon=1 " in err and "mass 0.9777" in err, err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_analyze_cov_infinite_bandwidth(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0", "-1"])
+    def test_analyze_cov_infinite_bandwidth(self, tmp_path, capsys, bandwidth):
+        # the bandwidth is checked where the density is estimated, after the read
         cap = tmp_path / "cap.rmtc"
         out = tmp_path / "d.csv"
         assert _run("generate", "--signal", "wgn", "--seed", "2",
                     "--rows", "8", "--cols", "32", "-o", str(cap)) == 0
-        assert _run("analyze", "cov", "-i", str(cap), "--bandwidth", "inf",
+        assert _run("analyze", "cov", "-i", str(cap), "--bandwidth", bandwidth,
                     "-o", str(out)) == 1
         assert "bandwidth" in capsys.readouterr().err
         assert not out.exists()

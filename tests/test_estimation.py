@@ -7,7 +7,6 @@ from rmtspec import (
     ComplexSpectrum,
     DensityCurve,
     EsdFunction,
-    KernelConfig,
     RealSpectrum,
     eigenvalue_density,
     histogram_density,
@@ -86,8 +85,7 @@ class TestKde:
                                    rtol=1e-12)
 
     def test_two_eigenvalues_at_zero(self):
-        c = eigenvalue_density(_spec([-1.0, 1.0]), KernelConfig(bandwidth=1.0),
-                               np.array([0.0, 2.0]))
+        c = eigenvalue_density(_spec([-1.0, 1.0]), 1.0, np.array([0.0, 2.0]))
         assert c.ys[0] == pytest.approx(np.exp(-0.5) / np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_normal_sample_l1(self):
@@ -122,8 +120,9 @@ class TestKde:
 
     def test_bad_bandwidth(self):
         for h in (-1.0, 0.0, np.inf, np.nan):
-            with pytest.raises(BandwidthNonPositive, match="bandwidth"):
-                KernelConfig(bandwidth=h)
+            with pytest.raises(BandwidthNonPositive,
+                               match="bandwidth must be finite and positive"):
+                eigenvalue_density(_spec([1.0, 2.0, 3.0]), h)
 
 
 class TestHistogram:

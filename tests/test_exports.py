@@ -1,0 +1,31 @@
+"""Every public name of the package resolves: each entry of a module's
+``__all__``, and each name ``rmtspec/__init__.py`` re-exports, which must also
+be in its module's ``__all__``. A deleted function leaves no stale export."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import rmtspec
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(rmtspec.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    mod = importlib.import_module(f"rmtspec.{name}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse(Path(rmtspec.__file__).read_text(encoding="utf-8"))
+    reexports = [(node.module, alias.name) for node in tree.body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert reexports
+    for module, name in reexports:
+        mod = importlib.import_module(f"rmtspec.{module}")
+        assert getattr(rmtspec, name) is getattr(mod, name)
+        assert name in mod.__all__, (module, name)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rmtspec import (
-    DataMatrix,
     DensityCurve,
     read_capture,
     read_density_csv,
@@ -63,9 +62,10 @@ class TestCaptureFormat:
         np.testing.assert_allclose(back.entries[3:], z.imag, atol=1e-7)
 
     def test_i16_scaling(self, tmp_path):
+        # i16 is an input format only, so the payload is written by hand
         path = tmp_path / "q.rmtc"
-        a = np.array([[0.5, -0.25]])
-        write_capture(str(path), a, dtype=DTYPE_I16_REAL)
+        path.write_bytes(_capture_bytes(b"RMTC", 1, DTYPE_I16_REAL, 1, 2, bytes(16),
+                                        np.array([16384, -8192], dtype="<i2").tobytes()))
         back = read_capture(str(path))
         np.testing.assert_allclose(back.entries, [[16384 / 32768, -8192 / 32768]])
 
@@ -95,25 +95,18 @@ class TestCaptureFormat:
         with pytest.raises(TruncatedPayload):
             read_capture(str(path))
 
-    def test_datamatrix_input(self, tmp_path, rng):
-        path = tmp_path / "d.rmtc"
-        m = DataMatrix(rng.standard_normal((2, 2)).astype(np.float32).astype(float))
-        write_capture(str(path), m)
-        np.testing.assert_array_equal(read_capture(str(path)).entries, m.entries)
-
-
-    @pytest.mark.parametrize("a, dtype", [
-        (np.array([[1.0, 1e308]]), None),
-        (np.array([[1.0, -4e38]]), None),
-        (np.array([[1.0 + 1e300j, 0.0]]), None),
-        (np.array([[1.0, np.nan]]), None),
-        (np.array([[1e39, 0.0]]), DTYPE_F32_COMPLEX),
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 1e308]]),
+        np.array([[1.0, -4e38]]),
+        np.array([[1.0 + 1e300j, 0.0]]),
+        np.array([[1.0, np.nan]]),
+        np.array([[1e39 + 0j, 0.0]]),
     ])
     @pytest.mark.filterwarnings("error")
-    def test_refuses_payload_beyond_f32(self, tmp_path, a, dtype):
+    def test_refuses_payload_beyond_f32(self, tmp_path, a):
         path = tmp_path / "o.rmtc"
         with pytest.raises(ValueError, match="not finite as f32"):
-            write_capture(str(path), a, dtype=dtype)
+            write_capture(str(path), a)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX])
@@ -257,15 +250,13 @@ def _old_capture_bytes(a, dtype):
     a = np.asarray(a)
     if dtype == DTYPE_F32_COMPLEX:
         body = np.ascontiguousarray(a, dtype=np.complex64).view("<f4").tobytes()
-    elif dtype == DTYPE_F32_REAL:
-        body = a.astype("<f4").tobytes()
     else:
-        body = np.clip(np.round(a * 32768.0), -32768, 32767).astype("<i2").tobytes()
+        body = a.astype("<f4").tobytes()
     return struct.pack("<4sHHII16s", b"RMTC", 1, dtype, *a.shape, bytes(16)) + body
 
 
 class TestWriteCaptureBytes:
-    @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX, DTYPE_I16_REAL])
+    @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_bytes_match_concatenated_formula(self, tmp_path, rng, dtype, layout):
         a = rng.uniform(-1.0, 1.0, (5, 14))
@@ -273,7 +264,7 @@ class TestWriteCaptureBytes:
             a = a + 1j * rng.uniform(-1.0, 1.0, a.shape)
         a = {"C": a, "F": np.asfortranarray(a), "strided": a[:, ::2]}[layout]
         path = tmp_path / "w.rmtc"
-        write_capture(str(path), a, dtype=dtype)
+        write_capture(str(path), a)
         assert path.read_bytes() == _old_capture_bytes(a, dtype)
         assert [p.name for p in tmp_path.iterdir()] == ["w.rmtc"]
 

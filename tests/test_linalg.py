@@ -13,16 +13,12 @@ from rmtspec import (
     eigvals_general,
     eigvals_symmetric,
     lagged_correlation,
-    matrix_sqrt_psd,
     sample_covariance,
-    shift_matrix,
-    split_symmetric,
     standardize_rows,
 )
 from rmtspec.errors import (
     LagOutOfRange,
     NonFiniteData,
-    NotPSD,
     NotStandardized,
     NotSymmetric,
     ZeroVarianceRow,
@@ -113,28 +109,6 @@ class TestStandardizeChunks:
         assert err.value.row == 0
 
 
-class TestMatrixSqrt:
-    def test_identity(self):
-        S = matrix_sqrt_psd(np.eye(3))
-        np.testing.assert_allclose(S, np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        S = matrix_sqrt_psd(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(S, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_random_psd_squares_back(self, rng):
-        B = rng.standard_normal((5, 5))
-        T = B @ B.T
-        S = matrix_sqrt_psd(T)
-        err = np.linalg.norm(S @ S - T) / np.linalg.norm(T)
-        assert err < 1e-8
-        np.testing.assert_allclose(S, S.T, atol=1e-12)
-
-    def test_not_psd(self):
-        with pytest.raises(NotPSD):
-            matrix_sqrt_psd(np.diag([1.0, -0.5]))
-
-
 class TestSampleCovariance:
     def test_identity_input(self):
         A = sample_covariance(DataMatrix(np.eye(2)))
@@ -151,53 +125,10 @@ class TestSampleCovariance:
         A = sample_covariance(DataMatrix(X)).entries
         np.testing.assert_allclose(A, sample_cov_loops(X), atol=1e-12)
 
-    def test_population_shaping(self, rng):
-        X = rng.standard_normal((4, 16))
-        B = rng.standard_normal((4, 4))
-        T = B @ B.T
-        S = matrix_sqrt_psd(T)
-        A = sample_covariance(DataMatrix(X), T).entries
-        np.testing.assert_allclose(A, S @ X @ X.T @ S / 16, atol=1e-10)
-
-    def test_population_dim_mismatch(self, rng):
-        X = DataMatrix(rng.standard_normal((4, 8)))
-        with pytest.raises(DimensionMismatch):
-            sample_covariance(X, np.eye(3))
-
     def test_psd_output(self, rng):
         X = DataMatrix(rng.standard_normal((6, 4)))  # p > n: rank deficient
         w = np.linalg.eigvalsh(sample_covariance(X).entries)
         assert w.min() >= -1e-10 * np.trace(sample_covariance(X).entries)
-
-
-class TestShiftMatrix:
-    def test_zero_lag_is_identity(self):
-        np.testing.assert_array_equal(shift_matrix(4, 0), np.eye(4))
-
-    def test_tau_one(self):
-        D = shift_matrix(3, 1)
-        np.testing.assert_array_equal(D, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-
-    def test_tau_two(self):
-        D = shift_matrix(3, 2)
-        assert D[0, 2] == 1.0
-        np.testing.assert_array_equal(D.sum(axis=1), [1, 0, 0])
-
-    @given(T=st.integers(1, 12), tau=st.integers(0, 11))
-    @settings(max_examples=40, deadline=None)
-    def test_indicator_definition(self, T, tau):
-        if tau >= T:
-            with pytest.raises(LagOutOfRange):
-                shift_matrix(T, tau)
-            return
-        D = shift_matrix(T, tau)
-        for t in range(T):
-            for tp in range(T):
-                assert D[t, tp] == (1.0 if tp == t + tau else 0.0)
-
-    def test_negative_lag(self):
-        with pytest.raises(LagOutOfRange):
-            shift_matrix(4, -1)
 
 
 class TestLaggedCorrelation:
@@ -219,48 +150,17 @@ class TestLaggedCorrelation:
         C = lagged_correlation(X, 2).entries
         np.testing.assert_allclose(C, lagged_corr_loops(X.entries, 2), atol=1e-12)
 
-    def test_matches_shift_matrix_route(self, rng):
-        X = standardize_rows(DataMatrix(rng.standard_normal((4, 12))))
-        a = X.entries
-        for tau in (0, 1, 3, 11):
-            C = lagged_correlation(X, tau).entries
-            D = shift_matrix(12, tau)
-            np.testing.assert_allclose(C, a @ D @ a.T / 12, atol=1e-13)
-
     def test_requires_standardized(self, rng):
         with pytest.raises(NotStandardized):
             lagged_correlation(DataMatrix(rng.standard_normal((3, 10))), 1)
 
     def test_lag_out_of_range(self, rng):
         X = standardize_rows(DataMatrix(rng.standard_normal((3, 10))))
-        with pytest.raises(LagOutOfRange):
-            lagged_correlation(X, 10)
-        with pytest.raises(LagOutOfRange):
-            LaggedMatrix(X.entries, 10)
-
-
-class TestSplitSymmetric:
-    def test_symmetric_input(self, rng):
-        M = rng.standard_normal((4, 4))
-        M = M + M.T
-        sym, asym = split_symmetric(M)
-        np.testing.assert_allclose(sym, M, atol=1e-14)
-        np.testing.assert_allclose(asym, 0.0, atol=1e-14)
-
-    def test_small_example(self):
-        sym, asym = split_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_array_equal(sym, [[0, 0.5], [0.5, 0]])
-        np.testing.assert_array_equal(asym, [[0, 0.5], [-0.5, 0]])
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_reconstruction_and_spectra(self, seed):
-        g = np.random.default_rng(seed)
-        C = LaggedMatrix(g.standard_normal((6, 8)), 1)
-        sym, asym = split_symmetric(C)
-        np.testing.assert_allclose(sym + asym, C.entries, atol=1e-14)
-        assert np.abs(np.linalg.eigvals(sym).imag).max() < 1e-10
-        assert np.abs(np.linalg.eigvals(asym).real).max() < 1e-10
+        for tau in (10, -1):
+            with pytest.raises(LagOutOfRange):
+                lagged_correlation(X, tau)
+            with pytest.raises(LagOutOfRange):
+                LaggedMatrix(X.entries, tau)
 
 
 class TestEigvals:
@@ -335,9 +235,21 @@ class TestEigvals:
 
 
 class TestTypes:
+    @pytest.mark.filterwarnings("error")
     def test_data_matrix_rejects_nan(self):
         with pytest.raises(NonFiniteData):
             DataMatrix(np.array([[1.0, np.nan]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, j in ((0, 0), (1, 2), (2, 1)):
+                a = np.arange(12.0).reshape(3, 4)
+                a[i, j] = bad
+                with pytest.raises(NonFiniteData,
+                                   match="^data matrix contains non-finite entries$"):
+                    DataMatrix(a)
+
+    def test_data_matrix_rejects_non_2d(self):
+        with pytest.raises(DimensionMismatch):
+            DataMatrix(np.zeros(3))
 
     def test_complex_spectrum_sorted(self):
         s = ComplexSpectrum(np.array([2 + 1j, -1 + 0j, 2 - 1j]))
@@ -353,19 +265,15 @@ class TestSmallSide:
     """The rank-deficient small-side solves against dense p x p eigensolves."""
 
     @given(p=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-           standardize=st.booleans(), population=st.booleans())
+           standardize=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_matches_dense_solve(self, p, n, seed, standardize, population):
+    def test_matches_dense_solve(self, p, n, seed, standardize):
         g = np.random.default_rng(seed)
         X = DataMatrix(g.standard_normal((p, n)))
         if standardize and n >= 2:
             X = standardize_rows(X)
-        T = None
-        if population:
-            B = g.standard_normal((p, p))
-            T = B @ B.T
 
-        cov = sample_covariance(X, T)
+        cov = sample_covariance(X)
         got = eigvals_symmetric(cov).values
         want = np.linalg.eigvalsh(cov.entries)
         scale = max(1.0, np.abs(want).max())
@@ -391,15 +299,11 @@ class TestSmallSide:
     def test_entries_built_on_first_access(self, rng):
         X = standardize_rows(DataMatrix(rng.standard_normal((6, 4))))
         a = X.entries
-        B = rng.standard_normal((6, 6))
-        T = B @ B.T
-        for pop, src in ((None, a), (T, matrix_sqrt_psd(T) @ a)):
-            cov = sample_covariance(X, pop)
-            eigvals_symmetric(cov)
-            assert "entries" not in vars(cov)  # the small side never builds it
-            c = src @ src.T / 4
-            np.testing.assert_array_equal(cov.entries, 0.5 * (c + c.T))
+        cov = sample_covariance(X)
+        eigvals_symmetric(cov)
+        assert "entries" not in vars(cov)  # the small side never builds it
         c = a @ a.T / 4
+        np.testing.assert_array_equal(cov.entries, 0.5 * (c + c.T))
         np.testing.assert_array_equal(lagged_correlation(X, 0).entries, 0.5 * (c + c.T))
         C1 = lagged_correlation(X, 1)
         eigvals_general(C1)

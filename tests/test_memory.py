@@ -1,7 +1,8 @@
 """Peak memory of the full-rank path's layers, measured with ``tracemalloc``
 (numpy reports its data allocations to it): reading a capture holds little
 more than the matrix it returns, standardizing little more than the one new
-matrix, and the kernel density estimate a few small chunks."""
+matrix, checking a data matrix for non-finite entries nothing of its size, and
+the kernel density estimate a few small chunks."""
 
 import struct
 import tracemalloc
@@ -50,6 +51,14 @@ def test_standardize_rows_holds_the_result_and_one_chunk(capture):
     Y, peak = _peak(standardize_rows, X)
     assert Y.entries.shape == X.entries.shape
     assert peak <= Y.entries.nbytes + 12 * _MB
+
+
+def test_data_matrix_finite_check_builds_no_mask():
+    # a p x n bool mask of the 1024 x 4096 matrix alone would be 4 MiB
+    a = np.random.default_rng(2).standard_normal((1024, 4096))
+    X, peak = _peak(DataMatrix, a)
+    assert X.entries is a
+    assert peak < 1 * _MB
 
 
 def test_kde_eval_chunks_are_small():

@@ -7,13 +7,11 @@ from rmtspec import (
     SampleStream,
     WgnSpec,
     add_awgn,
-    dft,
     gen_narrowband,
     gen_ncofdm_frames,
     gen_wgn,
     occupied_from_ranges,
     spectrogram_matrix,
-    stream_to_matrix,
 )
 from rmtspec.errors import (
     AliasingConfig,
@@ -107,9 +105,7 @@ class TestNcofdm:
 
     def test_frame_roundtrip_recovers_bits(self):
         spec = NcofdmSpec(seed=6)
-        s = gen_ncofdm_frames(spec, n_frames=3).samples
-        frame = s[1024:2048]
-        bins = dft(frame, "forward")
+        bins = spectrogram_matrix(gen_ncofdm_frames(spec, n_frames=3), 1024)[:, 1]
         occ = spec.occupied
         mask = np.zeros(1024, dtype=bool)
         mask[occ] = True
@@ -126,31 +122,10 @@ class TestNcofdm:
         with pytest.raises(EmptyOccupiedSet):
             NcofdmSpec(seed=0, occupied=np.array([], dtype=int))
 
-
-class TestDft:
-    def test_impulse(self):
-        np.testing.assert_allclose(dft([1, 0, 0, 0]), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
-
-    def test_parseval(self, rng):
-        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        X = dft(x)
-        assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(X), abs=1e-10)
-
-    def test_roundtrip(self, rng):
-        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        back = dft(dft(x, "forward"), "inverse")
-        assert np.abs(back - x).max() < 1e-10
-
-    def test_linearity(self, rng):
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        lhs = dft(2.0 * x + 3j * y)
-        rhs = 2.0 * dft(x) + 3j * dft(y)
-        assert np.abs(lhs - rhs).max() < 1e-10
-
-    def test_non_power_of_two(self):
+    @pytest.mark.parametrize("n_fft", [1, 12, 1000])
+    def test_n_fft_not_power_of_two(self, n_fft):
         with pytest.raises(NonPowerOfTwoLength):
-            dft(np.zeros(12))
+            NcofdmSpec(seed=0, n_fft=n_fft, occupied=np.array([0]))
 
 
 class TestAwgn:
@@ -187,24 +162,6 @@ class TestAwgn:
 
 
 class TestFraming:
-    def test_row_major_fill(self):
-        m = stream_to_matrix(SampleStream(np.arange(6.0)), p=2, n=3)
-        np.testing.assert_array_equal(m.entries, [[0, 1, 2], [3, 4, 5]])
-
-    def test_complex_stacking(self):
-        s = SampleStream(np.array([1 + 5j, 2 + 6j, 3 + 7j, 4 + 8j]))
-        m = stream_to_matrix(s, p=2, n=2)
-        np.testing.assert_array_equal(m.entries, [[1, 2], [3, 4], [5, 6], [7, 8]])
-
-    def test_roundtrip_flatten(self, rng):
-        s = SampleStream(rng.standard_normal(50))
-        m = stream_to_matrix(s, p=6, n=8)
-        np.testing.assert_array_equal(m.entries.reshape(-1), s.samples[:48])
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientSamples):
-            stream_to_matrix(SampleStream(np.zeros(5)), p=2, n=3)
-
     def test_spectrogram_orientation(self):
         spec = NcofdmSpec(seed=11)
         stream = gen_ncofdm_frames(spec, n_frames=8)
@@ -215,3 +172,14 @@ class TestFraming:
         occ_mask[spec.occupied] = True
         np.testing.assert_allclose(np.abs(S[occ_mask]), 1.0, atol=1e-10)
         assert np.abs(S[~occ_mask]).max() < 1e-10
+
+    def test_spectrogram_is_unitary_per_frame(self, rng):
+        x = rng.standard_normal(4 * 256) + 1j * rng.standard_normal(4 * 256)
+        S = spectrogram_matrix(SampleStream(x), 256)
+        assert S.shape == (256, 4)
+        np.testing.assert_allclose(np.linalg.norm(S, axis=0),
+                                   np.linalg.norm(x.reshape(4, 256), axis=1), rtol=1e-12)
+
+    def test_spectrogram_insufficient(self):
+        with pytest.raises(InsufficientSamples):
+            spectrogram_matrix(SampleStream(np.zeros(5, dtype=complex)), 8)
