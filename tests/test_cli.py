@@ -354,6 +354,32 @@ class TestPipelines:
         assert nc.stat().st_size == 32 + 1024 * 16 * 8
 
 
+class TestGenerateFraming:
+    """generate fills the capture row-major from the stream's first rows*cols samples."""
+
+    @pytest.mark.parametrize("signal, stream", [
+        ("wgn", lambda: rmtspec.gen_wgn(rmtspec.WgnSpec(4, 2 * 3))),
+        ("narrowband", lambda: rmtspec.gen_narrowband(rmtspec.NarrowbandSpec(4, 2 * 3))),
+    ])
+    def test_row_major_fill(self, tmp_path, signal, stream):
+        cap = tmp_path / "c.rmtc"
+        assert _run("generate", "--signal", signal, "--seed", "4",
+                    "--rows", "2", "--cols", "3", "-o", str(cap)) == 0
+        want = stream().samples.astype(np.float32).reshape(2, 3)
+        np.testing.assert_array_equal(fileio.read_capture(str(cap)).entries, want)
+
+    def test_complex_stacking(self, tmp_path):
+        # 4 x 6 = 24 samples from two 16-point frames; the capture reads back
+        # as the real rows over the imaginary rows
+        cap = tmp_path / "c.rmtc"
+        assert _run("generate", "--signal", "ncofdm", "--seed", "4", "--n-fft", "16",
+                    "--occupied", "1:5", "--rows", "4", "--cols", "6", "-o", str(cap)) == 0
+        spec = rmtspec.NcofdmSpec(4, 16, np.arange(1, 6))
+        z = rmtspec.gen_ncofdm_frames(spec, 2).samples[:24].astype(np.complex64).reshape(4, 6)
+        got = fileio.read_capture(str(cap)).entries
+        np.testing.assert_array_equal(got, np.vstack([z.real, z.imag]))
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_2(self, tmp_path, monkeypatch):
         import rmtspec.cli as cli

@@ -69,6 +69,13 @@ class TestCaptureFormat:
         back = read_capture(str(path))
         np.testing.assert_allclose(back.entries, [[16384 / 32768, -8192 / 32768]])
 
+    def test_i16_full_scale(self, tmp_path):
+        path = tmp_path / "q.rmtc"
+        path.write_bytes(_capture_bytes(b"RMTC", 1, DTYPE_I16_REAL, 2, 2, bytes(16),
+                                        np.array([-32768, 32767, 0, -1], dtype="<i2").tobytes()))
+        back = read_capture(str(path))
+        np.testing.assert_array_equal(back.entries, [[-1.0, 32767 / 32768], [0.0, -1 / 32768]])
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rmtc"
         write_capture(str(path), np.zeros((1, 1)))

@@ -150,6 +150,15 @@ class TestLaggedCorrelation:
         C = lagged_correlation(X, 2).entries
         np.testing.assert_allclose(C, lagged_corr_loops(X.entries, 2), atol=1e-12)
 
+    def test_matches_shift_matrix_route(self, rng):
+        # C(tau) = X D X^T / n with the indicator D[t, t'] = 1 iff t' = t + tau
+        X = standardize_rows(DataMatrix(rng.standard_normal((4, 12))))
+        a = X.entries
+        for tau in (0, 1, 3, 11):
+            C = lagged_correlation(X, tau).entries
+            D = np.eye(12, k=tau)
+            np.testing.assert_allclose(C, a @ D @ a.T / 12, atol=1e-13)
+
     def test_requires_standardized(self, rng):
         with pytest.raises(NotStandardized):
             lagged_correlation(DataMatrix(rng.standard_normal((3, 10))), 1)

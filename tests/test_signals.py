@@ -122,6 +122,13 @@ class TestNcofdm:
         with pytest.raises(EmptyOccupiedSet):
             NcofdmSpec(seed=0, occupied=np.array([], dtype=int))
 
+    def test_frame_energy_is_occupied_count(self):
+        # the inverse DFT is unitary, so each frame keeps the energy of its
+        # +-1 symbols: one unit per occupied bin
+        spec = NcofdmSpec(seed=3, n_fft=64, occupied=np.array([1, 5, 6, 7, 40]))
+        frames = gen_ncofdm_frames(spec, n_frames=4).samples.reshape(4, 64)
+        np.testing.assert_allclose(np.sum(np.abs(frames) ** 2, axis=1), 5.0, rtol=1e-12)
+
     @pytest.mark.parametrize("n_fft", [1, 12, 1000])
     def test_n_fft_not_power_of_two(self, n_fft):
         with pytest.raises(NonPowerOfTwoLength):
@@ -183,3 +190,19 @@ class TestFraming:
     def test_spectrogram_insufficient(self):
         with pytest.raises(InsufficientSamples):
             spectrogram_matrix(SampleStream(np.zeros(5, dtype=complex)), 8)
+
+    @pytest.mark.parametrize("delay", [0, 3])
+    def test_spectrogram_impulse(self, delay):
+        x = np.zeros(4, dtype=complex)
+        x[delay] = 1.0
+        S = spectrogram_matrix(SampleStream(x), 4)
+        want = 0.5 * np.exp(-2j * np.pi * delay * np.arange(4) / 4)
+        np.testing.assert_allclose(S[:, 0], want, atol=1e-15)
+
+    def test_spectrogram_linearity(self, rng):
+        x = rng.standard_normal(2 * 64) + 1j * rng.standard_normal(2 * 64)
+        y = rng.standard_normal(2 * 64) + 1j * rng.standard_normal(2 * 64)
+        lhs = spectrogram_matrix(SampleStream(2.0 * x + 3j * y), 64)
+        rhs = (2.0 * spectrogram_matrix(SampleStream(x), 64)
+               + 3j * spectrogram_matrix(SampleStream(y), 64))
+        assert np.abs(lhs - rhs).max() < 1e-10
