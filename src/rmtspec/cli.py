@@ -26,7 +26,7 @@ import numpy as np
 
 from . import estimation, fileio, signals, theory
 from .curves import DensityCurve
-from .errors import NumericalError, RmtError
+from .errors import NumericalError, ValidationError
 from .linalg import (
     eigvals_general,
     eigvals_symmetric,
@@ -119,7 +119,7 @@ def _cap_threads() -> None:
     try:
         limit = max(1, int(spec))
     except ValueError:
-        raise RmtError(f"RMT_THREADS must be an integer, got {spec!r}")
+        raise ValidationError(f"RMT_THREADS must be an integer, got {spec!r}")
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
@@ -138,16 +138,16 @@ def _parse_occupied(text: str) -> np.ndarray:
         try:
             ranges.append((int(lo), int(hi or lo)))
         except ValueError:
-            raise RmtError(f"--occupied: bad range {part!r}, expected LO:HI or N") from None
+            raise ValidationError(f"--occupied: bad range {part!r}, expected LO:HI or N") from None
     return signals.occupied_from_ranges(ranges)
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
     rows, cols = ns.rows, ns.cols
     if rows < 1 or cols < 1:
-        raise RmtError("rows and cols must be >= 1")
+        raise ValidationError("rows and cols must be >= 1")
     if ns.freq_domain and ns.signal != "ncofdm":
-        raise RmtError("--freq-domain applies to the ncofdm signal only")
+        raise ValidationError("--freq-domain applies to the ncofdm signal only")
 
     if ns.signal == "wgn":
         stream = signals.gen_wgn(signals.WgnSpec(ns.seed, rows * cols, ns.variance))
@@ -158,7 +158,7 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
         spec = signals.NcofdmSpec(ns.seed, ns.n_fft, _parse_occupied(ns.occupied))
         if ns.freq_domain:
             if rows != ns.n_fft:
-                raise RmtError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
+                raise ValidationError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
             stream = signals.gen_ncofdm_frames(spec, n_frames=cols)
         else:
             n_frames = -(-rows * cols // ns.n_fft)
@@ -214,7 +214,7 @@ def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
 
 def _cmd_theory_mp(ns: argparse.Namespace) -> int:
     if ns.points < 2:
-        raise RmtError(f"--points must be >= 2, got {ns.points}")
+        raise ValidationError(f"--points must be >= 2, got {ns.points}")
     prm = theory.mp_params(ns.c)
     # abscissas cluster at both edges, where the density has a square-root
     # zero or, at c = 1, an x^(-1/2) pole that a uniform grid under-samples
@@ -241,7 +241,7 @@ def _pick_column(curves: dict[str, DensityCurve], requested: str | None,
                  preferred: tuple[str, ...]) -> str:
     if requested is not None:
         if requested not in curves:
-            raise RmtError(f"column {requested!r} not in file (has {sorted(curves)})")
+            raise ValidationError(f"column {requested!r} not in file (has {sorted(curves)})")
         return requested
     for name in preferred:
         if name in curves:
@@ -302,7 +302,7 @@ def run_cli(argv) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RmtError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

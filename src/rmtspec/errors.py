@@ -1,9 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy: two kinds of error for the CLI's two failure exit codes.
 
-``RmtError`` is the common base. Validation-type errors double as
-``ValueError`` so that callers using plain ``except ValueError`` still work;
-numerical failures derive from ``NumericalError`` (the CLI maps the former to
-exit code 1 and the latter to exit code 2).
+``RmtError`` is the common base. ``ValidationError`` (bad input: shape,
+range, file format or state preconditions) doubles as ``ValueError`` so that
+callers using plain ``except ValueError`` still work, and the CLI maps it to
+exit code 1. ``NumericalError`` (a numerical procedure failed to produce a
+trustworthy result) maps to exit code 2. The message says which check failed.
 """
 
 
@@ -12,57 +13,17 @@ class RmtError(Exception):
 
 
 class ValidationError(RmtError, ValueError):
-    """Bad input: shape, range, or state preconditions."""
+    """Bad input: shape, range, file format or state preconditions."""
 
 
 class NumericalError(RmtError, ArithmeticError):
     """A numerical procedure failed to produce a trustworthy result."""
 
 
-# ---- matrix construction / decomposition -----------------------------------
-
 class ZeroVarianceRow(ValidationError):
     def __init__(self, row: int):
         self.row = row
         super().__init__(f"row {row} has zero sample variance, cannot standardize")
-
-
-class DimensionMismatch(ValidationError):
-    pass
-
-
-class LagOutOfRange(ValidationError):
-    pass
-
-
-class NotStandardized(ValidationError):
-    pass
-
-
-class NotSymmetric(ValidationError):
-    pass
-
-
-class NonFiniteData(ValidationError):
-    """A data matrix holds NaN or inf (a capture payload, for one)."""
-
-
-class ConvergenceFailure(NumericalError):
-    pass
-
-
-# ---- theory -----------------------------------------------------------------
-
-class InvalidRatio(ValidationError):
-    pass
-
-
-class DegenerateLeadingCoefficient(ValidationError):
-    pass
-
-
-class NoConvergence(NumericalError):
-    pass
 
 
 class BranchAmbiguity(NumericalError):
@@ -76,71 +37,5 @@ class BranchAmbiguity(NumericalError):
         super().__init__(msg)
 
 
-class NegativeDensity(NumericalError):
-    """The selected branch produced Im G < -1e-9, beyond clamping range."""
-
-
-class NotNormalized(ValidationError):
-    pass
-
-
-# ---- estimation ---------------------------------------------------------------
-
-class EmptySpectrum(ValidationError):
-    pass
-
-
-class BandwidthNonPositive(ValidationError):
-    pass
-
-
-class DegenerateSample(ValidationError):
-    pass
-
-
-class EmptyInput(ValidationError):
-    pass
-
-
 class DisjointSupportsWarning(UserWarning):
     """Density supports do not overlap; the distance degenerates to mass sum."""
-
-
-# ---- signal synthesis ---------------------------------------------------------
-
-class AliasingConfig(ValidationError):
-    pass
-
-
-class EmptyOccupiedSet(ValidationError):
-    pass
-
-
-class NonPowerOfTwoLength(ValidationError):
-    pass
-
-
-class InsufficientSamples(ValidationError):
-    pass
-
-
-# ---- capture file format ------------------------------------------------------
-
-class CaptureFormatError(ValidationError):
-    pass
-
-
-class BadMagic(CaptureFormatError):
-    pass
-
-
-class UnsupportedVersion(CaptureFormatError):
-    pass
-
-
-class UnsupportedDtype(CaptureFormatError):
-    pass
-
-
-class TruncatedPayload(CaptureFormatError):
-    pass

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DensityCurve, union_grid
-from .errors import (
-    BandwidthNonPositive,
-    DegenerateSample,
-    DisjointSupportsWarning,
-    EmptyInput,
-    EmptySpectrum,
-)
+from .errors import DisjointSupportsWarning, ValidationError
 from .linalg import ComplexSpectrum, RealSpectrum
 
 __all__ = [
@@ -47,7 +41,7 @@ class EsdFunction:
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=np.float64))
         if v.size == 0:
-            raise EmptySpectrum("cannot build an ESD from zero eigenvalues")
+            raise ValidationError("cannot build an ESD from zero eigenvalues")
         object.__setattr__(self, "values", v)
 
     @property
@@ -67,7 +61,7 @@ def silverman_bandwidth(samples) -> float:
     """
     s = np.asarray(samples, dtype=np.float64).ravel()
     if len(np.unique(s)) < 2:
-        raise DegenerateSample("need at least 2 distinct samples for a bandwidth")
+        raise ValidationError("need at least 2 distinct samples for a bandwidth")
     std = float(np.std(s, ddof=1))
     q75, q25 = np.percentile(s, [75.0, 25.0])
     iqr = float(q75 - q25)
@@ -97,9 +91,9 @@ def histogram_density(samples, bins: int) -> DensityCurve:
     """Density-normalized histogram as a step curve sampled at bin centers."""
     s = np.asarray(samples, dtype=np.float64).ravel()
     if s.size == 0:
-        raise EmptyInput("cannot histogram an empty sample set")
+        raise ValidationError("cannot histogram an empty sample set")
     if bins < 1:
-        raise EmptyInput(f"bins must be >= 1, got {bins}")
+        raise ValidationError(f"bins must be >= 1, got {bins}")
     heights, edges = np.histogram(s, bins=bins, density=True)
     centers = 0.5 * (edges[1:] + edges[:-1])
     # anchor the outer edges at the boundary heights: the trapezoid mass of
@@ -159,7 +153,7 @@ def split_atom(values) -> tuple[np.ndarray, float]:
     """Nonzero values (order kept) and the zero share, by ``snap_zeros``' rule."""
     v = np.asarray(values)
     if v.size == 0:
-        raise EmptySpectrum("empty spectrum")
+        raise ValidationError("empty spectrum")
     nonzero = v[snap_zeros(v) != 0]
     return nonzero, 1.0 - len(nonzero) / len(v)
 
@@ -182,10 +176,10 @@ def eigenvalue_density(spec: RealSpectrum, bandwidth: float | None = None,
     """
     nonzero, atom = split_atom(spec.values)
     if len(nonzero) < 2:
-        raise DegenerateSample("fewer than 2 nonzero eigenvalues")
+        raise ValidationError("fewer than 2 nonzero eigenvalues")
     h = silverman_bandwidth(nonzero) if bandwidth is None else bandwidth
     if not 0 < h < math.inf:
-        raise BandwidthNonPositive(f"bandwidth must be finite and positive, got {h}")
+        raise ValidationError(f"bandwidth must be finite and positive, got {h}")
     if grid is None:
         grid = np.linspace(nonzero.min() - 5 * h, nonzero.max() + 5 * h, 1024)
     return with_atom(DensityCurve(grid, kde_eval(nonzero, grid, float(h))), atom)
@@ -203,6 +197,6 @@ def projection_density(spec: ComplexSpectrum, axis: str = "x", bins: int = 12) -
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     nonzero, atom = split_atom(spec.values)
     if nonzero.size == 0:
-        raise EmptySpectrum("every eigenvalue of the complex spectrum is zero")
+        raise ValidationError("every eigenvalue of the complex spectrum is zero")
     parts = nonzero.real if axis == "x" else nonzero.imag
     return with_atom(histogram_density(math.sqrt(2.0) * parts, bins=bins), atom)

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DensityCurve, union_grid
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    TruncatedPayload,
-    UnsupportedDtype,
-    UnsupportedVersion,
-)
+from .errors import ValidationError
 from .linalg import DataMatrix
 
 __all__ = [
@@ -77,14 +71,14 @@ class CaptureHeader:
     @classmethod
     def unpack(cls, raw: bytes) -> "CaptureHeader":
         if len(raw) < _HEADER.size:
-            raise TruncatedPayload(f"file shorter than the {_HEADER.size}-byte header")
+            raise ValidationError(f"file shorter than the {_HEADER.size}-byte header")
         magic, version, dtype, rows, cols, _ = _HEADER.unpack(raw[: _HEADER.size])
         if magic != _MAGIC:
-            raise BadMagic(f"bad magic {magic!r}")
+            raise ValidationError(f"bad magic {magic!r}")
         if version != _VERSION:
-            raise UnsupportedVersion(f"version {version} not supported")
+            raise ValidationError(f"version {version} not supported")
         if dtype not in _ELEMENT_BYTES:
-            raise UnsupportedDtype(f"dtype code {dtype} not supported")
+            raise ValidationError(f"dtype code {dtype} not supported")
         return cls(dtype=dtype, rows=rows, cols=cols)
 
 
@@ -108,14 +102,16 @@ def write_capture(path: str, matrix) -> None:
     """Write a real or complex 2-d array as an f32 real or f32 complex capture."""
     a = np.asarray(matrix)
     if a.ndim != 2:
-        raise DimensionMismatch(f"capture payload must be 2-d, got shape {a.shape}")
+        raise ValidationError(f"capture payload must be 2-d, got shape {a.shape}")
     # an f32 cast of a value beyond its range gives inf: refused below, not warned
     with np.errstate(over="ignore"):
         if np.iscomplexobj(a):
             dtype, payload = DTYPE_F32_COMPLEX, np.ascontiguousarray(a, dtype="<c8")
         else:
             dtype, payload = DTYPE_F32_REAL, np.ascontiguousarray(a, dtype="<f4")
-    if not np.all(np.isfinite(payload)):
+    # min and max over the f32 words carry any NaN and expose any inf, no mask
+    words = payload.view("<f4")
+    if words.size and not (np.isfinite(words.min()) and np.isfinite(words.max())):
         raise ValueError(f"capture payload is not finite as f32: largest |value| is "
                          f"{np.abs(a).max():.4g}, f32 holds up to {np.finfo(np.float32).max:.4g}")
     header = CaptureHeader(dtype=dtype, rows=a.shape[0], cols=a.shape[1])
@@ -125,7 +121,7 @@ def write_capture(path: str, matrix) -> None:
 def read_capture(path: str) -> DataMatrix:
     """Read a capture; complex payloads expand to 2*rows real rows.
 
-    Bytes past the promised payload are ignored. ``TruncatedPayload`` is
+    Bytes past the promised payload are ignored. ``ValidationError`` is
     raised when the file's size, checked before anything is allocated, is
     short of the promised payload (a pipe or other non-regular file has size
     0), and when the bytes actually read are (a file that shrinks meanwhile).
@@ -135,7 +131,7 @@ def read_capture(path: str) -> DataMatrix:
         expected = header.payload_bytes()
         available = max(0, os.fstat(fh.fileno()).st_size - _HEADER.size)
         if available < expected:
-            raise TruncatedPayload(f"payload is {available} bytes, header promises {expected}")
+            raise ValidationError(f"payload is {available} bytes, header promises {expected}")
         a = _read_payload(fh, header)
     return DataMatrix(a)
 
@@ -157,14 +153,16 @@ def _read_payload(fh, header: CaptureHeader) -> np.ndarray:
         block = buf[: k * row_bytes // buf.itemsize]
         got = fh.readinto(block)
         if got != block.nbytes:
-            raise TruncatedPayload(f"payload is {lo * row_bytes + got} bytes, "
-                                   f"header promises {header.payload_bytes()}")
-        if is_complex:
-            pairs = block.reshape(k, cols, 2)
-            out[lo:lo + k] = pairs[..., 0]
-            out[rows + lo:rows + lo + k] = pairs[..., 1]
-        else:
-            out[lo:lo + k] = block.reshape(k, cols)
+            raise ValidationError(f"payload is {lo * row_bytes + got} bytes, "
+                                  f"header promises {header.payload_bytes()}")
+        # a signaling NaN's cast flags "invalid"; DataMatrix refuses the NaN
+        with np.errstate(invalid="ignore"):
+            if is_complex:
+                pairs = block.reshape(k, cols, 2)
+                out[lo:lo + k] = pairs[..., 0]
+                out[rows + lo:rows + lo + k] = pairs[..., 1]
+            else:
+                out[lo:lo + k] = block.reshape(k, cols)
     if header.dtype == DTYPE_I16_REAL:
         out /= 32768.0
     return out

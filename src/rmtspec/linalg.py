@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    LagOutOfRange,
-    NonFiniteData,
-    NotStandardized,
-    NotSymmetric,
-    ZeroVarianceRow,
-)
+from .errors import NumericalError, ValidationError, ZeroVarianceRow
 
 __all__ = [
     "DataMatrix",
@@ -55,10 +47,10 @@ class DataMatrix:
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
+            raise ValidationError(f"expected a 2-d matrix, got shape {a.shape}")
         # min and max carry any NaN and expose any inf without a p x n mask
         if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-            raise NonFiniteData("data matrix contains non-finite entries")
+            raise ValidationError("data matrix contains non-finite entries")
         object.__setattr__(self, "entries", a)
 
     @property
@@ -94,7 +86,7 @@ class LaggedMatrix:
 
     def __init__(self, data: np.ndarray, tau: int):
         if not 0 <= tau < data.shape[1]:
-            raise LagOutOfRange(f"tau={tau} outside [0, {data.shape[1] - 1}]")
+            raise ValidationError(f"tau={tau} outside [0, {data.shape[1] - 1}]")
         self.data = data
         self.tau = tau
 
@@ -168,7 +160,7 @@ def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
     """Lagged correlation C_ij = (1/T) sum_t X[i, t] X[j, t + tau] of a
     standardized matrix, the sum truncated at the boundary (no wrap-around)."""
     if not X.standardized:
-        raise NotStandardized("lagged_correlation requires a standardized matrix")
+        raise ValidationError("lagged_correlation requires a standardized matrix")
     return LaggedMatrix(X.entries, tau)
 
 
@@ -218,7 +210,7 @@ def eigvals_general(C) -> ComplexSpectrum:
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return ComplexSpectrum(values=np.concatenate([np.zeros(zeros), w]))
 
 
@@ -230,8 +222,8 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"matrix of shape {a.shape} is not square")
+        raise ValidationError(f"matrix of shape {a.shape} is not square")
     scale = max(np.abs(a).max(), 1e-300)
     dev = np.abs(a - a.T).max()
     if dev > rel_tol * scale:
-        raise NotSymmetric(f"asymmetry {dev} exceeds {rel_tol} * {scale}")
+        raise ValidationError(f"asymmetry {dev} exceeds {rel_tol} * {scale}")

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AliasingConfig,
-    EmptyOccupiedSet,
-    InsufficientSamples,
-    NonPowerOfTwoLength,
-)
+from .errors import ValidationError
 
 __all__ = [
     "WgnSpec",
@@ -80,11 +75,11 @@ class NarrowbandSpec:
 
     def __post_init__(self):
         if not 0 < self.carrier_norm < 0.5:
-            raise AliasingConfig(f"carrier {self.carrier_norm} outside (0, 0.5)")
+            raise ValidationError(f"carrier {self.carrier_norm} outside (0, 0.5)")
         if not 0 < self.band_norm < math.inf:
             raise ValueError(f"band must be finite and positive, got {self.band_norm}")
         if self.carrier_norm + self.band_norm / 2 >= 0.5:
-            raise AliasingConfig("carrier + band/2 reaches the Nyquist edge")
+            raise ValidationError("carrier + band/2 reaches the Nyquist edge")
         if not 0 < self.symbol_rate_norm < math.inf:
             raise ValueError(
                 f"symbol rate must be finite and positive, got {self.symbol_rate_norm}")
@@ -106,11 +101,11 @@ class NcofdmSpec:
     def __post_init__(self):
         occ = np.unique(np.asarray(self.occupied, dtype=np.int64))
         if occ.size == 0:
-            raise EmptyOccupiedSet("occupied subcarrier set is empty")
+            raise ValidationError("occupied subcarrier set is empty")
         if occ[0] < 0 or occ[-1] >= self.n_fft:
             raise ValueError(f"occupied indices outside [0, {self.n_fft - 1}]")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
-            raise NonPowerOfTwoLength(f"n_fft={self.n_fft} is not a power of two")
+            raise ValidationError(f"n_fft={self.n_fft} is not a power of two")
         object.__setattr__(self, "occupied", occ)
 
 
@@ -120,7 +115,10 @@ class SampleStream:
 
     def __post_init__(self):
         s = np.asarray(self.samples)
-        if not np.all(np.isfinite(s.real)) or not np.all(np.isfinite(s.imag)):
+        # min and max carry any NaN and expose any inf without a full-length
+        # mask; a complex stream is read through its real and imaginary views
+        parts = (s.real, s.imag) if np.iscomplexobj(s) else (s,)
+        if s.size and not all(np.isfinite(v.min()) and np.isfinite(v.max()) for v in parts):
             raise ValueError("stream contains non-finite samples")
         object.__setattr__(self, "samples", s)
 
@@ -201,6 +199,6 @@ def spectrogram_matrix(stream: SampleStream, n_fft: int) -> np.ndarray:
     s = stream.samples
     n_frames = len(s) // n_fft
     if n_frames < 1:
-        raise InsufficientSamples(f"need at least {n_fft} samples, stream has {len(s)}")
+        raise ValidationError(f"need at least {n_fft} samples, stream has {len(s)}")
     frames = s[: n_frames * n_fft].reshape(n_frames, n_fft)
     return np.fft.fft(frames, norm="ortho").T

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DensityCurve
-from .errors import (
-    BranchAmbiguity,
-    DegenerateLeadingCoefficient,
-    InvalidRatio,
-    NegativeDensity,
-    NoConvergence,
-    NotNormalized,
-)
+from .errors import BranchAmbiguity, NumericalError, ValidationError
 
 __all__ = [
     "MpParams",
@@ -80,7 +73,7 @@ class MpParams:
 
 def mp_params(c: float) -> MpParams:
     if not (c > 0 and math.isfinite(c)):
-        raise InvalidRatio(f"dimension ratio must be positive and finite, got {c}")
+        raise ValidationError(f"dimension ratio must be positive and finite, got {c}")
     s = math.sqrt(c)
     return MpParams(
         c=float(c),
@@ -155,7 +148,7 @@ class GreenSolveConfig:
 
     def __post_init__(self):
         if not (self.Q > 0 and math.isfinite(self.Q)):
-            raise InvalidRatio(f"Q must be positive and finite, got {self.Q}")
+            raise ValidationError(f"Q must be positive and finite, got {self.Q}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.epsilon < sys.float_info.min:  # the default grid's step eps/4 would be 0
@@ -178,7 +171,7 @@ def green_quartic_coeffs(z, Q: float) -> np.ndarray:
     coefficient that underflows to zero (an extreme ``Q``), are refused here.
     """
     if not Q > 0:
-        raise InvalidRatio(f"Q must be positive, got {Q}")
+        raise ValidationError(f"Q must be positive, got {Q}")
     z2 = np.square(np.asarray(z, dtype=np.complex128))
     Q = np.float64(Q)  # overflows to inf where a Python float would raise
     r = 1.0 / Q - 1.0
@@ -191,9 +184,9 @@ def green_quartic_coeffs(z, Q: float) -> np.ndarray:
         c[..., 3] = 2.0 * r * z2
         c[..., 4] = (2.0 - 1.0 / Q) * z2
     if not np.all(np.isfinite(c)):
-        raise InvalidRatio(f"quartic coefficients are not finite at Q = {Q}")
+        raise ValidationError(f"quartic coefficients are not finite at Q = {Q}")
     if lead == 0:
-        raise DegenerateLeadingCoefficient(f"leading coefficient 1/Q^3 is zero at Q = {Q}")
+        raise ValidationError(f"leading coefficient 1/Q^3 is zero at Q = {Q}")
     return c
 
 
@@ -314,7 +307,7 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     coeffs : (m, 5) complex array, finite; ``coeffs[i, 0]`` must be nonzero
-        (``DegenerateLeadingCoefficient`` otherwise).
+        (``ValidationError`` otherwise).
 
     Returns
     -------
@@ -327,7 +320,7 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
         raise ValueError("coeffs must be finite")
     if not c[:, 0].all():
         row = int(np.argmin(c[:, 0] != 0))
-        raise DegenerateLeadingCoefficient(f"leading coefficient of row {row} is zero")
+        raise ValidationError(f"leading coefficient of row {row} is zero")
     a = c[:, 1:] / c[:, :1]  # monic: x^4 + a0 x^3 + a1 x^2 + a2 x + a3
     # x = 2^e t with 2^e ~ max_j |a_j|^(1/(j+1)), the size of the largest root
     e = np.frexp(np.max(np.abs(a) ** (1.0 / np.arange(1, 5)), axis=1))[1][:, None]
@@ -372,7 +365,7 @@ def _gated(z, coeffs, roots, picks, d, checked) -> np.ndarray:
     G = roots[at, picks]
     if not np.isfinite(G).all():
         x = float(z[np.argmin(np.isfinite(G))].real)
-        raise NoConvergence(f"non-finite root at x = {x}")
+        raise NumericalError(f"non-finite root at x = {x}")
 
     d[at, picks] = np.inf
     second = np.argmin(d, axis=1)
@@ -384,9 +377,9 @@ def _gated(z, coeffs, roots, picks, d, checked) -> np.ndarray:
 
     res = _residuals(coeffs, (z * G)[:, None]).max()
     if not res <= _RESIDUAL_TOL:
-        raise NoConvergence(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
+        raise NumericalError(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
     if not G.imag.min() >= -_IM_CLAMP:
-        raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
+        raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
 
 
@@ -454,7 +447,7 @@ def green_function(z, Q: float, previous: complex | None = None):
 def lagged_point_mass(Q: float) -> float:
     """Mass of the atom at zero: 1 - Q for Q < 1 (rank deficiency), else 0."""
     if not Q > 0:
-        raise InvalidRatio(f"Q must be positive, got {Q}")
+        raise ValidationError(f"Q must be positive, got {Q}")
     return max(0.0, 1.0 - Q)
 
 
@@ -481,8 +474,8 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
     # anything is allocated: L grows as Q^(-1/2), and Q = 1e-20 would ask for TiB
     count = 2 * (240 + 64 + max(0, math.ceil((L - geo_hi) / outer_step))) + 1
     if count > _MAX_GRID_POINTS:
-        raise InvalidRatio(f"Q = {Q} needs a default grid of {count} points, "
-                           f"more than {_MAX_GRID_POINTS}")
+        raise ValidationError(f"Q = {Q} needs a default grid of {count} points, "
+                              f"more than {_MAX_GRID_POINTS}")
     core = np.arange(0.0, core_hw, eps / 4.0)
     geo = np.geomspace(core_hw, geo_hi, 64)
     outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)
@@ -536,11 +529,11 @@ def lagged_density_symmetric(cfg: GreenSolveConfig) -> DensityCurve:
 
 
 def require_unit_mass(curve: DensityCurve, what: str) -> None:
-    """Raise ``NotNormalized``, naming ``what``, when the curve-plus-atom mass
+    """Raise ``ValidationError``, naming ``what``, when the curve-plus-atom mass
     misses 1 by more than 0.02."""
     mass = curve.total_mass()
     if abs(mass - 1.0) > _MASS_TOL:
-        raise NotNormalized(f"{what} has mass {mass:.4f}, more than {_MASS_TOL} from 1")
+        raise ValidationError(f"{what} has mass {mass:.4f}, more than {_MASS_TOL} from 1")
 
 
 def project_density(rho_s: DensityCurve) -> DensityCurve:

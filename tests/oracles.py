@@ -23,10 +23,8 @@ from rmtspec import theory
 from rmtspec.curves import union_grid
 from rmtspec.errors import (
     BranchAmbiguity,
-    InvalidRatio,
-    NegativeDensity,
-    NoConvergence,
-    TruncatedPayload,
+    NumericalError,
+    ValidationError,
     ZeroVarianceRow,
 )
 from rmtspec.fileio import _HEADER, DTYPE_F32_REAL, DTYPE_I16_REAL, CaptureHeader
@@ -225,16 +223,16 @@ def reference_track(z, Q, previous=None):
             ambiguous.append(i)
     for i in range(len(z)):
         if not np.isfinite(G[i]):
-            raise NoConvergence(f"non-finite root at x = {float(z[i].real)}")
+            raise NumericalError(f"non-finite root at x = {float(z[i].real)}")
     if ambiguous:
         raise BranchAmbiguity(float(z[ambiguous[0]].real),
                               f"two roots within {theory._AMBIGUITY_TOL} of the previous value")
     res = theory._residuals(coeffs, (z * G)[:, None]).max()
     tol = theory._RESIDUAL_TOL
     if not res <= tol:
-        raise NoConvergence(f"relative residual {res:.3e} above {tol}")
+        raise NumericalError(f"relative residual {res:.3e} above {tol}")
     if not G.imag.min() >= -theory._IM_CLAMP:
-        raise NegativeDensity(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
+        raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
 
 
@@ -254,8 +252,8 @@ def loop_default_grid(Q, eps):
     outer_step = min(0.01, L / 1200.0)
     count = 2 * (240 + 64 + max(0, math.ceil((L - geo_hi) / outer_step))) + 1
     if count > theory._MAX_GRID_POINTS:
-        raise InvalidRatio(f"Q = {Q} needs a default grid of {count} points, "
-                           f"more than {theory._MAX_GRID_POINTS}")
+        raise ValidationError(f"Q = {Q} needs a default grid of {count} points, "
+                              f"more than {theory._MAX_GRID_POINTS}")
     core = np.arange(0.0, core_hw, eps / 4.0)
     geo = np.geomspace(core_hw, geo_hi, 64)
     outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)
@@ -318,7 +316,7 @@ def reference_read_capture(path):
     body = raw[_HEADER.size:]
     expected = header.payload_bytes()
     if len(body) < expected:
-        raise TruncatedPayload(f"payload is {len(body)} bytes, header promises {expected}")
+        raise ValidationError(f"payload is {len(body)} bytes, header promises {expected}")
     body = body[:expected]
     rows, cols = header.rows, header.cols
     if header.dtype == DTYPE_F32_REAL:

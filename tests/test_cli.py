@@ -1,10 +1,17 @@
+import contextlib
+import io
 import os
+import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rmtspec
 from rmtspec import DensityCurve, l1_distance, read_density_csv, write_density_csv
@@ -57,6 +64,70 @@ CONTRACT_CASES = {
     "ncofdm-n-fft-not-power-of-two": (["generate", "--signal", "ncofdm", "--rows", "4",
                                        "--cols", "4", "--n-fft", "1000", "--occupied", "1:5"],
                                       {}),
+}
+
+
+_RMTC_HEADER = struct.Struct("<4sHHII16s")
+
+
+def _rmtc(payload, magic=b"RMTC", version=1, dtype=0, rows=4, cols=8):
+    """A capture file's bytes: the 32-byte header, then ``payload``."""
+    return _RMTC_HEADER.pack(magic, version, dtype, rows, cols, bytes(16)) + payload
+
+
+_SAMPLES = np.random.default_rng(0).standard_normal((4, 8)).astype("<f4")
+_CONSTANT_ROW = _SAMPLES.copy()
+_CONSTANT_ROW[0] = 1.0
+_NAN_SAMPLE = _SAMPLES.copy()
+_NAN_SAMPLE[2, 3] = np.nan
+_COV = ["analyze", "cov", "-i", "{cap}"]
+_GOOD = {"cap": _rmtc(_SAMPLES.tobytes())}
+
+# one refusal per kind reachable from argv: argv (without -o), capture bytes,
+# the exit code and the whole last line of stderr
+REFUSALS = {
+    "zero-variance-row": (_COV, {"cap": _rmtc(_CONSTANT_ROW.tobytes())}, 1,
+                          "row 0 has zero sample variance, cannot standardize"),
+    "bad-magic": (_COV, {"cap": _rmtc(_SAMPLES.tobytes(), magic=b"XXXX")}, 1,
+                  "bad magic b'XXXX'"),
+    "version-2": (_COV, {"cap": _rmtc(_SAMPLES.tobytes(), version=2)}, 1,
+                  "version 2 not supported"),
+    "dtype-7": (_COV, {"cap": _rmtc(_SAMPLES.tobytes(), dtype=7)}, 1,
+                "dtype code 7 not supported"),
+    "short-header": (_COV, {"cap": b"RMTC"}, 1, "file shorter than the 32-byte header"),
+    "truncated-payload": (_COV, {"cap": _rmtc(_SAMPLES.tobytes()[:100])}, 1,
+                          "payload is 100 bytes, header promises 128"),
+    "nan-payload": (_COV, {"cap": _rmtc(_NAN_SAMPLE.tobytes())}, 1,
+                    "data matrix contains non-finite entries"),
+    "zero-rows": (_COV, {"cap": _rmtc(b"", rows=0)}, 1,
+                  "expected a 2-d matrix, got shape (0, 8)"),
+    "one-row": (_COV, {"cap": _rmtc(_SAMPLES[:1].tobytes(), rows=1)}, 1,
+                "fewer than 2 nonzero eigenvalues"),
+    "lagged-tau-8-of-8": (["analyze", "lagged", "-i", "{cap}", "--tau", "8"], _GOOD, 1,
+                          "tau=8 outside [0, 7]"),
+    "cov-bins-0": (_COV + ["--bins", "0"], _GOOD, 1, "bins must be >= 1, got 0"),
+    "cov-bandwidth-0": (_COV + ["--bandwidth", "0"], _GOOD, 1,
+                        "bandwidth must be finite and positive, got 0.0"),
+    "mp-c-negative": (["theory", "mp", "--c", "-1"], {}, 1,
+                      "dimension ratio must be positive and finite, got -1.0"),
+    "lagged-q-negative": (["theory", "lagged", "--q", "-1"], {}, 1,
+                          "Q must be positive and finite, got -1.0"),
+    "lagged-q-grid-too-large": (["theory", "lagged", "--q", "1e-20"], {}, 1,
+                                "Q = 1e-20 needs a default grid of 5289158724089 points, "
+                                "more than 1000000"),
+    "lagged-q-huge": (["theory", "lagged", "--q", "1e300"], {}, 1,
+                      "leading coefficient 1/Q^3 is zero at Q = 1e+300"),
+    "lagged-mass": (["theory", "lagged", "--q", "0.1", "--epsilon", "1"], {}, 1,
+                    "the Q=0.1, epsilon=1 curve has mass 0.9777, more than 0.02 from 1"),
+    "narrowband-carrier-0.49": (_NARROWBAND + ["--carrier", "0.49"], {}, 1,
+                                "carrier + band/2 reaches the Nyquist edge"),
+    "ncofdm-empty-occupied": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
+                               "--occupied", "5:4"], {}, 1,
+                              "occupied subcarrier set is empty"),
+    "ncofdm-n-fft-1000": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
+                           "--n-fft", "1000"], {}, 1, "n_fft=1000 is not a power of two"),
+    "generate-rows-0": (["generate", "--signal", "wgn", "--rows", "0", "--cols", "4"], {}, 1,
+                        "rows and cols must be >= 1"),
 }
 
 
@@ -243,6 +314,78 @@ class TestInputContract:
         _assert_refused(rc, capsys.readouterr().err, out)
 
 
+
+class TestRefusals:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_exit_code_and_message(self, name, tmp_path, capsys):
+        argv, files, code, message = REFUSALS[name]
+        paths = {}
+        for key, raw in files.items():
+            paths[key] = tmp_path / f"{key}.rmtc"
+            paths[key].write_bytes(raw)
+        out = tmp_path / "out"
+        assert run_cli([a.format(**paths) for a in argv] + ["-o", str(out)]) == code
+        err = capsys.readouterr().err
+        _assert_refused(code, err, out)
+        assert err.splitlines()[-1] == f"error: {message}"
+
+
+def _csv_values(path):
+    """Every data row of a CSV the CLI wrote, as floats; the header row and
+    ``#`` lines are skipped, and each row must have the header's width."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
+    width = len(lines[0].split(","))
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    assert rows and all(len(r) == width for r in rows), path
+    return np.array(rows)
+
+
+_ANALYSES = (["analyze", "cov"], ["analyze", "cov", "--no-standardize"],
+             ["analyze", "lagged", "--tau", "1"])
+
+
+@st.composite
+def _captures(draw):
+    """Small capture files: any dtype code, up to 6 x 8, random payload bytes
+    of the promised length or a little shorter or longer."""
+    dtype = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2**16 - 1)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    size = rows * cols * {0: 4, 1: 8, 2: 2}.get(dtype, 4)
+    size = max(0, size + draw(st.sampled_from([0, 0, 0, 0, -1, 3])))
+    payload = draw(st.binary(min_size=size, max_size=size))
+    return _rmtc(payload, dtype=dtype, rows=rows, cols=cols)
+
+
+class TestCaptureContract:
+    """Whatever a capture holds, each analysis ends in exit 0, 1 or 2 with no
+    warning and nothing escaping ``run_cli``: a refusal is one ``error:``
+    line, and a success writes only finite numbers."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=_captures())
+    def test_any_capture(self, raw):
+        with tempfile.TemporaryDirectory() as d:
+            cap = Path(d) / "c.rmtc"
+            cap.write_bytes(raw)
+            for analysis in _ANALYSES:
+                out = Path(d) / "out.csv"
+                err = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    rc = run_cli([*analysis, "-i", str(cap), "-o", str(out)])
+                if rc:
+                    assert rc in (1, 2)
+                    _assert_refused(rc, err.getvalue(), out)
+                    continue
+                assert err.getvalue() == ""
+                written = sorted(Path(d).glob("out*.csv"))
+                assert out in written
+                for path in written:
+                    assert np.isfinite(_csv_values(path)).all(), path
+                    path.unlink()
+
 class TestPipelines:
     def test_wgn_cov_against_mp(self, tmp_path):
         cap = tmp_path / "cap.rmtc"
@@ -405,6 +548,20 @@ class TestExitCodes:
             outs[tag] = read_density_csv(str(dens))["kde"].point_mass_at_zero
         assert outs["raw"] == pytest.approx(192 / 256)
         assert outs["std"] == pytest.approx(193 / 256)
+
+    def test_signaling_nan_is_refused_without_a_warning(self, tmp_path, capsys):
+        # the f32 -> f64 staging cast of a signaling NaN raises numpy's
+        # "invalid value" flag; the matrix check refuses the value just after
+        cap = tmp_path / "snan.rmtc"
+        cap.write_bytes(_rmtc(struct.pack("<4I", 0x7FA00000, 0, 0, 0), rows=2, cols=2))
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["analyze", "cov", "-i", str(cap), "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        _assert_refused(rc, err, out)
+        assert err == "error: data matrix contains non-finite entries\n"
 
     def test_overflowing_capture_header_refused(self, tmp_path, capsys):
         cap = tmp_path / "huge.rmtc"

@@ -16,14 +16,7 @@ from rmtspec import (
     sample_covariance,
     standardize_rows,
 )
-from rmtspec.errors import (
-    LagOutOfRange,
-    NonFiniteData,
-    NotStandardized,
-    NotSymmetric,
-    ZeroVarianceRow,
-    DimensionMismatch,
-)
+from rmtspec.errors import NumericalError, ValidationError, ZeroVarianceRow
 from rmtspec import linalg
 
 from oracles import (
@@ -160,19 +153,29 @@ class TestLaggedCorrelation:
             np.testing.assert_allclose(C, a @ D @ a.T / 12, atol=1e-13)
 
     def test_requires_standardized(self, rng):
-        with pytest.raises(NotStandardized):
+        with pytest.raises(ValidationError,
+                           match="^lagged_correlation requires a standardized matrix$"):
             lagged_correlation(DataMatrix(rng.standard_normal((3, 10))), 1)
 
     def test_lag_out_of_range(self, rng):
         X = standardize_rows(DataMatrix(rng.standard_normal((3, 10))))
         for tau in (10, -1):
-            with pytest.raises(LagOutOfRange):
+            message = rf"^tau={tau} outside \[0, 9\]$"
+            with pytest.raises(ValidationError, match=message):
                 lagged_correlation(X, tau)
-            with pytest.raises(LagOutOfRange):
+            with pytest.raises(ValidationError, match=message):
                 LaggedMatrix(X.entries, tau)
 
 
 class TestEigvals:
+    def test_lapack_failure_is_a_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
+            eigvals_general(np.eye(3))
+
     def test_diagonal(self):
         s = eigvals_symmetric(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(s.values, [1, 2, 3], atol=1e-14)
@@ -188,11 +191,14 @@ class TestEigvals:
         assert abs(s.values.sum() - np.trace(M)) <= 1e-8 * max(1, abs(np.trace(M)))
 
     def test_rejects_asymmetric(self, rng):
-        with pytest.raises(NotSymmetric):
+        asymmetric = r"^asymmetry \S+ exceeds 1e-10 \* \S+$"
+        with pytest.raises(ValidationError, match=asymmetric):
             eigvals_symmetric(rng.standard_normal((4, 4)))
         # a matrix object other than a covariance is scanned like an array
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ValidationError, match=asymmetric):
             eigvals_symmetric(LaggedMatrix(rng.standard_normal((4, 8)), 1))
+        with pytest.raises(ValidationError, match=r"^matrix of shape \(2, 3\) is not square$"):
+            eigvals_symmetric(np.zeros((2, 3)))
 
     def test_entries_formed_from_data_skip_the_symmetry_scan(self, rng, monkeypatch):
         import rmtspec.linalg as linalg
@@ -246,18 +252,18 @@ class TestEigvals:
 class TestTypes:
     @pytest.mark.filterwarnings("error")
     def test_data_matrix_rejects_nan(self):
-        with pytest.raises(NonFiniteData):
+        with pytest.raises(ValidationError, match="^data matrix contains non-finite entries$"):
             DataMatrix(np.array([[1.0, np.nan]]))
         for bad in (np.nan, np.inf, -np.inf):
             for i, j in ((0, 0), (1, 2), (2, 1)):
                 a = np.arange(12.0).reshape(3, 4)
                 a[i, j] = bad
-                with pytest.raises(NonFiniteData,
+                with pytest.raises(ValidationError,
                                    match="^data matrix contains non-finite entries$"):
                     DataMatrix(a)
 
     def test_data_matrix_rejects_non_2d(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^expected a 2-d matrix, got shape \(3,\)$"):
             DataMatrix(np.zeros(3))
 
     def test_complex_spectrum_sorted(self):

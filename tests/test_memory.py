@@ -1,8 +1,9 @@
 """Peak memory of the full-rank path's layers, measured with ``tracemalloc``
 (numpy reports its data allocations to it): reading a capture holds little
 more than the matrix it returns, standardizing little more than the one new
-matrix, checking a data matrix for non-finite entries nothing of its size, and
-the kernel density estimate a few small chunks."""
+matrix, checking a data matrix, a sample stream or a capture payload for
+non-finite entries nothing of its size, and the kernel density estimate a few
+small chunks."""
 
 import struct
 import tracemalloc
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmtspec import DataMatrix, read_capture, standardize_rows
+from rmtspec import DataMatrix, SampleStream, read_capture, standardize_rows, write_capture
 from rmtspec.estimation import kde_eval
 from rmtspec.fileio import DTYPE_F32_COMPLEX
 
@@ -60,6 +61,20 @@ def test_data_matrix_finite_check_builds_no_mask():
     assert X.entries is a
     assert peak < 1 * _MB
 
+
+def test_sample_stream_finite_check_builds_no_mask():
+    # 1024 x 4096 complex samples: a full-length bool mask alone would be 4 MiB
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(1024 * 4096) + 1j * rng.standard_normal(1024 * 4096)
+    s, peak = _peak(SampleStream, z)
+    assert s.samples is z
+    assert peak < 1 * _MB
+
+
+def test_write_capture_holds_only_the_f32_payload(tmp_path):
+    a = np.random.default_rng(4).standard_normal((1024, 4096))
+    _, peak = _peak(write_capture, str(tmp_path / "c.rmtc"), a)
+    assert peak < a.size * 4 + 1 * _MB
 
 def test_kde_eval_chunks_are_small():
     rng = np.random.default_rng(1)

@@ -13,12 +13,7 @@ from rmtspec import (
     occupied_from_ranges,
     spectrogram_matrix,
 )
-from rmtspec.errors import (
-    AliasingConfig,
-    EmptyOccupiedSet,
-    InsufficientSamples,
-    NonPowerOfTwoLength,
-)
+from rmtspec.errors import ValidationError
 
 
 class TestWgn:
@@ -73,8 +68,10 @@ class TestNarrowband:
         assert abs(r4) > 0.5
 
     def test_aliasing_guard(self):
-        with pytest.raises(AliasingConfig):
+        with pytest.raises(ValidationError, match=r"^carrier \+ band/2 reaches the Nyquist edge$"):
             NarrowbandSpec(seed=0, length=8, carrier_norm=0.45, band_norm=0.2)
+        with pytest.raises(ValidationError, match=r"^carrier 0.6 outside \(0, 0.5\)$"):
+            NarrowbandSpec(seed=0, length=8, carrier_norm=0.6)
 
     @pytest.mark.parametrize("band", [0.0, -3.0, float("nan"), float("inf")])
     def test_band_must_be_finite_positive(self, band):
@@ -119,7 +116,7 @@ class TestNcofdm:
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_empty_occupied(self):
-        with pytest.raises(EmptyOccupiedSet):
+        with pytest.raises(ValidationError, match="^occupied subcarrier set is empty$"):
             NcofdmSpec(seed=0, occupied=np.array([], dtype=int))
 
     def test_frame_energy_is_occupied_count(self):
@@ -131,7 +128,7 @@ class TestNcofdm:
 
     @pytest.mark.parametrize("n_fft", [1, 12, 1000])
     def test_n_fft_not_power_of_two(self, n_fft):
-        with pytest.raises(NonPowerOfTwoLength):
+        with pytest.raises(ValidationError, match=f"^n_fft={n_fft} is not a power of two$"):
             NcofdmSpec(seed=0, n_fft=n_fft, occupied=np.array([0]))
 
 
@@ -168,6 +165,24 @@ class TestAwgn:
         np.testing.assert_array_equal(a.samples, b.samples)
 
 
+class TestSampleStream:
+    @pytest.mark.parametrize("dtype, bad", [
+        *((d, v) for d in (np.float32, np.float64) for v in (np.nan, np.inf, -np.inf)),
+        *((d, v) for d in (np.complex64, np.complex128)
+          for v in (np.nan, np.inf, -np.inf, 1j * np.nan, -1j * np.inf)),
+    ])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_refuses_non_finite(self, dtype, bad, step):
+        x = np.arange(30).astype(dtype)
+        x[12] = bad
+        with pytest.raises(ValueError, match="^stream contains non-finite samples$"):
+            SampleStream(x[::step])
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32, np.complex64, np.complex128])
+    def test_accepts_finite_and_empty(self, dtype):
+        for x in (np.arange(30).astype(dtype)[::3], np.zeros(0, dtype)):
+            assert SampleStream(x).samples is x
+
 class TestFraming:
     def test_spectrogram_orientation(self):
         spec = NcofdmSpec(seed=11)
@@ -188,7 +203,7 @@ class TestFraming:
                                    np.linalg.norm(x.reshape(4, 256), axis=1), rtol=1e-12)
 
     def test_spectrogram_insufficient(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(ValidationError, match="^need at least 8 samples, stream has 5$"):
             spectrogram_matrix(SampleStream(np.zeros(5, dtype=complex)), 8)
 
     @pytest.mark.parametrize("delay", [0, 3])

@@ -19,13 +19,7 @@ from rmtspec import (
     project_density,
 )
 from rmtspec.cli import run_cli
-from rmtspec.errors import (
-    BranchAmbiguity,
-    DegenerateLeadingCoefficient,
-    InvalidRatio,
-    NotNormalized,
-    RmtError,
-)
+from rmtspec.errors import BranchAmbiguity, NumericalError, RmtError, ValidationError
 
 from oracles import (
     greedy_pairing_residual,
@@ -56,12 +50,14 @@ class TestQuarticCoeffs:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid(self):
-        with pytest.raises(InvalidRatio):
+        with pytest.raises(ValidationError, match="^Q must be positive, got 0.0$"):
             green_quartic_coeffs(1.0, 0.0)
         # extreme Q: overflowing coefficients, or 1/Q^3 flushed to 0
-        with pytest.raises(InvalidRatio):
+        with pytest.raises(ValidationError,
+                           match="^quartic coefficients are not finite at Q = 1e-300$"):
             green_quartic_coeffs(1.0 - 1e-3j, 1e-300)
-        with pytest.raises(DegenerateLeadingCoefficient):
+        with pytest.raises(ValidationError,
+                           match=r"^leading coefficient 1/Q\^3 is zero at Q = 1e\+300$"):
             green_quartic_coeffs(1.0 - 1e-3j, 1e300)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -115,7 +111,7 @@ class TestSolveQuartic:
         assert list(roots.real) == sorted(roots.real)
 
     def test_degenerate_leading(self):
-        with pytest.raises(DegenerateLeadingCoefficient, match="row 1"):
+        with pytest.raises(ValidationError, match="^leading coefficient of row 1 is zero$"):
             theory.quartic_roots_batch([[1, 0, 0, 0, -1], [0, 1, 2, 3, 4]])
 
 
@@ -191,6 +187,13 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _gate(outcome):
+    """The error type of a refusal and its message's first two words, which
+    name the gate ("non-finite root", "relative residual", "Im G", "ambiguous
+    physical")."""
+    return outcome[0], " ".join(outcome[1].split()[:2])
+
+
 def _assert_same_outcome(got, want):
     assert got[0] == want[0], (got, want)
     if got[0] == "ok":  # bit for bit, signed zeros included
@@ -234,7 +237,14 @@ class TestGreenFunctionBatch:
         if all(status == "ok" for status, _ in singles):
             _assert_same_outcome(got, ("ok", np.array([g for _, g in singles])))
         else:  # one failing point refuses the call, with a gate one of them failed
-            assert got[0] in {status for status, _ in singles}
+            assert got[0] != "ok"
+            assert _gate(got) in {_gate(o) for o in singles if o[0] != "ok"}
+
+    @pytest.mark.parametrize("x", [1e-320, 5e-324])
+    def test_overflowing_root_is_a_numerical_error(self, x):
+        # w/z overflows when |z| is near the smallest double
+        with pytest.raises(NumericalError, match=f"^non-finite root at x = {x}$"):
+            green_function(complex(x, -x), 1.0)
 
     def test_scalar_in_complex_out(self):
         for z in (1.0 - 1e-3j, np.complex128(1.0 - 1e-3j), np.array(1.0 - 1e-3j)):
@@ -489,7 +499,7 @@ class TestLaggedDensity:
 
     @pytest.mark.parametrize("Q", [0.0, -1.0, np.inf, np.nan])
     def test_config_rejects_invalid_q(self, Q):
-        with pytest.raises(InvalidRatio):
+        with pytest.raises(ValidationError, match=f"^Q must be positive and finite, got {Q}$"):
             GreenSolveConfig(Q=Q)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan, 5e-324, 1e-310])
@@ -542,5 +552,6 @@ class TestProjectDensity:
 
     def test_rejects_unnormalized(self):
         xs = np.linspace(-1.0, 1.0, 101)
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValidationError,
+                           match="^input curve has mass 4.0000, more than 0.02 from 1$"):
             project_density(DensityCurve(xs, np.full_like(xs, 2.0)))

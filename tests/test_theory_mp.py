@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmtspec import mp_cdf, mp_density, mp_params
-from rmtspec.errors import InvalidRatio
+from rmtspec.errors import ValidationError
 
 from oracles import mp_cdf_quad
 
@@ -27,7 +27,8 @@ class TestMpParams:
 
     def test_invalid_ratio(self):
         for c in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(InvalidRatio):
+            with pytest.raises(ValidationError,
+                               match=f"^dimension ratio must be positive and finite, got {c}$"):
                 mp_params(c)
 
 
