@@ -53,7 +53,6 @@ from .theory import (
     green_quartic_coeffs,
     green_scan,
     lagged_density_symmetric,
-    lagged_point_mass,
     mp_cdf,
     mp_density,
     mp_params,

@@ -10,12 +10,26 @@ the first time ``entries`` is read. When n < p their eigenvalues are solved on
 the small side, which never builds it: AB and BA share their nonzero
 eigenvalues, so an n x n eigensolve plus p - n exact zeros gives the whole
 spectrum.
+
+An eigensolve of order at most 128 (the small side, or a dense matrix that
+small) runs on one OpenBLAS thread, together with the product that forms its
+matrix. At that size a second thread saves no wall time, and once woken it
+keeps spinning after the call, about doubling the process's CPU time. The
+count is lowered only while the solve runs and only when it is above 1, so a
+lower count set by ``RMT_THREADS`` or ``OPENBLAS_NUM_THREADS`` is never
+raised; larger solves keep the pool. The count is process-wide: BLAS called
+from another Python thread during a small solve runs on one thread too. With
+a BLAS other than numpy's vendored OpenBLAS nothing is changed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +49,9 @@ __all__ = [
 ]
 
 _STD_CHUNK_BYTES = 1 << 22  # bytes of each row chunk of standardize_rows' std pass
+# largest eigensolve order run on one BLAS thread; at p = 2048 one thread is as
+# fast at 128 and slower in wall time from 256 on
+_ONE_THREAD_MAX_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -79,7 +96,7 @@ class CovarianceMatrix:
 
 class LaggedMatrix:
     """Lag-tau correlation matrix ``a[:, :T-tau] a[:, tau:]^T / T`` of the
-    p x T array ``data``, symmetrized at tau = 0; non-symmetric for tau > 0.
+    p x T array ``data``, exactly symmetric at tau = 0; non-symmetric for tau > 0.
 
     The p x p ``entries`` is formed the first time it is read.
     """
@@ -169,23 +186,25 @@ def eigvals_symmetric(A) -> RealSpectrum:
 
     A ``CovarianceMatrix`` is solved from its p x n data: when n < p as
     ``eigvalsh(a^T a / n)`` plus p - n exact zeros, without forming the
-    p x p matrix, otherwise from its formed ``entries``, symmetric by
-    construction and not scanned again. A raw array is checked for symmetry
-    and solved dense. The eigenvalue sum is checked against the trace.
+    p x p matrix, otherwise from its formed ``entries``; both are symmetric
+    by construction and not scanned. A raw array is checked for symmetry and
+    solved dense. The eigenvalue sum is checked against the trace. A solve of
+    order at most 128 runs on one BLAS thread, with the product that forms it.
     """
     if isinstance(A, CovarianceMatrix) and A.data.shape[1] < A.data.shape[0]:
         d = A.data
         p, n = d.shape
-        small = d.T @ d / n
-        _require_symmetric(small)
-        w = np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(small)])
+        with _one_blas_thread_up_to(n):
+            w = np.linalg.eigvalsh(d.T @ d / n)
+        w = np.concatenate([np.zeros(p - n), w])
         # ||a||_F^2 / n, taken from the data rather than the matrix solved
         trace = float(np.einsum("ij,ij->", d, d)) / n
     else:
-        a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
-        if not isinstance(A, CovarianceMatrix):
-            _require_symmetric(a)
-        w = np.linalg.eigvalsh(a)
+        with _one_blas_thread_up_to(_order(A)):
+            a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
+            if not isinstance(A, CovarianceMatrix):
+                _require_symmetric(a)
+            w = np.linalg.eigvalsh(a)
         trace = float(np.trace(a))
     return RealSpectrum(values=w, matrix_trace=trace)
 
@@ -196,28 +215,72 @@ def eigvals_general(C) -> ComplexSpectrum:
     A ``LaggedMatrix`` is solved from its p x T data: when m = T - tau < p
     as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros,
     without forming the p x p matrix, otherwise from its formed ``entries``.
-    A raw array is solved dense.
+    A raw array is solved dense. A solve of order at most 128 runs on one
+    BLAS thread, with the product that forms it.
     """
-    zeros = 0
-    if isinstance(C, LaggedMatrix) and C.data.shape[1] - C.tau < C.data.shape[0]:
-        d, tau = C.data, C.tau
-        p, T = d.shape
-        m = T - tau
-        a = d[:, tau:].T @ d[:, :m] / T
-        zeros = p - m
-    else:
-        a = np.asarray(getattr(C, "entries", C))
-    try:
-        w = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(str(exc)) from exc
+    small = isinstance(C, LaggedMatrix) and C.data.shape[1] - C.tau < C.data.shape[0]
+    order = C.data.shape[1] - C.tau if small else _order(C)
+    with _one_blas_thread_up_to(order):
+        if small:
+            d, tau = C.data, C.tau
+            a = d[:, tau:].T @ d[:, :order] / d.shape[1]
+        else:
+            a = np.asarray(getattr(C, "entries", C))
+        try:
+            w = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(str(exc)) from exc
+    zeros = C.data.shape[0] - order if small else 0
     return ComplexSpectrum(values=np.concatenate([np.zeros(zeros), w]))
 
 
+def _order(M) -> int:
+    """Order of the dense solve of ``M``: p for a matrix built from p x n data."""
+    if isinstance(M, (CovarianceMatrix, LaggedMatrix)):
+        return M.data.shape[0]
+    shape = np.shape(getattr(M, "entries", M))
+    return shape[0] if shape else 0
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's vendored OpenBLAS, or None
+    when numpy has not loaded one (another BLAS)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread_up_to(order: int):
+    """Run the block on one OpenBLAS thread when ``order`` <= 128.
+
+    Lowers the process-wide count only, never raises it, and restores it on
+    exit, also when the block raises. No lock: a thread lowers the count only
+    when it reads one above 1 and then restores what it read, so concurrent
+    solves cannot leave it at 1; one may run on the pool if another restores
+    first.
+    """
+    blas = _openblas() if order <= _ONE_THREAD_MAX_ORDER else None
+    before = blas[0]() if blas else 1
+    if before > 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if before > 1:
+            blas[1](before)
+
+
 def _gram(a: np.ndarray) -> np.ndarray:
-    """Symmetrized a a^T / n of a p x n array."""
-    g = (a @ a.T) / a.shape[1]
-    return 0.5 * (g + g.T)
+    """a a^T / n of a p x n array, exactly symmetric: BLAS forms a a^T as a
+    rank-k update that computes one triangle and mirrors it."""
+    return (a @ a.T) / a.shape[1]
 
 
 def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:

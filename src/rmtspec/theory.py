@@ -41,7 +41,6 @@ __all__ = [
     "green_quartic_coeffs",
     "quartic_roots_batch",
     "green_function",
-    "lagged_point_mass",
     "green_scan",
     "lagged_density_symmetric",
     "require_unit_mass",
@@ -444,13 +443,6 @@ def green_function(z, Q: float, previous: complex | None = None):
     return complex(G[0]) if zv.ndim == 0 else G
 
 
-def lagged_point_mass(Q: float) -> float:
-    """Mass of the atom at zero: 1 - Q for Q < 1 (rank deficiency), else 0."""
-    if not Q > 0:
-        raise ValidationError(f"Q must be positive, got {Q}")
-    return max(0.0, 1.0 - Q)
-
-
 def _default_grid(Q: float, eps: float) -> np.ndarray:
     """Symmetric grid, dense near the origin so that the finite-eps
     (Lorentzian-smeared) atom and edge singularities are resolved.
@@ -516,7 +508,7 @@ def lagged_density_symmetric(cfg: GreenSolveConfig) -> DensityCurve:
     """
     xs, G = green_scan(cfg)
     eps = cfg.epsilon
-    atom = lagged_point_mass(cfg.Q)
+    atom = max(0.0, 1.0 - cfg.Q)  # the rank deficiency 1 - Q for Q < 1
     ys = G.imag / np.pi
     if atom > 0.0:
         ys = ys - atom * (eps / np.pi) / (xs * xs + eps * eps)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -212,6 +214,11 @@ class TestEigvals:
         assert calls == []
         assert np.array_equal(C.entries, C.entries.T)
         assert np.array_equal(s.values, np.linalg.eigvalsh(C.entries))
+        # nor is the n x n small-side matrix of a rank-deficient covariance
+        wide = sample_covariance(standardize_rows(DataMatrix(rng.standard_normal((40, 6)))))
+        eigvals_symmetric(wide)
+        assert calls == []
+        assert "entries" not in vars(wide)
         # the same matrix passed as a raw array is scanned
         eigvals_symmetric(C.entries)
         assert len(calls) == 1
@@ -318,8 +325,9 @@ class TestSmallSide:
         eigvals_symmetric(cov)
         assert "entries" not in vars(cov)  # the small side never builds it
         c = a @ a.T / 4
+        np.testing.assert_array_equal(cov.entries, c)
         np.testing.assert_array_equal(cov.entries, 0.5 * (c + c.T))
-        np.testing.assert_array_equal(lagged_correlation(X, 0).entries, 0.5 * (c + c.T))
+        np.testing.assert_array_equal(lagged_correlation(X, 0).entries, c)
         C1 = lagged_correlation(X, 1)
         eigvals_general(C1)
         assert "entries" not in vars(C1)
@@ -336,3 +344,137 @@ class TestSmallSide:
             tracemalloc.stop()
         # one 2048 x 2048 float64 matrix alone is 32 MiB
         assert peak < 4 * 2**20
+
+
+class TestGramSymmetry:
+    """``a @ a.T`` and ``a.T @ a`` are exactly symmetric, so neither ``_gram``
+    nor the small side symmetrizes or scans what it forms."""
+
+    @given(p=st.integers(1, 48), n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["C", "F", "strided", "reversed"]),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]))
+    @settings(max_examples=200, deadline=None)
+    def test_products_exactly_symmetric(self, p, n, seed, layout, scale):
+        base = np.random.default_rng(seed).standard_normal((2 * p + 1, 3 * n + 1)) * scale
+        a = {"C": np.ascontiguousarray(base[:p, :n]),
+             "F": np.asfortranarray(base[:p, :n]),
+             "strided": base[1::2, ::3][:p, :n],
+             "reversed": base[::-2, ::-3][:p, :n]}[layout]
+        for g in (a @ a.T, a.T @ a, linalg._gram(a)):
+            assert np.array_equal(g, g.T)
+
+    def test_capture_shapes_exactly_symmetric(self):
+        d = standardize_rows(DataMatrix(np.random.default_rng(3).standard_normal((2048, 64))))
+        for g in (linalg._gram(d.entries), d.entries.T @ d.entries / 64):
+            assert np.array_equal(g, g.T)
+
+
+def _spy(monkeypatch, name, seen, get, fail=False):
+    """Replace ``np.linalg.<name>`` with a wrapper that records the OpenBLAS
+    thread count at call time, then solves (or raises ``LinAlgError``)."""
+    solve = getattr(np.linalg, name)
+
+    def spy(a):
+        seen.append(get())
+        if fail:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+
+
+@pytest.mark.skipif(linalg._openblas() is None,
+                    reason="numpy has not loaded a vendored libscipy_openblas64_, "
+                           "so there is no OpenBLAS thread count to lower")
+class TestSmallSolveThreads:
+    """Eigensolves of order <= 128 run on one OpenBLAS thread; larger ones keep
+    the pool; the count is restored after every call."""
+
+    @pytest.fixture
+    def get(self):
+        get, set_threads = linalg._openblas()
+        before = get()
+        set_threads(2)
+        yield get
+        set_threads(before)
+
+    @pytest.fixture
+    def capture(self):
+        return standardize_rows(DataMatrix(np.random.default_rng(5).standard_normal((2048, 64))))
+
+    def test_small_sides_run_on_one_thread(self, monkeypatch, get, capture):
+        seen = []
+        _spy(monkeypatch, "eigvalsh", seen, get)
+        _spy(monkeypatch, "eigvals", seen, get)
+        eigvals_symmetric(sample_covariance(capture))
+        assert (seen, get()) == ([1], 2)
+        eigvals_general(lagged_correlation(capture, 1))
+        assert (seen, get()) == ([1, 1], 2)
+
+    def test_dense_side_of_order_at_most_128_runs_on_one_thread(self, monkeypatch, get, rng):
+        seen = []
+        _spy(monkeypatch, "eigvalsh", seen, get)
+        _spy(monkeypatch, "eigvals", seen, get)
+        X = standardize_rows(DataMatrix(rng.standard_normal((128, 400))))
+        eigvals_symmetric(sample_covariance(X))
+        eigvals_general(lagged_correlation(X, 1))
+        assert (seen, get()) == ([1, 1], 2)
+
+    def test_large_solve_keeps_the_pool(self, monkeypatch, get, rng):
+        seen = []
+        _spy(monkeypatch, "eigvalsh", seen, get)
+        eigvals_symmetric(sample_covariance(DataMatrix(rng.standard_normal((300, 400)))))
+        assert (seen, get()) == ([2], 2)
+
+    def test_count_is_never_raised(self, monkeypatch, get, capture):
+        seen = []
+        _spy(monkeypatch, "eigvalsh", seen, get)
+        linalg._openblas()[1](1)
+        eigvals_symmetric(sample_covariance(capture))
+        assert (seen, get()) == ([1], 1)
+
+    def test_concurrent_solves_restore_the_count(self, get):
+        X = standardize_rows(DataMatrix(np.random.default_rng(7).standard_normal((256, 16))))
+        errors = []
+
+        def solve():
+            try:
+                for _ in range(50):
+                    eigvals_symmetric(sample_covariance(X))
+                    eigvals_general(lagged_correlation(X, 1))
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=solve) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert (errors, get()) == ([], 2)
+
+    def test_raising_solve_restores_the_count(self, monkeypatch, get, capture):
+        seen = []
+        _spy(monkeypatch, "eigvals", seen, get, fail=True)
+        with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
+            eigvals_general(lagged_correlation(capture, 1))
+        assert (seen, get()) == ([1], 2)
+
+    def test_spectra_without_the_limit(self, monkeypatch, get, capture):
+        cov, lag = sample_covariance(capture), lagged_correlation(capture, 1)
+        limited = eigvals_symmetric(cov).values, eigvals_general(lag).values
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        pooled = eigvals_symmetric(cov).values, eigvals_general(lag).values
+        # the Gram product and eigvalsh give the same bits on any thread count
+        assert np.array_equal(limited[0], pooled[0])
+        # the 63 x 2048 x 63 lag gemm may not: on two threads, entries of the 7
+        # columns past the last 8-wide block can differ in the last bit, and
+        # eigvals carries that into the spectrum at the 1e-15 relative level
+        scale = np.abs(pooled[1]).max()
+        assert np.abs(limited[1] - pooled[1]).max() <= 1e-13 * scale
+        assert np.count_nonzero(limited[1] == 0) == np.count_nonzero(pooled[1] == 0) == 1985

@@ -15,7 +15,6 @@ from rmtspec import (
     green_scan,
     green_quartic_coeffs,
     lagged_density_symmetric,
-    lagged_point_mass,
     project_density,
 )
 from rmtspec.cli import run_cli
@@ -480,11 +479,9 @@ class TestLaggedDensity:
         sym_err = np.abs(curve.ys - curve.ys[::-1]).max()
         assert sym_err < 2e-3
 
-    def test_point_mass(self):
-        assert lagged_point_mass(0.5) == 0.5
-        assert lagged_point_mass(1.0) == 0.0
-        assert lagged_point_mass(10.0) == 0.0
-        assert lagged_density_symmetric(GreenSolveConfig(Q=0.5)).point_mass_at_zero == 0.5
+    @pytest.mark.parametrize("Q, atom", [(0.5, 0.5), (1.0, 0.0), (10.0, 0.0)])
+    def test_point_mass(self, Q, atom):
+        assert lagged_density_symmetric(GreenSolveConfig(Q=Q)).point_mass_at_zero == atom
 
     def test_eps_sweep_stabilizes(self):
         # curves converge as eps shrinks: successive differences decrease
