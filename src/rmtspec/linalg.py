@@ -11,15 +11,17 @@ the small side, which never builds it: AB and BA share their nonzero
 eigenvalues, so an n x n eigensolve plus p - n exact zeros gives the whole
 spectrum.
 
-An eigensolve of order at most 128 (the small side, or a dense matrix that
-small) runs on one OpenBLAS thread, together with the product that forms its
-matrix. At that size a second thread saves no wall time, and once woken it
-keeps spinning after the call, about doubling the process's CPU time. The
-count is lowered only while the solve runs and only when it is above 1, so a
-lower count set by ``RMT_THREADS`` or ``OPENBLAS_NUM_THREADS`` is never
-raised; larger solves keep the pool. The count is process-wide: BLAS called
-from another Python thread during a small solve runs on one thread too. With
-a BLAS other than numpy's vendored OpenBLAS nothing is changed.
+A small-side solve of order m <= 128 whose product has m * m * p <= 2**24
+multiply-adds (a 2048 x 64 capture has 8 Mi) runs on one OpenBLAS thread,
+together with that product. On a 2-vCPU host a second thread gave it no wall
+time: a 63 x 2048 x 63 lag product woke it, and it then kept spinning after
+the call, about doubling the process's CPU time. A longer product (16384 x 128,
+65536 x 64) formed faster on the pool and keeps it; dense solves keep it too.
+The count is lowered only while the solve runs and only when it is above 1, so
+a lower count set by ``RMT_THREADS`` or ``OPENBLAS_NUM_THREADS`` is never
+raised. The count is process-wide: BLAS called from another Python thread
+during a small solve runs on one thread too. With a BLAS other than numpy's
+vendored OpenBLAS nothing is changed.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ __all__ = [
 ]
 
 _STD_CHUNK_BYTES = 1 << 22  # bytes of each row chunk of standardize_rows' std pass
-# largest eigensolve order run on one BLAS thread; at p = 2048 one thread is as
-# fast at 128 and slower in wall time from 256 on
+# largest small side run on one BLAS thread: its order m (at p = 2048 one thread
+# ties at 128 and loses wall time from 256 on), and the m * m * p multiply-adds
+# of the product that forms it (the pool forms it faster from 2**25 on)
 _ONE_THREAD_MAX_ORDER = 128
+_ONE_THREAD_MAX_PRODUCT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -188,23 +192,22 @@ def eigvals_symmetric(A) -> RealSpectrum:
     ``eigvalsh(a^T a / n)`` plus p - n exact zeros, without forming the
     p x p matrix, otherwise from its formed ``entries``; both are symmetric
     by construction and not scanned. A raw array is checked for symmetry and
-    solved dense. The eigenvalue sum is checked against the trace. A solve of
-    order at most 128 runs on one BLAS thread, with the product that forms it.
+    solved dense. The eigenvalue sum is checked against the trace. A small
+    side within the limits above runs on one BLAS thread.
     """
     if isinstance(A, CovarianceMatrix) and A.data.shape[1] < A.data.shape[0]:
         d = A.data
         p, n = d.shape
-        with _one_blas_thread_up_to(n):
+        with _one_blas_thread_for(n, p):
             w = np.linalg.eigvalsh(d.T @ d / n)
         w = np.concatenate([np.zeros(p - n), w])
         # ||a||_F^2 / n, taken from the data rather than the matrix solved
         trace = float(np.einsum("ij,ij->", d, d)) / n
     else:
-        with _one_blas_thread_up_to(_order(A)):
-            a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
-            if not isinstance(A, CovarianceMatrix):
-                _require_symmetric(a)
-            w = np.linalg.eigvalsh(a)
+        a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
+        if not isinstance(A, CovarianceMatrix):
+            _require_symmetric(a)
+        w = np.linalg.eigvalsh(a)
         trace = float(np.trace(a))
     return RealSpectrum(values=w, matrix_trace=trace)
 
@@ -215,31 +218,23 @@ def eigvals_general(C) -> ComplexSpectrum:
     A ``LaggedMatrix`` is solved from its p x T data: when m = T - tau < p
     as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros,
     without forming the p x p matrix, otherwise from its formed ``entries``.
-    A raw array is solved dense. A solve of order at most 128 runs on one
-    BLAS thread, with the product that forms it.
+    A raw array is solved dense. A small side within the limits above runs
+    on one BLAS thread.
     """
-    small = isinstance(C, LaggedMatrix) and C.data.shape[1] - C.tau < C.data.shape[0]
-    order = C.data.shape[1] - C.tau if small else _order(C)
-    with _one_blas_thread_up_to(order):
-        if small:
+    zeros = 0
+    try:
+        if isinstance(C, LaggedMatrix) and C.data.shape[1] - C.tau < C.data.shape[0]:
             d, tau = C.data, C.tau
-            a = d[:, tau:].T @ d[:, :order] / d.shape[1]
+            p, T = d.shape
+            m = T - tau
+            with _one_blas_thread_for(m, p):
+                w = np.linalg.eigvals(d[:, tau:].T @ d[:, :m] / T)
+            zeros = p - m
         else:
-            a = np.asarray(getattr(C, "entries", C))
-        try:
-            w = np.linalg.eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(str(exc)) from exc
-    zeros = C.data.shape[0] - order if small else 0
+            w = np.linalg.eigvals(np.asarray(getattr(C, "entries", C)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(str(exc)) from exc
     return ComplexSpectrum(values=np.concatenate([np.zeros(zeros), w]))
-
-
-def _order(M) -> int:
-    """Order of the dense solve of ``M``: p for a matrix built from p x n data."""
-    if isinstance(M, (CovarianceMatrix, LaggedMatrix)):
-        return M.data.shape[0]
-    shape = np.shape(getattr(M, "entries", M))
-    return shape[0] if shape else 0
 
 
 @functools.cache
@@ -257,8 +252,9 @@ def _openblas():
 
 
 @contextlib.contextmanager
-def _one_blas_thread_up_to(order: int):
-    """Run the block on one OpenBLAS thread when ``order`` <= 128.
+def _one_blas_thread_for(m: int, p: int):
+    """Run the block on one OpenBLAS thread when it solves the m x m product
+    of p x m data and m <= 128, m * m * p <= 2**24.
 
     Lowers the process-wide count only, never raises it, and restores it on
     exit, also when the block raises. No lock: a thread lowers the count only
@@ -266,7 +262,8 @@ def _one_blas_thread_up_to(order: int):
     solves cannot leave it at 1; one may run on the pool if another restores
     first.
     """
-    blas = _openblas() if order <= _ONE_THREAD_MAX_ORDER else None
+    small = m <= _ONE_THREAD_MAX_ORDER and m * m * p <= _ONE_THREAD_MAX_PRODUCT
+    blas = _openblas() if small else None
     before = blas[0]() if blas else 1
     if before > 1:
         blas[1](1)

@@ -387,8 +387,9 @@ def _spy(monkeypatch, name, seen, get, fail=False):
                     reason="numpy has not loaded a vendored libscipy_openblas64_, "
                            "so there is no OpenBLAS thread count to lower")
 class TestSmallSolveThreads:
-    """Eigensolves of order <= 128 run on one OpenBLAS thread; larger ones keep
-    the pool; the count is restored after every call."""
+    """Small sides of order <= 128 whose product has <= 2**24 multiply-adds run
+    on one OpenBLAS thread; other solves keep the pool; the count is restored
+    after every call."""
 
     @pytest.fixture
     def get(self):
@@ -411,14 +412,30 @@ class TestSmallSolveThreads:
         eigvals_general(lagged_correlation(capture, 1))
         assert (seen, get()) == ([1, 1], 2)
 
-    def test_dense_side_of_order_at_most_128_runs_on_one_thread(self, monkeypatch, get, rng):
+    # counts seen by the covariance small side (order n) and the tau = 1 lag
+    # small side (order n - 1): one thread while the order is <= 128 and the
+    # order**2 * p multiply-adds of the product are <= 2**24
+    @pytest.mark.parametrize("shape, counts", [
+        ((200, 128), [1, 1]), ((200, 129), [2, 1]),
+        ((4096, 64), [1, 1]), ((4097, 64), [2, 1]), ((4228, 64), [2, 2]),
+    ])
+    def test_small_side_limits(self, monkeypatch, get, shape, counts):
         seen = []
         _spy(monkeypatch, "eigvalsh", seen, get)
         _spy(monkeypatch, "eigvals", seen, get)
-        X = standardize_rows(DataMatrix(rng.standard_normal((128, 400))))
+        X = DataMatrix(np.random.default_rng(11).standard_normal(shape), standardized=True)
         eigvals_symmetric(sample_covariance(X))
         eigvals_general(lagged_correlation(X, 1))
-        assert (seen, get()) == ([1, 1], 2)
+        assert (seen, get()) == (counts, 2)
+
+    def test_dense_sides_keep_the_pool(self, monkeypatch, get):
+        seen = []
+        _spy(monkeypatch, "eigvalsh", seen, get)
+        _spy(monkeypatch, "eigvals", seen, get)
+        X = DataMatrix(np.random.default_rng(13).standard_normal((128, 400)), standardized=True)
+        eigvals_symmetric(sample_covariance(X))
+        eigvals_general(lagged_correlation(X, 1))
+        assert (seen, get()) == ([2, 2], 2)
 
     def test_large_solve_keeps_the_pool(self, monkeypatch, get, rng):
         seen = []
