@@ -56,7 +56,6 @@ from .theory import (
     mp_cdf,
     mp_density,
     mp_params,
-    project_density,
 )
 
 __version__ = "0.1.0"

@@ -214,7 +214,8 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
     """
     atoms: dict[str, float] = {}
     header: list[str] | None = None
-    rows: list[list[float]] = []
+    lines: list[str] = []
+    linenos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -226,27 +227,52 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
                     key, val = body[len("point_mass_"):].split("=", 1)
                     atoms[key] = float(val)
                 continue
-            fields = line.split(",")
             if header is None:
+                fields = line.split(",")
                 if len(fields) < 2:
                     raise ValueError(f"{path}:{lineno}: header {line!r} names no curve column")
                 if len(set(fields)) < len(fields):
                     raise ValueError(f"{path}:{lineno}: header {line!r} repeats a label")
                 header = fields
                 continue
-            if len(fields) != len(header):
-                raise ValueError(f"{path}:{lineno}: {len(fields)} fields, "
-                                 f"header has {len(header)}")
-            try:
-                rows.append(list(map(float, fields)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if header is None or not rows:
+            lines.append(line)
+            linenos.append(lineno)
+    if header is None or not lines:
         raise ValueError(f"{path} contains no curve data")
-    data = np.asarray(rows)
+    width = len(header)
+    data = _parse_at_once(lines, width)
+    if data is None:  # find the line at fault
+        data = _parse_by_line(path, width, linenos, lines)
     xs = data[:, 0]
     out = {}
     for j, label in enumerate(header[1:], start=1):
         out[label] = DensityCurve(xs, np.clip(data[:, j], 0.0, None),
                                   point_mass_at_zero=atoms.get(label, 0.0))
     return out
+
+
+def _parse_at_once(lines: list[str], width: int) -> np.ndarray | None:
+    """The data lines as a len(lines) x width array, every field parsed in one
+    call, or None when a line has another field count or a field is not a
+    number."""
+    if any(line.count(",") != width - 1 for line in lines):
+        return None
+    try:
+        return np.array(",".join(lines).split(","), dtype=np.float64).reshape(-1, width)
+    except ValueError:
+        return None
+
+
+def _parse_by_line(path: str, width: int, linenos: list[int], lines: list[str]) -> np.ndarray:
+    """The data lines parsed one by one; ``ValueError`` names the first line
+    with a field count other than ``width`` or a field that is not a number."""
+    rows = []
+    for lineno, line in zip(linenos, lines):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: {len(fields)} fields, header has {width}")
+        try:
+            rows.append(list(map(float, fields)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return np.asarray(rows)

@@ -11,17 +11,32 @@ the small side, which never builds it: AB and BA share their nonzero
 eigenvalues, so an n x n eigensolve plus p - n exact zeros gives the whole
 spectrum.
 
+Dense eigensolves run numpy's own LAPACK routines from numpy's vendored
+OpenBLAS, stage by stage, in place on an F-ordered product this module formed
+itself (a cached ``entries`` or a raw array is copied once). The symmetric
+solve is ``dsyevd('N', 'L')``, numpy's ``eigvalsh``. The general solve is
+``dgeev``'s eigenvalue path: ``dgebal`` and ``dgehrd`` on the pool, then the
+QR iteration ``dhseqr`` on one thread. Timed on a 2-vCPU host (wall / CPU
+seconds, pool against one thread), ``dhseqr`` took 1.70 / 3.34 against
+1.79 / 1.79 at order 2048 and 0.68 / 1.32 against 0.62 / 0.62 at order 1024,
+while ``dgehrd`` gained from the pool: 1.05 against 1.83 s wall at 2048.
+Below order 75 the QR stage is ``dlahqr``, which makes no BLAS-3 call, so
+there the spectrum has ``eigvals``' bits; above, one thread may move it in the
+last bits (2.1e-14 at order 2048). A matrix whose largest |entry| lies
+outside ``dgeev``'s unscaled range [sqrt(tiny)/eps, eps/sqrt(tiny)], or that
+is not finite, is left to ``np.linalg``, as is everything with a BLAS other
+than numpy's vendored OpenBLAS.
+
 A small-side solve of order m <= 128 whose product has m * m * p <= 2**24
 multiply-adds (a 2048 x 64 capture has 8 Mi) runs on one OpenBLAS thread,
-together with that product. On a 2-vCPU host a second thread gave it no wall
-time: a 63 x 2048 x 63 lag product woke it, and it then kept spinning after
-the call, about doubling the process's CPU time. A longer product (16384 x 128,
-65536 x 64) formed faster on the pool and keeps it; dense solves keep it too.
-The count is lowered only while the solve runs and only when it is above 1, so
-a lower count set by ``RMT_THREADS`` or ``OPENBLAS_NUM_THREADS`` is never
-raised. The count is process-wide: BLAS called from another Python thread
-during a small solve runs on one thread too. With a BLAS other than numpy's
-vendored OpenBLAS nothing is changed.
+together with that product. On a 2-vCPU host at p = 2048 a second thread gave
+it no wall time: a 63 x 2048 x 63 lag product woke it, and it then kept
+spinning after the call, about doubling the process's CPU time. A longer
+product (16384 x 128, 65536 x 64) formed faster on the pool and keeps it, as
+do the other stages of dense solves. The count is lowered only while a stage
+runs and only when it is above 1, so a lower count set by ``RMT_THREADS`` or
+``OPENBLAS_NUM_THREADS`` is never raised. The count is process-wide: BLAS
+called from another Python thread meanwhile runs on one thread too.
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ import functools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +72,10 @@ _STD_CHUNK_BYTES = 1 << 22  # bytes of each row chunk of standardize_rows' std p
 # of the product that forms it (the pool forms it faster from 2**25 on)
 _ONE_THREAD_MAX_ORDER = 128
 _ONE_THREAD_MAX_PRODUCT = 1 << 24
+# dgeev scales a matrix whose largest |entry| lies outside [2**-459, 2**459]
+# (sqrt(tiny) / eps and its inverse) before it balances; the staged solve does not
+_GEEV_SMALL = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
+_GEEV_BIG = 1.0 / _GEEV_SMALL
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,10 @@ class CovarianceMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
+        return self._form()
+
+    def _form(self) -> np.ndarray:
+        """A new F-ordered p x p array of the matrix."""
         return _gram(self.data)
 
 
@@ -113,11 +137,18 @@ class LaggedMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
+        return self._form()
+
+    def _form(self) -> np.ndarray:
+        """A new F-ordered p x p array of the matrix: its transpose
+        ``a[:, tau:] a[:, :T-tau]^T / T``, formed and divided in C order."""
         a, tau = self.data, self.tau
         T = a.shape[1]
         if tau == 0:
             return _gram(a)
-        return (a[:, : T - tau] @ a[:, tau:].T) / T
+        transposed = a[:, tau:] @ a[:, : T - tau].T
+        transposed /= T
+        return transposed.T
 
 
 @dataclass(frozen=True)
@@ -190,25 +221,27 @@ def eigvals_symmetric(A) -> RealSpectrum:
 
     A ``CovarianceMatrix`` is solved from its p x n data: when n < p as
     ``eigvalsh(a^T a / n)`` plus p - n exact zeros, without forming the
-    p x p matrix, otherwise from its formed ``entries``; both are symmetric
-    by construction and not scanned. A raw array is checked for symmetry and
+    p x p matrix, otherwise from the p x p matrix; both are symmetric by
+    construction and not scanned. A raw array is checked for symmetry and
     solved dense. The eigenvalue sum is checked against the trace. A small
-    side within the limits above runs on one BLAS thread.
+    side within the limits above runs on one BLAS thread. ``NumericalError``
+    reports a solve that did not converge.
     """
     if isinstance(A, CovarianceMatrix) and A.data.shape[1] < A.data.shape[0]:
         d = A.data
         p, n = d.shape
-        with _one_blas_thread_for(n, p):
-            w = np.linalg.eigvalsh(d.T @ d / n)
+        with _one_blas_thread(_small_side(n, p)):
+            # exactly symmetric, so its transpose is the same matrix F-ordered
+            w = _eigvalsh_owned((d.T @ d / n).T)
         w = np.concatenate([np.zeros(p - n), w])
         # ||a||_F^2 / n, taken from the data rather than the matrix solved
         trace = float(np.einsum("ij,ij->", d, d)) / n
     else:
-        a = np.asarray(getattr(A, "entries", A), dtype=np.float64)
+        a = _owned(A, np.float64)
         if not isinstance(A, CovarianceMatrix):
             _require_symmetric(a)
-        w = np.linalg.eigvalsh(a)
         trace = float(np.trace(a))
+        w = _eigvalsh_owned(a)
     return RealSpectrum(values=w, matrix_trace=trace)
 
 
@@ -217,9 +250,10 @@ def eigvals_general(C) -> ComplexSpectrum:
 
     A ``LaggedMatrix`` is solved from its p x T data: when m = T - tau < p
     as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros,
-    without forming the p x p matrix, otherwise from its formed ``entries``.
-    A raw array is solved dense. A small side within the limits above runs
-    on one BLAS thread.
+    without forming the p x p matrix, otherwise from the p x p matrix. A
+    raw array is solved dense. A small side within the limits above runs on
+    one BLAS thread, and every QR stage does. ``NumericalError`` reports a
+    solve that did not converge, or a non-finite input.
     """
     zeros = 0
     try:
@@ -227,34 +261,151 @@ def eigvals_general(C) -> ComplexSpectrum:
             d, tau = C.data, C.tau
             p, T = d.shape
             m = T - tau
-            with _one_blas_thread_for(m, p):
-                w = np.linalg.eigvals(d[:, tau:].T @ d[:, :m] / T)
+            with _one_blas_thread(_small_side(m, p)):
+                w = _eigvals_owned(np.asfortranarray(d[:, tau:].T @ d[:, :m] / T))
             zeros = p - m
         else:
-            w = np.linalg.eigvals(np.asarray(getattr(C, "entries", C)))
+            w = _eigvals_owned(_owned(C))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(str(exc)) from exc
     return ComplexSpectrum(values=np.concatenate([np.zeros(zeros), w]))
 
 
+def _owned(M, dtype=None) -> np.ndarray:
+    """The matrix of ``M`` as a new F-ordered array that a solve may
+    overwrite: formed from the data of a ``CovarianceMatrix`` or
+    ``LaggedMatrix`` whose ``entries`` have not been (and not cached), else
+    copied once from ``entries`` or from ``M`` itself."""
+    if isinstance(M, (CovarianceMatrix, LaggedMatrix)) and "entries" not in vars(M):
+        return M._form()
+    return np.array(getattr(M, "entries", M), dtype=dtype, order="F")
+
+
+# arguments of each LAPACK routine called, INFO included; all by reference
+_LAPACK_ARGS = {"dsyevd": 11, "dgeev": 14, "dgebal": 8, "dgehrd": 9, "dhseqr": 14}
+
+
+class _OpenBLAS(NamedTuple):
+    """Thread count and LAPACK routines of numpy's vendored OpenBLAS."""
+
+    get_threads: Callable
+    set_threads: Callable
+    dsyevd: Callable
+    dgeev: Callable
+    dgebal: Callable
+    dgehrd: Callable
+    dhseqr: Callable
+
+
 @functools.cache
-def _openblas():
-    """(get, set) thread-count functions of numpy's vendored OpenBLAS, or None
-    when numpy has not loaded one (another BLAS)."""
+def _openblas() -> _OpenBLAS | None:
+    """Handles into numpy's vendored OpenBLAS, or None when numpy has not
+    loaded one (another BLAS)."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _LAPACK_ARGS}
+            get, set_threads = (lib.scipy_openblas_get_num_threads64_,
+                                lib.scipy_openblas_set_num_threads64_)
         except (OSError, AttributeError):
             continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        for name, routine in routines.items():
+            routine.argtypes = [ctypes.c_void_p] * _LAPACK_ARGS[name]
+            routine.restype = None
+        return _OpenBLAS(get, set_threads, **routines)
     return None
 
 
+def _lapack(routine, *args) -> int:
+    """Call a LAPACK routine of the ILP64 OpenBLAS, passing every argument by
+    reference (a bytes flag as is, an int as an int64, an array as its
+    buffer, a ctypes integer as a pointer) and a trailing INFO; returns INFO
+    when >= 0."""
+    info = ctypes.c_int64()
+    refs = [x if isinstance(x, bytes)
+            else ctypes.pointer(ctypes.c_int64(x)) if isinstance(x, int)
+            else ctypes.c_void_p(x.ctypes.data) if isinstance(x, np.ndarray)
+            else ctypes.pointer(x) for x in args]
+    routine(*refs, ctypes.pointer(info))
+    if info.value < 0:
+        raise ValueError(f"LAPACK argument {-info.value} is illegal")
+    return info.value
+
+
+def _lapack_layout(a: np.ndarray) -> bool:
+    """Whether ``a`` is what the LAPACK calls take: a non-empty, square,
+    writeable, F-ordered float64 matrix."""
+    return (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1] > 0
+            and a.flags.f_contiguous and a.flags.writeable)
+
+
+def _eigvalsh_owned(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric F-ordered float64 array ``a``,
+    whose lower triangle is overwritten: ``dsyevd('N', 'L')`` with its own
+    workspace query, numpy's ``eigvalsh`` without its copy."""
+    blas = _openblas()
+    if blas is None or not _lapack_layout(a):
+        try:
+            return np.linalg.eigvalsh(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(str(exc)) from exc
+    n = a.shape[0]
+    w, work, iwork = np.empty(n), np.empty(1), np.empty(1, np.int64)
+    _lapack(blas.dsyevd, b"N", b"L", n, a, n, w, work, -1, iwork, -1)
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), np.int64)
+    if _lapack(blas.dsyevd, b"N", b"L", n, a, n, w, work, work.size, iwork, iwork.size):
+        raise NumericalError("Eigenvalues did not converge")
+    return w
+
+
+def _eigvals_owned(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the F-ordered square array ``a``, which is overwritten.
+
+    ``dgeev('N', 'N')`` without its copy, stage by stage, with ``dgeev``'s
+    workspace split as ``dgeev`` splits it (``dgehrd``'s block size, and so
+    the bits, depend on it): ``dgebal('B')`` and ``dgehrd`` on the pool,
+    ``dhseqr('E', 'N')`` on one thread. Real eigenvalues come back as a real
+    array, as from ``eigvals``. An array in another layout, not finite, or
+    outside ``dgeev``'s unscaled range goes to ``np.linalg.eigvals``, which
+    raises ``LinAlgError`` where it refuses.
+    """
+    blas = _openblas()
+    amax = max(a.max(), -a.min()) if _lapack_layout(a) else np.nan
+    if blas is None or not (amax == 0.0 or _GEEV_SMALL <= amax <= _GEEV_BIG):
+        return np.linalg.eigvals(a)
+    n = a.shape[0]
+    wr, wi, query = np.empty(n), np.empty(n), np.empty(1)
+    _lapack(blas.dgeev, b"N", b"N", n, a, n, wr, wi, query, 1, query, 1, query, -1)
+    lwork = int(query[0])
+    work = np.empty(lwork)
+    ilo, ihi = ctypes.c_int64(), ctypes.c_int64()
+    # WORK(1:N) holds the balancing scales, WORK(N+1:2N) the reflectors' tau
+    _lapack(blas.dgebal, b"B", n, a, n, ilo, ihi, work)
+    _lapack(blas.dgehrd, n, ilo, ihi, a, n, work[n:], work[2 * n:], lwork - 2 * n)
+    with _one_blas_thread():
+        info = _lapack(blas.dhseqr, b"E", b"N", n, ilo, ihi, a, n, wr, wi, query, 1,
+                       work[n:], lwork - n)
+    if info:
+        raise NumericalError("Eigenvalues did not converge")
+    if not wi.any():
+        return wr
+    w = np.empty(n, np.complex128)
+    w.real, w.imag = wr, wi
+    return w
+
+
+def _small_side(m: int, p: int) -> bool:
+    """Whether the m x m product of p x m data is small enough to form and
+    solve on one BLAS thread: m <= 128 and m * m * p <= 2**24."""
+    return m <= _ONE_THREAD_MAX_ORDER and m * m * p <= _ONE_THREAD_MAX_PRODUCT
+
+
 @contextlib.contextmanager
-def _one_blas_thread_for(m: int, p: int):
-    """Run the block on one OpenBLAS thread when it solves the m x m product
-    of p x m data and m <= 128, m * m * p <= 2**24.
+def _one_blas_thread(lower: bool = True):
+    """Run the block on one OpenBLAS thread, if ``lower``.
 
     Lowers the process-wide count only, never raises it, and restores it on
     exit, also when the block raises. No lock: a thread lowers the count only
@@ -262,22 +413,24 @@ def _one_blas_thread_for(m: int, p: int):
     solves cannot leave it at 1; one may run on the pool if another restores
     first.
     """
-    small = m <= _ONE_THREAD_MAX_ORDER and m * m * p <= _ONE_THREAD_MAX_PRODUCT
-    blas = _openblas() if small else None
-    before = blas[0]() if blas else 1
+    blas = _openblas() if lower else None
+    before = blas.get_threads() if blas else 1
     if before > 1:
-        blas[1](1)
+        blas.set_threads(1)
     try:
         yield
     finally:
         if before > 1:
-            blas[1](before)
+            blas.set_threads(before)
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
     """a a^T / n of a p x n array, exactly symmetric: BLAS forms a a^T as a
-    rank-k update that computes one triangle and mirrors it."""
-    return (a @ a.T) / a.shape[1]
+    rank-k update that computes one triangle and mirrors it. Divided in place
+    and returned F-ordered, which for a symmetric matrix is its transpose."""
+    g = a @ a.T
+    g /= a.shape[1]
+    return g.T
 
 
 def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:

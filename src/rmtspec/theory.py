@@ -44,7 +44,6 @@ __all__ = [
     "green_scan",
     "lagged_density_symmetric",
     "require_unit_mass",
-    "project_density",
 ]
 
 log = logging.getLogger(__name__)
@@ -526,18 +525,3 @@ def require_unit_mass(curve: DensityCurve, what: str) -> None:
     mass = curve.total_mass()
     if abs(mass - 1.0) > _MASS_TOL:
         raise ValidationError(f"{what} has mass {mass:.4f}, more than {_MASS_TOL} from 1")
-
-
-def project_density(rho_s: DensityCurve) -> DensityCurve:
-    """Rescale a symmetric-problem density to the axis-projection frame.
-
-    Returns the curve ``x -> sqrt(2) * rho(sqrt(2) x)``; the ordinate factor
-    keeps the projection normalized. The antisymmetric-problem density of
-    the y axis is taken equal to the symmetric one (radially symmetric
-    spectrum), so both axes share this one transform. Point mass is
-    unaffected.
-    """
-    require_unit_mass(rho_s, "input curve")
-    root2 = math.sqrt(2.0)
-    return DensityCurve(rho_s.xs / root2, rho_s.ys * root2,
-                        point_mass_at_zero=rho_s.point_mass_at_zero)

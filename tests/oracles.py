@@ -11,7 +11,8 @@ edge search that its folded sweep and batched search replace. The capture
 read, row standardization and kernel density estimate are kept as the
 whole-array forms (one full read, whole-payload conversion, one std over all
 rows, the old grid chunking) that the package's streamed and chunked forms must
-match bit for bit.
+match bit for bit. ``project_density``, the axis-projection frame change,
+lives here because only the acceptance check and its unit tests use it.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from rmtspec import theory
-from rmtspec.curves import union_grid
+from rmtspec.curves import DensityCurve, union_grid
 from rmtspec.errors import (
     BranchAmbiguity,
     NumericalError,
@@ -359,3 +360,18 @@ def reference_kde_eval(samples, grid, h):
         out[lo:lo + chunk] = k.sum(axis=1)
     out /= len(s) * h
     return out
+
+
+def project_density(rho_s):
+    """Rescale a symmetric-problem density to the axis-projection frame.
+
+    Returns the curve ``x -> sqrt(2) * rho(sqrt(2) x)``; the ordinate factor
+    keeps the projection normalized. The antisymmetric-problem density of
+    the y axis is taken equal to the symmetric one (radially symmetric
+    spectrum), so both axes share this one transform. Point mass is
+    unaffected.
+    """
+    theory.require_unit_mass(rho_s, "input curve")
+    root2 = math.sqrt(2.0)
+    return DensityCurve(rho_s.xs / root2, rho_s.ys * root2,
+                        point_mass_at_zero=rho_s.point_mass_at_zero)

@@ -11,6 +11,8 @@ import pytest
 import rmtspec as r
 from rmtspec.estimation import kde_eval
 
+from oracles import project_density
+
 # fixed seeds per criterion keep every run identical
 SEED_C1 = 101
 SEED_C2_NB = 202
@@ -165,7 +167,7 @@ def _projection_l1(cloud, theory_curve, axis):
     share = len(nonzero) / len(cloud.values)
     emp_raw = r.DensityCurve(hist.xs, hist.ys * share,
                              point_mass_at_zero=1.0 - share)
-    l1_b = r.l1_distance(emp_raw, r.project_density(theory_curve))
+    l1_b = r.l1_distance(emp_raw, project_density(theory_curve))
     return l1_a, l1_b
 
 

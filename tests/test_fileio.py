@@ -370,3 +370,28 @@ class TestDensityCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"bad.csv:{line}: "):
             read_density_csv(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,kde\n0,1\n1,a\n2,1,1\n", "3: could not convert string to float: 'a'"),
+        ("x,kde\n0,1\n1,1,1\n2,a\n", "3: 3 fields, header has 2"),
+        ("x,kde\n\n# c\n0,1\n 1 , nan\n2,\n", "6: could not convert string to float: ''"),
+    ])
+    def test_first_bad_line_named(self, tmp_path, text, message):
+        # the whole file is parsed at once; the line at fault is found after
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_density_csv(str(path))
+        assert str(err.value) == f"{path}:{message}"
+        assert err.value.__context__ is None or err.value.__suppress_context__
+
+    @given(rows=st.lists(st.lists(st.floats(allow_infinity=False), min_size=3, max_size=3),
+                         min_size=1, max_size=20),
+           fmt=st.sampled_from(["{!r}", "{:.9g}", " {:.3e} ", "{:+.17f}"]))
+    @settings(max_examples=100, deadline=None)
+    def test_parse_matches_line_by_line(self, rows, fmt):
+        lines = [",".join(fmt.format(v) for v in row) for row in rows]
+        got = fileio._parse_at_once(lines, 3)
+        want = fileio._parse_by_line("d.csv", 3, list(range(len(lines))), lines)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert fileio._parse_at_once(lines, 4) is None

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -171,10 +172,14 @@ class TestLaggedCorrelation:
 
 class TestEigvals:
     def test_lapack_failure_is_a_numerical_error(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # the staged dhseqr with numpy's OpenBLAS, np.linalg.eigvals without it
+        if linalg._openblas() is None:
+            def fail(a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
+            monkeypatch.setattr(np.linalg, "eigvals", fail)
+        else:
+            _spy(monkeypatch, [], fail="dhseqr")
         with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
             eigvals_general(np.eye(3))
 
@@ -369,35 +374,62 @@ class TestGramSymmetry:
             assert np.array_equal(g, g.T)
 
 
-def _spy(monkeypatch, name, seen, get, fail=False):
-    """Replace ``np.linalg.<name>`` with a wrapper that records the OpenBLAS
-    thread count at call time, then solves (or raises ``LinAlgError``)."""
-    solve = getattr(np.linalg, name)
-
-    def spy(a):
-        seen.append(get())
-        if fail:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return solve(a)
-
-    monkeypatch.setattr(np.linalg, name, spy)
+_NO_OPENBLAS = ("numpy has not loaded a vendored libscipy_openblas64_, so there is "
+                "no OpenBLAS thread count to lower and no LAPACK handle to call")
 
 
-@pytest.mark.skipif(linalg._openblas() is None,
-                    reason="numpy has not loaded a vendored libscipy_openblas64_, "
-                           "so there is no OpenBLAS thread count to lower")
+def _spy(monkeypatch, seen, fail=None, stage_raises=None):
+    """Wrap the LAPACK handles of ``linalg._openblas()`` so that every call
+    appends (routine, OpenBLAS thread count) to ``seen``. The routine named
+    ``fail`` returns INFO = 1 without running; the one named ``stage_raises``
+    raises ``RuntimeError``."""
+    blas = linalg._openblas()
+
+    def wrap(name):
+        routine = getattr(blas, name)
+
+        def spy(*args):
+            seen.append((name, blas.get_threads()))
+            if name == stage_raises:
+                raise RuntimeError(f"{name} raised")
+            if name == fail:
+                args[-1].contents.value = 1
+                return None
+            return routine(*args)
+        return spy
+
+    spied = blas._replace(**{name: wrap(name) for name in linalg._LAPACK_ARGS})
+    monkeypatch.setattr(linalg, "_openblas", lambda: spied)
+
+
+def _sym(k):
+    """Calls of one symmetric solve on k threads: dsyevd's workspace query,
+    then dsyevd."""
+    return [("dsyevd", k)] * 2
+
+
+def _gen(k):
+    """Calls of one general solve whose pool stages see k threads: dgeev's
+    workspace query, dgebal and dgehrd, then dhseqr on one thread."""
+    return [("dgeev", k), ("dgebal", k), ("dgehrd", k), ("dhseqr", 1)]
+
+
+@pytest.fixture
+def get():
+    """The OpenBLAS thread-count getter, with the pool at 2 threads for the
+    test and the count restored after it."""
+    blas = linalg._openblas()
+    before = blas.get_threads()
+    blas.set_threads(2)
+    yield blas.get_threads
+    blas.set_threads(before)
+
+
+@pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
 class TestSmallSolveThreads:
     """Small sides of order <= 128 whose product has <= 2**24 multiply-adds run
-    on one OpenBLAS thread; other solves keep the pool; the count is restored
-    after every call."""
-
-    @pytest.fixture
-    def get(self):
-        get, set_threads = linalg._openblas()
-        before = get()
-        set_threads(2)
-        yield get
-        set_threads(before)
+    on one OpenBLAS thread; other solves keep the pool for every stage but the
+    QR iteration; the count is restored after every call."""
 
     @pytest.fixture
     def capture(self):
@@ -405,12 +437,11 @@ class TestSmallSolveThreads:
 
     def test_small_sides_run_on_one_thread(self, monkeypatch, get, capture):
         seen = []
-        _spy(monkeypatch, "eigvalsh", seen, get)
-        _spy(monkeypatch, "eigvals", seen, get)
+        _spy(monkeypatch, seen)
         eigvals_symmetric(sample_covariance(capture))
-        assert (seen, get()) == ([1], 2)
+        assert (seen, get()) == (_sym(1), 2)
         eigvals_general(lagged_correlation(capture, 1))
-        assert (seen, get()) == ([1, 1], 2)
+        assert (seen, get()) == (_sym(1) + _gen(1), 2)
 
     # counts seen by the covariance small side (order n) and the tau = 1 lag
     # small side (order n - 1): one thread while the order is <= 128 and the
@@ -421,34 +452,35 @@ class TestSmallSolveThreads:
     ])
     def test_small_side_limits(self, monkeypatch, get, shape, counts):
         seen = []
-        _spy(monkeypatch, "eigvalsh", seen, get)
-        _spy(monkeypatch, "eigvals", seen, get)
+        _spy(monkeypatch, seen)
         X = DataMatrix(np.random.default_rng(11).standard_normal(shape), standardized=True)
         eigvals_symmetric(sample_covariance(X))
         eigvals_general(lagged_correlation(X, 1))
-        assert (seen, get()) == (counts, 2)
+        assert (seen, get()) == (_sym(counts[0]) + _gen(counts[1]), 2)
 
     def test_dense_sides_keep_the_pool(self, monkeypatch, get):
         seen = []
-        _spy(monkeypatch, "eigvalsh", seen, get)
-        _spy(monkeypatch, "eigvals", seen, get)
+        _spy(monkeypatch, seen)
         X = DataMatrix(np.random.default_rng(13).standard_normal((128, 400)), standardized=True)
         eigvals_symmetric(sample_covariance(X))
         eigvals_general(lagged_correlation(X, 1))
-        assert (seen, get()) == ([2, 2], 2)
+        assert (seen, get()) == (_sym(2) + _gen(2), 2)
 
     def test_large_solve_keeps_the_pool(self, monkeypatch, get, rng):
         seen = []
-        _spy(monkeypatch, "eigvalsh", seen, get)
+        _spy(monkeypatch, seen)
         eigvals_symmetric(sample_covariance(DataMatrix(rng.standard_normal((300, 400)))))
-        assert (seen, get()) == ([2], 2)
+        assert (seen, get()) == (_sym(2), 2)
 
     def test_count_is_never_raised(self, monkeypatch, get, capture):
         seen = []
-        _spy(monkeypatch, "eigvalsh", seen, get)
-        linalg._openblas()[1](1)
+        _spy(monkeypatch, seen)
+        linalg._openblas().set_threads(1)
         eigvals_symmetric(sample_covariance(capture))
-        assert (seen, get()) == ([1], 1)
+        # a dense lag solve: its pool stages see the lower count as well
+        dense = DataMatrix(np.random.default_rng(13).standard_normal((64, 200)), standardized=True)
+        eigvals_general(lagged_correlation(dense, 1))
+        assert (seen, get()) == (_sym(1) + _gen(1), 1)
 
     def test_concurrent_solves_restore_the_count(self, get):
         X = standardize_rows(DataMatrix(np.random.default_rng(7).standard_normal((256, 16))))
@@ -477,10 +509,10 @@ class TestSmallSolveThreads:
 
     def test_raising_solve_restores_the_count(self, monkeypatch, get, capture):
         seen = []
-        _spy(monkeypatch, "eigvals", seen, get, fail=True)
+        _spy(monkeypatch, seen, fail="dhseqr")
         with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
             eigvals_general(lagged_correlation(capture, 1))
-        assert (seen, get()) == ([1], 2)
+        assert (seen, get()) == (_gen(1), 2)
 
     def test_spectra_without_the_limit(self, monkeypatch, get, capture):
         cov, lag = sample_covariance(capture), lagged_correlation(capture, 1)
@@ -495,3 +527,128 @@ class TestSmallSolveThreads:
         scale = np.abs(pooled[1]).max()
         assert np.abs(limited[1] - pooled[1]).max() <= 1e-13 * scale
         assert np.count_nonzero(limited[1] == 0) == np.count_nonzero(pooled[1] == 0) == 1985
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.fixture
+def qr_on_the_pool(monkeypatch):
+    """Let the QR stage keep the pool: the staged solve is then dgeev's."""
+    monkeypatch.setattr(linalg, "_one_blas_thread", lambda lower=True: contextlib.nullcontext())
+
+
+@pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
+class TestStagedSolvers:
+    """The dense solves call numpy's LAPACK routines stage by stage, in place
+    on an F-ordered array they own."""
+
+    ORDERS = [2, 74, 75, 300]
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_general_is_eigvals_with_qr_on_the_pool(self, get, qr_on_the_pool, n):
+        g = np.random.default_rng(n)
+        for m in (g.standard_normal((n, n)),
+                  lagged_correlation(standardize_rows(DataMatrix(
+                      g.standard_normal((n, 2 * n)))), 1).entries):
+            got = linalg._eigvals_owned(np.array(m, order="F"))
+            assert np.array_equal(_bits(got), _bits(np.linalg.eigvals(m)))
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_general_with_qr_on_one_thread(self, get, n):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        got = eigvals_general(m).values
+        want = np.linalg.eigvals(m)
+        assert greedy_pairing_residual(got, want) <= 1e-13 * np.abs(want).max()
+        if n < 75:  # dhseqr runs dlahqr, which makes no BLAS-3 call
+            assert np.array_equal(_bits(got), _bits(ComplexSpectrum(want).values))
+
+    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+    def test_symmetric_is_eigvalsh(self, get, n, scale):
+        m = np.random.default_rng(n).standard_normal((n, n)) * scale
+        m = m + m.T
+        assert np.array_equal(linalg._eigvalsh_owned(np.array(m, order="F")),
+                              np.linalg.eigvalsh(m))
+        assert np.array_equal(eigvals_symmetric(m).values, np.linalg.eigvalsh(m))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_unscaled_range_goes_to_numpy(self, monkeypatch, get, scale):
+        # dgeev would scale these first; the staged solve leaves them to it
+        seen = []
+        _spy(monkeypatch, seen)
+        m = np.random.default_rng(3).standard_normal((80, 80)) * scale
+        got = eigvals_general(m).values
+        assert seen == []
+        assert np.array_equal(_bits(got), _bits(ComplexSpectrum(np.linalg.eigvals(m)).values))
+
+    def test_non_finite_inputs(self, get):
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = np.nan
+        for bad in (a, np.array([[np.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(NumericalError, match="^Array must not contain infs or NaNs$"):
+                eigvals_general(bad)
+        # dsyevd returns NaN eigenvalues for this one, as eigvalsh does
+        np.testing.assert_array_equal(eigvals_symmetric(a).values, np.sort(np.linalg.eigvalsh(a)))
+        with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
+            eigvals_symmetric(np.full((3, 3), np.nan))
+
+    def test_inputs_are_never_overwritten(self, get, rng):
+        X = standardize_rows(DataMatrix(rng.standard_normal((40, 90))))
+        data = X.entries.copy()
+        for M, solve in ((sample_covariance(X), eigvals_symmetric),
+                         (lagged_correlation(X, 1), eigvals_general)):
+            solve(M)  # from an uncached product
+            cached = M.entries.copy()
+            solve(M)
+            assert np.array_equal(M.entries.view(np.uint64), cached.view(np.uint64))
+            raw = np.ascontiguousarray(cached)
+            solve(raw)
+            assert np.array_equal(raw.view(np.uint64), cached.view(np.uint64))
+        assert np.array_equal(X.entries.view(np.uint64), data.view(np.uint64))
+
+    def test_dense_solve_forms_an_uncached_product(self, get, rng):
+        X = standardize_rows(DataMatrix(rng.standard_normal((40, 90))))
+        for M, solve in ((sample_covariance(X), eigvals_symmetric),
+                         (lagged_correlation(X, 0), eigvals_general),
+                         (lagged_correlation(X, 2), eigvals_general)):
+            got = solve(M).values
+            assert "entries" not in vars(M)
+            assert np.array_equal(got, solve(M.entries).values)
+            assert M.entries.flags.f_contiguous
+
+    def test_non_convergence_is_a_numerical_error(self, monkeypatch, get):
+        seen = []
+        _spy(monkeypatch, seen, fail="dsyevd")
+        with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
+            eigvals_symmetric(np.eye(3))
+        monkeypatch.undo()
+        _spy(monkeypatch, seen, fail="dhseqr")
+        with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
+            eigvals_general(np.eye(3))
+        assert get() == 2
+
+    def test_fallback_non_convergence_is_a_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        for name, solve in (("eigvalsh", eigvals_symmetric), ("eigvals", eigvals_general)):
+            monkeypatch.setattr(np.linalg, name, fail)
+            with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
+                solve(np.eye(3))
+
+    def test_stage_thread_counts(self, monkeypatch, get, rng):
+        seen = []
+        _spy(monkeypatch, seen)
+        eigvals_general(rng.standard_normal((90, 90)))
+        assert (seen, get()) == (_gen(2), 2)
+
+    @pytest.mark.parametrize("stage", ["dgehrd", "dhseqr"])
+    def test_count_restored_when_a_stage_raises(self, monkeypatch, get, rng, stage):
+        seen = []
+        _spy(monkeypatch, seen, stage_raises=stage)
+        with pytest.raises(RuntimeError, match=f"^{stage} raised$"):
+            eigvals_general(rng.standard_normal((90, 90)))
+        assert (seen, get()) == (_gen(2)[:3 if stage == "dgehrd" else 4], 2)

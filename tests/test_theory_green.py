@@ -15,7 +15,6 @@ from rmtspec import (
     green_scan,
     green_quartic_coeffs,
     lagged_density_symmetric,
-    project_density,
 )
 from rmtspec.cli import run_cli
 from rmtspec.errors import BranchAmbiguity, NumericalError, RmtError, ValidationError
@@ -24,6 +23,7 @@ from oracles import (
     greedy_pairing_residual,
     green_quartic_terms,
     loop_default_grid,
+    project_density,
     reference_track,
     two_sweep_scan,
 )
