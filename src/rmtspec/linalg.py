@@ -17,15 +17,31 @@ itself (a cached ``entries`` or a raw array is copied once). The symmetric
 solve is ``dsyevd('N', 'L')``, numpy's ``eigvalsh``. The general solve is
 ``dgeev``'s eigenvalue path: ``dgebal`` and ``dgehrd`` on the pool, then the
 QR iteration ``dhseqr`` on one thread. Timed on a 2-vCPU host (wall / CPU
-seconds, pool against one thread), ``dhseqr`` took 1.70 / 3.34 against
-1.79 / 1.79 at order 2048 and 0.68 / 1.32 against 0.62 / 0.62 at order 1024,
-while ``dgehrd`` gained from the pool: 1.05 against 1.83 s wall at 2048.
+seconds, pool against one thread, padded layout below), ``dhseqr`` took
+1.43 / 2.84 against 1.44 / 1.57 at order 2048 and 0.56 / 1.11 against
+0.55 / 0.67 at order 1024, while ``dgehrd`` gained from the pool: 1.05
+against 1.83 s wall at 2048.
 Below order 75 the QR stage is ``dlahqr``, which makes no BLAS-3 call, so
 there the spectrum has ``eigvals``' bits; above, one thread may move it in the
 last bits (2.1e-14 at order 2048). A matrix whose largest |entry| lies
 outside ``dgeev``'s unscaled range [sqrt(tiny)/eps, eps/sqrt(tiny)], or that
 is not finite, is left to ``np.linalg``, as is everything with a BLAS other
 than numpy's vendored OpenBLAS.
+
+Every matrix a LAPACK stage overwrites (the product formed for a dense or a
+small-side solve, or the one copy of a cached ``entries`` or a raw array) has
+8 doubles, one 64-byte line, of slack below each column, and the stages get
+LDA = n + 8. A frequency-domain NC-OFDM capture has a power-of-two order
+(``NcofdmSpec`` requires a power-of-two ``n_fft``, and p = 2 * n_fft). With a
+column stride of 2048 doubles a row of the matrix falls into a few cache sets,
+so the row sweeps of ``dgebal`` and ``dhseqr`` evict their own lines. The slack changes no
+floating-point operation, so the spectra keep their bits. On the lag matrix of
+a 2048 x 4096 NC-OFDM capture (2-vCPU host, median of 5) it took ``dgebal``
+from 0.110 to 0.037 s, ``dgehrd`` from 1.01 to 0.99 s and one-thread
+``dhseqr`` from 1.68 to 1.44 s at order 2048; ``dhseqr`` from 0.65 to 0.55 s
+at 1024 and from 0.22 to 0.16 s at 512. It gave nothing at order 1000, or to
+``dsyevd`` at 2048 (0.51 against 0.50 s). ``entries`` stays an unpadded
+F-ordered array.
 
 A small-side solve of order m <= 128 whose product has m * m * p <= 2**24
 multiply-adds (a 2048 x 64 capture has 8 Mi) runs on one OpenBLAS thread,
@@ -67,6 +83,9 @@ __all__ = [
 ]
 
 _STD_CHUNK_BYTES = 1 << 22  # bytes of each row chunk of standardize_rows' std pass
+# doubles of slack below each column of a matrix a LAPACK stage overwrites: one
+# 64-byte line, so that a power-of-two order does not give a power-of-two stride
+_SLACK = 8
 # largest small side run on one BLAS thread: its order m (at p = 2048 one thread
 # ties at 128 and loses wall time from 256 on), and the m * m * p multiply-adds
 # of the product that forms it (the pool forms it faster from 2**25 on)
@@ -115,11 +134,13 @@ class CovarianceMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        return self._form()
+        p = self.data.shape[0]
+        return self._form(np.empty((p, p), order="F"))
 
-    def _form(self) -> np.ndarray:
-        """A new F-ordered p x p array of the matrix."""
-        return _gram(self.data)
+    def _form(self, out: np.ndarray) -> np.ndarray:
+        """The matrix, written into the F-ordered p x p array ``out``."""
+        a = self.data
+        return _product(a, a.T, a.shape[1], out)
 
 
 class LaggedMatrix:
@@ -137,18 +158,16 @@ class LaggedMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        return self._form()
+        p = self.data.shape[0]
+        return self._form(np.empty((p, p), order="F"))
 
-    def _form(self) -> np.ndarray:
-        """A new F-ordered p x p array of the matrix: its transpose
-        ``a[:, tau:] a[:, :T-tau]^T / T``, formed and divided in C order."""
+    def _form(self, out: np.ndarray) -> np.ndarray:
+        """The matrix, written into the F-ordered p x p array ``out``: its
+        transpose ``a[:, tau:] a[:, :T-tau]^T / T`` is formed in C order (at
+        tau = 0 the Gram product of the covariance)."""
         a, tau = self.data, self.tau
         T = a.shape[1]
-        if tau == 0:
-            return _gram(a)
-        transposed = a[:, tau:] @ a[:, : T - tau].T
-        transposed /= T
-        return transposed.T
+        return _product(a[:, tau:], a[:, : T - tau].T, T, out)
 
 
 @dataclass(frozen=True)
@@ -231,8 +250,7 @@ def eigvals_symmetric(A) -> RealSpectrum:
         d = A.data
         p, n = d.shape
         with _one_blas_thread(_small_side(n, p)):
-            # exactly symmetric, so its transpose is the same matrix F-ordered
-            w = _eigvalsh_owned((d.T @ d / n).T)
+            w = _eigvalsh_owned(_product(d.T, d, n, _lapack_matrix(n)))
         w = np.concatenate([np.zeros(p - n), w])
         # ||a||_F^2 / n, taken from the data rather than the matrix solved
         trace = float(np.einsum("ij,ij->", d, d)) / n
@@ -262,7 +280,9 @@ def eigvals_general(C) -> ComplexSpectrum:
             p, T = d.shape
             m = T - tau
             with _one_blas_thread(_small_side(m, p)):
-                w = _eigvals_owned(np.asfortranarray(d[:, tau:].T @ d[:, :m] / T))
+                # formed in C order and copied: formed F-ordered, the product
+                # (and so the spectrum) can differ in the last bits
+                w = _eigvals_owned(np.divide(d[:, tau:].T @ d[:, :m], T, out=_lapack_matrix(m)))
             zeros = p - m
         else:
             w = _eigvals_owned(_owned(C))
@@ -275,10 +295,24 @@ def _owned(M, dtype=None) -> np.ndarray:
     """The matrix of ``M`` as a new F-ordered array that a solve may
     overwrite: formed from the data of a ``CovarianceMatrix`` or
     ``LaggedMatrix`` whose ``entries`` have not been (and not cached), else
-    copied once from ``entries`` or from ``M`` itself."""
+    copied once from ``entries`` or from ``M`` itself. A square float64
+    matrix lands in a ``_lapack_matrix``."""
     if isinstance(M, (CovarianceMatrix, LaggedMatrix)) and "entries" not in vars(M):
-        return M._form()
-    return np.array(getattr(M, "entries", M), dtype=dtype, order="F")
+        return M._form(_lapack_matrix(M.data.shape[0]))
+    a = np.asarray(getattr(M, "entries", M))
+    square = a.ndim == 2 and a.shape[0] == a.shape[1] > 0
+    if not square or np.dtype(dtype or a.dtype) != np.float64:
+        return np.array(a, dtype=dtype, order="F")
+    out = _lapack_matrix(a.shape[0])
+    out[...] = a
+    return out
+
+
+def _lapack_matrix(n: int) -> np.ndarray:
+    """An uninitialised n x n float64 array for a LAPACK stage to overwrite:
+    F-ordered, with its columns n + 8 doubles apart, so that no power-of-two
+    order gives a power-of-two column stride."""
+    return np.empty((n + _SLACK, n), order="F")[:n]
 
 
 # arguments of each LAPACK routine called, INFO included; all by reference
@@ -335,28 +369,38 @@ def _lapack(routine, *args) -> int:
     return info.value
 
 
-def _lapack_layout(a: np.ndarray) -> bool:
-    """Whether ``a`` is what the LAPACK calls take: a non-empty, square,
-    writeable, F-ordered float64 matrix."""
-    return (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1] > 0
-            and a.flags.f_contiguous and a.flags.writeable)
+def _lda(a: np.ndarray) -> int:
+    """The leading dimension LDA with which the LAPACK calls take ``a``, or 0
+    when they cannot: ``a`` must be a non-empty, square, writeable float64
+    matrix with contiguous columns at least n doubles apart."""
+    if not (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1] > 0
+            and a.flags.writeable):
+        return 0
+    n = a.shape[0]
+    if a.flags.f_contiguous:  # also a 1 x 1 matrix, whose strides are arbitrary
+        return n
+    step, stride = a.strides
+    lda, rest = divmod(stride, a.itemsize)
+    return lda if step == a.itemsize and rest == 0 and lda >= n else 0
 
 
 def _eigvalsh_owned(a: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric F-ordered float64 array ``a``,
     whose lower triangle is overwritten: ``dsyevd('N', 'L')`` with its own
-    workspace query, numpy's ``eigvalsh`` without its copy."""
+    workspace query, numpy's ``eigvalsh`` without its copy. An array in
+    another layout (see ``_lda``) goes to ``np.linalg.eigvalsh``."""
     blas = _openblas()
-    if blas is None or not _lapack_layout(a):
+    lda = _lda(a)
+    if blas is None or not lda:
         try:
             return np.linalg.eigvalsh(a)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(str(exc)) from exc
     n = a.shape[0]
     w, work, iwork = np.empty(n), np.empty(1), np.empty(1, np.int64)
-    _lapack(blas.dsyevd, b"N", b"L", n, a, n, w, work, -1, iwork, -1)
+    _lapack(blas.dsyevd, b"N", b"L", n, a, lda, w, work, -1, iwork, -1)
     work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), np.int64)
-    if _lapack(blas.dsyevd, b"N", b"L", n, a, n, w, work, work.size, iwork, iwork.size):
+    if _lapack(blas.dsyevd, b"N", b"L", n, a, lda, w, work, work.size, iwork, iwork.size):
         raise NumericalError("Eigenvalues did not converge")
     return w
 
@@ -368,25 +412,26 @@ def _eigvals_owned(a: np.ndarray) -> np.ndarray:
     workspace split as ``dgeev`` splits it (``dgehrd``'s block size, and so
     the bits, depend on it): ``dgebal('B')`` and ``dgehrd`` on the pool,
     ``dhseqr('E', 'N')`` on one thread. Real eigenvalues come back as a real
-    array, as from ``eigvals``. An array in another layout, not finite, or
-    outside ``dgeev``'s unscaled range goes to ``np.linalg.eigvals``, which
-    raises ``LinAlgError`` where it refuses.
+    array, as from ``eigvals``. An array in another layout (see ``_lda``),
+    not finite, or outside ``dgeev``'s unscaled range goes to
+    ``np.linalg.eigvals``, which raises ``LinAlgError`` where it refuses.
     """
     blas = _openblas()
-    amax = max(a.max(), -a.min()) if _lapack_layout(a) else np.nan
+    lda = _lda(a)
+    amax = max(a.max(), -a.min()) if lda else np.nan
     if blas is None or not (amax == 0.0 or _GEEV_SMALL <= amax <= _GEEV_BIG):
         return np.linalg.eigvals(a)
     n = a.shape[0]
     wr, wi, query = np.empty(n), np.empty(n), np.empty(1)
-    _lapack(blas.dgeev, b"N", b"N", n, a, n, wr, wi, query, 1, query, 1, query, -1)
+    _lapack(blas.dgeev, b"N", b"N", n, a, lda, wr, wi, query, 1, query, 1, query, -1)
     lwork = int(query[0])
     work = np.empty(lwork)
     ilo, ihi = ctypes.c_int64(), ctypes.c_int64()
     # WORK(1:N) holds the balancing scales, WORK(N+1:2N) the reflectors' tau
-    _lapack(blas.dgebal, b"B", n, a, n, ilo, ihi, work)
-    _lapack(blas.dgehrd, n, ilo, ihi, a, n, work[n:], work[2 * n:], lwork - 2 * n)
+    _lapack(blas.dgebal, b"B", n, a, lda, ilo, ihi, work)
+    _lapack(blas.dgehrd, n, ilo, ihi, a, lda, work[n:], work[2 * n:], lwork - 2 * n)
     with _one_blas_thread():
-        info = _lapack(blas.dhseqr, b"E", b"N", n, ilo, ihi, a, n, wr, wi, query, 1,
+        info = _lapack(blas.dhseqr, b"E", b"N", n, ilo, ihi, a, lda, wr, wi, query, 1,
                        work[n:], lwork - n)
     if info:
         raise NumericalError("Eigenvalues did not converge")
@@ -424,13 +469,14 @@ def _one_blas_thread(lower: bool = True):
             blas.set_threads(before)
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """a a^T / n of a p x n array, exactly symmetric: BLAS forms a a^T as a
-    rank-k update that computes one triangle and mirrors it. Divided in place
-    and returned F-ordered, which for a symmetric matrix is its transpose."""
-    g = a @ a.T
-    g /= a.shape[1]
-    return g.T
+def _product(x: np.ndarray, y: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """``(x @ y)^T / n`` written into the F-ordered array ``out``, which is
+    returned: ``x @ y`` is formed in C order as ``out.T`` and divided in
+    place. ``x @ x.T`` comes out exactly symmetric: BLAS forms it as a rank-k
+    update that computes one triangle and mirrors it."""
+    np.matmul(x, y, out=out.T)
+    out /= n
+    return out
 
 
 def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:

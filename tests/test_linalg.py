@@ -16,9 +16,11 @@ from rmtspec import (
     eigvals_general,
     eigvals_symmetric,
     lagged_correlation,
+    read_capture,
     sample_covariance,
     standardize_rows,
 )
+from rmtspec.cli import run_cli
 from rmtspec.errors import NumericalError, ValidationError, ZeroVarianceRow
 from rmtspec import linalg
 
@@ -352,8 +354,9 @@ class TestSmallSide:
 
 
 class TestGramSymmetry:
-    """``a @ a.T`` and ``a.T @ a`` are exactly symmetric, so neither ``_gram``
-    nor the small side symmetrizes or scans what it forms."""
+    """``a @ a.T`` and ``a.T @ a`` are exactly symmetric, also formed into a
+    plain or a padded destination, so neither the covariance nor the small
+    side symmetrizes or scans what it forms."""
 
     @given(p=st.integers(1, 48), n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
            layout=st.sampled_from(["C", "F", "strided", "reversed"]),
@@ -365,12 +368,15 @@ class TestGramSymmetry:
              "F": np.asfortranarray(base[:p, :n]),
              "strided": base[1::2, ::3][:p, :n],
              "reversed": base[::-2, ::-3][:p, :n]}[layout]
-        for g in (a @ a.T, a.T @ a, linalg._gram(a)):
+        X = DataMatrix(a)
+        for g in (a @ a.T, a.T @ a, sample_covariance(X).entries,
+                  linalg._owned(sample_covariance(X))):
             assert np.array_equal(g, g.T)
 
     def test_capture_shapes_exactly_symmetric(self):
         d = standardize_rows(DataMatrix(np.random.default_rng(3).standard_normal((2048, 64))))
-        for g in (linalg._gram(d.entries), d.entries.T @ d.entries / 64):
+        for g in (sample_covariance(d).entries, linalg._owned(sample_covariance(d)),
+                  d.entries.T @ d.entries / 64):
             assert np.array_equal(g, g.T)
 
 
@@ -378,11 +384,16 @@ _NO_OPENBLAS = ("numpy has not loaded a vendored libscipy_openblas64_, so there 
                 "no OpenBLAS thread count to lower and no LAPACK handle to call")
 
 
-def _spy(monkeypatch, seen, fail=None, stage_raises=None):
+# position of LDA (LDH of dhseqr) in each routine's arguments
+_LDA_AT = {"dsyevd": 4, "dgeev": 4, "dgebal": 3, "dgehrd": 4, "dhseqr": 6}
+
+
+def _spy(monkeypatch, seen, fail=None, stage_raises=None, ldas=None):
     """Wrap the LAPACK handles of ``linalg._openblas()`` so that every call
-    appends (routine, OpenBLAS thread count) to ``seen``. The routine named
-    ``fail`` returns INFO = 1 without running; the one named ``stage_raises``
-    raises ``RuntimeError``."""
+    appends (routine, OpenBLAS thread count) to ``seen``, and (routine, LDA)
+    to the list ``ldas`` if one is given. The routine named ``fail`` returns
+    INFO = 1 without running; the one named ``stage_raises`` raises
+    ``RuntimeError``."""
     blas = linalg._openblas()
 
     def wrap(name):
@@ -390,6 +401,8 @@ def _spy(monkeypatch, seen, fail=None, stage_raises=None):
 
         def spy(*args):
             seen.append((name, blas.get_threads()))
+            if ldas is not None:
+                ldas.append((name, args[_LDA_AT[name]].contents.value))
             if name == stage_raises:
                 raise RuntimeError(f"{name} raised")
             if name == fail:
@@ -544,7 +557,8 @@ class TestStagedSolvers:
     """The dense solves call numpy's LAPACK routines stage by stage, in place
     on an F-ordered array they own."""
 
-    ORDERS = [2, 74, 75, 300]
+    # dhseqr runs dlahqr below 75; 256 is a padded power-of-two order above
+    ORDERS = [2, 74, 75, 256, 300]
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_general_is_eigvals_with_qr_on_the_pool(self, get, qr_on_the_pool, n):
@@ -552,7 +566,7 @@ class TestStagedSolvers:
         for m in (g.standard_normal((n, n)),
                   lagged_correlation(standardize_rows(DataMatrix(
                       g.standard_normal((n, 2 * n)))), 1).entries):
-            got = linalg._eigvals_owned(np.array(m, order="F"))
+            got = linalg._eigvals_owned(linalg._owned(m))
             assert np.array_equal(_bits(got), _bits(np.linalg.eigvals(m)))
 
     @pytest.mark.parametrize("n", ORDERS)
@@ -569,7 +583,7 @@ class TestStagedSolvers:
     def test_symmetric_is_eigvalsh(self, get, n, scale):
         m = np.random.default_rng(n).standard_normal((n, n)) * scale
         m = m + m.T
-        assert np.array_equal(linalg._eigvalsh_owned(np.array(m, order="F")),
+        assert np.array_equal(linalg._eigvalsh_owned(linalg._owned(m)),
                               np.linalg.eigvalsh(m))
         assert np.array_equal(eigvals_symmetric(m).values, np.linalg.eigvalsh(m))
 
@@ -652,3 +666,105 @@ class TestStagedSolvers:
         with pytest.raises(RuntimeError, match=f"^{stage} raised$"):
             eigvals_general(rng.standard_normal((90, 90)))
         assert (seen, get()) == (_gen(2)[:3 if stage == "dgehrd" else 4], 2)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_dense_solves_pass_a_padded_lda(self, monkeypatch, get, n):
+        X = standardize_rows(DataMatrix(np.random.default_rng(n).standard_normal((n, 2 * n))))
+        for M, solve, calls in ((sample_covariance(X), eigvals_symmetric, _sym(2)),
+                                (lagged_correlation(X, 1), eigvals_general, _gen(2))):
+            ldas = []
+            _spy(monkeypatch, [], ldas=ldas)
+            solve(M)  # from an uncached product
+            assert "entries" not in vars(M)
+            raw = M.entries.copy(order="C")
+            solve(M)  # from the cached entries
+            solve(raw)
+            monkeypatch.undo()
+            assert ldas == 3 * [(name, n + 8) for name, _ in calls]
+
+def _slack_filled(m, slack):
+    """``m`` as an F-ordered view with ``slack`` NaN rows below each column,
+    and the buffer it lies in."""
+    n = m.shape[0]
+    buf = np.full((n + slack, n), np.nan, order="F")
+    view = buf[:n]
+    view[...] = m
+    return view, buf
+
+
+_LAYOUT_ORDERS = [1, 2, 63, 64, 74, 75, 128, 256, 300]
+
+
+@pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
+class TestPaddedLayout:
+    """A matrix a LAPACK stage overwrites may have slack below each column:
+    the stages take its column stride as LDA and never touch the slack. Other
+    strided layouts go to ``np.linalg``."""
+
+    @staticmethod
+    def _case(n, seed, symmetric):
+        m = np.random.default_rng(seed).standard_normal((n, n))
+        if symmetric:
+            return m + m.T, linalg._eigvalsh_owned, np.linalg.eigvalsh
+        return m, linalg._eigvals_owned, np.linalg.eigvals
+
+    @given(n=st.sampled_from(_LAYOUT_ORDERS), slack=st.sampled_from([1, 8, 13]),
+           seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_slack_changes_no_bit_and_is_never_touched(self, n, slack, seed, symmetric):
+        m, solve, _ = self._case(n, seed, symmetric)
+        view, buf = _slack_filled(m, slack)
+        got = solve(view)
+        assert np.array_equal(_bits(got), _bits(solve(np.array(m, order="F"))))
+        assert np.isnan(buf[n:]).all()
+
+    @given(n=st.sampled_from(_LAYOUT_ORDERS[1:]), seed=st.integers(0, 2**32 - 1),
+           symmetric=st.booleans(), layout=st.sampled_from(["C", "reversed", "under-strided"]))
+    @settings(max_examples=60, deadline=None)
+    def test_other_layouts_go_to_numpy(self, n, seed, symmetric, layout):
+        m, solve, reference = self._case(n, seed, symmetric)
+        f = np.array(m, order="F")
+        view = {"C": np.ascontiguousarray(m),
+                "reversed": np.asfortranarray(m[::-1, ::-1])[::-1, ::-1],
+                # columns n - 1 doubles apart, so each overlaps the next
+                "under-strided": np.lib.stride_tricks.as_strided(
+                    f, (n, n), (f.itemsize, f.itemsize * (n - 1)))}[layout]
+        before = view.copy()
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            _spy(mp, seen)
+            got = solve(view)
+        assert seen == []
+        assert np.array_equal(_bits(got), _bits(reference(before)))
+        assert np.array_equal(view.view(np.uint64), before.view(np.uint64))
+
+
+def test_entries_keep_the_formula_bits():
+    X = standardize_rows(DataMatrix(np.random.default_rng(8).standard_normal((256, 512))))
+    a, T = X.entries, 512
+    cov = a @ a.T
+    cov /= T
+    got = sample_covariance(X).entries
+    assert got.flags.f_contiguous
+    assert np.array_equal(got.view(np.uint64), cov.T.view(np.uint64))
+    for tau in (0, 1, 2):
+        # the transpose, formed and divided in C order
+        transposed = a[:, tau:] @ a[:, :T - tau].T
+        transposed /= T
+        got = lagged_correlation(X, tau).entries
+        assert got.flags.f_contiguous
+        assert np.array_equal(got.view(np.uint64), transposed.T.view(np.uint64))
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
+def test_padded_lag_solve_bits_at_acceptance_size(tmp_path):
+    path = tmp_path / "capture.rmtc"
+    assert run_cli(["generate", "--signal", "ncofdm", "--seed", "5", "--rows", "1024",
+                    "--cols", "4096", "--snr-db", "10", "--freq-domain", "-o", str(path)]) == 0
+    lag = lagged_correlation(standardize_rows(read_capture(str(path))), 1)
+    padded = linalg._owned(lag)
+    assert padded.strides == (8, 8 * (2048 + 8))
+    got = linalg._eigvals_owned(padded)
+    contiguous = np.array(lag.entries, order="F")
+    assert np.array_equal(_bits(got), _bits(linalg._eigvals_owned(contiguous)))
