@@ -223,6 +223,8 @@ def _cmd_theory_mp(ns: argparse.Namespace) -> int:
     grid[0], grid[-1] = prm.a, prm.b
     curve = DensityCurve(grid, theory.mp_density(grid, ns.c),
                          point_mass_at_zero=prm.point_mass_at_zero)
+    # too few --points give a curve far from mass 1, e.g. 0.943 at 20, c = 1
+    theory.require_unit_mass(curve, f"the c={ns.c:g} curve")
     fileio.write_density_csv(ns.output, [curve], ["mp"])
     return 0
 

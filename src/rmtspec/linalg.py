@@ -4,44 +4,46 @@ Covers row standardization, sample covariance, time-lagged correlation, and
 eigenvalue extraction for both the symmetric and the general
 (complex-spectrum) case.
 
-A p x p matrix built from p x n data has rank at most n. ``CovarianceMatrix``
-and ``LaggedMatrix`` are built from that data alone and form the p x p product
-the first time ``entries`` is read. When n < p their eigenvalues are solved on
-the small side, which never builds it: AB and BA share their nonzero
-eigenvalues, so an n x n eigensolve plus p - n exact zeros gives the whole
-spectrum.
+A ``LaggedMatrix`` is the lag-tau correlation of p x T data, and a
+``CovarianceMatrix`` is its lag-0 member. Each is built from the data alone and
+forms the p x p product the first time ``entries`` is read. Its rank is at most
+m = T - tau. When m < p both solvers solve the m x m small side, which never
+builds the p x p matrix: AB and BA share their nonzero eigenvalues, so an
+m x m eigensolve plus p - m exact zeros gives the whole spectrum.
+
+A raw array has one intake, ``_owned``: it must be a non-empty square matrix,
+and real for the symmetric solve, and is copied once into an array this
+module allocated.
 
 Dense eigensolves run numpy's own LAPACK routines from numpy's vendored
-OpenBLAS, stage by stage, in place on an F-ordered product this module formed
-itself (a cached ``entries`` or a raw array is copied once). The symmetric
-solve is ``dsyevd('N', 'L')``, numpy's ``eigvalsh``. The general solve is
-``dgeev``'s eigenvalue path: ``dgebal`` and ``dgehrd`` on the pool, then the
-QR iteration ``dhseqr`` on one thread. Timed on a 2-vCPU host (wall / CPU
-seconds, pool against one thread, padded layout below), ``dhseqr`` took
-1.43 / 2.84 against 1.44 / 1.57 at order 2048 and 0.56 / 1.11 against
-0.55 / 0.67 at order 1024, while ``dgehrd`` gained from the pool: 1.05
-against 1.83 s wall at 2048.
-Below order 75 the QR stage is ``dlahqr``, which makes no BLAS-3 call, so
-there the spectrum has ``eigvals``' bits; above, one thread may move it in the
-last bits (2.1e-14 at order 2048). A matrix whose largest |entry| lies
-outside ``dgeev``'s unscaled range [sqrt(tiny)/eps, eps/sqrt(tiny)], or that
-is not finite, is left to ``np.linalg``, as is everything with a BLAS other
-than numpy's vendored OpenBLAS.
+OpenBLAS, stage by stage, in place on an F-ordered matrix this module
+allocated: the product it formed, or its one copy of a cached ``entries`` or a
+raw array. The symmetric solve is ``dsyevd('N', 'L')``, numpy's ``eigvalsh``.
+The general solve is ``dgeev``'s eigenvalue path: ``dgebal`` and ``dgehrd`` on
+the pool, then the QR iteration ``dhseqr`` on one thread. Timed on a 2-vCPU
+host (wall / CPU seconds, pool against one thread, padded layout below),
+``dhseqr`` took 1.43 / 2.84 against 1.44 / 1.57 at order 2048 and 0.56 / 1.11
+against 0.55 / 0.67 at order 1024, while ``dgehrd`` gained from the pool: 1.05
+against 1.83 s wall at 2048. Below order 75 the QR stage is ``dlahqr``, which
+makes no BLAS-3 call, so there the spectrum has ``eigvals``' bits; above, one
+thread may move it in the last bits (2.1e-14 at order 2048). A matrix whose
+largest |entry| lies outside ``dgeev``'s unscaled range [sqrt(tiny)/eps,
+eps/sqrt(tiny)], or that is not finite, or is complex, is left to
+``np.linalg``, as is everything with a BLAS other than numpy's vendored
+OpenBLAS.
 
-Every matrix a LAPACK stage overwrites (the product formed for a dense or a
-small-side solve, or the one copy of a cached ``entries`` or a raw array) has
-8 doubles, one 64-byte line, of slack below each column, and the stages get
-LDA = n + 8. A frequency-domain NC-OFDM capture has a power-of-two order
-(``NcofdmSpec`` requires a power-of-two ``n_fft``, and p = 2 * n_fft). With a
-column stride of 2048 doubles a row of the matrix falls into a few cache sets,
-so the row sweeps of ``dgebal`` and ``dhseqr`` evict their own lines. The slack changes no
+Every matrix a LAPACK stage overwrites has 8 doubles, one 64-byte line, of
+slack below each column, and the stages take its column stride, n + 8, as LDA.
+A frequency-domain NC-OFDM capture has a power-of-two order (``NcofdmSpec``
+requires a power-of-two ``n_fft``, and p = 2 * n_fft). With a column stride of
+2048 doubles a row of the matrix falls into a few cache sets, so the row sweeps
+of ``dgebal`` and ``dhseqr`` evict their own lines. The slack changes no
 floating-point operation, so the spectra keep their bits. On the lag matrix of
 a 2048 x 4096 NC-OFDM capture (2-vCPU host, median of 5) it took ``dgebal``
-from 0.110 to 0.037 s, ``dgehrd`` from 1.01 to 0.99 s and one-thread
-``dhseqr`` from 1.68 to 1.44 s at order 2048; ``dhseqr`` from 0.65 to 0.55 s
-at 1024 and from 0.22 to 0.16 s at 512. It gave nothing at order 1000, or to
-``dsyevd`` at 2048 (0.51 against 0.50 s). ``entries`` stays an unpadded
-F-ordered array.
+from 0.110 to 0.037 s, ``dgehrd`` from 1.01 to 0.99 s and one-thread ``dhseqr``
+from 1.68 to 1.44 s at order 2048; ``dhseqr`` from 0.65 to 0.55 s at 1024 and
+from 0.22 to 0.16 s at 512. It gave nothing at order 1000, or to ``dsyevd`` at
+2048 (0.51 against 0.50 s). ``entries`` stays an unpadded F-ordered array.
 
 A small-side solve of order m <= 128 whose product has m * m * p <= 2**24
 multiply-adds (a 2048 x 64 capture has 8 Mi) runs on one OpenBLAS thread,
@@ -57,13 +59,13 @@ called from another Python thread meanwhile runs on one thread too.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,27 +124,6 @@ class DataMatrix:
         return self.entries.shape[1]
 
 
-class CovarianceMatrix:
-    """Real symmetric PSD matrix ``a a^T / n`` of the p x n array ``data``.
-
-    The p x p ``entries`` is formed the first time it is read, exactly
-    symmetric.
-    """
-
-    def __init__(self, data: np.ndarray):
-        self.data = data
-
-    @functools.cached_property
-    def entries(self) -> np.ndarray:
-        p = self.data.shape[0]
-        return self._form(np.empty((p, p), order="F"))
-
-    def _form(self, out: np.ndarray) -> np.ndarray:
-        """The matrix, written into the F-ordered p x p array ``out``."""
-        a = self.data
-        return _product(a, a.T, a.shape[1], out)
-
-
 class LaggedMatrix:
     """Lag-tau correlation matrix ``a[:, :T-tau] a[:, tau:]^T / T`` of the
     p x T array ``data``, exactly symmetric at tau = 0; non-symmetric for tau > 0.
@@ -163,11 +144,23 @@ class LaggedMatrix:
 
     def _form(self, out: np.ndarray) -> np.ndarray:
         """The matrix, written into the F-ordered p x p array ``out``: its
-        transpose ``a[:, tau:] a[:, :T-tau]^T / T`` is formed in C order (at
-        tau = 0 the Gram product of the covariance)."""
+        transpose ``a[:, tau:] a[:, :T-tau]^T`` is formed in C order as
+        ``out.T`` and divided by T in place. At tau = 0 that is ``a a^T``,
+        which BLAS forms as a rank-k update that computes one triangle and
+        mirrors it, so it comes out exactly symmetric."""
         a, tau = self.data, self.tau
         T = a.shape[1]
-        return _product(a[:, tau:], a[:, : T - tau].T, T, out)
+        np.matmul(a[:, tau:], a[:, : T - tau].T, out=out.T)
+        out /= T
+        return out
+
+
+class CovarianceMatrix(LaggedMatrix):
+    """Sample covariance ``a a^T / n`` of the p x n array ``data``: the lag-0
+    ``LaggedMatrix``, real, symmetric and positive semi-definite."""
+
+    def __init__(self, data: np.ndarray):
+        super().__init__(data, 0)
 
 
 @dataclass(frozen=True)
@@ -238,71 +231,92 @@ def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
 def eigvals_symmetric(A) -> RealSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    A ``CovarianceMatrix`` is solved from its p x n data: when n < p as
-    ``eigvalsh(a^T a / n)`` plus p - n exact zeros, without forming the
-    p x p matrix, otherwise from the p x p matrix; both are symmetric by
-    construction and not scanned. A raw array is checked for symmetry and
-    solved dense. The eigenvalue sum is checked against the trace. A small
-    side within the limits above runs on one BLAS thread. ``NumericalError``
-    reports a solve that did not converge.
+    A lag-0 ``LaggedMatrix`` (a ``CovarianceMatrix`` among them) is symmetric
+    by construction and solved from its data (see ``_solve``). Any other
+    matrix, a raw array or a lagged matrix at tau > 0, must be real; it is
+    checked for symmetry and solved dense. The eigenvalue sum is checked
+    against the trace of the matrix solved. ``ValidationError`` reports a
+    matrix that is not square, empty, complex or not symmetric, and
+    ``NumericalError`` a solve that did not converge.
     """
-    if isinstance(A, CovarianceMatrix) and A.data.shape[1] < A.data.shape[0]:
-        d = A.data
-        p, n = d.shape
-        with _one_blas_thread(_small_side(n, p)):
-            w = _eigvalsh_owned(_product(d.T, d, n, _lapack_matrix(n)))
-        w = np.concatenate([np.zeros(p - n), w])
-        # ||a||_F^2 / n, taken from the data rather than the matrix solved
-        trace = float(np.einsum("ij,ij->", d, d)) / n
-    else:
-        a = _owned(A, np.float64)
-        if not isinstance(A, CovarianceMatrix):
-            _require_symmetric(a)
-        trace = float(np.trace(a))
-        w = _eigvalsh_owned(a)
+    w, trace = _solve(A, symmetric=True)
     return RealSpectrum(values=w, matrix_trace=trace)
 
 
 def eigvals_general(C) -> ComplexSpectrum:
     """All (generally complex) eigenvalues of a square matrix.
 
-    A ``LaggedMatrix`` is solved from its p x T data: when m = T - tau < p
-    as ``eigvals(a[:, tau:]^T a[:, :m] / T)`` plus p - m exact zeros,
-    without forming the p x p matrix, otherwise from the p x p matrix. A
-    raw array is solved dense. A small side within the limits above runs on
-    one BLAS thread, and every QR stage does. ``NumericalError`` reports a
-    solve that did not converge, or a non-finite input.
+    A ``LaggedMatrix`` (a ``CovarianceMatrix`` too) is solved from its data
+    (see ``_solve``), any other matrix dense. ``ValidationError`` reports a
+    matrix that is not square or empty, and ``NumericalError`` a solve that
+    did not converge, or a non-finite input.
     """
-    zeros = 0
+    return ComplexSpectrum(values=_solve(C, symmetric=False)[0])
+
+
+def _solve(M, symmetric: bool) -> tuple[np.ndarray, float | None]:
+    """Eigenvalues of ``M`` and, for a symmetric solve, the trace of the
+    matrix solved.
+
+    A ``LaggedMatrix`` of p x T data at lag tau (for a symmetric solve, only
+    at tau = 0) has rank at most m = T - tau. When m < p its small side
+    ``a[:, tau:]^T a[:, :m] / T`` is solved, plus p - m exact zeros, and the
+    p x p matrix is never formed; within the limits of ``_small_side`` the
+    product and the solve run on one BLAS thread. Anything else is solved
+    from ``_owned(M)``, and scanned for symmetry by a symmetric solve unless
+    it is a lag-0 matrix.
+    """
+    from_data = isinstance(M, LaggedMatrix) and not (symmetric and M.tau)
+    if from_data and M.data.shape[1] - M.tau < M.data.shape[0]:
+        d, tau = M.data, M.tau
+        p, T = d.shape
+        m = T - tau
+        with _one_blas_thread(_small_side(m, p)):
+            # formed in C order and copied: formed F-ordered, the lag product
+            # (and so the spectrum) can differ in the last bits
+            w, trace = _solve_owned(np.divide(d[:, tau:].T @ d[:, :m], T,
+                                              out=_lapack_matrix(m)), symmetric)
+        return np.concatenate([np.zeros(p - m), w]), trace
+    a = _owned(M, symmetric)
+    if symmetric and not from_data:
+        _require_symmetric(a)
+    return _solve_owned(a, symmetric)
+
+
+def _solve_owned(a: np.ndarray, symmetric: bool) -> tuple[np.ndarray, float | None]:
+    """Eigenvalues of the owned matrix ``a``, which is overwritten, and its
+    trace if ``symmetric`` (tr(A^T A) = tr(A A^T), so a small side gives the
+    trace of the p x p matrix). ``np.linalg``'s ``LinAlgError`` becomes
+    ``NumericalError``."""
+    trace = float(np.trace(a)) if symmetric else None
     try:
-        if isinstance(C, LaggedMatrix) and C.data.shape[1] - C.tau < C.data.shape[0]:
-            d, tau = C.data, C.tau
-            p, T = d.shape
-            m = T - tau
-            with _one_blas_thread(_small_side(m, p)):
-                # formed in C order and copied: formed F-ordered, the product
-                # (and so the spectrum) can differ in the last bits
-                w = _eigvals_owned(np.divide(d[:, tau:].T @ d[:, :m], T, out=_lapack_matrix(m)))
-            zeros = p - m
-        else:
-            w = _eigvals_owned(_owned(C))
+        return (_eigvalsh_owned if symmetric else _eigvals_owned)(a), trace
     except np.linalg.LinAlgError as exc:
         raise NumericalError(str(exc)) from exc
-    return ComplexSpectrum(values=np.concatenate([np.zeros(zeros), w]))
 
 
-def _owned(M, dtype=None) -> np.ndarray:
+def _owned(M, symmetric: bool = False) -> np.ndarray:
     """The matrix of ``M`` as a new F-ordered array that a solve may
-    overwrite: formed from the data of a ``CovarianceMatrix`` or
-    ``LaggedMatrix`` whose ``entries`` have not been (and not cached), else
-    copied once from ``entries`` or from ``M`` itself. A square float64
-    matrix lands in a ``_lapack_matrix``."""
-    if isinstance(M, (CovarianceMatrix, LaggedMatrix)) and "entries" not in vars(M):
+    overwrite.
+
+    A ``LaggedMatrix`` whose ``entries`` have not been read is formed from
+    its data, and not cached, in a ``_lapack_matrix``. Otherwise ``entries``,
+    or ``M`` itself, is copied once: a real matrix as float64 into a
+    ``_lapack_matrix``, a complex one F-ordered as it is. This is the one
+    intake of raw arrays: ``ValidationError`` refuses a matrix that is not
+    square, is empty, or is complex when ``symmetric``.
+    """
+    if isinstance(M, LaggedMatrix) and "entries" not in vars(M):
         return M._form(_lapack_matrix(M.data.shape[0]))
     a = np.asarray(getattr(M, "entries", M))
-    square = a.ndim == 2 and a.shape[0] == a.shape[1] > 0
-    if not square or np.dtype(dtype or a.dtype) != np.float64:
-        return np.array(a, dtype=dtype, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrix of shape {a.shape} is not square")
+    if not a.size:
+        raise ValidationError(f"matrix of shape {a.shape} is empty")
+    if np.iscomplexobj(a):
+        if symmetric:
+            raise ValidationError(f"matrix of dtype {a.dtype} is not real")
+        return np.array(a, order="F")
     out = _lapack_matrix(a.shape[0])
     out[...] = a
     return out
@@ -317,18 +331,8 @@ def _lapack_matrix(n: int) -> np.ndarray:
 
 # arguments of each LAPACK routine called, INFO included; all by reference
 _LAPACK_ARGS = {"dsyevd": 11, "dgeev": 14, "dgebal": 8, "dgehrd": 9, "dhseqr": 14}
-
-
-class _OpenBLAS(NamedTuple):
-    """Thread count and LAPACK routines of numpy's vendored OpenBLAS."""
-
-    get_threads: Callable
-    set_threads: Callable
-    dsyevd: Callable
-    dgeev: Callable
-    dgebal: Callable
-    dgehrd: Callable
-    dhseqr: Callable
+# thread count and LAPACK routines of numpy's vendored OpenBLAS
+_OpenBLAS = collections.namedtuple("_OpenBLAS", ["get_threads", "set_threads", *_LAPACK_ARGS])
 
 
 @functools.cache
@@ -369,34 +373,15 @@ def _lapack(routine, *args) -> int:
     return info.value
 
 
-def _lda(a: np.ndarray) -> int:
-    """The leading dimension LDA with which the LAPACK calls take ``a``, or 0
-    when they cannot: ``a`` must be a non-empty, square, writeable float64
-    matrix with contiguous columns at least n doubles apart."""
-    if not (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1] > 0
-            and a.flags.writeable):
-        return 0
-    n = a.shape[0]
-    if a.flags.f_contiguous:  # also a 1 x 1 matrix, whose strides are arbitrary
-        return n
-    step, stride = a.strides
-    lda, rest = divmod(stride, a.itemsize)
-    return lda if step == a.itemsize and rest == 0 and lda >= n else 0
-
-
 def _eigvalsh_owned(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric F-ordered float64 array ``a``,
-    whose lower triangle is overwritten: ``dsyevd('N', 'L')`` with its own
-    workspace query, numpy's ``eigvalsh`` without its copy. An array in
-    another layout (see ``_lda``) goes to ``np.linalg.eigvalsh``."""
+    """Eigenvalues, ascending, of the symmetric float64 ``_lapack_matrix``
+    ``a``, whose lower triangle is overwritten: ``dsyevd('N', 'L')`` with its
+    own workspace query and the column stride as LDA, numpy's ``eigvalsh``
+    without its copy."""
     blas = _openblas()
-    lda = _lda(a)
-    if blas is None or not lda:
-        try:
-            return np.linalg.eigvalsh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(str(exc)) from exc
-    n = a.shape[0]
+    if blas is None:
+        return np.linalg.eigvalsh(a)
+    n, lda = a.shape[0], a.strides[1] // a.itemsize
     w, work, iwork = np.empty(n), np.empty(1), np.empty(1, np.int64)
     _lapack(blas.dsyevd, b"N", b"L", n, a, lda, w, work, -1, iwork, -1)
     work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), np.int64)
@@ -406,22 +391,22 @@ def _eigvalsh_owned(a: np.ndarray) -> np.ndarray:
 
 
 def _eigvals_owned(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the F-ordered square array ``a``, which is overwritten.
+    """Eigenvalues of the square matrix ``a`` from ``_owned``, which is
+    overwritten.
 
-    ``dgeev('N', 'N')`` without its copy, stage by stage, with ``dgeev``'s
-    workspace split as ``dgeev`` splits it (``dgehrd``'s block size, and so
-    the bits, depend on it): ``dgebal('B')`` and ``dgehrd`` on the pool,
-    ``dhseqr('E', 'N')`` on one thread. Real eigenvalues come back as a real
-    array, as from ``eigvals``. An array in another layout (see ``_lda``),
-    not finite, or outside ``dgeev``'s unscaled range goes to
+    ``dgeev('N', 'N')`` without its copy, stage by stage, with the column
+    stride as LDA and ``dgeev``'s workspace split as ``dgeev`` splits it
+    (``dgehrd``'s block size, and so the bits, depend on it): ``dgebal('B')``
+    and ``dgehrd`` on the pool, ``dhseqr('E', 'N')`` on one thread. Real
+    eigenvalues come back as a real array, as from ``eigvals``. A complex or
+    non-finite matrix, or one outside ``dgeev``'s unscaled range, goes to
     ``np.linalg.eigvals``, which raises ``LinAlgError`` where it refuses.
     """
     blas = _openblas()
-    lda = _lda(a)
-    amax = max(a.max(), -a.min()) if lda else np.nan
+    amax = max(a.max(), -a.min()) if a.dtype == np.float64 else np.nan
     if blas is None or not (amax == 0.0 or _GEEV_SMALL <= amax <= _GEEV_BIG):
         return np.linalg.eigvals(a)
-    n = a.shape[0]
+    n, lda = a.shape[0], a.strides[1] // a.itemsize
     wr, wi, query = np.empty(n), np.empty(n), np.empty(1)
     _lapack(blas.dgeev, b"N", b"N", n, a, lda, wr, wi, query, 1, query, 1, query, -1)
     lwork = int(query[0])
@@ -469,19 +454,7 @@ def _one_blas_thread(lower: bool = True):
             blas.set_threads(before)
 
 
-def _product(x: np.ndarray, y: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """``(x @ y)^T / n`` written into the F-ordered array ``out``, which is
-    returned: ``x @ y`` is formed in C order as ``out.T`` and divided in
-    place. ``x @ x.T`` comes out exactly symmetric: BLAS forms it as a rank-k
-    update that computes one triangle and mirrors it."""
-    np.matmul(x, y, out=out.T)
-    out /= n
-    return out
-
-
 def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix of shape {a.shape} is not square")
     scale = max(np.abs(a).max(), 1e-300)
     dev = np.abs(a - a.T).max()
     if dev > rel_tol * scale:

@@ -110,6 +110,10 @@ REFUSALS = {
                         "bandwidth must be finite and positive, got 0.0"),
     "mp-c-negative": (["theory", "mp", "--c", "-1"], {}, 1,
                       "dimension ratio must be positive and finite, got -1.0"),
+    "mp-points-2": (["theory", "mp", "--c", "2", "--points", "2"], {}, 1,
+                    "the c=2 curve has mass 0.5000, more than 0.02 from 1"),
+    "mp-points-20-c-1": (["theory", "mp", "--c", "1", "--points", "20"], {}, 1,
+                         "the c=1 curve has mass 0.9431, more than 0.02 from 1"),
     "lagged-q-negative": (["theory", "lagged", "--q", "-1"], {}, 1,
                           "Q must be positive and finite, got -1.0"),
     "lagged-q-grid-too-large": (["theory", "lagged", "--q", "1e-20"], {}, 1,

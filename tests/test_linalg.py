@@ -203,11 +203,30 @@ class TestEigvals:
         asymmetric = r"^asymmetry \S+ exceeds 1e-10 \* \S+$"
         with pytest.raises(ValidationError, match=asymmetric):
             eigvals_symmetric(rng.standard_normal((4, 4)))
-        # a matrix object other than a covariance is scanned like an array
+        # a lagged matrix at tau > 0 is scanned like an array
         with pytest.raises(ValidationError, match=asymmetric):
             eigvals_symmetric(LaggedMatrix(rng.standard_normal((4, 8)), 1))
         with pytest.raises(ValidationError, match=r"^matrix of shape \(2, 3\) is not square$"):
             eigvals_symmetric(np.zeros((2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_symmetric_solve_refuses_a_complex_matrix(self):
+        # copied to float64 it would lose its imaginary part and solve as [2, 2]
+        hermitian = np.array([[2, 1j], [-1j, 2]])
+        with pytest.raises(ValidationError, match=r"^matrix of dtype complex128 is not real$"):
+            eigvals_symmetric(hermitian)
+        np.testing.assert_allclose(eigvals_general(hermitian).values, [1, 3], atol=1e-12)
+
+    @pytest.mark.parametrize("solve", [eigvals_symmetric, eigvals_general])
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 3), r"^matrix of shape \(2, 3\) is not square$"),
+        ((3,), r"^matrix of shape \(3,\) is not square$"),
+        ((2, 2, 2), r"^matrix of shape \(2, 2, 2\) is not square$"),
+        ((0, 0), r"^matrix of shape \(0, 0\) is empty$"),
+    ])
+    def test_solvers_refuse_what_is_not_a_square_matrix(self, solve, shape, message):
+        with pytest.raises(ValidationError, match=message):
+            solve(np.zeros(shape))
 
     def test_entries_formed_from_data_skip_the_symmetry_scan(self, rng, monkeypatch):
         import rmtspec.linalg as linalg
@@ -351,6 +370,48 @@ class TestSmallSide:
             tracemalloc.stop()
         # one 2048 x 2048 float64 matrix alone is 32 MiB
         assert peak < 4 * 2**20
+
+
+class TestLagZeroSmallSide:
+    """The covariance is the lag-0 ``LaggedMatrix``: both solvers hand LAPACK
+    the product ``a.T @ a`` divided by n in place when n < p, as the
+    covariance's own small side did, and ``a @ a.T`` divided by n otherwise."""
+
+    @given(p=st.integers(1, 40),
+           offset=st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-39, 39)),
+           seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["C", "F", "strided", "reversed"]),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]))
+    @settings(max_examples=200, deadline=None)
+    def test_product_bits_and_zeros(self, p, offset, seed, layout, scale):
+        n = max(1, p + offset)
+        base = np.random.default_rng(seed).standard_normal((2 * p + 1, 3 * n + 1)) * scale
+        d = {"C": np.ascontiguousarray(base[:p, :n]),
+             "F": np.asfortranarray(base[:p, :n]),
+             "strided": base[1::2, ::3][:p, :n],
+             "reversed": base[::-2, ::-3][:p, :n]}[layout]
+        cov = sample_covariance(DataMatrix(d))
+        handed = []
+
+        def record(solve):
+            return lambda a: handed.append(a.copy()) or solve(a)
+
+        with mock.patch.object(linalg, "_eigvalsh_owned", record(linalg._eigvalsh_owned)), \
+                mock.patch.object(linalg, "_eigvals_owned", record(linalg._eigvals_owned)):
+            symmetric = eigvals_symmetric(cov).values
+            general = eigvals_general(cov).values
+        assert "entries" not in vars(cov)
+        if n < p:
+            want = np.matmul(d.T, d)
+        else:  # formed as out.T, so the matrix solved is its transpose
+            want = np.matmul(d, d.T).T
+        want /= n
+        assert len(handed) == 2
+        for a in handed:
+            assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
+        zeros = max(0, p - n)
+        assert np.count_nonzero(symmetric == 0.0) >= zeros
+        assert np.count_nonzero(general == 0.0) >= zeros
 
 
 class TestGramSymmetry:
@@ -617,9 +678,10 @@ class TestStagedSolvers:
             cached = M.entries.copy()
             solve(M)
             assert np.array_equal(M.entries.view(np.uint64), cached.view(np.uint64))
-            raw = np.ascontiguousarray(cached)
-            solve(raw)
-            assert np.array_equal(raw.view(np.uint64), cached.view(np.uint64))
+            for raw in (np.ascontiguousarray(cached),
+                        np.asfortranarray(cached[::-1, ::-1])[::-1, ::-1]):
+                solve(raw)
+                assert np.array_equal(raw.view(np.uint64), cached.view(np.uint64))
         assert np.array_equal(X.entries.view(np.uint64), data.view(np.uint64))
 
     def test_dense_solve_forms_an_uncached_product(self, get, rng):
@@ -698,8 +760,7 @@ _LAYOUT_ORDERS = [1, 2, 63, 64, 74, 75, 128, 256, 300]
 @pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
 class TestPaddedLayout:
     """A matrix a LAPACK stage overwrites may have slack below each column:
-    the stages take its column stride as LDA and never touch the slack. Other
-    strided layouts go to ``np.linalg``."""
+    the stages take its column stride as LDA and never touch the slack."""
 
     @staticmethod
     def _case(n, seed, symmetric):
@@ -717,26 +778,6 @@ class TestPaddedLayout:
         got = solve(view)
         assert np.array_equal(_bits(got), _bits(solve(np.array(m, order="F"))))
         assert np.isnan(buf[n:]).all()
-
-    @given(n=st.sampled_from(_LAYOUT_ORDERS[1:]), seed=st.integers(0, 2**32 - 1),
-           symmetric=st.booleans(), layout=st.sampled_from(["C", "reversed", "under-strided"]))
-    @settings(max_examples=60, deadline=None)
-    def test_other_layouts_go_to_numpy(self, n, seed, symmetric, layout):
-        m, solve, reference = self._case(n, seed, symmetric)
-        f = np.array(m, order="F")
-        view = {"C": np.ascontiguousarray(m),
-                "reversed": np.asfortranarray(m[::-1, ::-1])[::-1, ::-1],
-                # columns n - 1 doubles apart, so each overlaps the next
-                "under-strided": np.lib.stride_tricks.as_strided(
-                    f, (n, n), (f.itemsize, f.itemsize * (n - 1)))}[layout]
-        before = view.copy()
-        seen = []
-        with pytest.MonkeyPatch.context() as mp:
-            _spy(mp, seen)
-            got = solve(view)
-        assert seen == []
-        assert np.array_equal(_bits(got), _bits(reference(before)))
-        assert np.array_equal(view.view(np.uint64), before.view(np.uint64))
 
 
 def test_entries_keep_the_formula_bits():
