@@ -10,8 +10,9 @@ Subcommands:
     compare         KS and L1 distances between two saved curves
 
 Exit codes: 0 success, 1 validation/usage/IO error, 2 numerical failure.
-``RMT_THREADS`` caps BLAS thread pools when threadpoolctl is installed; without
-it the setting is ignored with a warning on stderr.
+``RMT_THREADS=<k>`` lowers numpy's OpenBLAS thread count to k (at least 1) for
+the length of the command, never raises it, and restores it afterwards;
+without a vendored OpenBLAS in numpy it is ignored with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import estimation, fileio, signals, theory
+from . import estimation, fileio, linalg, signals, theory
 from .curves import DensityCurve
 from .errors import NumericalError, ValidationError
 from .linalg import (
@@ -112,21 +113,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cap_threads() -> None:
+def _thread_limit() -> int | None:
+    """The BLAS thread count ``RMT_THREADS`` asks for, at least 1, or None
+    when it is unset."""
     spec = os.environ.get("RMT_THREADS")
     if not spec:
-        return
+        return None
     try:
         limit = max(1, int(spec))
     except ValueError:
         raise ValidationError(f"RMT_THREADS must be an integer, got {spec!r}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("warning: RMT_THREADS is ignored because threadpoolctl is not installed",
+    if linalg._openblas() is None:
+        print("warning: RMT_THREADS is ignored because numpy has no vendored OpenBLAS",
               file=sys.stderr)
-        return
-    threadpool_limits(limits=limit)
+    return limit
 
 
 def _parse_occupied(text: str) -> np.ndarray:
@@ -299,8 +299,8 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _cap_threads()
-        return ns.func(ns)
+        with linalg._blas_threads(_thread_limit()):
+            return ns.func(ns)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

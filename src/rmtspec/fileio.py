@@ -209,8 +209,9 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
     """Parse a CSV written by ``write_density_csv`` back into curves.
 
     The header needs ``x`` and at least one curve column, each label once,
-    and every data row needs one number per header column; otherwise
-    ``ValueError`` names the file and the line.
+    every data row needs one number per header column, and no curve ordinate
+    may be negative; otherwise ``ValueError`` names the file and the line (and
+    the column of a negative ordinate).
     """
     atoms: dict[str, float] = {}
     header: list[str] | None = None
@@ -243,12 +244,13 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
     data = _parse_at_once(lines, width)
     if data is None:  # find the line at fault
         data = _parse_by_line(path, width, linenos, lines)
-    xs = data[:, 0]
-    out = {}
-    for j, label in enumerate(header[1:], start=1):
-        out[label] = DensityCurve(xs, np.clip(data[:, j], 0.0, None),
-                                  point_mass_at_zero=atoms.get(label, 0.0))
-    return out
+    negative = np.argwhere(data[:, 1:] < 0.0)
+    if negative.size:
+        i, j = negative[0]
+        raise ValueError(f"{path}:{linenos[i]}: column {header[j + 1]!r} holds the negative "
+                         f"ordinate {data[i, j + 1]:g}")
+    return {label: DensityCurve(data[:, 0], data[:, j], point_mass_at_zero=atoms.get(label, 0.0))
+            for j, label in enumerate(header[1:], start=1)}
 
 
 def _parse_at_once(lines: list[str], width: int) -> np.ndarray | None:

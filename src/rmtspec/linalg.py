@@ -51,10 +51,13 @@ together with that product. On a 2-vCPU host at p = 2048 a second thread gave
 it no wall time: a 63 x 2048 x 63 lag product woke it, and it then kept
 spinning after the call, about doubling the process's CPU time. A longer
 product (16384 x 128, 65536 x 64) formed faster on the pool and keeps it, as
-do the other stages of dense solves. The count is lowered only while a stage
-runs and only when it is above 1, so a lower count set by ``RMT_THREADS`` or
-``OPENBLAS_NUM_THREADS`` is never raised. The count is process-wide: BLAS
-called from another Python thread meanwhile runs on one thread too.
+do the other stages of dense solves. All of these go through one context
+manager, ``_blas_threads``, as does ``RMT_THREADS``, which the CLI applies for
+the length of one command: each lowers the count to its limit, never raises
+it, and restores it afterwards, so a lower count set by ``RMT_THREADS`` or
+``OPENBLAS_NUM_THREADS`` holds for every stage. The count is process-wide:
+BLAS called from another Python thread meanwhile runs on the lowered count
+too.
 """
 
 from __future__ import annotations
@@ -271,7 +274,7 @@ def _solve(M, symmetric: bool) -> tuple[np.ndarray, float | None]:
         d, tau = M.data, M.tau
         p, T = d.shape
         m = T - tau
-        with _one_blas_thread(_small_side(m, p)):
+        with _blas_threads(1 if _small_side(m, p) else None):
             # formed in C order and copied: formed F-ordered, the lag product
             # (and so the spectrum) can differ in the last bits
             w, trace = _solve_owned(np.divide(d[:, tau:].T @ d[:, :m], T,
@@ -415,7 +418,7 @@ def _eigvals_owned(a: np.ndarray) -> np.ndarray:
     # WORK(1:N) holds the balancing scales, WORK(N+1:2N) the reflectors' tau
     _lapack(blas.dgebal, b"B", n, a, lda, ilo, ihi, work)
     _lapack(blas.dgehrd, n, ilo, ihi, a, lda, work[n:], work[2 * n:], lwork - 2 * n)
-    with _one_blas_thread():
+    with _blas_threads(1):
         info = _lapack(blas.dhseqr, b"E", b"N", n, ilo, ihi, a, lda, wr, wi, query, 1,
                        work[n:], lwork - n)
     if info:
@@ -434,23 +437,25 @@ def _small_side(m: int, p: int) -> bool:
 
 
 @contextlib.contextmanager
-def _one_blas_thread(lower: bool = True):
-    """Run the block on one OpenBLAS thread, if ``lower``.
+def _blas_threads(limit: int | None):
+    """Run the block with the OpenBLAS thread count at most ``limit``.
 
     Lowers the process-wide count only, never raises it, and restores it on
-    exit, also when the block raises. No lock: a thread lowers the count only
-    when it reads one above 1 and then restores what it read, so concurrent
-    solves cannot leave it at 1; one may run on the pool if another restores
-    first.
+    exit, also when the block raises. With ``limit`` None, or without numpy's
+    vendored OpenBLAS, it touches nothing. No lock: a thread lowers the count
+    only when it reads one above ``limit`` and then restores what it read, so
+    concurrent blocks under one limit cannot leave it lowered; one may run
+    on the pool if another restores first.
     """
-    blas = _openblas() if lower else None
-    before = blas.get_threads() if blas else 1
-    if before > 1:
-        blas.set_threads(1)
+    blas = _openblas() if limit else None
+    before = blas.get_threads() if blas else 0
+    lowered = blas is not None and before > limit
+    if lowered:
+        blas.set_threads(limit)
     try:
         yield
     finally:
-        if before > 1:
+        if lowered:
             blas.set_threads(before)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import rmtspec
 from rmtspec import DensityCurve, l1_distance, read_density_csv, write_density_csv
-from rmtspec import cli, fileio, theory
+from rmtspec import cli, fileio, linalg, theory
 from rmtspec.cli import run_cli
 from rmtspec.linalg import eigvals_general, lagged_correlation, standardize_rows
 
@@ -52,6 +52,7 @@ CONTRACT_CASES = {
     "compare-short-rows": (_COMPARE, {"emp": "x,kde\n0\n2\n", "th": _CURVE}),
     "compare-repeated-label": (_COMPARE, {"emp": "x,kde,kde\n0,1,0\n2,1,0\n", "th": _CURVE}),
     "compare-non-numeric": (_COMPARE, {"emp": "x,kde\n0,0.5\n2,a\n", "th": _CURVE}),
+    "compare-negative-ordinate": (_COMPARE, {"emp": "x,kde\n0,0\n1,-0.5\n", "th": _CURVE}),
     "wgn-variance-inf": (_WGN + ["--variance", "inf"], {}),
     "wgn-snr-nan": (_WGN + ["--snr-db", "nan"], {}),
     "wgn-snr-minus-inf": (_WGN + ["--snr-db=-inf"], {}),
@@ -180,12 +181,35 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "--occupied" in err and "'a:b'" in err
 
-    def test_rmt_threads_without_threadpoolctl_warns(self, tmp_path, monkeypatch, capsys):
+    def test_rmt_threads_without_openblas_warns(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RMT_THREADS", "1")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
+        assert capsys.readouterr().err == (
+            "warning: RMT_THREADS is ignored because numpy has no vendored OpenBLAS\n")
+
+    @pytest.mark.skipif(linalg._openblas() is None, reason="numpy has no vendored OpenBLAS")
+    @pytest.mark.filterwarnings("error")
+    def test_rmt_threads_with_openblas_is_silent(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RMT_THREADS", "1")
+        assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unset_rmt_threads_touches_no_openblas_handle(self, tmp_path, monkeypatch):
+        def touched():
+            raise AssertionError("run_cli looked up the OpenBLAS handle")
+
+        monkeypatch.delenv("RMT_THREADS", raising=False)
+        monkeypatch.setattr(linalg, "_openblas", touched)
+        assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
+
+    def test_compare_names_the_negative_ordinate(self, tmp_path, capsys):
+        # refusal itself is a CONTRACT_CASES entry; this checks what it names
+        argv, _ = _contract_argv("compare-negative-ordinate", tmp_path)
+        assert run_cli(argv) == 1
         err = capsys.readouterr().err
-        assert "RMT_THREADS" in err and "threadpoolctl" in err
+        assert err.splitlines()[-1] == (
+            f"error: {tmp_path / 'emp.csv'}:3: column 'kde' holds the negative ordinate -0.5")
 
     def test_theory_lagged_names_the_missed_mass(self, tmp_path, capsys):
         # refusal itself is a CONTRACT_CASES entry; this checks what it names
@@ -333,6 +357,16 @@ class TestRefusals:
         err = capsys.readouterr().err
         _assert_refused(code, err, out)
         assert err.splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_integer_rmt_threads(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RMT_THREADS", "abc")
+        out = tmp_path / "out"
+        assert run_cli(["theory", "mp", "--c", "0.5", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        _assert_refused(1, err, out)
+        assert err.splitlines()[-1] == "error: RMT_THREADS must be an integer, got 'abc'"
+        assert list(tmp_path.iterdir()) == []
 
 
 def _csv_values(path):

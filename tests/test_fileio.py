@@ -385,6 +385,24 @@ class TestDensityCsv:
         assert str(err.value) == f"{path}:{message}"
         assert err.value.__context__ is None or err.value.__suppress_context__
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,kde\n0,0\n1,-0.5\n", "3: column 'kde' holds the negative ordinate -0.5"),
+        ("x,a,b\n0,1,1\n1,1,-1e-300\n2,-2,1\n",
+         "3: column 'b' holds the negative ordinate -1e-300"),
+    ])
+    def test_negative_ordinate_refused(self, tmp_path, text, message):
+        # refused, not clipped to 0: the package never writes one
+        path = tmp_path / "neg.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_density_csv(str(path))
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_negative_zero_reads_back(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,kde\n0,-0\n1,1\n")
+        assert read_density_csv(str(path))["kde"].ys.tolist() == [0.0, 1.0]
+
     @given(rows=st.lists(st.lists(st.floats(allow_infinity=False), min_size=3, max_size=3),
                          min_size=1, max_size=20),
            fmt=st.sampled_from(["{!r}", "{:.9g}", " {:.3e} ", "{:+.17f}"]))

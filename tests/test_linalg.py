@@ -603,6 +603,57 @@ class TestSmallSolveThreads:
         assert np.count_nonzero(limited[1] == 0) == np.count_nonzero(pooled[1] == 0) == 1985
 
 
+@pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
+class TestRmtThreads:
+    """``RMT_THREADS`` lowers the count for the length of one ``run_cli``
+    command through the same step as the one-thread rules: every stage sees
+    it, it is never raised, and the count is restored on every exit path."""
+
+    @pytest.fixture
+    def capture(self, tmp_path):
+        # 100 x 200: both solves are dense, so their pool stages show the limit
+        path = str(tmp_path / "x.rmtc")
+        assert run_cli(["generate", "--signal", "wgn", "--rows", "100", "--cols", "200",
+                        "-o", path]) == 0
+        return path
+
+    # values below 1 mean 1
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_every_stage_sees_the_limit(self, monkeypatch, get, tmp_path, capture, value):
+        monkeypatch.setenv("RMT_THREADS", value)
+        seen = []
+        _spy(monkeypatch, seen)
+        assert run_cli(["analyze", "lagged", "-i", capture, "--tau", "1",
+                        "-o", str(tmp_path / "cloud.csv")]) == 0
+        assert (seen, get()) == (_gen(1), 2)
+        assert run_cli(["analyze", "cov", "-i", capture, "-o", str(tmp_path / "d.csv")]) == 0
+        assert (seen, get()) == (_gen(1) + _sym(1), 2)
+
+    @pytest.mark.parametrize("argv, fail, code, calls", [
+        (["analyze", "cov"], None, 0, _sym(1)),
+        (["analyze", "cov", "--bins", "0"], None, 1, _sym(1)),
+        (["analyze", "cov", "--bins"], None, 1, []),
+        (["analyze", "lagged", "--tau", "1"], "dhseqr", 2, _gen(1)),
+    ], ids=["exit-0", "exit-1", "usage-exit-1", "exit-2"])
+    def test_count_restored_on_every_exit(self, monkeypatch, get, tmp_path, capture,
+                                          argv, fail, code, calls):
+        monkeypatch.setenv("RMT_THREADS", "1")
+        seen = []
+        _spy(monkeypatch, seen, fail=fail)
+        out = str(tmp_path / "out")
+        assert run_cli([*argv[:2], "-i", capture, *argv[2:], "-o", out]) == code
+        assert (seen, get()) == (calls, 2)
+
+    def test_count_is_never_raised(self, monkeypatch, get, tmp_path, capture):
+        monkeypatch.setenv("RMT_THREADS", "2")
+        linalg._openblas().set_threads(1)
+        seen = []
+        _spy(monkeypatch, seen)
+        assert run_cli(["analyze", "lagged", "-i", capture, "--tau", "1",
+                        "-o", str(tmp_path / "cloud.csv")]) == 0
+        assert (seen, get()) == (_gen(1), 1)
+
+
 def _bits(v):
     return np.asarray(v, dtype=np.complex128).view(np.uint64)
 
@@ -610,7 +661,7 @@ def _bits(v):
 @pytest.fixture
 def qr_on_the_pool(monkeypatch):
     """Let the QR stage keep the pool: the staged solve is then dgeev's."""
-    monkeypatch.setattr(linalg, "_one_blas_thread", lambda lower=True: contextlib.nullcontext())
+    monkeypatch.setattr(linalg, "_blas_threads", lambda limit: contextlib.nullcontext())
 
 
 @pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
