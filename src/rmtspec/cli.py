@@ -9,7 +9,7 @@ Subcommands:
     theory lagged   lagged-spectrum density via the quartic resolvent
     compare         KS and L1 distances between two saved curves
 
-Exit codes: 0 success, 1 validation/usage/IO error, 2 numerical failure.
+Exit codes: 0 success, 1 validation/usage/IO/out-of-memory error, 2 numerical failure.
 ``RMT_THREADS=<k>`` lowers numpy's OpenBLAS thread count to k (at least 1) for
 the length of the command, never raises it, and restores it afterwards;
 without a vendored OpenBLAS in numpy it is ignored with a warning on stderr.
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import estimation, fileio, linalg, signals, theory
-from .curves import DensityCurve
+from .curves import DensityCurve, cell_averages
 from .errors import NumericalError, ValidationError
 from .linalg import (
     eigvals_general,
@@ -156,13 +156,10 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
             ns.seed, rows * cols, ns.carrier, ns.band, ns.symbol_rate))
     else:
         spec = signals.NcofdmSpec(ns.seed, ns.n_fft, _parse_occupied(ns.occupied))
-        if ns.freq_domain:
-            if rows != ns.n_fft:
-                raise ValidationError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
-            stream = signals.gen_ncofdm_frames(spec, n_frames=cols)
-        else:
-            n_frames = -(-rows * cols // ns.n_fft)
-            stream = signals.gen_ncofdm_frames(spec, n_frames=n_frames)
+        if ns.freq_domain and rows != ns.n_fft:
+            raise ValidationError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
+        n_frames = cols if ns.freq_domain else -(-rows * cols // ns.n_fft)
+        stream = signals.gen_ncofdm_frames(spec, n_frames=n_frames)
 
     stream = signals.add_awgn(stream, ns.snr_db, seed=ns.seed + 1)
 
@@ -186,12 +183,14 @@ def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
     nonzero, atom_share = estimation.split_atom(spec.values)
     hist = estimation.with_atom(estimation.histogram_density(nonzero, bins=ns.bins), atom_share)
 
-    lo = min(0.0, float(nonzero.min()) - 0.5)
-    hi = max(prm.b, float(nonzero.max())) + 0.5
-    grid = np.linspace(lo, hi, 1024)
-    mp_curve = DensityCurve(grid, theory.mp_density(grid, ratio),
-                            point_mass_at_zero=prm.point_mass_at_zero)
-    fileio.write_density_csv(ns.output, [hist, kde, mp_curve], ["hist", "kde", "mp"])
+    # one grid clearing every support (the KDE's tails, the MP law's, the atom
+    # at 0) by a cell, so each column's trapezoid mass is its curve's mass
+    lo, hi = min(0.0, kde.xs[0]), max(prm.b, kde.xs[-1])
+    pad = max(0.5, (hi - lo) / 2000)
+    grid = np.linspace(lo - pad, hi + pad, 2048)
+    columns = [cell_averages(grid, c.cdf, atom_share) for c in (hist, kde)]
+    columns.append(cell_averages(grid, lambda x: theory.mp_cdf(x, ratio), prm.point_mass_at_zero))
+    fileio.write_density_csv(ns.output, columns, ["hist", "kde", "mp"])
     return 0
 
 
@@ -241,34 +240,11 @@ def _cmd_theory_lagged(ns: argparse.Namespace) -> int:
 
 def _pick_column(curves: dict[str, DensityCurve], requested: str | None,
                  preferred: tuple[str, ...]) -> str:
-    if requested is not None:
-        if requested not in curves:
-            raise ValidationError(f"column {requested!r} not in file (has {sorted(curves)})")
-        return requested
-    for name in preferred:
-        if name in curves:
-            return name
-    return next(iter(curves))
-
-
-def _curve_ks(a: DensityCurve, b: DensityCurve) -> float:
-    """Sup |CDF_a - CDF_b| of the exact curve CDFs.
-
-    Between adjacent knots of either curve both densities are linear, so the
-    CDF gap is quadratic there and peaks at a knot or where the densities
-    cross; the only jump is the atoms' at 0, seen from both sides.
-    """
-    knots = np.union1d(np.concatenate([a.xs, b.xs]), [0.0])
-    lo, hi = knots[:-1], knots[1:]
-    # the density gap at the quarter points, clear of the jumps to zero at a
-    # curve's ends, fixes the line whose zero t is the crossing
-    q1, q3 = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
-    d1, d3 = a(q1) - b(q1), a(q3) - b(q3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = 0.25 + 0.5 * d1 / (d1 - d3)
-    cross = (lo + t * (hi - lo))[(t > 0.0) & (t < 1.0)]
-    pts = np.concatenate([knots, cross, [np.nextafter(0.0, -np.inf)]])
-    return float(np.abs(a.cdf(pts) - b.cdf(pts)).max())
+    if requested is None:
+        return next(name for name in (*preferred, *curves) if name in curves)
+    if requested not in curves:
+        raise ValidationError(f"column {requested!r} not in file (has {sorted(curves)})")
+    return requested
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
@@ -277,15 +253,11 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     emp_col = _pick_column(emp, ns.empirical_col, ("kde", "hist"))
     th_col = _pick_column(th, ns.theory_col, ("mp", "rho_s"))
     a, b = emp[emp_col], th[th_col]
-
-    l1 = estimation.l1_distance(a, b)
-    ks = _curve_ks(a, b)
-
     report = (
         f"empirical: {ns.empirical} [{emp_col}]\n"
         f"theory: {ns.theory} [{th_col}]\n"
-        f"L1 = {l1:.9g}\n"
-        f"KS = {ks:.9g}\n"
+        f"L1 = {estimation.l1_distance(a, b):.9g}\n"
+        f"KS = {estimation.curve_ks_distance(a, b):.9g}\n"
     )
     fileio._atomic_write(ns.output, report.encode())
     print(report, end="")
@@ -304,8 +276,8 @@ def run_cli(argv) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

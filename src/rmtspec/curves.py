@@ -1,5 +1,6 @@
 """Sampled density curves: finite, strictly increasing grid, finite
-non-negative ordinates, optional point mass at the origin."""
+non-negative ordinates, optional point mass at the origin; and the cell
+averages of a CDF on a uniform grid."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DensityCurve", "union_grid"]
+__all__ = ["DensityCurve", "cell_averages"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,18 @@ class DensityCurve:
         return knots[i] + part + self.point_mass_at_zero * (x >= 0.0)
 
 
-def union_grid(curves) -> np.ndarray:
-    """2048 evenly spaced abscissas spanning the union of the curves' supports."""
-    return np.linspace(min(c.xs[0] for c in curves), max(c.xs[-1] for c in curves), 2048)
+def cell_averages(grid, cdf, atom: float = 0.0) -> DensityCurve:
+    """The curve on the uniform float array ``grid`` (step h) whose ordinate
+    at x is the mean density over the cell [x - h/2, x + h/2], that is
+    (F(x + h/2) - F(x - h/2)) / h of the continuous part of the vectorized
+    ``cdf`` F, which holds ``atom`` at 0; the curve keeps the atom.
+
+    The cells tile [grid[0] - h/2, grid[-1] + h/2], so when the grid clears
+    the support by half a cell at each end the ordinates at both ends are 0
+    and the trapezoid mass is the CDF's continuous mass, to rounding.
+    """
+    h = grid[1] - grid[0]
+    edges = np.append(grid - 0.5 * h, grid[-1] + 0.5 * h)
+    cont = cdf(edges) - atom * (edges >= 0.0)
+    # a CDF rounded near a flat stretch may step down by an ulp
+    return DensityCurve(grid, np.maximum(np.diff(cont), 0.0) / h, point_mass_at_zero=atom)

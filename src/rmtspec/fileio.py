@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DensityCurve, union_grid
+from .curves import DensityCurve
 from .errors import ValidationError
 from .linalg import DataMatrix
 
@@ -169,31 +169,24 @@ def _read_payload(fh, header: CaptureHeader) -> np.ndarray:
 
 
 def write_density_csv(path: str, curves, labels) -> None:
-    """Write one or more density curves as CSV.
+    """Write one or more density curves on one grid as CSV.
 
     Leading ``# point_mass_<label>=<value>`` comment lines carry nonzero
     atoms; the header row is ``x,<label1>,...``; values use 9 significant
-    digits. Curves on different grids are resampled onto the union grid.
+    digits. Curves on different grids are refused with ``ValueError``: a
+    curve is never resampled, so each column keeps its curve's mass.
     """
-    curves = list(curves)
-    labels = list(labels)
-    if len(curves) != len(labels):
-        raise ValueError("need one label per curve")
-    if not curves:
-        raise ValueError("need at least one curve")
-    grids_match = all(len(c.xs) == len(curves[0].xs) and np.array_equal(c.xs, curves[0].xs)
-                      for c in curves)
-    if grids_match:
-        xs = curves[0].xs
-        cols = [c.ys for c in curves]
-    else:
-        xs = union_grid(curves)
-        cols = [c(xs) for c in curves]
+    curves, labels = list(curves), list(labels)
+    if not curves or len(curves) != len(labels):
+        raise ValueError("need at least one curve, and one label per curve")
+    xs = curves[0].xs
+    if not all(np.array_equal(c.xs, xs) for c in curves):
+        raise ValueError("curves of one density file must share one grid")
 
     lines = [f"# point_mass_{label}={c.point_mass_at_zero:.9g}"
              for label, c in zip(labels, curves) if c.point_mass_at_zero > 0]
     lines.append("x," + ",".join(labels))
-    write_table_csv(path, lines, np.column_stack([xs, *cols]))
+    write_table_csv(path, lines, np.column_stack([xs, *(c.ys for c in curves)]))
 
 
 def write_table_csv(path: str, head: list[str], table: np.ndarray) -> None:
@@ -211,7 +204,10 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
     The header needs ``x`` and at least one curve column, each label once,
     every data row needs one number per header column, and no curve ordinate
     may be negative; otherwise ``ValueError`` names the file and the line (and
-    the column of a negative ordinate).
+    the column of a negative ordinate). A column that is not a curve (grid not
+    strictly increasing, a non-finite value, fewer than 2 rows, an atom
+    outside [0, 1)) is refused with a ``ValueError`` naming the file and the
+    column.
     """
     atoms: dict[str, float] = {}
     header: list[str] | None = None
@@ -249,8 +245,13 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
         i, j = negative[0]
         raise ValueError(f"{path}:{linenos[i]}: column {header[j + 1]!r} holds the negative "
                          f"ordinate {data[i, j + 1]:g}")
-    return {label: DensityCurve(data[:, 0], data[:, j], point_mass_at_zero=atoms.get(label, 0.0))
-            for j, label in enumerate(header[1:], start=1)}
+    curves = {}
+    for j, label in enumerate(header[1:], start=1):
+        try:
+            curves[label] = DensityCurve(data[:, 0], data[:, j], atoms.get(label, 0.0))
+        except ValueError as exc:
+            raise ValueError(f"{path}: column {label!r}: {exc}") from None
+    return curves
 
 
 def _parse_at_once(lines: list[str], width: int) -> np.ndarray | None:

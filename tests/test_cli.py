@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import rmtspec
 from rmtspec import DensityCurve, l1_distance, read_density_csv, write_density_csv
-from rmtspec import cli, fileio, linalg, theory
+from rmtspec import cli, estimation, fileio, linalg, signals, theory
 from rmtspec.cli import run_cli
 from rmtspec.linalg import eigvals_general, lagged_correlation, standardize_rows
 
@@ -84,6 +85,13 @@ _NAN_SAMPLE[2, 3] = np.nan
 _COV = ["analyze", "cov", "-i", "{cap}"]
 _GOOD = {"cap": _rmtc(_SAMPLES.tobytes())}
 
+
+def _narrowband_capture(seed, rows, cols):
+    """The bytes ``generate --signal narrowband --seed S --rows R --cols C`` writes."""
+    stream = signals.gen_narrowband(signals.NarrowbandSpec(seed, rows * cols, 0.25, 1 / 6, 1 / 16))
+    return _rmtc(stream.samples.reshape(rows, cols).astype("<f4").tobytes(), rows=rows, cols=cols)
+
+
 # one refusal per kind reachable from argv: argv (without -o), capture bytes,
 # the exit code and the whole last line of stderr
 REFUSALS = {
@@ -133,6 +141,17 @@ REFUSALS = {
                            "--n-fft", "1000"], {}, 1, "n_fft=1000 is not a power of two"),
     "generate-rows-0": (["generate", "--signal", "wgn", "--rows", "0", "--cols", "4"], {}, 1,
                         "rows and cols must be >= 1"),
+    # a density file whose column is not a curve names the file and the column
+    "compare-x-repeated": (_COMPARE, {"emp": b"x,kde\n0,1\n0,1\n", "th": _CURVE.encode()}, 1,
+                           "{emp}: column 'kde': xs must be strictly increasing"),
+    "compare-nan-ordinate": (_COMPARE, {"emp": b"x,kde\n0,nan\n1,1\n", "th": _CURVE.encode()}, 1,
+                             "{emp}: column 'kde': xs and ys must be finite"),
+    "compare-one-row": (_COMPARE, {"emp": _CURVE.encode(), "th": b"x,mp\n0,1\n"}, 1,
+                        "{th}: column 'mp': xs and ys must be equal-length 1-d arrays "
+                        "(>= 2 points)"),
+    "compare-atom-1.5": (_COMPARE, {"emp": b"# point_mass_kde=1.5\nx,kde\n0,1\n1,1\n",
+                                    "th": _CURVE.encode()}, 1,
+                         "{emp}: column 'kde': point mass must lie in [0, 1)"),
 }
 
 
@@ -356,7 +375,36 @@ class TestRefusals:
         assert run_cli([a.format(**paths) for a in argv] + ["-o", str(out)]) == code
         err = capsys.readouterr().err
         _assert_refused(code, err, out)
-        assert err.splitlines()[-1] == f"error: {message}"
+        assert err.splitlines()[-1] == f"error: {message.format(**paths)}"
+
+    # two nonzero eigenvalues equal up to rounding: Silverman's bandwidth is
+    # ~1e-16 and a KDE grid over them would repeat abscissas. The digits of
+    # the bandwidth and the spread depend on the LAPACK build, and one that
+    # returns equal eigenvalues is refused for having no bandwidth
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed, cols, at", [(21, 11, "0.909090909"), (277, 35, "0.971428571")])
+    def test_equal_eigenvalues(self, tmp_path, capsys, seed, cols, at):
+        cap, out = tmp_path / "cap.rmtc", tmp_path / "out"
+        cap.write_bytes(_narrowband_capture(seed, 2, cols))
+        assert run_cli(["analyze", "cov", "-i", str(cap), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        _assert_refused(1, err, out)
+        assert re.fullmatch(rf"error: (bandwidth \S+ and eigenvalue spread \S+ are too small "
+                            rf"for a KDE grid at {at}|need at least 2 distinct samples for a "
+                            rf"bandwidth)\n", err), err
+
+    # each array asked for is beyond 2^47 bytes, the user address space, so
+    # the allocation fails at once and nothing is ever allocated
+    @pytest.mark.parametrize("argv, size", [
+        (["theory", "mp", "--c", "1", "--points", str(10**15)], "7.11 PiB"),
+        (["generate", "--signal", "wgn", "--rows", str(10**8), "--cols", str(10**8)], "71.1 PiB"),
+    ])
+    def test_out_of_memory(self, tmp_path, capsys, argv, size):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        _assert_refused(1, err, out)
+        assert err.startswith(f"error: Unable to allocate {size}"), err
 
     @pytest.mark.filterwarnings("error")
     def test_non_integer_rmt_threads(self, tmp_path, monkeypatch, capsys):
@@ -423,6 +471,39 @@ class TestCaptureContract:
                 for path in written:
                     assert np.isfinite(_csv_values(path)).all(), path
                     path.unlink()
+
+class TestDensityFileMass:
+    """Every ``analyze cov`` column is a cell average on one grid that clears
+    every support, so it keeps its curve's mass: to rounding in memory, and
+    within the 9-digit CSV rounding when read back."""
+
+    @pytest.mark.parametrize("rows, cols, generate, analyze", [
+        (64, 256, [], []), (64, 64, [], []), (256, 256, [], []), (128, 32, [], []),
+        (256, 8, [], []),
+        # eigenvalues near 1e6: the grid's margin grows past 0.5 to clear a cell
+        (64, 64, ["--variance", "1e6"], ["--no-standardize"]),
+    ])
+    def test_columns_keep_their_mass(self, tmp_path, monkeypatch, rows, cols, generate, analyze):
+        cap, dens = tmp_path / "cap.rmtc", tmp_path / "dens.csv"
+        assert _run("generate", "--signal", "wgn", "--seed", "1", "--rows", str(rows),
+                    "--cols", str(cols), *generate, "-o", str(cap)) == 0
+        kdes, written = [], []
+        density, write = estimation.eigenvalue_density, fileio.write_density_csv
+        monkeypatch.setattr(estimation, "eigenvalue_density",
+                            lambda *a: kdes.append(density(*a)) or kdes[-1])
+        monkeypatch.setattr(fileio, "write_density_csv",
+                            lambda path, curves, labels: written.append(curves)
+                            or write(path, curves, labels))
+        assert _run("analyze", "cov", "-i", str(cap), *analyze, "-o", str(dens)) == 0
+
+        hist, kde, mp = written[0]
+        assert kde.total_mass() == pytest.approx(kdes[0].total_mass(), rel=0, abs=1e-12)
+        assert hist.total_mass() == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert mp.total_mass() == pytest.approx(1.0, rel=0, abs=1e-12)
+        back = read_density_csv(str(dens))
+        for label in ("hist", "mp"):
+            assert back[label].total_mass() == pytest.approx(1.0, rel=0, abs=1e-6), label
+
 
 class TestPipelines:
     def test_wgn_cov_against_mp(self, tmp_path):

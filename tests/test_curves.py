@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmtspec.curves import DensityCurve, union_grid
+from rmtspec import theory
+from rmtspec.curves import DensityCurve, cell_averages
 
 
 @st.composite
@@ -50,11 +51,63 @@ class TestDensityCurve:
         c = DensityCurve(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(c(np.array([-1.0, 0.5, 2.0])), [0.0, 1.0, 0.0])
 
-    def test_union_grid(self):
-        a = DensityCurve(np.array([-1.0, 0.5]), np.ones(2))
-        b = DensityCurve(np.array([0.0, 3.0]), np.ones(2))
-        g = union_grid([a, b])
-        assert (g[0], g[-1], len(g)) == (-1.0, 3.0, 2048)
+
+
+def _clearing_grid(lo, hi, n):
+    """``n`` uniform points from 0.5 below ``min(0, lo)`` to 0.5 above ``hi``."""
+    return np.linspace(min(0.0, lo) - 0.5, hi + 0.5, n)
+
+
+class TestCellAverages:
+    @given(_curves(), st.integers(256, 2048))
+    @settings(max_examples=200, deadline=None)
+    def test_curve_mass_kept(self, c, n):
+        # scaled to a density: curve plus atom of mass 1
+        cont = c.continuous_mass()
+        if cont > 0:
+            c = DensityCurve(c.xs, c.ys * (1.0 - c.point_mass_at_zero) / cont,
+                             point_mass_at_zero=c.point_mass_at_zero)
+        grid = _clearing_grid(c.xs[0], c.xs[-1], n)
+        cells = cell_averages(grid, c.cdf, c.point_mass_at_zero)
+        assert np.all(cells.ys >= 0.0)
+        assert cells.point_mass_at_zero == c.point_mass_at_zero
+        assert cells.total_mass() == pytest.approx(c.total_mass(), rel=0, abs=1e-12)
+        # each ordinate is the mean of the continuous part over its cell
+        h = grid[1] - grid[0]
+        k = n // 2
+        cont = c.cdf(grid[k] + 0.5 * h) - c.cdf(grid[k] - 0.5 * h)
+        cont -= c.point_mass_at_zero * (grid[k] - 0.5 * h < 0.0 <= grid[k] + 0.5 * h)
+        assert cells.ys[k] * h == pytest.approx(cont, rel=1e-9, abs=1e-12)
+
+    @given(st.one_of(st.floats(0.01, 50.0), st.sampled_from([0.25, 1.0, 4.0, 32.0])),
+           st.integers(256, 2048))
+    @settings(max_examples=200, deadline=None)
+    def test_marcenko_pastur_mass_one(self, c, n):
+        prm = theory.mp_params(c)
+        grid = _clearing_grid(prm.a, prm.b, n)
+        cells = cell_averages(grid, lambda x: theory.mp_cdf(x, c), prm.point_mass_at_zero)
+        assert np.all(cells.ys >= 0.0)
+        assert cells.total_mass() == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    def test_flat_across_the_atom(self):
+        # no density around 0, where (F + atom) - atom rounds an ulp below F:
+        # the cell over 0 holds 0, not -5.6e-17
+        c = DensityCurve(np.array([-1.0, -0.5, 0.5, 1.0]), np.array([0.7, 0.0, 0.0, 0.7]),
+                         point_mass_at_zero=0.35)
+        grid = np.linspace(-1.5, 1.5, 31)
+        cells = cell_averages(grid, c.cdf, 0.35)
+        assert np.all(cells.ys[np.abs(grid) < 0.35] == 0.0)
+        assert cells.total_mass() == pytest.approx(c.total_mass(), rel=0, abs=1e-12)
+
+    def test_uniform_box(self):
+        # the cells of the box [0, 1] on a grid of step 1/4 with a centre at 1:
+        # the cell [7/8, 9/8] holds half its width of the box
+        grid = np.arange(-8, 9) / 4.0
+        box = DensityCurve(np.array([0.0, 1.0]), np.ones(2))
+        cells = cell_averages(grid, box.cdf)
+        want = np.where((grid > 0.0) & (grid < 1.0), 1.0, 0.0)
+        want[grid == 0.0] = want[grid == 1.0] = 0.5
+        np.testing.assert_allclose(cells.ys, want, rtol=0, atol=1e-15)
 
 
 class TestCdf:

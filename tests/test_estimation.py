@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from rmtspec import (
 )
 from rmtspec.errors import DisjointSupportsWarning, ValidationError
 from rmtspec.estimation import kde_eval
+
+from oracles import l1_quad
 
 
 def _spec(values):
@@ -178,6 +182,19 @@ class TestKs:
         assert 0.0 <= d <= 1.0
 
 
+@st.composite
+def _jump_curves(draw):
+    """Curves of 2-12 knots on about [-4, 8] whose end ordinates are mostly
+    nonzero (a jump to zero there), with an atom at 0 or none."""
+    n = draw(st.integers(2, 12))
+    start = draw(st.floats(-4.0, 2.0))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    xs = start + np.concatenate([[0.0], np.cumsum(steps)])
+    ys = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    atom = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+    return DensityCurve(xs, ys, point_mass_at_zero=atom)
+
+
 class TestL1:
     def test_identical(self):
         xs = np.linspace(0, 1, 101)
@@ -210,6 +227,35 @@ class TestL1:
         a = DensityCurve(np.linspace(0, 2, 301), np.abs(np.sin(np.linspace(0, 2, 301))))
         b = DensityCurve(np.linspace(1, 3, 301), np.full(301, 0.5))
         assert l1_distance(a, b) == pytest.approx(l1_distance(b, a), abs=1e-12)
+
+    @pytest.mark.parametrize("a, b, want", [
+        # a narrow box inside a wide one: 0.999 on [0, 1] and 0.001 over 999
+        ((0.0, 1.0, 1.0), (0.0, 1000.0, 0.001), 1.998),
+        # half-overlapping unit boxes, each jumping to zero at both ends
+        ((0.0, 1.0, 1.0), (0.5, 1.5, 1.0), 1.0),
+        ((0.0, 1.0, 1.0), (5.0, 6.0, 1.0), 2.0),
+    ])
+    def test_boxes_exact(self, a, b, want):
+        box = [DensityCurve(np.array([lo, hi]), np.full(2, y)) for lo, hi, y in (a, b)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisjointSupportsWarning)
+            assert l1_distance(*box) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_crossing_exact(self):
+        # density 2x against 1 on [0, 1]: two triangles of area 1/4
+        xs = np.array([0.0, 1.0])
+        a, b = DensityCurve(xs, np.array([0.0, 2.0])), DensityCurve(xs, np.ones(2))
+        assert l1_distance(a, b) == pytest.approx(0.5, rel=0, abs=1e-15)
+
+    @given(_jump_curves(), _jump_curves(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quadrature(self, a, b, same_grid):
+        if same_grid:
+            b = DensityCurve(a.xs, b.ys[:1].repeat(len(a.xs)) + a.ys[::-1], b.point_mass_at_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisjointSupportsWarning)
+            got = l1_distance(a, b)
+        assert got == pytest.approx(l1_quad(a, b), rel=1e-10, abs=1e-12)
 
 
 class TestProjections:

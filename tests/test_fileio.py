@@ -287,13 +287,11 @@ def _special_curve():
 
 
 def _cov_shaped_curves(rng):
-    """A histogram, a KDE and an MP overlay on three different grids, with atoms."""
-    edges = np.linspace(0.1, 3.7, 41)
-    hist = DensityCurve(0.5 * (edges[1:] + edges[:-1]), rng.random(40), point_mass_at_zero=0.25)
-    kde_xs = np.linspace(-0.4, 4.2, 512)
-    kde = DensityCurve(kde_xs, np.exp(-(kde_xs - 1.5) ** 2), point_mass_at_zero=0.25)
-    mp_xs = np.linspace(-0.5, 4.3, 1024)
-    mp = DensityCurve(mp_xs, np.clip(np.sin(mp_xs), 0.0, None), point_mass_at_zero=0.25)
+    """A histogram, a KDE and an MP overlay on one 2048-point grid, with atoms."""
+    xs = np.linspace(-0.5, 4.3, 2048)
+    hist = DensityCurve(xs, rng.random(2048), point_mass_at_zero=0.25)
+    kde = DensityCurve(xs, np.exp(-(xs - 1.5) ** 2), point_mass_at_zero=0.25)
+    mp = DensityCurve(xs, np.clip(np.sin(xs), 0.0, None), point_mass_at_zero=0.25)
     return [hist, kde, mp], ["hist", "kde", "mp"]
 
 
@@ -304,7 +302,7 @@ class TestDensityCsv:
             ([DensityCurve(xs, np.abs(np.sin(7.3 * xs)) / 3.0)], ["rho_s"]),
             ([DensityCurve(xs, np.exp(-xs**2), point_mass_at_zero=0.5)], ["rho_s"]),
             ([_special_curve()], ["s"]),
-            ([_special_curve(), DensityCurve(np.array([-1.0, 0.0, 2.0]), np.ones(3))], ["s", "t"]),
+            ([_special_curve(), DensityCurve(_special_curve().xs, np.ones(9))], ["s", "t"]),
             _cov_shaped_curves(rng),
         ]
         for curves, labels in cases:
@@ -348,15 +346,28 @@ class TestDensityCsv:
         np.testing.assert_allclose(back.ys, ys, rtol=1e-8)
         assert back.point_mass_at_zero == 0.5
 
-    def test_multi_curve_resampled(self, tmp_path):
+    @pytest.mark.parametrize("xs_b", [np.linspace(0.5, 2, 31), np.linspace(0, 1, 12),
+                                      np.linspace(0, 1, 11) + 1e-12])
+    def test_refuses_curves_on_different_grids(self, tmp_path, xs_b):
+        # a column is never resampled onto another curve's grid
         path = tmp_path / "d.csv"
         a = DensityCurve(np.linspace(0, 1, 11), np.ones(11))
-        b = DensityCurve(np.linspace(0.5, 2, 31), np.full(31, 0.2))
+        b = DensityCurve(xs_b, np.full(len(xs_b), 0.2))
+        with pytest.raises(ValueError, match="must share one grid"):
+            write_density_csv(str(path), [a, b], ["a", "b"])
+        assert not path.exists()
+
+    def test_multi_curve_one_grid(self, tmp_path):
+        path = tmp_path / "d.csv"
+        xs = np.arange(21) / 10.0  # every value reads back from 9 digits
+        a = DensityCurve(xs, np.full(21, 0.5))
+        b = DensityCurve(xs.copy(), np.full(21, 0.2), point_mass_at_zero=0.6)
         write_density_csv(str(path), [a, b], ["a", "b"])
         curves = read_density_csv(str(path))
         assert set(curves) == {"a", "b"}
-        assert curves["a"].xs[0] == 0.0
-        assert curves["a"].xs[-1] == 2.0
+        assert curves["b"].point_mass_at_zero == 0.6
+        np.testing.assert_array_equal(curves["a"].xs, xs)
+        np.testing.assert_array_equal(curves["b"].ys, b.ys)
 
     @pytest.mark.parametrize("text, line", [
         ("x\n0\n1\n", 1),
