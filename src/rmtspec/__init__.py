@@ -47,7 +47,6 @@ from .signals import (
     spectrogram_matrix,
 )
 from .theory import (
-    GreenSolveConfig,
     MpParams,
     green_function,
     green_quartic_coeffs,

@@ -220,6 +220,10 @@ def _cmd_theory_mp(ns: argparse.Namespace) -> int:
     u = np.linspace(0.0, 1.0, ns.points)
     grid = prm.a + (prm.b - prm.a) * 0.5 * (1.0 - np.cos(np.pi * u))
     grid[0], grid[-1] = prm.a, prm.b
+    # an extreme c collapses [a, b] to a point or a few doubles
+    if not np.all(np.diff(grid) > 0):
+        raise ValidationError(f"the c={ns.c:g} support [{prm.a:.9g}, {prm.b:.9g}] holds no "
+                              f"{ns.points} strictly increasing abscissas (--points)")
     curve = DensityCurve(grid, theory.mp_density(grid, ns.c),
                          point_mass_at_zero=prm.point_mass_at_zero)
     # too few --points give a curve far from mass 1, e.g. 0.943 at 20, c = 1
@@ -229,8 +233,7 @@ def _cmd_theory_mp(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theory_lagged(ns: argparse.Namespace) -> int:
-    curve = theory.lagged_density_symmetric(
-        theory.GreenSolveConfig(Q=ns.q, epsilon=ns.epsilon))
+    curve = theory.lagged_density_symmetric(ns.q, ns.epsilon)
     # some (Q, epsilon) give a curve whose mass misses 1 on the default grid,
     # e.g. 0.978 at Q = 0.1, epsilon = 1
     theory.require_unit_mass(curve, f"the Q={ns.q:g}, epsilon={ns.epsilon:g} curve")

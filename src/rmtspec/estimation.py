@@ -31,6 +31,7 @@ __all__ = [
 _ZERO_REL_TOL = 1e-8
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _KDE_CHUNK_ENTRIES = 1 << 17  # kernel entries (grid x samples) formed per kde_eval chunk
+_MAX_KDE_POINTS = 10**6  # default KDE grid points, at a step of at most the bandwidth
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,11 @@ def eigenvalue_density(spec: RealSpectrum, bandwidth: float | None = None,
     and are excluded from the KDE; the continuous part is weighted by its
     share so curve-plus-atom integrates to one. ``bandwidth=None`` selects
     Silverman's rule; either bandwidth must be finite and positive.
+
+    The default grid spans the eigenvalues +- 5h in ``max(1024, ceil(span/h) + 1)``
+    points, so its step is at most h: a Gaussian sampled that finely keeps its
+    trapezoid mass within 2 exp(-2 pi^2) ~ 5e-9 of 1 (Poisson summation). A span
+    that is not finite, or a grid of more than 10^6 points, is refused.
     """
     nonzero, atom = split_atom(spec.values)
     if len(nonzero) < 2:
@@ -218,7 +224,17 @@ def eigenvalue_density(spec: RealSpectrum, bandwidth: float | None = None,
     if not 0 < h < math.inf:
         raise ValidationError(f"bandwidth must be finite and positive, got {h}")
     if grid is None:
-        grid = np.linspace(nonzero.min() - 5 * h, nonzero.max() + 5 * h, 1024)
+        # counted in Python floats, which overflow to inf without a warning,
+        # before anything is allocated
+        lo, hi = float(nonzero.min()) - 5.0 * h, float(nonzero.max()) + 5.0 * h
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"bandwidth {h:.3g} gives a KDE grid over [{lo:.3g}, {hi:.3g}], "
+                                  f"whose span is not finite")
+        steps = (hi - lo) / h
+        if steps + 1 > _MAX_KDE_POINTS:
+            raise ValidationError(f"bandwidth {h:.3g} needs a KDE grid of {steps + 1:.3g} points, "
+                                  f"more than {_MAX_KDE_POINTS}")
+        grid = np.linspace(lo, hi, max(1024, math.ceil(steps) + 1))
         if np.any(np.diff(grid) <= 0):
             raise ValidationError(f"bandwidth {h:.3g} and eigenvalue spread {np.ptp(nonzero):.3g} "
                                   f"are too small for a KDE grid at {nonzero.max():.9g}")

@@ -84,17 +84,20 @@ class CaptureHeader:
 
 def _atomic_write(path: str, *parts) -> None:
     """Write ``parts`` (bytes or C-contiguous arrays) in order to ``path``
-    through a temp file in the same directory and an atomic rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".rmtspec-")
+    through a temp file in the same directory and an atomic rename. An
+    ``OSError`` names ``path``, not the temp file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rmtspec-")
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -222,7 +225,10 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
                 body = line[1:].strip()
                 if body.startswith("point_mass_") and "=" in body:
                     key, val = body[len("point_mass_"):].split("=", 1)
-                    atoms[key] = float(val)
+                    try:
+                        atoms[key] = float(val)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
                 continue
             if header is None:
                 fields = line.split(",")

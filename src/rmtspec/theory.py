@@ -37,7 +37,6 @@ __all__ = [
     "mp_params",
     "mp_density",
     "mp_cdf",
-    "GreenSolveConfig",
     "green_quartic_coeffs",
     "quartic_roots_batch",
     "green_function",
@@ -130,34 +129,6 @@ def mp_cdf(x, c: float):
 # --------------------------------------------------------------------------
 # Quartic resolvent of the lagged-correlation spectrum
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GreenSolveConfig:
-    """Configuration for the lagged-spectrum solve.
-
-    Q : information-to-noise ratio T/N.
-    epsilon : offset below the real axis (z = x - i*eps); a normal double.
-    grid : evaluation abscissas; automatic when None.
-    """
-
-    Q: float
-    epsilon: float = 1e-3
-    grid: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (self.Q > 0 and math.isfinite(self.Q)):
-            raise ValidationError(f"Q must be positive and finite, got {self.Q}")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.epsilon < sys.float_info.min:  # the default grid's step eps/4 would be 0
-            raise ValueError(f"epsilon must be at least {sys.float_info.min} (a normal "
-                             f"double), got {self.epsilon}")
-        if self.grid is not None:
-            g = np.asarray(self.grid, dtype=np.float64)
-            if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-                raise ValueError("grid must be strictly increasing")
-            object.__setattr__(self, "grid", g)
-
 
 def green_quartic_coeffs(z, Q: float) -> np.ndarray:
     """Descending-degree coefficients of the resolvent quartic in ``w = zG``.
@@ -352,26 +323,27 @@ def _roots(z: np.ndarray, Q: float) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, quartic_roots_batch(coeffs) / z[:, None]
 
 
-def _gated(z, coeffs, roots, picks, d, checked) -> np.ndarray:
+def _gated(z, coeffs, roots, picks, d=None) -> np.ndarray:
     """The picked roots ``G = roots[i, picks[i]]``, refused unless all pass, in this
-    order: every pick finite; no checked pick ambiguous, i.e. with a runner-up
-    within ``_AMBIGUITY_TOL`` of both the pick and the value it was measured
-    against (``d[i]``: the distances of the roots at ``i`` from that value); every
-    w-residual within ``_RESIDUAL_TOL``; ``Im G >= -1e-9``. NaN fails the last two.
-    ``d`` is overwritten."""
+    order: every pick finite; given the distances ``d`` of a sweep (``d[i]``: the
+    roots at ``i`` from the pick at ``i - 1``, a row of inf where there is none), no
+    pick ambiguous, i.e. with a runner-up within ``_AMBIGUITY_TOL`` of both the pick
+    and the previous one; every w-residual within ``_RESIDUAL_TOL``; ``Im G >=
+    -1e-9``. NaN fails the last two. ``d`` is overwritten."""
     at = np.arange(len(z))
     G = roots[at, picks]
     if not np.isfinite(G).all():
         x = float(z[np.argmin(np.isfinite(G))].real)
         raise NumericalError(f"non-finite root at x = {x}")
 
-    d[at, picks] = np.inf
-    second = np.argmin(d, axis=1)
-    ambiguous = checked & (d[at, second] < _AMBIGUITY_TOL) & \
-        (np.abs(G - roots[at, second]) < _AMBIGUITY_TOL)
-    if ambiguous.any():
-        x = float(z[np.argmax(ambiguous)].real)
-        raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
+    if d is not None:
+        d[at, picks] = np.inf
+        second = np.argmin(d, axis=1)
+        ambiguous = (d[at, second] < _AMBIGUITY_TOL) & \
+            (np.abs(G - roots[at, second]) < _AMBIGUITY_TOL)
+        if ambiguous.any():
+            x = float(z[np.argmax(ambiguous)].real)
+            raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
 
     res = _residuals(coeffs, (z * G)[:, None]).max()
     if not res <= _RESIDUAL_TOL:
@@ -384,21 +356,20 @@ def _gated(z, coeffs, roots, picks, d, checked) -> np.ndarray:
 # a root w/z that overflows (|z| near the smallest double) gives inf and NaN
 # distances; the picks they reach are refused by the gates, without a warning
 @np.errstate(all="ignore")
-def _track(z: np.ndarray, Q: float, previous=None) -> np.ndarray:
-    """Physical G along ``z`` in order: at each point the root ``w/z`` nearest the
-    previous pick (the first: nearest ``previous``, else ``1/z``), ties to the lower
-    root index, through the ``_gated`` gates; every pick after the first, and the
-    first when ``previous`` is given, must be unambiguous.
+def _track(z: np.ndarray, Q: float) -> np.ndarray:
+    """Physical G along ``z`` in order: the first point takes the root ``w/z``
+    nearest ``1/z``, every later one the root nearest the previous pick, ties to
+    the lower root index, through the ``_gated`` gates; every pick after the first
+    must be unambiguous.
 
     "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
     those at point i. All the maps are formed at once and composed along the
     sweep by prefix doubling, so no Python loop runs over the points."""
     coeffs, roots = _roots(z, Q)
     m = len(z)
-    seed = 1.0 / complex(z[0]) if previous is None else previous
     # dist[i, j, k] = |root k at i - root j at i-1|; at i = 0 every j is the seed
     dist = np.empty((m, 4, 4))
-    dist[0] = np.abs(roots[0] - seed)
+    dist[0] = np.abs(roots[0] - 1.0 / complex(z[0]))
     dist[1:] = np.abs(roots[1:, None, :] - roots[:-1, :, None])
     # nearest[i] maps root j at i-1 to root k at i; nearest[0] is constant, so
     # after the doubling nearest[i, j] is the pick at i for every j
@@ -408,23 +379,21 @@ def _track(z: np.ndarray, Q: float, previous=None) -> np.ndarray:
         nearest[step:] = np.take_along_axis(nearest[step:], nearest[:-step], axis=1)
         step *= 2
     picks = nearest[:, 0]
-    checked = np.ones(m, dtype=bool)
-    checked[0] = previous is not None
     d = dist[np.arange(m), np.concatenate(([0], picks[:-1]))]
-    return _gated(z, coeffs, roots, picks, d, checked)
+    d[0] = np.inf  # the seed is no previous pick
+    return _gated(z, coeffs, roots, picks, d)
 
 
 @np.errstate(all="ignore")
-def green_function(z, Q: float, previous: complex | None = None):
+def green_function(z, Q: float):
     """Physical root of the resolvent quartic at each point of ``z``, each solved on
     its own.
 
     ``z`` is a scalar (a ``complex`` is returned) or a non-empty 1-D array (an
     array of G is returned); every point needs ``Im z < 0``. At each point the
-    root nearest ``previous`` is taken (continuity), else the root nearest the
-    asymptotic value ``1/z``. Row ``i`` of an array equals the scalar call at
-    ``z[i]``, bit for bit. The gates of ``_track`` apply to every point, the
-    ambiguity gate only with ``previous`` given; one failing point refuses the
+    root nearest the asymptotic value ``1/z`` is taken. Row ``i`` of an array
+    equals the scalar call at ``z[i]``, bit for bit. The gates of ``_track``
+    but the ambiguity gate apply to every point; one failing point refuses the
     call. Every returned root satisfies ``Im G >= -1e-9``.
     """
     zv = np.asarray(z, dtype=np.complex128)
@@ -435,16 +404,15 @@ def green_function(z, Q: float, previous: complex | None = None):
     zs = np.atleast_1d(zv)
     coeffs, roots = _roots(zs, Q)
     # Python's complex division, as in _track: NumPy's can differ in the last bit
-    seeds = [1.0 / complex(v) for v in zs] if previous is None else [previous]
-    d = np.abs(roots - np.array(seeds, dtype=np.complex128)[:, None])
-    G = _gated(zs, coeffs, roots, np.argmin(d, axis=1), d,
-               np.full(len(zs), previous is not None))
+    seeds = np.array([1.0 / complex(v) for v in zs])
+    G = _gated(zs, coeffs, roots, np.argmin(np.abs(roots - seeds[:, None]), axis=1))
     return complex(G[0]) if zv.ndim == 0 else G
 
 
 def _default_grid(Q: float, eps: float) -> np.ndarray:
-    """Symmetric grid, dense near the origin so that the finite-eps
-    (Lorentzian-smeared) atom and edge singularities are resolved.
+    """Non-negative half ``[0, pos...]`` of the symmetric grid, dense near the
+    origin so that the finite-eps (Lorentzian-smeared) atom and edge
+    singularities are resolved.
 
     Its half-width is the first of ``L0, 1.4 L0, 1.4^2 L0, ...`` (``L0 = 2.2
     sqrt(2/Q) + 1.2``) where the density ``Im G / pi`` falls below 1e-6, or else
@@ -470,31 +438,33 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
     core = np.arange(0.0, core_hw, eps / 4.0)
     geo = np.geomspace(core_hw, geo_hi, 64)
     outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)
-    pos = np.unique(np.concatenate([core, geo, outer]))
-    pos = pos[pos > 0]
-    return np.concatenate([-pos[::-1], [0.0], pos])
+    return np.unique(np.concatenate([core, geo, outer]))  # core starts at 0.0
 
 
-def green_scan(cfg: GreenSolveConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Physical resolvent branch on the whole grid.
+def green_scan(Q: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Physical resolvent branch on the default grid at ``z = x - i*epsilon``.
 
     The density is even and the w-quartic depends on ``z^2`` only, so
     ``G(-x - i*eps) = -conj G(x - i*eps)``: the branch is tracked once over the
-    distinct ``|x|`` of the grid, from the largest (seeded with the asymptotic
-    1/z root) inward, and each negative x takes the mirror of its ``|x|``.
+    non-negative half of the grid, from its outer end (seeded with the
+    asymptotic 1/z root) inward, and the negative half is its mirror.
     Returns (grid, G values); every G satisfies the residual tolerance and
-    ``Im G >= -1e-9``. An error names the ``|x|`` it arose at, which on a
-    custom grid may be the mirror of the grid point; on the symmetric default
-    grid it is the grid point itself.
+    ``Im G >= -1e-9``. Q must be positive and finite, and epsilon a positive
+    finite normal double.
     """
-    xs = cfg.grid if cfg.grid is not None else _default_grid(cfg.Q, cfg.epsilon)
-    ax, back = np.unique(np.abs(xs), return_inverse=True)
-    G = _track(ax[::-1] - 1j * cfg.epsilon, cfg.Q)[::-1][back]
-    G[xs < 0] = -np.conj(G[xs < 0])
-    return xs, G
+    if not (Q > 0 and math.isfinite(Q)):
+        raise ValidationError(f"Q must be positive and finite, got {Q}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if epsilon < sys.float_info.min:  # the default grid's step eps/4 would be 0
+        raise ValueError(f"epsilon must be at least {sys.float_info.min} (a normal "
+                         f"double), got {epsilon}")
+    half = _default_grid(Q, epsilon)
+    G = _track(half[::-1] - 1j * epsilon, Q)[::-1]
+    return np.concatenate([-half[:0:-1], half]), np.concatenate([-np.conj(G[:0:-1]), G])
 
 
-def lagged_density_symmetric(cfg: GreenSolveConfig) -> DensityCurve:
+def lagged_density_symmetric(Q: float, epsilon: float = 1e-3) -> DensityCurve:
     """Spectral density of the symmetrized lagged correlation matrix.
 
     Runs ``green_scan`` and inverts ``rho = Im G / pi``. The exact
@@ -505,12 +475,11 @@ def lagged_density_symmetric(cfg: GreenSolveConfig) -> DensityCurve:
     level, whatever its size: for Q < 1 it is not rounding noise, reaching
     -0.159 at x = 0 for Q = 0.5 and -0.0265 for Q = 0.25.
     """
-    xs, G = green_scan(cfg)
-    eps = cfg.epsilon
-    atom = max(0.0, 1.0 - cfg.Q)  # the rank deficiency 1 - Q for Q < 1
+    xs, G = green_scan(Q, epsilon)
+    atom = max(0.0, 1.0 - Q)  # the rank deficiency 1 - Q for Q < 1
     ys = G.imag / np.pi
     if atom > 0.0:
-        ys = ys - atom * (eps / np.pi) / (xs * xs + eps * eps)
+        ys = ys - atom * (epsilon / np.pi) / (xs * xs + epsilon * epsilon)
     clip = np.minimum(ys, 0.0)
     if clip.min() < 0.0:
         log.debug("clamped negative density: worst %.3e over %d points",

@@ -192,35 +192,33 @@ def mp_cdf_quad(x, c):
     return atom + quad(g, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)[0]
 
 
-def _pick_branch(roots, target, require_unambiguous):
+def _pick_branch(roots, target):
     """The root nearest ``target``, ties to the lower index, and whether the
     runner-up is within the ambiguity tolerance of both ``target`` and it."""
     d = np.abs(roots - target)
     order = np.argsort(d, kind="stable")
     tol = theory._AMBIGUITY_TOL
-    ambiguous = require_unambiguous and d[order[1]] < tol and \
-        np.abs(roots[order[0]] - roots[order[1]]) < tol
+    ambiguous = d[order[1]] < tol and np.abs(roots[order[0]] - roots[order[1]]) < tol
     return complex(roots[order[0]]), ambiguous
 
 
 @np.errstate(all="ignore")
-def reference_track(z, Q, previous=None):
-    """The branch tracker as a loop over the points: at each point the root
-    nearest the previous pick (the first: nearest ``previous``, else ``1/z``),
-    with the ambiguity test on every pick that has a previous value. Then, in
-    this order: a non-finite pick, the first ambiguous pick, the residual and
-    the ``Im G`` gate (NaN fails both) refuse the sweep. Drop-in for
+def reference_track(z, Q):
+    """The branch tracker as a loop over the points: the first point takes the
+    root nearest ``1/z``, every later one the root nearest the previous pick,
+    with the ambiguity test on every pick but the first. Then, in this order: a
+    non-finite pick, the first ambiguous pick, the residual and the ``Im G``
+    gate (NaN fails both) refuse the sweep. Drop-in for
     ``rmtspec.theory._track``; the roots come from
     ``theory.quartic_roots_batch`` and the tolerance from
     ``theory._RESIDUAL_TOL``, looked up at call time."""
     coeffs = theory.green_quartic_coeffs(z, Q)
     roots = theory.quartic_roots_batch(coeffs) / z[:, None]
     G = np.empty(len(z), dtype=np.complex128)
+    G[0] = _pick_branch(roots[0], 1.0 / complex(z[0]))[0]
     ambiguous = []
-    for i in range(len(z)):
-        target = 1.0 / complex(z[i]) if previous is None else previous
-        previous, tie = _pick_branch(roots[i], target, previous is not None)
-        G[i] = previous
+    for i in range(1, len(z)):
+        G[i], tie = _pick_branch(roots[i], G[i - 1])
         if tie:
             ambiguous.append(i)
     for i in range(len(z)):
@@ -239,7 +237,8 @@ def reference_track(z, Q, previous=None):
 
 
 def loop_default_grid(Q, eps):
-    """``theory._default_grid`` with its edge search as a loop: one single-point
+    """``theory._default_grid``, the non-negative half of the symmetric default
+    grid, with its edge search as a loop: one single-point
     ``theory.green_function`` call per candidate half-width, widening by 1.4 while
     the density there is at least 1e-6 and the width below 64."""
     def edge_density(x):
@@ -260,29 +259,20 @@ def loop_default_grid(Q, eps):
     geo = np.geomspace(core_hw, geo_hi, 64)
     outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)
     pos = np.unique(np.concatenate([core, geo, outer]))
-    pos = pos[pos > 0]
-    return np.concatenate([-pos[::-1], [0.0], pos])
+    return np.concatenate([[0.0], pos[pos > 0]])
 
 
-def two_sweep_scan(cfg):
-    """``theory.green_scan`` without the fold: ``theory._track`` over each side of
-    the origin, from its largest-|x| end inward (the right side, 0 included,
-    first); a one-sided grid is one sweep from its outer end. The default grid
-    comes from ``loop_default_grid``. Drop-in for ``theory.green_scan``."""
-    xs = cfg.grid if cfg.grid is not None else loop_default_grid(cfg.Q, cfg.epsilon)
-    zs = xs - 1j * cfg.epsilon
-    m = len(xs)
-    G = np.empty(m, dtype=np.complex128)
-    if xs[0] < 0.0 < xs[-1]:
-        mid = int(np.argmin(np.abs(xs)))
-        segments = [range(m - 1, mid - 1, -1), range(0, mid)]
-    elif abs(xs[-1]) >= abs(xs[0]):
-        segments = [range(m - 1, -1, -1)]
-    else:
-        segments = [range(0, m)]
-    for seg in filter(None, segments):  # the inner sweep is empty when xs[0] is nearest 0
-        G[seg] = theory._track(zs[seg], cfg.Q)
-    return xs, G
+def two_sweep_scan(Q, epsilon):
+    """``theory.green_scan`` without the mirror: ``theory._track`` over each side
+    of the origin of the symmetric default grid (built from ``loop_default_grid``),
+    from its outer end inward, the right side (0 included) first. Drop-in for
+    ``theory.green_scan``."""
+    half = loop_default_grid(Q, epsilon)
+    xs = np.concatenate([-half[:0:-1], half])
+    zs = xs - 1j * epsilon
+    right = theory._track(zs[len(half) - 1:][::-1], Q)[::-1]
+    left = theory._track(zs[:len(half) - 1], Q)
+    return xs, np.concatenate([left, right])
 
 
 def reference_density_csv(curves, labels):

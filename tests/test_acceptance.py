@@ -176,7 +176,7 @@ def test_criterion_4_lagged_theory_vs_simulation():
     results = {}
     for Q, N, T, seed0 in [(10.0, 100, 1000, SEED_C4_Q10),
                            (0.5, 200, 100, SEED_C4_Q05)]:
-        theory_curve = r.lagged_density_symmetric(r.GreenSolveConfig(Q=Q, epsilon=1e-3))
+        theory_curve = r.lagged_density_symmetric(Q, 1e-3)
         cloud = _pooled_cloud(Q, N, T, reps=20, seed0=seed0)
         for axis in ("x", "y"):
             l1_a, l1_b = _projection_l1(cloud, theory_curve, axis)
@@ -196,9 +196,8 @@ def test_criterion_5_solver_properties():
     z_far = 1000.0 - 0.001j
     details = []
     for Q in (0.5, 1.0, 10.0):
-        cfg = r.GreenSolveConfig(Q=Q, epsilon=1e-3)
-        xs, G = r.green_scan(cfg)
-        z = xs - 1j * cfg.epsilon
+        xs, G = r.green_scan(Q, 1e-3)
+        z = xs - 1j * 1e-3
         # G-space residual against the quartic in G itself, and the residual
         # of w = zG in the well-scaled quartic the package solves
         coeffs_g = green_quartic_coeffs_g(z, Q)
@@ -214,7 +213,7 @@ def test_criterion_5_solver_properties():
         decay = abs(z_far * g - 1.0)
         assert decay < 1e-2, f"Q={Q}: |zG-1| = {decay:.3e}"
 
-        curve = r.lagged_density_symmetric(cfg)
+        curve = r.lagged_density_symmetric(Q, 1e-3)
         mass = curve.total_mass()
         assert abs(mass - 1.0) <= 0.02, f"Q={Q}: mass {mass:.4f}"
 

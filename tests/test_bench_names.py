@@ -9,6 +9,7 @@ import pytest
 
 import rmtspec
 from rmtspec import estimation, theory
+from rmtspec.cli import run_cli
 from rmtspec.linalg import RealSpectrum
 
 
@@ -43,3 +44,14 @@ def test_kde_evals_counts_samples_times_grid(spans):
     with tracer.installed("probe"):
         curve = estimation.eigenvalue_density(RealSpectrum(vals, float(vals.sum())))
     assert tracer.job_metrics("probe")["estimation.kde_evals"] == 7 * len(curve.xs) == 7 * 1024
+
+
+def test_traced_theory_lagged_counts(spans, tmp_path):
+    # one green_function call (the edge candidates) and one quartic row per
+    # point of the non-negative half grid that green_scan tracks
+    tracer = spans.Tracer()
+    with tracer.installed("probe"):
+        assert run_cli(["theory", "lagged", "--q", "2", "-o", str(tmp_path / "rho.csv")]) == 0
+    metrics = tracer.job_metrics("probe")
+    assert metrics["theory.green_function.calls"] == 1
+    assert metrics["theory.grid_points"] == len(theory._default_grid(2.0, 1e-3))

@@ -117,12 +117,32 @@ REFUSALS = {
     "cov-bins-0": (_COV + ["--bins", "0"], _GOOD, 1, "bins must be >= 1, got 0"),
     "cov-bandwidth-0": (_COV + ["--bandwidth", "0"], _GOOD, 1,
                         "bandwidth must be finite and positive, got 0.0"),
+    # the KDE grid's step is at most the bandwidth, in at most 10^6 points
+    "cov-bandwidth-1e-300": (_COV + ["--bandwidth", "1e-300"], _GOOD, 1,
+                             "bandwidth 1e-300 needs a KDE grid of 1.38e+300 points, "
+                             "more than 1000000"),
+    "cov-bandwidth-1e-6": (_COV + ["--bandwidth", "1e-6"], _GOOD, 1,
+                           "bandwidth 1e-06 needs a KDE grid of 1.38e+06 points, "
+                           "more than 1000000"),
+    "cov-bandwidth-3e307": (_COV + ["--bandwidth", "3e307"], _GOOD, 1,
+                            "bandwidth 3e+307 gives a KDE grid over [-1.5e+308, 1.5e+308], "
+                            "whose span is not finite"),
     "mp-c-negative": (["theory", "mp", "--c", "-1"], {}, 1,
                       "dimension ratio must be positive and finite, got -1.0"),
     "mp-points-2": (["theory", "mp", "--c", "2", "--points", "2"], {}, 1,
                     "the c=2 curve has mass 0.5000, more than 0.02 from 1"),
     "mp-points-20-c-1": (["theory", "mp", "--c", "1", "--points", "20"], {}, 1,
                          "the c=1 curve has mass 0.9431, more than 0.02 from 1"),
+    # an extreme c collapses the support [a, b] to a point
+    "mp-c-1e-300": (["theory", "mp", "--c", "1e-300"], {}, 1,
+                    "the c=1e-300 support [1, 1] holds no 1001 strictly increasing abscissas "
+                    "(--points)"),
+    "mp-c-1e200": (["theory", "mp", "--c", "1e200"], {}, 1,
+                   "the c=1e+200 support [1e+200, 1e+200] holds no 1001 strictly increasing "
+                   "abscissas (--points)"),
+    "mp-c-1e300": (["theory", "mp", "--c", "1e300"], {}, 1,
+                   "the c=1e+300 support [1e+300, 1e+300] holds no 1001 strictly increasing "
+                   "abscissas (--points)"),
     "lagged-q-negative": (["theory", "lagged", "--q", "-1"], {}, 1,
                           "Q must be positive and finite, got -1.0"),
     "lagged-q-grid-too-large": (["theory", "lagged", "--q", "1e-20"], {}, 1,
@@ -152,6 +172,9 @@ REFUSALS = {
     "compare-atom-1.5": (_COMPARE, {"emp": b"# point_mass_kde=1.5\nx,kde\n0,1\n1,1\n",
                                     "th": _CURVE.encode()}, 1,
                          "{emp}: column 'kde': point mass must lie in [0, 1)"),
+    "compare-atom-abc": (_COMPARE, {"emp": _CURVE.encode(),
+                                    "th": b"x,mp\n# point_mass_mp=abc\n0,1\n1,1\n"}, 1,
+                         "{th}:2: could not convert string to float: 'abc'"),
 }
 
 
@@ -392,6 +415,27 @@ class TestRefusals:
         assert re.fullmatch(rf"error: (bandwidth \S+ and eigenvalue spread \S+ are too small "
                             rf"for a KDE grid at {at}|need at least 2 distinct samples for a "
                             rf"bandwidth)\n", err), err
+
+    @pytest.mark.filterwarnings("error")
+    def test_bandwidth_resolved_by_the_kde_grid(self, tmp_path):
+        # 1e-5 is far below Silverman's bandwidth; the grid's step follows it
+        cap, out = tmp_path / "cap.rmtc", tmp_path / "d.csv"
+        cap.write_bytes(_GOOD["cap"])
+        assert run_cli(["analyze", "cov", "-i", str(cap), "--bandwidth", "1e-5",
+                        "-o", str(out)]) == 0
+        assert read_density_csv(str(out))["kde"].total_mass() == pytest.approx(1.0, abs=1e-6)
+
+    # an output path in a missing directory, or one that is a directory
+    @pytest.mark.parametrize("target", ["missing/x.csv", "adir"])
+    def test_output_error_names_the_output_path(self, tmp_path, capsys, target):
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / target
+        assert run_cli(["theory", "mp", "--c", "2", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        named = re.escape(repr(str(out)))
+        assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]+: {named}\n", err), err
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []  # no temp file left behind
 
     # each array asked for is beyond 2^47 bytes, the user address space, so
     # the allocation fails at once and nothing is ever allocated
@@ -647,7 +691,7 @@ class TestExitCodes:
         import rmtspec.cli as cli
         from rmtspec.errors import BranchAmbiguity
 
-        def boom(cfg):
+        def boom(Q, epsilon):
             raise BranchAmbiguity(0.5)
 
         monkeypatch.setattr(cli.theory, "lagged_density_symmetric", boom)

@@ -10,10 +10,10 @@ from rmtspec import theory
 from rmtspec import (
     read_density_csv,
     DensityCurve,
-    GreenSolveConfig,
     green_function,
     green_scan,
     green_quartic_coeffs,
+    l1_distance,
     lagged_density_symmetric,
 )
 from rmtspec.cli import run_cli
@@ -137,11 +137,6 @@ class TestGreenFunction:
         with pytest.raises(ValueError):
             green_function(1.0 + 0.001j, 1.0)
 
-    def test_continuity_selection(self):
-        g0 = green_function(0.5 - 1e-3j, 10.0)
-        g1 = green_function(0.501 - 1e-3j, 10.0, previous=g0)
-        assert abs(g1 - g0) < 0.1
-
     def test_residual_of_returned_root(self):
         for Q in (0.5, 1.0, 10.0):
             for x in (0.3, 1.5, 5.0):
@@ -161,21 +156,15 @@ class TestGreenFunction:
         g = green_function(z, Q)
         assert abs(np.polyval(c, z * g)) / np.linalg.norm(c) <= 1e-15
 
-    def test_branch_ambiguity_near_collision(self):
-        # at the Q=1 support edge the physical root and its partner collide
-        # as eps -> 0; with eps tiny their gap is far below the ambiguity
-        # tolerance and a `previous` between them must refuse to choose
-        z = 2.0 - 1e-14j
-        roots = theory.quartic_roots_batch(green_quartic_coeffs(z, 1.0)[None, :])[0] / z
-        d = np.sort(np.abs(roots[:, None] - roots[None, :]), axis=None)
-        close_pair = d[4]  # smallest nonzero pairwise distance
-        assert close_pair < 1e-6
-        i, j = np.unravel_index(
-            np.argmin(np.abs(roots[:, None] - roots[None, :]) + np.eye(4)), (4, 4)
-        )
-        midpoint = 0.5 * (roots[i] + roots[j])
-        with pytest.raises(BranchAmbiguity):
-            green_function(z, 1.0, previous=midpoint)
+    def test_branch_collision_is_refused(self):
+        # at the Q = 1 support edge x = 2 the physical root and its partner
+        # collide as eps -> 0; with eps = 1e-14 and a step of 1e-13 both stay
+        # within the ambiguity tolerance of the previous pick, and a sweep
+        # through the edge refuses to choose
+        x = 2.0 + np.arange(10, -11, -1) * 1e-13
+        with pytest.raises(BranchAmbiguity) as got:
+            theory._track(x - 1e-14j, 1.0)
+        assert abs(got.value.x - 2.0) < 1e-11
 
 
 def _outcome(fn):
@@ -201,20 +190,24 @@ def _assert_same_outcome(got, want):
         assert got[1] == want[1]
 
 
-def _reference_scan(cfg):
-    with mock.patch.object(theory, "_track", reference_track):
-        return _outcome(lambda: green_scan(cfg)[1])
+def _same_sweep(z, Q):
+    """``theory._track`` and the point-by-point ``reference_track`` give the
+    same picks, or the same error at the same x."""
+    _assert_same_outcome(_outcome(lambda: theory._track(z, Q)),
+                         _outcome(lambda: reference_track(z, Q)))
 
 
 @st.composite
-def _grids(draw):
-    """Strictly increasing grids: evenly spaced ones over a random window (on
+def _sweeps(draw):
+    """Monotone sweeps, either way: evenly spaced ones over a random window (on
     one side of 0 or across it) and scattered ones of a few points."""
     if draw(st.booleans()):
         lo = draw(st.floats(-4.0, 4.0))
         span = draw(st.floats(1e-3, 8.0))
-        return np.linspace(lo, lo + span, draw(st.integers(2, 400)))
-    return np.sort(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40, unique=True)))
+        xs = np.linspace(lo, lo + span, draw(st.integers(2, 400)))
+    else:
+        xs = np.sort(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40, unique=True)))
+    return xs[::-1] if draw(st.booleans()) else xs
 
 
 _Q = st.floats(1e-3, 20.0)
@@ -225,14 +218,13 @@ class TestGreenFunctionBatch:
     """``green_function`` over an array solves each point on its own."""
 
     @given(Q=_Q, eps=_EPS,
-           xs=st.lists(st.floats(-70.0, 70.0), min_size=1, max_size=30),
-           previous=st.none() | st.complex_numbers(max_magnitude=50.0))
-    @example(Q=1.0, eps=1e-320, xs=[0.0, 1.0], previous=None)  # both points refused
+           xs=st.lists(st.floats(-70.0, 70.0), min_size=1, max_size=30))
+    @example(Q=1.0, eps=1e-320, xs=[0.0, 1.0])  # both points refused
     @settings(max_examples=150, deadline=None)
-    def test_rows_match_scalar_calls(self, Q, eps, xs, previous):
+    def test_rows_match_scalar_calls(self, Q, eps, xs):
         z = np.array(xs) - 1j * eps
-        singles = [_outcome(lambda v=v: green_function(v, Q, previous)) for v in z]
-        got = _outcome(lambda: green_function(z, Q, previous))
+        singles = [_outcome(lambda v=v: green_function(v, Q)) for v in z]
+        got = _outcome(lambda: green_function(z, Q))
         if all(status == "ok" for status, _ in singles):
             _assert_same_outcome(got, ("ok", np.array([g for _, g in singles])))
         else:  # one failing point refuses the call, with a gate one of them failed
@@ -264,119 +256,91 @@ class TestGreenFunctionBatch:
 
 
 class TestVectorizedTracker:
-    """green_scan and green_function against the per-point loop, bit for bit:
-    same picks, same errors at the same x."""
+    """_track and green_scan against the per-point loop, bit for bit: same
+    picks, same errors at the same x."""
 
-    @given(Q=_Q, eps=_EPS, xs=_grids())
-    @example(Q=2.0, eps=1e-3, xs=np.linspace(-3.0, 3.0, 601))  # straddles 0
-    @example(Q=0.25, eps=1e-4, xs=np.linspace(0.01, 4.0, 400))  # one side
-    @example(Q=0.5, eps=1e-3, xs=np.linspace(-4.0, -0.5, 300))  # one side, left
-    @example(Q=1.0, eps=1e-3, xs=np.array([-1.0, 0.5]))  # sides interleaved in |x|
-    @example(Q=1e-3, eps=1e-5, xs=np.array([-0.01, 0.2, 0.3]))  # xs[0] nearest 0
-    @example(Q=2.0, eps=1e-3, xs=np.concatenate([[-0.01], np.linspace(0.1, 3.0, 300)]))
+    @given(Q=_Q, eps=_EPS, xs=_sweeps())
+    @example(Q=2.0, eps=1e-3, xs=np.linspace(3.0, -3.0, 601))  # through 0, from outside in
+    @example(Q=0.25, eps=1e-4, xs=np.linspace(0.01, 4.0, 400))  # outward from near 0
+    @example(Q=0.5, eps=1e-3, xs=np.linspace(-4.0, -0.5, 300))  # left side, inward
+    @example(Q=1e-3, eps=1e-5, xs=np.array([-0.01, 0.2, 0.3]))
     @settings(max_examples=150, deadline=None)
-    def test_green_scan_matches_reference(self, Q, eps, xs):
-        cfg = GreenSolveConfig(Q=Q, epsilon=eps, grid=xs)
-        _assert_same_outcome(_outcome(lambda: green_scan(cfg)[1]), _reference_scan(cfg))
+    def test_track_matches_reference(self, Q, eps, xs):
+        _same_sweep(xs - 1j * eps, Q)
 
     @pytest.mark.parametrize("Q", [1e-3, 0.25, 1.0, 10.0])
     def test_default_grid_matches_reference(self, Q):
-        cfg = GreenSolveConfig(Q=Q, epsilon=1e-4)
-        _assert_same_outcome(_outcome(lambda: green_scan(cfg)[1]), _reference_scan(cfg))
+        with mock.patch.object(theory, "_track", reference_track):
+            want = _outcome(lambda: green_scan(Q, 1e-4)[1])
+        _assert_same_outcome(_outcome(lambda: green_scan(Q, 1e-4)[1]), want)
 
     @given(rows=st.lists(st.lists(st.builds(complex, st.integers(0, 3), st.integers(0, 2)),
                                   min_size=4, max_size=4), min_size=1, max_size=40),
-           scale=st.sampled_from([1e-7, 4e-7, 1.0]),
-           previous=st.none() | st.builds(complex, st.integers(0, 3), st.integers(0, 2)))
+           scale=st.sampled_from([1e-7, 4e-7, 1.0]))
     @settings(max_examples=300, deadline=None)
-    def test_tracking_rule_on_lattice_roots(self, rows, scale, previous):
+    def test_tracking_rule_on_lattice_roots(self, rows, scale):
         # roots on a small lattice give exact distance ties (first index wins)
         # and, at scales below the 1e-6 tolerance, ambiguous steps everywhere
         roots = np.array(rows) * scale
         z = np.ones(len(rows), dtype=complex)  # G = w/z = w exactly; the seed 1/z is 1
-        seed = None if previous is None else previous * scale
         # the fake roots are no roots of the quartic: the residual gate is opened
         with mock.patch.object(theory, "quartic_roots_batch", lambda c: roots.copy()), \
                 mock.patch.object(theory, "_RESIDUAL_TOL", np.inf):
-            got = _outcome(lambda: theory._track(z, 1.0, seed))
-            want = _outcome(lambda: reference_track(z, 1.0, seed))
-        _assert_same_outcome(got, want)
+            _same_sweep(z, 1.0)
+
+    def test_seed_is_no_previous_pick(self):
+        # two roots within the tolerance of the seed 1/z and of each other: the
+        # first pick of a sweep and every green_function pick take the nearer
+        z = np.array([1.0 - 1e-20j])
+        roots = np.array([[1.0, 1.0 + 1e-8, 5.0, 6.0]], dtype=complex)
+        with mock.patch.object(theory, "quartic_roots_batch", lambda c: roots.copy()), \
+                mock.patch.object(theory, "_RESIDUAL_TOL", np.inf):
+            assert theory._track(z, 1.0)[0] == green_function(z, 1.0)[0] == roots[0, 0] / z[0]
+            _same_sweep(z, 1.0)
 
     @given(eps=st.floats(1e-16, 1e-12), center=st.sampled_from([0.0, 2.0]),
            offset=st.floats(-1e-11, 1e-11), step=st.floats(1e-15, 1e-11),
-           n=st.integers(2, 60))
+           n=st.integers(2, 60), descending=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_near_root_collisions_match_reference(self, eps, center, offset, step, n):
-        # at Q = 1 roots meet at x = 0 and x = 2; with eps this small, grids
+    def test_near_root_collisions_match_reference(self, eps, center, offset, step, n,
+                                                  descending):
+        # at Q = 1 roots meet at x = 0 and x = 2; with eps this small, sweeps
         # that fine put several roots within the ambiguity tolerance
         xs = center + offset + step * np.arange(n)
         assume(np.all(np.diff(xs) > 0))
-        cfg = GreenSolveConfig(Q=1.0, epsilon=eps, grid=xs)
-        _assert_same_outcome(_outcome(lambda: green_scan(cfg)[1]), _reference_scan(cfg))
+        _same_sweep((xs[::-1] if descending else xs) - 1j * eps, 1.0)
 
-    @given(Q=_Q, eps=_EPS, x=st.floats(-5.0, 5.0), dx=st.floats(-0.05, 0.05),
-           kind=st.sampled_from(["nearby", "midpoint", "arbitrary"]),
-           arbitrary=st.complex_numbers(max_magnitude=50.0))
-    @example(Q=1.0, eps=1e-14, x=2.0, dx=0.0, kind="midpoint", arbitrary=0j)
-    @settings(max_examples=150, deadline=None)
-    def test_green_function_previous_matches_reference(self, Q, eps, x, dx, kind, arbitrary):
-        z = complex(x, -eps)
-        if kind == "nearby":  # the continuation seed a sweep would pass
-            status, previous = _outcome(lambda: green_function(complex(x + dx, -eps), Q))
-            if status != "ok":
-                return
-        elif kind == "midpoint":  # halfway between the two closest roots
-            roots = theory.quartic_roots_batch(green_quartic_coeffs(np.array([z]), Q))[0] / z
-            gap = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(4, np.inf))
-            i, j = np.unravel_index(np.argmin(gap), gap.shape)
-            previous = complex(0.5 * (roots[i] + roots[j]))
-        else:
-            previous = arbitrary
-        got = _outcome(lambda: green_function(z, Q, previous=previous))
-        want = _outcome(lambda: complex(reference_track(np.array([z]), Q, previous)[0]))
-        _assert_same_outcome(got, want)
-
-    def test_ambiguity_mid_sweep_at_the_same_x(self):
-        # at the Q = 1 edge x = 2 two roots meet; with eps = 1e-14 and a grid
-        # step of 1e-13 there, both continue within 1e-6 of the previous pick
-        grid = np.concatenate([np.linspace(-2.5, 2.0 - 1e-11, 400),
-                               2.0 + np.arange(-10, 11) * 1e-13,
-                               np.linspace(2.0 + 1e-11, 2.5, 40)])
-        cfg = GreenSolveConfig(Q=1.0, epsilon=1e-14, grid=grid)
+    @given(lo=st.floats(0.0, 1.9), hi=st.floats(2.1, 4.0), outer=st.integers(2, 200),
+           descending=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_ambiguity_mid_sweep_at_the_same_x(self, lo, hi, outer, descending):
+        # at the Q = 1 edge x = 2 two roots meet; with eps = 1e-14 and a step
+        # of 1e-13 there, both continue within 1e-6 of the previous pick
+        xs = np.concatenate([np.linspace(lo, 2.0 - 1e-11, outer),
+                             2.0 + np.arange(-10, 11) * 1e-13,
+                             np.linspace(2.0 + 1e-11, hi, outer)])
+        xs = xs[::-1] if descending else xs
         with pytest.raises(BranchAmbiguity) as got:
-            green_scan(cfg)
-        with mock.patch.object(theory, "_track", reference_track), \
-                pytest.raises(BranchAmbiguity) as want:
-            green_scan(cfg)
+            theory._track(xs - 1e-14j, 1.0)
+        with pytest.raises(BranchAmbiguity) as want:
+            reference_track(xs - 1e-14j, 1.0)
         assert got.value.x == want.value.x
-        assert grid[20] < got.value.x < grid[-20]  # neither end of the sweep
+        assert abs(got.value.x - 2.0) < 1e-11  # neither end of the sweep
 
 
-class TestFoldAndBatchedEdgeSearch:
-    """green_scan tracks each |x| once and mirrors the negative half-axis;
-    _default_grid solves every edge candidate in one green_function call. Both
-    against the paths they replace (tests/oracles.py): the two sweeps meeting at
-    the origin and the candidate-by-candidate loop. An error on a custom grid may
-    name the |x| of a negative grid point."""
-
-    @given(Q=_Q, eps=_EPS, pos=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=60,
-                                        unique=True),
-           extra=st.lists(st.floats(-5.0, 5.0), max_size=20, unique=True))
-    @example(Q=2.0, eps=1e-3, pos=list(np.linspace(0.01, 3.0, 300)), extra=[0.0])
-    @settings(max_examples=100, deadline=None)
-    def test_mirror_on_grids_holding_both_signs(self, Q, eps, pos, extra):
-        xs = np.union1d(np.union1d(pos, np.negative(pos)), extra)
-        status, G = _outcome(lambda: green_scan(GreenSolveConfig(Q=Q, epsilon=eps, grid=xs))[1])
-        assume(status == "ok")
-        right, left = np.searchsorted(xs, pos), np.searchsorted(xs, np.negative(pos))
-        assert G[left].tobytes() == (-np.conj(G[right])).tobytes()
+class TestMirrorAndBatchedEdgeSearch:
+    """green_scan tracks the non-negative half of the default grid and mirrors
+    the negative half; _default_grid solves every edge candidate in one
+    green_function call. Both against the paths they replace (tests/oracles.py):
+    the two sweeps meeting at the origin and the candidate-by-candidate loop."""
 
     @pytest.mark.parametrize("eps", ["1e-2", "1e-3", "3e-4", "1e-4"])
     @pytest.mark.parametrize("Q", ["0.1", "0.25", "0.5", "0.75", "1", "1.5", "2", "4", "10",
                                    "100"])
     def test_same_grid_and_curve_bytes_as_the_old_paths(self, Q, eps, tmp_path):
-        grid = theory._default_grid(float(Q), float(eps))
-        assert grid.tobytes() == loop_default_grid(float(Q), float(eps)).tobytes()
+        half = loop_default_grid(float(Q), float(eps))
+        xs = green_scan(float(Q), float(eps))[0]
+        assert xs.tobytes() == np.concatenate([-half[:0:-1], half]).tobytes()
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         argv = ["theory", "lagged", "--q", Q, "--epsilon", eps, "-o"]
         assert run_cli(argv + [str(new)]) == 0
@@ -393,11 +357,11 @@ class TestFoldAndBatchedEdgeSearch:
                              _outcome(lambda: loop_default_grid(Q, eps)))
 
     def test_theory_lagged_solves_each_quartic_once(self, tmp_path, monkeypatch):
-        # one quartic row per distinct |x| of the grid and one per edge candidate,
-        # the candidates in one green_function call: a second sweep over the
-        # negative half, or a call per candidate, fails this
+        # one quartic row per point of the non-negative half grid and one per
+        # edge candidate, the candidates in one green_function call: a second
+        # sweep over the negative half, or a call per candidate, fails this
         Q, eps = 2.0, 1e-3  # the CLI's default epsilon
-        distinct = np.unique(np.abs(theory._default_grid(Q, eps))).size
+        half = theory._default_grid(Q, eps).size
         candidates = [2.2 * math.sqrt(2.0 / Q) + 1.2]
         while candidates[-1] < 64.0:
             candidates.append(candidates[-1] * 1.4)
@@ -409,7 +373,7 @@ class TestFoldAndBatchedEdgeSearch:
                             lambda *a, **k: calls.append(a) or green(*a, **k))
         assert run_cli(["theory", "lagged", "--q", "2", "-o", str(tmp_path / "rho.csv")]) == 0
         assert len(calls) == 1
-        assert rows == [len(candidates), distinct]
+        assert rows == [len(candidates), half]
 
 
 def _branch_points(Q):
@@ -424,8 +388,10 @@ def _branch_points(Q):
 
 
 class TestMpmathOracle:
-    """green_scan against 30-digit roots of the quartic in G, near the origin,
-    at the branch points and at the grid ends."""
+    """The branch green_scan tracks, against 30-digit roots of the quartic in G,
+    near the origin, at the branch points and at the grid end: ``_track``
+    sweeps the non-negative half of the default grid with those points added,
+    from its outer end inward, as green_scan does."""
 
     @pytest.mark.parametrize("Q", [0.25, 0.5, 4.0])
     def test_green_scan_matches_30_digit_roots(self, Q):
@@ -434,10 +400,9 @@ class TestMpmathOracle:
 
         eps = 1e-4
         base = _default_grid(Q, eps)
-        L = float(base[-1])
-        edges = _branch_points(Q)
-        pts = [0.0, 5e-5, -5e-5, L, -L] + edges + [-e for e in edges]
-        xs, G = green_scan(GreenSolveConfig(Q=Q, epsilon=eps, grid=np.union1d(base, pts)))
+        pts = [0.0, 5e-5, float(base[-1])] + _branch_points(Q)
+        xs = np.union1d(base, pts)
+        G = theory._track(xs[::-1] - 1j * eps, Q)[::-1]
         u = np.finfo(float).eps / 2
         with mpmath.workdps(30):
             for x in pts:
@@ -470,60 +435,45 @@ def test_theory_lagged_sweep(Q, eps, tmp_path):
 class TestLaggedDensity:
     @pytest.mark.parametrize("Q", [0.5, 1.0, 10.0])
     def test_normalization(self, Q):
-        curve = lagged_density_symmetric(GreenSolveConfig(Q=Q))
+        curve = lagged_density_symmetric(Q)
         assert curve.total_mass() == pytest.approx(1.0, abs=0.02)
 
     @pytest.mark.parametrize("Q", [0.5, 10.0])
     def test_even_symmetry(self, Q):
-        curve = lagged_density_symmetric(GreenSolveConfig(Q=Q))
+        curve = lagged_density_symmetric(Q)
         sym_err = np.abs(curve.ys - curve.ys[::-1]).max()
         assert sym_err < 2e-3
 
     @pytest.mark.parametrize("Q, atom", [(0.5, 0.5), (1.0, 0.0), (10.0, 0.0)])
     def test_point_mass(self, Q, atom):
-        assert lagged_density_symmetric(GreenSolveConfig(Q=Q)).point_mass_at_zero == atom
+        assert lagged_density_symmetric(Q).point_mass_at_zero == atom
 
     def test_eps_sweep_stabilizes(self):
-        # curves converge as eps shrinks: successive differences decrease
-        curves = {}
-        grid = np.linspace(-2.4, 2.4, 1601)
-        for eps in (1e-2, 1e-3, 1e-4):
-            curves[eps] = lagged_density_symmetric(
-                GreenSolveConfig(Q=10.0, epsilon=eps, grid=grid))
-        d_coarse = np.trapezoid(np.abs(curves[1e-2].ys - curves[1e-3].ys), grid)
-        d_fine = np.trapezoid(np.abs(curves[1e-3].ys - curves[1e-4].ys), grid)
+        # curves converge as eps shrinks: successive L1 distances decrease
+        curves = {eps: lagged_density_symmetric(10.0, eps) for eps in (1e-2, 1e-3, 1e-4)}
+        d_coarse = l1_distance(curves[1e-2], curves[1e-3])
+        d_fine = l1_distance(curves[1e-3], curves[1e-4])
         assert d_fine < d_coarse
 
     @pytest.mark.parametrize("Q", [0.0, -1.0, np.inf, np.nan])
-    def test_config_rejects_invalid_q(self, Q):
+    def test_rejects_invalid_q(self, Q):
         with pytest.raises(ValidationError, match=f"^Q must be positive and finite, got {Q}$"):
-            GreenSolveConfig(Q=Q)
+            green_scan(Q, 1e-3)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan, 5e-324, 1e-310])
-    def test_config_rejects_invalid_epsilon(self, eps):
+    def test_rejects_invalid_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
-            GreenSolveConfig(Q=1.0, epsilon=eps)
+            lagged_density_symmetric(1.0, eps)
 
-    def test_config_accepts_smallest_normal_epsilon(self):
-        assert GreenSolveConfig(Q=1.0, epsilon=2.2250738585072014e-308).epsilon > 0
-
-    def test_custom_grid_respected(self):
-        grid = np.linspace(-3.0, 3.0, 501)
-        curve = lagged_density_symmetric(GreenSolveConfig(Q=2.0, grid=grid))
-        np.testing.assert_array_equal(curve.xs, grid)
-
-    def test_grid_starting_nearest_the_origin(self):
-        # the |x| sweep passes the positive points first, then the mirror of -0.01
-        grid = np.concatenate([[-0.01], np.linspace(0.1, 3.0, 300)])
-        _, G = green_scan(GreenSolveConfig(Q=2.0, grid=grid))
-        _, G_pos = green_scan(GreenSolveConfig(Q=2.0, grid=grid[1:]))
-        np.testing.assert_array_equal(G[1:], G_pos)
-        assert G[0].imag > 0
+    def test_accepts_smallest_normal_epsilon(self):
+        # the epsilon checks raise a plain ValueError, which _outcome lets
+        # through; the sweep at that offset may still be refused by a gate
+        _outcome(lambda: green_scan(1.0, 2.2250738585072014e-308))
 
     def test_large_q_semicircle_limit(self):
         # Q -> inf: density tends to a semicircle of radius sqrt(2/Q)
         Q = 200.0
-        curve = lagged_density_symmetric(GreenSolveConfig(Q=Q))
+        curve = lagged_density_symmetric(Q)
         R = np.sqrt(2.0 / Q)
         semi = np.where(np.abs(curve.xs) < R,
                         2.0 * np.sqrt(np.clip(R**2 - curve.xs**2, 0, None)) / (np.pi * R**2),
@@ -543,7 +493,7 @@ class TestProjectDensity:
         assert proj.total_mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_preserved(self):
-        curve = lagged_density_symmetric(GreenSolveConfig(Q=10.0))
+        curve = lagged_density_symmetric(10.0)
         proj = project_density(curve)
         assert proj.total_mass() == pytest.approx(curve.total_mass(), abs=1e-9)
 
