@@ -2,9 +2,9 @@
 KS, against the sha256 digests and reprs in ``golden.json``.
 
 The pipelines cover each code path that writes bytes: a rank-deficient
-capture (small-side solves on one thread), a full-rank one (dense staged
-solves), ``theory lagged``, ``theory mp`` below, at and above c = 1, and
-``compare``. The bits depend on the BLAS kernels, so the manifest records the
+capture (small-side solves on one thread) and a full-rank one (dense staged
+solves), each analyzed standardized and raw (``--no-standardize``),
+``theory lagged``, ``theory mp`` below, at and above c = 1, and ``compare``. The bits depend on the BLAS kernels, so the manifest records the
 build it was made on and the test skips on any other. A change that moves
 bytes on purpose rewrites the manifest with ``python tests/test_golden.py``
 from the repository root and names each changed digest and why it changed.
@@ -47,6 +47,7 @@ def _steps() -> list[list[str]]:
             ["generate", "--signal", "ncofdm", "--seed", "1", *shape, "--snr-db", "10",
              "--freq-domain", "-o", cap],
             ["analyze", "cov", "-i", cap, "-o", dens],
+            ["analyze", "cov", "-i", cap, "--no-standardize", "-o", f"{name}.raw.dens.csv"],
             ["analyze", "lagged", "-i", cap, "--tau", "1", "-o", f"{name}.cloud.csv"],
             ["theory", "mp", "--c", repr(c), "-o", mp],
             ["compare", "--empirical", dens, "--theory", mp, "-o", f"{name}.report.txt"],
