@@ -15,8 +15,12 @@ row-major payload.
 Complex payloads interleave Re, Im per sample and expand on read to 2*rows
 real rows (real-part block first). Writes store f32, real or complex by the
 array's type, and are atomic (temp file + rename).
-Reads stream the payload through a small staging buffer into the one f64
-result, so a read holds little more than the matrix it returns.
+Reads stream the payload through a small staging buffer into the one float32
+result, which holds every stored value exactly (an i16 value over 32768 is a
+float32), so a read holds little more than the matrix it returns: 4 bytes a
+value, half its float64 promotion. ``standardize_rows`` and
+``sample_covariance`` promote it, so every product and eigensolve runs in
+float64.
 """
 
 from __future__ import annotations
@@ -122,7 +126,8 @@ def write_capture(path: str, matrix) -> None:
 
 
 def read_capture(path: str) -> DataMatrix:
-    """Read a capture; complex payloads expand to 2*rows real rows.
+    """Read a capture into an unstandardized float32 ``DataMatrix``, the
+    stored values exactly; complex payloads expand to 2*rows real rows.
 
     Bytes past the promised payload are ignored. ``ValidationError`` is
     raised when the file's size, checked before anything is allocated, is
@@ -140,11 +145,12 @@ def read_capture(path: str) -> DataMatrix:
 
 
 def _read_payload(fh, header: CaptureHeader) -> np.ndarray:
-    """Fill the f64 result block by block from a small f32 (or i16) buffer,
-    which is freed on return, before ``DataMatrix`` checks the result."""
+    """Fill the float32 result block by block from a small f32 (or i16)
+    buffer, which is freed on return, before ``DataMatrix`` checks the
+    result."""
     rows, cols = header.rows, header.cols
     is_complex = header.dtype == DTYPE_F32_COMPLEX
-    out = np.empty((2 * rows if is_complex else rows, cols))
+    out = np.empty((2 * rows if is_complex else rows, cols), dtype=np.float32)
     row_bytes = cols * _ELEMENT_BYTES[header.dtype]
     if out.size == 0:
         return out
@@ -158,16 +164,16 @@ def _read_payload(fh, header: CaptureHeader) -> np.ndarray:
         if got != block.nbytes:
             raise ValidationError(f"payload is {lo * row_bytes + got} bytes, "
                                   f"header promises {header.payload_bytes()}")
-        # a signaling NaN's cast flags "invalid"; DataMatrix refuses the NaN
-        with np.errstate(invalid="ignore"):
-            if is_complex:
-                pairs = block.reshape(k, cols, 2)
-                out[lo:lo + k] = pairs[..., 0]
-                out[rows + lo:rows + lo + k] = pairs[..., 1]
-            else:
-                out[lo:lo + k] = block.reshape(k, cols)
+        # f32 words are copied, not cast, so a NaN (signaling too) passes
+        # silently to DataMatrix, which refuses it
+        if is_complex:
+            pairs = block.reshape(k, cols, 2)
+            out[lo:lo + k] = pairs[..., 0]
+            out[rows + lo:rows + lo + k] = pairs[..., 1]
+        else:
+            out[lo:lo + k] = block.reshape(k, cols)
     if header.dtype == DTYPE_I16_REAL:
-        out /= 32768.0
+        out /= 32768.0  # exact: a 16-bit integer over a power of two
     return out
 
 

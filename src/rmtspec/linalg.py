@@ -87,7 +87,10 @@ __all__ = [
     "eigvals_general",
 ]
 
-_STD_CHUNK_BYTES = 1 << 22  # bytes of each row chunk of standardize_rows' std pass
+# float64 bytes of each row block of standardize_rows (one row at least): the
+# block and the one block-sized temporary of its std, 1 MiB together, stay in
+# cache, and that temporary is all a standardize holds beside its result
+_STD_CHUNK_BYTES = 1 << 19
 # doubles of slack below each column of a matrix a LAPACK stage overwrites: one
 # 64-byte line, so that a power-of-two order does not give a power-of-two stride
 _SLACK = 8
@@ -104,13 +107,24 @@ _GEEV_BIG = 1.0 / _GEEV_SMALL
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """p x n observation matrix: rows are dimensions, columns are samples."""
+    """p x n observation matrix: rows are dimensions, columns are samples.
+
+    ``entries`` is real and finite. An unstandardized float32 array is kept
+    as float32 (a capture as read, half the bytes of its float64 promotion);
+    anything else is held as float64, so a standardized matrix always is.
+    ``ValidationError`` refuses a complex array, whose imaginary part a
+    float cast would drop.
+    """
 
     entries: np.ndarray
     standardized: bool = False
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.float64)
+        a = np.asarray(self.entries)
+        if np.iscomplexobj(a):
+            raise ValidationError(f"data matrix of dtype {a.dtype} is not real")
+        keep_f32 = a.dtype == np.float32 and not self.standardized
+        a = np.asarray(a, dtype=np.float32 if keep_f32 else np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(f"expected a 2-d matrix, got shape {a.shape}")
         # min and max carry any NaN and expose any inf without a p x n mask
@@ -198,29 +212,44 @@ class ComplexSpectrum:
 def standardize_rows(X: DataMatrix) -> DataMatrix:
     """Shift/scale each row to mean 0 and sample variance 1 (divisor n-1).
 
-    Raises ``ZeroVarianceRow`` on a constant row. Idempotent up to rounding.
-    ``X`` is left as it is; the centered copy is the one new matrix.
+    The result is the one new matrix, float64 and C-ordered, written a block
+    of rows at a time: each block is promoted into it, centered by its row
+    means and divided by its row ``std(ddof=1)`` while it is in cache. Every
+    step is per row, so the bits do not depend on the block size or on the
+    layout of ``X``, which is left as it is. Raises ``ZeroVarianceRow`` on the
+    first constant row, and ``ValidationError`` on the first row whose
+    standard deviation is not finite (it overflows). Idempotent up to
+    rounding.
     """
     a = X.entries
+    p, n = a.shape
     # sample std, divisor n-1; a single-column row is constant by definition
-    if a.shape[1] < 2:
+    if n < 2:
         raise ZeroVarianceRow(0)
-    centered = a - a.mean(axis=1, keepdims=True)
-    # each row's std is its own pairwise sum, so a row chunk gives the same bits
-    std = np.empty((a.shape[0], 1))
-    step = max(1, _STD_CHUNK_BYTES // centered[0].nbytes)
-    for lo in range(0, a.shape[0], step):
-        std[lo:lo + step] = centered[lo:lo + step].std(axis=1, ddof=1, keepdims=True)
-    bad = np.flatnonzero(std[:, 0] == 0.0)
-    if bad.size:
-        raise ZeroVarianceRow(int(bad[0]))
-    np.divide(centered, std, out=centered)
-    return DataMatrix(centered, standardized=True)
+    out = np.empty((p, n))
+    step = max(1, _STD_CHUNK_BYTES // out[0].nbytes)
+    for lo in range(0, p, step):
+        block = out[lo:lo + step]
+        block[...] = a[lo:lo + step]
+        # an overflowing row gives inf or NaN, refused below without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            block -= block.mean(axis=1, keepdims=True)
+            std = block.std(axis=1, ddof=1, keepdims=True)
+        bad = np.flatnonzero((std[:, 0] == 0.0) | ~np.isfinite(std[:, 0]))
+        if bad.size:
+            row = lo + int(bad[0])
+            if std[bad[0], 0] == 0.0:
+                raise ZeroVarianceRow(row)
+            raise ValidationError(f"row {row} has a non-finite standard deviation "
+                                  f"(it overflows), cannot standardize")
+        block /= std
+    return DataMatrix(out, standardized=True)
 
 
 def sample_covariance(X: DataMatrix) -> CovarianceMatrix:
-    """Sample covariance (1/n) X X^T."""
-    return CovarianceMatrix(X.entries)
+    """Sample covariance (1/n) X X^T, formed in float64 (a float32 ``X`` is
+    promoted first)."""
+    return CovarianceMatrix(np.asarray(X.entries, dtype=np.float64))
 
 
 def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:

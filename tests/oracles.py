@@ -313,7 +313,7 @@ def reference_cloud_csv(values):
 
 
 def reference_read_capture(path):
-    """``read_capture`` as one whole-file read, then a whole-payload f64
+    """``read_capture`` as one whole-file read, then a whole-payload float32
     conversion and a ``vstack`` of the real and imaginary blocks."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -325,20 +325,21 @@ def reference_read_capture(path):
     body = body[:expected]
     rows, cols = header.rows, header.cols
     if header.dtype == DTYPE_F32_REAL:
-        a = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(rows, cols)
+        a = np.frombuffer(body, dtype="<f4").astype(np.float32).reshape(rows, cols)
         return DataMatrix(a)
     if header.dtype == DTYPE_I16_REAL:
-        a = np.frombuffer(body, dtype="<i2").astype(np.float64).reshape(rows, cols)
-        return DataMatrix(a / 32768.0)
-    flat = np.frombuffer(body, dtype="<f4").astype(np.float64)
+        a = np.frombuffer(body, dtype="<i2").astype(np.float32).reshape(rows, cols)
+        return DataMatrix(a / np.float32(32768.0))
+    flat = np.frombuffer(body, dtype="<f4").astype(np.float32)
     re = flat[0::2].reshape(rows, cols)
     im = flat[1::2].reshape(rows, cols)
     return DataMatrix(np.vstack([re, im]))
 
 
 def reference_standardize_rows(X):
-    """``standardize_rows`` with one ``std`` over all rows and a new quotient."""
-    a = X.entries
+    """``standardize_rows`` in whole-matrix passes over a C-ordered float64
+    copy: one ``mean``, one ``std`` over all rows and a new quotient."""
+    a = np.array(X.entries, dtype=np.float64, order="C")
     mean = a.mean(axis=1, keepdims=True)
     centered = a - mean
     if a.shape[1] < 2:

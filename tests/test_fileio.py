@@ -76,6 +76,15 @@ class TestCaptureFormat:
         back = read_capture(str(path))
         np.testing.assert_array_equal(back.entries, [[-1.0, 32767 / 32768], [0.0, -1 / 32768]])
 
+    @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX, DTYPE_I16_REAL])
+    def test_reads_unstandardized_float32(self, tmp_path, dtype):
+        path = tmp_path / "d.rmtc"
+        path.write_bytes(_capture_bytes(b"RMTC", 1, dtype, 3, 4, bytes(16),
+                                        _random_payload(dtype, 3, 4, 0)))
+        X = read_capture(str(path))
+        assert X.entries.dtype == np.float32 and not X.standardized
+        assert X.entries.flags.c_contiguous
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rmtc"
         write_capture(str(path), np.zeros((1, 1)))
@@ -165,16 +174,14 @@ class TestReadCaptureFuzz:
         assert m.entries.ndim == 2 and np.all(np.isfinite(m.entries))
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 def _outcome(read, path):
-    """The matrix bits ``read`` returns for ``path``, or its refusal."""
+    """The dtype and float32 bits of the matrix ``read`` returns for
+    ``path``, or its refusal."""
     try:
-        return _bits(read(str(path)).entries).tolist()
+        a = read(str(path)).entries
     except ValidationError as exc:
         return type(exc), str(exc)
+    return a.dtype, np.ascontiguousarray(a, dtype=np.float32).view(np.uint32).tolist()
 
 
 # finite captures of each dtype whose rows cross the staging blocks unevenly,

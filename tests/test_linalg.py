@@ -66,9 +66,9 @@ def _standardized_bits(standardize, a):
 
 
 class TestStandardizeChunks:
-    """The std pass runs over row chunks; the one-pass form in the oracles is
-    the bit-for-bit reference, refusals included (a tiny scale underflows the
-    variance to zero)."""
+    """Standardization runs over blocks of rows; the one-pass form in the
+    oracles is the bit-for-bit reference, refusals included (a tiny scale
+    underflows the variance to zero)."""
 
     @given(p=st.integers(1, 11), n=st.integers(2, 40), chunk_rows=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-200, 1.0, 1e150]))
@@ -92,14 +92,53 @@ class TestStandardizeChunks:
         assert np.array_equal(X.entries.view(np.uint64), before.view(np.uint64))
         assert not np.shares_memory(X.entries, Y.entries)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 100])
-    def test_first_constant_row_named(self, rng, chunk_rows):
-        a = rng.standard_normal((9, 6))
+    def test_first_constant_row_named(self, rng, chunk_rows, dtype):
+        a = rng.standard_normal((9, 6)).astype(dtype)
         a[[4, 5, 8]] = 2.5
         with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * 6), \
                 pytest.raises(ZeroVarianceRow) as err:
             standardize_rows(DataMatrix(a))
         assert err.value.row == 4
+
+    @given(block_rows=st.integers(1, 5), rows_past_block=st.integers(-4, 8),
+           n=st.integers(2, 24), f32=st.booleans(),
+           layout=st.sampled_from(["C", "F", "strided", "reversed"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_match_one_pass_for_any_dtype_and_layout(self, block_rows, rows_past_block,
+                                                            n, f32, layout, seed):
+        p = max(1, block_rows + rows_past_block)
+        base = np.random.default_rng(seed).standard_normal((2 * p, 2 * n)) + 3.0
+        base = base.astype(np.float32 if f32 else np.float64)
+        a = {"C": base[:p, :n].copy(), "F": np.asfortranarray(base[:p, :n]),
+             "strided": base[::2, ::2], "reversed": base[:p, :n][::-1, ::-1]}[layout]
+        before = a.copy()
+        X = DataMatrix(a)
+        assert X.entries is a
+        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", block_rows * 8 * n):
+            got = standardize_rows(X).entries
+        want = reference_standardize_rows(X).entries
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(a, before)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row", [[1e200, -1e200, 0, 3], [1.7e308, -1.7e308, -1.7e308, 0],
+                                     [1.7e308, 1.7e308, 1.7e308, 1.7e308]])
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_overflowing_row_refused(self, row, at):
+        # squares beyond the float64 range would give std = inf, and an
+        # all-zero row marked standardized
+        a = np.tile([1.0, 2.0, 3.0, 4.0], (7, 1))
+        a[at] = row
+        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", 2 * 8 * 4), \
+                pytest.raises(ValidationError) as err:
+            standardize_rows(DataMatrix(a))
+        assert type(err.value) is ValidationError
+        assert str(err.value) == (f"row {at} has a non-finite standard deviation "
+                                  f"(it overflows), cannot standardize")
 
     def test_single_column_names_row_zero(self):
         with pytest.raises(ZeroVarianceRow) as err:
@@ -294,6 +333,31 @@ class TestTypes:
                 with pytest.raises(ValidationError,
                                    match="^data matrix contains non-finite entries$"):
                     DataMatrix(a)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [np.array([[1 + 2j, 3, 5], [2, 1j, 0]]),
+                                   np.zeros((2, 2), np.complex64), [[1 + 0j, 2.0]]])
+    def test_data_matrix_rejects_complex(self, a):
+        # a float cast would keep [[1, 3, 5], [2, 0, 0]] with a ComplexWarning
+        with pytest.raises(ValidationError, match=r"^data matrix of dtype complex\d+ is not real$"):
+            DataMatrix(a)
+
+    def test_only_unstandardized_data_is_float32(self, rng):
+        a32 = rng.standard_normal((3, 5)).astype(np.float32)
+        assert DataMatrix(a32).entries is a32
+        assert DataMatrix(a32, standardized=True).entries.dtype == np.float64
+        assert DataMatrix(np.arange(6, dtype=np.int16).reshape(2, 3)).entries.dtype == np.float64
+        assert DataMatrix(a32.astype(np.float16)).entries.dtype == np.float64
+        assert standardize_rows(DataMatrix(a32)).entries.dtype == np.float64
+
+    def test_sample_covariance_promotes_float32(self, rng):
+        a32 = rng.standard_normal((6, 4)).astype(np.float32)
+        got, want = (sample_covariance(DataMatrix(a)) for a in (a32, a32.astype(np.float64)))
+        assert got.data.dtype == np.float64 and got.entries.dtype == np.float64
+        assert np.array_equal(got.entries.view(np.uint64), want.entries.view(np.uint64))
+        w32, w64 = (eigvals_symmetric(sample_covariance(DataMatrix(a))).values
+                    for a in (a32, a32.astype(np.float64)))
+        assert np.array_equal(w32.view(np.uint64), w64.view(np.uint64))
 
     def test_data_matrix_rejects_non_2d(self):
         with pytest.raises(ValidationError, match=r"^expected a 2-d matrix, got shape \(3,\)$"):

@@ -1,9 +1,9 @@
 """Peak memory of the full-rank path's layers, measured with ``tracemalloc``
-(numpy reports its data allocations to it): reading a capture holds little
-more than the matrix it returns, standardizing little more than the one new
-matrix, checking a data matrix, a sample stream or a capture payload for
-non-finite entries nothing of its size, and the kernel density estimate a few
-small chunks."""
+(numpy reports its data allocations to it): reading a capture holds the
+float32 matrix it returns and one staging block, standardizing the one new
+float64 matrix and one small block, checking a data matrix, a sample stream
+or a capture payload for non-finite entries nothing of its size, and the
+kernel density estimate a few small chunks."""
 
 import struct
 import tracemalloc
@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from rmtspec import DataMatrix, SampleStream, read_capture, standardize_rows, write_capture
+from rmtspec import fileio
 from rmtspec.estimation import kde_eval
 from rmtspec.fileio import DTYPE_F32_COMPLEX
 
 _MB = 2**20
+# the Python objects of a call (the header, a few array views), not its data
+_OBJECTS = 64 * 2**10
 
 
 def _peak(fn, *args):
@@ -32,7 +35,8 @@ def _peak(fn, *args):
 
 @pytest.fixture(scope="module")
 def capture(tmp_path_factory):
-    """512 x 4096 complex f32 capture: a 1024 x 4096 f64 (32 MiB) matrix."""
+    """512 x 4096 complex f32 capture: a 1024 x 4096 float32 (16 MiB) matrix,
+    32 MiB standardized."""
     path = tmp_path_factory.mktemp("mem") / "c.rmtc"
     payload = np.random.default_rng(0).standard_normal(2 * 512 * 4096, dtype=np.float32)
     with open(path, "wb") as fh:
@@ -43,15 +47,15 @@ def capture(tmp_path_factory):
 
 def test_read_capture_holds_the_result_and_one_block(capture):
     X, peak = _peak(read_capture, capture)
-    assert X.entries.shape == (1024, 4096)
-    assert peak <= X.entries.nbytes + 8 * _MB
+    assert X.entries.shape == (1024, 4096) and X.entries.dtype == np.float32
+    assert peak <= X.entries.nbytes + fileio._READ_BLOCK_BYTES + _OBJECTS
 
 
 def test_standardize_rows_holds_the_result_and_one_chunk(capture):
     X = read_capture(capture)
     Y, peak = _peak(standardize_rows, X)
-    assert Y.entries.shape == X.entries.shape
-    assert peak <= Y.entries.nbytes + 12 * _MB
+    assert Y.entries.shape == X.entries.shape and Y.entries.dtype == np.float64
+    assert peak <= Y.entries.nbytes + 1 * _MB
 
 
 def test_data_matrix_finite_check_builds_no_mask():
