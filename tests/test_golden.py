@@ -4,7 +4,10 @@ KS, against the sha256 digests and reprs in ``golden.json``.
 The pipelines cover each code path that writes bytes: a rank-deficient
 capture (small-side solves on one thread) and a full-rank one (dense staged
 solves), each analyzed standardized and raw (``--no-standardize``),
-``theory lagged``, ``theory mp`` below, at and above c = 1, and ``compare``. The bits depend on the BLAS kernels, so the manifest records the
+``theory lagged``, ``theory mp`` below, at and above c = 1, and ``compare``.
+``generate`` also writes one capture of each other source and framing: WGN
+of variance 4, noisy narrowband BPSK, time-domain NC-OFDM and noiseless
+per-frame-DFT NC-OFDM. The bits depend on the BLAS kernels, so the manifest records the
 build it was made on and the test skips on any other. A change that moves
 bytes on purpose rewrites the manifest with ``python tests/test_golden.py``
 from the repository root and names each changed digest and why it changed.
@@ -36,6 +39,22 @@ CAPTURES = {
                   "--cols", "256"], 0.5),
 }
 
+# generate arguments (without -o) of the captures no pipeline analyzes: the
+# time-domain one takes the default 1024-point frame and occupied set and
+# truncates its second frame, the per-frame DFT one gives overlapping,
+# unsorted occupied ranges
+GENERATED = {
+    "wgn-var4": ["--signal", "wgn", "--seed", "3", "--rows", "8", "--cols", "32",
+                 "--variance", "4"],
+    "narrowband": ["--signal", "narrowband", "--seed", "3", "--rows", "8", "--cols", "32",
+                   "--carrier", "0.2", "--symbol-rate", "0.125", "--snr-db", "10"],
+    "ncofdm-time": ["--signal", "ncofdm", "--seed", "3", "--rows", "8", "--cols", "200",
+                    "--snr-db", "10"],
+    "ncofdm-freq": ["--signal", "ncofdm", "--seed", "3", "--n-fft", "64",
+                    "--occupied", "36:52,4:20,10:12", "--rows", "64", "--cols", "8",
+                    "--freq-domain"],
+}
+
 
 def _steps() -> list[list[str]]:
     """CLI argv of every step, in order, with paths relative to the working
@@ -54,6 +73,7 @@ def _steps() -> list[list[str]]:
         ]
     steps += [["theory", "lagged", "--q", q, "-o", f"lagged-q{q}.csv"] for q in ("0.5", "2")]
     steps += [["theory", "mp", "--c", c, "-o", f"mp-c{c}.csv"] for c in ("0.5", "1", "4")]
+    steps += [["generate", *args, "-o", f"{name}.rmtc"] for name, args in GENERATED.items()]
     return steps
 
 
