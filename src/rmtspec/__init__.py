@@ -35,10 +35,6 @@ from .linalg import (
 )
 from .signals import (
     DEFAULT_OCCUPIED_RANGES,
-    NarrowbandSpec,
-    NcofdmSpec,
-    SampleStream,
-    WgnSpec,
     add_awgn,
     gen_narrowband,
     gen_ncofdm_frames,

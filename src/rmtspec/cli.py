@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cols", type=int, required=True)
     g.add_argument("--variance", type=float, default=1.0)
     g.add_argument("--carrier", type=float, default=0.25, help="cycles/sample")
-    g.add_argument("--band", type=float, default=1.0 / 6.0)
     g.add_argument("--symbol-rate", type=float, default=1.0 / 16.0)
     g.add_argument("--n-fft", type=int, default=1024)
     g.add_argument("--occupied", default="", help='inclusive ranges, e.g. "10:50,80:100"')
@@ -129,9 +128,9 @@ def _thread_limit() -> int | None:
     return limit
 
 
-def _parse_occupied(text: str) -> np.ndarray:
+def _parse_occupied(text: str) -> np.ndarray | None:
     if not text:
-        return signals.occupied_from_ranges()
+        return None
     ranges = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
@@ -150,23 +149,23 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
         raise ValidationError("--freq-domain applies to the ncofdm signal only")
 
     if ns.signal == "wgn":
-        stream = signals.gen_wgn(signals.WgnSpec(ns.seed, rows * cols, ns.variance))
+        samples = signals.gen_wgn(ns.seed, rows * cols, ns.variance)
     elif ns.signal == "narrowband":
-        stream = signals.gen_narrowband(signals.NarrowbandSpec(
-            ns.seed, rows * cols, ns.carrier, ns.band, ns.symbol_rate))
+        samples = signals.gen_narrowband(ns.seed, rows * cols, ns.carrier, ns.symbol_rate)
     else:
-        spec = signals.NcofdmSpec(ns.seed, ns.n_fft, _parse_occupied(ns.occupied))
         if ns.freq_domain and rows != ns.n_fft:
             raise ValidationError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
-        n_frames = cols if ns.freq_domain else -(-rows * cols // ns.n_fft)
-        stream = signals.gen_ncofdm_frames(spec, n_frames=n_frames)
+        # the generator refuses an n_fft that is not a power of two, 0 included
+        n_frames = cols if ns.freq_domain else -(-rows * cols // (ns.n_fft or 1))
+        samples = signals.gen_ncofdm_frames(ns.seed, n_frames, ns.n_fft,
+                                            _parse_occupied(ns.occupied))
 
-    stream = signals.add_awgn(stream, ns.snr_db, seed=ns.seed + 1)
+    samples = signals.add_awgn(samples, ns.snr_db, seed=ns.seed + 1)
 
     if ns.freq_domain:
-        payload = signals.spectrogram_matrix(stream, ns.n_fft)
+        payload = signals.spectrogram_matrix(samples, ns.n_fft)
     else:
-        payload = stream.samples[: rows * cols].reshape(rows, cols)
+        payload = samples[: rows * cols].reshape(rows, cols)
     fileio.write_capture(ns.output, payload)
     return 0
 

@@ -31,8 +31,7 @@ def _pass(criterion, detail):
 
 
 def _wgn_matrix(seed, p, n, standardize):
-    stream = r.gen_wgn(r.WgnSpec(seed=seed, length=p * n))
-    X = r.DataMatrix(stream.samples[: p * n].reshape(p, n))
+    X = r.DataMatrix(r.gen_wgn(seed=seed, length=p * n).reshape(p, n))
     return r.standardize_rows(X) if standardize else X
 
 
@@ -82,9 +81,9 @@ def test_criterion_1_case1_full_scale():
 @pytest.fixture(scope="module")
 def case2_result():
     p, n = 512, 2048
-    stream = r.gen_narrowband(r.NarrowbandSpec(seed=SEED_C2_NB, length=p * n))
-    noisy = r.add_awgn(stream, 10.0, seed=SEED_C2_NB + 1)
-    X = r.standardize_rows(r.DataMatrix(noisy.samples[: p * n].reshape(p, n)))
+    samples = r.gen_narrowband(seed=SEED_C2_NB, length=p * n)
+    noisy = r.add_awgn(samples, 10.0, seed=SEED_C2_NB + 1)
+    X = r.standardize_rows(r.DataMatrix(noisy.reshape(p, n)))
     ks_nb = _ks_vs_mp(r.eigvals_symmetric(r.sample_covariance(X)).values, p / n)
 
     Xw = _wgn_matrix(SEED_C2_WGN, p, n, standardize=True)
@@ -105,9 +104,9 @@ def test_criterion_2_ratio_calibration_ten_seeds():
     p, n = 512, 2048
     ratios = []
     for k in range(10):
-        stream = r.gen_narrowband(r.NarrowbandSpec(seed=1000 + k, length=p * n))
-        noisy = r.add_awgn(stream, 10.0, seed=2000 + k)
-        X = r.standardize_rows(r.DataMatrix(noisy.samples[: p * n].reshape(p, n)))
+        samples = r.gen_narrowband(seed=1000 + k, length=p * n)
+        noisy = r.add_awgn(samples, 10.0, seed=2000 + k)
+        X = r.standardize_rows(r.DataMatrix(noisy.reshape(p, n)))
         ks_nb = _ks_vs_mp(r.eigvals_symmetric(r.sample_covariance(X)).values, p / n)
         Xw = _wgn_matrix(3000 + k, p, n, standardize=True)
         ks_w = _ks_vs_mp(r.eigvals_symmetric(r.sample_covariance(Xw)).values, p / n)
@@ -119,9 +118,8 @@ def test_criterion_2_ratio_calibration_ten_seeds():
 def test_criterion_3_case3_ncofdm_restores_mp(case2_result):
     t0 = time.perf_counter()
     n_fft, frames = 1024, 4096
-    spec = r.NcofdmSpec(seed=SEED_C3_NC)
-    stream = r.gen_ncofdm_frames(spec, n_frames=frames)
-    noisy = r.add_awgn(stream, 10.0, seed=SEED_C3_NC + 1)
+    samples = r.gen_ncofdm_frames(seed=SEED_C3_NC, n_frames=frames, n_fft=n_fft)
+    noisy = r.add_awgn(samples, 10.0, seed=SEED_C3_NC + 1)
     spectro = r.spectrogram_matrix(noisy, n_fft)          # bins x frames
     X = r.DataMatrix(np.vstack([spectro.real, spectro.imag]))
     X = r.standardize_rows(X)

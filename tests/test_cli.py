@@ -61,8 +61,7 @@ CONTRACT_CASES = {
     "wgn-snr-minus-huge": (_WGN + ["--snr-db=-1e308"], {}),
     "wgn-variance-beyond-f32": (_WGN + ["--variance", "1e308"], {}),
     "wgn-snr-noise-beyond-f32": (_WGN + ["--snr-db=-3000"], {}),
-    "narrowband-band-nan": (_NARROWBAND + ["--band", "nan"], {}),
-    "narrowband-band-negative": (_NARROWBAND + ["--band=-3"], {}),
+    "narrowband-rate-tiny": (_NARROWBAND + ["--symbol-rate", "5e-324"], {}),
     "ncofdm-n-fft-not-power-of-two": (["generate", "--signal", "ncofdm", "--rows", "4",
                                        "--cols", "4", "--n-fft", "1000", "--occupied", "1:5"],
                                       {}),
@@ -88,8 +87,8 @@ _GOOD = {"cap": _rmtc(_SAMPLES.tobytes())}
 
 def _narrowband_capture(seed, rows, cols):
     """The bytes ``generate --signal narrowband --seed S --rows R --cols C`` writes."""
-    stream = signals.gen_narrowband(signals.NarrowbandSpec(seed, rows * cols, 0.25, 1 / 6, 1 / 16))
-    return _rmtc(stream.samples.reshape(rows, cols).astype("<f4").tobytes(), rows=rows, cols=cols)
+    samples = signals.gen_narrowband(seed, rows * cols, 0.25, 1 / 16)
+    return _rmtc(samples.reshape(rows, cols).astype("<f4").tobytes(), rows=rows, cols=cols)
 
 
 # one refusal per kind reachable from argv: argv (without -o), capture bytes,
@@ -152,13 +151,19 @@ REFUSALS = {
                       "leading coefficient 1/Q^3 is zero at Q = 1e+300"),
     "lagged-mass": (["theory", "lagged", "--q", "0.1", "--epsilon", "1"], {}, 1,
                     "the Q=0.1, epsilon=1 curve has mass 0.9777, more than 0.02 from 1"),
-    "narrowband-carrier-0.49": (_NARROWBAND + ["--carrier", "0.49"], {}, 1,
-                                "carrier + band/2 reaches the Nyquist edge"),
+    "narrowband-carrier-0.5": (_NARROWBAND + ["--carrier", "0.5"], {}, 1,
+                               "carrier 0.5 outside (0, 0.5)"),
     "ncofdm-empty-occupied": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
                                "--occupied", "5:4"], {}, 1,
                               "occupied subcarrier set is empty"),
     "ncofdm-n-fft-1000": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
                            "--n-fft", "1000"], {}, 1, "n_fft=1000 is not a power of two"),
+    # checked before the default occupied set, which ends at 900
+    "ncofdm-n-fft-0": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
+                        "--n-fft", "0"], {}, 1, "n_fft=0 is not a power of two"),
+    "ncofdm-n-fft-12": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
+                         "--n-fft", "12"], {}, 1, "n_fft=12 is not a power of two"),
+    "generate-seed-negative": (_WGN + ["--seed", "-1"], {}, 1, "seed must be >= 0, got -1"),
     "generate-rows-0": (["generate", "--signal", "wgn", "--rows", "0", "--cols", "4"], {}, 1,
                         "rows and cols must be >= 1"),
     # a density file whose column is not a curve names the file and the column
@@ -207,6 +212,11 @@ class TestDispatch:
         out = tmp_path / "d.csv"
         assert _run("analyze", "cov", "-i", str(tmp_path / "nope.rmtc"),
                     "-o", str(out)) == 1
+
+    def test_band_option_is_gone(self, tmp_path, capsys):
+        assert _run(*_NARROWBAND, "--band", "0.2", "-o", str(tmp_path / "x.rmtc")) == 1
+        assert "unrecognized arguments: --band 0.2" in capsys.readouterr().err
+        assert not (tmp_path / "x.rmtc").exists()
 
     def test_freq_domain_rejected_for_wgn(self, tmp_path):
         assert _run("generate", "--signal", "wgn", "--rows", "4", "--cols", "4",
@@ -664,15 +674,37 @@ class TestGenerateFraming:
     """generate fills the capture row-major from the stream's first rows*cols samples."""
 
     @pytest.mark.parametrize("signal, stream", [
-        ("wgn", lambda: rmtspec.gen_wgn(rmtspec.WgnSpec(4, 2 * 3))),
-        ("narrowband", lambda: rmtspec.gen_narrowband(rmtspec.NarrowbandSpec(4, 2 * 3))),
+        ("wgn", lambda: rmtspec.gen_wgn(4, 2 * 3)),
+        ("narrowband", lambda: rmtspec.gen_narrowband(4, 2 * 3)),
     ])
     def test_row_major_fill(self, tmp_path, signal, stream):
         cap = tmp_path / "c.rmtc"
         assert _run("generate", "--signal", signal, "--seed", "4",
                     "--rows", "2", "--cols", "3", "-o", str(cap)) == 0
-        want = stream().samples.astype(np.float32).reshape(2, 3)
+        want = stream().astype(np.float32).reshape(2, 3)
         np.testing.assert_array_equal(fileio.read_capture(str(cap)).entries, want)
+
+    @pytest.mark.parametrize("signal, stream", [
+        ("wgn", lambda: rmtspec.gen_wgn(4, 2 * 3)),
+        ("narrowband", lambda: rmtspec.gen_narrowband(4, 2 * 3)),
+    ])
+    def test_noise_takes_the_next_seed(self, tmp_path, signal, stream):
+        cap = tmp_path / "c.rmtc"
+        assert _run("generate", "--signal", signal, "--seed", "4", "--snr-db", "10",
+                    "--rows", "2", "--cols", "3", "-o", str(cap)) == 0
+        want = rmtspec.add_awgn(stream(), 10.0, seed=5).astype(np.float32).reshape(2, 3)
+        np.testing.assert_array_equal(fileio.read_capture(str(cap)).entries, want)
+
+    def test_freq_domain_is_the_spectrogram_of_the_noisy_frames(self, tmp_path):
+        cap = tmp_path / "c.rmtc"
+        assert _run("generate", "--signal", "ncofdm", "--seed", "4", "--n-fft", "16",
+                    "--occupied", "1:5", "--rows", "16", "--cols", "3", "--snr-db", "10",
+                    "--freq-domain", "-o", str(cap)) == 0
+        frames = rmtspec.add_awgn(rmtspec.gen_ncofdm_frames(4, 3, 16, np.arange(1, 6)),
+                                  10.0, seed=5)
+        z = rmtspec.spectrogram_matrix(frames, 16).astype(np.complex64)
+        got = fileio.read_capture(str(cap)).entries
+        np.testing.assert_array_equal(got, np.vstack([z.real, z.imag]))
 
     def test_complex_stacking(self, tmp_path):
         # 4 x 6 = 24 samples from two 16-point frames; the capture reads back
@@ -680,8 +712,8 @@ class TestGenerateFraming:
         cap = tmp_path / "c.rmtc"
         assert _run("generate", "--signal", "ncofdm", "--seed", "4", "--n-fft", "16",
                     "--occupied", "1:5", "--rows", "4", "--cols", "6", "-o", str(cap)) == 0
-        spec = rmtspec.NcofdmSpec(4, 16, np.arange(1, 6))
-        z = rmtspec.gen_ncofdm_frames(spec, 2).samples[:24].astype(np.complex64).reshape(4, 6)
+        z = rmtspec.gen_ncofdm_frames(4, 2, 16, np.arange(1, 6))[:24]
+        z = z.astype(np.complex64).reshape(4, 6)
         got = fileio.read_capture(str(cap)).entries
         np.testing.assert_array_equal(got, np.vstack([z.real, z.imag]))
 

@@ -29,3 +29,11 @@ def test_package_reexports_resolve():
         mod = importlib.import_module(f"rmtspec.{module}")
         assert getattr(rmtspec, name) is getattr(mod, name)
         assert name in mod.__all__, (module, name)
+
+
+# the spec classes and the stream wrapper of the generators were removed:
+# each generator takes its arguments and returns a plain array
+@pytest.mark.parametrize("name", ["WgnSpec", "NarrowbandSpec", "NcofdmSpec", "SampleStream"])
+def test_removed_signal_types_stay_gone(name):
+    assert not hasattr(rmtspec, name)
+    assert not hasattr(importlib.import_module("rmtspec.signals"), name)

@@ -1,9 +1,9 @@
 """Peak memory of the full-rank path's layers, measured with ``tracemalloc``
 (numpy reports its data allocations to it): reading a capture holds the
 float32 matrix it returns and one staging block, standardizing the one new
-float64 matrix and one small block, checking a data matrix, a sample stream
-or a capture payload for non-finite entries nothing of its size, and the
-kernel density estimate a few small chunks."""
+float64 matrix and one small block, checking a data matrix or a capture
+payload for non-finite entries nothing of its size, and the kernel density
+estimate a few small chunks."""
 
 import struct
 import tracemalloc
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmtspec import DataMatrix, SampleStream, read_capture, standardize_rows, write_capture
+from rmtspec import DataMatrix, read_capture, standardize_rows, write_capture
 from rmtspec import fileio
 from rmtspec.estimation import kde_eval
 from rmtspec.fileio import DTYPE_F32_COMPLEX
@@ -63,15 +63,6 @@ def test_data_matrix_finite_check_builds_no_mask():
     a = np.random.default_rng(2).standard_normal((1024, 4096))
     X, peak = _peak(DataMatrix, a)
     assert X.entries is a
-    assert peak < 1 * _MB
-
-
-def test_sample_stream_finite_check_builds_no_mask():
-    # 1024 x 4096 complex samples: a full-length bool mask alone would be 4 MiB
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal(1024 * 4096) + 1j * rng.standard_normal(1024 * 4096)
-    s, peak = _peak(SampleStream, z)
-    assert s.samples is z
     assert peak < 1 * _MB
 
 
