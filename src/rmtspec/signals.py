@@ -115,7 +115,8 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         raise ValueError("empty stream")
     if snr_db == math.inf:
         return samples
-    power = float(np.mean(np.abs(samples) ** 2))
+    with np.errstate(over="ignore"):  # an overflowed power is refused below
+        power = float(np.mean(np.abs(samples) ** 2))
     if not math.isfinite(power):
         raise ValueError(f"samples have mean power {power}, not a finite value")
     try:

@@ -61,6 +61,7 @@ CONTRACT_CASES = {
     "wgn-snr-minus-huge": (_WGN + ["--snr-db=-1e308"], {}),
     "wgn-variance-beyond-f32": (_WGN + ["--variance", "1e308"], {}),
     "wgn-snr-noise-beyond-f32": (_WGN + ["--snr-db=-3000"], {}),
+    "wgn-power-beyond-f64": (_WGN + ["--variance", "1e308", "--snr-db", "10"], {}),
     "narrowband-rate-tiny": (_NARROWBAND + ["--symbol-rate", "5e-324"], {}),
     "ncofdm-n-fft-not-power-of-two": (["generate", "--signal", "ncofdm", "--rows", "4",
                                        "--cols", "4", "--n-fft", "1000", "--occupied", "1:5"],

@@ -69,14 +69,15 @@ class TestNarrowband:
         with pytest.raises(ValueError, match="symbol rate must be finite and positive"):
             gen_narrowband(seed=0, length=8, symbol_rate=rate)
 
-    # 1/5e-324 overflows to inf; 1/1e-300 is a whole count far past any length
+    # 1/5e-324 overflows to inf
     @pytest.mark.parametrize("rate", [0.3, 2.0, 5e-324])
     def test_samples_per_symbol_must_be_a_whole_count(self, rate):
         with pytest.raises(ValueError, match=r"^1/symbol_rate must be a positive integer "
                                              r"sample count$"):
             gen_narrowband(seed=0, length=8, symbol_rate=rate)
 
-    @pytest.mark.parametrize("rate", [1 / 8, 1 / 64, 1e-300])
+    # 1/1e-300 is a whole count of samples far past any length
+    @pytest.mark.parametrize("rate", [1 / 64, 1e-300])
     def test_symbol_longer_than_the_stream_fills_it(self, rate):
         np.testing.assert_array_equal(gen_narrowband(seed=5, length=8, symbol_rate=rate),
                                       gen_narrowband(seed=5, length=8, symbol_rate=1 / 8))
@@ -210,6 +211,7 @@ class TestSeed:
 def test_generators_return_plain_arrays(make, dtype, size):
     out = make()
     assert type(out) is np.ndarray and out.dtype == dtype and out.shape == (size,)
+
 
 class TestFraming:
     def test_spectrogram_orientation(self):
