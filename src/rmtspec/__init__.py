@@ -22,8 +22,6 @@ from .estimation import (
 )
 from .fileio import read_capture, read_density_csv, write_capture, write_density_csv
 from .linalg import (
-    ComplexSpectrum,
-    CovarianceMatrix,
     DataMatrix,
     LaggedMatrix,
     RealSpectrum,

@@ -174,12 +174,12 @@ def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
     X = fileio.read_capture(ns.input)
     if not ns.no_standardize:
         X = standardize_rows(X)
-    spec = eigvals_symmetric(sample_covariance(X))
+    vals = eigvals_symmetric(sample_covariance(X)).values
     ratio = X.p / X.n
     prm = theory.mp_params(ratio)
 
-    kde = estimation.eigenvalue_density(spec, ns.bandwidth)
-    nonzero, atom_share = estimation.split_atom(spec.values)
+    kde = estimation.eigenvalue_density(vals, ns.bandwidth)
+    nonzero, atom_share = estimation.split_atom(vals)
     hist = estimation.with_atom(estimation.histogram_density(nonzero, bins=ns.bins), atom_share)
 
     # one grid clearing every support (the KDE's tails, the MP law's, the atom
@@ -195,13 +195,12 @@ def _cmd_analyze_cov(ns: argparse.Namespace) -> int:
 
 def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
     X = standardize_rows(fileio.read_capture(ns.input))
-    cspec = eigvals_general(lagged_correlation(X, ns.tau))
+    v = eigvals_general(lagged_correlation(X, ns.tau))
 
     # every curve is built before any file is written, so a failure leaves none
-    curves = {axis: estimation.projection_density(cspec, axis=axis, bins=ns.bins)
+    curves = {axis: estimation.projection_density(v, axis=axis, bins=ns.bins)
               for axis in ("x", "y")}
 
-    v = cspec.values
     fileio.write_table_csv(ns.output, ["re,im"], np.column_stack([v.real, v.imag]))
 
     base, ext = os.path.splitext(ns.output)

@@ -11,7 +11,6 @@ import numpy as np
 
 from .curves import DensityCurve
 from .errors import DisjointSupportsWarning, ValidationError
-from .linalg import ComplexSpectrum, RealSpectrum
 
 __all__ = [
     "EsdFunction",
@@ -203,9 +202,8 @@ def with_atom(curve: DensityCurve, atom: float) -> DensityCurve:
     return DensityCurve(curve.xs, curve.ys * (1.0 - atom), point_mass_at_zero=atom)
 
 
-def eigenvalue_density(spec: RealSpectrum, bandwidth: float | None = None,
-                       grid=None) -> DensityCurve:
-    """Atom-aware Gaussian KDE of a real spectrum.
+def eigenvalue_density(values, bandwidth: float | None = None, grid=None) -> DensityCurve:
+    """Atom-aware Gaussian KDE of the real eigenvalues ``values``.
 
     The eigenvalues ``split_atom`` counts as zero form the point mass at zero
     and are excluded from the KDE; the continuous part is weighted by its
@@ -217,7 +215,7 @@ def eigenvalue_density(spec: RealSpectrum, bandwidth: float | None = None,
     trapezoid mass within 2 exp(-2 pi^2) ~ 5e-9 of 1 (Poisson summation). A span
     that is not finite, or a grid of more than 10^6 points, is refused.
     """
-    nonzero, atom = split_atom(spec.values)
+    nonzero, atom = split_atom(values)
     if len(nonzero) < 2:
         raise ValidationError("fewer than 2 nonzero eigenvalues")
     h = silverman_bandwidth(nonzero) if bandwidth is None else bandwidth
@@ -241,9 +239,9 @@ def eigenvalue_density(spec: RealSpectrum, bandwidth: float | None = None,
     return with_atom(DensityCurve(grid, kde_eval(nonzero, grid, float(h))), atom)
 
 
-def projection_density(spec: ComplexSpectrum, axis: str = "x", bins: int = 12) -> DensityCurve:
+def projection_density(values, axis: str = "x", bins: int = 12) -> DensityCurve:
     """Atom-aware histogram of the sqrt(2)-rescaled real (``axis='x'``) or
-    imaginary (``axis='y'``) parts of a complex spectrum.
+    imaginary (``axis='y'``) parts of the complex eigenvalues ``values``.
 
     The eigenvalues ``split_atom`` counts as zero form the point mass at zero
     (the rank-deficiency atom of the lagged matrix); the remaining
@@ -251,7 +249,7 @@ def projection_density(spec: ComplexSpectrum, axis: str = "x", bins: int = 12) -
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    nonzero, atom = split_atom(spec.values)
+    nonzero, atom = split_atom(values)
     if nonzero.size == 0:
         raise ValidationError("every eigenvalue of the complex spectrum is zero")
     parts = nonzero.real if axis == "x" else nonzero.imag

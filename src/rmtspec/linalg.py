@@ -4,9 +4,9 @@ Covers row standardization, sample covariance, time-lagged correlation, and
 eigenvalue extraction for both the symmetric and the general
 (complex-spectrum) case.
 
-A ``LaggedMatrix`` is the lag-tau correlation of p x T data, and a
-``CovarianceMatrix`` is its lag-0 member. Each is built from the data alone and
-forms the p x p product the first time ``entries`` is read. Its rank is at most
+A ``LaggedMatrix`` is the lag-tau correlation of p x T data, and the sample
+covariance is its lag-0 member. Each is built from the data alone and forms
+the p x p product the first time ``entries`` is read. Its rank is at most
 m = T - tau. When m < p both solvers solve the m x m small side, which never
 builds the p x p matrix: AB and BA share their nonzero eigenvalues, so an
 m x m eigensolve plus p - m exact zeros gives the whole spectrum.
@@ -34,16 +34,17 @@ OpenBLAS.
 
 Every matrix a LAPACK stage overwrites has 8 doubles, one 64-byte line, of
 slack below each column, and the stages take its column stride, n + 8, as LDA.
-A frequency-domain NC-OFDM capture has a power-of-two order (``NcofdmSpec``
-requires a power-of-two ``n_fft``, and p = 2 * n_fft). With a column stride of
-2048 doubles a row of the matrix falls into a few cache sets, so the row sweeps
-of ``dgebal`` and ``dhseqr`` evict their own lines. The slack changes no
-floating-point operation, so the spectra keep their bits. On the lag matrix of
-a 2048 x 4096 NC-OFDM capture (2-vCPU host, median of 5) it took ``dgebal``
-from 0.110 to 0.037 s, ``dgehrd`` from 1.01 to 0.99 s and one-thread ``dhseqr``
-from 1.68 to 1.44 s at order 2048; ``dhseqr`` from 0.65 to 0.55 s at 1024 and
-from 0.22 to 0.16 s at 512. It gave nothing at order 1000, or to ``dsyevd`` at
-2048 (0.51 against 0.50 s). ``entries`` stays an unpadded F-ordered array.
+A frequency-domain NC-OFDM capture has a power-of-two order
+(``gen_ncofdm_frames`` requires a power-of-two ``n_fft``, and p = 2 * n_fft).
+With a column stride of 2048 doubles a row of the matrix falls into a few cache
+sets, so the row sweeps of ``dgebal`` and ``dhseqr`` evict their own lines. The
+slack changes no floating-point operation, so the spectra keep their bits. On
+the lag matrix of a 2048 x 4096 NC-OFDM capture (2-vCPU host, median of 5) it
+took ``dgebal`` from 0.110 to 0.037 s, ``dgehrd`` from 1.01 to 0.99 s and
+one-thread ``dhseqr`` from 1.68 to 1.44 s at order 2048; ``dhseqr`` from 0.65
+to 0.55 s at 1024 and from 0.22 to 0.16 s at 512. It gave nothing at order
+1000, or to ``dsyevd`` at 2048 (0.51 against 0.50 s). ``entries`` stays an
+unpadded F-ordered array.
 
 A small-side solve of order m <= 128 whose product has m * m * p <= 2**24
 multiply-adds (a 2048 x 64 capture has 8 Mi) runs on one OpenBLAS thread,
@@ -67,7 +68,7 @@ import contextlib
 import ctypes
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +77,8 @@ from .errors import NumericalError, ValidationError, ZeroVarianceRow
 
 __all__ = [
     "DataMatrix",
-    "CovarianceMatrix",
     "LaggedMatrix",
     "RealSpectrum",
-    "ComplexSpectrum",
     "standardize_rows",
     "sample_covariance",
     "lagged_correlation",
@@ -103,6 +102,9 @@ _ONE_THREAD_MAX_PRODUCT = 1 << 24
 # (sqrt(tiny) / eps and its inverse) before it balances; the staged solve does not
 _GEEV_SMALL = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 _GEEV_BIG = 1.0 / _GEEV_SMALL
+# largest |A - A^T| entry, relative to the largest |entry|, of a matrix that a
+# symmetric solve accepts from outside
+_SYMMETRY_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,41 +174,12 @@ class LaggedMatrix:
         return out
 
 
-class CovarianceMatrix(LaggedMatrix):
-    """Sample covariance ``a a^T / n`` of the p x n array ``data``: the lag-0
-    ``LaggedMatrix``, real, symmetric and positive semi-definite."""
-
-    def __init__(self, data: np.ndarray):
-        super().__init__(data, 0)
-
-
 @dataclass(frozen=True)
 class RealSpectrum:
-    """Eigenvalues of a symmetric matrix, ascending, plus the matrix trace."""
+    """Eigenvalues of a symmetric matrix, ascending, as ``eigvals_symmetric``
+    returns them."""
 
     values: np.ndarray
-    matrix_trace: float
-
-    def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "values", v)
-        scale = max(1.0, abs(self.matrix_trace))
-        if abs(v.sum() - self.matrix_trace) > 1e-8 * scale:
-            raise ValueError(
-                f"eigenvalue sum {v.sum()!r} inconsistent with trace {self.matrix_trace!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Eigenvalues of a general square matrix, sorted by (real, imag)."""
-
-    values: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        order = np.lexsort((v.imag, v.real))
-        object.__setattr__(self, "values", v[order])
 
 
 def standardize_rows(X: DataMatrix) -> DataMatrix:
@@ -216,10 +189,11 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     of rows at a time: each block is promoted into it, centered by its row
     means and divided by its row ``std(ddof=1)`` while it is in cache. Every
     step is per row, so the bits do not depend on the block size or on the
-    layout of ``X``, which is left as it is. Raises ``ZeroVarianceRow`` on the
-    first constant row, and ``ValidationError`` on the first row whose
-    standard deviation is not finite (it overflows). Idempotent up to
-    rounding.
+    layout of ``X``, which is left as it is. A row that is not constant is
+    standardized also when its deviations are so small, below about 1e-154,
+    that their squares underflow. Raises ``ZeroVarianceRow`` on the first
+    constant row, and ``ValidationError`` on the first row whose standard
+    deviation is not finite (it overflows). Idempotent up to rounding.
     """
     a = X.entries
     p, n = a.shape
@@ -235,6 +209,11 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             block -= block.mean(axis=1, keepdims=True)
             std = block.std(axis=1, ddof=1, keepdims=True)
+        # the squares of deviations below about 1e-154 underflow: a row that is
+        # not constant takes its std on the row scaled by its largest |deviation|
+        for i in np.flatnonzero(std[:, 0] == 0.0):
+            scale = np.abs(block[i]).max()
+            std[i] = (block[i] / scale).std(ddof=1) * scale if np.ptp(block[i]) > 0 else 0.0
         bad = np.flatnonzero((std[:, 0] == 0.0) | ~np.isfinite(std[:, 0]))
         if bad.size:
             row = lo + int(bad[0])
@@ -246,10 +225,11 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     return DataMatrix(out, standardized=True)
 
 
-def sample_covariance(X: DataMatrix) -> CovarianceMatrix:
-    """Sample covariance (1/n) X X^T, formed in float64 (a float32 ``X`` is
-    promoted first)."""
-    return CovarianceMatrix(np.asarray(X.entries, dtype=np.float64))
+def sample_covariance(X: DataMatrix) -> LaggedMatrix:
+    """Sample covariance (1/n) X X^T, the lag-0 ``LaggedMatrix``: real,
+    symmetric and positive semi-definite, formed in float64 (a float32 ``X``
+    is promoted first)."""
+    return LaggedMatrix(np.asarray(X.entries, dtype=np.float64), 0)
 
 
 def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
@@ -263,32 +243,32 @@ def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
 def eigvals_symmetric(A) -> RealSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    A lag-0 ``LaggedMatrix`` (a ``CovarianceMatrix`` among them) is symmetric
-    by construction and solved from its data (see ``_solve``). Any other
+    A lag-0 ``LaggedMatrix`` (a sample covariance among them) is symmetric by
+    construction and solved from its data (see ``_solve``). Any other
     matrix, a raw array or a lagged matrix at tau > 0, must be real; it is
     checked for symmetry and solved dense. The eigenvalue sum is checked
-    against the trace of the matrix solved. ``ValidationError`` reports a
-    matrix that is not square, empty, complex or not symmetric, and
-    ``NumericalError`` a solve that did not converge.
+    against the trace of the matrix solved (see ``_solve_owned``).
+    ``ValidationError`` reports a matrix that is not square, empty, complex
+    or not symmetric, and ``NumericalError`` a solve that did not converge.
     """
-    w, trace = _solve(A, symmetric=True)
-    return RealSpectrum(values=w, matrix_trace=trace)
+    return RealSpectrum(np.sort(_solve(A, symmetric=True)))
 
 
-def eigvals_general(C) -> ComplexSpectrum:
-    """All (generally complex) eigenvalues of a square matrix.
+def eigvals_general(C) -> np.ndarray:
+    """All (generally complex) eigenvalues of a square matrix, as complex128
+    sorted by (real, imag).
 
-    A ``LaggedMatrix`` (a ``CovarianceMatrix`` too) is solved from its data
-    (see ``_solve``), any other matrix dense. ``ValidationError`` reports a
-    matrix that is not square or empty, and ``NumericalError`` a solve that
-    did not converge, or a non-finite input.
+    A ``LaggedMatrix`` is solved from its data (see ``_solve``), any other
+    matrix dense. ``ValidationError`` reports a matrix that is not square or
+    empty, and ``NumericalError`` a solve that did not converge, or a
+    non-finite input.
     """
-    return ComplexSpectrum(values=_solve(C, symmetric=False)[0])
+    w = np.asarray(_solve(C, symmetric=False), dtype=np.complex128)
+    return w[np.lexsort((w.imag, w.real))]
 
 
-def _solve(M, symmetric: bool) -> tuple[np.ndarray, float | None]:
-    """Eigenvalues of ``M`` and, for a symmetric solve, the trace of the
-    matrix solved.
+def _solve(M, symmetric: bool) -> np.ndarray:
+    """Eigenvalues of ``M``.
 
     A ``LaggedMatrix`` of p x T data at lag tau (for a symmetric solve, only
     at tau = 0) has rank at most m = T - tau. When m < p its small side
@@ -306,25 +286,31 @@ def _solve(M, symmetric: bool) -> tuple[np.ndarray, float | None]:
         with _blas_threads(1 if _small_side(m, p) else None):
             # formed in C order and copied: formed F-ordered, the lag product
             # (and so the spectrum) can differ in the last bits
-            w, trace = _solve_owned(np.divide(d[:, tau:].T @ d[:, :m], T,
-                                              out=_lapack_matrix(m)), symmetric)
-        return np.concatenate([np.zeros(p - m), w]), trace
+            w = _solve_owned(np.divide(d[:, tau:].T @ d[:, :m], T,
+                                       out=_lapack_matrix(m)), symmetric)
+        return np.concatenate([np.zeros(p - m), w])
     a = _owned(M, symmetric)
     if symmetric and not from_data:
         _require_symmetric(a)
     return _solve_owned(a, symmetric)
 
 
-def _solve_owned(a: np.ndarray, symmetric: bool) -> tuple[np.ndarray, float | None]:
-    """Eigenvalues of the owned matrix ``a``, which is overwritten, and its
-    trace if ``symmetric`` (tr(A^T A) = tr(A A^T), so a small side gives the
-    trace of the p x p matrix). ``np.linalg``'s ``LinAlgError`` becomes
+def _solve_owned(a: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Eigenvalues of the owned matrix ``a``, which is overwritten.
+
+    A symmetric solve checks their sum against the trace of ``a``, taken
+    before the solve (tr(A^T A) = tr(A A^T), so a small side checks the trace
+    of the p x p matrix), and raises ``ValueError`` when they disagree by
+    more than 1e-8 * max(1, |trace|). ``np.linalg``'s ``LinAlgError`` becomes
     ``NumericalError``."""
     trace = float(np.trace(a)) if symmetric else None
     try:
-        return (_eigvalsh_owned if symmetric else _eigvals_owned)(a), trace
+        w = (_eigvalsh_owned if symmetric else _eigvals_owned)(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(str(exc)) from exc
+    if symmetric and abs(w.sum() - trace) > 1e-8 * max(1.0, abs(trace)):
+        raise ValueError(f"eigenvalue sum {w.sum()!r} inconsistent with trace {trace!r}")
+    return w
 
 
 def _owned(M, symmetric: bool = False) -> np.ndarray:
@@ -488,8 +474,8 @@ def _blas_threads(limit: int | None):
             blas.set_threads(before)
 
 
-def _require_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
+def _require_symmetric(a: np.ndarray) -> None:
     scale = max(np.abs(a).max(), 1e-300)
     dev = np.abs(a - a.T).max()
-    if dev > rel_tol * scale:
-        raise ValidationError(f"asymmetry {dev} exceeds {rel_tol} * {scale}")
+    if dev > _SYMMETRY_REL_TOL * scale:
+        raise ValidationError(f"asymmetry {dev} exceeds {_SYMMETRY_REL_TOL} * {scale}")

@@ -49,9 +49,9 @@ def _rng(seed: int) -> np.random.Generator:
 def gen_wgn(seed: int, length: int, variance: float = 1.0) -> np.ndarray:
     """Seeded white Gaussian noise with the requested variance."""
     if not 0 < variance < math.inf:
-        raise ValueError(f"variance must be finite and positive, got {variance}")
+        raise ValidationError(f"variance must be finite and positive, got {variance}")
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise ValidationError("length must be >= 1")
     return math.sqrt(variance) * _rng(seed).standard_normal(length)
 
 
@@ -66,10 +66,12 @@ def gen_narrowband(seed: int, length: int, carrier: float = 0.25,
     if not 0 < carrier < 0.5:
         raise ValidationError(f"carrier {carrier} outside (0, 0.5)")
     if not 0 < symbol_rate < math.inf:
-        raise ValueError(f"symbol rate must be finite and positive, got {symbol_rate}")
+        raise ValidationError(f"symbol rate must be finite and positive, got {symbol_rate}")
     sps = 1.0 / symbol_rate
     if sps == math.inf or abs(sps - round(sps)) > 1e-9 or round(sps) < 1:
-        raise ValueError("1/symbol_rate must be a positive integer sample count")
+        raise ValidationError("1/symbol_rate must be a positive integer sample count")
+    if length < 1:
+        raise ValidationError("length must be >= 1")
     sps = round(sps)
     rng = _rng(seed)
     n_sym = -(-length // sps)
@@ -95,9 +97,9 @@ def gen_ncofdm_frames(seed: int, n_frames: int, n_fft: int = 1024,
     if occ.size == 0:
         raise ValidationError("occupied subcarrier set is empty")
     if occ[0] < 0 or occ[-1] >= n_fft:
-        raise ValueError(f"occupied indices outside [0, {n_fft - 1}]")
+        raise ValidationError(f"occupied indices outside [0, {n_fft - 1}]")
     if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+        raise ValidationError("n_frames must be >= 1")
     rng = _rng(seed)
     bits = rng.integers(0, 2, size=(n_frames, len(occ))) * 2.0 - 1.0
     freq = np.zeros((n_frames, n_fft), dtype=np.complex128)
@@ -112,20 +114,20 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     finite mean power, NaN, ``-inf`` and an SNR whose linear ratio is not a
     positive double are refused."""
     if len(samples) == 0:
-        raise ValueError("empty stream")
+        raise ValidationError("empty stream")
     if snr_db == math.inf:
         return samples
     with np.errstate(over="ignore"):  # an overflowed power is refused below
         power = float(np.mean(np.abs(samples) ** 2))
     if not math.isfinite(power):
-        raise ValueError(f"samples have mean power {power}, not a finite value")
+        raise ValidationError(f"samples have mean power {power}, not a finite value")
     try:
         nvar = power / 10.0 ** (snr_db / 10.0)
     except (OverflowError, ZeroDivisionError):
         nvar = math.nan
     if not math.isfinite(nvar):
-        raise ValueError(f"snr_db = {snr_db} gives no finite noise variance "
-                         "(give a finite SNR, or +inf for no noise)")
+        raise ValidationError(f"snr_db = {snr_db} gives no finite noise variance "
+                              "(give a finite SNR, or +inf for no noise)")
     rng = _rng(seed)
     if np.iscomplexobj(samples):
         noise = rng.normal(0.0, math.sqrt(nvar / 2), size=(2, len(samples)))
@@ -139,6 +141,8 @@ def spectrogram_matrix(samples: np.ndarray, n_fft: int) -> np.ndarray:
     Row b is subcarrier b across frames; this is the orientation in which
     row standardization equalizes per-tone power.
     """
+    if n_fft < 1:
+        raise ValidationError(f"n_fft must be >= 1, got {n_fft}")
     n_frames = len(samples) // n_fft
     if n_frames < 1:
         raise ValidationError(f"need at least {n_fft} samples, stream has {len(samples)}")

@@ -284,9 +284,9 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """
     c = np.ascontiguousarray(coeffs, dtype=np.complex128)
     if c.ndim != 2 or c.shape[1] != 5:
-        raise ValueError("coeffs must have shape (m, 5)")
+        raise ValidationError("coeffs must have shape (m, 5)")
     if not np.isfinite(c).all():
-        raise ValueError("coeffs must be finite")
+        raise ValidationError("coeffs must be finite")
     if not c[:, 0].all():
         row = int(np.argmin(c[:, 0] != 0))
         raise ValidationError(f"leading coefficient of row {row} is zero")
@@ -398,9 +398,9 @@ def green_function(z, Q: float):
     """
     zv = np.asarray(z, dtype=np.complex128)
     if zv.ndim > 1 or zv.size == 0:
-        raise ValueError("green_function takes a scalar or a non-empty 1-D z")
+        raise ValidationError("green_function takes a scalar or a non-empty 1-D z")
     if not np.all(zv.imag < 0):
-        raise ValueError("green_function requires Im z < 0")
+        raise ValidationError("green_function requires Im z < 0")
     zs = np.atleast_1d(zv)
     coeffs, roots = _roots(zs, Q)
     # Python's complex division, as in _track: NumPy's can differ in the last bit
@@ -455,10 +455,10 @@ def green_scan(Q: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     if not (Q > 0 and math.isfinite(Q)):
         raise ValidationError(f"Q must be positive and finite, got {Q}")
     if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
     if epsilon < sys.float_info.min:  # the default grid's step eps/4 would be 0
-        raise ValueError(f"epsilon must be at least {sys.float_info.min} (a normal "
-                         f"double), got {epsilon}")
+        raise ValidationError(f"epsilon must be at least {sys.float_info.min} (a normal "
+                              f"double), got {epsilon}")
     half = _default_grid(Q, epsilon)
     G = _track(half[::-1] - 1j * epsilon, Q)[::-1]
     return np.concatenate([-half[:0:-1], half]), np.concatenate([-np.conj(G[:0:-1]), G])

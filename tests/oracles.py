@@ -345,6 +345,11 @@ def reference_standardize_rows(X):
     if a.shape[1] < 2:
         raise ZeroVarianceRow(0)
     std = centered.std(axis=1, ddof=1, keepdims=True)
+    # a row whose deviations square to zero, but is not constant, takes its
+    # std scaled by its largest |deviation|
+    for i in np.where((std[:, 0] == 0.0) & (np.ptp(centered, axis=1) > 0))[0]:
+        scale = np.abs(centered[i]).max()
+        std[i] = (centered[i] / scale).std(ddof=1) * scale
     bad = np.where(std[:, 0] == 0.0)[0]
     if bad.size:
         raise ZeroVarianceRow(int(bad[0]))

@@ -43,8 +43,7 @@ def _ks_vs_mp(values, c):
 def _case1(p, n, deadline_s, criterion_label):
     t0 = time.perf_counter()
     X = _wgn_matrix(SEED_C1, p, n, standardize=False)
-    spec = r.eigvals_symmetric(r.sample_covariance(X))
-    vals = spec.values
+    vals = r.eigvals_symmetric(r.sample_covariance(X)).values
     lam_max = vals.max()
 
     n_zero = int((vals < 1e-8 * lam_max).sum())
@@ -52,7 +51,7 @@ def _case1(p, n, deadline_s, criterion_label):
 
     c = p / n
     grid = np.linspace(1.0, 9.0, 2001)
-    kde = r.eigenvalue_density(spec, grid=grid)
+    kde = r.eigenvalue_density(vals, grid=grid)
     prm = r.mp_params(c)
     mp_curve = r.DensityCurve(grid, r.mp_density(grid, c),
                               point_mass_at_zero=prm.point_mass_at_zero)
@@ -144,8 +143,8 @@ def _pooled_cloud(Q, N, T, reps, seed0):
     for k in range(reps):
         X = _wgn_matrix(seed0 + k, N, T, standardize=True)
         C = r.lagged_correlation(X, 1)
-        clouds.append(r.eigvals_general(C).values)
-    return r.ComplexSpectrum(np.concatenate(clouds))
+        clouds.append(r.eigvals_general(C))
+    return np.concatenate(clouds)
 
 
 def _projection_l1(cloud, theory_curve, axis):
@@ -158,11 +157,11 @@ def _projection_l1(cloud, theory_curve, axis):
     emp = r.projection_density(cloud, axis=axis, bins=PROJ_BINS)
     l1_a = r.l1_distance(emp, theory_curve)
 
-    mags = np.abs(cloud.values)
-    nonzero = cloud.values[mags > 1e-8 * mags.max()]
+    mags = np.abs(cloud)
+    nonzero = cloud[mags > 1e-8 * mags.max()]
     raw = nonzero.real if axis == "x" else nonzero.imag
     hist = r.histogram_density(raw, bins=PROJ_BINS)
-    share = len(nonzero) / len(cloud.values)
+    share = len(nonzero) / len(cloud)
     emp_raw = r.DensityCurve(hist.xs, hist.ys * share,
                              point_mass_at_zero=1.0 - share)
     l1_b = r.l1_distance(emp_raw, project_density(theory_curve))
@@ -236,7 +235,7 @@ def test_criterion_6_oracle_equivalence():
         worst_sym = max(worst_sym, greedy_pairing_residual(
             r.eigvals_symmetric(S).values, charpoly_eigs(S)))
         worst_gen = max(worst_gen, greedy_pairing_residual(
-            r.eigvals_general(M).values, charpoly_eigs(M)))
+            r.eigvals_general(M), charpoly_eigs(M)))
     assert worst_sym < 1e-8 and worst_gen < 1e-8
 
     X = rng.standard_normal((4, 8))

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import rmtspec
-from rmtspec import estimation, theory
+from rmtspec import estimation, fileio, linalg, theory
 from rmtspec.cli import run_cli
-from rmtspec.linalg import RealSpectrum
 
 
 @pytest.fixture
@@ -28,12 +27,30 @@ def test_tracer_installs_and_restores_every_patch(spans):
     assert rmtspec.kernel_backend == "pure"
 
 
-def test_verdict_names():
-    # perfbench/pipeline.py computes its KS verdict through these names
-    vals = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
+def test_verdict_names(spans, tmp_path):
+    """``perfbench/pipeline.py``'s ``VerdictOp`` chain, call for call, on a
+    small rank-deficient capture: the KS of the covariance ESD against the
+    Marcenko-Pastur CDF, with the zero count.
+
+    ``VerdictOp`` reads ``eigvals_symmetric(...).values``; that read is why
+    ``RealSpectrum`` still exists, as a one-field wrapper of the sorted
+    eigenvalues, while ``eigvals_general`` returns a plain array."""
+    path = str(tmp_path / "x.rmtc")
+    assert run_cli(["generate", "--signal", "wgn", "--seed", "1", "--rows", "128",
+                    "--cols", "64", "-o", path]) == 0
+    c, expected_zeros = 128 / 64, 128 - 63  # standardized rows have rank n - 1
+    X = linalg.standardize_rows(fileio.read_capture(path))
+    vals = linalg.eigvals_symmetric(linalg.sample_covariance(X)).values
     esd = estimation.EsdFunction(estimation.snap_zeros(vals))
-    ks = estimation.ks_distance(esd, lambda x: theory.mp_cdf(x, 0.5))
-    assert 0.0 <= ks <= 1.0
+    ks = estimation.ks_distance(esd, lambda x: theory.mp_cdf(x, c))
+    assert 0.0 <= ks <= 0.06
+    assert np.count_nonzero(np.abs(vals) < 1e-8 * np.abs(vals).max()) == expected_zeros
+
+    pipeline = importlib.import_module("pipeline")
+    op = pipeline.VerdictOp(path, c, expected_zeros)
+    outcome = op.run()
+    assert op.misses(outcome) == []
+    assert op.digests(outcome) == {"ks": repr(ks), "zeros": expected_zeros}
 
 
 def test_kde_evals_counts_samples_times_grid(spans):
@@ -42,7 +59,7 @@ def test_kde_evals_counts_samples_times_grid(spans):
     vals = np.concatenate([np.zeros(3), np.linspace(1.0, 2.0, 7)])
     tracer = spans.Tracer()
     with tracer.installed("probe"):
-        curve = estimation.eigenvalue_density(RealSpectrum(vals, float(vals.sum())))
+        curve = estimation.eigenvalue_density(vals)
     assert tracer.job_metrics("probe")["estimation.kde_evals"] == 7 * len(curve.xs) == 7 * 1024
 
 

@@ -652,7 +652,7 @@ class TestPipelines:
         assert lines[0] == "re,im"
         assert len(lines) == 65
         X = standardize_rows(rmtspec.read_capture(str(cap)))
-        values = eigvals_general(lagged_correlation(X, 1)).values
+        values = eigvals_general(lagged_correlation(X, 1))
         assert cloud.read_bytes() == reference_cloud_csv(values)
         for axis in ("x", "y"):
             proj = read_density_csv(str(tmp_path / f"cloud.{axis}.csv"))[f"proj_{axis}"]

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtspec import (
-    ComplexSpectrum,
     DensityCurve,
     EsdFunction,
-    RealSpectrum,
     eigenvalue_density,
     histogram_density,
     ks_distance,
@@ -24,11 +22,6 @@ from rmtspec.errors import DisjointSupportsWarning, ValidationError
 from rmtspec.estimation import kde_eval
 
 from oracles import l1_quad
-
-
-def _spec(values):
-    values = np.asarray(values, dtype=float)
-    return RealSpectrum(values=values, matrix_trace=float(values.sum()))
 
 
 class TestEsd:
@@ -84,14 +77,14 @@ class TestKde:
                                    rtol=1e-12)
 
     def test_two_eigenvalues_at_zero(self):
-        c = eigenvalue_density(_spec([-1.0, 1.0]), 1.0, np.array([0.0, 2.0]))
+        c = eigenvalue_density([-1.0, 1.0], 1.0, np.array([0.0, 2.0]))
         assert c.ys[0] == pytest.approx(np.exp(-0.5) / np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_normal_sample_l1(self):
         rng = np.random.default_rng(5)
         s = rng.standard_normal(500)
         grid = np.linspace(-5, 5, 2001)
-        c = eigenvalue_density(_spec(s), grid=grid)
+        c = eigenvalue_density(s, grid=grid)
         normal = np.exp(-0.5 * grid**2) / np.sqrt(2 * np.pi)
         assert np.trapezoid(np.abs(c.ys - normal), grid) <= 0.08
 
@@ -99,7 +92,7 @@ class TestKde:
         s = rng.standard_normal(200) * 3.0
         h = silverman_bandwidth(s)
         grid = np.linspace(s.min() - 5 * h, s.max() + 5 * h, 4001)
-        c = eigenvalue_density(_spec(s), grid=grid)
+        c = eigenvalue_density(s, grid=grid)
         assert c.point_mass_at_zero == 0.0
         assert c.continuous_mass() == pytest.approx(1.0, abs=0.02)
 
@@ -121,7 +114,7 @@ class TestKde:
         for h in (-1.0, 0.0, np.inf, np.nan):
             with pytest.raises(ValidationError,
                                match=f"^bandwidth must be finite and positive, got {h}$"):
-                eigenvalue_density(_spec([1.0, 2.0, 3.0]), h)
+                eigenvalue_density([1.0, 2.0, 3.0], h)
 
 
 class TestHistogram:
@@ -261,27 +254,27 @@ class TestL1:
 class TestProjections:
     def test_single_value(self):
         # one sample is histogrammed in the unit bin centred on it
-        s = ComplexSpectrum(np.array([1 + 2j]))
+        s = np.array([1 + 2j])
         for axis, centre in (("x", np.sqrt(2)), ("y", 2 * np.sqrt(2))):
             c = projection_density(s, axis=axis, bins=1)
             np.testing.assert_allclose(c.xs, centre + np.array([-0.5, 0.0, 0.5]))
 
     def test_conjugate_pair_symmetric(self):
-        c = projection_density(ComplexSpectrum(np.array([1j, -1j])), axis="y", bins=2)
+        c = projection_density(np.array([1j, -1j]), axis="y", bins=2)
         np.testing.assert_allclose(c.xs[[0, -1]], [-np.sqrt(2), np.sqrt(2)])
         np.testing.assert_allclose(c.ys, c.ys[::-1])
 
     def test_empty(self):
         with pytest.raises(ValidationError, match="^empty spectrum$"):
-            projection_density(ComplexSpectrum(np.array([])), axis="x")
+            projection_density(np.array([]), axis="x")
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            projection_density(ComplexSpectrum(np.array([1 + 1j])), axis="z")
+            projection_density(np.array([1 + 1j]), axis="z")
 
     def test_projection_density_atom(self):
         vals = np.concatenate([np.zeros(60), np.ones(20) + 1j, np.ones(20) - 1j])
-        curve = projection_density(ComplexSpectrum(vals), axis="x", bins=4)
+        curve = projection_density(vals, axis="x", bins=4)
         assert curve.point_mass_at_zero == pytest.approx(0.6)
         assert curve.total_mass() == pytest.approx(1.0, abs=1e-9)
 
@@ -295,18 +288,18 @@ class TestSnapAndAtomKde:
 
     def test_eigenvalue_density_weighting(self, rng):
         vals = np.concatenate([np.zeros(75), 4.0 + rng.standard_normal(25) * 0.2])
-        curve = eigenvalue_density(_spec(vals))
+        curve = eigenvalue_density(vals)
         assert curve.point_mass_at_zero == pytest.approx(0.75)
         assert curve.total_mass() == pytest.approx(1.0, abs=0.02)
 
     def test_eigenvalue_density_all_zero_raises(self):
         with pytest.raises(ValidationError, match="^fewer than 2 nonzero eigenvalues$"):
-            eigenvalue_density(_spec(np.zeros(5)))
+            eigenvalue_density(np.zeros(5))
 
     def test_projection_density_all_zero_raises(self):
         with pytest.raises(ValidationError,
                            match="^every eigenvalue of the complex spectrum is zero$"):
-            projection_density(ComplexSpectrum(np.zeros(5, complex)), axis="x")
+            projection_density(np.zeros(5, complex), axis="x")
 
 
 def _zero_set_cases():

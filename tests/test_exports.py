@@ -3,6 +3,7 @@
 be in its module's ``__all__``. A deleted function leaves no stale export."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -37,3 +38,15 @@ def test_package_reexports_resolve():
 def test_removed_signal_types_stay_gone(name):
     assert not hasattr(rmtspec, name)
     assert not hasattr(importlib.import_module("rmtspec.signals"), name)
+
+
+# eigvals_general returns a plain sorted array and sample_covariance the lag-0
+# LaggedMatrix: the spectrum and covariance wrappers were removed
+@pytest.mark.parametrize("name", ["ComplexSpectrum", "CovarianceMatrix"])
+def test_removed_linalg_types_stay_gone(name):
+    assert not hasattr(rmtspec, name)
+    assert not hasattr(importlib.import_module("rmtspec.linalg"), name)
+
+
+def test_real_spectrum_holds_only_its_values():
+    assert [f.name for f in dataclasses.fields(rmtspec.RealSpectrum)] == ["values"]

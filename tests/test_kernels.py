@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmtspec import estimation
+from rmtspec.errors import ValidationError
 from rmtspec.estimation import kde_eval
 from rmtspec.theory import _default_grid, _residuals, green_quartic_coeffs, quartic_roots_batch
 
@@ -69,8 +70,13 @@ class TestQuarticKernel:
         np.testing.assert_allclose(got, quartic_roots_batch(c) * 2.0**k, rtol=1e-13)
 
     def test_non_finite_refused(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             quartic_roots_batch(np.array([[1, 2, np.nan, 0, 1]], complex))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 4), (1, 1, 5)])
+    def test_shape_refused(self, shape):
+        with pytest.raises(ValidationError, match=r"^coeffs must have shape \(m, 5\)$"):
+            quartic_roots_batch(np.ones(shape, complex))
 
 
 # coefficients with exact zeros (q = 0, zero roots), integers (exact ties,

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtspec import (
-    ComplexSpectrum,
     DataMatrix,
     LaggedMatrix,
     eigvals_general,
@@ -33,6 +32,13 @@ from oracles import (
 )
 
 
+def _lexsorted(w):
+    """``w`` as complex128 sorted by (real, imag): the order ``eigvals_general``
+    returns."""
+    w = np.asarray(w, dtype=np.complex128)
+    return w[np.lexsort((w.imag, w.real))]
+
+
 class TestStandardize:
     def test_two_point_row(self):
         X = standardize_rows(DataMatrix(np.array([[1.0, 3.0]])))
@@ -51,6 +57,15 @@ class TestStandardize:
         assert np.abs(a.mean(axis=1)).max() < 1e-10
         np.testing.assert_allclose(a.var(axis=1, ddof=1), 1.0, atol=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e-300])
+    def test_row_whose_squares_underflow(self, scale):
+        # [0, 1, 3] * scale has squared deviations below the smallest double
+        X = standardize_rows(DataMatrix(np.array([[0.0, scale, 3 * scale], [1.0, 2.0, 3.0]])))
+        want = standardize_rows(DataMatrix(np.array([[0.0, 1.0, 3.0], [1.0, 2.0, 3.0]])))
+        np.testing.assert_allclose(X.entries, want.entries, rtol=1e-13, atol=0)
+        assert np.array_equal(X.entries[1], want.entries[1])
+
     def test_constant_row_raises(self):
         with pytest.raises(ZeroVarianceRow) as err:
             standardize_rows(DataMatrix(np.array([[1.0, 2.0], [5.0, 5.0]])))
@@ -67,8 +82,9 @@ def _standardized_bits(standardize, a):
 
 class TestStandardizeChunks:
     """Standardization runs over blocks of rows; the one-pass form in the
-    oracles is the bit-for-bit reference, refusals included (a tiny scale
-    underflows the variance to zero)."""
+    oracles is the bit-for-bit reference, refusals included, and so is the
+    rescaled std of a row at a tiny scale, whose squared deviations underflow
+    to zero."""
 
     @given(p=st.integers(1, 11), n=st.integers(2, 40), chunk_rows=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-200, 1.0, 1e150]))
@@ -254,7 +270,7 @@ class TestEigvals:
         hermitian = np.array([[2, 1j], [-1j, 2]])
         with pytest.raises(ValidationError, match=r"^matrix of dtype complex128 is not real$"):
             eigvals_symmetric(hermitian)
-        np.testing.assert_allclose(eigvals_general(hermitian).values, [1, 3], atol=1e-12)
+        np.testing.assert_allclose(eigvals_general(hermitian), [1, 3], atol=1e-12)
 
     @pytest.mark.parametrize("solve", [eigvals_symmetric, eigvals_general])
     @pytest.mark.parametrize("shape, message", [
@@ -290,16 +306,16 @@ class TestEigvals:
 
     def test_rotation_matrix(self):
         s = eigvals_general(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(s.values, [-1j, 1j], atol=1e-12)
+        np.testing.assert_allclose(s, [-1j, 1j], atol=1e-12)
 
     def test_general_diagonal(self):
         s = eigvals_general(np.diag([2.0, 5.0]))
-        np.testing.assert_allclose(s.values, [2.0, 5.0], atol=1e-14)
+        np.testing.assert_allclose(s, [2.0, 5.0], atol=1e-14)
 
     def test_conjugate_closure(self, rng):
         for _ in range(10):
             M = rng.standard_normal((6, 6))
-            v = eigvals_general(M).values
+            v = eigvals_general(M)
             assert greedy_pairing_residual(v, np.conj(v)) < 1e-8
 
     def test_symmetric_vs_charpoly_oracle(self):
@@ -317,7 +333,7 @@ class TestEigvals:
         for _ in range(100):
             n = rng.integers(1, 4)
             M = rng.standard_normal((n, n))
-            got = eigvals_general(M).values
+            got = eigvals_general(M)
             assert greedy_pairing_residual(got, charpoly_eigs(M)) < 1e-8
 
 
@@ -364,13 +380,24 @@ class TestTypes:
             DataMatrix(np.zeros(3))
 
     def test_complex_spectrum_sorted(self):
-        s = ComplexSpectrum(np.array([2 + 1j, -1 + 0j, 2 - 1j]))
-        np.testing.assert_array_equal(s.values, [-1 + 0j, 2 - 1j, 2 + 1j])
+        # eigenvalues -1 and 2 +- 1j, sorted by (real, imag)
+        s = eigvals_general(np.array([[2.0, -1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, -1.0]]))
+        assert s.dtype == np.complex128
+        np.testing.assert_allclose(s, [-1 + 0j, 2 - 1j, 2 + 1j], atol=1e-12)
+        # a real spectrum is complex128 too, and ascending
+        s = eigvals_general(np.diag([3.0, -1.0, 2.0]))
+        assert s.dtype == np.complex128
+        np.testing.assert_array_equal(s, [-1, 2, 3])
 
-    def test_real_spectrum_trace_mismatch(self):
-        from rmtspec import RealSpectrum
-        with pytest.raises(ValueError):
-            RealSpectrum(values=np.array([1.0, 2.0]), matrix_trace=10.0)
+    @pytest.mark.parametrize("matrix", ["raw", "small side"])
+    def test_real_spectrum_trace_mismatch(self, monkeypatch, rng, matrix):
+        # the eigenvalue sum is checked against the trace of the matrix solved
+        monkeypatch.setattr(linalg, "_eigvalsh_owned", lambda a: np.full(a.shape[0], 10.0))
+        M = (np.diag([1.0, 2.0]) if matrix == "raw"
+             else sample_covariance(DataMatrix(rng.standard_normal((5, 2)))))
+        with pytest.raises(ValueError, match=r"^eigenvalue sum \S+ inconsistent with "
+                                             r"trace \S+$"):
+            eigvals_symmetric(M)
 
 
 class TestSmallSide:
@@ -399,14 +426,14 @@ class TestSmallSide:
         Xl = DataMatrix(X.entries, standardized=True)
         for tau in sorted({0, 1, n - 1} & set(range(n))):
             C = lagged_correlation(Xl, tau)
-            got = eigvals_general(C).values
+            got = eigvals_general(C)
             want = np.linalg.eigvals(C.entries)
             scale = max(1.0, np.abs(want).max())
             assert greedy_pairing_residual(got, want) <= 1e-10 * scale
             if p > n - tau:
                 assert np.count_nonzero(got == 0.0) >= p - (n - tau)
-            np.testing.assert_array_equal(eigvals_general(C.entries).values,
-                                          ComplexSpectrum(want).values)
+            np.testing.assert_array_equal(eigvals_general(C.entries),
+                                          _lexsorted(want))
 
     def test_entries_built_on_first_access(self, rng):
         X = standardize_rows(DataMatrix(rng.standard_normal((6, 4))))
@@ -463,7 +490,7 @@ class TestLagZeroSmallSide:
         with mock.patch.object(linalg, "_eigvalsh_owned", record(linalg._eigvalsh_owned)), \
                 mock.patch.object(linalg, "_eigvals_owned", record(linalg._eigvals_owned)):
             symmetric = eigvals_symmetric(cov).values
-            general = eigvals_general(cov).values
+            general = eigvals_general(cov)
         assert "entries" not in vars(cov)
         if n < p:
             want = np.matmul(d.T, d)
@@ -654,9 +681,9 @@ class TestSmallSolveThreads:
 
     def test_spectra_without_the_limit(self, monkeypatch, get, capture):
         cov, lag = sample_covariance(capture), lagged_correlation(capture, 1)
-        limited = eigvals_symmetric(cov).values, eigvals_general(lag).values
+        limited = eigvals_symmetric(cov).values, eigvals_general(lag)
         monkeypatch.setattr(linalg, "_openblas", lambda: None)
-        pooled = eigvals_symmetric(cov).values, eigvals_general(lag).values
+        pooled = eigvals_symmetric(cov).values, eigvals_general(lag)
         # the Gram product and eigvalsh give the same bits on any thread count
         assert np.array_equal(limited[0], pooled[0])
         # the 63 x 2048 x 63 lag gemm may not: on two threads, entries of the 7
@@ -748,11 +775,11 @@ class TestStagedSolvers:
     @pytest.mark.parametrize("n", ORDERS)
     def test_general_with_qr_on_one_thread(self, get, n):
         m = np.random.default_rng(n).standard_normal((n, n))
-        got = eigvals_general(m).values
+        got = eigvals_general(m)
         want = np.linalg.eigvals(m)
         assert greedy_pairing_residual(got, want) <= 1e-13 * np.abs(want).max()
         if n < 75:  # dhseqr runs dlahqr, which makes no BLAS-3 call
-            assert np.array_equal(_bits(got), _bits(ComplexSpectrum(want).values))
+            assert np.array_equal(_bits(got), _bits(_lexsorted(want)))
 
     @pytest.mark.parametrize("n", ORDERS)
     @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
@@ -769,9 +796,9 @@ class TestStagedSolvers:
         seen = []
         _spy(monkeypatch, seen)
         m = np.random.default_rng(3).standard_normal((80, 80)) * scale
-        got = eigvals_general(m).values
+        got = eigvals_general(m)
         assert seen == []
-        assert np.array_equal(_bits(got), _bits(ComplexSpectrum(np.linalg.eigvals(m)).values))
+        assert np.array_equal(_bits(got), _bits(_lexsorted(np.linalg.eigvals(m))))
 
     def test_non_finite_inputs(self, get):
         a = np.eye(4)
@@ -801,12 +828,15 @@ class TestStagedSolvers:
 
     def test_dense_solve_forms_an_uncached_product(self, get, rng):
         X = standardize_rows(DataMatrix(rng.standard_normal((40, 90))))
-        for M, solve in ((sample_covariance(X), eigvals_symmetric),
+        def symmetric(M):
+            return eigvals_symmetric(M).values
+
+        for M, solve in ((sample_covariance(X), symmetric),
                          (lagged_correlation(X, 0), eigvals_general),
                          (lagged_correlation(X, 2), eigvals_general)):
-            got = solve(M).values
+            got = solve(M)
             assert "entries" not in vars(M)
-            assert np.array_equal(got, solve(M.entries).values)
+            assert np.array_equal(got, solve(M.entries))
             assert M.entries.flags.f_contiguous
 
     def test_non_convergence_is_a_numerical_error(self, monkeypatch, get):

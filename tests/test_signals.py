@@ -30,8 +30,13 @@ class TestWgn:
 
     @pytest.mark.parametrize("variance", [0.0, -1.0, float("nan"), float("inf")])
     def test_variance_must_be_finite_positive(self, variance):
-        with pytest.raises(ValueError, match="variance must be finite and positive"):
+        with pytest.raises(ValidationError, match="variance must be finite and positive"):
             gen_wgn(seed=0, length=8, variance=variance)
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_length_at_least_one(self, length):
+        with pytest.raises(ValidationError, match="^length must be >= 1$"):
+            gen_wgn(0, length)
 
 
 class TestNarrowband:
@@ -66,13 +71,18 @@ class TestNarrowband:
 
     @pytest.mark.parametrize("rate", [0.0, -0.25, float("nan"), float("inf")])
     def test_symbol_rate_must_be_finite_positive(self, rate):
-        with pytest.raises(ValueError, match="symbol rate must be finite and positive"):
+        with pytest.raises(ValidationError, match="symbol rate must be finite and positive"):
             gen_narrowband(seed=0, length=8, symbol_rate=rate)
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_length_at_least_one(self, length):
+        with pytest.raises(ValidationError, match="^length must be >= 1$"):
+            gen_narrowband(0, length)
 
     # 1/5e-324 overflows to inf
     @pytest.mark.parametrize("rate", [0.3, 2.0, 5e-324])
     def test_samples_per_symbol_must_be_a_whole_count(self, rate):
-        with pytest.raises(ValueError, match=r"^1/symbol_rate must be a positive integer "
+        with pytest.raises(ValidationError, match=r"^1/symbol_rate must be a positive integer "
                                              r"sample count$"):
             gen_narrowband(seed=0, length=8, symbol_rate=rate)
 
@@ -123,11 +133,11 @@ class TestNcofdm:
 
     @pytest.mark.parametrize("occupied", [[-1, 3], [3, 16]])
     def test_occupied_out_of_range(self, occupied):
-        with pytest.raises(ValueError, match=r"^occupied indices outside \[0, 15\]$"):
+        with pytest.raises(ValidationError, match=r"^occupied indices outside \[0, 15\]$"):
             gen_ncofdm_frames(seed=0, n_frames=1, n_fft=16, occupied=occupied)
 
     def test_n_frames_at_least_one(self):
-        with pytest.raises(ValueError, match="^n_frames must be >= 1$"):
+        with pytest.raises(ValidationError, match="^n_frames must be >= 1$"):
             gen_ncofdm_frames(seed=0, n_frames=0)
 
     def test_frame_energy_is_occupied_count(self):
@@ -154,7 +164,7 @@ class TestAwgn:
     @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf, 1e308, -1e308])
     def test_snr_without_finite_noise_variance_refused(self, snr_db):
         s = gen_wgn(seed=8, length=100)
-        with pytest.raises(ValueError, match="snr_db"):
+        with pytest.raises(ValidationError, match="snr_db"):
             add_awgn(s, snr_db, seed=1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -163,12 +173,12 @@ class TestAwgn:
     def test_non_finite_samples_refused(self, dtype, bad):
         s = np.ones(16, dtype)
         s[5] = bad
-        with pytest.raises(ValueError, match=r"^samples have mean power (nan|inf), "
+        with pytest.raises(ValidationError, match=r"^samples have mean power (nan|inf), "
                                              r"not a finite value$"):
             add_awgn(s, 10.0, seed=1)
 
     def test_empty_refused(self):
-        with pytest.raises(ValueError, match="^empty stream$"):
+        with pytest.raises(ValidationError, match="^empty stream$"):
             add_awgn(np.zeros(0), 10.0, seed=1)
 
     def test_zero_db_noise_power(self):
@@ -229,6 +239,11 @@ class TestFraming:
         assert S.shape == (256, 4)
         np.testing.assert_allclose(np.linalg.norm(S, axis=0),
                                    np.linalg.norm(x.reshape(4, 256), axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_fft", [0, -4])
+    def test_spectrogram_n_fft_at_least_one(self, n_fft):
+        with pytest.raises(ValidationError, match=f"^n_fft must be >= 1, got {n_fft}$"):
+            spectrogram_matrix(np.ones(8, complex), n_fft)
 
     def test_spectrogram_insufficient(self):
         with pytest.raises(ValidationError, match="^need at least 8 samples, stream has 5$"):

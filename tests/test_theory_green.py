@@ -134,7 +134,7 @@ class TestGreenFunction:
             assert g.imag > 0
 
     def test_requires_lower_half_plane(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             green_function(1.0 + 0.001j, 1.0)
 
     def test_residual_of_returned_root(self):
@@ -245,13 +245,13 @@ class TestGreenFunctionBatch:
     @pytest.mark.parametrize("z", [[1.0 - 1e-3j, 2.0 + 0j], [1.0 - 1e-3j, 2.0 + 1e-3j],
                                    [complex(1.0, np.nan)], [-1e-3j, 1.0 - 0j]])
     def test_refuses_any_point_off_the_lower_half_plane(self, z):
-        with pytest.raises(ValueError, match="Im z < 0"):
+        with pytest.raises(ValidationError, match="Im z < 0"):
             green_function(np.array(z), 2.0)
 
     @pytest.mark.parametrize("z", [np.full((2, 2), 1.0 - 1e-3j), np.full((1, 1), 1.0 - 1e-3j),
                                    np.array([], dtype=complex)])
     def test_refuses_other_shapes(self, z):
-        with pytest.raises(ValueError, match="1-D"):
+        with pytest.raises(ValidationError, match="1-D"):
             green_function(z, 2.0)
 
 
@@ -462,13 +462,14 @@ class TestLaggedDensity:
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan, 5e-324, 1e-310])
     def test_rejects_invalid_epsilon(self, eps):
-        with pytest.raises(ValueError, match="epsilon"):
+        with pytest.raises(ValidationError, match="epsilon"):
             lagged_density_symmetric(1.0, eps)
 
     def test_accepts_smallest_normal_epsilon(self):
-        # the epsilon checks raise a plain ValueError, which _outcome lets
-        # through; the sweep at that offset may still be refused by a gate
-        _outcome(lambda: green_scan(1.0, 2.2250738585072014e-308))
+        # the epsilon checks pass it; the sweep at that offset may still be
+        # refused by a gate, a NumericalError
+        outcome = _outcome(lambda: green_scan(1.0, 2.2250738585072014e-308))
+        assert outcome[0] == "ok" or issubclass(outcome[0], NumericalError), outcome
 
     def test_large_q_semicircle_limit(self):
         # Q -> inf: density tends to a semicircle of radius sqrt(2/Q)
