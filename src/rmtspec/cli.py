@@ -22,12 +22,13 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import estimation, fileio, linalg, signals, theory
 from .curves import DensityCurve, cell_averages
-from .errors import NumericalError, ValidationError
+from .errors import DisjointSupportsWarning, NumericalError, ValidationError
 from .linalg import (
     eigvals_general,
     eigvals_symmetric,
@@ -254,10 +255,16 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     emp_col = _pick_column(emp, ns.empirical_col, ("kde", "hist"))
     th_col = _pick_column(th, ns.theory_col, ("mp", "rho_s"))
     a, b = emp[emp_col], th[th_col]
+    # disjoint supports warn: one "warning:" line, not a Python warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DisjointSupportsWarning)
+        l1 = estimation.l1_distance(a, b)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     report = (
         f"empirical: {ns.empirical} [{emp_col}]\n"
         f"theory: {ns.theory} [{th_col}]\n"
-        f"L1 = {estimation.l1_distance(a, b):.9g}\n"
+        f"L1 = {l1:.9g}\n"
         f"KS = {estimation.curve_ks_distance(a, b):.9g}\n"
     )
     fileio._atomic_write(ns.output, report.encode())

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["DensityCurve", "cell_averages"]
 
 
@@ -21,15 +23,15 @@ class DensityCurve:
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys, dtype=np.float64)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-            raise ValueError("xs and ys must be equal-length 1-d arrays (>= 2 points)")
+            raise ValidationError("xs and ys must be equal-length 1-d arrays (>= 2 points)")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("xs and ys must be finite")
+            raise ValidationError("xs and ys must be finite")
         if np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
+            raise ValidationError("xs must be strictly increasing")
         if np.any(ys < 0):
-            raise ValueError("ys must be non-negative")
+            raise ValidationError("ys must be non-negative")
         if not 0.0 <= self.point_mass_at_zero < 1.0 + 1e-12:
-            raise ValueError("point mass must lie in [0, 1)")
+            raise ValidationError("point mass must lie in [0, 1)")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -5,6 +5,9 @@ range, file format or state preconditions) doubles as ``ValueError`` so that
 callers using plain ``except ValueError`` still work, and the CLI maps it to
 exit code 1. ``NumericalError`` (a numerical procedure failed to produce a
 trustworthy result) maps to exit code 2. The message says which check failed.
+A plain ``ValueError`` from ``linalg`` (an illegal LAPACK argument, or an
+eigenvalue sum that disagrees with the trace) reports a fault of the program,
+not bad input.
 """
 
 

@@ -248,7 +248,7 @@ def projection_density(values, axis: str = "x", bins: int = 12) -> DensityCurve:
     projections are histogrammed and weighted by their share.
     """
     if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        raise ValidationError(f"axis must be 'x' or 'y', got {axis!r}")
     nonzero, atom = split_atom(values)
     if nonzero.size == 0:
         raise ValidationError("every eigenvalue of the complex spectrum is zero")

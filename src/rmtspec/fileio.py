@@ -18,9 +18,8 @@ array's type, and are atomic (temp file + rename).
 Reads stream the payload through a small staging buffer into the one float32
 result, which holds every stored value exactly (an i16 value over 32768 is a
 float32), so a read holds little more than the matrix it returns: 4 bytes a
-value, half its float64 promotion. ``standardize_rows`` and
-``sample_covariance`` promote it, so every product and eigensolve runs in
-float64.
+value, half its float64 promotion. ``standardize_rows`` and ``LaggedMatrix``
+promote it, so every product and eigensolve runs in float64.
 """
 
 from __future__ import annotations
@@ -119,8 +118,9 @@ def write_capture(path: str, matrix) -> None:
     # min and max over the f32 words carry any NaN and expose any inf, no mask
     words = payload.view("<f4")
     if words.size and not (np.isfinite(words.min()) and np.isfinite(words.max())):
-        raise ValueError(f"capture payload is not finite as f32: largest |value| is "
-                         f"{np.abs(a).max():.4g}, f32 holds up to {np.finfo(np.float32).max:.4g}")
+        raise ValidationError(f"capture payload is not finite as f32: largest |value| is "
+                              f"{np.abs(a).max():.4g}, f32 holds up to "
+                              f"{np.finfo(np.float32).max:.4g}")
     header = CaptureHeader(dtype=dtype, rows=a.shape[0], cols=a.shape[1])
     _atomic_write(path, header.pack(), payload)
 
@@ -182,15 +182,15 @@ def write_density_csv(path: str, curves, labels) -> None:
 
     Leading ``# point_mass_<label>=<value>`` comment lines carry nonzero
     atoms; the header row is ``x,<label1>,...``; values use 9 significant
-    digits. Curves on different grids are refused with ``ValueError``: a
+    digits. Curves on different grids are refused with ``ValidationError``: a
     curve is never resampled, so each column keeps its curve's mass.
     """
     curves, labels = list(curves), list(labels)
     if not curves or len(curves) != len(labels):
-        raise ValueError("need at least one curve, and one label per curve")
+        raise ValidationError("need at least one curve, and one label per curve")
     xs = curves[0].xs
     if not all(np.array_equal(c.xs, xs) for c in curves):
-        raise ValueError("curves of one density file must share one grid")
+        raise ValidationError("curves of one density file must share one grid")
 
     lines = [f"# point_mass_{label}={c.point_mass_at_zero:.9g}"
              for label, c in zip(labels, curves) if c.point_mass_at_zero > 0]
@@ -212,11 +212,11 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
 
     The header needs ``x`` and at least one curve column, each label once,
     every data row needs one number per header column, and no curve ordinate
-    may be negative; otherwise ``ValueError`` names the file and the line (and
-    the column of a negative ordinate). A column that is not a curve (grid not
-    strictly increasing, a non-finite value, fewer than 2 rows, an atom
-    outside [0, 1)) is refused with a ``ValueError`` naming the file and the
-    column.
+    may be negative; otherwise ``ValidationError`` names the file and the line
+    (and the column of a negative ordinate). A column that is not a curve
+    (grid not strictly increasing, a non-finite value, fewer than 2 rows, an
+    atom outside [0, 1)) is refused with a ``ValidationError`` naming the
+    file and the column.
     """
     atoms: dict[str, float] = {}
     header: list[str] | None = None
@@ -234,20 +234,21 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
                     try:
                         atoms[key] = float(val)
                     except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+                        raise ValidationError(f"{path}:{lineno}: {exc}") from None
                 continue
             if header is None:
                 fields = line.split(",")
                 if len(fields) < 2:
-                    raise ValueError(f"{path}:{lineno}: header {line!r} names no curve column")
+                    raise ValidationError(f"{path}:{lineno}: header {line!r} names no "
+                                          f"curve column")
                 if len(set(fields)) < len(fields):
-                    raise ValueError(f"{path}:{lineno}: header {line!r} repeats a label")
+                    raise ValidationError(f"{path}:{lineno}: header {line!r} repeats a label")
                 header = fields
                 continue
             lines.append(line)
             linenos.append(lineno)
     if header is None or not lines:
-        raise ValueError(f"{path} contains no curve data")
+        raise ValidationError(f"{path} contains no curve data")
     width = len(header)
     data = _parse_at_once(lines, width)
     if data is None:  # find the line at fault
@@ -255,14 +256,14 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
     negative = np.argwhere(data[:, 1:] < 0.0)
     if negative.size:
         i, j = negative[0]
-        raise ValueError(f"{path}:{linenos[i]}: column {header[j + 1]!r} holds the negative "
-                         f"ordinate {data[i, j + 1]:g}")
+        raise ValidationError(f"{path}:{linenos[i]}: column {header[j + 1]!r} holds the "
+                              f"negative ordinate {data[i, j + 1]:g}")
     curves = {}
     for j, label in enumerate(header[1:], start=1):
         try:
             curves[label] = DensityCurve(data[:, 0], data[:, j], atoms.get(label, 0.0))
-        except ValueError as exc:
-            raise ValueError(f"{path}: column {label!r}: {exc}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: column {label!r}: {exc}") from None
     return curves
 
 
@@ -279,15 +280,16 @@ def _parse_at_once(lines: list[str], width: int) -> np.ndarray | None:
 
 
 def _parse_by_line(path: str, width: int, linenos: list[int], lines: list[str]) -> np.ndarray:
-    """The data lines parsed one by one; ``ValueError`` names the first line
-    with a field count other than ``width`` or a field that is not a number."""
+    """The data lines parsed one by one; ``ValidationError`` names the first
+    line with a field count other than ``width`` or a field that is not a
+    number."""
     rows = []
     for lineno, line in zip(linenos, lines):
         fields = line.split(",")
         if len(fields) != width:
-            raise ValueError(f"{path}:{lineno}: {len(fields)} fields, header has {width}")
+            raise ValidationError(f"{path}:{lineno}: {len(fields)} fields, header has {width}")
         try:
             rows.append(list(map(float, fields)))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return np.asarray(rows)

@@ -111,11 +111,10 @@ _SYMMETRY_REL_TOL = 1e-10
 class DataMatrix:
     """p x n observation matrix: rows are dimensions, columns are samples.
 
-    ``entries`` is real and finite. An unstandardized float32 array is kept
-    as float32 (a capture as read, half the bytes of its float64 promotion);
-    anything else is held as float64, so a standardized matrix always is.
-    ``ValidationError`` refuses a complex array, whose imaginary part a
-    float cast would drop.
+    ``entries`` is real and finite. A float32 array is kept as float32 (a
+    capture as read, half the bytes of its float64 promotion); any other is
+    held as float64. ``ValidationError`` refuses a complex array, whose
+    imaginary part a float cast would drop.
     """
 
     entries: np.ndarray
@@ -125,8 +124,7 @@ class DataMatrix:
         a = np.asarray(self.entries)
         if np.iscomplexobj(a):
             raise ValidationError(f"data matrix of dtype {a.dtype} is not real")
-        keep_f32 = a.dtype == np.float32 and not self.standardized
-        a = np.asarray(a, dtype=np.float32 if keep_f32 else np.float64)
+        a = np.asarray(a, dtype=np.float32 if a.dtype == np.float32 else np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(f"expected a 2-d matrix, got shape {a.shape}")
         # min and max carry any NaN and expose any inf without a p x n mask
@@ -147,10 +145,13 @@ class LaggedMatrix:
     """Lag-tau correlation matrix ``a[:, :T-tau] a[:, tau:]^T / T`` of the
     p x T array ``data``, exactly symmetric at tau = 0; non-symmetric for tau > 0.
 
-    The p x p ``entries`` is formed the first time it is read.
+    ``data`` is held as float64 (float32 data is promoted), so every product
+    and solve runs in float64. The p x p ``entries`` is formed the first time
+    it is read.
     """
 
     def __init__(self, data: np.ndarray, tau: int):
+        data = np.asarray(data, dtype=np.float64)
         if not 0 <= tau < data.shape[1]:
             raise ValidationError(f"tau={tau} outside [0, {data.shape[1] - 1}]")
         self.data = data
@@ -186,18 +187,18 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     """Shift/scale each row to mean 0 and sample variance 1 (divisor n-1).
 
     The result is the one new matrix, float64 and C-ordered, written a block
-    of rows at a time: each block is promoted into it, centered by its row
-    means and divided by its row ``std(ddof=1)`` while it is in cache. Every
-    step is per row, so the bits do not depend on the block size or on the
-    layout of ``X``, which is left as it is. A row that is not constant is
-    standardized also when its deviations are so small, below about 1e-154,
-    that their squares underflow. Raises ``ZeroVarianceRow`` on the first
-    constant row, and ``ValidationError`` on the first row whose standard
-    deviation is not finite (it overflows). Idempotent up to rounding.
+    of rows at a time: each block is promoted into it, each row multiplied by
+    the power of two 2**-e that brings its largest |value| into [0.5, 1),
+    centered by its mean and divided by its ``std(ddof=1)`` while it is in
+    cache. The scaling is exact, so no mean or sum of squares overflows or
+    underflows at any scale, and every rounding is the row's at scale 1
+    while no intermediate is subnormal. Every step is per row, so the bits
+    do not depend on the block size or on the layout of ``X``, which is left
+    as it is. Raises ``ZeroVarianceRow`` on the first constant row (a
+    single-column matrix is constant). Idempotent up to rounding.
     """
     a = X.entries
     p, n = a.shape
-    # sample std, divisor n-1; a single-column row is constant by definition
     if n < 2:
         raise ZeroVarianceRow(0)
     out = np.empty((p, n))
@@ -205,31 +206,20 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     for lo in range(0, p, step):
         block = out[lo:lo + step]
         block[...] = a[lo:lo + step]
-        # an overflowing row gives inf or NaN, refused below without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            block -= block.mean(axis=1, keepdims=True)
-            std = block.std(axis=1, ddof=1, keepdims=True)
-        # the squares of deviations below about 1e-154 underflow: a row that is
-        # not constant takes its std on the row scaled by its largest |deviation|
-        for i in np.flatnonzero(std[:, 0] == 0.0):
-            scale = np.abs(block[i]).max()
-            std[i] = (block[i] / scale).std(ddof=1) * scale if np.ptp(block[i]) > 0 else 0.0
-        bad = np.flatnonzero((std[:, 0] == 0.0) | ~np.isfinite(std[:, 0]))
-        if bad.size:
-            row = lo + int(bad[0])
-            if std[bad[0], 0] == 0.0:
-                raise ZeroVarianceRow(row)
-            raise ValidationError(f"row {row} has a non-finite standard deviation "
-                                  f"(it overflows), cannot standardize")
+        amax = np.maximum(block.max(axis=1, keepdims=True), -block.min(axis=1, keepdims=True))
+        np.ldexp(block, -np.frexp(amax)[1], out=block)
+        block -= block.mean(axis=1, keepdims=True)
+        std = block.std(axis=1, ddof=1, keepdims=True)
+        if not std.all():  # argmin of the non-negative std is its first zero
+            raise ZeroVarianceRow(lo + int(np.argmin(std)))
         block /= std
     return DataMatrix(out, standardized=True)
 
 
 def sample_covariance(X: DataMatrix) -> LaggedMatrix:
     """Sample covariance (1/n) X X^T, the lag-0 ``LaggedMatrix``: real,
-    symmetric and positive semi-definite, formed in float64 (a float32 ``X``
-    is promoted first)."""
-    return LaggedMatrix(np.asarray(X.entries, dtype=np.float64), 0)
+    symmetric and positive semi-definite."""
+    return LaggedMatrix(X.entries, 0)
 
 
 def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:

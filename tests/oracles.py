@@ -338,18 +338,15 @@ def reference_read_capture(path):
 
 def reference_standardize_rows(X):
     """``standardize_rows`` in whole-matrix passes over a C-ordered float64
-    copy: one ``mean``, one ``std`` over all rows and a new quotient."""
+    copy: one ``mean``, one ``std`` over all rows and a new quotient, without
+    the power-of-two row scaling, which changes no bit of a row whose mean,
+    squares and deviations neither overflow nor are subnormal."""
     a = np.array(X.entries, dtype=np.float64, order="C")
     mean = a.mean(axis=1, keepdims=True)
     centered = a - mean
     if a.shape[1] < 2:
         raise ZeroVarianceRow(0)
     std = centered.std(axis=1, ddof=1, keepdims=True)
-    # a row whose deviations square to zero, but is not constant, takes its
-    # std scaled by its largest |deviation|
-    for i in np.where((std[:, 0] == 0.0) & (np.ptp(centered, axis=1) > 0))[0]:
-        scale = np.abs(centered[i]).max()
-        std[i] = (centered[i] / scale).std(ddof=1) * scale
     bad = np.where(std[:, 0] == 0.0)[0]
     if bad.size:
         raise ZeroVarianceRow(int(bad[0]))

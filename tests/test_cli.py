@@ -585,16 +585,49 @@ class TestPipelines:
         text = report.read_text()
         assert "L1 = " in text and "KS = " in text
 
-    @pytest.mark.filterwarnings("ignore::rmtspec.errors.DisjointSupportsWarning")
-    def test_compare_disjoint_boxes(self, tmp_path):
-        # the curve CDFs are exact: KS between disjoint unit boxes is 1, not more
+    @pytest.mark.filterwarnings("error")
+    def test_compare_disjoint_boxes(self, tmp_path, capsys):
+        # the curve CDFs are exact: KS between disjoint unit boxes is 1, not
+        # more; the disjoint supports are one "warning:" line, on every call
         emp, th, report = (tmp_path / n for n in ("a.csv", "b.csv", "r.txt"))
         box = np.ones(2)
         write_density_csv(str(emp), [DensityCurve(np.array([0.0, 1.0]), box)], ["kde"])
         write_density_csv(str(th), [DensityCurve(np.array([2.0, 3.0]), box)], ["mp"])
-        assert _run("compare", "--empirical", str(emp), "--theory", str(th),
+        for _ in range(2):
+            assert _run("compare", "--empirical", str(emp), "--theory", str(th),
+                        "-o", str(report)) == 0
+            out, err = capsys.readouterr()
+            assert err == "warning: density supports are disjoint\n"
+            assert out == report.read_text() == (f"empirical: {emp} [kde]\ntheory: {th} [mp]\n"
+                                                  f"L1 = 2\nKS = 1\n")
+
+    @pytest.mark.parametrize("emp_col, th_col", [("hist", "mp"), ("mp", "kde")])
+    def test_compare_named_columns(self, tmp_path, capsys, emp_col, th_col):
+        # one analyze cov file holds hist, kde and mp; the flags pick two
+        cap, dens, report = (tmp_path / n for n in ("cap.rmtc", "dens.csv", "r.txt"))
+        assert _run(*_WGN, "--seed", "3", "-o", str(cap)) == 0
+        assert _run("analyze", "cov", "-i", str(cap), "-o", str(dens)) == 0
+        assert _run("compare", "--empirical", str(dens), "--theory", str(dens),
+                    "--empirical-col", emp_col, "--theory-col", th_col,
                     "-o", str(report)) == 0
-        assert report.read_text().splitlines()[-1] == "KS = 1"
+        curves = read_density_csv(str(dens))
+        a, b = curves[emp_col], curves[th_col]
+        assert report.read_text() == (
+            f"empirical: {dens} [{emp_col}]\ntheory: {dens} [{th_col}]\n"
+            f"L1 = {l1_distance(a, b):.9g}\nKS = {estimation.curve_ks_distance(a, b):.9g}\n")
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flag", ["--empirical-col", "--theory-col"])
+    def test_compare_refuses_an_unknown_column(self, tmp_path, capsys, flag):
+        cap, dens, report = (tmp_path / n for n in ("cap.rmtc", "dens.csv", "r.txt"))
+        assert _run(*_WGN, "--seed", "3", "-o", str(cap)) == 0
+        assert _run("analyze", "cov", "-i", str(cap), "-o", str(dens)) == 0
+        capsys.readouterr()
+        assert _run("compare", "--empirical", str(dens), "--theory", str(dens),
+                    flag, "foo", "-o", str(report)) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: column 'foo' not in file (has ['hist', 'kde', 'mp'])\n"
+        assert out == "" and not report.exists()
 
     def test_compare_sees_the_atom_jump(self, tmp_path):
         # a: atom 0.5 plus density 0.5 on [0, 1]; b: density 0.5 on [-1, 1].

@@ -58,9 +58,10 @@ class TestStandardize:
         np.testing.assert_allclose(a.var(axis=1, ddof=1), 1.0, atol=1e-8)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e-300])
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-170, 1e-200, 1e-300])
     def test_row_whose_squares_underflow(self, scale):
-        # [0, 1, 3] * scale has squared deviations below the smallest double
+        # [0, 1, 3] * scale has squared deviations that are subnormal (1e-155,
+        # 1e-160) or below the smallest double
         X = standardize_rows(DataMatrix(np.array([[0.0, scale, 3 * scale], [1.0, 2.0, 3.0]])))
         want = standardize_rows(DataMatrix(np.array([[0.0, 1.0, 3.0], [1.0, 2.0, 3.0]])))
         np.testing.assert_allclose(X.entries, want.entries, rtol=1e-13, atol=0)
@@ -82,18 +83,29 @@ def _standardized_bits(standardize, a):
 
 class TestStandardizeChunks:
     """Standardization runs over blocks of rows; the one-pass form in the
-    oracles is the bit-for-bit reference, refusals included, and so is the
-    rescaled std of a row at a tiny scale, whose squared deviations underflow
-    to zero."""
+    oracles is the bit-for-bit reference, refusals included, at scales where
+    it neither overflows nor underflows. At any scale a row gives the bits it
+    gives at a power-of-two multiple."""
 
     @given(p=st.integers(1, 11), n=st.integers(2, 40), chunk_rows=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-200, 1.0, 1e150]))
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e150]))
     @settings(max_examples=300, deadline=None)
     def test_bits_match_one_pass(self, p, n, chunk_rows, seed, scale):
         a = scale * (np.random.default_rng(seed).standard_normal((p, n)) + 3.0)
         with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * n):
             got = _standardized_bits(standardize_rows, a)
         assert got == _standardized_bits(reference_standardize_rows, a)
+
+    @given(p=st.integers(1, 11), n=st.integers(2, 40), chunk_rows=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), k=st.sampled_from([-1000, -665, 900]))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_do_not_depend_on_a_power_of_two_scale(self, p, n, chunk_rows, seed, k):
+        # |entries| in [1, 2): 2**-1000 keeps them normal, 2**900 finite
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(1.0, 2.0, (p, n)) * rng.choice([-1.0, 1.0], (p, n))
+        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * n):
+            got = _standardized_bits(standardize_rows, np.ldexp(a, k))
+        assert got == _standardized_bits(standardize_rows, a)
 
     def test_bits_match_one_pass_at_capture_width(self):
         a = np.random.default_rng(3).standard_normal((300, 4096))
@@ -141,20 +153,29 @@ class TestStandardizeChunks:
         assert np.array_equal(a, before)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("row", [[1e200, -1e200, 0, 3], [1.7e308, -1.7e308, -1.7e308, 0],
-                                     [1.7e308, 1.7e308, 1.7e308, 1.7e308]])
+    @pytest.mark.parametrize("row", [[1e200, -1e200, 0, 3], [1.7e308, -1.7e308, -1.7e308, 0]])
     @pytest.mark.parametrize("at", [0, 5])
-    def test_overflowing_row_refused(self, row, at):
-        # squares beyond the float64 range would give std = inf, and an
-        # all-zero row marked standardized
+    def test_row_whose_squares_overflow(self, row, at):
+        # its mean or squares overflow at scale 1: it gives the bits of the
+        # same row times 2**-665, where the one-pass form is exact
         a = np.tile([1.0, 2.0, 3.0, 4.0], (7, 1))
         a[at] = row
+        small = a.copy()
+        small[at] = np.ldexp(row, -665)
+        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", 2 * 8 * 4):
+            got = _standardized_bits(standardize_rows, a)
+        assert got == _standardized_bits(reference_standardize_rows, small)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_constant_row_at_the_float64_limit(self, at):
+        # its mean would overflow at scale 1 and leave std = NaN
+        a = np.tile([1.0, 2.0, 3.0, 4.0], (7, 1))
+        a[at] = 1.7e308
         with mock.patch.object(linalg, "_STD_CHUNK_BYTES", 2 * 8 * 4), \
-                pytest.raises(ValidationError) as err:
+                pytest.raises(ZeroVarianceRow) as err:
             standardize_rows(DataMatrix(a))
-        assert type(err.value) is ValidationError
-        assert str(err.value) == (f"row {at} has a non-finite standard deviation "
-                                  f"(it overflows), cannot standardize")
+        assert err.value.row == at
 
     def test_single_column_names_row_zero(self):
         with pytest.raises(ZeroVarianceRow) as err:
@@ -358,13 +379,29 @@ class TestTypes:
         with pytest.raises(ValidationError, match=r"^data matrix of dtype complex\d+ is not real$"):
             DataMatrix(a)
 
-    def test_only_unstandardized_data_is_float32(self, rng):
+    def test_only_float32_data_is_float32(self, rng):
         a32 = rng.standard_normal((3, 5)).astype(np.float32)
         assert DataMatrix(a32).entries is a32
-        assert DataMatrix(a32, standardized=True).entries.dtype == np.float64
+        assert DataMatrix(a32, standardized=True).entries is a32
         assert DataMatrix(np.arange(6, dtype=np.int16).reshape(2, 3)).entries.dtype == np.float64
         assert DataMatrix(a32.astype(np.float16)).entries.dtype == np.float64
+        assert DataMatrix(a32.astype(np.float16), standardized=True).entries.dtype == np.float64
         assert standardize_rows(DataMatrix(a32)).entries.dtype == np.float64
+        assert lagged_correlation(DataMatrix(a32, standardized=True), 1).data.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(64, 16), (16, 64)])
+    def test_lagged_matrix_promotes_float32(self, rng, shape):
+        # (64, 16) is solved on the small side, (16, 64) dense
+        a32 = rng.standard_normal(shape).astype(np.float32)
+        a64 = a32.astype(np.float64)
+        assert LaggedMatrix(a32, 1).data.dtype == np.float64
+        got = eigvals_symmetric(LaggedMatrix(a32, 0)).values
+        want = eigvals_symmetric(LaggedMatrix(a64, 0)).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got, want = (eigvals_general(LaggedMatrix(a, 1)) for a in (a32, a64))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got, want = (LaggedMatrix(a, 1).entries for a in (a32, a64))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_sample_covariance_promotes_float32(self, rng):
         a32 = rng.standard_normal((6, 4)).astype(np.float32)
