@@ -10,9 +10,6 @@ Subcommands:
     compare         KS and L1 distances between two saved curves
 
 Exit codes: 0 success, 1 validation/usage/IO/out-of-memory error, 2 numerical failure.
-``RMT_THREADS=<k>`` lowers numpy's OpenBLAS thread count to k (at least 1) for
-the length of the command, never raises it, and restores it afterwards;
-without a vendored OpenBLAS in numpy it is ignored with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from . import estimation, fileio, linalg, signals, theory
+from . import estimation, fileio, signals, theory
 from .curves import DensityCurve, cell_averages
 from .errors import DisjointSupportsWarning, NumericalError, ValidationError
 from .linalg import (
@@ -111,22 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("-o", "--output", required=True)
     cp.set_defaults(func=_cmd_compare)
     return p
-
-
-def _thread_limit() -> int | None:
-    """The BLAS thread count ``RMT_THREADS`` asks for, at least 1, or None
-    when it is unset."""
-    spec = os.environ.get("RMT_THREADS")
-    if not spec:
-        return None
-    try:
-        limit = max(1, int(spec))
-    except ValueError:
-        raise ValidationError(f"RMT_THREADS must be an integer, got {spec!r}")
-    if linalg._openblas() is None:
-        print("warning: RMT_THREADS is ignored because numpy has no vendored OpenBLAS",
-              file=sys.stderr)
-    return limit
 
 
 def _parse_occupied(text: str) -> np.ndarray | None:
@@ -279,8 +260,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with linalg._blas_threads(_thread_limit()):
-            return ns.func(ns)
+        return ns.func(ns)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

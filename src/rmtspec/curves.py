@@ -26,7 +26,7 @@ class DensityCurve:
             raise ValidationError("xs and ys must be equal-length 1-d arrays (>= 2 points)")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValidationError("xs and ys must be finite")
-        if np.any(np.diff(xs) <= 0):
+        if np.any(xs[1:] <= xs[:-1]):  # a difference of extreme xs would overflow
             raise ValidationError("xs must be strictly increasing")
         if np.any(ys < 0):
             raise ValidationError("ys must be non-negative")

@@ -43,6 +43,9 @@ class EsdFunction:
         v = np.sort(np.asarray(self.values, dtype=np.float64))
         if v.size == 0:
             raise ValidationError("cannot build an ESD from zero eigenvalues")
+        # sorted, any NaN or inf is at an end
+        if not (np.isfinite(v[0]) and np.isfinite(v[-1])):
+            raise ValidationError("ESD eigenvalues must be finite")
         object.__setattr__(self, "values", v)
 
     @property
@@ -61,9 +64,15 @@ def silverman_bandwidth(samples) -> float:
     the std alone is used.
     """
     s = np.asarray(samples, dtype=np.float64).ravel()
+    if not np.isfinite(s).all():
+        raise ValidationError("samples for a bandwidth must be finite")
     if len(np.unique(s)) < 2:
         raise ValidationError("need at least 2 distinct samples for a bandwidth")
-    std = float(np.std(s, ddof=1))
+    with np.errstate(over="ignore"):  # an overflowed variance is refused below
+        std = float(np.std(s, ddof=1))
+    if std == math.inf:
+        raise ValidationError(f"samples over [{s.min():.3g}, {s.max():.3g}] have a variance "
+                              f"beyond doubles")
     q75, q25 = np.percentile(s, [75.0, 25.0])
     iqr = float(q75 - q25)
     spread = min(std, iqr / 1.34) if iqr > 0 else std
@@ -95,13 +104,21 @@ def histogram_density(samples, bins: int) -> DensityCurve:
         raise ValidationError("cannot histogram an empty sample set")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
-    heights, edges = np.histogram(s, bins=bins, density=True)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    # anchor the outer edges at the boundary heights: the trapezoid mass of
-    # the resulting polyline telescopes to exactly sum(height * width)
-    xs = np.concatenate([[edges[0]], centers, [edges[-1]]])
-    ys = np.concatenate([[heights[0]], heights, [heights[-1]]])
-    return DensityCurve(xs, ys)
+    # numpy refuses a non-finite range, or bins narrower than the doubles
+    # there; bins too narrow for distinct centers, or heights beyond doubles,
+    # make no curve
+    try:
+        with np.errstate(all="ignore"):
+            heights, edges = np.histogram(s, bins=bins, density=True)
+            centers = 0.5 * (edges[1:] + edges[:-1])
+        # anchor the outer edges at the boundary heights: the trapezoid mass of
+        # the resulting polyline telescopes to exactly sum(height * width)
+        xs = np.concatenate([[edges[0]], centers, [edges[-1]]])
+        ys = np.concatenate([[heights[0]], heights, [heights[-1]]])
+        return DensityCurve(xs, ys)
+    except ValueError as exc:
+        raise ValidationError(f"samples over [{s.min():.9g}, {s.max():.9g}] in {bins} "
+                              f"bins: {exc}") from None
 
 
 def ks_distance(esd: EsdFunction, cdf) -> float:
@@ -116,7 +133,9 @@ def ks_distance(esd: EsdFunction, cdf) -> float:
     hi = np.cumsum(counts) / esd.count
     lo = np.concatenate([[0.0], hi[:-1]])
     F = np.asarray(cdf(vals), dtype=np.float64)
-    F_left = np.asarray(cdf(np.nextafter(vals, -np.inf)), dtype=np.float64)
+    with np.errstate(over="ignore"):  # below -DBL_MAX is -inf
+        below = np.nextafter(vals, -np.inf)
+    F_left = np.asarray(cdf(below), dtype=np.float64)
     return float(max(np.abs(hi - F).max(), np.abs(lo - F_left).max()))
 
 
@@ -151,11 +170,15 @@ def l1_distance(a: DensityCurve, b: DensityCurve) -> float:
     if a.xs[-1] < b.xs[0] or b.xs[-1] < a.xs[0]:
         warnings.warn("density supports are disjoint", DisjointSupportsWarning,
                       stacklevel=2)
-    knots, d0, d1 = _pieces(a, b)
-    s = np.abs(d0) + np.abs(d1)
-    r = np.divide(d0 + d1, s, out=np.zeros_like(s), where=s > 0)
-    return float(np.diff(knots) @ (0.25 * s * (1.0 + r * r))
-                 + abs(a.point_mass_at_zero - b.point_mass_at_zero))
+    with np.errstate(all="ignore"):  # slopes or a distance beyond doubles are refused below
+        knots, d0, d1 = _pieces(a, b)
+        s = np.abs(d0) + np.abs(d1)
+        r = np.divide(d0 + d1, s, out=np.zeros_like(s), where=s > 0)
+        l1 = float(np.diff(knots) @ (0.25 * s * (1.0 + r * r))
+                   + abs(a.point_mass_at_zero - b.point_mass_at_zero))
+    if not math.isfinite(l1):
+        raise ValidationError("the curves' L1 distance is not finite in doubles")
+    return l1
 
 
 def curve_ks_distance(a: DensityCurve, b: DensityCurve) -> float:
@@ -181,6 +204,8 @@ def snap_zeros(values: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(values).copy()
     scale = np.abs(v).max() if v.size else 0.0
+    if not np.isfinite(scale):
+        raise ValidationError("eigenvalues must be finite")
     if scale > 0:
         v[np.abs(v) < _ZERO_REL_TOL * scale] = 0.0
     return v
@@ -199,6 +224,8 @@ def with_atom(curve: DensityCurve, atom: float) -> DensityCurve:
     """``curve`` weighted by the nonzero share ``1 - atom``, with ``atom`` as its
     point mass at zero: a unit-mass density of the nonzero eigenvalues becomes
     a unit-mass curve-plus-atom of the whole spectrum."""
+    if not 0.0 <= atom < 1.0:
+        raise ValidationError(f"point mass must lie in [0, 1), got {atom}")
     return DensityCurve(curve.xs, curve.ys * (1.0 - atom), point_mass_at_zero=atom)
 
 
@@ -253,4 +280,6 @@ def projection_density(values, axis: str = "x", bins: int = 12) -> DensityCurve:
     if nonzero.size == 0:
         raise ValidationError("every eigenvalue of the complex spectrum is zero")
     parts = nonzero.real if axis == "x" else nonzero.imag
-    return with_atom(histogram_density(math.sqrt(2.0) * parts, bins=bins), atom)
+    with np.errstate(over="ignore"):  # histogram_density refuses an inf
+        parts = math.sqrt(2.0) * parts
+    return with_atom(histogram_density(parts, bins=bins), atom)

@@ -183,11 +183,17 @@ def write_density_csv(path: str, curves, labels) -> None:
     Leading ``# point_mass_<label>=<value>`` comment lines carry nonzero
     atoms; the header row is ``x,<label1>,...``; values use 9 significant
     digits. Curves on different grids are refused with ``ValidationError``: a
-    curve is never resampled, so each column keeps its curve's mass.
+    curve is never resampled, so each column keeps its curve's mass. So are
+    labels that ``read_density_csv`` would not read back as written.
     """
     curves, labels = list(curves), list(labels)
     if not curves or len(curves) != len(labels):
         raise ValidationError("need at least one curve, and one label per curve")
+    if len(set(labels)) < len(labels) or any(
+            label == "x" or label != label.strip() or any(c in label for c in ",=\r\n")
+            for label in labels):
+        raise ValidationError(f"labels {labels!r} make no header: each must be unique, not "
+                              f"'x', and free of ',', '=', line breaks and edge blanks")
     xs = curves[0].xs
     if not all(np.array_equal(c.xs, xs) for c in curves):
         raise ValidationError("curves of one density file must share one grid")
@@ -211,14 +217,16 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
     """Parse a CSV written by ``write_density_csv`` back into curves.
 
     The header needs ``x`` and at least one curve column, each label once,
-    every data row needs one number per header column, and no curve ordinate
-    may be negative; otherwise ``ValidationError`` names the file and the line
-    (and the column of a negative ordinate). A column that is not a curve
-    (grid not strictly increasing, a non-finite value, fewer than 2 rows, an
-    atom outside [0, 1)) is refused with a ``ValidationError`` naming the
-    file and the column.
+    every data row needs one number per header column, each ``point_mass_``
+    line must name a curve column that no other one names, and no curve
+    ordinate may be negative; otherwise ``ValidationError`` names the file and
+    the line (and the label, or the column of a negative ordinate). A column
+    that is not a curve (grid not strictly increasing, a non-finite value,
+    fewer than 2 rows, an atom outside [0, 1)) is refused with a
+    ``ValidationError`` naming the file and the column.
     """
     atoms: dict[str, float] = {}
+    atom_lines: dict[str, int] = {}
     header: list[str] | None = None
     lines: list[str] = []
     linenos: list[int] = []
@@ -231,10 +239,14 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
                 body = line[1:].strip()
                 if body.startswith("point_mass_") and "=" in body:
                     key, val = body[len("point_mass_"):].split("=", 1)
+                    if key in atoms:
+                        raise ValidationError(f"{path}:{lineno}: point mass of {key!r} "
+                                              f"given twice")
                     try:
                         atoms[key] = float(val)
                     except ValueError as exc:
                         raise ValidationError(f"{path}:{lineno}: {exc}") from None
+                    atom_lines[key] = lineno
                 continue
             if header is None:
                 fields = line.split(",")
@@ -249,6 +261,10 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
             linenos.append(lineno)
     if header is None or not lines:
         raise ValidationError(f"{path} contains no curve data")
+    for key, lineno in atom_lines.items():
+        if key not in header[1:]:
+            raise ValidationError(f"{path}:{lineno}: point mass of {key!r} names no "
+                                  f"curve column")
     width = len(header)
     data = _parse_at_once(lines, width)
     if data is None:  # find the line at fault

@@ -52,13 +52,12 @@ together with that product. On a 2-vCPU host at p = 2048 a second thread gave
 it no wall time: a 63 x 2048 x 63 lag product woke it, and it then kept
 spinning after the call, about doubling the process's CPU time. A longer
 product (16384 x 128, 65536 x 64) formed faster on the pool and keeps it, as
-do the other stages of dense solves. All of these go through one context
-manager, ``_blas_threads``, as does ``RMT_THREADS``, which the CLI applies for
-the length of one command: each lowers the count to its limit, never raises
-it, and restores it afterwards, so a lower count set by ``RMT_THREADS`` or
-``OPENBLAS_NUM_THREADS`` holds for every stage. The count is process-wide:
-BLAS called from another Python thread meanwhile runs on the lowered count
-too.
+do the other stages of dense solves. The pool is the count numpy's OpenBLAS
+starts with, which ``OPENBLAS_NUM_THREADS`` sets. Both one-thread rules go
+through one context manager, ``_blas_threads``: it lowers the count to 1 for
+the stage, never raises it, and restores it afterwards, so a lower count set
+by ``OPENBLAS_NUM_THREADS`` holds for every stage. The count is process-wide:
+BLAS called from another Python thread meanwhile runs on one thread too.
 """
 
 from __future__ import annotations
@@ -105,6 +104,8 @@ _GEEV_BIG = 1.0 / _GEEV_SMALL
 # largest |A - A^T| entry, relative to the largest |entry|, of a matrix that a
 # symmetric solve accepts from outside
 _SYMMETRY_REL_TOL = 1e-10
+# the refusal of a matrix, or a product, or a spectrum, beyond doubles
+_NOT_FINITE = "matrix holds an inf or NaN, or its eigenvalues' sum overflows doubles"
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,15 @@ class LaggedMatrix:
     """Lag-tau correlation matrix ``a[:, :T-tau] a[:, tau:]^T / T`` of the
     p x T array ``data``, exactly symmetric at tau = 0; non-symmetric for tau > 0.
 
-    ``data`` is held as float64 (float32 data is promoted), so every product
-    and solve runs in float64. The p x p ``entries`` is formed the first time
-    it is read.
+    ``data`` is a ``DataMatrix``, or an array that one accepts. It is held as
+    float64 (float32 data is promoted), so every product and solve runs in
+    float64. The p x p ``entries`` is formed the first time it is read.
     """
 
-    def __init__(self, data: np.ndarray, tau: int):
-        data = np.asarray(data, dtype=np.float64)
+    def __init__(self, data, tau: int):
+        if not isinstance(data, DataMatrix):
+            data = DataMatrix(data)
+        data = np.asarray(data.entries, dtype=np.float64)
         if not 0 <= tau < data.shape[1]:
             raise ValidationError(f"tau={tau} outside [0, {data.shape[1] - 1}]")
         self.data = data
@@ -170,8 +173,9 @@ class LaggedMatrix:
         mirrors it, so it comes out exactly symmetric."""
         a, tau = self.data, self.tau
         T = a.shape[1]
-        np.matmul(a[:, tau:], a[:, : T - tau].T, out=out.T)
-        out /= T
+        with np.errstate(over="ignore", invalid="ignore"):  # the solves refuse an inf
+            np.matmul(a[:, tau:], a[:, : T - tau].T, out=out.T)
+            out /= T
         return out
 
 
@@ -219,7 +223,7 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
 def sample_covariance(X: DataMatrix) -> LaggedMatrix:
     """Sample covariance (1/n) X X^T, the lag-0 ``LaggedMatrix``: real,
     symmetric and positive semi-definite."""
-    return LaggedMatrix(X.entries, 0)
+    return LaggedMatrix(X, 0)
 
 
 def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
@@ -227,7 +231,7 @@ def lagged_correlation(X: DataMatrix, tau: int) -> LaggedMatrix:
     standardized matrix, the sum truncated at the boundary (no wrap-around)."""
     if not X.standardized:
         raise ValidationError("lagged_correlation requires a standardized matrix")
-    return LaggedMatrix(X.entries, tau)
+    return LaggedMatrix(X, tau)
 
 
 def eigvals_symmetric(A) -> RealSpectrum:
@@ -273,11 +277,12 @@ def _solve(M, symmetric: bool) -> np.ndarray:
         d, tau = M.data, M.tau
         p, T = d.shape
         m = T - tau
-        with _blas_threads(1 if _small_side(m, p) else None):
+        with _blas_threads() if _small_side(m, p) else contextlib.nullcontext():
             # formed in C order and copied: formed F-ordered, the lag product
             # (and so the spectrum) can differ in the last bits
-            w = _solve_owned(np.divide(d[:, tau:].T @ d[:, :m], T,
-                                       out=_lapack_matrix(m)), symmetric)
+            with np.errstate(over="ignore", invalid="ignore"):  # the solve refuses an inf
+                a = np.divide(d[:, tau:].T @ d[:, :m], T, out=_lapack_matrix(m))
+            w = _solve_owned(a, symmetric)
         return np.concatenate([np.zeros(p - m), w])
     a = _owned(M, symmetric)
     if symmetric and not from_data:
@@ -291,15 +296,23 @@ def _solve_owned(a: np.ndarray, symmetric: bool) -> np.ndarray:
     A symmetric solve checks their sum against the trace of ``a``, taken
     before the solve (tr(A^T A) = tr(A A^T), so a small side checks the trace
     of the p x p matrix), and raises ``ValueError`` when they disagree by
-    more than 1e-8 * max(1, |trace|). ``np.linalg``'s ``LinAlgError`` becomes
-    ``NumericalError``."""
-    trace = float(np.trace(a)) if symmetric else None
-    try:
-        w = (_eigvalsh_owned if symmetric else _eigvals_owned)(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(str(exc)) from exc
-    if symmetric and abs(w.sum() - trace) > 1e-8 * max(1.0, abs(trace)):
-        raise ValueError(f"eigenvalue sum {w.sum()!r} inconsistent with trace {trace!r}")
+    more than 1e-8 * max(1, |trace|, max |eigenvalue|). Either solve raises
+    ``NumericalError`` when the eigenvalues' sum (or the trace) is not finite:
+    ``dsyevd`` returns non-finite eigenvalues for a matrix with an inf or NaN,
+    given or overflowed in its product, and an eigenvalue may overflow.
+    ``np.linalg``'s ``LinAlgError`` becomes ``NumericalError``."""
+    with np.errstate(over="ignore"):  # sums beyond doubles are refused below
+        trace = float(np.trace(a)) if symmetric else 0.0
+        try:
+            w = (_eigvalsh_owned if symmetric else _eigvals_owned)(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(str(exc)) from exc
+        total = w.sum()
+    if not (np.isfinite(total) and np.isfinite(trace)):
+        raise NumericalError(_NOT_FINITE)
+    # eigenvalues of both signs cancel in the sum, to rounding of the largest
+    if symmetric and abs(total - trace) > 1e-8 * max(1.0, abs(trace), np.abs(w).max()):
+        raise ValueError(f"eigenvalue sum {total!r} inconsistent with trace {trace!r}")
     return w
 
 
@@ -423,7 +436,7 @@ def _eigvals_owned(a: np.ndarray) -> np.ndarray:
     # WORK(1:N) holds the balancing scales, WORK(N+1:2N) the reflectors' tau
     _lapack(blas.dgebal, b"B", n, a, lda, ilo, ihi, work)
     _lapack(blas.dgehrd, n, ilo, ihi, a, lda, work[n:], work[2 * n:], lwork - 2 * n)
-    with _blas_threads(1):
+    with _blas_threads():
         info = _lapack(blas.dhseqr, b"E", b"N", n, ilo, ihi, a, lda, wr, wi, query, 1,
                        work[n:], lwork - n)
     if info:
@@ -442,30 +455,30 @@ def _small_side(m: int, p: int) -> bool:
 
 
 @contextlib.contextmanager
-def _blas_threads(limit: int | None):
-    """Run the block with the OpenBLAS thread count at most ``limit``.
+def _blas_threads():
+    """Run the block on one OpenBLAS thread.
 
     Lowers the process-wide count only, never raises it, and restores it on
-    exit, also when the block raises. With ``limit`` None, or without numpy's
-    vendored OpenBLAS, it touches nothing. No lock: a thread lowers the count
-    only when it reads one above ``limit`` and then restores what it read, so
-    concurrent blocks under one limit cannot leave it lowered; one may run
-    on the pool if another restores first.
+    exit, also when the block raises. Without numpy's vendored OpenBLAS it
+    touches nothing. No lock: a thread lowers the count only when it reads
+    one above 1 and then restores what it read, so concurrent blocks cannot
+    leave it lowered; one may run on the pool if another restores first.
     """
-    blas = _openblas() if limit else None
-    before = blas.get_threads() if blas else 0
-    lowered = blas is not None and before > limit
-    if lowered:
-        blas.set_threads(limit)
+    blas = _openblas()
+    before = blas.get_threads() if blas else 1
+    if before > 1:
+        blas.set_threads(1)
     try:
         yield
     finally:
-        if lowered:
+        if before > 1:
             blas.set_threads(before)
 
 
 def _require_symmetric(a: np.ndarray) -> None:
     scale = max(np.abs(a).max(), 1e-300)
+    if not np.isfinite(scale):
+        raise NumericalError(_NOT_FINITE)
     dev = np.abs(a - a.T).max()
     if dev > _SYMMETRY_REL_TOL * scale:
         raise ValidationError(f"asymmetry {dev} exceeds {_SYMMETRY_REL_TOL} * {scale}")

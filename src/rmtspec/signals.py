@@ -36,6 +36,8 @@ DEFAULT_OCCUPIED_RANGES = (
 
 def occupied_from_ranges(ranges=DEFAULT_OCCUPIED_RANGES) -> np.ndarray:
     """Expand inclusive (lo, hi) index ranges into a sorted index array."""
+    if not len(ranges):
+        raise ValidationError("no occupied ranges given")
     idx = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
     return np.unique(idx)
 
@@ -115,12 +117,12 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     positive double are refused."""
     if len(samples) == 0:
         raise ValidationError("empty stream")
-    if snr_db == math.inf:
-        return samples
     with np.errstate(over="ignore"):  # an overflowed power is refused below
         power = float(np.mean(np.abs(samples) ** 2))
     if not math.isfinite(power):
         raise ValidationError(f"samples have mean power {power}, not a finite value")
+    if snr_db == math.inf:
+        return samples
     try:
         nvar = power / 10.0 ** (snr_db / 10.0)
     except (OverflowError, ZeroDivisionError):
@@ -147,4 +149,8 @@ def spectrogram_matrix(samples: np.ndarray, n_fft: int) -> np.ndarray:
     if n_frames < 1:
         raise ValidationError(f"need at least {n_fft} samples, stream has {len(samples)}")
     frames = samples[: n_frames * n_fft].reshape(n_frames, n_fft)
-    return np.fft.fft(frames, norm="ortho").T
+    with np.errstate(all="ignore"):  # refused below
+        out = np.fft.fft(frames, norm="ortho").T
+    if not np.isfinite(out).all():
+        raise ValidationError("samples are not finite, or their spectrum overflows doubles")
+    return out

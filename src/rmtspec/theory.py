@@ -52,6 +52,8 @@ _IM_CLAMP = 1e-9
 _RESIDUAL_TOL = 1e-9  # relative w-quartic residual accepted per point
 _MASS_TOL = 0.02  # |curve-plus-atom mass - 1| accepted for a theory curve
 _MAX_GRID_POINTS = 10**6
+# largest dimension ratio: the law's a * b and 2 pi c x overflow near c = 1e154
+_MAX_RATIO = 1e150
 
 
 # --------------------------------------------------------------------------
@@ -85,8 +87,7 @@ def mp_density(x, c: float):
 
     Vectorized over ``x``; zero outside the support.
     """
-    prm = mp_params(c)
-    xv = np.asarray(x, dtype=np.float64)
+    prm, xv = _law_at(x, c)
     out = np.zeros_like(xv)
     m = (xv >= prm.a) & (xv <= prm.b) & (xv > 0)
     xm = xv[m]
@@ -94,6 +95,20 @@ def mp_density(x, c: float):
     if np.isscalar(x) or xv.ndim == 0:
         return float(out)
     return out
+
+
+def _law_at(x, c: float) -> tuple[MpParams, np.ndarray]:
+    """``mp_params(c)`` and ``x`` as float64 for the law's closed forms;
+    ``ValidationError`` refuses a NaN in ``x`` and a ``c`` above
+    ``_MAX_RATIO``, where their terms overflow."""
+    prm = mp_params(c)
+    if c > _MAX_RATIO:
+        raise ValidationError(f"dimension ratio {c} is above {_MAX_RATIO:g}, where the law's "
+                              f"terms overflow doubles")
+    xv = np.asarray(x, dtype=np.float64)
+    if np.isnan(xv).any():
+        raise ValidationError("x holds a NaN")
+    return prm, xv
 
 
 def mp_cdf(x, c: float):
@@ -110,9 +125,8 @@ def mp_cdf(x, c: float):
     which keeps full accuracy next to the edges where ``asin`` loses digits.
     ``F = 0`` below 0, the atom on ``[0, a]`` and 1 from ``b`` on, exactly.
     """
-    prm = mp_params(c)
+    prm, xv = _law_at(x, c)
     a, b, atom = prm.a, prm.b, prm.point_mass_at_zero
-    xv = np.asarray(x, dtype=np.float64)
     u = np.clip(xv - a, 0.0, b - a)
     v = np.clip(b - xv, 0.0, b - a)
     r = np.sqrt(u * v)
@@ -141,11 +155,14 @@ def green_quartic_coeffs(z, Q: float) -> np.ndarray:
     """
     if not Q > 0:
         raise ValidationError(f"Q must be positive, got {Q}")
-    z2 = np.square(np.asarray(z, dtype=np.complex128))
+    with np.errstate(all="ignore"):  # refused below
+        z2 = np.square(np.asarray(z, dtype=np.complex128))
+    if not np.all(np.isfinite(z2)):
+        raise ValidationError("z^2 is not finite: every |z| must be finite and below 1.3e154")
     Q = np.float64(Q)  # overflows to inf where a Python float would raise
-    r = 1.0 / Q - 1.0
     c = np.empty(z2.shape + (5,), dtype=np.complex128)
     with np.errstate(all="ignore"):
+        r = 1.0 / Q - 1.0
         lead = 1.0 / Q**3
         c[..., 0] = lead
         c[..., 1] = -2.0 * r / Q**2
@@ -437,7 +454,9 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
                               f"more than {_MAX_GRID_POINTS}")
     core = np.arange(0.0, core_hw, eps / 4.0)
     geo = np.geomspace(core_hw, geo_hi, 64)
-    outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)
+    # an epsilon far above L leaves no outer points; an arange from that far
+    # above its stop, in steps below the doubles' spacing there, is refused
+    outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step) if geo_hi < L else []
     return np.unique(np.concatenate([core, geo, outer]))  # core starts at 0.0
 
 

@@ -234,25 +234,10 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "--occupied" in err and "'a:b'" in err
 
-    def test_rmt_threads_without_openblas_warns(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RMT_THREADS", "1")
-        monkeypatch.setattr(linalg, "_openblas", lambda: None)
-        assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
-        assert capsys.readouterr().err == (
-            "warning: RMT_THREADS is ignored because numpy has no vendored OpenBLAS\n")
-
-    @pytest.mark.skipif(linalg._openblas() is None, reason="numpy has no vendored OpenBLAS")
-    @pytest.mark.filterwarnings("error")
-    def test_rmt_threads_with_openblas_is_silent(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RMT_THREADS", "1")
-        assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_unset_rmt_threads_touches_no_openblas_handle(self, tmp_path, monkeypatch):
+    def test_theory_touches_no_openblas_handle(self, tmp_path, monkeypatch):
         def touched():
             raise AssertionError("run_cli looked up the OpenBLAS handle")
 
-        monkeypatch.delenv("RMT_THREADS", raising=False)
         monkeypatch.setattr(linalg, "_openblas", touched)
         assert _run("theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")) == 0
 
@@ -460,16 +445,6 @@ class TestRefusals:
         err = capsys.readouterr().err
         _assert_refused(1, err, out)
         assert err.startswith(f"error: Unable to allocate {size}"), err
-
-    @pytest.mark.filterwarnings("error")
-    def test_non_integer_rmt_threads(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RMT_THREADS", "abc")
-        out = tmp_path / "out"
-        assert run_cli(["theory", "mp", "--c", "0.5", "-o", str(out)]) == 1
-        err = capsys.readouterr().err
-        _assert_refused(1, err, out)
-        assert err.splitlines()[-1] == "error: RMT_THREADS must be an integer, got 'abc'"
-        assert list(tmp_path.iterdir()) == []
 
 
 def _csv_values(path):

@@ -327,6 +327,31 @@ class TestDensityCsv:
         assert path.read_text() == "\n".join(want) + "\n"
 
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_written_file_reads_back(self, tmp_path_factory, data):
+        # any labels; a grid and ordinates that 9 significant digits keep, as
+        # the file holds no more; atoms that 9 digits keep
+        labels = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))
+        eighths = hnp.arrays(np.float64, st.integers(2, 6), elements=st.integers(1, 8000))
+        xs = np.cumsum(data.draw(eighths)) / 8 - 100
+        ys = hnp.arrays(np.float64, len(xs), elements=st.integers(0, 8000).map(lambda k: k / 8))
+        atom = st.integers(0, 10**9 - 1).map(lambda k: k / 10**9)
+        curves = [DensityCurve(xs, data.draw(ys), data.draw(atom)) for _ in labels]
+        path = tmp_path_factory.mktemp("d") / "d.csv"
+        try:
+            write_density_csv(str(path), curves, labels)
+        except ValidationError as exc:
+            assert str(exc).startswith(f"labels {labels!r} make no header")
+            assert not path.exists()
+            return
+        back = read_density_csv(str(path))
+        assert list(back) == labels
+        for label, c in zip(labels, curves):
+            assert np.array_equal(back[label].xs, c.xs)
+            assert np.array_equal(back[label].ys, c.ys)
+            assert back[label].point_mass_at_zero == c.point_mass_at_zero
+
     def test_row_count(self, tmp_path):
         path = tmp_path / "d.csv"
         xs = np.array([0.0, 1.0, 2.0])

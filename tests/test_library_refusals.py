@@ -47,8 +47,15 @@ CASES = {
     "density-two-grids": (lambda path: write_density_csv(
         str(path), [_BOX, DensityCurve(np.array([0.0, 2.0]), np.ones(2))], ["a", "b"]),
         "curves of one density file must share one grid"),
+    "density-bad-label": (lambda path: write_density_csv(str(path), [_BOX], ["kde "]),
+                          "labels ['kde '] make no header: each must be unique, not 'x', and "
+                          "free of ',', '=', line breaks and edge blanks"),
     "csv-atom": (_read("# point_mass_kde=abc\nx,kde\n0,1\n1,1\n"),
                  "{path}:1: could not convert string to float: 'abc'"),
+    "csv-atom-no-column": (_read("# point_mass_kdee=0.5\nx,kde\n0,1\n1,1\n"),
+                           "{path}:1: point mass of 'kdee' names no curve column"),
+    "csv-atom-twice": (_read("# point_mass_kde=0.1\n# point_mass_kde=0.5\nx,kde\n0,1\n1,1\n"),
+                       "{path}:2: point mass of 'kde' given twice"),
     "csv-header-alone": (_read("x\n0\n"), "{path}:1: header 'x' names no curve column"),
     "csv-header-repeats": (_read("x,kde,kde\n0,1,1\n1,1,1\n"),
                            "{path}:1: header 'x,kde,kde' repeats a label"),

@@ -732,40 +732,39 @@ class TestSmallSolveThreads:
 
 
 @pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
-class TestRmtThreads:
-    """``RMT_THREADS`` lowers the count for the length of one ``run_cli``
-    command through the same step as the one-thread rules: every stage sees
-    it, it is never raised, and the count is restored on every exit path."""
+class TestRunCliThreads:
+    """A ``run_cli`` command keeps the pool for every stage but the one-thread
+    rules', never raises a lower count, and restores the count on every exit
+    path."""
 
     @pytest.fixture
     def capture(self, tmp_path):
-        # 100 x 200: both solves are dense, so their pool stages show the limit
+        # 100 x 200: both solves are dense, so their pool stages show the pool
         path = str(tmp_path / "x.rmtc")
         assert run_cli(["generate", "--signal", "wgn", "--rows", "100", "--cols", "200",
                         "-o", path]) == 0
         return path
 
-    # values below 1 mean 1
-    @pytest.mark.parametrize("value", ["1", "0", "-3"])
-    def test_every_stage_sees_the_limit(self, monkeypatch, get, tmp_path, capture, value):
-        monkeypatch.setenv("RMT_THREADS", value)
+    @pytest.mark.filterwarnings("error")
+    def test_rmt_threads_is_no_setting(self, monkeypatch, get, tmp_path, capture, capsys):
+        # the variable once lowered the pool for one command; it is read no more
+        monkeypatch.setenv("RMT_THREADS", "abc")
+        assert run_cli(["theory", "mp", "--c", "0.5", "-o", str(tmp_path / "mp.csv")]) == 0
+        assert capsys.readouterr().err == ""
         seen = []
         _spy(monkeypatch, seen)
         assert run_cli(["analyze", "lagged", "-i", capture, "--tau", "1",
                         "-o", str(tmp_path / "cloud.csv")]) == 0
-        assert (seen, get()) == (_gen(1), 2)
-        assert run_cli(["analyze", "cov", "-i", capture, "-o", str(tmp_path / "d.csv")]) == 0
-        assert (seen, get()) == (_gen(1) + _sym(1), 2)
+        assert (seen, get()) == (_gen(2), 2)
 
     @pytest.mark.parametrize("argv, fail, code, calls", [
-        (["analyze", "cov"], None, 0, _sym(1)),
-        (["analyze", "cov", "--bins", "0"], None, 1, _sym(1)),
+        (["analyze", "cov"], None, 0, _sym(2)),
+        (["analyze", "cov", "--bins", "0"], None, 1, _sym(2)),
         (["analyze", "cov", "--bins"], None, 1, []),
-        (["analyze", "lagged", "--tau", "1"], "dhseqr", 2, _gen(1)),
+        (["analyze", "lagged", "--tau", "1"], "dhseqr", 2, _gen(2)),
     ], ids=["exit-0", "exit-1", "usage-exit-1", "exit-2"])
     def test_count_restored_on_every_exit(self, monkeypatch, get, tmp_path, capture,
                                           argv, fail, code, calls):
-        monkeypatch.setenv("RMT_THREADS", "1")
         seen = []
         _spy(monkeypatch, seen, fail=fail)
         out = str(tmp_path / "out")
@@ -773,7 +772,6 @@ class TestRmtThreads:
         assert (seen, get()) == (calls, 2)
 
     def test_count_is_never_raised(self, monkeypatch, get, tmp_path, capture):
-        monkeypatch.setenv("RMT_THREADS", "2")
         linalg._openblas().set_threads(1)
         seen = []
         _spy(monkeypatch, seen)
@@ -789,7 +787,7 @@ def _bits(v):
 @pytest.fixture
 def qr_on_the_pool(monkeypatch):
     """Let the QR stage keep the pool: the staged solve is then dgeev's."""
-    monkeypatch.setattr(linalg, "_blas_threads", lambda limit: contextlib.nullcontext())
+    monkeypatch.setattr(linalg, "_blas_threads", contextlib.nullcontext)
 
 
 @pytest.mark.skipif(linalg._openblas() is None, reason=_NO_OPENBLAS)
@@ -843,10 +841,19 @@ class TestStagedSolvers:
         for bad in (a, np.array([[np.inf, 0.0], [0.0, 1.0]])):
             with pytest.raises(NumericalError, match="^Array must not contain infs or NaNs$"):
                 eigvals_general(bad)
-        # dsyevd returns NaN eigenvalues for this one, as eigvalsh does
-        np.testing.assert_array_equal(eigvals_symmetric(a).values, np.sort(np.linalg.eigvalsh(a)))
-        with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
-            eigvals_symmetric(np.full((3, 3), np.nan))
+        # eigvalsh returns NaN eigenvalues for the first and does not converge
+        # on the second; the symmetric solve refuses both by one message
+        for bad in (a, np.full((3, 3), np.nan)):
+            with pytest.raises(NumericalError, match="^matrix holds an inf or NaN, or its "
+                                                     "eigenvalues' sum overflows doubles$"):
+                eigvals_symmetric(bad)
+
+    def test_overflowed_product_refused(self, get):
+        # finite data whose lag-0 product overflows: dsyevd returns no finite sum
+        X = DataMatrix(np.full((3, 2), 1e200))
+        with pytest.raises(NumericalError, match="^matrix holds an inf or NaN, or its "
+                                                 "eigenvalues' sum overflows doubles$"):
+            eigvals_symmetric(sample_covariance(X))
 
     def test_inputs_are_never_overwritten(self, get, rng):
         X = standardize_rows(DataMatrix(rng.standard_normal((40, 90))))
