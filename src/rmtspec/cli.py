@@ -146,6 +146,7 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 
     if ns.freq_domain:
         payload = signals.spectrogram_matrix(samples, ns.n_fft)
+        del samples  # the spectrum holds all the payload needs
     else:
         payload = samples[: rows * cols].reshape(rows, cols)
     fileio.write_capture(ns.output, payload)

@@ -29,7 +29,9 @@ __all__ = [
 
 _ZERO_REL_TOL = 1e-8
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_KDE_CHUNK_ENTRIES = 1 << 17  # kernel entries (grid x samples) formed per kde_eval chunk
+# kernel entries (grid x samples) formed per kde_eval chunk: 512 KiB of float64,
+# the one budget of every bounded temporary (linalg._STD_CHUNK_BYTES)
+_KDE_CHUNK_ENTRIES = 1 << 16
 _MAX_KDE_POINTS = 10**6  # default KDE grid points, at a step of at most the bandwidth
 
 

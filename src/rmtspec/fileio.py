@@ -15,11 +15,12 @@ row-major payload.
 Complex payloads interleave Re, Im per sample and expand on read to 2*rows
 real rows (real-part block first). Writes store f32, real or complex by the
 array's type, and are atomic (temp file + rename).
-Reads stream the payload through a small staging buffer into the one float32
-result, which holds every stored value exactly (an i16 value over 32768 is a
-float32), so a read holds little more than the matrix it returns: 4 bytes a
-value, half its float64 promotion. ``standardize_rows`` and ``LaggedMatrix``
-promote it, so every product and eigensolve runs in float64.
+Reads stream the payload through a 512 KiB staging block, the one budget of
+every bounded temporary, into the one float32 result, which holds every stored
+value exactly (an i16 value over 32768 is a float32), so a read holds little
+more than the matrix it returns: 4 bytes a value, half its float64 promotion.
+``standardize_rows`` and ``LaggedMatrix`` promote it, so every product and
+eigensolve runs in float64.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ DTYPE_F32_COMPLEX = 1
 DTYPE_I16_REAL = 2
 
 _ELEMENT_BYTES = {DTYPE_F32_REAL: 4, DTYPE_F32_COMPLEX: 8, DTYPE_I16_REAL: 2}
-_READ_BLOCK_BYTES = 1 << 22  # payload bytes staged per block by read_capture
+# payload bytes staged per block by read_capture: 512 KiB, the one budget of
+# every bounded temporary (linalg._STD_CHUNK_BYTES)
+_READ_BLOCK_BYTES = 1 << 19
+# neighbours this far apart, relative to the larger |x|, print apart in %.9g:
+# each rounds by at most half a unit in its 9th digit, 5e-9 of its magnitude
+_TEXT_REL_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,8 @@ def write_density_csv(path: str, curves, labels) -> None:
     atoms; the header row is ``x,<label1>,...``; values use 9 significant
     digits. Curves on different grids are refused with ``ValidationError``: a
     curve is never resampled, so each column keeps its curve's mass. So are
-    labels that ``read_density_csv`` would not read back as written.
+    labels that ``read_density_csv`` would not read back as written, and a
+    grid finer than 9 digits, whose text would not be strictly increasing.
     """
     curves, labels = list(curves), list(labels)
     if not curves or len(curves) != len(labels):
@@ -197,11 +204,26 @@ def write_density_csv(path: str, curves, labels) -> None:
     xs = curves[0].xs
     if not all(np.array_equal(c.xs, xs) for c in curves):
         raise ValidationError("curves of one density file must share one grid")
+    _require_distinct_text(xs)
 
     lines = [f"# point_mass_{label}={c.point_mass_at_zero:.9g}"
              for label, c in zip(labels, curves) if c.point_mass_at_zero > 0]
     lines.append("x," + ",".join(labels))
     write_table_csv(path, lines, np.column_stack([xs, *(c.ys for c in curves)]))
+
+
+def _require_distinct_text(xs: np.ndarray) -> None:
+    """Refuse, with ``ValidationError``, a strictly increasing grid whose
+    ``%.9g`` text is not. Only neighbours closer than ``_TEXT_REL_GAP`` of
+    their magnitude can print alike, and only those are formatted."""
+    lo, hi = xs[:-1], xs[1:]
+    with np.errstate(over="ignore"):  # an overflowed gap is wide enough
+        near = np.flatnonzero(hi - lo <= _TEXT_REL_GAP * np.maximum(np.abs(lo), np.abs(hi)))
+    for i in near:
+        a, b = "%.9g" % lo[i], "%.9g" % hi[i]
+        if float(a) >= float(b):
+            raise ValidationError(f"grid is finer than the file's 9 significant digits: "
+                                  f"x = {float(lo[i])!r} and {float(hi[i])!r} both write as {a}")
 
 
 def write_table_csv(path: str, head: list[str], table: np.ndarray) -> None:

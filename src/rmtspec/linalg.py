@@ -199,7 +199,9 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     while no intermediate is subnormal. Every step is per row, so the bits
     do not depend on the block size or on the layout of ``X``, which is left
     as it is. Raises ``ZeroVarianceRow`` on the first constant row (a
-    single-column matrix is constant). Idempotent up to rounding.
+    single-column matrix is constant), and ``ValidationError`` on a
+    non-finite entry written into ``X.entries`` after it was checked.
+    Idempotent up to rounding.
     """
     a = X.entries
     p, n = a.shape
@@ -211,13 +213,20 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
         block = out[lo:lo + step]
         block[...] = a[lo:lo + step]
         amax = np.maximum(block.max(axis=1, keepdims=True), -block.min(axis=1, keepdims=True))
+        if not np.isfinite(amax).all():  # X.entries was changed after it was checked
+            raise ValidationError("data matrix contains non-finite entries")
         np.ldexp(block, -np.frexp(amax)[1], out=block)
         block -= block.mean(axis=1, keepdims=True)
         std = block.std(axis=1, ddof=1, keepdims=True)
         if not std.all():  # argmin of the non-negative std is its first zero
             raise ZeroVarianceRow(lo + int(np.argmin(std)))
         block /= std
-    return DataMatrix(out, standardized=True)
+    # every row was finite with a nonzero std, so every |entry| is at most
+    # sqrt(n - 1): the result skips DataMatrix's scan of it
+    Y = object.__new__(DataMatrix)
+    object.__setattr__(Y, "entries", out)
+    object.__setattr__(Y, "standardized", True)
+    return Y
 
 
 def sample_covariance(X: DataMatrix) -> LaggedMatrix:

@@ -28,6 +28,10 @@ __all__ = [
     "spectrogram_matrix",
 ]
 
+# normals drawn per add_awgn chunk: 512 KiB of float64, the one budget of every
+# bounded temporary (linalg._STD_CHUNK_BYTES)
+_NOISE_CHUNK = 1 << 16
+
 # inclusive index ranges; 41+21+61+101+101+101 = 426 occupied tones of 1024
 DEFAULT_OCCUPIED_RANGES = (
     (10, 50), (80, 100), (140, 200), (300, 400), (600, 700), (800, 900),
@@ -106,19 +110,27 @@ def gen_ncofdm_frames(seed: int, n_frames: int, n_fft: int = 1024,
     bits = rng.integers(0, 2, size=(n_frames, len(occ))) * 2.0 - 1.0
     freq = np.zeros((n_frames, n_fft), dtype=np.complex128)
     freq[:, occ] = bits
-    time = np.fft.ifft(freq, norm="ortho")
-    return time.reshape(-1)
+    # in place: the frames are the one stream-sized array
+    return np.fft.ifft(freq, norm="ortho", out=freq).reshape(-1)
 
 
 def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Add seeded Gaussian noise at the given SNR (complex noise for complex
     input); ``snr_db=+inf`` returns the samples unchanged. Samples without a
     finite mean power, NaN, ``-inf`` and an SNR whose linear ratio is not a
-    positive double are refused."""
+    positive double are refused.
+
+    The result is one new array, a copy of the samples to which the noise is
+    added ``_NOISE_CHUNK`` values at a time: the real parts' draws, then the
+    imaginary parts', in the order of one ``normal(size=(2, len))`` draw, so
+    the bits do not depend on the chunk size. The samples are not changed.
+    """
     if len(samples) == 0:
         raise ValidationError("empty stream")
     with np.errstate(over="ignore"):  # an overflowed power is refused below
-        power = float(np.mean(np.abs(samples) ** 2))
+        # one |x| buffer, squared in place and dropped by the second binding
+        power = np.abs(samples)
+        power = float(np.mean(np.square(power, out=power)))
     if not math.isfinite(power):
         raise ValidationError(f"samples have mean power {power}, not a finite value")
     if snr_db == math.inf:
@@ -131,10 +143,17 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         raise ValidationError(f"snr_db = {snr_db} gives no finite noise variance "
                               "(give a finite SNR, or +inf for no noise)")
     rng = _rng(seed)
-    if np.iscomplexobj(samples):
-        noise = rng.normal(0.0, math.sqrt(nvar / 2), size=(2, len(samples)))
-        return samples + noise[0] + 1j * noise[1]
-    return samples + rng.normal(0.0, math.sqrt(nvar), len(samples))
+    x = np.asarray(samples)
+    out = x.astype(np.result_type(x, np.float64))  # a copy, typed as samples + noise
+    if np.iscomplexobj(out):
+        parts, sigma = (out.real, out.imag), math.sqrt(nvar / 2)
+    else:
+        parts, sigma = (out,), math.sqrt(nvar)
+    for part in parts:
+        for lo in range(0, len(part), _NOISE_CHUNK):
+            chunk = part[lo:lo + _NOISE_CHUNK]
+            chunk += rng.normal(0.0, sigma, len(chunk))
+    return out
 
 
 def spectrogram_matrix(samples: np.ndarray, n_fft: int) -> np.ndarray:
@@ -150,7 +169,9 @@ def spectrogram_matrix(samples: np.ndarray, n_fft: int) -> np.ndarray:
         raise ValidationError(f"need at least {n_fft} samples, stream has {len(samples)}")
     frames = samples[: n_frames * n_fft].reshape(n_frames, n_fft)
     with np.errstate(all="ignore"):  # refused below
-        out = np.fft.fft(frames, norm="ortho").T
-    if not np.isfinite(out).all():
+        out = np.fft.fft(frames, norm="ortho")
+    # min and max of the real words carry any NaN and expose any inf, no mask
+    words = out.view(np.finfo(out.dtype).dtype)
+    if not (np.isfinite(words.min()) and np.isfinite(words.max())):
         raise ValidationError("samples are not finite, or their spectrum overflows doubles")
-    return out
+    return out.T

@@ -421,6 +421,20 @@ class TestRefusals:
                         "-o", str(out)]) == 0
         assert read_density_csv(str(out))["kde"].total_mass() == pytest.approx(1.0, abs=1e-6)
 
+    # 100000 edge-clustered points at c = 0.25 put the first two 4.9e-10 apart
+    # at x = 0.25, closer than 9 digits print; 20000 points, 1.2e-8 apart
+    def test_mp_grid_finer_than_the_file_refused(self, tmp_path, capsys):
+        out, report = tmp_path / "mp.csv", tmp_path / "r.txt"
+        assert run_cli(["theory", "mp", "--c", "0.25", "--points", "100000",
+                        "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        _assert_refused(1, err, out)
+        assert err.startswith("error: grid is finer than the file's 9 significant digits: "
+                              "x = 0.25 and 0.2500000"), err
+        assert run_cli(["theory", "mp", "--c", "0.25", "--points", "20000", "-o", str(out)]) == 0
+        assert run_cli(["compare", "--empirical", str(out), "--theory", str(out),
+                        "-o", str(report)]) == 0
+
     # an output path in a missing directory, or one that is a directory
     @pytest.mark.parametrize("target", ["missing/x.csv", "adir"])
     def test_output_error_names_the_output_path(self, tmp_path, capsys, target):

@@ -352,6 +352,37 @@ class TestDensityCsv:
             assert np.array_equal(back[label].ys, c.ys)
             assert back[label].point_mass_at_zero == c.point_mass_at_zero
 
+    def test_grid_finer_than_nine_digits_refused(self, tmp_path):
+        path = tmp_path / "d.csv"
+        curve = DensityCurve(np.array([1.0, 1.0 + 1e-12, 2.0]), np.ones(3))
+        with pytest.raises(ValidationError, match=r"^grid is finer than the file's 9 "
+                           r"significant digits: x = 1\.0 and 1\.000000000001 both write as 1$"):
+            write_density_csv(str(path), [curve], ["f"])
+        assert list(tmp_path.iterdir()) == []
+
+    @given(xs=hnp.arrays(np.float64, st.integers(2, 8), unique=True,
+                         elements=st.floats(allow_nan=False, allow_infinity=False,
+                                            allow_subnormal=True)),
+           near=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_increasing_grid_is_refused_or_reads_back(self, tmp_path_factory, xs, near):
+        # any finite grid; or one of neighbours a few ulps apart, which 9
+        # digits merge unless they are subnormal or straddle a power of ten
+        xs = np.sort(xs)
+        if near:
+            with np.errstate(all="ignore"):  # past the largest double: no curve
+                xs = xs[0] + np.arange(len(xs)) * np.abs(3 * np.spacing(xs[0]))
+        if not (np.isfinite(xs).all() and np.all(xs[1:] > xs[:-1])):
+            return  # -0.0 and 0.0, or the largest doubles: no curve
+        path = tmp_path_factory.mktemp("g") / "d.csv"
+        try:
+            write_density_csv(str(path), [DensityCurve(xs, np.ones(len(xs)))], ["f"])
+        except ValidationError as exc:
+            assert str(exc).startswith("grid is finer than the file's 9 significant digits")
+            assert not path.exists()
+            return
+        assert len(read_density_csv(str(path))["f"].xs) == len(xs)
+
     def test_row_count(self, tmp_path):
         path = tmp_path / "d.csv"
         xs = np.array([0.0, 1.0, 2.0])

@@ -113,6 +113,28 @@ class TestStandardizeChunks:
         want = reference_standardize_rows(DataMatrix(a)).entries
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_result_is_not_scanned_again(self, rng, dtype):
+        # every row passed a finite, nonzero std, so DataMatrix's finite scan
+        # of the result is skipped; the result keeps the one-pass form's bits
+        n = 64
+        X = DataMatrix((rng.standard_normal((40, n)) * 1e3 + 7.0).astype(dtype))
+        with mock.patch.object(DataMatrix, "__post_init__",
+                               side_effect=AssertionError("result scanned again")):
+            Y = standardize_rows(X)
+        assert type(Y) is DataMatrix and Y.standardized
+        assert Y.entries.dtype == np.float64 and Y.entries.flags.c_contiguous
+        want = reference_standardize_rows(X).entries
+        assert np.array_equal(Y.entries.view(np.uint64), want.view(np.uint64))
+        assert np.abs(Y.entries).max() <= np.sqrt(n - 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_entry_changed_after_the_check_refused(self, rng, bad):
+        X = DataMatrix(rng.standard_normal((3, 5)))
+        X.entries[1, 2] = bad
+        with pytest.raises(ValidationError, match="^data matrix contains non-finite entries$"):
+            standardize_rows(X)
+
     def test_input_left_unmodified(self, rng):
         X = DataMatrix(rng.standard_normal((7, 9)))
         before = X.entries.copy()

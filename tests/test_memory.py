@@ -3,7 +3,8 @@
 float32 matrix it returns and one staging block, standardizing the one new
 float64 matrix and one small block, checking a data matrix or a capture
 payload for non-finite entries nothing of its size, and the kernel density
-estimate a few small chunks."""
+estimate a few small chunks. Generating a capture holds one complex buffer
+per stage: the frames, the noisy copy, the spectrum."""
 
 import struct
 import tracemalloc
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from rmtspec import DataMatrix, read_capture, standardize_rows, write_capture
-from rmtspec import fileio
+from rmtspec import fileio, signals
+from rmtspec.cli import run_cli
 from rmtspec.estimation import kde_eval
 from rmtspec.fileio import DTYPE_F32_COMPLEX
 
@@ -71,6 +73,7 @@ def test_write_capture_holds_only_the_f32_payload(tmp_path):
     _, peak = _peak(write_capture, str(tmp_path / "c.rmtc"), a)
     assert peak < a.size * 4 + 1 * _MB
 
+
 def test_kde_eval_chunks_are_small():
     rng = np.random.default_rng(1)
     s = rng.gamma(2.0, 1.0, 2048)
@@ -78,3 +81,47 @@ def test_kde_eval_chunks_are_small():
     out, peak = _peak(kde_eval, s, grid, 0.1)
     assert out.shape == (1024,)
     assert peak <= 8 * _MB
+
+
+# 512 frames of 1024 bins: an 8 MiB complex stream
+_FRAMES, _N_FFT = 512, 1024
+
+
+@pytest.fixture(scope="module")
+def frames():
+    signals.spectrogram_matrix(signals.gen_ncofdm_frames(0, 1, _N_FFT), _N_FFT)  # FFT plans
+    return signals.gen_ncofdm_frames(3, _FRAMES, _N_FFT)
+
+
+def test_gen_ncofdm_frames_holds_the_frames_and_the_symbols(frames):
+    # the inverse FFT runs in place on the frames; the BPSK symbols are drawn
+    # as integers, mapped to +-1 floats and placed on the occupied bins
+    x, peak = _peak(signals.gen_ncofdm_frames, 3, _FRAMES, _N_FFT)
+    assert np.array_equal(x, frames) and x.nbytes == _FRAMES * _N_FFT * 16
+    symbols = _FRAMES * len(signals.occupied_from_ranges()) * 8
+    assert peak <= x.nbytes + symbols + _OBJECTS
+
+
+def test_add_awgn_holds_the_noisy_copy_and_one_chunk(frames):
+    before = frames.copy()
+    y, peak = _peak(signals.add_awgn, frames, 10.0, 4)
+    assert np.array_equal(frames, before)
+    assert peak <= y.nbytes + signals._NOISE_CHUNK * 8 + _OBJECTS
+
+
+def test_spectrogram_matrix_holds_the_spectrum(frames):
+    S, peak = _peak(signals.spectrogram_matrix, frames, _N_FFT)
+    assert S.shape == (_N_FFT, _FRAMES)
+    assert peak <= S.nbytes + _OBJECTS
+
+
+def test_generate_set_up_capture_within_four_and_a_half_payloads(tmp_path):
+    # the benchmark's 2048 x 4096 capture: a 32 MiB complex64 payload; the
+    # stream, its noisy copy and its spectrum are 64 MiB each, two alive at once
+    out = tmp_path / "c.rmtc"
+    rc, peak = _peak(run_cli, ["generate", "--signal", "ncofdm", "--rows", "1024",
+                               "--cols", "4096", "--snr-db", "10", "--freq-domain",
+                               "-o", str(out)])
+    payload = 1024 * 4096 * 8
+    assert rc == 0 and out.stat().st_size == 32 + payload
+    assert peak <= 4.5 * payload

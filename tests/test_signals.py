@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rmtspec import (
     occupied_from_ranges,
     spectrogram_matrix,
 )
+from rmtspec import signals
 from rmtspec.errors import ValidationError
 
 
@@ -197,6 +200,27 @@ class TestAwgn:
         a = add_awgn(s, 10.0, seed=4)
         b = add_awgn(s, 10.0, seed=4)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+    def test_chunked_noise_is_one_draw(self, chunk, dtype):
+        # the noise is added in chunks, with the bits of one (2, len) draw
+        # (complex) or one len draw (real) added to the samples as a whole
+        s = gen_ncofdm_frames(seed=2, n_frames=2, n_fft=64, occupied=np.arange(3, 40))
+        s = (s if np.dtype(dtype).kind == "c" else s.real).astype(dtype)
+        before = s.copy()
+        with mock.patch.object(signals, "_NOISE_CHUNK", chunk):
+            got = add_awgn(s, 5.0, seed=3)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
+        nvar = float(np.mean(np.abs(s) ** 2)) / 10.0 ** 0.5
+        if np.iscomplexobj(s):
+            noise = rng.normal(0.0, np.sqrt(nvar / 2), size=(2, len(s)))
+            want = s + noise[0] + 1j * noise[1]
+        else:
+            want = s + rng.normal(0.0, np.sqrt(nvar), len(s))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        assert np.array_equal(s.view(np.uint8), before.view(np.uint8))
 
 
 class TestSeed:
