@@ -216,7 +216,7 @@ def _cmd_theory_mp(ns: argparse.Namespace) -> int:
 def _cmd_theory_lagged(ns: argparse.Namespace) -> int:
     curve = theory.lagged_density_symmetric(ns.q, ns.epsilon)
     # some (Q, epsilon) give a curve whose mass misses 1 on the default grid,
-    # e.g. 0.978 at Q = 0.1, epsilon = 1
+    # e.g. 1.053 at Q = 1e8, epsilon = 1e-12
     theory.require_unit_mass(curve, f"the Q={ns.q:g}, epsilon={ns.epsilon:g} curve")
     fileio.write_density_csv(ns.output, [curve], ["rho_s"])
     return 0

@@ -52,6 +52,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _stream(samples) -> np.ndarray:
+    """``samples`` as an array, refused unless it is one 1-d stream."""
+    x = np.asarray(samples)
+    if x.ndim != 1:
+        raise ValidationError(f"samples must be a 1-d stream, got shape {x.shape}")
+    return x
+
+
 def gen_wgn(seed: int, length: int, variance: float = 1.0) -> np.ndarray:
     """Seeded white Gaussian noise with the requested variance."""
     if not 0 < variance < math.inf:
@@ -116,20 +124,21 @@ def gen_ncofdm_frames(seed: int, n_frames: int, n_fft: int = 1024,
 
 def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Add seeded Gaussian noise at the given SNR (complex noise for complex
-    input); ``snr_db=+inf`` returns the samples unchanged. Samples without a
-    finite mean power, NaN, ``-inf`` and an SNR whose linear ratio is not a
-    positive double are refused.
+    input) to a 1-d stream; ``snr_db=+inf`` returns the samples unchanged.
+    Samples of any other shape or without a finite mean power, NaN, ``-inf``
+    and an SNR whose linear ratio is not a positive double are refused.
 
     The result is one new array, a copy of the samples to which the noise is
     added ``_NOISE_CHUNK`` values at a time: the real parts' draws, then the
     imaginary parts', in the order of one ``normal(size=(2, len))`` draw, so
     the bits do not depend on the chunk size. The samples are not changed.
     """
-    if len(samples) == 0:
+    x = _stream(samples)
+    if len(x) == 0:
         raise ValidationError("empty stream")
     with np.errstate(over="ignore"):  # an overflowed power is refused below
         # one |x| buffer, squared in place and dropped by the second binding
-        power = np.abs(samples)
+        power = np.abs(x)
         power = float(np.mean(np.square(power, out=power)))
     if not math.isfinite(power):
         raise ValidationError(f"samples have mean power {power}, not a finite value")
@@ -143,7 +152,6 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         raise ValidationError(f"snr_db = {snr_db} gives no finite noise variance "
                               "(give a finite SNR, or +inf for no noise)")
     rng = _rng(seed)
-    x = np.asarray(samples)
     out = x.astype(np.result_type(x, np.float64))  # a copy, typed as samples + noise
     if np.iscomplexobj(out):
         parts, sigma = (out.real, out.imag), math.sqrt(nvar / 2)
@@ -157,13 +165,15 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 
 
 def spectrogram_matrix(samples: np.ndarray, n_fft: int) -> np.ndarray:
-    """Per-frame unitary DFT of complex samples, arranged bins x frames.
+    """Per-frame unitary DFT of a 1-d stream of complex samples, arranged bins x
+    frames.
 
     Row b is subcarrier b across frames; this is the orientation in which
     row standardization equalizes per-tone power.
     """
     if n_fft < 1:
         raise ValidationError(f"n_fft must be >= 1, got {n_fft}")
+    samples = _stream(samples)
     n_frames = len(samples) // n_fft
     if n_frames < 1:
         raise ValidationError(f"need at least {n_fft} samples, stream has {len(samples)}")

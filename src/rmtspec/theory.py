@@ -16,13 +16,14 @@ Two families:
   only the continuous part in its ordinates.
 
 The physical resolvent branch is fixed by its ``G ~ 1/z`` decay at large
-``|z|`` and tracked by continuity from the largest ``|x|`` of the grid inward,
-once for each ``|x|``: the negative half-axis is its mirror image.
+``|z|`` and tracked by continuity of ``w = zG`` from the largest ``|x|`` of the
+grid inward, once for each ``|x|``: the negative half-axis is its mirror image.
+On it the continuous part is a density, ``Q^2 / (pi (1-Q))`` at the origin for
+Q < 1; a curve whose continuous part is negative beyond rounding is refused.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -45,10 +46,8 @@ __all__ = [
     "require_unit_mass",
 ]
 
-log = logging.getLogger(__name__)
-
 _AMBIGUITY_TOL = 1e-6
-_IM_CLAMP = 1e-9
+_IM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9  # relative w-quartic residual accepted per point
 _MASS_TOL = 0.02  # |curve-plus-atom mass - 1| accepted for a theory curve
 _MAX_GRID_POINTS = 10**6
@@ -334,19 +333,14 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (np.abs(acc) / scale).reshape(np.shape(roots))
 
 
-def _roots(z: np.ndarray, Q: float) -> tuple[np.ndarray, np.ndarray]:
-    """The w-quartic coefficients at each ``z`` and its four roots as ``G = w/z``."""
-    coeffs = green_quartic_coeffs(z, Q)
-    return coeffs, quartic_roots_batch(coeffs) / z[:, None]
-
-
 def _gated(z, coeffs, roots, picks, d=None) -> np.ndarray:
     """The picked roots ``G = roots[i, picks[i]]``, refused unless all pass, in this
     order: every pick finite; given the distances ``d`` of a sweep (``d[i]``: the
-    roots at ``i`` from the pick at ``i - 1``, a row of inf where there is none), no
-    pick ambiguous, i.e. with a runner-up within ``_AMBIGUITY_TOL`` of both the pick
-    and the previous one; every w-residual within ``_RESIDUAL_TOL``; ``Im G >=
-    -1e-9``. NaN fails the last two. ``d`` is overwritten."""
+    roots at ``i`` from the prediction the pick at ``i - 1`` carries there, a row of
+    inf where there is none), no pick ambiguous, i.e. with a runner-up within
+    ``_AMBIGUITY_TOL`` of both the pick and that prediction; every w-residual
+    within ``_RESIDUAL_TOL``; ``Im G >= -1e-9``. NaN fails the last two. ``d`` is
+    overwritten."""
     at = np.arange(len(z))
     G = roots[at, picks]
     if not np.isfinite(G).all():
@@ -365,7 +359,7 @@ def _gated(z, coeffs, roots, picks, d=None) -> np.ndarray:
     res = _residuals(coeffs, (z * G)[:, None]).max()
     if not res <= _RESIDUAL_TOL:
         raise NumericalError(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
-    if not G.imag.min() >= -_IM_CLAMP:
+    if not G.imag.min() >= -_IM_TOL:
         raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
 
@@ -375,19 +369,28 @@ def _gated(z, coeffs, roots, picks, d=None) -> np.ndarray:
 @np.errstate(all="ignore")
 def _track(z: np.ndarray, Q: float) -> np.ndarray:
     """Physical G along ``z`` in order: the first point takes the root ``w/z``
-    nearest ``1/z``, every later one the root nearest the previous pick, ties to
-    the lower root index, through the ``_gated`` gates; every pick after the first
-    must be unambiguous.
+    nearest ``1/z``, every later one the root whose ``w = zG`` is nearest the
+    previous pick's, in G units, ties to the lower root index, through the
+    ``_gated`` gates; every pick after the first must be unambiguous.
+
+    Continuity is judged in w, not G: near ``z = 0`` with Q < 1, G carries the
+    atom's pole ``(1-Q)/z``, which moves further in one grid step than the two
+    roots that carry it are apart, while w stays O(1). The distance
+    ``|w_i,k - w_(i-1),j| / |z_i|`` is the G-distance from root k at i to the
+    prediction ``w_(i-1),j / z_i``, so the ambiguity gate keeps G units.
 
     "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
     those at point i. All the maps are formed at once and composed along the
     sweep by prefix doubling, so no Python loop runs over the points."""
-    coeffs, roots = _roots(z, Q)
+    coeffs = green_quartic_coeffs(z, Q)
+    w = quartic_roots_batch(coeffs)
+    roots = w / z[:, None]
     m = len(z)
-    # dist[i, j, k] = |root k at i - root j at i-1|; at i = 0 every j is the seed
+    # dist[i, j, k] = |w root k at i - w root j at i-1| / |z_i|; at i = 0 every
+    # j is the seed
     dist = np.empty((m, 4, 4))
     dist[0] = np.abs(roots[0] - 1.0 / complex(z[0]))
-    dist[1:] = np.abs(roots[1:, None, :] - roots[:-1, :, None])
+    dist[1:] = np.abs(w[1:, None, :] - w[:-1, :, None]) / np.abs(z[1:, None, None])
     # nearest[i] maps root j at i-1 to root k at i; nearest[0] is constant, so
     # after the doubling nearest[i, j] is the pick at i for every j
     nearest = np.argmin(dist, axis=2)
@@ -419,7 +422,8 @@ def green_function(z, Q: float):
     if not np.all(zv.imag < 0):
         raise ValidationError("green_function requires Im z < 0")
     zs = np.atleast_1d(zv)
-    coeffs, roots = _roots(zs, Q)
+    coeffs = green_quartic_coeffs(zs, Q)
+    roots = quartic_roots_batch(coeffs) / zs[:, None]
     # Python's complex division, as in _track: NumPy's can differ in the last bit
     seeds = np.array([1.0 / complex(v) for v in zs])
     G = _gated(zs, coeffs, roots, np.argmin(np.abs(roots - seeds[:, None]), axis=1))
@@ -489,22 +493,25 @@ def lagged_density_symmetric(Q: float, epsilon: float = 1e-3) -> DensityCurve:
     Runs ``green_scan`` and inverts ``rho = Im G / pi``. The exact
     finite-eps image of the atom (mass ``1 - Q`` for Q < 1) is subtracted
     from the ordinates and reported via ``point_mass_at_zero`` instead, so
-    the curve stays integrable on coarse grids. Where that image exceeds
-    ``Im G / pi`` the negative residue is clamped to 0 and logged at debug
-    level, whatever its size: for Q < 1 it is not rounding noise, reaching
-    -0.159 at x = 0 for Q = 0.5 and -0.0265 for Q = 0.25.
+    the curve stays integrable on coarse grids. On the physical branch what
+    is left is a density, ``Q^2 / (pi (1 - Q))`` at the origin; where it
+    falls below ``-1e-9``, the tolerance of the ``Im G`` gate, the curve is
+    refused with ``NumericalError``. Values between that bound and 0 are the
+    subtraction's rounding and are written as 0.
     """
     xs, G = green_scan(Q, epsilon)
     atom = max(0.0, 1.0 - Q)  # the rank deficiency 1 - Q for Q < 1
     ys = G.imag / np.pi
     if atom > 0.0:
-        ys = ys - atom * (epsilon / np.pi) / (xs * xs + epsilon * epsilon)
-    clip = np.minimum(ys, 0.0)
-    if clip.min() < 0.0:
-        log.debug("clamped negative density: worst %.3e over %d points",
-                  clip.min(), int((clip < 0).sum()))
-    ys = np.clip(ys, 0.0, None)
-    return DensityCurve(xs, ys, point_mass_at_zero=atom)
+        # for eps below 1.5e-154, x^2 + eps^2 underflows to 0 next to x = 0:
+        # the image there is inf, and the gate refuses the curve
+        with np.errstate(divide="ignore"):
+            ys = ys - atom * (epsilon / np.pi) / (xs * xs + epsilon * epsilon)
+    if not ys.min() >= -_IM_TOL:
+        i = int(np.argmin(ys))
+        raise NumericalError(f"continuous density {ys[i]:.3e} at x = {xs[i]} is below "
+                             f"-{_IM_TOL:g}")
+    return DensityCurve(xs, np.clip(ys, 0.0, None), point_mass_at_zero=atom)
 
 
 def require_unit_mass(curve: DensityCurve, what: str) -> None:

@@ -192,35 +192,38 @@ def mp_cdf_quad(x, c):
     return atom + quad(g, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)[0]
 
 
-def _pick_branch(roots, target):
-    """The root nearest ``target``, ties to the lower index, and whether the
-    runner-up is within the ambiguity tolerance of both ``target`` and it."""
-    d = np.abs(roots - target)
+def _pick_branch(d, roots):
+    """The index of the smallest distance in ``d``, ties to the lower index, and
+    whether the runner-up's distance and its distance from the pick in
+    ``roots`` are both within the ambiguity tolerance."""
     order = np.argsort(d, kind="stable")
     tol = theory._AMBIGUITY_TOL
     ambiguous = d[order[1]] < tol and np.abs(roots[order[0]] - roots[order[1]]) < tol
-    return complex(roots[order[0]]), ambiguous
+    return order[0], ambiguous
 
 
 @np.errstate(all="ignore")
 def reference_track(z, Q):
     """The branch tracker as a loop over the points: the first point takes the
-    root nearest ``1/z``, every later one the root nearest the previous pick,
-    with the ambiguity test on every pick but the first. Then, in this order: a
+    root nearest ``1/z``, every later one the root whose ``w = zG`` is nearest
+    the previous pick's, as the distance ``|w - w_prev| / |z|``, with the
+    ambiguity test on every pick but the first. Then, in this order: a
     non-finite pick, the first ambiguous pick, the residual and the ``Im G``
     gate (NaN fails both) refuse the sweep. Drop-in for
     ``rmtspec.theory._track``; the roots come from
     ``theory.quartic_roots_batch`` and the tolerance from
     ``theory._RESIDUAL_TOL``, looked up at call time."""
     coeffs = theory.green_quartic_coeffs(z, Q)
-    roots = theory.quartic_roots_batch(coeffs) / z[:, None]
-    G = np.empty(len(z), dtype=np.complex128)
-    G[0] = _pick_branch(roots[0], 1.0 / complex(z[0]))[0]
+    w = theory.quartic_roots_batch(coeffs)
+    roots = w / z[:, None]
+    picks = [_pick_branch(np.abs(roots[0] - 1.0 / complex(z[0])), roots[0])[0]]
     ambiguous = []
     for i in range(1, len(z)):
-        G[i], tie = _pick_branch(roots[i], G[i - 1])
+        k, tie = _pick_branch(np.abs(w[i] - w[i - 1, picks[-1]]) / np.abs(z[i]), roots[i])
+        picks.append(k)
         if tie:
             ambiguous.append(i)
+    G = roots[np.arange(len(z)), picks]
     for i in range(len(z)):
         if not np.isfinite(G[i]):
             raise NumericalError(f"non-finite root at x = {float(z[i].real)}")
@@ -231,7 +234,7 @@ def reference_track(z, Q):
     tol = theory._RESIDUAL_TOL
     if not res <= tol:
         raise NumericalError(f"relative residual {res:.3e} above {tol}")
-    if not G.imag.min() >= -theory._IM_CLAMP:
+    if not G.imag.min() >= -theory._IM_TOL:
         raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
 

@@ -45,8 +45,6 @@ CONTRACT_CASES = {
     "lagged-q-grid-too-large": (["theory", "lagged", "--q", "1e-20"], {}),
     "lagged-q-huge-epsilon-tiny": (["theory", "lagged", "--q", "1e30", "--epsilon", "1e-300"], {}),
     # curves whose mass misses 1 by more than 0.02 on the default grid
-    "lagged-mass-q0.1-eps1": (["theory", "lagged", "--q", "0.1", "--epsilon", "1"], {}),
-    "lagged-mass-q0.1-eps10": (["theory", "lagged", "--q", "0.1", "--epsilon", "10"], {}),
     "lagged-mass-q1e8-eps1e-12": (["theory", "lagged", "--q", "1e8", "--epsilon", "1e-12"], {}),
     "lagged-mass-q1e8-eps1e-8": (["theory", "lagged", "--q", "1e8", "--epsilon", "1e-8"], {}),
     "compare-x-only": (_COMPARE, {"emp": "x\n0\n2\n", "th": _CURVE}),
@@ -150,8 +148,17 @@ REFUSALS = {
                                 "more than 1000000"),
     "lagged-q-huge": (["theory", "lagged", "--q", "1e300"], {}, 1,
                       "leading coefficient 1/Q^3 is zero at Q = 1e+300"),
-    "lagged-mass": (["theory", "lagged", "--q", "0.1", "--epsilon", "1"], {}, 1,
-                    "the Q=0.1, epsilon=1 curve has mass 0.9777, more than 0.02 from 1"),
+    "lagged-mass": (["theory", "lagged", "--q", "1e8", "--epsilon", "1e-12"], {}, 1,
+                    "the Q=1e+08, epsilon=1e-12 curve has mass 1.0533, more than 0.02 from 1"),
+    # near the origin the continuous part is the difference of Im G / pi and
+    # the atom's image, both 2.4e7 high there, and it dips to -0.069
+    "lagged-continuous-negative": (["theory", "lagged", "--q", "0.25", "--epsilon", "1e-8"], {},
+                                   2, "continuous density -6.884e-02 at x = -2e-08 is below "
+                                      "-1e-09"),
+    # x^2 + epsilon^2 underflows to 0 next to the origin: the atom's image is inf
+    "lagged-epsilon-1e-300": (["theory", "lagged", "--q", "0.23713737056616552", "--epsilon",
+                               "1e-300"], {}, 2, "continuous density -inf at "
+                              "x = -2.2192611140764508e-166 is below -1e-09"),
     "narrowband-carrier-0.5": (_NARROWBAND + ["--carrier", "0.5"], {}, 1,
                                "carrier 0.5 outside (0, 0.5)"),
     "ncofdm-empty-occupied": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
@@ -251,10 +258,18 @@ class TestDispatch:
 
     def test_theory_lagged_names_the_missed_mass(self, tmp_path, capsys):
         # refusal itself is a CONTRACT_CASES entry; this checks what it names
-        argv, _ = _contract_argv("lagged-mass-q0.1-eps1", tmp_path)
+        argv, _ = _contract_argv("lagged-mass-q1e8-eps1e-12", tmp_path)
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
-        assert "Q=0.1" in err and "epsilon=1 " in err and "mass 0.9777" in err, err
+        assert "Q=1e+08" in err and "epsilon=1e-12 " in err and "mass 1.0533" in err, err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epsilon", ["1", "10"])
+    def test_theory_lagged_q0_1_wide_epsilon_has_unit_mass(self, tmp_path, epsilon):
+        # epsilon on the scale of the support smears the atom over all of it
+        out = tmp_path / "rho.csv"
+        assert _run("theory", "lagged", "--q", "0.1", "--epsilon", epsilon, "-o", str(out)) == 0
+        assert abs(read_density_csv(out)["rho_s"].total_mass() - 1.0) < 1e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0", "-1"])
@@ -515,6 +530,47 @@ class TestCaptureContract:
                 for path in written:
                     assert np.isfinite(_csv_values(path)).all(), path
                     path.unlink()
+
+
+@st.composite
+def _lagged_argv(draw):
+    """``theory lagged`` argv: ``--q`` and, half the time, ``--epsilon``, each the
+    text of a float, half the time log-uniform over the range where curves are
+    written."""
+    def number(lo, hi):
+        return draw(st.one_of(st.floats(lo, hi).map(lambda e: repr(10.0**e)),
+                              st.floats().map(repr)))
+
+    argv = ["theory", "lagged", f"--q={number(-7.0, 9.0)}"]
+    if draw(st.booleans()):
+        argv.append(f"--epsilon={number(-12.0, 2.0)}")
+    return argv
+
+
+class TestTheoryLaggedContract:
+    """Whatever ``--q`` and ``--epsilon`` are, ``theory lagged`` ends in exit 0, 1
+    or 2 with no warning and nothing escaping ``run_cli``: a refusal is one
+    ``error:`` line, and a success writes a finite, non-negative curve whose
+    mass with the atom is within 0.02 of 1."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_lagged_argv())
+    def test_any_q_and_epsilon(self, argv):
+        with tempfile.TemporaryDirectory() as d:
+            out = Path(d) / "rho.csv"
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                rc = run_cli([*argv, "-o", str(out)])
+            if rc:
+                assert rc in (1, 2)
+                _assert_refused(rc, err.getvalue(), out)
+                return
+            assert err.getvalue() == ""
+            curve = read_density_csv(str(out))["rho_s"]  # refuses NaN and negatives
+            assert abs(curve.total_mass() - 1.0) <= 0.02, argv
+
 
 class TestDensityFileMass:
     """Every ``analyze cov`` column is a cell average on one grid that clears

@@ -181,9 +181,15 @@ CASES = {
                           "seed|n_frames|n_fft|occupied"),
     "occupied_from_ranges": (lambda d, t: (d(st.lists(st.tuples(_INT, _INT), max_size=4)),),
                              "range"),
-    "add_awgn": (lambda d, t: (d(_reals() | _complexes()), d(_FLOAT), d(_INT)),
+    # streams of any shape, 1-d ones more often
+    "add_awgn": (lambda d, t: (d(_reals() | _complexes() | _matrices(4)
+                                 | _matrices(4, np.complex128, st.complex_numbers())),
+                               d(_FLOAT), d(_INT)),
                  "stream|samples|snr_db|seed"),
-    "spectrogram_matrix": (lambda d, t: (d(_complexes(64)), d(_INT)), "n_fft|samples"),
+    "spectrogram_matrix": (lambda d, t: (d(_complexes(64)
+                                           | _matrices(4, np.complex128, st.complex_numbers())),
+                                         d(_INT)),
+                           "n_fft|samples"),
     "mp_params": (lambda d, t: (d(_FLOAT),), "ratio"),
     "mp_density": (lambda d, t: (d(_reals() | _FLOAT), d(_FLOAT)), "ratio|x"),
     "mp_cdf": (lambda d, t: (d(_reals() | _FLOAT), d(_FLOAT)), "ratio|x"),

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -163,6 +164,13 @@ class TestAwgn:
         s = gen_wgn(seed=8, length=100)
         assert add_awgn(s, np.inf, seed=1) is s
 
+    @pytest.mark.parametrize("shape", [(4, 4), (), (2, 3, 1), (0, 4)])
+    def test_non_1d_stream_refused(self, shape):
+        # noise drawn for len(samples) = 4 would broadcast over 16 samples
+        msg = re.escape(f"samples must be a 1-d stream, got shape {shape}")
+        with pytest.raises(ValidationError, match=f"^{msg}$"):
+            add_awgn(np.ones(shape), 10.0, seed=1)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf, 1e308, -1e308])
     def test_snr_without_finite_noise_variance_refused(self, snr_db):
@@ -268,6 +276,12 @@ class TestFraming:
     def test_spectrogram_n_fft_at_least_one(self, n_fft):
         with pytest.raises(ValidationError, match=f"^n_fft must be >= 1, got {n_fft}$"):
             spectrogram_matrix(np.ones(8, complex), n_fft)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (), (2, 8, 1)])
+    def test_spectrogram_non_1d_stream_refused(self, shape):
+        msg = re.escape(f"samples must be a 1-d stream, got shape {shape}")
+        with pytest.raises(ValidationError, match=f"^{msg}$"):
+            spectrogram_matrix(np.ones(shape, complex), 4)
 
     def test_spectrogram_insufficient(self):
         with pytest.raises(ValidationError, match="^need at least 8 samples, stream has 5$"):

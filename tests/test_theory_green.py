@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rmtspec
 from rmtspec import theory
 from rmtspec import (
     read_density_csv,
+    DataMatrix,
     DensityCurve,
     green_function,
     green_scan,
@@ -481,6 +483,58 @@ class TestLaggedDensity:
                         0.0)
         err = np.trapezoid(np.abs(curve.ys - semi), curve.xs)
         assert err < 0.05
+
+
+# the theory-sweep grid of the pipeline benchmark, then Q = 0.9 (the largest
+# continuous density at the origin) and Q = 0.1 out to wide epsilon
+_NEAR_ORIGIN = [(Q, eps) for Q in (0.25, 0.5, 1.0, 2.0, 4.0, 10.0, 0.9)
+                for eps in (1e-3, 3e-4, 1e-4)] + [(0.1, eps) for eps in (1e-3, 1.0, 10.0)]
+
+
+class TestLawNearTheOrigin:
+    """The lagged law next to z = 0 by properties that no tracking rule enters:
+    for Q < 1 its continuous part is ``Q^2 / (pi (1 - Q))`` at the origin and is
+    nowhere negative, and a simulated symmetrized spectrum holds that share of
+    eigenvalues next to 0. The other root that carries the atom's pole gives
+    ``-Q^2 / (pi (1 - Q))`` at the origin."""
+
+    @pytest.mark.parametrize("Q", [0.25, 0.5, 0.9])
+    def test_density_at_the_origin(self, Q):
+        # G(-i eps) = (1 - Q)/z + G_0 + G_1 z + ..., so past the atom's image the
+        # curve at 0 is rho_0(0) + O(eps); the O(eps) term is 70 eps rho_0(0)
+        # at Q = 0.9 and below 2 eps rho_0(0) at Q = 0.25 and 0.5
+        want = Q * Q / (math.pi * (1.0 - Q))
+        for eps in (1e-3, 1e-4, 1e-5):
+            got = float(lagged_density_symmetric(Q, eps)(0.0))
+            assert abs(got - want) <= 100.0 * eps * want, (eps, got, want)
+
+    @pytest.mark.parametrize("Q, eps", _NEAR_ORIGIN)
+    def test_continuous_part_is_non_negative(self, Q, eps):
+        # from green_scan's G, before lagged_density_symmetric's gate
+        xs, G = green_scan(Q, eps)
+        cont = G.imag / math.pi - max(0.0, 1.0 - Q) * (eps / math.pi) / (xs * xs + eps * eps)
+        assert cont.min() >= 0.0, (xs[np.argmin(cont)], cont.min())
+
+    def test_simulated_share_next_to_zero(self):
+        # eigenvalues of S = (C_1 + C_1^T)/2 over 20 standardized 400 x 200 WGN
+        # matrices (Q = 0.5): S has N - T + 1 = 201 zeros each, and 0.0159 of
+        # all eigenvalues in 0 < |x| < 0.05. The law gives 0.0159 there; on the
+        # other root, clamped to 0, it gives 0.0135, and the bound is below
+        # half their difference
+        N, T = 400, 200
+        spectra = []
+        for seed in range(450, 470):
+            X = rmtspec.standardize_rows(
+                DataMatrix(rmtspec.gen_wgn(seed=seed, length=N * T).reshape(N, T)))
+            C = rmtspec.lagged_correlation(X, 1).entries
+            spectra.append(np.linalg.eigvalsh(0.5 * (C + C.T)))
+        s = np.concatenate(spectra)
+        zero = np.abs(s) < 1e-10
+        assert zero.sum() == 20 * (N - T + 1)
+        share = np.count_nonzero(~zero & (np.abs(s) < 0.05)) / s.size
+        curve = lagged_density_symmetric(T / N, 1e-3)
+        law = float(curve.cdf(0.05) - curve.cdf(-0.05)) - curve.point_mass_at_zero
+        assert abs(share - law) <= 1e-3, (share, law)
 
 
 class TestProjectDensity:
