@@ -47,7 +47,6 @@ from .theory import (
     green_scan,
     lagged_density_symmetric,
     mp_cdf,
-    mp_density,
     mp_params,
 )
 

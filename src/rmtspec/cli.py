@@ -193,22 +193,19 @@ def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theory_mp(ns: argparse.Namespace) -> int:
-    if ns.points < 2:
-        raise ValidationError(f"--points must be >= 2, got {ns.points}")
+    if not 3 <= ns.points <= theory._MAX_GRID_POINTS:  # checked before anything is allocated
+        raise ValidationError(f"--points must lie in [3, {theory._MAX_GRID_POINTS}], "
+                              f"got {ns.points}")
     prm = theory.mp_params(ns.c)
-    # abscissas cluster at both edges, where the density has a square-root
-    # zero or, at c = 1, an x^(-1/2) pole that a uniform grid under-samples
-    u = np.linspace(0.0, 1.0, ns.points)
-    grid = prm.a + (prm.b - prm.a) * 0.5 * (1.0 - np.cos(np.pi * u))
-    grid[0], grid[-1] = prm.a, prm.b
+    # --points cells clearing [a, b] by half a cell: the end ordinates are 0,
+    # so the trapezoid mass is the CDF's whatever c or --points
+    h = (prm.b - prm.a) / (ns.points - 2)
+    grid = prm.a - 0.5 * h + h * np.arange(ns.points)
     # an extreme c collapses [a, b] to a point or a few doubles
     if not np.all(np.diff(grid) > 0):
         raise ValidationError(f"the c={ns.c:g} support [{prm.a:.9g}, {prm.b:.9g}] holds no "
                               f"{ns.points} strictly increasing abscissas (--points)")
-    curve = DensityCurve(grid, theory.mp_density(grid, ns.c),
-                         point_mass_at_zero=prm.point_mass_at_zero)
-    # too few --points give a curve far from mass 1, e.g. 0.943 at 20, c = 1
-    theory.require_unit_mass(curve, f"the c={ns.c:g} curve")
+    curve = cell_averages(grid, lambda x: theory.mp_cdf(x, ns.c), prm.point_mass_at_zero)
     fileio.write_density_csv(ns.output, [curve], ["mp"])
     return 0
 
@@ -237,6 +234,9 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     emp_col = _pick_column(emp, ns.empirical_col, ("kde", "hist"))
     th_col = _pick_column(th, ns.theory_col, ("mp", "rho_s"))
     a, b = emp[emp_col], th[th_col]
+    # a KS or L1 is a distance between distributions only at unit mass
+    theory.require_unit_mass(a, f"{ns.empirical}: column {emp_col!r}")
+    theory.require_unit_mass(b, f"{ns.theory}: column {th_col!r}")
     # disjoint supports warn: one "warning:" line, not a Python warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DisjointSupportsWarning)

@@ -32,7 +32,9 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # kernel entries (grid x samples) formed per kde_eval chunk: 512 KiB of float64,
 # the one budget of every bounded temporary (linalg._STD_CHUNK_BYTES)
 _KDE_CHUNK_ENTRIES = 1 << 16
-_MAX_KDE_POINTS = 10**6  # default KDE grid points, at a step of at most the bandwidth
+# most points of a default KDE grid (its step at most the bandwidth), and most
+# histogram bins
+_MAX_KDE_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ def histogram_density(samples, bins: int) -> DensityCurve:
         raise ValidationError("cannot histogram an empty sample set")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
+    if bins > _MAX_KDE_POINTS:  # refused before numpy allocates the edges
+        raise ValidationError(f"bins must be at most {_MAX_KDE_POINTS}, got {bins}")
     # numpy refuses a non-finite range, or bins narrower than the doubles
     # there; bins too narrow for distinct centers, or heights beyond doubles,
     # make no curve

@@ -242,45 +242,49 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
     every data row needs one number per header column, each ``point_mass_``
     line must name a curve column that no other one names, and no curve
     ordinate may be negative; otherwise ``ValidationError`` names the file and
-    the line (and the label, or the column of a negative ordinate). A column
-    that is not a curve (grid not strictly increasing, a non-finite value,
-    fewer than 2 rows, an atom outside [0, 1)) is refused with a
-    ``ValidationError`` naming the file and the column.
+    the line (and the label, or the column of a negative ordinate). A file
+    that is not UTF-8 text is refused with a ``ValidationError`` naming the
+    file; a column that is not a curve (grid not strictly increasing, a
+    non-finite value, fewer than 2 rows, an atom outside [0, 1)), naming the
+    file and the column.
     """
     atoms: dict[str, float] = {}
     atom_lines: dict[str, int] = {}
     header: list[str] | None = None
     lines: list[str] = []
     linenos: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("point_mass_") and "=" in body:
-                    key, val = body[len("point_mass_"):].split("=", 1)
-                    if key in atoms:
-                        raise ValidationError(f"{path}:{lineno}: point mass of {key!r} "
-                                              f"given twice")
-                    try:
-                        atoms[key] = float(val)
-                    except ValueError as exc:
-                        raise ValidationError(f"{path}:{lineno}: {exc}") from None
-                    atom_lines[key] = lineno
-                continue
-            if header is None:
-                fields = line.split(",")
-                if len(fields) < 2:
-                    raise ValidationError(f"{path}:{lineno}: header {line!r} names no "
-                                          f"curve column")
-                if len(set(fields)) < len(fields):
-                    raise ValidationError(f"{path}:{lineno}: header {line!r} repeats a label")
-                header = fields
-                continue
-            lines.append(line)
-            linenos.append(lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("point_mass_") and "=" in body:
+                        key, val = body[len("point_mass_"):].split("=", 1)
+                        if key in atoms:
+                            raise ValidationError(f"{path}:{lineno}: point mass of {key!r} "
+                                                  f"given twice")
+                        try:
+                            atoms[key] = float(val)
+                        except ValueError as exc:
+                            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+                        atom_lines[key] = lineno
+                    continue
+                if header is None:
+                    fields = line.split(",")
+                    if len(fields) < 2:
+                        raise ValidationError(f"{path}:{lineno}: header {line!r} names no "
+                                              f"curve column")
+                    if len(set(fields)) < len(fields):
+                        raise ValidationError(f"{path}:{lineno}: header {line!r} repeats a label")
+                    header = fields
+                    continue
+                lines.append(line)
+                linenos.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     if header is None or not lines:
         raise ValidationError(f"{path} contains no curve data")
     for key, lineno in atom_lines.items():

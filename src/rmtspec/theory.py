@@ -36,7 +36,6 @@ from .errors import BranchAmbiguity, NumericalError, ValidationError
 __all__ = [
     "MpParams",
     "mp_params",
-    "mp_density",
     "mp_cdf",
     "green_quartic_coeffs",
     "quartic_roots_batch",
@@ -81,35 +80,6 @@ def mp_params(c: float) -> MpParams:
     )
 
 
-def mp_density(x, c: float):
-    """Continuous Marcenko-Pastur density at ``x`` (atom not included).
-
-    Vectorized over ``x``; zero outside the support.
-    """
-    prm, xv = _law_at(x, c)
-    out = np.zeros_like(xv)
-    m = (xv >= prm.a) & (xv <= prm.b) & (xv > 0)
-    xm = xv[m]
-    out[m] = np.sqrt((prm.b - xm) * (xm - prm.a)) / (2.0 * np.pi * c * xm)
-    if np.isscalar(x) or xv.ndim == 0:
-        return float(out)
-    return out
-
-
-def _law_at(x, c: float) -> tuple[MpParams, np.ndarray]:
-    """``mp_params(c)`` and ``x`` as float64 for the law's closed forms;
-    ``ValidationError`` refuses a NaN in ``x`` and a ``c`` above
-    ``_MAX_RATIO``, where their terms overflow."""
-    prm = mp_params(c)
-    if c > _MAX_RATIO:
-        raise ValidationError(f"dimension ratio {c} is above {_MAX_RATIO:g}, where the law's "
-                              f"terms overflow doubles")
-    xv = np.asarray(x, dtype=np.float64)
-    if np.isnan(xv).any():
-        raise ValidationError("x holds a NaN")
-    return prm, xv
-
-
 def mp_cdf(x, c: float):
     """Marcenko-Pastur CDF (atom at zero included), in closed form.
 
@@ -123,8 +93,16 @@ def mp_cdf(x, c: float):
     ``asin + pi/2`` is written as an ``atan2`` of ``x - a`` and ``b - x``,
     which keeps full accuracy next to the edges where ``asin`` loses digits.
     ``F = 0`` below 0, the atom on ``[0, a]`` and 1 from ``b`` on, exactly.
+    ``ValidationError`` refuses a NaN in ``x`` and a ``c`` above ``_MAX_RATIO``,
+    where the terms overflow.
     """
-    prm, xv = _law_at(x, c)
+    prm = mp_params(c)
+    if c > _MAX_RATIO:
+        raise ValidationError(f"dimension ratio {c} is above {_MAX_RATIO:g}, where the law's "
+                              f"terms overflow doubles")
+    xv = np.asarray(x, dtype=np.float64)
+    if np.isnan(xv).any():
+        raise ValidationError("x holds a NaN")
     a, b, atom = prm.a, prm.b, prm.point_mass_at_zero
     u = np.clip(xv - a, 0.0, b - a)
     v = np.clip(b - xv, 0.0, b - a)

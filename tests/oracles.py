@@ -12,7 +12,9 @@ read, row standardization and kernel density estimate are kept as the
 whole-array forms (one full read, whole-payload conversion, one std over all
 rows, the old grid chunking) that the package's streamed and chunked forms must
 match bit for bit. ``project_density``, the axis-projection frame change,
-lives here because only the acceptance check and its unit tests use it.
+lives here because only the acceptance check and its unit tests use it; so
+does ``mp_density``, the Marcenko-Pastur point density, which the package
+reaches only through its closed-form CDF.
 """
 
 import math
@@ -164,6 +166,19 @@ def greedy_pairing_residual(a, b):
         worst = max(worst, dists[k])
         b.pop(k)
     return worst
+
+
+def mp_density(x, c):
+    """Continuous Marcenko-Pastur density at ``x`` (atom not included), zero
+    outside the support; vectorized over ``x``. The point formula whose
+    integral the package's closed-form CDF must be."""
+    s = math.sqrt(c)
+    a, b = (1.0 - s) ** 2, (1.0 + s) ** 2
+    xv = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(xv)
+    m = (xv >= a) & (xv <= b) & (xv > 0)
+    out[m] = np.sqrt((b - xv[m]) * (xv[m] - a)) / (2.0 * np.pi * c * xv[m])
+    return float(out) if out.ndim == 0 else out
 
 
 def mp_cdf_quad(x, c):

@@ -11,7 +11,7 @@ import pytest
 import rmtspec as r
 from rmtspec.estimation import kde_eval
 
-from oracles import project_density
+from oracles import mp_density, project_density
 
 # fixed seeds per criterion keep every run identical
 SEED_C1 = 101
@@ -53,7 +53,7 @@ def _case1(p, n, deadline_s, criterion_label):
     grid = np.linspace(1.0, 9.0, 2001)
     kde = r.eigenvalue_density(vals, grid=grid)
     prm = r.mp_params(c)
-    mp_curve = r.DensityCurve(grid, r.mp_density(grid, c),
+    mp_curve = r.DensityCurve(grid, mp_density(grid, c),
                               point_mass_at_zero=prm.point_mass_at_zero)
     l1 = r.l1_distance(kde, mp_curve)
     assert l1 <= 0.15, f"KDE vs MP on [1,9]: L1 = {l1:.4f}"

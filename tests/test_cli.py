@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +114,11 @@ REFUSALS = {
     "lagged-tau-8-of-8": (["analyze", "lagged", "-i", "{cap}", "--tau", "8"], _GOOD, 1,
                           "tau=8 outside [0, 7]"),
     "cov-bins-0": (_COV + ["--bins", "0"], _GOOD, 1, "bins must be >= 1, got 0"),
+    # user-sized grids are capped at 10^6 points before they are allocated
+    "cov-bins-1000001": (_COV + ["--bins", "1000001"], _GOOD, 1,
+                         "bins must be at most 1000000, got 1000001"),
+    "lagged-bins-1000001": (["analyze", "lagged", "-i", "{cap}", "--tau", "1", "--bins",
+                             "1000001"], _GOOD, 1, "bins must be at most 1000000, got 1000001"),
     "cov-bandwidth-0": (_COV + ["--bandwidth", "0"], _GOOD, 1,
                         "bandwidth must be finite and positive, got 0.0"),
     # the KDE grid's step is at most the bandwidth, in at most 10^6 points
@@ -127,10 +133,13 @@ REFUSALS = {
                             "whose span is not finite"),
     "mp-c-negative": (["theory", "mp", "--c", "-1"], {}, 1,
                       "dimension ratio must be positive and finite, got -1.0"),
+    # the grid needs a cell on each side of the support and one inside
     "mp-points-2": (["theory", "mp", "--c", "2", "--points", "2"], {}, 1,
-                    "the c=2 curve has mass 0.5000, more than 0.02 from 1"),
-    "mp-points-20-c-1": (["theory", "mp", "--c", "1", "--points", "20"], {}, 1,
-                         "the c=1 curve has mass 0.9431, more than 0.02 from 1"),
+                    "--points must lie in [3, 1000000], got 2"),
+    "mp-points-1000001": (["theory", "mp", "--c", "1", "--points", "1000001"], {}, 1,
+                          "--points must lie in [3, 1000000], got 1000001"),
+    "mp-points-1e15": (["theory", "mp", "--c", "1", "--points", str(10**15)], {}, 1,
+                       "--points must lie in [3, 1000000], got 1000000000000000"),
     # an extreme c collapses the support [a, b] to a point
     "mp-c-1e-300": (["theory", "mp", "--c", "1e-300"], {}, 1,
                     "the c=1e-300 support [1, 1] holds no 1001 strictly increasing abscissas "
@@ -436,16 +445,16 @@ class TestRefusals:
                         "-o", str(out)]) == 0
         assert read_density_csv(str(out))["kde"].total_mass() == pytest.approx(1.0, abs=1e-6)
 
-    # 100000 edge-clustered points at c = 0.25 put the first two 4.9e-10 apart
-    # at x = 0.25, closer than 9 digits print; 20000 points, 1.2e-8 apart
+    # at c = 1e-12 the support [0.999998, 1.000002] holds 1001 cells 4e-9 wide
+    # at x = 1, closer than 9 digits print; 20000 points at c = 0.25, 1e-4 apart
     def test_mp_grid_finer_than_the_file_refused(self, tmp_path, capsys):
         out, report = tmp_path / "mp.csv", tmp_path / "r.txt"
-        assert run_cli(["theory", "mp", "--c", "0.25", "--points", "100000",
-                        "-o", str(out)]) == 1
+        assert run_cli(["theory", "mp", "--c", "1e-12", "-o", str(out)]) == 1
         err = capsys.readouterr().err
         _assert_refused(1, err, out)
         assert err.startswith("error: grid is finer than the file's 9 significant digits: "
-                              "x = 0.25 and 0.2500000"), err
+                              "x = 1.0000000000009999 and 1.0000000040050039 both write as "
+                              "1\n"), err
         assert run_cli(["theory", "mp", "--c", "0.25", "--points", "20000", "-o", str(out)]) == 0
         assert run_cli(["compare", "--empirical", str(out), "--theory", str(out),
                         "-o", str(report)]) == 0
@@ -465,7 +474,6 @@ class TestRefusals:
     # each array asked for is beyond 2^47 bytes, the user address space, so
     # the allocation fails at once and nothing is ever allocated
     @pytest.mark.parametrize("argv, size", [
-        (["theory", "mp", "--c", "1", "--points", str(10**15)], "7.11 PiB"),
         (["generate", "--signal", "wgn", "--rows", str(10**8), "--cols", str(10**8)], "71.1 PiB"),
     ])
     def test_out_of_memory(self, tmp_path, capsys, argv, size):
@@ -532,18 +540,29 @@ class TestCaptureContract:
                     path.unlink()
 
 
+def _float_text(lo, hi):
+    """The text of a double: half the time 10^u with u uniform in [lo, hi],
+    else any double, NaN, the infinities and the zeros included."""
+    return st.one_of(st.floats(lo, hi).map(lambda e: repr(10.0**e)), st.floats().map(repr))
+
+
+def _run_quietly(argv):
+    """``run_cli(argv)`` with every warning an error; the exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = run_cli(argv)
+    return rc, err.getvalue()
+
+
 @st.composite
 def _lagged_argv(draw):
     """``theory lagged`` argv: ``--q`` and, half the time, ``--epsilon``, each the
     text of a float, half the time log-uniform over the range where curves are
     written."""
-    def number(lo, hi):
-        return draw(st.one_of(st.floats(lo, hi).map(lambda e: repr(10.0**e)),
-                              st.floats().map(repr)))
-
-    argv = ["theory", "lagged", f"--q={number(-7.0, 9.0)}"]
+    argv = ["theory", "lagged", f"--q={draw(_float_text(-7.0, 9.0))}"]
     if draw(st.booleans()):
-        argv.append(f"--epsilon={number(-12.0, 2.0)}")
+        argv.append(f"--epsilon={draw(_float_text(-12.0, 2.0))}")
     return argv
 
 
@@ -559,17 +578,178 @@ class TestTheoryLaggedContract:
     def test_any_q_and_epsilon(self, argv):
         with tempfile.TemporaryDirectory() as d:
             out = Path(d) / "rho.csv"
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                rc = run_cli([*argv, "-o", str(out)])
+            rc, err = _run_quietly([*argv, "-o", str(out)])
             if rc:
                 assert rc in (1, 2)
-                _assert_refused(rc, err.getvalue(), out)
+                _assert_refused(rc, err, out)
                 return
-            assert err.getvalue() == ""
+            assert err == ""
             curve = read_density_csv(str(out))["rho_s"]  # refuses NaN and negatives
             assert abs(curve.total_mass() - 1.0) <= 0.02, argv
+
+
+_MAX_SAMPLES = 4096  # rows x cols, and --n-fft, of a drawn generate argv
+
+
+@st.composite
+def _generate_argv(draw):
+    """``generate`` argv of at most 4096 samples: any signal, rows and cols
+    (rows = --n-fft half the time, as --freq-domain needs; one of them below
+    1 one time in eight), and each option half the time, with --n-fft at most
+    4096 and occupied ranges inside [-3, 4099] so that nothing drawn asks for
+    a large array."""
+    n_fft = draw(st.sampled_from([2**k for k in range(1, 13)]) | st.integers(-2, _MAX_SAMPLES))
+    rows = n_fft if draw(st.booleans()) else draw(st.integers(1, 64))
+    cols = draw(st.integers(1, _MAX_SAMPLES // max(rows, 1)))
+    if draw(st.integers(0, 7)) == 0:
+        rows, cols = draw(st.sampled_from([(0, cols), (rows, 0), (-1, cols), (rows, -1)]))
+    signal = draw(st.sampled_from(["wgn", "narrowband", "ncofdm"]))
+    argv = ["generate", f"--signal={signal}", f"--rows={rows}", f"--cols={cols}"]
+    bound = st.integers(-3, _MAX_SAMPLES + 3)
+    options = {
+        "--seed": st.integers(-1, 2**64).map(str),
+        "--variance": _float_text(-6.0, 6.0),
+        "--carrier": st.floats(0.0, 0.5).map(repr) | st.floats().map(repr),
+        "--symbol-rate": st.integers(1, 64).map(lambda k: repr(1.0 / k)) | st.floats().map(repr),
+        "--n-fft": st.just(str(n_fft)),
+        "--occupied": st.lists(st.tuples(bound, bound), max_size=3).map(
+            lambda ranges: ",".join(f"{lo}:{hi}" for lo, hi in ranges)),
+        "--snr-db": st.floats(-40.0, 60.0).map(repr) | st.floats().map(repr),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append("--freq-domain")
+    return argv
+
+
+class TestGenerateContract:
+    """Whatever ``generate`` is given, it ends in exit 0, 1 or 2 with no warning
+    and nothing escaping ``run_cli``; a success writes a capture that reads
+    back finite, with one value per sample (two per complex one)."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_generate_argv())
+    def test_any_argv(self, argv):
+        with tempfile.TemporaryDirectory() as d:
+            out = Path(d) / "cap.rmtc"
+            rc, err = _run_quietly([*argv, "-o", str(out)])
+            if rc:
+                assert rc in (1, 2)
+                _assert_refused(rc, err, out)
+                return
+            assert err == ""
+            X = fileio.read_capture(str(out))
+            rows, cols = (int(a.split("=")[1]) for a in argv[2:4])
+            complex_rows = 2 if "--signal=ncofdm" in argv else 1
+            assert X.entries.shape == (complex_rows * rows, cols), argv
+            assert np.isfinite(X.entries).all(), argv
+
+
+@st.composite
+def _mp_argv(draw):
+    """``theory mp`` argv: ``--c`` the text of a float, and half the time
+    ``--points`` up to 3000 or past the 10^6 cap up to 2 x 10^6."""
+    argv = ["theory", "mp", f"--c={draw(_float_text(-12.0, 12.0))}"]
+    if draw(st.booleans()):
+        points = draw(st.integers(-3, 3000) | st.integers(10**6 + 1, 2 * 10**6))
+        argv.append(f"--points={points}")
+    return argv
+
+
+def _text_mass_slack(curve):
+    """How far the ``%.9g`` text of a curve's abscissas can move its trapezoid
+    mass: each written x is within 5e-9 |x| of the double, and the mass moves
+    by (y[k-1] - y[k+1]) / 2 per unit move of x[k]."""
+    y = np.concatenate([[0.0], curve.ys, [0.0]])
+    return float(np.sum(np.abs(y[:-2] - y[2:]) / 2 * 5e-9 * np.abs(curve.xs)))
+
+
+class TestTheoryMpContract:
+    """Whatever ``--c`` and ``--points`` are, ``theory mp`` ends in exit 0 or 1
+    with no warning and nothing escaping ``run_cli``; a success writes the cell
+    averages of the closed-form CDF, whose mass is 1 to 1e-6 as computed, and
+    as read back from the file up to the slack of its 9-digit abscissas."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_mp_argv())
+    def test_any_c_and_points(self, argv):
+        written = []
+        write = fileio.write_density_csv
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(
+                fileio, "write_density_csv",
+                lambda path, curves, labels: written.append(curves[0])
+                or write(path, curves, labels)):
+            out = Path(d) / "mp.csv"
+            rc, err = _run_quietly([*argv, "-o", str(out)])
+            if rc:
+                assert rc == 1
+                _assert_refused(rc, err, out)
+                return
+            assert err == ""
+            assert abs(written[0].total_mass() - 1.0) <= 1e-6, argv
+            curve = read_density_csv(str(out))["mp"]
+            assert abs(curve.total_mass() - 1.0) <= 1e-6 + _text_mass_slack(curve), argv
+
+
+# labels the CLI writes, and one it does not
+_LABELS = ("kde", "hist", "mp", "rho_s", "proj_x", "other")
+
+
+@st.composite
+def _density_file_bytes(draw):
+    """A density file: one curve on 2 to 6 knots at quarter steps in [-5, 5],
+    under a drawn label, with a drawn atom and ordinates, scaled to unit mass
+    half the time; one time in five, any bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64))
+    xs = np.unique(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=6))) / 4.0
+    if xs.size < 2:
+        xs = np.array([0.0, 1.0])
+    ys = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=xs.size, max_size=xs.size)))
+    atom = draw(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1.0, exclude_max=True))
+    mass = np.trapezoid(ys, xs)
+    if draw(st.booleans()) and mass > 1e-3:
+        ys = ys * ((1.0 - atom) / mass)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "curve.csv"
+        write_density_csv(str(path), [DensityCurve(xs, ys, atom)],
+                          [draw(st.sampled_from(_LABELS))])
+        return path.read_bytes()
+
+
+class TestCompareContract:
+    """Whatever two files ``compare`` is given, it ends in exit 0 or 1 with no
+    warning and nothing escaping ``run_cli``; a success compares two curves of
+    mass within 0.02 of 1, so its report reads back a finite KS of at most 1.02
+    and a finite L1 of at most 2.04, and stderr holds only ``warning:`` lines."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(emp=_density_file_bytes(), th=_density_file_bytes(),
+           emp_col=st.none() | st.sampled_from(_LABELS),
+           th_col=st.none() | st.sampled_from(_LABELS))
+    def test_any_files(self, emp, th, emp_col, th_col):
+        with tempfile.TemporaryDirectory() as d:
+            paths = {name: Path(d) / f"{name}.csv" for name in ("emp", "th")}
+            paths["emp"].write_bytes(emp)
+            paths["th"].write_bytes(th)
+            out = Path(d) / "report.txt"
+            argv = ["compare", "--empirical", str(paths["emp"]), "--theory", str(paths["th"])]
+            argv += [] if emp_col is None else [f"--empirical-col={emp_col}"]
+            argv += [] if th_col is None else [f"--theory-col={th_col}"]
+            rc, err = _run_quietly([*argv, "-o", str(out)])
+            if rc:
+                assert rc == 1
+                _assert_refused(rc, err, out)
+                return
+            assert all(line.startswith("warning: ") for line in err.splitlines()), err
+            values = dict(line.split(" = ") for line in out.read_text().splitlines()[2:])
+            l1, ks = float(values["L1"]), float(values["KS"])
+            assert 0.0 <= ks <= 1.02 + 1e-9 and 0.0 <= l1 <= 2.04 + 1e-9, (l1, ks)
 
 
 class TestDensityFileMass:
@@ -697,21 +877,27 @@ class TestPipelines:
         assert report.read_text().splitlines()[-1] == "KS = 0.25"
 
     def test_theory_mp_c4_support_and_atom(self, tmp_path):
+        # 1001 cells of width 8/999 clear the support [1, 9] by half a cell
         out = tmp_path / "mp4.csv"
         assert _run("theory", "mp", "--c", "4", "-o", str(out)) == 0
         text = out.read_text()
         assert "# point_mass_mp=0.75" in text
         curve = read_density_csv(str(out))["mp"]
-        assert curve.xs[0] == pytest.approx(1.0)
-        assert curve.xs[-1] == pytest.approx(9.0)
+        h = 8.0 / 999
+        assert curve.xs[0] == pytest.approx(1.0 - h / 2, rel=1e-9)
+        assert curve.xs[-1] == pytest.approx(9.0 + h / 2, rel=1e-9)
+        assert curve.ys[0] == curve.ys[-1] == 0.0 and curve.ys[1:-1].min() > 0.0
 
-    def test_theory_mp_c1_mass(self, tmp_path):
-        # c = 1 puts an x^(-1/2) pole at the lower edge 0
+    # c = 1 puts an x^(-1/2) pole at the lower edge 0, which cell averages of
+    # the closed-form CDF integrate exactly on any grid
+    @pytest.mark.parametrize("points", [3, 20, 1001])
+    def test_theory_mp_c1_mass(self, tmp_path, points):
         out = tmp_path / "mp1.csv"
-        assert _run("theory", "mp", "--c", "1", "-o", str(out)) == 0
+        assert _run("theory", "mp", "--c", "1", "--points", str(points), "-o", str(out)) == 0
         curve = read_density_csv(str(out))["mp"]
-        assert curve.xs[0] == 0.0 and curve.xs[-1] == 4.0
-        assert curve.total_mass() == pytest.approx(1.0, abs=0.02)
+        h = 4.0 / (points - 2)
+        assert curve.xs[0] == pytest.approx(-h / 2) and curve.xs[-1] == pytest.approx(4 + h / 2)
+        assert curve.total_mass() == pytest.approx(1.0, rel=0, abs=1e-6)
 
     def test_theory_lagged_writes_curve(self, tmp_path):
         out = tmp_path / "rho.csv"

@@ -48,5 +48,12 @@ def test_removed_linalg_types_stay_gone(name):
     assert not hasattr(importlib.import_module("rmtspec.linalg"), name)
 
 
+# the Marcenko-Pastur law is evaluated through its closed-form CDF alone; its
+# point density lives on as a test oracle
+def test_removed_mp_density_stays_gone():
+    assert not hasattr(rmtspec, "mp_density")
+    assert not hasattr(importlib.import_module("rmtspec.theory"), "mp_density")
+
+
 def test_real_spectrum_holds_only_its_values():
     assert [f.name for f in dataclasses.fields(rmtspec.RealSpectrum)] == ["values"]

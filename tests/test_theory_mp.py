@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmtspec import mp_cdf, mp_density, mp_params
+from rmtspec import mp_cdf, mp_params
 from rmtspec.errors import ValidationError
 
-from oracles import mp_cdf_quad
+from oracles import mp_cdf_quad, mp_density
 
 
 class TestMpParams:
