@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_occupied(text: str) -> np.ndarray | None:
+def _parse_occupied(text: str, n_fft: int) -> np.ndarray | None:
     if not text:
         return None
     ranges = []
@@ -120,7 +120,7 @@ def _parse_occupied(text: str) -> np.ndarray | None:
             ranges.append((int(lo), int(hi or lo)))
         except ValueError:
             raise ValidationError(f"--occupied: bad range {part!r}, expected LO:HI or N") from None
-    return signals.occupied_from_ranges(ranges)
+    return signals.occupied_from_ranges(ranges, n_fft)
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
@@ -140,7 +140,7 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
         # the generator refuses an n_fft that is not a power of two, 0 included
         n_frames = cols if ns.freq_domain else -(-rows * cols // (ns.n_fft or 1))
         samples = signals.gen_ncofdm_frames(ns.seed, n_frames, ns.n_fft,
-                                            _parse_occupied(ns.occupied))
+                                            _parse_occupied(ns.occupied, ns.n_fft))
 
     samples = signals.add_awgn(samples, ns.snr_db, seed=ns.seed + 1)
 
@@ -205,6 +205,9 @@ def _cmd_theory_mp(ns: argparse.Namespace) -> int:
     if not np.all(np.diff(grid) > 0):
         raise ValidationError(f"the c={ns.c:g} support [{prm.a:.9g}, {prm.b:.9g}] holds no "
                               f"{ns.points} strictly increasing abscissas (--points)")
+    # mp_cdf's two terms near pi cancel to O(c): it is off by up to eps / c
+    if ns.c < 2.2e-7:
+        raise ValidationError(f"c={ns.c:g} is below 2.2e-07, where the MP CDF is off by over 1e-9")
     curve = cell_averages(grid, lambda x: theory.mp_cdf(x, ns.c), prm.point_mass_at_zero)
     fileio.write_density_csv(ns.output, [curve], ["mp"])
     return 0

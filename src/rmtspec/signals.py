@@ -38,12 +38,28 @@ DEFAULT_OCCUPIED_RANGES = (
 )
 
 
-def occupied_from_ranges(ranges=DEFAULT_OCCUPIED_RANGES) -> np.ndarray:
-    """Expand inclusive (lo, hi) index ranges into a sorted index array."""
+def occupied_from_ranges(ranges=DEFAULT_OCCUPIED_RANGES, n_fft: int = 1024) -> np.ndarray:
+    """Expand inclusive (lo, hi) subcarrier ranges of an ``n_fft``-point frame
+    into a sorted index array.
+
+    ``n_fft`` must be a power of two, as ``gen_ncofdm_frames`` requires, and
+    each range must run forward inside [0, n_fft - 1]; both are checked before
+    any range is expanded, so a refused range builds no index array.
+    """
+    _require_power_of_two(n_fft)
     if not len(ranges):
         raise ValidationError("no occupied ranges given")
+    for lo, hi in ranges:
+        if not 0 <= lo <= hi < n_fft:
+            raise ValidationError(f"occupied range {lo}:{hi} is reversed" if lo > hi else
+                                  f"occupied indices outside [0, {n_fft - 1}] in range {lo}:{hi}")
     idx = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
     return np.unique(idx)
+
+
+def _require_power_of_two(n_fft: int) -> None:
+    if n_fft < 2 or n_fft & (n_fft - 1):
+        raise ValidationError(f"n_fft={n_fft} is not a power of two")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -104,8 +120,7 @@ def gen_ncofdm_frames(seed: int, n_frames: int, n_fft: int = 1024,
     default ``occupied_from_ranges()``), zeros elsewhere, through a unitary
     inverse DFT of length n_fft.
     """
-    if n_fft < 2 or n_fft & (n_fft - 1):
-        raise ValidationError(f"n_fft={n_fft} is not a power of two")
+    _require_power_of_two(n_fft)
     occ = np.unique(np.asarray(occupied_from_ranges() if occupied is None else occupied,
                                dtype=np.int64))
     if occ.size == 0:

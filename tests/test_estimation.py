@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtspec import (
+    DataMatrix,
     DensityCurve,
     EsdFunction,
+    eigvals_general,
+    eigvals_symmetric,
     eigenvalue_density,
     histogram_density,
     ks_distance,
     l1_distance,
     mp_cdf,
     projection_density,
+    sample_covariance,
     silverman_bandwidth,
     snap_zeros,
     split_atom,
+    standardize_rows,
 )
 from rmtspec.errors import DisjointSupportsWarning, ValidationError
 from rmtspec.estimation import kde_eval
@@ -302,12 +307,23 @@ class TestSnapAndAtomKde:
             projection_density(np.zeros(5, complex), axis="x")
 
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _zero_bound(values):
+    """``snap_zeros``' bound on |v|, computed in its order of operations."""
+    return 2 * values.size * _EPS * np.abs(values).max()
+
+
 def _zero_set_cases():
     rng = np.random.default_rng(17)
-    real = np.concatenate([rng.standard_normal(40), 1e-12 * rng.standard_normal(10),
+    real = np.concatenate([rng.standard_normal(40), 1e-13 * rng.standard_normal(10),
                            [0.0, -0.0, 1e-30]])
+    # the bound itself, the double below it (both zero) and the double above
+    # it (nonzero), for the 57 values of the case they join
     scale = np.abs(real).max()
-    edge = np.array([scale, 1e-8 * scale, np.nextafter(1e-8 * scale, 0.0)])
+    bound = _zero_bound(np.append(real, [scale] * 4))
+    edge = np.array([scale, bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)])
     cplx = real * np.exp(1j * rng.uniform(0, 2 * np.pi, real.size))
     return [real, np.concatenate([real, edge]), cplx, np.zeros(6), np.zeros(3, complex),
             np.array([0.0, 2.5]), np.array([7.0])]
@@ -318,8 +334,7 @@ class TestSplitAtom:
     def test_zero_set_matches_snap_zeros(self, values):
         rng = np.random.default_rng(3)
         values = values[rng.permutation(values.size)]
-        mags = np.abs(values)
-        zero = (mags < 1e-8 * mags.max()) | (mags.max() == 0)
+        zero = np.abs(values) <= _zero_bound(values)
         snapped = snap_zeros(values)
         np.testing.assert_array_equal(snapped == 0, zero)
         np.testing.assert_array_equal(snapped[~zero], values[~zero])
@@ -327,6 +342,49 @@ class TestSplitAtom:
         np.testing.assert_array_equal(nonzero, values[~zero])
         assert atom == pytest.approx(zero.sum() / values.size, abs=1e-15)
 
+    def test_edges_of_the_bound(self):
+        values = _zero_set_cases()[1]
+        bound = _zero_bound(values)
+        snapped = snap_zeros(values)
+        assert snapped[values == bound] == 0.0
+        assert snapped[values == np.nextafter(bound, 0.0)] == 0.0
+        above = values == np.nextafter(bound, np.inf)
+        assert snapped[above] == values[above] != 0.0
+        # the 1e-13 normals against a largest of 2.28 straddle the bound, 5.8e-14
+        assert 0 < (snapped[40:50] == 0).sum() < 10
+
     def test_empty_raises(self):
         with pytest.raises(ValidationError, match="^empty spectrum$"):
             split_atom(np.array([]))
+
+
+def _gaussian_rows(seed, p, n, standardize):
+    X = DataMatrix(np.random.default_rng(seed).standard_normal((p, n)).astype(np.float32))
+    return standardize_rows(X) if standardize else X
+
+
+class TestZeroRuleOnSpectra:
+    """``split_atom`` on solved spectra counts exactly the structural zeros,
+    p - rank."""
+
+    # (n - 1) x n standardized rows have rank n - 1, so no eigenvalue is zero;
+    # the smallest is 2.5e-11 of the largest at seed 2 and 1.9e-9 at seed 4,
+    # which a cut at 1e-8 of the largest counted as zeros (112 and 8530 times
+    # the bound)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_atom_one_row_below_square(self, seed):
+        vals = eigvals_symmetric(sample_covariance(_gaussian_rows(seed, 1023, 1024, True))).values
+        assert split_atom(vals)[1] == 0.0
+
+    # centered rows have rank min(p, n - 1), raw ones min(p, n): the small side
+    # adds p - n exact zeros, and the centered rows' null direction comes out at
+    # rounding level, at most 0.33 times the bound on these shapes and seeds
+    @pytest.mark.parametrize("p, n", [(3, 3), (4, 3), (65, 64), (2048, 64)])
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("solve", [lambda M: eigvals_symmetric(M).values, eigvals_general],
+                             ids=["symmetric", "general"])
+    def test_structural_zero_count(self, p, n, standardize, solve):
+        rank = min(p, n - 1 if standardize else n)
+        for seed in range(10):
+            vals = solve(sample_covariance(_gaussian_rows(seed, p, n, standardize)))
+            assert p - len(split_atom(vals)[0]) == p - rank, seed

@@ -107,6 +107,26 @@ class TestNcofdm:
         assert counts == [41, 21, 61, 101, 101, 101]
         assert sum(counts) == 426
 
+    def test_ranges_of_a_smaller_frame(self):
+        np.testing.assert_array_equal(occupied_from_ranges(((5, 7), (0, 1), (6, 15)), 16),
+                                      [0, 1, *range(5, 16)])
+
+    # each range is checked before any is expanded, so a range of 2^62 indices
+    # is refused at once; n_fft is checked first
+    @pytest.mark.parametrize("ranges, n_fft, message", [
+        (((10, 12), (30, 20)), 1024, "occupied range 30:20 is reversed"),
+        (((0, 2**62),), 1024,
+         r"occupied indices outside \[0, 1023\] in range 0:4611686018427387904"),
+        (((-1, 3),), 16, r"occupied indices outside \[0, 15\] in range -1:3"),
+        (((3, 16),), 16, r"occupied indices outside \[0, 15\] in range 3:16"),
+        (((50, 60),), 12, "n_fft=12 is not a power of two"),
+        ((), 12, "n_fft=12 is not a power of two"),
+        ((), 16, "no occupied ranges given"),
+    ])
+    def test_ranges_refused_before_expansion(self, ranges, n_fft, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            occupied_from_ranges(ranges, n_fft)
+
     def test_mean_power_parseval(self):
         s = gen_ncofdm_frames(seed=5, n_frames=64)
         want = 426.0 / 1024.0

@@ -101,6 +101,16 @@ class TestMpCdf:
         for x, f in zip(xs, F):
             assert mp_cdf(float(x), 0.5) == pytest.approx(f, abs=1e-10)
 
+    # the two terms near pi cancel to O(c), so F is off by up to about eps / c:
+    # within 1e-9 at c = 2.2e-7, the smallest c that theory mp writes, and not
+    # at 2.2e-9 (5.8e-10 and 5.7e-8 over these 199 points)
+    @pytest.mark.parametrize("c, within", [(2.2e-7, True), (2.2e-9, False)])
+    def test_rounding_at_small_c(self, c, within):
+        prm = mp_params(c)
+        xs = prm.a + (prm.b - prm.a) * np.linspace(0.0, 1.0, 201)[1:-1]
+        err = max(abs(mp_cdf(x, c) - mp_cdf_quad(x, c)) for x in xs)
+        assert (err <= 1e-9) == within, err
+
     @given(c=st.floats(0.05, 50.0),
            ts=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=12))
     @example(c=1.0, ts=[0.0])  # a = 0: the x^(-1/2) pole sits at the lower edge
