@@ -123,24 +123,42 @@ def _parse_occupied(text: str, n_fft: int) -> np.ndarray | None:
     return signals.occupied_from_ranges(ranges, n_fft)
 
 
+def _binary_size(nbytes: int) -> str:
+    """``nbytes`` to one decimal in the largest binary unit it reaches: "71.1 PiB"."""
+    k = max(nbytes.bit_length() - 1, 0) // 10
+    units = ["bytes", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB", "ZiB", "YiB"]
+    return f"{nbytes / 1024**k:.1f} " + (units[k] if k < len(units) else f"x 2^{10 * k} bytes")
+
+
 def _cmd_generate(ns: argparse.Namespace) -> int:
     rows, cols = ns.rows, ns.cols
     if rows < 1 or cols < 1:
         raise ValidationError("rows and cols must be >= 1")
     if ns.freq_domain and ns.signal != "ncofdm":
         raise ValidationError("--freq-domain applies to the ncofdm signal only")
+    if ns.freq_domain and rows != ns.n_fft:
+        raise ValidationError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
+
+    # the stream (complex for ncofdm, real otherwise) and its noisy copy are
+    # alive at once: refuse what physical memory cannot hold before either exists
+    stream = rows * cols * 8
+    if ns.signal == "ncofdm":
+        occupied = _parse_occupied(ns.occupied, ns.n_fft)
+        # the generator refuses an n_fft that is not a power of two, 0 included
+        n_frames = cols if ns.freq_domain else -(-rows * cols // (ns.n_fft or 1))
+        stream = n_frames * ns.n_fft * 16
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 2 * stream > memory:
+        raise MemoryError(f"Unable to allocate {_binary_size(stream)} twice, for the stream "
+                          f"and its noisy copy: more than the {_binary_size(memory)} of "
+                          f"physical memory")
 
     if ns.signal == "wgn":
         samples = signals.gen_wgn(ns.seed, rows * cols, ns.variance)
     elif ns.signal == "narrowband":
         samples = signals.gen_narrowband(ns.seed, rows * cols, ns.carrier, ns.symbol_rate)
     else:
-        if ns.freq_domain and rows != ns.n_fft:
-            raise ValidationError(f"--freq-domain needs --rows == n_fft ({ns.n_fft})")
-        # the generator refuses an n_fft that is not a power of two, 0 included
-        n_frames = cols if ns.freq_domain else -(-rows * cols // (ns.n_fft or 1))
-        samples = signals.gen_ncofdm_frames(ns.seed, n_frames, ns.n_fft,
-                                            _parse_occupied(ns.occupied, ns.n_fft))
+        samples = signals.gen_ncofdm_frames(ns.seed, n_frames, ns.n_fft, occupied)
 
     samples = signals.add_awgn(samples, ns.snr_db, seed=ns.seed + 1)
 

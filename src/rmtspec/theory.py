@@ -315,16 +315,17 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (np.abs(acc) / scale).reshape(np.shape(roots))
 
 
-def _gated(z, coeffs, roots, picks, d=None) -> np.ndarray:
-    """The picked roots ``G = roots[i, picks[i]]``, refused unless all pass, in this
-    order: every pick finite; given the distances ``d`` of a sweep (``d[i]``: the
-    roots at ``i`` from the prediction the pick at ``i - 1`` carries there, a row of
+def _gated(z, coeffs, w, picks, d=None) -> np.ndarray:
+    """``G = w[i, picks[i]] / z[i]`` for the picked roots of the w-quartic, refused
+    unless all pass, in this order: every G finite; given the distances ``d`` of a
+    sweep (``d[i]``: the roots at ``i`` from the pick at ``i - 1``, in w, a row of
     inf where there is none), no pick ambiguous, i.e. with a runner-up within
-    ``_AMBIGUITY_TOL`` of both the pick and that prediction; every w-residual
-    within ``_RESIDUAL_TOL``; ``Im G >= -1e-9``. NaN fails the last two. ``d`` is
-    overwritten."""
+    ``_AMBIGUITY_TOL`` of both that previous pick and the pick, in w and in G alike;
+    every w-residual within ``_RESIDUAL_TOL``; ``Im G >= -1e-9``. NaN fails the
+    last two. ``d`` is overwritten."""
     at = np.arange(len(z))
-    G = roots[at, picks]
+    wp = w[at, picks]
+    G = wp / z
     if not np.isfinite(G).all():
         x = float(z[np.argmin(np.isfinite(G))].real)
         raise NumericalError(f"non-finite root at x = {x}")
@@ -332,13 +333,14 @@ def _gated(z, coeffs, roots, picks, d=None) -> np.ndarray:
     if d is not None:
         d[at, picks] = np.inf
         second = np.argmin(d, axis=1)
-        ambiguous = (d[at, second] < _AMBIGUITY_TOL) & \
-            (np.abs(G - roots[at, second]) < _AMBIGUITY_TOL)
+        # within the tolerance in w and in G = w/z: in w, within it times min(1, |z|)
+        near = np.stack([d[at, second], np.abs(wp - w[at, second])]) / np.minimum(1.0, np.abs(z))
+        ambiguous = (near < _AMBIGUITY_TOL).all(axis=0)
         if ambiguous.any():
             x = float(z[np.argmax(ambiguous)].real)
             raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
 
-    res = _residuals(coeffs, (z * G)[:, None]).max()
+    res = _residuals(coeffs, wp[:, None]).max()
     if not res <= _RESIDUAL_TOL:
         raise NumericalError(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
     if not G.imag.min() >= -_IM_TOL:
@@ -346,33 +348,29 @@ def _gated(z, coeffs, roots, picks, d=None) -> np.ndarray:
     return G
 
 
-# a root w/z that overflows (|z| near the smallest double) gives inf and NaN
-# distances; the picks they reach are refused by the gates, without a warning
+# G = w/z overflows where |z| is near the smallest double: the gates refuse it,
+# without a warning
 @np.errstate(all="ignore")
 def _track(z: np.ndarray, Q: float) -> np.ndarray:
-    """Physical G along ``z`` in order: the first point takes the root ``w/z``
-    nearest ``1/z``, every later one the root whose ``w = zG`` is nearest the
-    previous pick's, in G units, ties to the lower root index, through the
+    """Physical G along ``z`` in order, tracked in ``w = zG``: the first point
+    takes the root nearest ``w = 1`` (G nearest ``1/z``), every later one the root
+    nearest the previous pick, ties to the lower root index, through the
     ``_gated`` gates; every pick after the first must be unambiguous.
 
     Continuity is judged in w, not G: near ``z = 0`` with Q < 1, G carries the
     atom's pole ``(1-Q)/z``, which moves further in one grid step than the two
-    roots that carry it are apart, while w stays O(1). The distance
-    ``|w_i,k - w_(i-1),j| / |z_i|`` is the G-distance from root k at i to the
-    prediction ``w_(i-1),j / z_i``, so the ambiguity gate keeps G units.
+    roots that carry it are apart, while w stays O(1).
 
     "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
     those at point i. All the maps are formed at once and composed along the
     sweep by prefix doubling, so no Python loop runs over the points."""
     coeffs = green_quartic_coeffs(z, Q)
     w = quartic_roots_batch(coeffs)
-    roots = w / z[:, None]
     m = len(z)
-    # dist[i, j, k] = |w root k at i - w root j at i-1| / |z_i|; at i = 0 every
-    # j is the seed
+    # dist[i, j, k] = |w root k at i - w root j at i-1|; at i = 0 every j is the seed
     dist = np.empty((m, 4, 4))
-    dist[0] = np.abs(roots[0] - 1.0 / complex(z[0]))
-    dist[1:] = np.abs(w[1:, None, :] - w[:-1, :, None]) / np.abs(z[1:, None, None])
+    dist[0] = np.abs(w[0] - 1.0)
+    dist[1:] = np.abs(w[1:, None, :] - w[:-1, :, None])
     # nearest[i] maps root j at i-1 to root k at i; nearest[0] is constant, so
     # after the doubling nearest[i, j] is the pick at i for every j
     nearest = np.argmin(dist, axis=2)
@@ -383,7 +381,7 @@ def _track(z: np.ndarray, Q: float) -> np.ndarray:
     picks = nearest[:, 0]
     d = dist[np.arange(m), np.concatenate(([0], picks[:-1]))]
     d[0] = np.inf  # the seed is no previous pick
-    return _gated(z, coeffs, roots, picks, d)
+    return _gated(z, coeffs, w, picks, d)
 
 
 @np.errstate(all="ignore")
@@ -393,8 +391,8 @@ def green_function(z, Q: float):
 
     ``z`` is a scalar (a ``complex`` is returned) or a non-empty 1-D array (an
     array of G is returned); every point needs ``Im z < 0``. At each point the
-    root nearest the asymptotic value ``1/z`` is taken. Row ``i`` of an array
-    equals the scalar call at ``z[i]``, bit for bit. The gates of ``_track``
+    root nearest the asymptotic value ``w = zG = 1`` is taken. Row ``i`` of an
+    array equals the scalar call at ``z[i]``, bit for bit. The gates of ``_track``
     but the ambiguity gate apply to every point; one failing point refuses the
     call. Every returned root satisfies ``Im G >= -1e-9``.
     """
@@ -405,10 +403,8 @@ def green_function(z, Q: float):
         raise ValidationError("green_function requires Im z < 0")
     zs = np.atleast_1d(zv)
     coeffs = green_quartic_coeffs(zs, Q)
-    roots = quartic_roots_batch(coeffs) / zs[:, None]
-    # Python's complex division, as in _track: NumPy's can differ in the last bit
-    seeds = np.array([1.0 / complex(v) for v in zs])
-    G = _gated(zs, coeffs, roots, np.argmin(np.abs(roots - seeds[:, None]), axis=1))
+    w = quartic_roots_batch(coeffs)
+    G = _gated(zs, coeffs, w, np.argmin(np.abs(w - 1.0), axis=1))
     return complex(G[0]) if zv.ndim == 0 else G
 
 
@@ -477,22 +473,30 @@ def lagged_density_symmetric(Q: float, epsilon: float = 1e-3) -> DensityCurve:
     from the ordinates and reported via ``point_mass_at_zero`` instead, so
     the curve stays integrable on coarse grids. On the physical branch what
     is left is a density, ``Q^2 / (pi (1 - Q))`` at the origin; where it
-    falls below ``-1e-9``, the tolerance of the ``Im G`` gate, the curve is
-    refused with ``NumericalError``. Values between that bound and 0 are the
-    subtraction's rounding and are written as 0.
+    falls below ``-(1e-9 + 4 eps t)``, the tolerance of the ``Im G`` gate plus
+    the rounding of the two terms that cancel (``t`` the smaller of ``Im G / pi``
+    and the image, ``eps`` the double's epsilon), the curve is refused with
+    ``NumericalError``. Values between that bound and 0 are rounding and are
+    written as 0.
     """
     xs, G = green_scan(Q, epsilon)
     atom = max(0.0, 1.0 - Q)  # the rank deficiency 1 - Q for Q < 1
-    ys = G.imag / np.pi
+    rho = G.imag / np.pi
+    image = np.zeros_like(xs)
     if atom > 0.0:
         # for eps below 1.5e-154, x^2 + eps^2 underflows to 0 next to x = 0:
         # the image there is inf, and the gate refuses the curve
         with np.errstate(divide="ignore"):
-            ys = ys - atom * (epsilon / np.pi) / (xs * xs + epsilon * epsilon)
-    if not ys.min() >= -_IM_TOL:
-        i = int(np.argmin(ys))
+            image = atom * (epsilon / np.pi) / (xs * xs + epsilon * epsilon)
+    ys = rho - image
+    # each term comes from a few correctly rounded steps (w/z and /pi; eps/pi,
+    # *atom, x^2 + eps^2 and /), each off by at most eps/2 relative, so where
+    # they cancel their difference is off by up to about 4 eps times either
+    allow = _IM_TOL + 4.0 * np.finfo(np.float64).eps * np.minimum(rho, image)
+    if not (ys + allow).min() >= 0.0:
+        i = int(np.argmin(ys + allow))
         raise NumericalError(f"continuous density {ys[i]:.3e} at x = {xs[i]} is below "
-                             f"-{_IM_TOL:g}")
+                             f"-{allow[i]:.3g}")
     return DensityCurve(xs, np.clip(ys, 0.0, None), point_mass_at_zero=atom)
 
 

@@ -7,7 +7,9 @@ solve; explicit index sums instead of matrix products, adaptive quadrature
 instead of closed-form integrals. The branch tracker and the CSV writers are kept here as the plain
 per-point / per-row loops the package's vectorized forms must match bit for
 bit, and the lagged-density scan as the two sweeps and the candidate-by-candidate
-edge search that its folded sweep and batched search replace. The capture
+edge search that its folded sweep and batched search replace. ``g_unit_track`` is
+the tracker that judged its seed, distances and ambiguity in G units: the
+package's w rule must write the same G and refuse only where it refuses. The capture
 read, row standardization and kernel density estimate are kept as the
 whole-array forms (one full read, whole-payload conversion, one std over all
 rows, the old grid chunking) that the package's streamed and chunked forms must
@@ -207,48 +209,90 @@ def mp_cdf_quad(x, c):
     return atom + quad(g, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)[0]
 
 
-def _pick_branch(d, roots):
+def _pick_branch(d, w, z):
     """The index of the smallest distance in ``d``, ties to the lower index, and
-    whether the runner-up's distance and its distance from the pick in
-    ``roots`` are both within the ambiguity tolerance."""
+    whether the runner-up's distance and its distance from the pick in ``w`` are
+    both within the ambiguity tolerance, in w and in G = w/z alike."""
     order = np.argsort(d, kind="stable")
     tol = theory._AMBIGUITY_TOL
-    ambiguous = d[order[1]] < tol and np.abs(roots[order[0]] - roots[order[1]]) < tol
+    near = [d[order[1]], np.abs(w[order[0]] - w[order[1]])]
+    ambiguous = all(v < tol and v / np.abs(z) < tol for v in near)
     return order[0], ambiguous
 
 
 @np.errstate(all="ignore")
 def reference_track(z, Q):
-    """The branch tracker as a loop over the points: the first point takes the
-    root nearest ``1/z``, every later one the root whose ``w = zG`` is nearest
-    the previous pick's, as the distance ``|w - w_prev| / |z|``, with the
-    ambiguity test on every pick but the first. Then, in this order: a
-    non-finite pick, the first ambiguous pick, the residual and the ``Im G``
-    gate (NaN fails both) refuse the sweep. Drop-in for
-    ``rmtspec.theory._track``; the roots come from
-    ``theory.quartic_roots_batch`` and the tolerance from
+    """The branch tracker as a loop over the points, in ``w = zG``: the first
+    point takes the root nearest ``w = 1``, every later one the root nearest the
+    previous pick, by ``|w - w_prev|``, with the ambiguity test on every pick but
+    the first; G is the pick over z. Then, in this order: a non-finite G, the
+    first ambiguous pick, the residual of the picked w and the ``Im G`` gate
+    (NaN fails both) refuse the sweep. Drop-in for ``rmtspec.theory._track``;
+    the roots come from ``theory.quartic_roots_batch`` and the tolerance from
     ``theory._RESIDUAL_TOL``, looked up at call time."""
     coeffs = theory.green_quartic_coeffs(z, Q)
     w = theory.quartic_roots_batch(coeffs)
-    roots = w / z[:, None]
-    picks = [_pick_branch(np.abs(roots[0] - 1.0 / complex(z[0])), roots[0])[0]]
+    picks = [_pick_branch(np.abs(w[0] - 1.0), w[0], z[0])[0]]
     ambiguous = []
     for i in range(1, len(z)):
-        k, tie = _pick_branch(np.abs(w[i] - w[i - 1, picks[-1]]) / np.abs(z[i]), roots[i])
+        k, tie = _pick_branch(np.abs(w[i] - w[i - 1, picks[-1]]), w[i], z[i])
         picks.append(k)
         if tie:
             ambiguous.append(i)
-    G = roots[np.arange(len(z)), picks]
+    wp = w[np.arange(len(z)), picks]
+    G = wp / z
     for i in range(len(z)):
         if not np.isfinite(G[i]):
             raise NumericalError(f"non-finite root at x = {float(z[i].real)}")
     if ambiguous:
         raise BranchAmbiguity(float(z[ambiguous[0]].real),
                               f"two roots within {theory._AMBIGUITY_TOL} of the previous value")
-    res = theory._residuals(coeffs, (z * G)[:, None]).max()
+    res = theory._residuals(coeffs, wp[:, None]).max()
     tol = theory._RESIDUAL_TOL
     if not res <= tol:
         raise NumericalError(f"relative residual {res:.3e} above {tol}")
+    if not G.imag.min() >= -theory._IM_TOL:
+        raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
+    return G
+
+
+@np.errstate(all="ignore")
+def g_unit_track(z, Q):
+    """The branch tracker with its seed, distances and ambiguity test in G units,
+    as it ran before the w rule: the first point takes the root ``w/z`` nearest
+    ``1/z`` (Python's complex division), every later one the root nearest the
+    previous pick by ``|w - w_prev| / |z|``, and a pick is ambiguous when the
+    runner-up is within 1e-6 of that prediction and of the pick in G, at any
+    ``|z|``; the residual is taken at ``z * G``. The w rule must write the same
+    G wherever both write one, and refuse only where this one refuses."""
+    coeffs = theory.green_quartic_coeffs(z, Q)
+    w = theory.quartic_roots_batch(coeffs)
+    roots = w / z[:, None]
+    m = len(z)
+    dist = np.empty((m, 4, 4))
+    dist[0] = np.abs(roots[0] - 1.0 / complex(z[0]))
+    dist[1:] = np.abs(w[1:, None, :] - w[:-1, :, None]) / np.abs(z[1:, None, None])
+    nearest = np.argmin(dist, axis=2)
+    step = 1
+    while step < m:
+        nearest[step:] = np.take_along_axis(nearest[step:], nearest[:-step], axis=1)
+        step *= 2
+    at, picks = np.arange(m), nearest[:, 0]
+    d = dist[at, np.concatenate(([0], picks[:-1]))]
+    d[0] = np.inf
+    G = roots[at, picks]
+    if not np.isfinite(G).all():
+        raise NumericalError(f"non-finite root at x = {float(z[np.argmin(np.isfinite(G))].real)}")
+    d[at, picks] = np.inf
+    second = np.argmin(d, axis=1)
+    tol = theory._AMBIGUITY_TOL
+    ambiguous = (d[at, second] < tol) & (np.abs(G - roots[at, second]) < tol)
+    if ambiguous.any():
+        raise BranchAmbiguity(float(z[np.argmax(ambiguous)].real),
+                              f"two roots within {tol} of the previous value")
+    res = theory._residuals(coeffs, (z * G)[:, None]).max()
+    if not res <= theory._RESIDUAL_TOL:
+        raise NumericalError(f"relative residual {res:.3e} above {theory._RESIDUAL_TOL}")
     if not G.imag.min() >= -theory._IM_TOL:
         raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G

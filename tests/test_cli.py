@@ -163,14 +163,27 @@ REFUSALS = {
     "lagged-mass": (["theory", "lagged", "--q", "1e8", "--epsilon", "1e-12"], {}, 1,
                     "the Q=1e+08, epsilon=1e-12 curve has mass 1.0533, more than 0.02 from 1"),
     # near the origin the continuous part is the difference of Im G / pi and
-    # the atom's image, both 2.4e7 high there, and it dips to -0.069
+    # the atom's image, both 2.4e7 high there, and it dips to -0.069; the bound
+    # is 1e-9 plus 4 eps of the smaller of the two, 4.8e6 at that x
     "lagged-continuous-negative": (["theory", "lagged", "--q", "0.25", "--epsilon", "1e-8"], {},
                                    2, "continuous density -6.884e-02 at x = -2e-08 is below "
-                                      "-1e-09"),
-    # x^2 + epsilon^2 underflows to 0 next to the origin: the atom's image is inf
+                                      "-5.24e-09"),
+    # far below rounding: Im G / pi is near 0 where the image is 1.6e8
+    "lagged-continuous-q0.5-eps1e-9": (["theory", "lagged", "--q", "0.5", "--epsilon", "1e-9"],
+                                       {}, 2, "continuous density -1.592e+08 at x = 0.0 is "
+                                              "below -1e-09"),
+    # |z| < 1 at both: two roots next to w = 1 - Q within 1e-6 in G and in w
+    "lagged-q0.001-eps1e-3": (["theory", "lagged", "--q", "0.001", "--epsilon", "1e-3"], {}, 2,
+                              "ambiguous physical branch at x=0.01675 (two roots within 1e-06 "
+                              "of the previous value)"),
+    "lagged-q0.001-eps1e-4": (["theory", "lagged", "--q", "0.001", "--epsilon", "1e-4"], {}, 2,
+                              "ambiguous physical branch at x=0.014305413981742936 (two roots "
+                              "within 1e-06 of the previous value)"),
+    # x^2 + epsilon^2 underflows to 0 next to the origin: the atom's image is
+    # inf, and the bound is 1e-9 plus 4 eps of Im G / pi, 2.1e157 at that x
     "lagged-epsilon-1e-300": (["theory", "lagged", "--q", "0.23713737056616552", "--epsilon",
                                "1e-300"], {}, 2, "continuous density -inf at "
-                              "x = -2.2192611140764508e-166 is below -1e-09"),
+                              "x = -2.2192611140764508e-166 is below -1.9e+142"),
     "narrowband-carrier-0.5": (_NARROWBAND + ["--carrier", "0.5"], {}, 1,
                                "carrier 0.5 outside (0, 0.5)"),
     # each --occupied range is checked before it is expanded, after --n-fft
@@ -294,6 +307,20 @@ class TestDispatch:
         out = tmp_path / "rho.csv"
         assert _run("theory", "lagged", "--q", "0.1", "--epsilon", epsilon, "-o", str(out)) == 0
         assert abs(read_density_csv(out)["rho_s"].total_mass() - 1.0) < 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q, epsilon", [
+        # two roots 2.2e-3 apart in w at x = 2347.77, alike in G alone
+        ("0.001", "10"),
+        # at the origin Im G / pi and the image cancel to one ulp of 2.9e8 and
+        # 2.4e8 below 0, within the bound of 1e-9 plus 4 eps of either
+        ("0.1", "1e-9"),
+        ("0.25", "1e-9"),
+    ])
+    def test_theory_lagged_written_with_unit_mass(self, tmp_path, q, epsilon):
+        out = tmp_path / "rho.csv"
+        assert _run("theory", "lagged", "--q", q, "--epsilon", epsilon, "-o", str(out)) == 0
+        assert abs(read_density_csv(out)["rho_s"].total_mass() - 1.0) < 1e-5
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0", "-1"])
@@ -487,8 +514,8 @@ class TestRefusals:
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]
         assert list((tmp_path / "adir").iterdir()) == []  # no temp file left behind
 
-    # each array asked for is beyond 2^47 bytes, the user address space, so
-    # the allocation fails at once and nothing is ever allocated
+    # the stream and its noisy copy are beyond any host's physical memory, so
+    # generate refuses before either is allocated
     @pytest.mark.parametrize("argv, size", [
         (["generate", "--signal", "wgn", "--rows", str(10**8), "--cols", str(10**8)], "71.1 PiB"),
     ])

@@ -4,8 +4,10 @@ float32 matrix it returns and one staging block, standardizing the one new
 float64 matrix and one small block, checking a data matrix or a capture
 payload for non-finite entries nothing of its size, and the kernel density
 estimate a few small chunks. Generating a capture holds one complex buffer
-per stage: the frames, the noisy copy, the spectrum."""
+per stage: the frames, the noisy copy, the spectrum, and refuses before any
+of them exists when two streams would not fit in physical memory."""
 
+import os
 import struct
 import tracemalloc
 
@@ -125,3 +127,35 @@ def test_generate_set_up_capture_within_four_and_a_half_payloads(tmp_path):
     payload = 1024 * 4096 * 8
     assert rc == 0 and out.stat().st_size == 32 + payload
     assert peak <= 4.5 * payload
+
+
+@pytest.mark.parametrize("argv, stream", [
+    (["--signal", "wgn", "--rows", "512", "--cols", "512"], 512 * 512 * 8),
+    (["--signal", "narrowband", "--rows", "512", "--cols", "512"], 512 * 512 * 8),
+    # whole frames: 513 x 512 samples take 257 frames of 1024
+    (["--signal", "ncofdm", "--rows", "513", "--cols", "512"], 257 * 1024 * 16),
+    (["--signal", "ncofdm", "--rows", "256", "--cols", "512", "--n-fft", "256",
+      "--occupied", "10:200", "--freq-domain"], 256 * 512 * 16),
+])
+def test_generate_refuses_two_streams_above_physical_memory(tmp_path, monkeypatch, capsys,
+                                                            argv, stream):
+    # the stream and its noisy copy, each 2 to 4 MiB here, are alive at once;
+    # physical memory is faked as one byte short of both, then as both
+    sysconf = os.sysconf
+
+    def physical(memory):
+        pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+
+    out = tmp_path / "c.rmtc"
+    physical(2 * stream - 1)
+    rc, peak = _peak(run_cli, ["generate", *argv, "-o", str(out)])
+    assert rc == 1 and not out.exists()
+    assert peak < 1 * _MB
+    size = f"{stream / _MB:.1f} MiB"
+    memory = f"{(2 * stream - 1) / _MB:.1f} MiB"
+    assert capsys.readouterr().err == (
+        f"error: Unable to allocate {size} twice, for the stream and its noisy copy: more "
+        f"than the {memory} of physical memory\n")
+    physical(2 * stream)
+    assert run_cli(["generate", *argv, "-o", str(out)]) == 0

@@ -22,6 +22,7 @@ from rmtspec.cli import run_cli
 from rmtspec.errors import BranchAmbiguity, NumericalError, RmtError, ValidationError
 
 from oracles import (
+    g_unit_track,
     greedy_pairing_residual,
     green_quartic_terms,
     loop_default_grid,
@@ -328,6 +329,56 @@ class TestVectorizedTracker:
             reference_track(xs - 1e-14j, 1.0)
         assert got.value.x == want.value.x
         assert abs(got.value.x - 2.0) < 1e-11  # neither end of the sweep
+
+
+def _agrees_with_g_units(z, Q):
+    """``theory._track`` (ambiguity judged in w and in G) against ``g_unit_track``
+    (in G alone): where the G-unit rule writes, the w rule writes the same bytes;
+    where the w rule refuses, the G-unit rule refuses too. Returns both outcomes."""
+    new, old = _outcome(lambda: theory._track(z, Q)), _outcome(lambda: g_unit_track(z, Q))
+    if old[0] == "ok":
+        _assert_same_outcome(new, old)
+    if new[0] != "ok":
+        assert old[0] != "ok", (new, old)
+    return new, old
+
+
+class TestWRuleAgainstGUnits:
+    """The branch is judged in w = zG alone: seed nearest w = 1, continuity by
+    |w - w_prev|, residual at the picked w, and two roots alike only within 1e-6
+    in both G and w. Against the tracker that judged in G units, it writes the
+    same G and refuses a subset of what that one refused."""
+
+    @given(log_q=st.floats(-3.0, 8.0), log_eps=st.floats(-5.0, 1.0))
+    @example(log_q=-3.0, log_eps=1.0)  # refused in G units at x = 2347.77, written in w
+    @example(log_q=-3.0, log_eps=-4.0)  # refused by both at the same x
+    @settings(max_examples=60, deadline=None)
+    def test_default_grid_sweeps(self, log_q, log_eps):
+        Q, eps = 10.0**log_q, 10.0**log_eps
+        grid = _outcome(lambda: theory._default_grid(Q, eps))
+        assume(grid[0] == "ok")
+        _agrees_with_g_units(grid[1][::-1] - 1j * eps, Q)
+
+    @given(Q=st.floats(1e-3, 1e3), eps=st.floats(1e-5, 10.0), xs=_sweeps(),
+           stretch=st.sampled_from([1.0, 100.0, 1e3]))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_sweeps(self, Q, eps, xs, stretch):
+        _agrees_with_g_units(stretch * xs - 1j * eps, Q)
+
+    @pytest.mark.parametrize("eps, x, written", [
+        # |z| > 1: the two roots next to w = 1 are 2.2e-3 apart in w, 9.4e-7 in G
+        (10.0, "2347.7655944002977", True),
+        # |z| < 1: the w rule's bound is the G-unit one, and both refuse there
+        (1e-3, "0.01675", False),
+        (1e-4, "0.014305413981742936", False),
+    ])
+    def test_q_1e_3(self, eps, x, written):
+        half = theory._default_grid(1e-3, eps)
+        new, old = _agrees_with_g_units(half[::-1] - 1j * eps, 1e-3)
+        refusal = (BranchAmbiguity, f"ambiguous physical branch at x={x} (two roots within "
+                                    f"1e-06 of the previous value)")
+        assert old == refusal
+        assert new[0] == "ok" if written else new == refusal
 
 
 class TestMirrorAndBatchedEdgeSearch:
