@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import estimation, fileio, signals, theory
-from .curves import DensityCurve, cell_averages
+from .curves import _MAX_POINTS, DensityCurve, cell_averages
 from .errors import DisjointSupportsWarning, NumericalError, ValidationError
 from .linalg import (
     eigvals_general,
@@ -211,8 +211,8 @@ def _cmd_analyze_lagged(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theory_mp(ns: argparse.Namespace) -> int:
-    if not 3 <= ns.points <= theory._MAX_GRID_POINTS:  # checked before anything is allocated
-        raise ValidationError(f"--points must lie in [3, {theory._MAX_GRID_POINTS}], "
+    if not 3 <= ns.points <= _MAX_POINTS:  # checked before anything is allocated
+        raise ValidationError(f"--points must lie in [3, {_MAX_POINTS}], "
                               f"got {ns.points}")
     prm = theory.mp_params(ns.c)
     # --points cells clearing [a, b] by half a cell: the end ordinates are 0,

@@ -12,6 +12,11 @@ from .errors import ValidationError
 
 __all__ = ["DensityCurve", "cell_averages"]
 
+# the most points of any grid the package allocates for one curve: a default
+# KDE or lagged-law grid, the bins of a histogram, `theory mp --points`; each
+# is counted and refused before it is allocated
+_MAX_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class DensityCurve:

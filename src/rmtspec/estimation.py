@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DensityCurve
+from .curves import _MAX_POINTS, DensityCurve
 from .errors import DisjointSupportsWarning, ValidationError
 
 __all__ = [
@@ -31,9 +31,6 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # kernel entries (grid x samples) formed per kde_eval chunk: 512 KiB of float64,
 # the one budget of every bounded temporary (linalg._STD_CHUNK_BYTES)
 _KDE_CHUNK_ENTRIES = 1 << 16
-# most points of a default KDE grid (its step at most the bandwidth), and most
-# histogram bins
-_MAX_KDE_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,8 @@ def histogram_density(samples, bins: int) -> DensityCurve:
         raise ValidationError("cannot histogram an empty sample set")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
-    if bins > _MAX_KDE_POINTS:  # refused before numpy allocates the edges
-        raise ValidationError(f"bins must be at most {_MAX_KDE_POINTS}, got {bins}")
+    if bins > _MAX_POINTS:  # refused before numpy allocates the edges
+        raise ValidationError(f"bins must be at most {_MAX_POINTS}, got {bins}")
     # numpy refuses a non-finite range, or bins narrower than the doubles
     # there; bins too narrow for distinct centers, or heights beyond doubles,
     # make no curve
@@ -266,9 +263,9 @@ def eigenvalue_density(values, bandwidth: float | None = None, grid=None) -> Den
             raise ValidationError(f"bandwidth {h:.3g} gives a KDE grid over [{lo:.3g}, {hi:.3g}], "
                                   f"whose span is not finite")
         steps = (hi - lo) / h
-        if steps + 1 > _MAX_KDE_POINTS:
+        if steps + 1 > _MAX_POINTS:
             raise ValidationError(f"bandwidth {h:.3g} needs a KDE grid of {steps + 1:.3g} points, "
-                                  f"more than {_MAX_KDE_POINTS}")
+                                  f"more than {_MAX_POINTS}")
         grid = np.linspace(lo, hi, max(1024, math.ceil(steps) + 1))
         if np.any(np.diff(grid) <= 0):
             raise ValidationError(f"bandwidth {h:.3g} and eigenvalue spread {np.ptp(nonzero):.3g} "

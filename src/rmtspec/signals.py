@@ -102,14 +102,19 @@ def gen_narrowband(seed: int, length: int, carrier: float = 0.25,
         raise ValidationError("1/symbol_rate must be a positive integer sample count")
     if length < 1:
         raise ValidationError("length must be >= 1")
-    sps = round(sps)
+    sps = min(round(sps), length)  # a symbol longer than the stream fills it
     rng = _rng(seed)
     n_sym = -(-length // sps)
     symbols = rng.integers(0, 2, size=n_sym) * 2.0 - 1.0
-    # a symbol longer than the stream fills it
-    baseband = np.repeat(symbols, min(sps, length))[:length]
-    t = np.arange(length)
-    return baseband * np.cos(2.0 * np.pi * carrier * t)
+    # the carrier, then each whole symbol and the tail in place: one
+    # stream-sized array
+    out = np.arange(length, dtype=np.float64)
+    out *= 2.0 * np.pi * carrier
+    np.cos(out, out=out)
+    whole = length - length % sps
+    out[:whole].reshape(-1, sps)[...] *= symbols[: whole // sps, None]
+    out[whole:] *= symbols[-1]
+    return out
 
 
 def gen_ncofdm_frames(seed: int, n_frames: int, n_fft: int = 1024,

@@ -8,15 +8,16 @@ Two families:
 
 * the spectral density of the symmetrized time-lagged correlation matrix
   of white data, obtained by solving a quartic equation for the resolvent
-  ``G(z)`` at ``z = x - i*eps`` (solved in ``w = zG``, which stays O(1) where
-  ``G ~ (1-Q)/z`` is large) and inverting ``rho(x) = Im G / pi``. The quartic
-  depends on the data only through ``Q = T/N``. For ``Q < 1`` the
+  ``G(z)`` at ``z = x - i*eps`` and inverting ``rho(x) = Im G / pi``. The
+  quartic depends on the data only through ``Q = T/N``. For ``Q < 1`` the
   rank deficiency of the lagged matrix puts an atom of mass ``1 - Q`` at
-  the origin; the returned curve carries that atom separately and keeps
-  only the continuous part in its ordinates.
+  the origin, ``G ~ (1-Q)/z`` there; the quartic is solved in
+  ``v = zG - (1-Q)_+``, which stays O(1), and ``v/z`` is the resolvent of the
+  continuous part alone. The returned curve carries the atom separately and
+  keeps only the continuous part, ``Im(v/z) / pi``, in its ordinates.
 
 The physical resolvent branch is fixed by its ``G ~ 1/z`` decay at large
-``|z|`` and tracked by continuity of ``w = zG`` from the largest ``|x|`` of the
+``|z|`` and tracked by continuity of ``v`` from the largest ``|x|`` of the
 grid inward, once for each ``|x|``: the negative half-axis is its mirror image.
 On it the continuous part is a density, ``Q^2 / (pi (1-Q))`` at the origin for
 Q < 1; a curve whose continuous part is negative beyond rounding is refused.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DensityCurve
+from .curves import _MAX_POINTS, DensityCurve
 from .errors import BranchAmbiguity, NumericalError, ValidationError
 
 __all__ = [
@@ -47,9 +48,8 @@ __all__ = [
 
 _AMBIGUITY_TOL = 1e-6
 _IM_TOL = 1e-9
-_RESIDUAL_TOL = 1e-9  # relative w-quartic residual accepted per point
+_RESIDUAL_TOL = 1e-9  # relative v-quartic residual accepted per point
 _MASS_TOL = 0.02  # |curve-plus-atom mass - 1| accepted for a theory curve
-_MAX_GRID_POINTS = 10**6
 # largest dimension ratio: the law's a * b and 2 pi c x overflow near c = 1e154
 _MAX_RATIO = 1e150
 
@@ -126,13 +126,20 @@ def mp_cdf(x, c: float):
 # --------------------------------------------------------------------------
 
 def green_quartic_coeffs(z, Q: float) -> np.ndarray:
-    """Descending-degree coefficients of the resolvent quartic in ``w = zG``.
+    """Monic descending-degree coefficients of the resolvent quartic in
+    ``v = zG - a``, with ``a = (1-Q)_+`` the atom at zero and ``d = (Q-1)_+``:
 
-    ``[1/Q^3, -2r/Q^2, -(z^2 - r^2)/Q, 2rz^2, (2 - 1/Q)z^2]`` with ``r = 1/Q - 1``: the
-    quartic in G, ``[z^2/Q^3, -2rz/Q^2, -(z^2 - r^2)/Q, 2rz, 2 - 1/Q]``, at ``G = w/z``
-    times ``z^2``. Vectorized over ``z`` (0 included): a scalar gives shape (5,), an
-    array of shape (...) gives (..., 5). Coefficients that overflow, or a leading
-    coefficient that underflows to zero (an extreme ``Q``), are refused here.
+        (v + d)^2 ((v + a)^2 - Q^2 z^2) + Q^4 z^2
+        = [1, 2(a+d), (a+d)^2 - Q^2 z^2, -2d Q^2 z^2, min(Q,1) (Q+d) Q^2 z^2],
+
+    the quartic in ``w = zG``, ``(w - 1 + Q)^2 (w^2 - Q^2 z^2) + Q^4 z^2``, at
+    ``w = v + a``. Since ``a d = 0`` it is centred on the double root
+    ``w = 1 - Q`` at ``z = 0`` for Q < 1, and is the w-quartic itself for
+    Q >= 1; ``v/z = G - a/z`` is the resolvent of the continuous part. The last
+    coefficient is ``Q^2 - d^2`` times ``Q^2 z^2`` written without the
+    cancellation at large Q. Vectorized over ``z`` (0 included): a scalar gives
+    shape (5,), an array of shape (...) gives (..., 5). Coefficients that
+    overflow (an extreme ``Q`` or ``z``) are refused here.
     """
     if not Q > 0:
         raise ValidationError(f"Q must be positive, got {Q}")
@@ -141,19 +148,17 @@ def green_quartic_coeffs(z, Q: float) -> np.ndarray:
     if not np.all(np.isfinite(z2)):
         raise ValidationError("z^2 is not finite: every |z| must be finite and below 1.3e154")
     Q = np.float64(Q)  # overflows to inf where a Python float would raise
+    a, d = max(0.0, 1.0 - Q), max(0.0, Q - 1.0)
     c = np.empty(z2.shape + (5,), dtype=np.complex128)
     with np.errstate(all="ignore"):
-        r = 1.0 / Q - 1.0
-        lead = 1.0 / Q**3
-        c[..., 0] = lead
-        c[..., 1] = -2.0 * r / Q**2
-        c[..., 2] = -(z2 - r * r) / Q
-        c[..., 3] = 2.0 * r * z2
-        c[..., 4] = (2.0 - 1.0 / Q) * z2
+        qz2 = Q * Q * z2
+        c[..., 0] = 1.0
+        c[..., 1] = 2.0 * (a + d)
+        c[..., 2] = (a + d) ** 2 - qz2
+        c[..., 3] = -2.0 * d * qz2
+        c[..., 4] = min(Q, 1.0) * (Q + d) * qz2
     if not np.all(np.isfinite(c)):
         raise ValidationError(f"quartic coefficients are not finite at Q = {Q}")
-    if lead == 0:
-        raise ValidationError(f"leading coefficient 1/Q^3 is zero at Q = {Q}")
     return c
 
 
@@ -315,62 +320,72 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (np.abs(acc) / scale).reshape(np.shape(roots))
 
 
-def _gated(z, coeffs, w, picks, d=None) -> np.ndarray:
-    """``G = w[i, picks[i]] / z[i]`` for the picked roots of the w-quartic, refused
-    unless all pass, in this order: every G finite; given the distances ``d`` of a
-    sweep (``d[i]``: the roots at ``i`` from the pick at ``i - 1``, in w, a row of
-    inf where there is none), no pick ambiguous, i.e. with a runner-up within
-    ``_AMBIGUITY_TOL`` of both that previous pick and the pick, in w and in G alike;
-    every w-residual within ``_RESIDUAL_TOL``; ``Im G >= -1e-9``. NaN fails the
-    last two. ``d`` is overwritten."""
-    at = np.arange(len(z))
-    wp = w[at, picks]
-    G = wp / z
+def _finite(z, G) -> None:
+    """Refuse ``G`` (``NumericalError``, naming the first x) unless all of it is finite."""
     if not np.isfinite(G).all():
-        x = float(z[np.argmin(np.isfinite(G))].real)
-        raise NumericalError(f"non-finite root at x = {x}")
+        raise NumericalError(f"non-finite root at x = {float(z[np.argmin(np.isfinite(G))].real)}")
+
+
+def _gated(z, coeffs, v, picks, d=None, atom=0.0) -> np.ndarray:
+    """``v[i, picks[i]] / z[i]`` for the picked roots of the v-quartic, the
+    continuous part's resolvent Gc, plus ``atom / z[i]`` for a nonzero ``atom``,
+    refused unless all pass, in this order: every Gc finite; given the distances
+    ``d`` of a sweep (``d[i]``: the roots at ``i`` from the pick at ``i - 1``, in v,
+    a row of inf where there is none), no pick ambiguous, i.e. with a runner-up
+    within ``_AMBIGUITY_TOL`` of both that previous pick and the pick, in v and in
+    G alike; every v-residual within ``_RESIDUAL_TOL``; every returned value
+    finite, with imaginary part ``>= -1e-9``. NaN fails the last three. ``d`` is
+    overwritten."""
+    at = np.arange(len(z))
+    vp = v[at, picks]
+    Gc = vp / z
+    _finite(z, Gc)
 
     if d is not None:
         d[at, picks] = np.inf
         second = np.argmin(d, axis=1)
-        # within the tolerance in w and in G = w/z: in w, within it times min(1, |z|)
-        near = np.stack([d[at, second], np.abs(wp - w[at, second])]) / np.minimum(1.0, np.abs(z))
+        # within the tolerance in v and in G = (v + a)/z: in v, within it times min(1, |z|)
+        near = np.stack([d[at, second], np.abs(vp - v[at, second])]) / np.minimum(1.0, np.abs(z))
         ambiguous = (near < _AMBIGUITY_TOL).all(axis=0)
         if ambiguous.any():
             x = float(z[np.argmax(ambiguous)].real)
             raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
 
-    res = _residuals(coeffs, wp[:, None]).max()
+    res = _residuals(coeffs, vp[:, None]).max()
     if not res <= _RESIDUAL_TOL:
         raise NumericalError(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
+    G = Gc + atom / z if atom else Gc
+    _finite(z, G)
     if not G.imag.min() >= -_IM_TOL:
         raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
     return G
 
 
-# G = w/z overflows where |z| is near the smallest double: the gates refuse it,
+# Gc = v/z overflows where |z| is near the smallest double: the gates refuse it,
 # without a warning
 @np.errstate(all="ignore")
 def _track(z: np.ndarray, Q: float) -> np.ndarray:
-    """Physical G along ``z`` in order, tracked in ``w = zG``: the first point
-    takes the root nearest ``w = 1`` (G nearest ``1/z``), every later one the root
-    nearest the previous pick, ties to the lower root index, through the
-    ``_gated`` gates; every pick after the first must be unambiguous.
+    """Physical ``Gc = G - (1-Q)_+/z`` along ``z`` in order, tracked in
+    ``v = zG - (1-Q)_+``: the first point takes the root nearest ``v = min(Q, 1)``
+    (``w = zG`` nearest 1, G nearest ``1/z``), every later one the root nearest the
+    previous pick, ties to the lower root index, through the ``_gated`` gates;
+    every pick after the first must be unambiguous.
 
-    Continuity is judged in w, not G: near ``z = 0`` with Q < 1, G carries the
-    atom's pole ``(1-Q)/z``, which moves further in one grid step than the two
-    roots that carry it are apart, while w stays O(1).
+    Continuity is judged in v, whose distances are those in w, not in G: near
+    ``z = 0`` with Q < 1, G carries the atom's pole ``(1-Q)/z``, which moves
+    further in one grid step than the two roots that carry it are apart, while v
+    stays O(1).
 
     "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
     those at point i. All the maps are formed at once and composed along the
     sweep by prefix doubling, so no Python loop runs over the points."""
     coeffs = green_quartic_coeffs(z, Q)
-    w = quartic_roots_batch(coeffs)
+    v = quartic_roots_batch(coeffs)
     m = len(z)
-    # dist[i, j, k] = |w root k at i - w root j at i-1|; at i = 0 every j is the seed
+    # dist[i, j, k] = |v root k at i - v root j at i-1|; at i = 0 every j is the seed
     dist = np.empty((m, 4, 4))
-    dist[0] = np.abs(w[0] - 1.0)
-    dist[1:] = np.abs(w[1:, None, :] - w[:-1, :, None])
+    dist[0] = np.abs(v[0] - min(Q, 1.0))
+    dist[1:] = np.abs(v[1:, None, :] - v[:-1, :, None])
     # nearest[i] maps root j at i-1 to root k at i; nearest[0] is constant, so
     # after the doubling nearest[i, j] is the pick at i for every j
     nearest = np.argmin(dist, axis=2)
@@ -381,7 +396,7 @@ def _track(z: np.ndarray, Q: float) -> np.ndarray:
     picks = nearest[:, 0]
     d = dist[np.arange(m), np.concatenate(([0], picks[:-1]))]
     d[0] = np.inf  # the seed is no previous pick
-    return _gated(z, coeffs, w, picks, d)
+    return _gated(z, coeffs, v, picks, d)
 
 
 @np.errstate(all="ignore")
@@ -393,8 +408,10 @@ def green_function(z, Q: float):
     array of G is returned); every point needs ``Im z < 0``. At each point the
     root nearest the asymptotic value ``w = zG = 1`` is taken. Row ``i`` of an
     array equals the scalar call at ``z[i]``, bit for bit. The gates of ``_track``
-    but the ambiguity gate apply to every point; one failing point refuses the
-    call. Every returned root satisfies ``Im G >= -1e-9``.
+    but the ambiguity gate apply to every point, the imaginary-part gate to G
+    itself, the continuous part plus the atom's ``(1-Q)_+/z``, which must be
+    finite too; one failing point refuses the call. Every returned root
+    satisfies ``Im G >= -1e-9``.
     """
     zv = np.asarray(z, dtype=np.complex128)
     if zv.ndim > 1 or zv.size == 0:
@@ -403,8 +420,8 @@ def green_function(z, Q: float):
         raise ValidationError("green_function requires Im z < 0")
     zs = np.atleast_1d(zv)
     coeffs = green_quartic_coeffs(zs, Q)
-    w = quartic_roots_batch(coeffs)
-    G = _gated(zs, coeffs, w, np.argmin(np.abs(w - 1.0), axis=1))
+    v = quartic_roots_batch(coeffs)
+    G = _gated(zs, coeffs, v, np.argmin(np.abs(v - min(Q, 1.0)), axis=1), atom=max(0.0, 1.0 - Q))
     return complex(G[0]) if zv.ndim == 0 else G
 
 
@@ -431,9 +448,9 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
     # 240 core, 64 geometric and the outer points on each side, counted before
     # anything is allocated: L grows as Q^(-1/2), and Q = 1e-20 would ask for TiB
     count = 2 * (240 + 64 + max(0, math.ceil((L - geo_hi) / outer_step))) + 1
-    if count > _MAX_GRID_POINTS:
+    if count > _MAX_POINTS:
         raise ValidationError(f"Q = {Q} needs a default grid of {count} points, "
-                              f"more than {_MAX_GRID_POINTS}")
+                              f"more than {_MAX_POINTS}")
     core = np.arange(0.0, core_hw, eps / 4.0)
     geo = np.geomspace(core_hw, geo_hi, 64)
     # an epsilon far above L leaves no outer points; an arange from that far
@@ -443,14 +460,15 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
 
 
 def green_scan(Q: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Physical resolvent branch on the default grid at ``z = x - i*epsilon``.
+    """Physical resolvent branch on the default grid at ``z = x - i*epsilon``,
+    without the atom: ``Gc = G - (1-Q)_+/z``.
 
-    The density is even and the w-quartic depends on ``z^2`` only, so
-    ``G(-x - i*eps) = -conj G(x - i*eps)``: the branch is tracked once over the
+    The density is even and the v-quartic depends on ``z^2`` only, so
+    ``Gc(-x - i*eps) = -conj Gc(x - i*eps)``: the branch is tracked once over the
     non-negative half of the grid, from its outer end (seeded with the
     asymptotic 1/z root) inward, and the negative half is its mirror.
-    Returns (grid, G values); every G satisfies the residual tolerance and
-    ``Im G >= -1e-9``. Q must be positive and finite, and epsilon a positive
+    Returns (grid, Gc values); every Gc satisfies the residual tolerance and
+    ``Im Gc >= -1e-9``. Q must be positive and finite, and epsilon a positive
     finite normal double.
     """
     if not (Q > 0 and math.isfinite(Q)):
@@ -461,43 +479,22 @@ def green_scan(Q: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"epsilon must be at least {sys.float_info.min} (a normal "
                               f"double), got {epsilon}")
     half = _default_grid(Q, epsilon)
-    G = _track(half[::-1] - 1j * epsilon, Q)[::-1]
-    return np.concatenate([-half[:0:-1], half]), np.concatenate([-np.conj(G[:0:-1]), G])
+    Gc = _track(half[::-1] - 1j * epsilon, Q)[::-1]
+    return np.concatenate([-half[:0:-1], half]), np.concatenate([-np.conj(Gc[:0:-1]), Gc])
 
 
 def lagged_density_symmetric(Q: float, epsilon: float = 1e-3) -> DensityCurve:
     """Spectral density of the symmetrized lagged correlation matrix.
 
-    Runs ``green_scan`` and inverts ``rho = Im G / pi``. The exact
-    finite-eps image of the atom (mass ``1 - Q`` for Q < 1) is subtracted
-    from the ordinates and reported via ``point_mass_at_zero`` instead, so
-    the curve stays integrable on coarse grids. On the physical branch what
-    is left is a density, ``Q^2 / (pi (1 - Q))`` at the origin; where it
-    falls below ``-(1e-9 + 4 eps t)``, the tolerance of the ``Im G`` gate plus
-    the rounding of the two terms that cancel (``t`` the smaller of ``Im G / pi``
-    and the image, ``eps`` the double's epsilon), the curve is refused with
-    ``NumericalError``. Values between that bound and 0 are rounding and are
-    written as 0.
+    Runs ``green_scan``, whose resolvent already leaves out the atom (mass
+    ``1 - Q`` for Q < 1, reported via ``point_mass_at_zero``), and inverts
+    ``rho = Im Gc / pi``: the continuous part, ``Q^2 / (pi (1 - Q))`` at the
+    origin. Its values between the ``Im Gc`` gate's ``-1e-9`` and 0 are
+    rounding and are written as 0.
     """
-    xs, G = green_scan(Q, epsilon)
-    atom = max(0.0, 1.0 - Q)  # the rank deficiency 1 - Q for Q < 1
-    rho = G.imag / np.pi
-    image = np.zeros_like(xs)
-    if atom > 0.0:
-        # for eps below 1.5e-154, x^2 + eps^2 underflows to 0 next to x = 0:
-        # the image there is inf, and the gate refuses the curve
-        with np.errstate(divide="ignore"):
-            image = atom * (epsilon / np.pi) / (xs * xs + epsilon * epsilon)
-    ys = rho - image
-    # each term comes from a few correctly rounded steps (w/z and /pi; eps/pi,
-    # *atom, x^2 + eps^2 and /), each off by at most eps/2 relative, so where
-    # they cancel their difference is off by up to about 4 eps times either
-    allow = _IM_TOL + 4.0 * np.finfo(np.float64).eps * np.minimum(rho, image)
-    if not (ys + allow).min() >= 0.0:
-        i = int(np.argmin(ys + allow))
-        raise NumericalError(f"continuous density {ys[i]:.3e} at x = {xs[i]} is below "
-                             f"-{allow[i]:.3g}")
-    return DensityCurve(xs, np.clip(ys, 0.0, None), point_mass_at_zero=atom)
+    xs, Gc = green_scan(Q, epsilon)
+    return DensityCurve(xs, np.clip(Gc.imag / np.pi, 0.0, None),
+                        point_mass_at_zero=max(0.0, 1.0 - Q))
 
 
 def require_unit_mass(curve: DensityCurve, what: str) -> None:

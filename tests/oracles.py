@@ -8,12 +8,15 @@ instead of closed-form integrals. The branch tracker and the CSV writers are kep
 per-point / per-row loops the package's vectorized forms must match bit for
 bit, and the lagged-density scan as the two sweeps and the candidate-by-candidate
 edge search that its folded sweep and batched search replace. ``g_unit_track`` is
-the tracker that judged its seed, distances and ambiguity in G units: the
-package's w rule must write the same G and refuse only where it refuses. The capture
-read, row standardization and kernel density estimate are kept as the
-whole-array forms (one full read, whole-payload conversion, one std over all
-rows, the old grid chunking) that the package's streamed and chunked forms must
-match bit for bit. ``project_density``, the axis-projection frame change,
+the tracker that solved the quartic in w = zG and judged its seed, distances and
+ambiguity in G units: the package's rule in v = zG - (1-Q)_+ must write the same
+G to that quartic's resolution, and refuse only where it refuses or where its one
+stronger gate, on the continuous part, fails. The capture read, row
+standardization, narrowband generator and kernel density estimate are kept as
+the whole-array forms (one full read, whole-payload conversion, one std over all
+rows, the repeated baseband times the cosine, the old grid chunking) that the
+package's streamed, chunked and in-place forms must match bit for bit.
+``project_density``, the axis-projection frame change,
 lives here because only the acceptance check and its unit tests use it; so
 does ``mp_density``, the Marcenko-Pastur point density, which the package
 reaches only through its closed-form CDF.
@@ -26,7 +29,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from rmtspec import theory
-from rmtspec.curves import DensityCurve
+from rmtspec.curves import _MAX_POINTS, DensityCurve
 from rmtspec.errors import (
     BranchAmbiguity,
     NumericalError,
@@ -209,63 +212,80 @@ def mp_cdf_quad(x, c):
     return atom + quad(g, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=points)[0]
 
 
-def _pick_branch(d, w, z):
+def _pick_branch(d, roots, z):
     """The index of the smallest distance in ``d``, ties to the lower index, and
-    whether the runner-up's distance and its distance from the pick in ``w`` are
-    both within the ambiguity tolerance, in w and in G = w/z alike."""
+    whether the runner-up's distance and its distance from the pick in ``roots``
+    (w, or v = w - (1-Q)_+, whose distances are the same) are both within the
+    ambiguity tolerance, in that unit and in G = w/z alike."""
     order = np.argsort(d, kind="stable")
     tol = theory._AMBIGUITY_TOL
-    near = [d[order[1]], np.abs(w[order[0]] - w[order[1]])]
-    ambiguous = all(v < tol and v / np.abs(z) < tol for v in near)
+    near = [d[order[1]], np.abs(roots[order[0]] - roots[order[1]])]
+    ambiguous = all(t < tol and t / np.abs(z) < tol for t in near)
     return order[0], ambiguous
 
 
 @np.errstate(all="ignore")
 def reference_track(z, Q):
-    """The branch tracker as a loop over the points, in ``w = zG``: the first
-    point takes the root nearest ``w = 1``, every later one the root nearest the
-    previous pick, by ``|w - w_prev|``, with the ambiguity test on every pick but
-    the first; G is the pick over z. Then, in this order: a non-finite G, the
-    first ambiguous pick, the residual of the picked w and the ``Im G`` gate
-    (NaN fails both) refuse the sweep. Drop-in for ``rmtspec.theory._track``;
-    the roots come from ``theory.quartic_roots_batch`` and the tolerance from
+    """The branch tracker as a loop over the points, in ``v = zG - (1-Q)_+``: the
+    first point takes the root nearest ``v = min(Q, 1)`` (``w = zG`` nearest 1),
+    every later one the root nearest the previous pick, by ``|v - v_prev|``, with
+    the ambiguity test on every pick but the first; ``Gc = G - (1-Q)_+/z`` is the
+    pick over z. Then, in this order: a non-finite Gc, the first ambiguous pick,
+    the residual of the picked v and the ``Im Gc`` gate (NaN fails both) refuse
+    the sweep. Drop-in for ``rmtspec.theory._track``; the roots come from
+    ``theory.quartic_roots_batch`` and the tolerance from
     ``theory._RESIDUAL_TOL``, looked up at call time."""
     coeffs = theory.green_quartic_coeffs(z, Q)
-    w = theory.quartic_roots_batch(coeffs)
-    picks = [_pick_branch(np.abs(w[0] - 1.0), w[0], z[0])[0]]
-    ambiguous = []
-    for i in range(1, len(z)):
-        k, tie = _pick_branch(np.abs(w[i] - w[i - 1, picks[-1]]), w[i], z[i])
-        picks.append(k)
-        if tie:
-            ambiguous.append(i)
-    wp = w[np.arange(len(z)), picks]
-    G = wp / z
+    v = theory.quartic_roots_batch(coeffs)
+    prev, picks, ambiguous = min(Q, 1.0), [], []
     for i in range(len(z)):
-        if not np.isfinite(G[i]):
+        k, tie = _pick_branch(np.abs(v[i] - prev), v[i], z[i])
+        if tie and i > 0:  # the seed is no previous pick
+            ambiguous.append(i)
+        picks.append(k)
+        prev = v[i, k]
+    vp = v[np.arange(len(z)), picks]
+    Gc = vp / z
+    for i in range(len(z)):
+        if not np.isfinite(Gc[i]):
             raise NumericalError(f"non-finite root at x = {float(z[i].real)}")
     if ambiguous:
         raise BranchAmbiguity(float(z[ambiguous[0]].real),
                               f"two roots within {theory._AMBIGUITY_TOL} of the previous value")
-    res = theory._residuals(coeffs, wp[:, None]).max()
+    res = theory._residuals(coeffs, vp[:, None]).max()
     tol = theory._RESIDUAL_TOL
     if not res <= tol:
         raise NumericalError(f"relative residual {res:.3e} above {tol}")
-    if not G.imag.min() >= -theory._IM_TOL:
-        raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
-    return G
+    if not Gc.imag.min() >= -theory._IM_TOL:
+        raise NumericalError(f"Im G = {Gc.imag.min()} at x = {z.real[np.argmin(Gc.imag)]}")
+    return Gc
+
+
+def green_quartic_coeffs_w(z, Q):
+    """The resolvent quartic in ``w = zG`` as ``green_quartic_terms`` at
+    ``G = w/z``, times ``z^2``: ``[1/Q^3, -2r/Q^2, -(z^2 - r^2)/Q, 2rz^2, (2 - 1/Q)z^2]``
+    with ``r = 1/Q - 1``, for double ``z`` of shape (...): (..., 5). Centred on
+    ``w = 0``, so for Q < 1 its two roots next to ``w = 1 - Q`` at small ``|z|``
+    are resolved only to about 1e-8."""
+    z2 = np.square(np.asarray(z, dtype=np.complex128))
+    r = 1.0 / Q - 1.0
+    terms = [1.0 / Q**3, -2.0 * r / Q**2, -(z2 - r * r) / Q, 2.0 * r * z2, (2.0 - 1.0 / Q) * z2]
+    return np.stack(np.broadcast_arrays(*terms), axis=-1)
 
 
 @np.errstate(all="ignore")
 def g_unit_track(z, Q):
-    """The branch tracker with its seed, distances and ambiguity test in G units,
-    as it ran before the w rule: the first point takes the root ``w/z`` nearest
+    """The branch tracker on the quartic in ``w = zG`` (``green_quartic_coeffs_w``)
+    with its seed, distances and ambiguity test in G units, as it ran before the
+    rule in w and then in v: the first point takes the root ``w/z`` nearest
     ``1/z`` (Python's complex division), every later one the root nearest the
     previous pick by ``|w - w_prev| / |z|``, and a pick is ambiguous when the
     runner-up is within 1e-6 of that prediction and of the pick in G, at any
-    ``|z|``; the residual is taken at ``z * G``. The w rule must write the same
-    G wherever both write one, and refuse only where this one refuses."""
-    coeffs = theory.green_quartic_coeffs(z, Q)
+    ``|z|``; the residual is taken at ``z * G``. Returns G itself, atom included.
+    The v rule must write the same G to the w-quartic's resolution wherever both
+    write one and, on the default grid, refuse only where ``g_unit_curve``, this
+    tracker followed by the w-form curve's gate, refuses."""
+    coeffs = green_quartic_coeffs_w(z, Q)
     w = theory.quartic_roots_batch(coeffs)
     roots = w / z[:, None]
     m = len(z)
@@ -298,13 +318,45 @@ def g_unit_track(z, Q):
     return G
 
 
-def loop_default_grid(Q, eps):
+def g_unit_curve(z, Q):
+    """``g_unit_track`` followed by the continuous-part gate that the w-form
+    ``lagged_density_symmetric`` applied to its G: ``Im G / pi`` less the atom's
+    image ``(1-Q)_+ eps / (pi (x^2 + eps^2))``, at ``z = x - i eps``, below
+    ``-(1e-9 + 4 u t)`` (``t`` the smaller of the two terms, ``u`` the double's
+    epsilon) refuses the sweep with ``NumericalError``. Returns G."""
+    G = g_unit_track(z, Q)
+    rho = G.imag / np.pi
+    image = np.zeros_like(rho)
+    if Q < 1.0:
+        x, eps = z.real, -z.imag
+        with np.errstate(divide="ignore"):
+            image = (1.0 - Q) * (eps / np.pi) / (x * x + eps * eps)
+    ys = rho - image
+    allow = theory._IM_TOL + 4.0 * np.finfo(np.float64).eps * np.minimum(rho, image)
+    if not (ys + allow).min() >= 0.0:
+        i = int(np.argmin(ys + allow))
+        raise NumericalError(f"continuous density {ys[i]:.3e} at x = {z.real[i]} is below "
+                             f"-{allow[i]:.3g}")
+    return G
+
+
+def narrowband_reference(seed, length, carrier=0.25, symbol_rate=1.0 / 16.0):
+    """``signals.gen_narrowband`` as whole-array products: the baseband as each
+    symbol repeated over its samples, times the cosine of ``2 pi carrier t``."""
+    sps = round(1.0 / symbol_rate)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    symbols = rng.integers(0, 2, size=-(-length // sps)) * 2.0 - 1.0
+    baseband = np.repeat(symbols, min(sps, length))[:length]
+    return baseband * np.cos(2.0 * np.pi * carrier * np.arange(length))
+
+
+def loop_default_grid(Q, eps, green=None):
     """``theory._default_grid``, the non-negative half of the symmetric default
-    grid, with its edge search as a loop: one single-point
-    ``theory.green_function`` call per candidate half-width, widening by 1.4 while
-    the density there is at least 1e-6 and the width below 64."""
+    grid, with its edge search as a loop: one single-point call of ``green``
+    (``theory.green_function`` by default) per candidate half-width, widening by
+    1.4 while the density there is at least 1e-6 and the width below 64."""
     def edge_density(x):
-        return max(theory.green_function(x - 1j * eps, Q).imag, 0.0) / math.pi
+        return max((green or theory.green_function)(x - 1j * eps, Q).imag, 0.0) / math.pi
 
     L = 2.2 * math.sqrt(2.0 / Q) + 1.2
     while edge_density(L) >= 1e-6 and L < 64.0:
@@ -314,9 +366,9 @@ def loop_default_grid(Q, eps):
     geo_hi = max(4.0 * core_hw, 0.15 * L)
     outer_step = min(0.01, L / 1200.0)
     count = 2 * (240 + 64 + max(0, math.ceil((L - geo_hi) / outer_step))) + 1
-    if count > theory._MAX_GRID_POINTS:
+    if count > _MAX_POINTS:
         raise ValidationError(f"Q = {Q} needs a default grid of {count} points, "
-                              f"more than {theory._MAX_GRID_POINTS}")
+                              f"more than {_MAX_POINTS}")
     core = np.arange(0.0, core_hw, eps / 4.0)
     geo = np.geomspace(core_hw, geo_hi, 64)
     outer = np.arange(geo_hi + outer_step, L + outer_step, outer_step)

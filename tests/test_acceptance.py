@@ -193,18 +193,21 @@ def test_criterion_5_solver_properties():
     z_far = 1000.0 - 0.001j
     details = []
     for Q in (0.5, 1.0, 10.0):
-        xs, G = r.green_scan(Q, 1e-3)
+        xs, Gc = r.green_scan(Q, 1e-3)
         z = xs - 1j * 1e-3
-        # G-space residual against the quartic in G itself, and the residual
-        # of w = zG in the well-scaled quartic the package solves
+        atom = max(0.0, 1.0 - Q)
+        # G-space residual against the quartic in G itself, at G = Gc + atom/z,
+        # and the residual of v = z Gc = zG - atom in the well-scaled quartic
+        # the package solves
         coeffs_g = green_quartic_coeffs_g(z, Q)
+        G = Gc + atom / z
         res = np.abs(np.array([np.polyval(c, g) for c, g in zip(coeffs_g, G)]))
         rel = res / np.linalg.norm(coeffs_g, axis=1)
         assert rel.max() <= 1e-9, f"Q={Q}: residual {rel.max():.2e}"
-        coeffs_w = r.green_quartic_coeffs(z, Q)
-        res_w = np.abs(np.array([np.polyval(c, w) for c, w in zip(coeffs_w, z * G)]))
-        rel_w = res_w / np.linalg.norm(coeffs_w, axis=1)
-        assert rel_w.max() <= 1e-12, f"Q={Q}: w-residual {rel_w.max():.2e}"
+        coeffs_v = r.green_quartic_coeffs(z, Q)
+        res_v = np.abs(np.array([np.polyval(c, v) for c, v in zip(coeffs_v, z * Gc)]))
+        rel_v = res_v / np.linalg.norm(coeffs_v, axis=1)
+        assert rel_v.max() <= 1e-12, f"Q={Q}: v-residual {rel_v.max():.2e}"
 
         g = r.green_function(z_far, Q)
         decay = abs(z_far * g - 1.0)
@@ -216,7 +219,7 @@ def test_criterion_5_solver_properties():
 
         even = np.abs(curve.ys - curve.ys[::-1]).max()
         assert even <= 2e-3, f"Q={Q}: evenness {even:.2e}"
-        details.append(f"Q={Q}: res={rel.max():.1e}, w-res={rel_w.max():.1e}, "
+        details.append(f"Q={Q}: res={rel.max():.1e}, v-res={rel_v.max():.1e}, "
                        f"|zG-1|={decay:.1e}, "
                        f"mass={mass:.3f}, even={even:.1e}")
     _pass("5", "; ".join(details))

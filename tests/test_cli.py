@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import re
 import struct
@@ -158,32 +159,27 @@ REFUSALS = {
     "lagged-q-grid-too-large": (["theory", "lagged", "--q", "1e-20"], {}, 1,
                                 "Q = 1e-20 needs a default grid of 5289158724089 points, "
                                 "more than 1000000"),
+    # Q^2 overflows
     "lagged-q-huge": (["theory", "lagged", "--q", "1e300"], {}, 1,
-                      "leading coefficient 1/Q^3 is zero at Q = 1e+300"),
+                      "quartic coefficients are not finite at Q = 1e+300"),
+    # Q^2 z^2 flushes to 0, the continuous part with it, and the edge search
+    # keeps its first candidate 2.2 sqrt(2/Q) + 1.2 = 3.1e150
+    "lagged-q-tiny": (["theory", "lagged", "--q", "1e-300"], {}, 1,
+                      "Q = 1e-300 needs a default grid of 52891587232753757201127659928752519043"
+                      "8955825480489571771466308615567754738934182031369163149793023851401248805"
+                      "052553853982295387717640809770315497341537 points, more than 1000000"),
     "lagged-mass": (["theory", "lagged", "--q", "1e8", "--epsilon", "1e-12"], {}, 1,
                     "the Q=1e+08, epsilon=1e-12 curve has mass 1.0533, more than 0.02 from 1"),
-    # near the origin the continuous part is the difference of Im G / pi and
-    # the atom's image, both 2.4e7 high there, and it dips to -0.069; the bound
-    # is 1e-9 plus 4 eps of the smaller of the two, 4.8e6 at that x
-    "lagged-continuous-negative": (["theory", "lagged", "--q", "0.25", "--epsilon", "1e-8"], {},
-                                   2, "continuous density -6.884e-02 at x = -2e-08 is below "
-                                      "-5.24e-09"),
-    # far below rounding: Im G / pi is near 0 where the image is 1.6e8
-    "lagged-continuous-q0.5-eps1e-9": (["theory", "lagged", "--q", "0.5", "--epsilon", "1e-9"],
-                                       {}, 2, "continuous density -1.592e+08 at x = 0.0 is "
-                                              "below -1e-09"),
-    # |z| < 1 at both: two roots next to w = 1 - Q within 1e-6 in G and in w
-    "lagged-q0.001-eps1e-3": (["theory", "lagged", "--q", "0.001", "--epsilon", "1e-3"], {}, 2,
-                              "ambiguous physical branch at x=0.01675 (two roots within 1e-06 "
-                              "of the previous value)"),
-    "lagged-q0.001-eps1e-4": (["theory", "lagged", "--q", "0.001", "--epsilon", "1e-4"], {}, 2,
-                              "ambiguous physical branch at x=0.014305413981742936 (two roots "
-                              "within 1e-06 of the previous value)"),
-    # x^2 + epsilon^2 underflows to 0 next to the origin: the atom's image is
-    # inf, and the bound is 1e-9 plus 4 eps of Im G / pi, 2.1e157 at that x
+    # the two roots next to w = 1 - Q, v = 0, are 2Q^2/(1-Q) = 2e-8 apart in G
+    # and alike within 1e-6 in G and v from x = 49.989 down
+    "lagged-q1e-4": (["theory", "lagged", "--q", "1e-4"], {}, 2,
+                     "ambiguous physical branch at x=49.98904755831151 (two roots within 1e-06 "
+                     "of the previous value)"),
+    # the same pair at |z| = 2.2e-166, where G = (1-Q)/z is 3.4e165
     "lagged-epsilon-1e-300": (["theory", "lagged", "--q", "0.23713737056616552", "--epsilon",
-                               "1e-300"], {}, 2, "continuous density -inf at "
-                              "x = -2.2192611140764508e-166 is below -1.9e+142"),
+                               "1e-300"], {}, 2, "ambiguous physical branch at "
+                              "x=2.2192611140764508e-166 (two roots within 1e-06 of the previous "
+                              "value)"),
     "narrowband-carrier-0.5": (_NARROWBAND + ["--carrier", "0.5"], {}, 1,
                                "carrier 0.5 outside (0, 0.5)"),
     # each --occupied range is checked before it is expanded, after --n-fft
@@ -312,8 +308,8 @@ class TestDispatch:
     @pytest.mark.parametrize("q, epsilon", [
         # two roots 2.2e-3 apart in w at x = 2347.77, alike in G alone
         ("0.001", "10"),
-        # at the origin Im G / pi and the image cancel to one ulp of 2.9e8 and
-        # 2.4e8 below 0, within the bound of 1e-9 plus 4 eps of either
+        # next to the origin the continuous part is solved for directly, with
+        # no atom image subtracted from Im G / pi
         ("0.1", "1e-9"),
         ("0.25", "1e-9"),
     ])
@@ -321,6 +317,34 @@ class TestDispatch:
         out = tmp_path / "rho.csv"
         assert _run("theory", "lagged", "--q", q, "--epsilon", epsilon, "-o", str(out)) == 0
         assert abs(read_density_csv(out)["rho_s"].total_mass() - 1.0) < 1e-5
+
+    # refused while the continuous part was Im G / pi less the atom's image
+    # (both ~1/eps at the origin), or while the two roots next to w = 1 - Q
+    # were resolved only to about 1e-8 in w; the mass Q < 0.01 misses is the
+    # law's tail past the default grid's end (density ~3e-7 at Q = 1e-3)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q, epsilon", [
+        ("0.001", "1e-9"), ("0.001", "1e-4"), ("0.001", "3e-4"), ("0.001", "1e-3"),
+        ("0.0015", "1e-9"), ("0.0015", "1e-5"), ("0.0015", "1e-4"), ("0.0018", "1e-9"),
+        ("0.002", "1e-9"), ("0.002", "1e-4"), ("0.003", "1e-9"), ("0.003", "1e-5"),
+        ("0.003", "1e-4"), ("0.0056", "1e-5"), ("0.5", "1e-9"), ("0.25", "1e-8"),
+    ])
+    def test_theory_lagged_formerly_refused_is_written(self, tmp_path, q, epsilon):
+        out = tmp_path / "rho.csv"
+        assert _run("theory", "lagged", "--q", q, "--epsilon", epsilon, "-o", str(out)) == 0
+        curve = read_density_csv(out)["rho_s"]
+        assert abs(curve.total_mass() - 1.0) <= 0.02
+        assert curve.point_mass_at_zero == pytest.approx(1.0 - float(q), rel=1e-9)
+
+    # the continuous part's origin value rho_0(0+) = Q^2 / (pi (1 - Q)), to 9
+    # digits of the file
+    @pytest.mark.parametrize("q, epsilon", [("0.25", "1e-8"), ("0.5", "1e-9"), ("0.001", "1e-4")])
+    def test_theory_lagged_origin_value(self, tmp_path, q, epsilon):
+        out = tmp_path / "rho.csv"
+        assert _run("theory", "lagged", "--q", q, "--epsilon", epsilon, "-o", str(out)) == 0
+        Q = float(q)
+        want = Q * Q / (math.pi * (1.0 - Q))
+        assert float(read_density_csv(out)["rho_s"](0.0)) == pytest.approx(want, rel=5e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0", "-1"])

@@ -107,12 +107,13 @@ class TestAgainstCompanionOracle:
         assert greedy_pairing_residual(got, want) <= 16.0 * bound, (got, want, bound)
 
     def test_double_root_at_zero_for_z_zero(self):
-        # at z = 0 the w-quartic is w^2 (w/Q - r)^2 / Q: double roots 0 and 1 - Q
+        # at z = 0 the v-quartic is v^2 (v + |1 - Q|)^2: double roots 0 (w = 1 - Q
+        # for Q < 1, w = 0 for Q > 1) and -|1 - Q|
         for Q in (0.25, 0.5, 4.0):
             roots = quartic_roots_batch(green_quartic_coeffs(np.array([0j]), Q))[0]
             zero = np.abs(roots) < 0.5 * abs(1.0 - Q)
             assert zero.sum() == 2 and np.all(roots[zero] == 0)
-            np.testing.assert_allclose(roots[~zero], 1.0 - Q, rtol=1e-7)
+            np.testing.assert_allclose(roots[~zero], -abs(1.0 - Q), rtol=1e-7)
 
     def test_biquadratic_at_q_one(self):
         # Q = 1: w^4 - z^2 w^2 + z^2, no odd terms, so the depressed q is 0

@@ -3,9 +3,10 @@
 float32 matrix it returns and one staging block, standardizing the one new
 float64 matrix and one small block, checking a data matrix or a capture
 payload for non-finite entries nothing of its size, and the kernel density
-estimate a few small chunks. Generating a capture holds one complex buffer
-per stage: the frames, the noisy copy, the spectrum, and refuses before any
-of them exists when two streams would not fit in physical memory."""
+estimate a few small chunks. Generating a real stream holds the stream, and a
+capture one complex buffer per stage: the frames, the noisy copy, the
+spectrum, and refuses before any of them exists when two streams would not fit
+in physical memory."""
 
 import os
 import struct
@@ -93,6 +94,15 @@ _FRAMES, _N_FFT = 512, 1024
 def frames():
     signals.spectrogram_matrix(signals.gen_ncofdm_frames(0, 1, _N_FFT), _N_FFT)  # FFT plans
     return signals.gen_ncofdm_frames(3, _FRAMES, _N_FFT)
+
+
+@pytest.mark.parametrize("generate", [signals.gen_wgn, signals.gen_narrowband])
+def test_stream_generators_hold_one_stream(generate):
+    # the normal draw; the carrier built, cosined and keyed by each symbol in
+    # place (its baseband, time axis, phase and cosine held 4.06 streams at once)
+    x, peak = _peak(generate, 1, 2**20)
+    assert x.nbytes == 2**20 * 8
+    assert peak <= 1.2 * x.nbytes
 
 
 def test_gen_ncofdm_frames_holds_the_frames_and_the_symbols(frames):

@@ -15,6 +15,8 @@ from rmtspec import (
 from rmtspec import signals
 from rmtspec.errors import ValidationError
 
+from oracles import narrowband_reference
+
 
 class TestWgn:
     def test_determinism(self):
@@ -89,6 +91,15 @@ class TestNarrowband:
         with pytest.raises(ValidationError, match=r"^1/symbol_rate must be a positive integer "
                                              r"sample count$"):
             gen_narrowband(seed=0, length=8, symbol_rate=rate)
+
+    # the in-place product against the whole-array one, at lengths that end
+    # mid-symbol, hold one symbol or less (1, 5, 17) or are a power of two
+    @pytest.mark.parametrize("length", [2**20, 1000, 33, 17, 5, 1])
+    @pytest.mark.parametrize("carrier, rate", [(0.25, 1 / 16), (0.1234, 1 / 7), (0.3, 1.0),
+                                               (0.25, 1 / 64)])
+    def test_bytes_match_the_whole_array_form(self, length, carrier, rate):
+        got = gen_narrowband(seed=6, length=length, carrier=carrier, symbol_rate=rate)
+        assert got.tobytes() == narrowband_reference(6, length, carrier, rate).tobytes()
 
     # 1/1e-300 is a whole count of samples far past any length
     @pytest.mark.parametrize("rate", [1 / 64, 1e-300])

@@ -22,14 +22,26 @@ from rmtspec.cli import run_cli
 from rmtspec.errors import BranchAmbiguity, NumericalError, RmtError, ValidationError
 
 from oracles import (
+    g_unit_curve,
     g_unit_track,
     greedy_pairing_residual,
+    green_quartic_coeffs_w,
     green_quartic_terms,
     loop_default_grid,
     project_density,
     reference_track,
     two_sweep_scan,
 )
+
+_U = np.finfo(float).eps / 2
+
+
+def _kappa(c, x):
+    """Relative condition number of the root ``x`` of the quartic ``c`` (..., 5):
+    ``sum_j |c_j| |x|^(4-j) / (|x| |P'(x)|)``."""
+    mag = sum(np.abs(c[..., j]) * np.abs(x) ** (4 - j) for j in range(5))
+    slope = sum((4 - j) * c[..., j] * x ** (3 - j) for j in range(4))
+    return mag / (np.abs(x) * np.abs(slope))
 
 
 class TestQuarticCoeffs:
@@ -38,15 +50,21 @@ class TestQuarticCoeffs:
         np.testing.assert_allclose(green_quartic_coeffs(2.0, 1.0), [1, 0, -4, 0, 4], atol=1e-15)
 
     def test_symbolic_oracle(self):
-        # the quartic in G is the source of truth; the package solves
-        # z^2 P(w/z) in w = zG
+        # the quartic in G is the source of truth: Q^3 z^2 P(w/z), the quartic
+        # in w = zG, factors as (w - 1 + Q)^2 (w^2 - Q^2 z^2) + Q^4 z^2, and the
+        # package solves it in v = w - (1-Q)_+
         sympy = pytest.importorskip("sympy")
-        G, w, z, Q = sympy.symbols("G w z Q")
+        G, w, v, z, Q = sympy.symbols("G w v z Q")
         P = sum(c * G ** (4 - k) for k, c in enumerate(green_quartic_terms(z, Q)))
-        poly = sympy.Poly(sympy.expand(z**2 * P.subs(G, w / z)), w)
+        in_w = sympy.expand(Q**3 * z**2 * P.subs(G, w / z))
+        assert sympy.expand(in_w - ((w - 1 + Q)**2 * (w**2 - Q**2 * z**2) + Q**4 * z**2)) == 0
         for zval, qval in [(3 - sympy.I / 1000, 10), (sympy.Rational(1, 20) - sympy.I / 10**4,
-                                                      sympy.Rational(1, 4)), (0, 2)]:
-            want = [complex(c.subs({z: zval, Q: qval})) for c in poly.all_coeffs()]
+                                                      sympy.Rational(1, 4)), (0, 2),
+                           (2 - sympy.I / 100, 1), (0, sympy.Rational(1, 2)),
+                           (sympy.Rational(1, 10**6) - sympy.I / 10**9, sympy.Rational(1, 1000))]:
+            atom = sympy.Max(0, 1 - qval)
+            poly = sympy.Poly(in_w.subs({z: zval, Q: qval, w: v + atom}), v)
+            want = [complex(c) for c in poly.all_coeffs()]
             got = green_quartic_coeffs(complex(zval), float(qval))
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
@@ -54,20 +72,20 @@ class TestQuarticCoeffs:
     def test_invalid(self):
         with pytest.raises(ValidationError, match="^Q must be positive, got 0.0$"):
             green_quartic_coeffs(1.0, 0.0)
-        # extreme Q: overflowing coefficients, or 1/Q^3 flushed to 0
+        # extreme Q: (Q - 1)^2 and Q^2 overflow
         with pytest.raises(ValidationError,
-                           match="^quartic coefficients are not finite at Q = 1e-300$"):
-            green_quartic_coeffs(1.0 - 1e-3j, 1e-300)
-        with pytest.raises(ValidationError,
-                           match=r"^leading coefficient 1/Q\^3 is zero at Q = 1e\+300$"):
+                           match=r"^quartic coefficients are not finite at Q = 1e\+300$"):
             green_quartic_coeffs(1.0 - 1e-3j, 1e300)
+        # Q^2 z^2 flushed to 0: v^2 (v + 1)^2, the quartic at z = 0, finite
+        np.testing.assert_array_equal(green_quartic_coeffs(1.0 - 1e-3j, 1e-300), [1, 2, 1, 0, 0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("Q", [0.25, 1.0, 4.0])
     def test_zero_z(self, Q):
-        # at z = 0 only the z-free terms remain: (w^2/Q) (w/Q - r)^2
-        r = 1.0 / Q - 1.0
-        want = [1.0 / Q**3, -2.0 * r / Q**2, r * r / Q, 0.0, 0.0]
+        # at z = 0 only the z-free terms remain: (v + d)^2 (v + a)^2 with
+        # a + d = |1 - Q|, so v^2 (v + |1 - Q|)^2
+        s = abs(1.0 - Q)
+        want = [1.0, 2.0 * s, s * s, 0.0, 0.0]
         np.testing.assert_array_equal(green_quartic_coeffs(0.0, Q), want)
         # |z|^2 below the smallest double flushes to the same row
         got = green_quartic_coeffs(np.array([1.0, -1e-300j]), Q)
@@ -85,7 +103,7 @@ class TestQuarticCoeffs:
         got = green_quartic_coeffs(np.array([1.0 - 1e-3j, 0.0, 2.0]), 0.5)
         want = np.stack([green_quartic_coeffs(v, 0.5) for v in (1.0 - 1e-3j, 0.0, 2.0)])
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got[1], [8.0, -8.0, 2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(got[1], [1.0, 1.0, 0.25, 0.0, 0.0])
 
 
 class TestSolveQuartic:
@@ -125,7 +143,8 @@ class TestGreenFunction:
         assert abs(z * g - 1.0) < 1e-2
 
     def test_asymptote_is_approximate_root(self):
-        # substituting w = zG = 1 into the quartic cancels all O(z^2) terms
+        # substituting w = zG = 1 (v = 1 at Q >= 1) into the quartic cancels all
+        # O(z^2) terms
         z, Q = 1000.0 - 0.001j, 10.0
         c = green_quartic_coeffs(z, Q)
         val = np.polyval(c, 1.0)
@@ -141,12 +160,13 @@ class TestGreenFunction:
             green_function(1.0 + 0.001j, 1.0)
 
     def test_residual_of_returned_root(self):
+        # at v = zG - (1-Q)_+ for the G returned, atom included
         for Q in (0.5, 1.0, 10.0):
             for x in (0.3, 1.5, 5.0):
                 z = x - 1e-3j
                 c = green_quartic_coeffs(z, Q)
                 g = green_function(z, Q)
-                assert abs(np.polyval(c, z * g)) / np.linalg.norm(c) <= 1e-9
+                assert abs(np.polyval(c, z * g - max(0.0, 1.0 - Q))) / np.linalg.norm(c) <= 1e-9
 
     def test_gate_checks_only_the_returned_root(self):
         # at Q = 1e4 near the origin the discarded roots with |w| ~ Q carry
@@ -331,27 +351,47 @@ class TestVectorizedTracker:
         assert abs(got.value.x - 2.0) < 1e-11  # neither end of the sweep
 
 
-def _agrees_with_g_units(z, Q):
-    """``theory._track`` (ambiguity judged in w and in G) against ``g_unit_track``
-    (in G alone): where the G-unit rule writes, the w rule writes the same bytes;
-    where the w rule refuses, the G-unit rule refuses too. Returns both outcomes."""
-    new, old = _outcome(lambda: theory._track(z, Q)), _outcome(lambda: g_unit_track(z, Q))
-    if old[0] == "ok":
-        _assert_same_outcome(new, old)
-    if new[0] != "ok":
-        assert old[0] != "ok", (new, old)
+def _agrees_with_g_units(z, Q, im_gc_may_refuse=False):
+    """``theory._track`` (the quartic in v, ambiguity judged in v and in G) against
+    ``g_unit_curve`` (the quartic in w, ambiguity in G alone, then the w-form
+    curve's continuous-part gate): where the G-unit rule writes G, the v rule
+    writes ``Gc = G - (1-Q)_+/z`` on the same branch, within the w-quartic's
+    resolution of G (``4 u kappa``, kappa the relative condition number of w in
+    that quartic, as for the 60-digit roots below). Where the v rule refuses, the
+    G-unit rule refuses too, except, with ``im_gc_may_refuse``, by the v rule's
+    ``Im Gc >= -1e-9`` gate: a drawn sweep that crosses the origin in one step
+    can turn onto the other root of the pair next to ``w = 1 - Q``, which is the
+    nearer one exactly in v, where the w-quartic's 1e-8 rounding of that pair
+    kept the branch. Returns both outcomes."""
+    new, old = _outcome(lambda: theory._track(z, Q)), _outcome(lambda: g_unit_curve(z, Q))
+    if old[0] == "ok" and new[0] == "ok":
+        G, want = new[1] + max(0.0, 1.0 - Q) / z, old[1]
+        kappa = _kappa(green_quartic_coeffs_w(z, Q), z * want)
+        err = np.abs(G - want) / np.abs(want)
+        assert np.all(err <= np.maximum(1e-12, 4 * _U * kappa)), (err.max(), z[np.argmax(err)])
+    elif old[0] == "ok":
+        assert im_gc_may_refuse and _gate(new) == (NumericalError, "Im G"), (new, old)
     return new, old
 
 
-class TestWRuleAgainstGUnits:
-    """The branch is judged in w = zG alone: seed nearest w = 1, continuity by
-    |w - w_prev|, residual at the picked w, and two roots alike only within 1e-6
-    in both G and w. Against the tracker that judged in G units, it writes the
-    same G and refuses a subset of what that one refused."""
+def _g_unit_point(z, Q):
+    """The G-unit rule's ``green_function`` at one point: the root nearest
+    ``1/z`` of the w-quartic, under its residual and ``Im G`` gates."""
+    return complex(g_unit_track(np.array([z]), Q)[0])
+
+
+class TestVRuleAgainstGUnits:
+    """The branch is judged in v = zG - (1-Q)_+ alone: seed nearest v = min(Q, 1),
+    continuity by |v - v_prev|, residual at the picked v, and two roots alike only
+    within 1e-6 in both G and v. Against the tracker that solved the quartic in
+    w = zG and judged in G units, it writes the same G to that quartic's
+    resolution. On the default grids it refuses a subset of what that one and the
+    w-form curve's continuous-part gate refused; drawn sweeps may also be refused
+    by the continuous part's own gate (``_agrees_with_g_units``)."""
 
     @given(log_q=st.floats(-3.0, 8.0), log_eps=st.floats(-5.0, 1.0))
-    @example(log_q=-3.0, log_eps=1.0)  # refused in G units at x = 2347.77, written in w
-    @example(log_q=-3.0, log_eps=-4.0)  # refused by both at the same x
+    @example(log_q=-3.0, log_eps=1.0)  # refused in G units at x = 2347.77, written in v
+    @example(log_q=-3.0, log_eps=-4.0)  # refused in G units at x = 0.0143, written in v
     @settings(max_examples=60, deadline=None)
     def test_default_grid_sweeps(self, log_q, log_eps):
         Q, eps = 10.0**log_q, 10.0**log_eps
@@ -361,24 +401,46 @@ class TestWRuleAgainstGUnits:
 
     @given(Q=st.floats(1e-3, 1e3), eps=st.floats(1e-5, 10.0), xs=_sweeps(),
            stretch=st.sampled_from([1.0, 100.0, 1e3]))
+    # one step from x = -1 to 2 lands on the wrong branch: Im G = 0.156 there,
+    # but Im Gc = -0.019, and the physical w is the other root near 0.88; the
+    # w-form curve's gate refused it too (continuous density -6.0e-3)
+    @example(Q=0.125, eps=1.0, xs=np.array([-1.0, 2.0]), stretch=1.0)
+    # the one step across the origin: the pair next to w = 1 - Q is +-1e-6 i z
+    # in v, and the other root of it is the nearer (3.1e-8 against 3.8e-8);
+    # the w-quartic's 1e-8 rounding happened to keep the branch, so only the
+    # v rule refuses (Im Gc = -Q^2/(1-Q))
+    @example(Q=0.001, eps=0.015625, xs=np.linspace(-1.0, 1.0, 54), stretch=1.0)
     @settings(max_examples=100, deadline=None)
     def test_drawn_sweeps(self, Q, eps, xs, stretch):
-        _agrees_with_g_units(stretch * xs - 1j * eps, Q)
+        _agrees_with_g_units(stretch * xs - 1j * eps, Q, im_gc_may_refuse=True)
 
-    @pytest.mark.parametrize("eps, x, written", [
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 3e-4, 1e-4])
+    def test_edge_search_keeps_every_g_unit_grid(self, eps):
+        # below Q = 0.1 the edge candidates lie inside the support, where the
+        # root nearest w = 1 is not always the physical one: at Q = 0.01445,
+        # x = 74.303 its Im Gc is -2.5e-9 at eps = 1e-4, its Im G 1.8e-8. The
+        # search reads Im G under the G-unit gate, so it keeps every grid the
+        # G-unit search chose, byte for byte
+        for Q in np.geomspace(1e-3, 0.1, 241):
+            want = _outcome(lambda: loop_default_grid(float(Q), eps, green=_g_unit_point))
+            if want[0] == "ok":
+                assert theory._default_grid(float(Q), eps).tobytes() == want[1].tobytes(), Q
+
+    @pytest.mark.parametrize("eps, x", [
         # |z| > 1: the two roots next to w = 1 are 2.2e-3 apart in w, 9.4e-7 in G
-        (10.0, "2347.7655944002977", True),
-        # |z| < 1: the w rule's bound is the G-unit one, and both refuse there
-        (1e-3, "0.01675", False),
-        (1e-4, "0.014305413981742936", False),
+        (10.0, "2347.7655944002977"),
+        # |z| < 1: the two roots next to w = 1 - Q are 2Q^2/(1-Q) = 2e-6 apart
+        # in G, which the w-quartic resolves only to about 1e-8 in w; v = 0 is
+        # their centre, and the v-quartic resolves them to full precision
+        (1e-3, "0.01675"),
+        (1e-4, "0.014305413981742936"),
     ])
-    def test_q_1e_3(self, eps, x, written):
+    def test_q_1e_3(self, eps, x):
         half = theory._default_grid(1e-3, eps)
         new, old = _agrees_with_g_units(half[::-1] - 1j * eps, 1e-3)
-        refusal = (BranchAmbiguity, f"ambiguous physical branch at x={x} (two roots within "
-                                    f"1e-06 of the previous value)")
-        assert old == refusal
-        assert new[0] == "ok" if written else new == refusal
+        assert old == (BranchAmbiguity, f"ambiguous physical branch at x={x} (two roots within "
+                                        f"1e-06 of the previous value)")
+        assert new[0] == "ok"
 
 
 class TestMirrorAndBatchedEdgeSearch:
@@ -441,38 +503,44 @@ def _branch_points(Q):
 
 
 class TestMpmathOracle:
-    """The branch green_scan tracks, against 30-digit roots of the quartic in G,
+    """The branch green_scan tracks, against 60-digit roots of the quartic in G,
     near the origin, at the branch points and at the grid end: ``_track``
     sweeps the non-negative half of the default grid with those points added,
-    from its outer end inward, as green_scan does."""
+    from its outer end inward, as green_scan does, and its ``Gc`` is the root
+    less the atom's ``(1-Q)_+/z``, taken at 60 digits too."""
 
-    @pytest.mark.parametrize("Q", [0.25, 0.5, 4.0])
-    def test_green_scan_matches_30_digit_roots(self, Q):
+    @pytest.mark.parametrize("Q, eps", [(0.25, 1e-4), (0.5, 1e-4), (4.0, 1e-4), (1e-3, 1e-4),
+                                        (0.01, 1e-9), (0.1, 1e-9)])
+    def test_green_scan_matches_60_digit_roots(self, Q, eps):
         mpmath = pytest.importorskip("mpmath")
         from rmtspec.theory import _default_grid
 
-        eps = 1e-4
         base = _default_grid(Q, eps)
-        pts = [0.0, 5e-5, float(base[-1])] + _branch_points(Q)
+        # for Q <= 0.01 the support edge lies past the grid's end (1014 at Q = 1e-3)
+        pts = [0.0, 5e-5, 2 * eps, float(base[-1])] + [b for b in _branch_points(Q)
+                                                      if b < base[-1]]
         xs = np.union1d(base, pts)
-        G = theory._track(xs[::-1] - 1j * eps, Q)[::-1]
-        u = np.finfo(float).eps / 2
-        with mpmath.workdps(30):
+        Gc = theory._track(xs[::-1] - 1j * eps, Q)[::-1]
+        # next to the origin the two roots of the quartic in G that carry the
+        # atom's pole are 2Q^2/(1 - Q) apart at |G| ~ (1 - Q)/eps, 2e-13 relative
+        # at Q = 0.01, eps = 1e-9: each is then good to 1e-(dps)/2e-13 relative
+        # to G, and 60 digits leave Gc exact to far below double rounding
+        with mpmath.workdps(60):
+            # the atom 1 - Q of the double Q, not its rounding: v/z is the
+            # continuous part of the law at Q, whatever the double 1 - Q
+            atom = max(mpmath.mpf(0), 1 - mpmath.mpf(Q))
             for x in pts:
                 k = int(np.searchsorted(xs, x))
                 z = complex(x, -eps)
-                c = green_quartic_terms(mpmath.mpc(x, -eps), mpmath.mpf(Q))
+                zm = mpmath.mpc(x, -eps)
+                c = green_quartic_terms(zm, mpmath.mpf(Q))
                 roots = mpmath.polyroots(c, maxsteps=200, extraprec=100)
-                g = min(roots, key=lambda t: abs(t - G[k]))
-                err = float(abs(g - G[k]) / abs(g))
-                # the root's relative condition number in the w-quartic: near
-                # the origin for Q < 1 it sits next to its partner (w = 1 - Q
-                # is a double root at z = 0) and double precision gives less
-                cw = green_quartic_coeffs(z, Q)
-                w = z * G[k]
-                kappa = sum(abs(cw[j]) * abs(w) ** (4 - j) for j in range(5)) / (
-                    abs(w) * abs(np.polyval(np.polyder(cw), w)))
-                assert err <= max(1e-12, 4 * u * kappa), (x, err, u * kappa)
+                g = min((t - atom / zm for t in roots), key=lambda t: abs(t - Gc[k]))
+                err = float(abs(g - Gc[k]) / abs(g))
+                # the root's relative condition number in the v-quartic: next to
+                # the origin for Q < 1, v is the pair +-i Q^2 z/(1 - Q), 2|v| apart
+                kappa = _kappa(green_quartic_coeffs(z, Q), z * Gc[k])
+                assert err <= max(1e-12, 4 * _U * kappa), (x, err, _U * kappa)
                 assert g.imag >= 0, (x, g)
 
 
@@ -561,10 +629,20 @@ class TestLawNearTheOrigin:
 
     @pytest.mark.parametrize("Q, eps", _NEAR_ORIGIN)
     def test_continuous_part_is_non_negative(self, Q, eps):
-        # from green_scan's G, before lagged_density_symmetric's gate
-        xs, G = green_scan(Q, eps)
-        cont = G.imag / math.pi - max(0.0, 1.0 - Q) * (eps / math.pi) / (xs * xs + eps * eps)
-        assert cont.min() >= 0.0, (xs[np.argmin(cont)], cont.min())
+        # from green_scan's Gc, before lagged_density_symmetric's clip
+        xs, Gc = green_scan(Q, eps)
+        assert Gc.imag.min() >= 0.0, (xs[np.argmin(Gc.imag)], Gc.imag.min())
+
+    @pytest.mark.parametrize("Q", [1e-3, 1e-2, 0.1, 0.25, 0.5, 0.9])
+    def test_exact_at_the_origin_at_eps_1e_9(self, Q):
+        # rho_0(0+) = Q^2 / (pi (1 - Q)); within 5 eps of 0 the smoothing moves
+        # it by O(eps) relative, and the v-quartic's root there is exact to rounding
+        eps = 1e-9
+        curve = lagged_density_symmetric(Q, eps)
+        near = np.abs(curve.xs) <= 5 * eps
+        assert near.sum() == 41
+        want = Q * Q / (math.pi * (1.0 - Q))
+        np.testing.assert_allclose(curve.ys[near], want, rtol=1e-6, atol=0)
 
     def test_simulated_share_next_to_zero(self):
         # eigenvalues of S = (C_1 + C_1^T)/2 over 20 standardized 400 x 200 WGN
