@@ -310,15 +310,16 @@ def read_density_csv(path: str) -> dict[str, DensityCurve]:
 
 
 def _parse_at_once(lines: list[str], width: int) -> np.ndarray | None:
-    """The data lines as a len(lines) x width array, every field parsed in one
-    call, or None when a line has another field count or a field is not a
-    number."""
-    if any(line.count(",") != width - 1 for line in lines):
-        return None
+    """The data lines as a len(lines) x width array, parsed in one
+    ``np.loadtxt`` call, or None when a line has another field count or a
+    field that ``np.loadtxt`` does not read as a number. Each number it reads
+    is the ``float`` of its text; ``1_0`` and non-ASCII digits, which only
+    ``float`` reads, are left to ``_parse_by_line``."""
     try:
-        return np.array(",".join(lines).split(","), dtype=np.float64).reshape(-1, width)
+        data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         return None
+    return data if data.shape[1] == width else None
 
 
 def _parse_by_line(path: str, width: int, linenos: list[int], lines: list[str]) -> np.ndarray:

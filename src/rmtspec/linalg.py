@@ -267,7 +267,7 @@ def eigvals_general(C) -> np.ndarray:
     non-finite input.
     """
     w = np.asarray(_solve(C, symmetric=False), dtype=np.complex128)
-    return w[np.lexsort((w.imag, w.real))]
+    return np.sort(w, kind="stable")
 
 
 def _solve(M, symmetric: bool) -> np.ndarray:
@@ -310,7 +310,8 @@ def _solve_owned(a: np.ndarray, symmetric: bool) -> np.ndarray:
     ``dsyevd`` returns non-finite eigenvalues for a matrix with an inf or NaN,
     given or overflowed in its product, and an eigenvalue may overflow.
     ``np.linalg``'s ``LinAlgError`` becomes ``NumericalError``."""
-    with np.errstate(over="ignore"):  # sums beyond doubles are refused below
+    # sums beyond doubles, and +inf plus -inf eigenvalues, are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         trace = float(np.trace(a)) if symmetric else 0.0
         try:
             w = (_eigvalsh_owned if symmetric else _eigvals_owned)(a)
@@ -488,6 +489,7 @@ def _require_symmetric(a: np.ndarray) -> None:
     scale = max(np.abs(a).max(), 1e-300)
     if not np.isfinite(scale):
         raise NumericalError(_NOT_FINITE)
-    dev = np.abs(a - a.T).max()
+    with np.errstate(over="ignore"):  # an overflowed difference is refused below
+        dev = np.abs(a - a.T).max()
     if dev > _SYMMETRY_REL_TOL * scale:
         raise ValidationError(f"asymmetry {dev} exceeds {_SYMMETRY_REL_TOL} * {scale}")

@@ -304,9 +304,7 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     d = _deflate(b, x3)
     roots = _polish(a, np.concatenate([_quadratic_roots(*d.T), x3, x4], axis=1))
 
-    roots = _ldexp(roots, e)
-    order = np.lexsort((roots.imag, roots.real), axis=1)
-    return np.take_along_axis(roots, order, axis=1)
+    return np.sort(_ldexp(roots, e), axis=1, kind="stable")
 
 
 def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -374,28 +372,19 @@ def _track(z: np.ndarray, Q: float) -> np.ndarray:
     Continuity is judged in v, whose distances are those in w, not in G: near
     ``z = 0`` with Q < 1, G carries the atom's pole ``(1-Q)/z``, which moves
     further in one grid step than the two roots that carry it are apart, while v
-    stays O(1).
-
-    "Nearest root to the previous pick" maps the 4 root indices at point i-1 to
-    those at point i. All the maps are formed at once and composed along the
-    sweep by prefix doubling, so no Python loop runs over the points."""
+    stays O(1)."""
     coeffs = green_quartic_coeffs(z, Q)
     v = quartic_roots_batch(coeffs)
     m = len(z)
-    # dist[i, j, k] = |v root k at i - v root j at i-1|; at i = 0 every j is the seed
-    dist = np.empty((m, 4, 4))
-    dist[0] = np.abs(v[0] - min(Q, 1.0))
-    dist[1:] = np.abs(v[1:, None, :] - v[:-1, :, None])
-    # nearest[i] maps root j at i-1 to root k at i; nearest[0] is constant, so
-    # after the doubling nearest[i, j] is the pick at i for every j
-    nearest = np.argmin(dist, axis=2)
-    step = 1
-    while step < m:
-        nearest[step:] = np.take_along_axis(nearest[step:], nearest[:-step], axis=1)
-        step *= 2
-    picks = nearest[:, 0]
-    d = dist[np.arange(m), np.concatenate(([0], picks[:-1]))]
-    d[0] = np.inf  # the seed is no previous pick
+    # dist[i, j, k] = |v root k at i+1 - v root j at i|; its argmin over k maps
+    # the pick at i to the pick at i+1
+    dist = np.abs(v[1:, None, :] - v[:-1, :, None])
+    picks = [int(np.argmin(np.abs(v[0] - min(Q, 1.0))))]
+    for nearest in np.argmin(dist, axis=2).tolist():
+        picks.append(nearest[picks[-1]])
+    picks = np.array(picks)
+    d = np.full((m, 4), np.inf)  # the seed is no previous pick
+    d[1:] = dist[np.arange(m - 1), picks[:-1]]
     return _gated(z, coeffs, v, picks, d)
 
 

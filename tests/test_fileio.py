@@ -449,6 +449,13 @@ class TestDensityCsv:
         ("x,kde\n0,1\n1,a\n2,1,1\n", "3: could not convert string to float: 'a'"),
         ("x,kde\n0,1\n1,1,1\n2,a\n", "3: 3 fields, header has 2"),
         ("x,kde\n\n# c\n0,1\n 1 , nan\n2,\n", "6: could not convert string to float: ''"),
+        # no comment marker inside a row, and no row width but the header's
+        ("x,kde\n0,1\n2#x,3\n", "3: could not convert string to float: '2#x'"),
+        ("x,kde\n0,1\n1,3,\n", "3: 3 fields, header has 2"),
+        ("x,a,b\n0,1,2\n1,3\n2,1,1\n", "3: 2 fields, header has 3"),
+        ("x,kde\n0,1\n1,3,4\n2,1\n", "3: 3 fields, header has 2"),
+        ("x,a,b\n0,1\n1,3\n", "2: 2 fields, header has 3"),
+        ("x,kde\n0,1,2\n1,3,4\n", "2: 3 fields, header has 2"),
     ])
     def test_first_bad_line_named(self, tmp_path, text, message):
         # the whole file is parsed at once; the line at fault is found after
@@ -471,6 +478,16 @@ class TestDensityCsv:
         with pytest.raises(ValueError) as err:
             read_density_csv(str(path))
         assert str(err.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("field", ["1_0", "١٠"])
+    def test_numbers_only_float_reads_are_read_line_by_line(self, tmp_path, field):
+        # float reads digit groups and non-ASCII digits, np.loadtxt does not
+        lines = ["0,1", f"{field},3"]
+        assert fileio._parse_at_once(lines, 2) is None
+        path = tmp_path / "d.csv"
+        path.write_text("x,kde\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        curve = read_density_csv(str(path))["kde"]
+        assert curve.xs.tolist() == [0.0, 10.0] and curve.ys.tolist() == [1.0, 3.0]
 
     def test_negative_zero_reads_back(self, tmp_path):
         path = tmp_path / "d.csv"

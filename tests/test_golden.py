@@ -4,7 +4,8 @@ KS, against the sha256 digests and reprs in ``golden.json``.
 The pipelines cover each code path that writes bytes: a rank-deficient
 capture (small-side solves on one thread) and a full-rank one (dense staged
 solves), each analyzed standardized and raw (``--no-standardize``),
-``theory lagged``, ``theory mp`` below, at and above c = 1, and ``compare``.
+``theory lagged`` at its default epsilon and over the benchmark's sweep of Q
+and epsilon, ``theory mp`` below, at and above c = 1, and ``compare``.
 ``generate`` also writes one capture of each other source and framing: WGN
 of variance 4, noisy narrowband BPSK, time-domain NC-OFDM and noiseless
 per-frame-DFT NC-OFDM. The bits depend on the BLAS kernels, so the manifest records the
@@ -55,6 +56,10 @@ GENERATED = {
                     "--freq-domain"],
 }
 
+# the benchmark's theory sweep: every (Q, epsilon) pair it writes
+SWEEP_Q = ("0.25", "0.5", "1", "2", "4", "10")
+SWEEP_EPS = ("1e-3", "3e-4", "1e-4")
+
 
 def _steps() -> list[list[str]]:
     """CLI argv of every step, in order, with paths relative to the working
@@ -72,7 +77,10 @@ def _steps() -> list[list[str]]:
             ["compare", "--empirical", dens, "--theory", mp, "-o", f"{name}.report.txt"],
         ]
     steps += [["theory", "lagged", "--q", q, "-o", f"lagged-q{q}.csv"] for q in ("0.5", "2")]
-    steps += [["theory", "mp", "--c", c, "-o", f"mp-c{c}.csv"] for c in ("0.5", "1", "4")]
+    steps += [["theory", "lagged", "--q", q, "--epsilon", eps, "-o", f"lagged-q{q}-e{eps}.csv"]
+              for q in SWEEP_Q for eps in SWEEP_EPS]
+    steps += [["theory", "mp", "--c", c, "-o", f"mp-c{c}.csv"]
+              for c in ("0.25", "0.5", "1", "2", "4")]
     steps += [["generate", *args, "-o", f"{name}.rmtc"] for name, args in GENERATED.items()]
     return steps
 

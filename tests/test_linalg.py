@@ -307,6 +307,22 @@ class TestEigvals:
         with pytest.raises(ValidationError, match=r"^matrix of shape \(2, 3\) is not square$"):
             eigvals_symmetric(np.zeros((2, 3)))
 
+    # entries at the largest doubles: the refusals raise with no numpy warning
+    # first, from the asymmetry's difference or the eigenvalues' sum
+    _BIG = 1.7e308
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_asymmetry_refused_without_warnings(self):
+        with pytest.raises(ValidationError, match=r"^asymmetry inf exceeds 1e-10 \* 1.7e\+308$"):
+            eigvals_symmetric(np.array([[0.0, self._BIG], [-self._BIG, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", [eigvals_symmetric, eigvals_general])
+    def test_eigenvalues_of_both_infinities_refused_without_warnings(self, solve):
+        with pytest.raises(NumericalError, match="^matrix holds an inf or NaN, or its "
+                                                 "eigenvalues' sum overflows doubles$"):
+            solve(np.array([[self._BIG, self._BIG], [self._BIG, -self._BIG]]))
+
     @pytest.mark.filterwarnings("error")
     def test_symmetric_solve_refuses_a_complex_matrix(self):
         # copied to float64 it would lose its imaginary part and solve as [2, 2]
