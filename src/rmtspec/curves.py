@@ -16,6 +16,16 @@ __all__ = ["DensityCurve", "cell_averages"]
 # KDE or lagged-law grid, the bins of a histogram, `theory mp --points`; each
 # is counted and refused before it is allocated
 _MAX_POINTS = 10**6
+# bytes of every bounded temporary: a capture read's staging block, the row
+# block of standardize_rows, the KDE's grid chunk, add_awgn's noise chunk; a
+# freed block of several MiB would raise glibc's dynamic mmap threshold, so the
+# next command's MiB-sized temporaries would stay on the heap
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_items(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes one block holds: one at least."""
+    return max(1, _BLOCK_BYTES // item_bytes)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _MAX_POINTS, DensityCurve
+from .curves import _MAX_POINTS, DensityCurve, _block_items
 from .errors import DisjointSupportsWarning, ValidationError
 
 __all__ = [
@@ -28,9 +28,6 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-# kernel entries (grid x samples) formed per kde_eval chunk: 512 KiB of float64,
-# the one budget of every bounded temporary (linalg._STD_CHUNK_BYTES)
-_KDE_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def kde_eval(samples: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
         return out
     # chunk the grid to bound the (chunk x samples) temporaries; each grid
     # point's kernel sum is its own row's, so the chunking changes no bits
-    chunk = max(1, _KDE_CHUNK_ENTRIES // len(s))
+    chunk = _block_items(s.nbytes)
     for lo in range(0, len(x), chunk):
         u = (x[lo:lo + chunk, None] - s[None, :]) / h
         k = np.exp(-0.5 * u * u) / _SQRT_2PI

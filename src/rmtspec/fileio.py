@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DensityCurve
+from .curves import DensityCurve, _block_items
 from .errors import ValidationError
 from .linalg import DataMatrix
 
@@ -57,9 +57,6 @@ DTYPE_F32_COMPLEX = 1
 DTYPE_I16_REAL = 2
 
 _ELEMENT_BYTES = {DTYPE_F32_REAL: 4, DTYPE_F32_COMPLEX: 8, DTYPE_I16_REAL: 2}
-# payload bytes staged per block by read_capture: 512 KiB, the one budget of
-# every bounded temporary (linalg._STD_CHUNK_BYTES)
-_READ_BLOCK_BYTES = 1 << 19
 # neighbours this far apart, relative to the larger |x|, print apart in %.9g:
 # each rounds by at most half a unit in its 9th digit, 5e-9 of its magnitude
 _TEXT_REL_GAP = 1e-8
@@ -160,7 +157,7 @@ def _read_payload(fh, header: CaptureHeader) -> np.ndarray:
     row_bytes = cols * _ELEMENT_BYTES[header.dtype]
     if out.size == 0:
         return out
-    step = min(rows, max(1, _READ_BLOCK_BYTES // row_bytes))
+    step = min(rows, _block_items(row_bytes))
     src = np.dtype("<i2" if header.dtype == DTYPE_I16_REAL else "<f4")
     buf = np.empty(step * row_bytes // src.itemsize, dtype=src)
     for lo in range(0, rows, step):

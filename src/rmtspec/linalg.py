@@ -72,6 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .curves import _block_items
 from .errors import NumericalError, ValidationError, ZeroVarianceRow
 
 __all__ = [
@@ -85,10 +86,6 @@ __all__ = [
     "eigvals_general",
 ]
 
-# float64 bytes of each row block of standardize_rows (one row at least): the
-# block and the one block-sized temporary of its std, 1 MiB together, stay in
-# cache, and that temporary is all a standardize holds beside its result
-_STD_CHUNK_BYTES = 1 << 19
 # doubles of slack below each column of a matrix a LAPACK stage overwrites: one
 # 64-byte line, so that a power-of-two order does not give a power-of-two stride
 _SLACK = 8
@@ -208,7 +205,9 @@ def standardize_rows(X: DataMatrix) -> DataMatrix:
     if n < 2:
         raise ZeroVarianceRow(0)
     out = np.empty((p, n))
-    step = max(1, _STD_CHUNK_BYTES // out[0].nbytes)
+    # the block and the one block-sized temporary of its std stay in cache, and
+    # that temporary is all a standardize holds beside its result
+    step = _block_items(out[0].nbytes)
     for lo in range(0, p, step):
         block = out[lo:lo + step]
         block[...] = a[lo:lo + step]

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .curves import _block_items
 from .errors import ValidationError
 
 __all__ = [
@@ -27,10 +28,6 @@ __all__ = [
     "add_awgn",
     "spectrogram_matrix",
 ]
-
-# normals drawn per add_awgn chunk: 512 KiB of float64, the one budget of every
-# bounded temporary (linalg._STD_CHUNK_BYTES)
-_NOISE_CHUNK = 1 << 16
 
 # inclusive index ranges; 41+21+61+101+101+101 = 426 occupied tones of 1024
 DEFAULT_OCCUPIED_RANGES = (
@@ -149,9 +146,10 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     and an SNR whose linear ratio is not a positive double are refused.
 
     The result is one new array, a copy of the samples to which the noise is
-    added ``_NOISE_CHUNK`` values at a time: the real parts' draws, then the
-    imaginary parts', in the order of one ``normal(size=(2, len))`` draw, so
-    the bits do not depend on the chunk size. The samples are not changed.
+    added a block (``curves._BLOCK_BYTES``) of float64 values at a time: the
+    real parts' draws, then the imaginary parts', in the order of one
+    ``normal(size=(2, len))`` draw, so the bits do not depend on the block
+    size. The samples are not changed.
     """
     x = _stream(samples)
     if len(x) == 0:
@@ -178,8 +176,9 @@ def add_awgn(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     else:
         parts, sigma = (out,), math.sqrt(nvar)
     for part in parts:
-        for lo in range(0, len(part), _NOISE_CHUNK):
-            chunk = part[lo:lo + _NOISE_CHUNK]
+        step = _block_items(part.itemsize)
+        for lo in range(0, len(part), step):
+            chunk = part[lo:lo + step]
             chunk += rng.normal(0.0, sigma, len(chunk))
     return out
 

@@ -307,52 +307,21 @@ def quartic_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     return np.sort(_ldexp(roots, e), axis=1, kind="stable")
 
 
-def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """|P(root)| / ||coeffs||_2 for (m, 5) coefficients and (m, k) roots."""
-    c = np.atleast_2d(coeffs)
-    r = np.atleast_2d(roots)
-    acc = np.broadcast_to(c[:, :1], r.shape).astype(np.complex128)
-    for k in range(1, 5):
-        acc = acc * r + c[:, k : k + 1]
-    scale = np.linalg.norm(c, axis=1, keepdims=True)
-    return (np.abs(acc) / scale).reshape(np.shape(roots))
-
-
 def _finite(z, G) -> None:
     """Refuse ``G`` (``NumericalError``, naming the first x) unless all of it is finite."""
     if not np.isfinite(G).all():
         raise NumericalError(f"non-finite root at x = {float(z[np.argmin(np.isfinite(G))].real)}")
 
 
-def _gated(z, coeffs, v, picks, d=None, atom=0.0) -> np.ndarray:
-    """``v[i, picks[i]] / z[i]`` for the picked roots of the v-quartic, the
-    continuous part's resolvent Gc, plus ``atom / z[i]`` for a nonzero ``atom``,
-    refused unless all pass, in this order: every Gc finite; given the distances
-    ``d`` of a sweep (``d[i]``: the roots at ``i`` from the pick at ``i - 1``, in v,
-    a row of inf where there is none), no pick ambiguous, i.e. with a runner-up
-    within ``_AMBIGUITY_TOL`` of both that previous pick and the pick, in v and in
-    G alike; every v-residual within ``_RESIDUAL_TOL``; every returned value
-    finite, with imaginary part ``>= -1e-9``. NaN fails the last three. ``d`` is
-    overwritten."""
-    at = np.arange(len(z))
-    vp = v[at, picks]
-    Gc = vp / z
-    _finite(z, Gc)
-
-    if d is not None:
-        d[at, picks] = np.inf
-        second = np.argmin(d, axis=1)
-        # within the tolerance in v and in G = (v + a)/z: in v, within it times min(1, |z|)
-        near = np.stack([d[at, second], np.abs(vp - v[at, second])]) / np.minimum(1.0, np.abs(z))
-        ambiguous = (near < _AMBIGUITY_TOL).all(axis=0)
-        if ambiguous.any():
-            x = float(z[np.argmax(ambiguous)].real)
-            raise BranchAmbiguity(x, f"two roots within {_AMBIGUITY_TOL} of the previous value")
-
-    res = _residuals(coeffs, vp[:, None]).max()
+def _gated(z, coeffs, vp, G) -> np.ndarray:
+    """``G`` at ``z``, from the picked roots ``vp`` of the monic v-quartics
+    ``coeffs`` (m, 5), refused unless all pass, in this order: every v-residual
+    ``|P(vp)| / ||coeffs||_2`` within ``_RESIDUAL_TOL``; every G finite, with
+    imaginary part ``>= -1e-9``. NaN fails both."""
+    scale = np.linalg.norm(coeffs, axis=1, keepdims=True)
+    res = (np.abs(_value(coeffs[:, 1:], vp[:, None])) / scale).max()
     if not res <= _RESIDUAL_TOL:
         raise NumericalError(f"relative residual {res:.3e} above {_RESIDUAL_TOL}")
-    G = Gc + atom / z if atom else Gc
     _finite(z, G)
     if not G.imag.min() >= -_IM_TOL:
         raise NumericalError(f"Im G = {G.imag.min()} at x = {z.real[np.argmin(G.imag)]}")
@@ -366,8 +335,10 @@ def _track(z: np.ndarray, Q: float) -> np.ndarray:
     """Physical ``Gc = G - (1-Q)_+/z`` along ``z`` in order, tracked in
     ``v = zG - (1-Q)_+``: the first point takes the root nearest ``v = min(Q, 1)``
     (``w = zG`` nearest 1, G nearest ``1/z``), every later one the root nearest the
-    previous pick, ties to the lower root index, through the ``_gated`` gates;
-    every pick after the first must be unambiguous.
+    previous pick, ties to the lower root index. Refused, in this order, where a
+    Gc is not finite, where a pick after the first is ambiguous (its runner-up
+    within ``_AMBIGUITY_TOL`` of both that previous pick and the pick, in v and in
+    G alike), and by the ``_gated`` gates on Gc.
 
     Continuity is judged in v, whose distances are those in w, not in G: near
     ``z = 0`` with Q < 1, G carries the atom's pole ``(1-Q)/z``, which moves
@@ -375,17 +346,29 @@ def _track(z: np.ndarray, Q: float) -> np.ndarray:
     stays O(1)."""
     coeffs = green_quartic_coeffs(z, Q)
     v = quartic_roots_batch(coeffs)
-    m = len(z)
     # dist[i, j, k] = |v root k at i+1 - v root j at i|; its argmin over k maps
     # the pick at i to the pick at i+1
     dist = np.abs(v[1:, None, :] - v[:-1, :, None])
     picks = [int(np.argmin(np.abs(v[0] - min(Q, 1.0))))]
     for nearest in np.argmin(dist, axis=2).tolist():
         picks.append(nearest[picks[-1]])
-    picks = np.array(picks)
-    d = np.full((m, 4), np.inf)  # the seed is no previous pick
-    d[1:] = dist[np.arange(m - 1), picks[:-1]]
-    return _gated(z, coeffs, v, picks, d)
+    at, picks = np.arange(len(z)), np.array(picks)
+    vp = v[at, picks]
+    Gc = vp / z
+    _finite(z, Gc)
+    # from the second point on (the seed has no previous pick): with the pick's
+    # own distance set aside, the nearest root left is the runner-up, ambiguous
+    # within the tolerance in v and in G = (v + a)/z alike, that is in v within
+    # it times min(1, |z|)
+    d = dist[at[:-1], picks[:-1]]
+    d[at[:-1], picks[1:]] = np.inf
+    second = np.argmin(d, axis=1)
+    near = np.stack([d[at[:-1], second], np.abs(vp[1:] - v[at[1:], second])])
+    ambiguous = (near / np.minimum(1.0, np.abs(z[1:])) < _AMBIGUITY_TOL).all(axis=0)
+    if ambiguous.any():
+        raise BranchAmbiguity(float(z[1 + np.argmax(ambiguous)].real),
+                              f"two roots within {_AMBIGUITY_TOL} of the previous value")
+    return _gated(z, coeffs, vp, Gc)
 
 
 @np.errstate(all="ignore")
@@ -396,11 +379,17 @@ def green_function(z, Q: float):
     ``z`` is a scalar (a ``complex`` is returned) or a non-empty 1-D array (an
     array of G is returned); every point needs ``Im z < 0``. At each point the
     root nearest the asymptotic value ``w = zG = 1`` is taken. Row ``i`` of an
-    array equals the scalar call at ``z[i]``, bit for bit. The gates of ``_track``
-    but the ambiguity gate apply to every point, the imaginary-part gate to G
-    itself, the continuous part plus the atom's ``(1-Q)_+/z``, which must be
-    finite too; one failing point refuses the call. Every returned root
-    satisfies ``Im G >= -1e-9``.
+    array equals the scalar call at ``z[i]``, bit for bit. A continuous part
+    ``v/z`` that is not finite refuses the call, then the ``_gated`` gates on G
+    itself, ``v/z`` plus the atom's ``(1-Q)/z`` for Q < 1; one failing point
+    refuses the call. Every returned root satisfies ``Im G >= -1e-9``.
+
+    Inside the support at small Q the root nearest ``w = 1`` is not always the
+    physical one: ``green_function(105 - 1e-4j, 0.01)`` has ``Im G = 7.66e-9``,
+    which passes the gate, but its continuous part is ``-1.32e-9``. Its one
+    caller, the edge search of ``_default_grid``, reads only ``Im G``, and no
+    written curve is affected. The law at eps = 0 (ROADMAP.md) would retire
+    both this function and that search.
     """
     zv = np.asarray(z, dtype=np.complex128)
     if zv.ndim > 1 or zv.size == 0:
@@ -410,7 +399,10 @@ def green_function(z, Q: float):
     zs = np.atleast_1d(zv)
     coeffs = green_quartic_coeffs(zs, Q)
     v = quartic_roots_batch(coeffs)
-    G = _gated(zs, coeffs, v, np.argmin(np.abs(v - min(Q, 1.0)), axis=1), atom=max(0.0, 1.0 - Q))
+    vp = v[np.arange(len(zs)), np.argmin(np.abs(v - min(Q, 1.0)), axis=1)]
+    Gc = vp / zs
+    _finite(zs, Gc)
+    G = _gated(zs, coeffs, vp, Gc + (1.0 - Q) / zs if Q < 1 else Gc)
     return complex(G[0]) if zv.ndim == 0 else G
 
 
@@ -423,7 +415,13 @@ def _default_grid(Q: float, eps: float) -> np.ndarray:
     sqrt(2/Q) + 1.2``) where the density ``Im G / pi`` falls below 1e-6, or else
     the first at or past 64. Every candidate up to that one is solved in a single
     ``green_function`` call, so a gate failing at a candidate past the one taken
-    refuses the grid too."""
+    refuses the grid too.
+
+    For Q below about 0.01 the grid stops short of the support's edge x+, where
+    the density is a plateau below the 1e-6 threshold: at Q = 1e-3 it ends at
+    99.59 against x+ = 1014.08, and the curve's mass is 0.99906; at Q = 0.01 it
+    ends at 88.67 against 106.13, mass 0.99705 (both at the default eps, 1e-3).
+    The law at eps = 0 (ROADMAP.md) takes x+ from the quartic's discriminant."""
     candidates = [2.2 * math.sqrt(2.0 / Q) + 1.2]
     while candidates[-1] < 64.0:
         candidates.append(candidates[-1] * 1.4)

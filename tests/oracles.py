@@ -11,7 +11,12 @@ edge search that its folded sweep and batched search replace. ``g_unit_track`` i
 the tracker that solved the quartic in w = zG and judged its seed, distances and
 ambiguity in G units: the package's rule in v = zG - (1-Q)_+ must write the same
 G to that quartic's resolution, and refuse only where it refuses or where its one
-stronger gate, on the continuous part, fails. The capture read, row
+stronger gate, on the continuous part, fails. Both trackers take their residual
+from ``quartic_residuals`` here, not from the package. ``unsquared_lhs`` is the
+lagged law's equation before squaring, which tells the physical root from the
+roots squaring brought in; ``lagged_edge`` and ``rho0`` are the law's support
+edge and density at eps = 0, from a discriminant cubic and companion roots on
+the real axis, with no branch tracking. The capture read, row
 standardization, narrowband generator and kernel density estimate are kept as
 the whole-array forms (one full read, whole-payload conversion, one std over all
 rows, the repeated baseband times the cosine, the old grid chunking) that the
@@ -125,6 +130,59 @@ def green_quartic_terms(z, Q):
     arrays, mpmath numbers or sympy symbols; returns a list of five."""
     r = 1 / Q - 1
     return [z**2 / Q**3, -2 * r * z / Q**2, -(z**2 - r**2) / Q, 2 * r * z, 2 - 1 / Q]
+
+
+def quartic_residuals(coeffs, roots):
+    """``|P(root)| / ||coeffs||_2`` for (m, 5) descending-degree coefficients and
+    (m, k) roots, by Horner from the leading coefficient."""
+    c, r = np.atleast_2d(coeffs), np.atleast_2d(roots)
+    acc = np.broadcast_to(c[:, :1], r.shape).astype(np.complex128)
+    for k in range(1, 5):
+        acc = acc * r + c[:, k : k + 1]
+    return np.abs(acc) / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+def unsquared_lhs(v, z, Q):
+    """The lagged law's equation before squaring, over Q, evaluated in
+    ``v = zG - a``: ``(v + d) sqrt(1 - G/Q) sqrt(1 + G/Q) / Q`` with
+    ``G = (v + a)/z``, ``a = (1-Q)_+``, ``d = (Q-1)_+`` and principal roots. It
+    is 1 at the physical root and -1 at the roots that squaring brought in.
+    This is ``(1 - Q - w) sqrt(1 - G/Q) sqrt(1 + G/Q) = -Q``, ``w = zG``, the
+    Marcenko-Pastur equation with an arcsine time-side law; written in v, it
+    avoids the cancellation in ``1 - Q - w`` next to ``w = 1 - Q``."""
+    a, d = max(0.0, 1.0 - Q), max(0.0, Q - 1.0)
+    G = (v + a) / z
+    return (v + d) * np.sqrt(1.0 - G / Q) * np.sqrt(1.0 + G / Q) / Q
+
+
+def lagged_edge(Q):
+    """The upper edge x+ of the lagged law's support at eps = 0, from the
+    discriminant of the quartic in v at real z = x, a cubic in ``u = x^2``: its
+    smallest positive root for Q >= 1 and its largest for Q < 1 (the only one
+    for Q <= 1/2; a second, inside the support, appears above Q = 1/2)."""
+    c = [Q**6, -11 * Q**6 + 6 * Q**5 - 3 * Q**4,
+         -Q**6 + 28 * Q**5 - 2 * Q**4 - 12 * Q**3 + 3 * Q**2,
+         2 * Q**5 - 9 * Q**4 + 16 * Q**3 - 14 * Q**2 + 6 * Q - 1]
+    u = np.roots(c)
+    u = u.real[(np.abs(u.imag) <= 1e-6 * np.abs(u)) & (u.real > 0)]
+    return math.sqrt(u.max() if Q < 1 else u.min())
+
+
+def rho0(x, Q):
+    """The lagged law's continuous density at eps = 0 and real ``x > 0``:
+    ``|Im v| / (pi x)`` of a complex pair of the quartic in v,
+    ``(v + d)^2 ((v + a)^2 - Q^2 x^2) + Q^4 x^2`` (``np.roots``, companion
+    eigenvalues of its real coefficients), the pair with the larger ``|Im v|`` for
+    Q < 1 and the smaller for Q > 1; 0 where it has no complex pair. For Q >= 1
+    a pair outlives the support, so read it on (0, ``lagged_edge(Q)``) only."""
+    a, d = max(0.0, 1.0 - Q), max(0.0, Q - 1.0)
+    c = np.polymul([1.0, 2.0 * d, d * d], [1.0, 2.0 * a, a * a - (Q * x) ** 2])
+    c[-1] += (Q * Q * x) ** 2
+    r = np.roots(c)
+    im = np.abs(r.imag[r.imag != 0])
+    if im.size == 0:
+        return 0.0
+    return (im.max() if Q < 1 else im.min()) / (math.pi * x)
 
 
 def green_quartic_coeffs_g(z, Q):
@@ -252,7 +310,7 @@ def reference_track(z, Q):
     if ambiguous:
         raise BranchAmbiguity(float(z[ambiguous[0]].real),
                               f"two roots within {theory._AMBIGUITY_TOL} of the previous value")
-    res = theory._residuals(coeffs, vp[:, None]).max()
+    res = quartic_residuals(coeffs, vp[:, None]).max()
     tol = theory._RESIDUAL_TOL
     if not res <= tol:
         raise NumericalError(f"relative residual {res:.3e} above {tol}")
@@ -310,7 +368,7 @@ def g_unit_track(z, Q):
     if ambiguous.any():
         raise BranchAmbiguity(float(z[np.argmax(ambiguous)].real),
                               f"two roots within {tol} of the previous value")
-    res = theory._residuals(coeffs, (z * G)[:, None]).max()
+    res = quartic_residuals(coeffs, (z * G)[:, None]).max()
     if not res <= theory._RESIDUAL_TOL:
         raise NumericalError(f"relative residual {res:.3e} above {theory._RESIDUAL_TOL}")
     if not G.imag.min() >= -theory._IM_TOL:

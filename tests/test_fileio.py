@@ -17,7 +17,7 @@ from rmtspec import (
     write_capture,
     write_density_csv,
 )
-from rmtspec import fileio
+from rmtspec import curves, fileio
 from rmtspec.fileio import DTYPE_F32_COMPLEX, DTYPE_F32_REAL, DTYPE_I16_REAL, write_table_csv
 from rmtspec.errors import ValidationError
 
@@ -209,7 +209,7 @@ class TestStreamedRead:
     def test_matches_whole_file_reader(self, tmp_path_factory, raw, block):
         path = tmp_path_factory.getbasetemp() / "stream.rmtc"
         path.write_bytes(raw)
-        with mock.patch.object(fileio, "_READ_BLOCK_BYTES", block):
+        with mock.patch.object(curves, "_BLOCK_BYTES", block):
             assert _outcome(read_capture, path) == _outcome(reference_read_capture, path)
 
     @pytest.mark.parametrize("dtype", [DTYPE_F32_REAL, DTYPE_F32_COMPLEX, DTYPE_I16_REAL])
@@ -236,7 +236,7 @@ class TestStreamedRead:
         write_capture(str(path), rng.standard_normal((6, 5)))
         full = os.stat(path)
         path.write_bytes(path.read_bytes()[:-7])
-        with mock.patch.object(fileio, "_READ_BLOCK_BYTES", 40), \
+        with mock.patch.object(curves, "_BLOCK_BYTES", 40), \
                 mock.patch.object(fileio.os, "fstat", lambda fd: full):
             with pytest.raises(ValidationError,
                                match="^payload is 113 bytes, header promises 120$"):

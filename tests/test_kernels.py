@@ -12,12 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmtspec import estimation
+from rmtspec import curves
 from rmtspec.errors import ValidationError
 from rmtspec.estimation import kde_eval
-from rmtspec.theory import _default_grid, _residuals, green_quartic_coeffs, quartic_roots_batch
+from rmtspec.theory import _default_grid, green_quartic_coeffs, quartic_roots_batch
 
-from oracles import companion_roots, greedy_pairing_residual, reference_kde_eval
+from oracles import (
+    companion_roots,
+    greedy_pairing_residual,
+    quartic_residuals,
+    reference_kde_eval,
+)
 
 _U = np.finfo(float).eps / 2
 
@@ -175,7 +180,7 @@ class TestAgainstCompanionOracle:
         for roots in (quartic_roots_batch(c), companion_roots(c)):
             scale = np.linalg.norm(c, axis=1, keepdims=True)
             mag = sum(np.abs(c[:, j:j + 1]) * np.abs(roots) ** (4 - j) for j in range(5))
-            assert np.all(_residuals(c, roots) * scale <= 8 * _U * mag)
+            assert np.all(quartic_residuals(c, roots) * scale <= 8 * _U * mag)
 
 
 class TestKdeKernel:
@@ -203,6 +208,6 @@ class TestKdeChunks:
     def test_bits_match_reference_at_any_chunk(self, samples, grid, entries, seed):
         rng = np.random.default_rng(seed)
         s, x = rng.standard_normal(samples), rng.uniform(-4.0, 4.0, grid)
-        with mock.patch.object(estimation, "_KDE_CHUNK_ENTRIES", entries):
+        with mock.patch.object(curves, "_BLOCK_BYTES", 8 * entries):
             got = kde_eval(s, x, 0.3)
         assert np.array_equal(got.view(np.uint64), reference_kde_eval(s, x, 0.3).view(np.uint64))

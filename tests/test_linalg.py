@@ -21,7 +21,7 @@ from rmtspec import (
 )
 from rmtspec.cli import run_cli
 from rmtspec.errors import NumericalError, ValidationError, ZeroVarianceRow
-from rmtspec import linalg
+from rmtspec import curves, linalg
 
 from oracles import (
     charpoly_eigs,
@@ -92,7 +92,7 @@ class TestStandardizeChunks:
     @settings(max_examples=300, deadline=None)
     def test_bits_match_one_pass(self, p, n, chunk_rows, seed, scale):
         a = scale * (np.random.default_rng(seed).standard_normal((p, n)) + 3.0)
-        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * n):
+        with mock.patch.object(curves, "_BLOCK_BYTES", chunk_rows * 8 * n):
             got = _standardized_bits(standardize_rows, a)
         assert got == _standardized_bits(reference_standardize_rows, a)
 
@@ -103,7 +103,7 @@ class TestStandardizeChunks:
         # |entries| in [1, 2): 2**-1000 keeps them normal, 2**900 finite
         rng = np.random.default_rng(seed)
         a = rng.uniform(1.0, 2.0, (p, n)) * rng.choice([-1.0, 1.0], (p, n))
-        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * n):
+        with mock.patch.object(curves, "_BLOCK_BYTES", chunk_rows * 8 * n):
             got = _standardized_bits(standardize_rows, np.ldexp(a, k))
         assert got == _standardized_bits(standardize_rows, a)
 
@@ -147,7 +147,7 @@ class TestStandardizeChunks:
     def test_first_constant_row_named(self, rng, chunk_rows, dtype):
         a = rng.standard_normal((9, 6)).astype(dtype)
         a[[4, 5, 8]] = 2.5
-        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", chunk_rows * 8 * 6), \
+        with mock.patch.object(curves, "_BLOCK_BYTES", chunk_rows * 8 * 6), \
                 pytest.raises(ZeroVarianceRow) as err:
             standardize_rows(DataMatrix(a))
         assert err.value.row == 4
@@ -167,7 +167,7 @@ class TestStandardizeChunks:
         before = a.copy()
         X = DataMatrix(a)
         assert X.entries is a
-        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", block_rows * 8 * n):
+        with mock.patch.object(curves, "_BLOCK_BYTES", block_rows * 8 * n):
             got = standardize_rows(X).entries
         want = reference_standardize_rows(X).entries
         assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -184,7 +184,7 @@ class TestStandardizeChunks:
         a[at] = row
         small = a.copy()
         small[at] = np.ldexp(row, -665)
-        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", 2 * 8 * 4):
+        with mock.patch.object(curves, "_BLOCK_BYTES", 2 * 8 * 4):
             got = _standardized_bits(standardize_rows, a)
         assert got == _standardized_bits(reference_standardize_rows, small)
 
@@ -194,7 +194,7 @@ class TestStandardizeChunks:
         # its mean would overflow at scale 1 and leave std = NaN
         a = np.tile([1.0, 2.0, 3.0, 4.0], (7, 1))
         a[at] = 1.7e308
-        with mock.patch.object(linalg, "_STD_CHUNK_BYTES", 2 * 8 * 4), \
+        with mock.patch.object(curves, "_BLOCK_BYTES", 2 * 8 * 4), \
                 pytest.raises(ZeroVarianceRow) as err:
             standardize_rows(DataMatrix(a))
         assert err.value.row == at

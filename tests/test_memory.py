@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rmtspec import DataMatrix, read_capture, standardize_rows, write_capture
-from rmtspec import fileio, signals
+from rmtspec import curves, signals
 from rmtspec.cli import run_cli
 from rmtspec.estimation import kde_eval
 from rmtspec.fileio import DTYPE_F32_COMPLEX
@@ -53,7 +53,7 @@ def capture(tmp_path_factory):
 def test_read_capture_holds_the_result_and_one_block(capture):
     X, peak = _peak(read_capture, capture)
     assert X.entries.shape == (1024, 4096) and X.entries.dtype == np.float32
-    assert peak <= X.entries.nbytes + fileio._READ_BLOCK_BYTES + _OBJECTS
+    assert peak <= X.entries.nbytes + curves._BLOCK_BYTES + _OBJECTS
 
 
 def test_standardize_rows_holds_the_result_and_one_chunk(capture):
@@ -118,7 +118,7 @@ def test_add_awgn_holds_the_noisy_copy_and_one_chunk(frames):
     before = frames.copy()
     y, peak = _peak(signals.add_awgn, frames, 10.0, 4)
     assert np.array_equal(frames, before)
-    assert peak <= y.nbytes + signals._NOISE_CHUNK * 8 + _OBJECTS
+    assert peak <= y.nbytes + curves._BLOCK_BYTES + _OBJECTS
 
 
 def test_spectrogram_matrix_holds_the_spectrum(frames):

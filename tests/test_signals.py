@@ -12,7 +12,7 @@ from rmtspec import (
     occupied_from_ranges,
     spectrogram_matrix,
 )
-from rmtspec import signals
+from rmtspec import curves
 from rmtspec.errors import ValidationError
 
 from oracles import narrowband_reference
@@ -248,7 +248,7 @@ class TestAwgn:
         s = gen_ncofdm_frames(seed=2, n_frames=2, n_fft=64, occupied=np.arange(3, 40))
         s = (s if np.dtype(dtype).kind == "c" else s.real).astype(dtype)
         before = s.copy()
-        with mock.patch.object(signals, "_NOISE_CHUNK", chunk):
+        with mock.patch.object(curves, "_BLOCK_BYTES", 8 * chunk):
             got = add_awgn(s, 5.0, seed=3)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
         nvar = float(np.mean(np.abs(s) ** 2)) / 10.0 ** 0.5

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import rmtspec
 from rmtspec import theory
@@ -27,10 +28,13 @@ from oracles import (
     greedy_pairing_residual,
     green_quartic_coeffs_w,
     green_quartic_terms,
+    lagged_edge,
     loop_default_grid,
     project_density,
     reference_track,
+    rho0,
     two_sweep_scan,
+    unsquared_lhs,
 )
 
 _U = np.finfo(float).eps / 2
@@ -542,6 +546,65 @@ class TestMpmathOracle:
                 kappa = _kappa(green_quartic_coeffs(z, Q), z * Gc[k])
                 assert err <= max(1e-12, 4 * _U * kappa), (x, err, _U * kappa)
                 assert g.imag >= 0, (x, g)
+
+
+class TestUnsquaredEquation:
+    """The lagged law is Marcenko-Pastur with an arcsine time-side law, and its
+    equation before squaring, ``(v + d) sqrt(1 - G/Q) sqrt(1 + G/Q) = Q``
+    (``oracles.unsquared_lhs``), audits the root that the tracker picks."""
+
+    def test_squared_is_the_w_quartic(self):
+        sympy = pytest.importorskip("sympy")
+        w, z, Q = sympy.symbols("w z Q")
+        G = w / z
+        lhs = (1 - Q - w) * sympy.sqrt(1 - G / Q) * sympy.sqrt(1 + G / Q)  # = -Q
+        quartic = (w - 1 + Q)**2 * (w**2 - Q**2 * z**2) + Q**4 * z**2
+        assert sympy.expand(Q**2 * z**2 * (Q**2 - lhs**2) - quartic) == 0
+
+    # the benchmark's 18 sweep grids, then four Q on either side of them
+    @pytest.mark.parametrize("eps", [1e-3, 3e-4, 1e-4])
+    @pytest.mark.parametrize("Q", [0.25, 0.5, 1.0, 2.0, 4.0, 10.0, 0.01, 0.9, 1.1, 100.0])
+    def test_every_scanned_root_solves_it(self, Q, eps):
+        # at most 9.1 eps over these grids, at Q = 0.01; every root squaring
+        # brought in solves it with -Q, so that sign misses by 2
+        xs, Gc = green_scan(Q, eps)
+        z = xs - 1j * eps
+        err = np.abs(unsquared_lhs(z * Gc, z, Q) - 1.0).max()
+        assert err <= 16 * np.finfo(float).eps
+
+
+# Q where the discriminant cubic has one positive root (up to 1/2), two (1/2 to
+# 1), a double one (1) and the three roots of Q > 1
+_EPS_ZERO_Q = [1e-3, 0.01, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 2.0, 10.0, 1e3]
+
+
+class TestLawAtEpsZero:
+    """The law at eps = 0 with no branch tracker: the support edge x+ from the
+    discriminant cubic (``oracles.lagged_edge``) and the density from the complex
+    pair of the quartic in v on the real axis (``oracles.rho0``)."""
+
+    @pytest.mark.parametrize("Q, x_plus", [(1e-3, "1014.08"), (0.25, "5.7627"),
+                                            (0.5, "3.3302"), (1.0, "2.0000"),
+                                            (2.0, "1.2491"), (4.0, "0.8089"),
+                                            (10.0, "0.4766")])
+    def test_edge(self, Q, x_plus):
+        digits = len(x_plus.partition(".")[2])
+        assert lagged_edge(Q) == pytest.approx(float(x_plus), abs=0.5 * 10.0**-digits)
+
+    @pytest.mark.parametrize("Q", _EPS_ZERO_Q)
+    def test_mass(self, Q):
+        # x = s^2 next to the origin and x = x+ - s^2 next to the edge smooth
+        # the square-root ends (and the pole at the origin at Q = 1)
+        xp = lagged_edge(Q)
+        half = math.sqrt(xp / 2)
+        mass = sum(quad(lambda s: 2 * s * rho0(x(s), Q), 0.0, half,
+                        epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                   for x in (lambda s: s * s, lambda s: xp - s * s))
+        assert 2 * mass == pytest.approx(1.0 - max(0.0, 1.0 - Q), abs=1e-8)
+
+    @pytest.mark.parametrize("Q", [q for q in _EPS_ZERO_Q if q < 1])
+    def test_density_at_the_origin(self, Q):
+        assert rho0(1e-6, Q) == pytest.approx(Q**2 / (math.pi * (1 - Q)), rel=1e-6)
 
 
 # the theory-sweep grid of the pipeline benchmark
