@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--carrier", type=float, default=0.25, help="cycles/sample")
     g.add_argument("--symbol-rate", type=float, default=1.0 / 16.0)
     g.add_argument("--n-fft", type=int, default=1024)
-    g.add_argument("--occupied", default="", help='inclusive ranges, e.g. "10:50,80:100"')
+    g.add_argument("--occupied", default="", help='inclusive ranges, e.g. "10:50,80:100" '
+                   '(default: tones 10-900, for an --n-fft of 1024 or more)')
     g.add_argument("--snr-db", type=float, default=math.inf)
     g.add_argument("--freq-domain", action="store_true",
                    help="ncofdm only: store the per-frame DFT, rows = subcarriers")

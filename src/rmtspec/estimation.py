@@ -124,18 +124,14 @@ def ks_distance(esd: EsdFunction, cdf) -> float:
     """Kolmogorov-Smirnov distance between an ESD and a theoretical CDF.
 
     Supremum over eigenvalue points, evaluated on both sides of each
-    empirical step. The lower comparison uses the theoretical CDF's left
-    limit (``cdf`` evaluated just below the point) so shared atoms, e.g.
-    at zero, are compared jump-against-jump.
+    empirical step: at each distinct eigenvalue and at the double just below
+    it, where the ESD is its left limit and ``cdf`` the theoretical CDF's, so
+    shared atoms, e.g. at zero, are compared jump-against-jump.
     """
-    vals, counts = np.unique(esd.values, return_counts=True)
-    hi = np.cumsum(counts) / esd.count
-    lo = np.concatenate([[0.0], hi[:-1]])
-    F = np.asarray(cdf(vals), dtype=np.float64)
+    vals = np.unique(esd.values)
     with np.errstate(over="ignore"):  # below -DBL_MAX is -inf
         below = np.nextafter(vals, -np.inf)
-    F_left = np.asarray(cdf(below), dtype=np.float64)
-    return float(max(np.abs(hi - F).max(), np.abs(lo - F_left).max()))
+    return float(max(np.abs(esd(vals) - cdf(vals)).max(), np.abs(esd(below) - cdf(below)).max()))
 
 
 def _pieces(a: DensityCurve, b: DensityCurve):
@@ -233,7 +229,7 @@ def with_atom(curve: DensityCurve, atom: float) -> DensityCurve:
     return DensityCurve(curve.xs, curve.ys * (1.0 - atom), point_mass_at_zero=atom)
 
 
-def eigenvalue_density(values, bandwidth: float | None = None, grid=None) -> DensityCurve:
+def eigenvalue_density(values, bandwidth: float | None = None) -> DensityCurve:
     """Atom-aware Gaussian KDE of the real eigenvalues ``values``.
 
     The eigenvalues ``split_atom`` counts as zero form the point mass at zero
@@ -241,7 +237,7 @@ def eigenvalue_density(values, bandwidth: float | None = None, grid=None) -> Den
     share so curve-plus-atom integrates to one. ``bandwidth=None`` selects
     Silverman's rule; either bandwidth must be finite and positive.
 
-    The default grid spans the eigenvalues +- 5h in ``max(1024, ceil(span/h) + 1)``
+    The grid spans the eigenvalues +- 5h in ``max(1024, ceil(span/h) + 1)``
     points, so its step is at most h: a Gaussian sampled that finely keeps its
     trapezoid mass within 2 exp(-2 pi^2) ~ 5e-9 of 1 (Poisson summation). A span
     that is not finite, or a grid of more than 10^6 points, is refused.
@@ -252,21 +248,20 @@ def eigenvalue_density(values, bandwidth: float | None = None, grid=None) -> Den
     h = silverman_bandwidth(nonzero) if bandwidth is None else bandwidth
     if not 0 < h < math.inf:
         raise ValidationError(f"bandwidth must be finite and positive, got {h}")
-    if grid is None:
-        # counted in Python floats, which overflow to inf without a warning,
-        # before anything is allocated
-        lo, hi = float(nonzero.min()) - 5.0 * h, float(nonzero.max()) + 5.0 * h
-        if not math.isfinite(hi - lo):
-            raise ValidationError(f"bandwidth {h:.3g} gives a KDE grid over [{lo:.3g}, {hi:.3g}], "
-                                  f"whose span is not finite")
-        steps = (hi - lo) / h
-        if steps + 1 > _MAX_POINTS:
-            raise ValidationError(f"bandwidth {h:.3g} needs a KDE grid of {steps + 1:.3g} points, "
-                                  f"more than {_MAX_POINTS}")
-        grid = np.linspace(lo, hi, max(1024, math.ceil(steps) + 1))
-        if np.any(np.diff(grid) <= 0):
-            raise ValidationError(f"bandwidth {h:.3g} and eigenvalue spread {np.ptp(nonzero):.3g} "
-                                  f"are too small for a KDE grid at {nonzero.max():.9g}")
+    # counted in Python floats, which overflow to inf without a warning, before
+    # anything is allocated
+    lo, hi = float(nonzero.min()) - 5.0 * h, float(nonzero.max()) + 5.0 * h
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"bandwidth {h:.3g} gives a KDE grid over [{lo:.3g}, {hi:.3g}], "
+                              f"whose span is not finite")
+    steps = (hi - lo) / h
+    if steps + 1 > _MAX_POINTS:
+        raise ValidationError(f"bandwidth {h:.3g} needs a KDE grid of {steps + 1:.3g} points, "
+                              f"more than {_MAX_POINTS}")
+    grid = np.linspace(lo, hi, max(1024, math.ceil(steps) + 1))
+    if np.any(np.diff(grid) <= 0):
+        raise ValidationError(f"bandwidth {h:.3g} and eigenvalue spread {np.ptp(nonzero):.3g} "
+                              f"are too small for a KDE grid at {nonzero.max():.9g}")
     return with_atom(DensityCurve(grid, kde_eval(nonzero, grid, float(h))), atom)
 
 

@@ -35,7 +35,7 @@ DEFAULT_OCCUPIED_RANGES = (
 )
 
 
-def occupied_from_ranges(ranges=DEFAULT_OCCUPIED_RANGES, n_fft: int = 1024) -> np.ndarray:
+def occupied_from_ranges(ranges, n_fft: int) -> np.ndarray:
     """Expand inclusive (lo, hi) subcarrier ranges of an ``n_fft``-point frame
     into a sorted index array.
 
@@ -118,13 +118,19 @@ def gen_ncofdm_frames(seed: int, n_frames: int, n_fft: int = 1024,
                       occupied=None) -> np.ndarray:
     """Concatenated time-domain NC-OFDM frames (no cyclic prefix).
 
-    Each frame carries independent BPSK (+-1) on the occupied bins (by
-    default ``occupied_from_ranges()``), zeros elsewhere, through a unitary
-    inverse DFT of length n_fft.
+    Each frame carries independent BPSK (+-1) on the occupied bins, zeros
+    elsewhere, through a unitary inverse DFT of length n_fft. By default the
+    occupied bins are ``DEFAULT_OCCUPIED_RANGES``, tones 10-900, which an
+    ``n_fft`` of 1024 or more holds; a smaller frame needs ``occupied``.
     """
     _require_power_of_two(n_fft)
-    occ = np.unique(np.asarray(occupied_from_ranges() if occupied is None else occupied,
-                               dtype=np.int64))
+    if occupied is None:
+        if n_fft <= DEFAULT_OCCUPIED_RANGES[-1][1]:
+            raise ValidationError(f"n_fft={n_fft} is too small for the default occupied tones "
+                                  f"(10-900 of a 1024-point frame): give occupied tones inside "
+                                  f"[0, {n_fft - 1}]")
+        occupied = occupied_from_ranges(DEFAULT_OCCUPIED_RANGES, n_fft)
+    occ = np.unique(np.asarray(occupied, dtype=np.int64))
     if occ.size == 0:
         raise ValidationError("occupied subcarrier set is empty")
     if occ[0] < 0 or occ[-1] >= n_fft:

@@ -80,11 +80,12 @@ def mp_params(c: float) -> MpParams:
     )
 
 
-def mp_cdf(x, c: float):
-    """Marcenko-Pastur CDF (atom at zero included), in closed form.
+def mp_cdf(x, c: float) -> np.ndarray:
+    """Marcenko-Pastur CDF (atom at zero included), in closed form, as an array
+    of the shape of ``x`` (0-d for a scalar).
 
-    Vectorized over ``x``. Inside the support the continuous part is the
-    antiderivative of ``sqrt((b-x)(x-a)) / x`` taken from ``a``,
+    Inside the support the continuous part is the antiderivative of
+    ``sqrt((b-x)(x-a)) / x`` taken from ``a``,
 
         r + (a+b)/2 (asin s + pi/2) - sqrt(ab) (asin t + pi/2),
         r = sqrt((b-x)(x-a)), s = (2x-a-b)/(b-a), t = ((a+b)x-2ab)/((b-a)x),
@@ -115,10 +116,7 @@ def mp_cdf(x, c: float):
     cont = (r + 0.5 * (a + b) * np.arctan2(2.0 * r, v - u)
             - g * np.arctan2(2.0 * g * r, a * v - b * u)) / (2.0 * math.pi * c)
     # u = 0 gives cont = 0 exactly, so the clip also leaves F = atom on [0, a]
-    out = np.where(xv < 0, 0.0, np.where(xv >= b, 1.0, np.clip(atom + cont, atom, 1.0)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(xv < 0, 0.0, np.where(xv >= b, 1.0, np.clip(atom + cont, atom, 1.0)))
 
 
 # --------------------------------------------------------------------------
@@ -372,38 +370,34 @@ def _track(z: np.ndarray, Q: float) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def green_function(z, Q: float):
-    """Physical root of the resolvent quartic at each point of ``z``, each solved on
-    its own.
+def green_function(z: np.ndarray, Q: float) -> np.ndarray:
+    """Physical root of the resolvent quartic at each point of the non-empty 1-D
+    array ``z``, each solved on its own; every point needs ``Im z < 0``.
 
-    ``z`` is a scalar (a ``complex`` is returned) or a non-empty 1-D array (an
-    array of G is returned); every point needs ``Im z < 0``. At each point the
-    root nearest the asymptotic value ``w = zG = 1`` is taken. Row ``i`` of an
-    array equals the scalar call at ``z[i]``, bit for bit. A continuous part
-    ``v/z`` that is not finite refuses the call, then the ``_gated`` gates on G
-    itself, ``v/z`` plus the atom's ``(1-Q)/z`` for Q < 1; one failing point
-    refuses the call. Every returned root satisfies ``Im G >= -1e-9``.
+    At each point the root nearest the asymptotic value ``w = zG = 1`` is taken.
+    A continuous part ``v/z`` that is not finite refuses the call, then the
+    ``_gated`` gates on G itself, ``v/z`` plus the atom's ``(1-Q)/z`` for Q < 1;
+    one failing point refuses the call. Every returned root satisfies
+    ``Im G >= -1e-9``.
 
     Inside the support at small Q the root nearest ``w = 1`` is not always the
-    physical one: ``green_function(105 - 1e-4j, 0.01)`` has ``Im G = 7.66e-9``,
-    which passes the gate, but its continuous part is ``-1.32e-9``. Its one
-    caller, the edge search of ``_default_grid``, reads only ``Im G``, and no
-    written curve is affected. The law at eps = 0 (ROADMAP.md) would retire
-    both this function and that search.
+    physical one: at ``z = 105 - 1e-4j``, Q = 0.01, ``Im G = 7.66e-9``, which
+    passes the gate, but its continuous part is ``-1.32e-9``. Its one caller,
+    the edge search of ``_default_grid``, reads only ``Im G``, and no written
+    curve is affected. The law at eps = 0 (ROADMAP.md) would retire both this
+    function and that search.
     """
-    zv = np.asarray(z, dtype=np.complex128)
-    if zv.ndim > 1 or zv.size == 0:
-        raise ValidationError("green_function takes a scalar or a non-empty 1-D z")
-    if not np.all(zv.imag < 0):
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim != 1 or z.size == 0:
+        raise ValidationError("green_function takes a non-empty 1-D z")
+    if not np.all(z.imag < 0):
         raise ValidationError("green_function requires Im z < 0")
-    zs = np.atleast_1d(zv)
-    coeffs = green_quartic_coeffs(zs, Q)
+    coeffs = green_quartic_coeffs(z, Q)
     v = quartic_roots_batch(coeffs)
-    vp = v[np.arange(len(zs)), np.argmin(np.abs(v - min(Q, 1.0)), axis=1)]
-    Gc = vp / zs
-    _finite(zs, Gc)
-    G = _gated(zs, coeffs, vp, Gc + (1.0 - Q) / zs if Q < 1 else Gc)
-    return complex(G[0]) if zv.ndim == 0 else G
+    vp = v[np.arange(len(z)), np.argmin(np.abs(v - min(Q, 1.0)), axis=1)]
+    Gc = vp / z
+    _finite(z, Gc)
+    return _gated(z, coeffs, vp, Gc + (1.0 - Q) / z if Q < 1 else Gc)
 
 
 def _default_grid(Q: float, eps: float) -> np.ndarray:

@@ -410,11 +410,13 @@ def narrowband_reference(seed, length, carrier=0.25, symbol_rate=1.0 / 16.0):
 
 def loop_default_grid(Q, eps, green=None):
     """``theory._default_grid``, the non-negative half of the symmetric default
-    grid, with its edge search as a loop: one single-point call of ``green``
-    (``theory.green_function`` by default) per candidate half-width, widening by
-    1.4 while the density there is at least 1e-6 and the width below 64."""
+    grid, with its edge search as a loop: one call of ``green`` (``z`` array to G
+    array, ``theory.green_function`` by default) at one point per candidate
+    half-width, widening by 1.4 while the density there is at least 1e-6 and the
+    width below 64."""
     def edge_density(x):
-        return max((green or theory.green_function)(x - 1j * eps, Q).imag, 0.0) / math.pi
+        G = (green or theory.green_function)(np.array([x - 1j * eps]), Q)[0]
+        return max(G.imag, 0.0) / math.pi
 
     L = 2.2 * math.sqrt(2.0 / Q) + 1.2
     while edge_density(L) >= 1e-6 and L < 64.0:

@@ -199,7 +199,14 @@ REFUSALS = {
                                        {}, 1, "n_fft=12 is not a power of two"),
     "ncofdm-n-fft-1000": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
                            "--n-fft", "1000"], {}, 1, "n_fft=1000 is not a power of two"),
-    # checked before the default occupied set, which ends at 900
+    # the default occupied tones end at 900: a smaller frame names them and
+    # what to give instead
+    "ncofdm-n-fft-64-default-occupied": (["generate", "--signal", "ncofdm", "--rows", "4",
+                                          "--cols", "100", "--n-fft", "64"], {}, 1,
+                                         "n_fft=64 is too small for the default occupied tones "
+                                         "(10-900 of a 1024-point frame): give occupied tones "
+                                         "inside [0, 63]"),
+    # checked before the default occupied set
     "ncofdm-n-fft-0": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",
                         "--n-fft", "0"], {}, 1, "n_fft=0 is not a power of two"),
     "ncofdm-n-fft-12": (["generate", "--signal", "ncofdm", "--rows", "4", "--cols", "4",

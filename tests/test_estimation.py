@@ -22,6 +22,7 @@ from rmtspec import (
     snap_zeros,
     split_atom,
     standardize_rows,
+    with_atom,
 )
 from rmtspec.errors import DisjointSupportsWarning, ValidationError
 from rmtspec.estimation import kde_eval
@@ -82,24 +83,35 @@ class TestKde:
                                    rtol=1e-12)
 
     def test_two_eigenvalues_at_zero(self):
-        c = eigenvalue_density([-1.0, 1.0], 1.0, np.array([0.0, 2.0]))
-        assert c.ys[0] == pytest.approx(np.exp(-0.5) / np.sqrt(2 * np.pi), rel=1e-12)
+        ys = kde_eval(np.array([-1.0, 1.0]), np.array([0.0, 2.0]), 1.0)
+        assert ys[0] == pytest.approx(np.exp(-0.5) / np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_normal_sample_l1(self):
         rng = np.random.default_rng(5)
         s = rng.standard_normal(500)
         grid = np.linspace(-5, 5, 2001)
-        c = eigenvalue_density(s, grid=grid)
+        ys = kde_eval(s, grid, silverman_bandwidth(s))
         normal = np.exp(-0.5 * grid**2) / np.sqrt(2 * np.pi)
-        assert np.trapezoid(np.abs(c.ys - normal), grid) <= 0.08
+        assert np.trapezoid(np.abs(ys - normal), grid) <= 0.08
 
     def test_integrates_to_one(self, rng):
-        s = rng.standard_normal(200) * 3.0
-        h = silverman_bandwidth(s)
-        grid = np.linspace(s.min() - 5 * h, s.max() + 5 * h, 4001)
-        c = eigenvalue_density(s, grid=grid)
+        c = eigenvalue_density(rng.standard_normal(200) * 3.0)
         assert c.point_mass_at_zero == 0.0
         assert c.continuous_mass() == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("bandwidth", [None, 2e-3, 2.0])
+    def test_curve_is_the_weighted_kde_on_its_grid(self, rng, bandwidth):
+        # the zeros are the atom; the rest's KDE, on a grid over them +- 5h in
+        # steps of at most h and at least 1024 points, weighted by their share
+        vals = np.concatenate([np.zeros(30), rng.standard_normal(70) + 3.0])
+        c = eigenvalue_density(vals, bandwidth)
+        nonzero, atom = split_atom(vals)
+        h = silverman_bandwidth(nonzero) if bandwidth is None else bandwidth
+        lo, hi = nonzero.min() - 5.0 * h, nonzero.max() + 5.0 * h
+        grid = np.linspace(lo, hi, max(1024, int(np.ceil((hi - lo) / h)) + 1))
+        want = with_atom(DensityCurve(grid, kde_eval(nonzero, grid, h)), atom)
+        assert c.xs.tobytes() == want.xs.tobytes() and c.ys.tobytes() == want.ys.tobytes()
+        assert c.point_mass_at_zero == atom == pytest.approx(0.3)
 
     def test_linearity_union(self, rng):
         a = rng.standard_normal(30)
@@ -178,6 +190,23 @@ class TestKs:
         esd = EsdFunction(rng.standard_normal(50))
         d = ks_distance(esd, lambda x: np.clip((np.asarray(x) + 3) / 6, 0, 1))
         assert 0.0 <= d <= 1.0
+
+    @given(ints=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+           scale=st.sampled_from([1.0, 1e-300, 1e300]))
+    @settings(max_examples=200, deadline=None)
+    def test_steps_are_the_tie_counts_over_n(self, ints, scale):
+        # at each distinct value the ESD is the count up to it over n, and just
+        # below it the count before it, bit for bit
+        values = np.array(ints) * scale
+
+        def cdf(x):
+            return np.clip((x + 4.0 * scale) / (8.0 * scale), 0.0, 1.0)
+
+        u, counts = np.unique(values, return_counts=True)
+        hi = np.cumsum(counts) / len(values)
+        lo = np.concatenate([[0.0], hi[:-1]])
+        want = max(np.abs(hi - cdf(u)).max(), np.abs(lo - cdf(np.nextafter(u, -np.inf))).max())
+        assert ks_distance(EsdFunction(values), cdf) == want
 
 
 @st.composite

@@ -110,7 +110,8 @@ def test_gen_ncofdm_frames_holds_the_frames_and_the_symbols(frames):
     # as integers, mapped to +-1 floats and placed on the occupied bins
     x, peak = _peak(signals.gen_ncofdm_frames, 3, _FRAMES, _N_FFT)
     assert np.array_equal(x, frames) and x.nbytes == _FRAMES * _N_FFT * 16
-    symbols = _FRAMES * len(signals.occupied_from_ranges()) * 8
+    tones = signals.occupied_from_ranges(signals.DEFAULT_OCCUPIED_RANGES, _N_FFT)
+    symbols = _FRAMES * len(tones) * 8
     assert peak <= x.nbytes + symbols + _OBJECTS
 
 

@@ -185,8 +185,9 @@ CASES = {
                                         d(st.sampled_from([-1, 0, 1, 2, 3, 64, 100, 256])),
                                         d(st.none() | st.lists(_INT, max_size=6))),
                           "seed|n_frames|n_fft|occupied"),
-    "occupied_from_ranges": (lambda d, t: (d(st.lists(st.tuples(_INT, _INT), max_size=4)),),
-                             "range"),
+    "occupied_from_ranges": (lambda d, t: (d(st.lists(st.tuples(_INT, _INT), max_size=4)),
+                                           d(st.sampled_from([-1, 0, 12, 16, 256, 1024]))),
+                             "range|n_fft"),
     # streams of any shape, 1-d ones more often
     "add_awgn": (lambda d, t: (d(_reals() | _complexes() | _matrices(4)
                                  | _matrices(4, np.complex128, st.complex_numbers())),
@@ -200,7 +201,7 @@ CASES = {
     "mp_cdf": (lambda d, t: (d(_reals() | _FLOAT), d(_FLOAT)), "ratio|x"),
     "green_quartic_coeffs": (lambda d, t: (d(_complexes() | st.complex_numbers()), d(_FLOAT)),
                              "Q|z"),
-    "green_function": (lambda d, t: (d(_complexes() | st.complex_numbers()), d(_FLOAT)),
+    "green_function": (lambda d, t: (d(_complexes()), d(_FLOAT)),
                        "Q|z|root|branch|residual|Im G"),
     "green_scan": (lambda d, t: (d(_FLOAT), d(_FLOAT)), "Q|epsilon|z|root|branch|residual|Im G"),
     "lagged_density_symmetric": (lambda d, t: (d(_FLOAT), d(_FLOAT)),

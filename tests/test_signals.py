@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rmtspec import (
+    DEFAULT_OCCUPIED_RANGES,
     add_awgn,
     gen_narrowband,
     gen_ncofdm_frames,
@@ -110,7 +111,7 @@ class TestNarrowband:
 
 class TestNcofdm:
     def test_default_occupied_count(self):
-        assert len(occupied_from_ranges()) == 426
+        assert len(occupied_from_ranges(DEFAULT_OCCUPIED_RANGES, 1024)) == 426
 
     def test_occupied_subtotals(self):
         counts = [hi - lo + 1 for lo, hi in
@@ -145,7 +146,7 @@ class TestNcofdm:
 
     def test_frame_roundtrip_recovers_bits(self):
         bins = spectrogram_matrix(gen_ncofdm_frames(seed=6, n_frames=3), 1024)[:, 1]
-        occ = occupied_from_ranges()
+        occ = occupied_from_ranges(DEFAULT_OCCUPIED_RANGES, 1024)
         mask = np.zeros(1024, dtype=bool)
         mask[occ] = True
         np.testing.assert_allclose(np.abs(bins[mask]), 1.0, atol=1e-10)
@@ -170,6 +171,20 @@ class TestNcofdm:
     def test_occupied_out_of_range(self, occupied):
         with pytest.raises(ValidationError, match=r"^occupied indices outside \[0, 15\]$"):
             gen_ncofdm_frames(seed=0, n_frames=1, n_fft=16, occupied=occupied)
+
+    # the default tones run to 900: a frame of 1024 or more holds them, one
+    # of 512 or less is refused, naming them and what to give instead
+    def test_default_tones_in_a_larger_frame(self):
+        want = gen_ncofdm_frames(seed=4, n_frames=2, n_fft=2048,
+                                 occupied=occupied_from_ranges(DEFAULT_OCCUPIED_RANGES, 2048))
+        np.testing.assert_array_equal(gen_ncofdm_frames(seed=4, n_frames=2, n_fft=2048), want)
+
+    @pytest.mark.parametrize("n_fft", [2, 64, 512])
+    def test_default_tones_refused_in_a_smaller_frame(self, n_fft):
+        message = (rf"^n_fft={n_fft} is too small for the default occupied tones \(10-900 of a "
+                   rf"1024-point frame\): give occupied tones inside \[0, {n_fft - 1}\]$")
+        with pytest.raises(ValidationError, match=message):
+            gen_ncofdm_frames(seed=0, n_frames=1, n_fft=n_fft)
 
     def test_n_frames_at_least_one(self):
         with pytest.raises(ValidationError, match="^n_frames must be >= 1$"):
@@ -292,7 +307,7 @@ class TestFraming:
         assert S.shape == (1024, 8)
         # occupied rows carry unit-magnitude BPSK, others are empty
         occ_mask = np.zeros(1024, dtype=bool)
-        occ_mask[occupied_from_ranges()] = True
+        occ_mask[occupied_from_ranges(DEFAULT_OCCUPIED_RANGES, 1024)] = True
         np.testing.assert_allclose(np.abs(S[occ_mask]), 1.0, atol=1e-10)
         assert np.abs(S[~occ_mask]).max() < 1e-10
 

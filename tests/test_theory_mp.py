@@ -99,7 +99,8 @@ class TestMpCdf:
         xs = np.array([0.3, 1.7, 2.4])
         F = mp_cdf(xs, 0.5)
         for x, f in zip(xs, F):
-            assert mp_cdf(float(x), 0.5) == pytest.approx(f, abs=1e-10)
+            got = mp_cdf(float(x), 0.5)  # a scalar gives a 0-d array
+            assert got.shape == () and got == pytest.approx(f, abs=1e-10)
 
     # the two terms near pi cancel to O(c), so F is off by up to about eps / c:
     # within 1e-9 at c = 2.2e-7, the smallest c that theory mp writes, and not
