@@ -45,8 +45,8 @@ class DensityCurve:
             raise ValidationError("xs must be strictly increasing")
         if np.any(ys < 0):
             raise ValidationError("ys must be non-negative")
-        if not 0.0 <= self.point_mass_at_zero < 1.0 + 1e-12:
-            raise ValidationError("point mass must lie in [0, 1)")
+        if not 0.0 <= self.point_mass_at_zero <= 1.0:
+            raise ValidationError("point mass must lie in [0, 1]")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -26,6 +26,7 @@ eigensolve runs in float64.
 from __future__ import annotations
 
 import os
+import pathlib
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -181,21 +182,20 @@ def _read_payload(fh, header: CaptureHeader) -> np.ndarray:
 
 
 def write_density_csv(path: str, curves, labels) -> None:
-    """Write one or more density curves on one grid as CSV.
+    """Write one or more density curves on one grid as CSV, in the one layout
+    ``read_density_csv`` reads.
 
     Leading ``# point_mass_<label>=<value>`` comment lines carry nonzero
     atoms; the header row is ``x,<label1>,...``; values use 9 significant
     digits. Curves on different grids are refused with ``ValidationError``: a
     curve is never resampled, so each column keeps its curve's mass. So are
-    labels that ``read_density_csv`` would not read back as written, and a
-    grid finer than 9 digits, whose text would not be strictly increasing.
+    labels that ``_labels_read_back`` refuses, and a grid finer than 9 digits,
+    whose text would not be strictly increasing.
     """
     curves, labels = list(curves), list(labels)
     if not curves or len(curves) != len(labels):
         raise ValidationError("need at least one curve, and one label per curve")
-    if len(set(labels)) < len(labels) or any(
-            label == "x" or label != label.strip() or any(c in label for c in ",=\r\n")
-            for label in labels):
+    if not _labels_read_back(labels):
         raise ValidationError(f"labels {labels!r} make no header: each must be unique, not "
                               f"'x', and free of ',', '=', line breaks and edge blanks")
     xs = curves[0].xs
@@ -207,6 +207,15 @@ def write_density_csv(path: str, curves, labels) -> None:
              for label, c in zip(labels, curves) if c.point_mass_at_zero > 0]
     lines.append("x," + ",".join(labels))
     write_table_csv(path, lines, np.column_stack([xs, *(c.ys for c in curves)]))
+
+
+def _labels_read_back(labels) -> bool:
+    """Whether a header of ``x`` and ``labels`` reads back as these labels:
+    each once, none ``x``, none holding ``,``, ``=``, a line break or an edge
+    blank. The writer writes, and the reader reads, no other labels."""
+    return len(set(labels)) == len(labels) and not any(
+        label == "x" or label != label.strip() or any(c in label for c in ",=\r\n")
+        for label in labels)
 
 
 def _require_distinct_text(xs: np.ndarray) -> None:
@@ -233,103 +242,78 @@ def write_table_csv(path: str, head: list[str], table: np.ndarray) -> None:
 
 
 def read_density_csv(path: str) -> dict[str, DensityCurve]:
-    """Parse a CSV written by ``write_density_csv`` back into curves.
+    """Read back the curves of a CSV in the one layout ``write_density_csv``
+    writes: ``# point_mass_<label>=<value>`` lines, each naming a curve column
+    that no other one names; then the header ``x,<label1>,...``, of at least
+    one label, each once and each one the writer accepts; then data rows of
+    one number per header column, as ``np.loadtxt`` reads them, and no
+    negative ordinate.
 
-    The header needs ``x`` and at least one curve column, each label once,
-    every data row needs one number per header column, each ``point_mass_``
-    line must name a curve column that no other one names, and no curve
-    ordinate may be negative; otherwise ``ValidationError`` names the file and
-    the line (and the label, or the column of a negative ordinate). A file
-    that is not UTF-8 text is refused with a ``ValidationError`` naming the
-    file; a column that is not a curve (grid not strictly increasing, a
-    non-finite value, fewer than 2 rows, an atom outside [0, 1)), naming the
-    file and the column.
+    Anything else, a blank or ``#`` line after the header or another line
+    before it included, is refused with a ``ValidationError`` naming the file
+    and the line (and the label, or the column of a negative ordinate). A file
+    that is not UTF-8 text, or holds no data row, is refused naming the file;
+    a column that is not a curve (grid not strictly increasing, a non-finite
+    value, fewer than 2 rows, an atom outside [0, 1]), naming the file and the
+    column.
     """
-    atoms: dict[str, float] = {}
-    atom_lines: dict[str, int] = {}
-    header: list[str] | None = None
-    lines: list[str] = []
-    linenos: list[int] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("point_mass_") and "=" in body:
-                        key, val = body[len("point_mass_"):].split("=", 1)
-                        if key in atoms:
-                            raise ValidationError(f"{path}:{lineno}: point mass of {key!r} "
-                                                  f"given twice")
-                        try:
-                            atoms[key] = float(val)
-                        except ValueError as exc:
-                            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-                        atom_lines[key] = lineno
-                    continue
-                if header is None:
-                    fields = line.split(",")
-                    if len(fields) < 2:
-                        raise ValidationError(f"{path}:{lineno}: header {line!r} names no "
-                                              f"curve column")
-                    if len(set(fields)) < len(fields):
-                        raise ValidationError(f"{path}:{lineno}: header {line!r} repeats a label")
-                    header = fields
-                    continue
-                lines.append(line)
-                linenos.append(lineno)
+        lines = pathlib.Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    if header is None or not lines:
+    # the atom lines lead, then lines[n] is the header
+    n = next(i for i, line in enumerate(lines + [""]) if not line.startswith("# point_mass_"))
+    if not any(lines[n + 1:]):  # np.loadtxt would skip blank rows, and warn if all are
         raise ValidationError(f"{path} contains no curve data")
-    for key, lineno in atom_lines.items():
-        if key not in header[1:]:
-            raise ValidationError(f"{path}:{lineno}: point mass of {key!r} names no "
-                                  f"curve column")
-    width = len(header)
-    data = _parse_at_once(lines, width)
-    if data is None:  # find the line at fault
-        data = _parse_by_line(path, width, linenos, lines)
-    negative = np.argwhere(data[:, 1:] < 0.0)
-    if negative.size:
-        i, j = negative[0]
-        raise ValidationError(f"{path}:{linenos[i]}: column {header[j + 1]!r} holds the "
-                              f"negative ordinate {data[i, j + 1]:g}")
-    curves = {}
-    for j, label in enumerate(header[1:], start=1):
+    header, rows = lines[n].split(","), lines[n + 1:]
+    at = f"{path}:{n + 1}: header {lines[n]!r}"
+    if len(header) < 2:
+        raise ValidationError(f"{at} names no curve column")
+    if len(set(header)) < len(header):
+        raise ValidationError(f"{at} repeats a label")
+    if header[0] != "x" or not _labels_read_back(header[1:]):
+        raise ValidationError(f"{at} is not x followed by labels that write_density_csv accepts")
+    atoms: dict[str, float] = {}
+    for lineno, line in enumerate(lines[:n], start=1):
+        key, _, value = line[len("# point_mass_"):].partition("=")
+        if key in atoms:
+            raise ValidationError(f"{path}:{lineno}: point mass of {key!r} given twice")
         try:
-            curves[label] = DensityCurve(data[:, 0], data[:, j], atoms.get(label, 0.0))
+            atoms[key] = float(value)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if key not in header[1:]:
+            raise ValidationError(f"{path}:{lineno}: point mass of {key!r} names no curve column")
+    try:  # a skipped blank row shows in the shape
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+        if data.shape != (len(rows), len(header)) or np.any(data[:, 1:] < 0.0):
+            raise ValueError
+    except ValueError:
+        bad = _bad_row(header, rows, n + 2)
+        raise ValidationError("%s:%d: %s" % (path, *bad) if bad else f"{path}: bad rows") from None
+    curves = {}
+    for label, ys in zip(header[1:], data[:, 1:].T):
+        try:
+            curves[label] = DensityCurve(data[:, 0], ys, atoms.get(label, 0.0))
         except ValidationError as exc:
             raise ValidationError(f"{path}: column {label!r}: {exc}") from None
     return curves
 
 
-def _parse_at_once(lines: list[str], width: int) -> np.ndarray | None:
-    """The data lines as a len(lines) x width array, parsed in one
-    ``np.loadtxt`` call, or None when a line has another field count or a
-    field that ``np.loadtxt`` does not read as a number. Each number it reads
-    is the ``float`` of its text; ``1_0`` and non-ASCII digits, which only
-    ``float`` reads, are left to ``_parse_by_line``."""
-    try:
-        data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-    except ValueError:
-        return None
-    return data if data.shape[1] == width else None
-
-
-def _parse_by_line(path: str, width: int, linenos: list[int], lines: list[str]) -> np.ndarray:
-    """The data lines parsed one by one; ``ValidationError`` names the first
-    line with a field count other than ``width`` or a field that is not a
-    number."""
-    rows = []
-    for lineno, line in zip(linenos, lines):
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ValidationError(f"{path}:{lineno}: {len(fields)} fields, header has {width}")
-        try:
-            rows.append(list(map(float, fields)))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return np.asarray(rows)
+def _bad_row(header: list[str], rows: list[str], first: int) -> tuple[int, str] | None:
+    """The line (``first`` for ``rows[0]``) and the fault of the first data row
+    that is not one number per ``header`` column as ``np.loadtxt`` reads it, or
+    that holds a negative ordinate; None when there is none. Once ``np.loadtxt``
+    has refused the rows or found a negative ordinate there is one, as a
+    property test checks; ``read_density_csv`` still refuses by file name if a
+    numpy release ever reads a whole table differently from its fields."""
+    for lineno, fields in enumerate((row.split(",") for row in rows), start=first):
+        if len(fields) != len(header):
+            return lineno, f"{len(fields)} fields, header has {len(header)}"
+        for label, field in zip(header, fields):
+            try:  # np.loadtxt skips an empty line, so an empty field is tried as "?"
+                value = np.loadtxt([field or "?"], delimiter=",", comments=None)
+            except ValueError:
+                return lineno, f"could not convert string to float: {field!r}"
+            if value < 0.0 and label != "x":
+                return lineno, f"column {label!r} holds the negative ordinate {value:g}"

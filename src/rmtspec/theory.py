@@ -16,6 +16,18 @@ Two families:
   continuous part alone. The returned curve carries the atom separately and
   keeps only the continuous part, ``Im(v/z) / pi``, in its ordinates.
 
+Both are one Marcenko-Pastur equation with two time-side laws. The
+symmetrized lag matrix is ``S = X A X^T / T``, where ``A`` is the symmetric
+pair of lag-tau shifts and its spectrum tends to the arcsine law on [-1, 1].
+The resolvent ``m = -G`` of ``S`` solves ``m = 1/(I(m) - z)``, where
+``I(m) = integral of t / (1 + t m / Q)`` over A's spectral law (Marcenko &
+Pastur 1967; Silverstein & Bai 1995). For the arcsine law this gives
+``(1 - Q - w) sqrt(1 - G/Q) sqrt(1 + G/Q) = -Q``, with ``w = zG``. Its square
+is the quartic solved here (Biely & Thurner 2008), as
+``tests/test_theory_green.py::TestUnsquaredEquation::test_squared_is_the_w_quartic``
+checks in sympy. With a point mass at 1 in place of the arcsine law, the same
+equation is the Marcenko-Pastur law at ``c = 1/Q``.
+
 The physical resolvent branch is fixed by its ``G ~ 1/z`` decay at large
 ``|z|`` and tracked by continuity of ``v`` from the largest ``|x|`` of the
 grid inward, once for each ``|x|``: the negative half-axis is its mirror image.

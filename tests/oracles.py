@@ -14,9 +14,11 @@ G to that quartic's resolution, and refuse only where it refuses or where its on
 stronger gate, on the continuous part, fails. Both trackers take their residual
 from ``quartic_residuals`` here, not from the package. ``unsquared_lhs`` is the
 lagged law's equation before squaring, which tells the physical root from the
-roots squaring brought in; ``lagged_edge`` and ``rho0`` are the law's support
-edge and density at eps = 0, from a discriminant cubic and companion roots on
-the real axis, with no branch tracking. The capture read, row
+roots squaring brought in, and ``arcsine_mp_resolvent`` solves the law's
+Marcenko-Pastur equation as a fixed point, with no quartic at all;
+``lagged_edge`` and ``rho0`` are the law's support edge and density at eps = 0,
+from a discriminant cubic and companion roots on the real axis, with no branch
+tracking. The capture read, row
 standardization, narrowband generator and kernel density estimate are kept as
 the whole-array forms (one full read, whole-payload conversion, one std over all
 rows, the repeated baseband times the cosine, the old grid chunking) that the
@@ -153,6 +155,31 @@ def unsquared_lhs(v, z, Q):
     a, d = max(0.0, 1.0 - Q), max(0.0, Q - 1.0)
     G = (v + a) / z
     return (v + d) * np.sqrt(1.0 - G / Q) * np.sqrt(1.0 + G / Q) / Q
+
+
+def arcsine_mp_resolvent(z, Q):
+    """The lagged law's resolvent G at each point of the 1-D ``z``, with no
+    quartic: ``G = -m``, where m solves the Marcenko-Pastur (Silverstein-Bai)
+    equation ``m = 1/(I(m) - z)`` of ``S = X A X^T / T``,
+    ``I(m) = integral of t / (1 + t m / Q)`` over the spectral law of A. That
+    law is the arcsine law on [-1, 1], the spectrum of the symmetrized lag
+    shift, and the integral is the mean over its 4096 Gauss-Chebyshev nodes
+    ``t_k = cos((2k - 1) pi / 8192)``. m is the damped fixed point
+    (half the old iterate, half the new) started at ``-1/z``, the ``G ~ 1/z``
+    asymptote; each point stops once a step moves it by at most eps of its
+    size, and stopped points stay put."""
+    z = np.asarray(z, dtype=np.complex128)
+    t = np.cos((2 * np.arange(1, 4097) - 1) * np.pi / 8192)
+    m = -1.0 / z
+    live = np.ones(z.shape, dtype=bool)
+    for _ in range(2000):
+        k = np.flatnonzero(live)
+        if k.size == 0:
+            return -m
+        new = 0.5 * m[k] + 0.5 / (np.mean(t / (1.0 + np.outer(m[k], t) / Q), axis=1) - z[k])
+        live[k[np.abs(new - m[k]) <= np.finfo(float).eps * np.abs(new)]] = False
+        m[k] = new
+    raise AssertionError(f"no fixed point after 2000 steps at z = {z[live]}")
 
 
 def lagged_edge(Q):

@@ -224,10 +224,10 @@ REFUSALS = {
                         "(>= 2 points)"),
     "compare-atom-1.5": (_COMPARE, {"emp": b"# point_mass_kde=1.5\nx,kde\n0,1\n1,1\n",
                                     "th": _CURVE.encode()}, 1,
-                         "{emp}: column 'kde': point mass must lie in [0, 1)"),
+                         "{emp}: column 'kde': point mass must lie in [0, 1]"),
     "compare-atom-abc": (_COMPARE, {"emp": _CURVE.encode(),
-                                    "th": b"x,mp\n# point_mass_mp=abc\n0,1\n1,1\n"}, 1,
-                         "{th}:2: could not convert string to float: 'abc'"),
+                                    "th": b"# point_mass_mp=abc\nx,mp\n0,1\n1,1\n"}, 1,
+                         "{th}:1: could not convert string to float: 'abc'"),
 }
 
 
@@ -274,6 +274,17 @@ class TestDispatch:
         out = tmp_path / "mp.csv"
         assert _run("theory", "mp", "--c", "inf", "-o", str(out)) == 1
         assert not out.exists()
+
+    def test_theory_mp_atom_of_one_reads_back(self, tmp_path):
+        # at c = 1e10 the atom 1 - 1e-10 writes as 1, which reads back as a
+        # point mass of 1, so compare reads the file theory mp wrote
+        out, report = tmp_path / "mp.csv", tmp_path / "report.txt"
+        assert _run("theory", "mp", "--c", "1e10", "-o", str(out)) == 0
+        assert out.read_text().startswith("# point_mass_mp=1\nx,mp\n")
+        assert read_density_csv(str(out))["mp"].point_mass_at_zero == 1.0
+        assert _run("compare", "--empirical", str(out), "--theory", str(out),
+                    "-o", str(report)) == 0
+        assert report.read_text().endswith("L1 = 0\nKS = 0\n")
 
     def test_bad_occupied_range(self, tmp_path, capsys):
         assert _run("generate", "--signal", "ncofdm", "--rows", "64", "--cols", "4",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rmtspec import theory
 from rmtspec.curves import DensityCurve, cell_averages
+from rmtspec.errors import ValidationError
 
 
 @st.composite
@@ -27,9 +28,15 @@ class TestDensityCurve:
         with pytest.raises(ValueError):
             DensityCurve(np.array([0.0, 1.0]), np.array([0.1, -0.1]))
 
-    def test_rejects_bad_point_mass(self):
-        with pytest.raises(ValueError):
-            DensityCurve(np.array([0.0, 1.0]), np.zeros(2), point_mass_at_zero=1.5)
+    @pytest.mark.parametrize("atom", [0.0, 0.5, 1.0])
+    def test_point_mass_range_is_closed(self, atom):
+        # a curve of all its mass at 0 is a curve: %.9g writes 1 - 1e-10 as 1
+        assert DensityCurve(np.array([0.0, 1.0]), np.zeros(2), atom).point_mass_at_zero == atom
+
+    @pytest.mark.parametrize("atom", [np.nextafter(1.0, 2.0), -5e-324, 1.5])
+    def test_rejects_bad_point_mass(self, atom):
+        with pytest.raises(ValidationError, match=r"^point mass must lie in \[0, 1\]$"):
+            DensityCurve(np.array([0.0, 1.0]), np.zeros(2), atom)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -286,6 +286,15 @@ class TestWriteCaptureBytes:
         assert [p.name for p in tmp_path.iterdir()] == ["w.rmtc"]
 
 
+# data fields of each kind the row locator tells apart, and any short text
+# that a line of a file can hold
+_FIELD = st.sampled_from(["0", "1.5", " 2 ", "-1", "-0", "nan", "-inf", "1e3", "", " ", "a",
+                          "1_0", "\u0661", "\uff11", "#", "1d3", "\x0c1", "0x1"]) | st.text(
+    st.characters(blacklist_characters="\r\n,"), max_size=3)
+
+_BOX = DensityCurve(np.array([0.0, 1.0]), np.ones(2))
+
+
 def _special_curve():
     """Signed zero, the smallest subnormal, tiny and huge magnitudes, integral values."""
     xs = np.array([-1e300, -2.0, -0.0, 5e-324, 1e-300, 1.0, 3.0, 2.0**53, 1e300])
@@ -448,7 +457,7 @@ class TestDensityCsv:
     @pytest.mark.parametrize("text, message", [
         ("x,kde\n0,1\n1,a\n2,1,1\n", "3: could not convert string to float: 'a'"),
         ("x,kde\n0,1\n1,1,1\n2,a\n", "3: 3 fields, header has 2"),
-        ("x,kde\n\n# c\n0,1\n 1 , nan\n2,\n", "6: could not convert string to float: ''"),
+        ("x,kde\n0,1\n 1 , nan\n2,\n", "4: could not convert string to float: ''"),
         # no comment marker inside a row, and no row width but the header's
         ("x,kde\n0,1\n2#x,3\n", "3: could not convert string to float: '2#x'"),
         ("x,kde\n0,1\n1,3,\n", "3: 3 fields, header has 2"),
@@ -479,16 +488,6 @@ class TestDensityCsv:
             read_density_csv(str(path))
         assert str(err.value) == f"{path}:{message}"
 
-    @pytest.mark.parametrize("field", ["1_0", "١٠"])
-    def test_numbers_only_float_reads_are_read_line_by_line(self, tmp_path, field):
-        # float reads digit groups and non-ASCII digits, np.loadtxt does not
-        lines = ["0,1", f"{field},3"]
-        assert fileio._parse_at_once(lines, 2) is None
-        path = tmp_path / "d.csv"
-        path.write_text("x,kde\n" + "\n".join(lines) + "\n", encoding="utf-8")
-        curve = read_density_csv(str(path))["kde"]
-        assert curve.xs.tolist() == [0.0, 10.0] and curve.ys.tolist() == [1.0, 3.0]
-
     def test_negative_zero_reads_back(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,kde\n0,-0\n1,1\n")
@@ -498,9 +497,93 @@ class TestDensityCsv:
                          min_size=1, max_size=20),
            fmt=st.sampled_from(["{!r}", "{:.9g}", " {:.3e} ", "{:+.17f}"]))
     @settings(max_examples=100, deadline=None)
-    def test_parse_matches_line_by_line(self, rows, fmt):
+    def test_loadtxt_reads_each_format_as_float_does(self, rows, fmt):
+        # the reader's one parse: each number it reads is the float of its text
         lines = [",".join(fmt.format(v) for v in row) for row in rows]
-        got = fileio._parse_at_once(lines, 3)
-        want = fileio._parse_by_line("d.csv", 3, list(range(len(lines))), lines)
+        got = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        want = np.array([[float(f) for f in line.split(",")] for line in lines])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert fileio._parse_at_once(lines, 4) is None
+
+    @given(rows=st.lists(st.lists(_FIELD, min_size=1, max_size=4).map(",".join),
+                         min_size=1, max_size=5).filter(any))
+    @settings(max_examples=500, deadline=None)
+    def test_a_bad_row_is_found_exactly_when_loadtxt_refuses(self, rows):
+        # the locator names a row exactly when the one parse refuses the rows
+        # (or finds a negative ordinate), and the row it names is the first
+        header = ["x", "a", "b"]
+        try:
+            data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+            ok = data.shape == (len(rows), 3) and not np.any(data[:, 1:] < 0.0)
+        except ValueError:
+            ok = False
+        bad = fileio._bad_row(header, rows, 1)
+        assert (bad is None) == ok, (rows, bad)
+        if bad is not None:
+            assert fileio._bad_row(header, rows[: bad[0] - 1], 1) is None
+            assert fileio._bad_row(header, rows[bad[0] - 1 : bad[0]], bad[0]) == bad
+
+    def test_rows_the_locator_clears_are_still_refused(self, tmp_path, monkeypatch):
+        # should a numpy release read a table differently from its fields, the
+        # refusal names the file rather than failing to unpack the locator's None
+        monkeypatch.setattr(fileio, "_bad_row", lambda header, rows, first: None)
+        path = tmp_path / "d.csv"
+        path.write_text("x,kde\n0,1\n1,a\n")
+        with pytest.raises(ValidationError) as err:
+            read_density_csv(str(path))
+        assert str(err.value) == f"{path}: bad rows"
+
+    @given(labels=st.lists(st.text(st.characters(blacklist_characters="\r\n"), max_size=3)
+                           | st.sampled_from(["x", "kde", " kde", "a=b", "a,b", ""]),
+                           min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_a_header_reads_exactly_when_the_writer_takes_its_labels(self, tmp_path_factory,
+                                                                     labels):
+        # one label rule for both: the writer takes the labels exactly when the
+        # header it would write reads back as these labels
+        path = tmp_path_factory.mktemp("h") / "d.csv"
+        row = ",1" * len(",".join(labels).split(","))
+        path.write_text(f"x,{','.join(labels)}\n0{row}\n1{row}\n", encoding="utf-8")
+        try:
+            reads_back = list(read_density_csv(str(path))) == labels
+        except ValidationError:
+            reads_back = False
+        try:
+            write_density_csv(str(path), [_BOX] * len(labels), labels)
+        except ValidationError:
+            assert not reads_back
+        else:
+            assert reads_back
+
+    @pytest.mark.parametrize("text, message", [
+        # a comment or point mass line after the header is a row
+        ("x,kde\n0,1\n# c\n1,1\n", "3: 1 fields, header has 2"),
+        ("x,kde\n# point_mass_kde=0.5\n0,1\n1,1\n", "2: 1 fields, header has 2"),
+        ("x,a,b\n0,1,1\n# c,d,e\n", "3: could not convert string to float: '# c'"),
+        # a line before the header that is not a point mass is the header
+        ("# c\nx,kde\n0,1\n1,1\n", "1: header '# c' names no curve column"),
+        ("#point_mass_kde=0.5\nx,kde\n0,1\n1,1\n",
+         "1: header '#point_mass_kde=0.5' names no curve column"),
+        ("\nx,kde\n0,1\n1,1\n", "1: header '' names no curve column"),
+        # a blank row
+        ("x,kde\n0,1\n\n1,1\n", "3: 1 fields, header has 2"),
+        ("x,kde\n0,1\n1,1\n\n", "4: 1 fields, header has 2"),
+        # numbers that float reads and np.loadtxt does not
+        ("x,kde\n0,1\n1_0,3\n", "3: could not convert string to float: '1_0'"),
+        ("x,kde\n0,1\n\u0661\u0660,3\n",
+         "3: could not convert string to float: '\u0661\u0660'"),
+        # a header that is not x and labels the writer takes
+        ("y,kde\n0,1\n1,1\n",
+         "1: header 'y,kde' is not x followed by labels that write_density_csv accepts"),
+        (" x,kde\n0,1\n1,1\n",
+         "1: header ' x,kde' is not x followed by labels that write_density_csv accepts"),
+        ("x,kde \n0,1\n1,1\n",
+         "1: header 'x,kde ' is not x followed by labels that write_density_csv accepts"),
+        ("# point_mass_a=0.5\nx,a=b\n0,1\n1,1\n",
+         "2: header 'x,a=b' is not x followed by labels that write_density_csv accepts"),
+    ])
+    def test_refuses_what_the_writer_never_writes(self, tmp_path, text, message):
+        path = tmp_path / "odd.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            read_density_csv(str(path))
+        assert str(err.value) == f"{path}:{message}"

@@ -36,7 +36,7 @@ CASES = {
     "curve-sign": (lambda path: DensityCurve(np.array([0.0, 1.0]), np.array([0.0, -1.0])),
                    "ys must be non-negative"),
     "curve-atom": (lambda path: DensityCurve(np.array([0.0, 1.0]), np.ones(2), 1.5),
-                   "point mass must lie in [0, 1)"),
+                   "point mass must lie in [0, 1]"),
     "projection-axis": (lambda path: projection_density(np.array([1 + 1j, 2.0]), axis="z"),
                         "axis must be 'x' or 'y', got 'z'"),
     "capture-f32-overflow": (lambda path: write_capture(str(path), np.array([[1e39, 0.0]])),
