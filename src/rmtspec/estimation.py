@@ -77,19 +77,37 @@ def silverman_bandwidth(samples) -> float:
 
 
 def kde_eval(samples: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian kernel density estimate of `samples` on `grid` with bandwidth `h`."""
+    """Gaussian kernel density estimate of `samples` on `grid` with bandwidth `h`.
+
+    The bandwidth must be finite and positive, the samples and grid points
+    finite. The kernel is evaluated a grid chunk at a time, in place, in one
+    reused block of 2^16 entries (``curves._BLOCK_BYTES``): the chunk's
+    differences u are scaled, squared, halved, exponentiated and normalized
+    where they stand, then summed row by row. Each grid point's kernel sum is
+    its own row's, so the chunking changes no bits, and (u u)(-1/2) rounds as
+    (-u/2) u does: scaling by a power of two is exact.
+    """
+    if not 0 < h < math.inf:
+        raise ValidationError(f"bandwidth must be finite and positive, got {h}")
     s = np.asarray(samples, dtype=np.float64).ravel()
     x = np.asarray(grid, dtype=np.float64).ravel()
+    for name, a in (("samples", s), ("grid points", x)):
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValidationError(f"KDE {name} must be finite")
     out = np.zeros(len(x), dtype=np.float64)
     if len(s) == 0:
         return out
-    # chunk the grid to bound the (chunk x samples) temporaries; each grid
-    # point's kernel sum is its own row's, so the chunking changes no bits
     chunk = _block_items(s.nbytes)
+    block = np.empty((min(chunk, len(x)), len(s)))
     for lo in range(0, len(x), chunk):
-        u = (x[lo:lo + chunk, None] - s[None, :]) / h
-        k = np.exp(-0.5 * u * u) / _SQRT_2PI
-        out[lo:lo + chunk] = k.sum(axis=1)
+        k = block[:len(x) - lo]
+        np.subtract(x[lo:lo + chunk, None], s, out=k)
+        k /= h
+        k *= k
+        k *= -0.5
+        np.exp(k, out=k)
+        k /= _SQRT_2PI
+        k.sum(axis=1, out=out[lo:lo + chunk])
     out /= len(s) * h
     return out
 

@@ -133,6 +133,25 @@ class TestKde:
                                match=f"^bandwidth must be finite and positive, got {h}$"):
                 eigenvalue_density([1.0, 2.0, 3.0], h)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [-1.0, 0.0, np.inf, np.nan])
+    def test_kde_eval_refuses_a_bad_bandwidth(self, h):
+        with pytest.raises(ValidationError,
+                           match=f"^bandwidth must be finite and positive, got {h}$"):
+            kde_eval(np.array([0.0, 1.0]), np.array([0.0, 0.5]), h)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kde_eval_refuses_non_finite_samples(self, bad):
+        with pytest.raises(ValidationError, match="^KDE samples must be finite$"):
+            kde_eval(np.array([0.0, bad, 1.0]), np.array([0.0, 0.5]), 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kde_eval_refuses_non_finite_grid_points(self, bad):
+        with pytest.raises(ValidationError, match="^KDE grid points must be finite$"):
+            kde_eval(np.array([0.0, 1.0]), np.array([0.0, bad]), 0.5)
+
 
 class TestHistogram:
     def test_single_sample_one_bin(self):

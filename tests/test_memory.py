@@ -3,7 +3,8 @@
 float32 matrix it returns and one staging block, standardizing the one new
 float64 matrix and one small block, checking a data matrix or a capture
 payload for non-finite entries nothing of its size, and the kernel density
-estimate a few small chunks. Generating a real stream holds the stream, and a
+estimate one reused block, so that ``analyze cov`` peaks while it reads and
+standardizes. Generating a real stream holds the stream, and a
 capture one complex buffer per stage: the frames, the noisy copy, the
 spectrum, and refuses before any of them exists when two streams would not fit
 in physical memory."""
@@ -11,6 +12,7 @@ in physical memory."""
 import os
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,10 +44,14 @@ def _peak(fn, *args):
 def capture(tmp_path_factory):
     """512 x 4096 complex f32 capture: a 1024 x 4096 float32 (16 MiB) matrix,
     32 MiB standardized."""
-    path = tmp_path_factory.mktemp("mem") / "c.rmtc"
-    payload = np.random.default_rng(0).standard_normal(2 * 512 * 4096, dtype=np.float32)
+    return _complex_capture(tmp_path_factory.mktemp("mem") / "c.rmtc", 512, 4096)
+
+
+def _complex_capture(path, rows, cols):
+    """A ``rows x cols`` complex f32 capture of normal draws: a 2 rows x cols matrix."""
+    payload = np.random.default_rng(0).standard_normal(2 * rows * cols, dtype=np.float32)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sHHII16s", b"RMTC", 1, DTYPE_F32_COMPLEX, 512, 4096, bytes(16)))
+        fh.write(struct.pack("<4sHHII16s", b"RMTC", 1, DTYPE_F32_COMPLEX, rows, cols, bytes(16)))
         fh.write(payload)
     return str(path)
 
@@ -77,13 +83,31 @@ def test_write_capture_holds_only_the_f32_payload(tmp_path):
     assert peak < a.size * 4 + 1 * _MB
 
 
-def test_kde_eval_chunks_are_small():
+@pytest.mark.parametrize("block", [curves._BLOCK_BYTES, 16 * 2048 * 8])
+def test_kde_eval_chunks_are_small(block):
+    # each grid chunk is evaluated in place in one reused block; the subtract
+    # that fills it takes numpy's iterator buffers, 128 KiB, for the call
     rng = np.random.default_rng(1)
     s = rng.gamma(2.0, 1.0, 2048)
     grid = np.linspace(-0.5, s.max() + 0.5, 1024)
-    out, peak = _peak(kde_eval, s, grid, 0.1)
+    with mock.patch.object(curves, "_BLOCK_BYTES", block):
+        out, peak = _peak(kde_eval, s, grid, 0.1)
     assert out.shape == (1024,)
-    assert peak <= 8 * _MB
+    assert peak <= out.nbytes + 2 * block + _OBJECTS
+
+
+def test_analyze_cov_peaks_in_read_and_standardize(tmp_path):
+    # the rankdef-capture shape, 2048 x 64 of rank 63: reading and
+    # standardizing hold 12pn bytes and one block, and no later stage (the
+    # small-side solve, the KDE of the 63 nonzero eigenvalues on 1024 points,
+    # the written columns) holds more; the first run pays lazy set-up
+    path = _complex_capture(tmp_path / "c.rmtc", 1024, 64)
+    argv = ["analyze", "cov", "-i", path, "-o", str(tmp_path / "dens.csv")]
+    assert run_cli(argv) == 0
+    rc, peak = _peak(run_cli, argv)
+    X, stage = _peak(lambda p: standardize_rows(read_capture(p)), path)
+    assert rc == 0 and X.entries.shape == (2048, 64)
+    assert peak <= stage + _OBJECTS
 
 
 # 512 frames of 1024 bins: an 8 MiB complex stream
