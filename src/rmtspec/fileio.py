@@ -19,8 +19,10 @@ Reads stream the payload through a 512 KiB staging block, the one budget of
 every bounded temporary, into the one float32 result, which holds every stored
 value exactly (an i16 value over 32768 is a float32), so a read holds little
 more than the matrix it returns: 4 bytes a value, half its float64 promotion.
-``standardize_rows`` and ``LaggedMatrix`` promote it, so every product and
-eigensolve runs in float64.
+The analyses keep it as read: ``standardize_rows`` adds three numbers per
+row, and each product promotes and standardizes one block of it at a time,
+so every product and eigensolve runs in float64 with no float64 copy of the
+capture.
 """
 
 from __future__ import annotations

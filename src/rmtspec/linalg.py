@@ -11,6 +11,20 @@ m = T - tau. When m < p both solvers solve the m x m small side, which never
 builds the p x p matrix: AB and BA share their nonzero eigenvalues, so an
 m x m eigensolve plus p - m exact zeros gives the whole spectrum.
 
+No analysis holds a float64 copy of its data. ``standardize_rows`` keeps the
+array it is given (a capture as read, 4pn bytes in float32) with a power of
+two, a mean and a std per row. Each product, p x p or small side, is summed
+over its contraction index (columns, rows) a block of ``_DEPTH`` = 384 at a
+time: the block is promoted and standardized into one reused float64 buffer
+and added into the matrix by OpenBLAS's ``dsyrk`` or ``dgemm``, the calls
+numpy's ``matmul`` makes, with the bits of ``matmul`` on the whole
+standardized matrix when the contraction fits one block. So a full-rank
+analysis holds 4pn + 8p(p + 8) bytes and one block (6 MiB at p = 2048),
+against 12pn while standardizing before. The blocks split the contraction
+as OpenBLAS's level-3 routines split their own depth, and 384 is that depth
+on its SkylakeX kernels, so there a product over several blocks keeps the
+bits of one call.
+
 A raw array has one intake, ``_owned``: it must be a non-empty square matrix,
 and real for the symmetric solve, and is copied once into an array this
 module allocated.
@@ -94,6 +108,14 @@ _SLACK = 8
 # of the product that forms it (the pool forms it faster from 2**25 on)
 _ONE_THREAD_MAX_ORDER = 128
 _ONE_THREAD_MAX_PRODUCT = 1 << 24
+# contraction indices per block of a streamed product (see _depths): the depth
+# of the panels OpenBLAS's SkylakeX dgemm and dsyrk sum (their GEMM_Q), so on
+# that core the blocks keep the bits of one call. Depth stops paying before
+# it: the lag product of a 2048 x 4096 capture (2-vCPU SkylakeX host, min of
+# 7) took 0.297 s at 64 a block, 0.278 at 128, 0.269 at 256, 0.265 to 0.278
+# from 384 to 768, and 0.281 in one block; the covariance 0.186, 0.173,
+# 0.169, 0.169 to 0.171 and 0.209
+_DEPTH = 384
 # dgeev scales a matrix whose largest |entry| lies outside [2**-459, 2**459]
 # (sqrt(tiny) / eps and its inverse) before it balances; the staged solve does not
 _GEEV_SMALL = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
@@ -105,7 +127,6 @@ _SYMMETRY_REL_TOL = 1e-10
 _NOT_FINITE = "matrix holds an inf or NaN, or its eigenvalues' sum overflows doubles"
 
 
-@dataclass(frozen=True)
 class DataMatrix:
     """p x n observation matrix: rows are dimensions, columns are samples.
 
@@ -113,65 +134,135 @@ class DataMatrix:
     capture as read, half the bytes of its float64 promotion); any other is
     held as float64. ``ValidationError`` refuses a complex array, whose
     imaginary part a float cast would drop.
+
+    A result of ``standardize_rows`` holds the array it standardized, as it
+    was, and per row the power of two, mean and standard deviation of its
+    standardization; its float64 ``entries`` are formed the first time they
+    are read. A product of it (``LaggedMatrix``) standardizes one block at a
+    time instead, so no float64 copy of the data is made.
     """
 
-    entries: np.ndarray
-    standardized: bool = False
-
-    def __post_init__(self):
-        a = np.asarray(self.entries)
-        if np.iscomplexobj(a):
-            raise ValidationError(f"data matrix of dtype {a.dtype} is not real")
-        a = np.asarray(a, dtype=np.float32 if a.dtype == np.float32 else np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValidationError(f"expected a 2-d matrix, got shape {a.shape}")
-        # min and max carry any NaN and expose any inf without a p x n mask
-        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-            raise ValidationError("data matrix contains non-finite entries")
-        object.__setattr__(self, "entries", a)
+    def __init__(self, entries, standardized: bool = False):
+        self._source = _checked(entries)
+        self._scale = None
+        self.standardized = standardized
 
     @property
     def p(self) -> int:
-        return self.entries.shape[0]
+        return self._source.shape[0]
 
     @property
     def n(self) -> int:
-        return self.entries.shape[1]
+        return self._source.shape[1]
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        if self._scale is None:
+            return self._source
+        return self._values(slice(None), slice(None))
+
+    def _values(self, rows: slice, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """``entries[rows, cols]`` in float64, written into ``out`` or a new
+        C-ordered array: promoted and, for a result of ``standardize_rows``,
+        scaled by the row's power of two, centered by its mean and divided by
+        its std, the operations and so the bits of ``entries``."""
+        src = self._source[rows, cols]
+        out = np.empty(src.shape) if out is None else out
+        out[...] = src
+        if self._scale is not None:
+            shift, mean, std = (s[rows] for s in self._scale)
+            np.ldexp(out, shift, out=out)
+            out -= mean
+            out /= std
+        return out
+
+
+def _checked(entries) -> np.ndarray:
+    """The real, finite 2-d matrix ``entries``: a float32 array as it is,
+    any other as float64."""
+    a = np.asarray(entries)
+    if np.iscomplexobj(a):
+        raise ValidationError(f"data matrix of dtype {a.dtype} is not real")
+    a = np.asarray(a, dtype=np.float32 if a.dtype == np.float32 else np.float64)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValidationError(f"expected a 2-d matrix, got shape {a.shape}")
+    # min and max carry any NaN and expose any inf without a p x n mask
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValidationError("data matrix contains non-finite entries")
+    return a
 
 
 class LaggedMatrix:
     """Lag-tau correlation matrix ``a[:, :T-tau] a[:, tau:]^T / T`` of the
-    p x T array ``data``, exactly symmetric at tau = 0; non-symmetric for tau > 0.
+    p x T data ``a``, exactly symmetric at tau = 0; non-symmetric for tau > 0.
 
-    ``data`` is a ``DataMatrix``, or an array that one accepts. It is held as
-    float64 (float32 data is promoted), so every product and solve runs in
-    float64. The p x p ``entries`` is formed the first time it is read.
+    ``data`` is a ``DataMatrix``, or an array that one accepts. Every product
+    and solve runs in float64, on blocks of ``data`` promoted (and
+    standardized) as they are used. The p x p ``entries`` is formed the first
+    time it is read.
     """
 
     def __init__(self, data, tau: int):
         if not isinstance(data, DataMatrix):
             data = DataMatrix(data)
-        data = np.asarray(data.entries, dtype=np.float64)
-        if not 0 <= tau < data.shape[1]:
-            raise ValidationError(f"tau={tau} outside [0, {data.shape[1] - 1}]")
+        if not 0 <= tau < data.n:
+            raise ValidationError(f"tau={tau} outside [0, {data.n - 1}]")
         self.data = data
         self.tau = tau
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        p = self.data.shape[0]
+        p = self.data.p
         return self._form(np.empty((p, p), order="F"))
 
     def _form(self, out: np.ndarray) -> np.ndarray:
-        """The matrix, written into the F-ordered p x p array ``out``: its
-        transpose ``a[:, tau:] a[:, :T-tau]^T`` is formed in C order as
-        ``out.T`` and divided by T in place. At tau = 0 that is ``a a^T``,
-        which BLAS forms as a rank-k update that computes one triangle and
-        mirrors it, so it comes out exactly symmetric."""
-        a, tau = self.data, self.tau
-        T = a.shape[1]
+        """The matrix, written into the F-ordered p x p array ``out`` and
+        returned: the product of the windows a[:, :m] and a[:, tau:] (m = T -
+        tau) over their m columns, divided by T.
+
+        It is numpy's ``matmul(a[:, tau:], a[:, :m].T, out=out.T)`` with ``a``
+        standardized block by block: OpenBLAS's ``dgemm('T', 'N')``, or at
+        tau = 0 ``dsyrk('L', 'T')`` with its lower triangle mirrored (exactly
+        symmetric), accumulated over blocks of columns (see ``_depths``) from
+        one reused buffer. A 1 x 1 product is numpy's dot product; without
+        numpy's vendored OpenBLAS the data is formed whole and ``matmul``
+        called."""
+        X, tau = self.data, self.tau
+        p, T = X.p, X.n
+        m = T - tau
+        blas = _openblas()
+        everything = slice(None)
         with np.errstate(over="ignore", invalid="ignore"):  # the solves refuse an inf
-            np.matmul(a[:, tau:], a[:, : T - tau].T, out=out.T)
+            if p == 1:
+                out[0, 0] = np.dot(X._values(everything, slice(tau, T))[0],
+                                   X._values(everything, slice(0, m))[0])
+            elif blas is None:
+                a = X._values(everything, everything)
+                np.matmul(a[:, tau:], a[:, :m].T, out=out.T)
+            else:
+                ld = out.strides[1] // out.itemsize
+                buf = np.empty(p * (min(m, _DEPTH) + min(tau, _DEPTH)))
+                for lo, hi in _depths(m):
+                    # columns [lo, hi) and [lo + tau, hi + tau): one block of
+                    # both when they overlap, else one block of each
+                    w = hi - lo
+                    if tau < w:
+                        first = X._values(everything, slice(lo, hi + tau),
+                                          out=buf[:p * (w + tau)].reshape(p, w + tau))
+                        second, ld_block = first[:, tau:], w + tau
+                    else:
+                        first = X._values(everything, slice(lo, hi), out=buf[:p * w].reshape(p, w))
+                        second = X._values(everything, slice(lo + tau, hi + tau),
+                                           out=buf[p * w:2 * p * w].reshape(p, w))
+                        ld_block = w
+                    beta = 0.0 if lo == 0 else 1.0
+                    if tau:
+                        _blas(blas.dgemm, b"T", b"N", p, p, w, 1.0, first, ld_block,
+                              second, ld_block, beta, out, ld)
+                    else:
+                        _blas(blas.dsyrk, b"L", b"T", p, w, 1.0, first, w, beta, out, ld)
+                if not tau:
+                    _mirror_lower(out)
             out /= T
         return out
 
@@ -187,44 +278,48 @@ class RealSpectrum:
 def standardize_rows(X: DataMatrix) -> DataMatrix:
     """Shift/scale each row to mean 0 and sample variance 1 (divisor n-1).
 
-    The result is the one new matrix, float64 and C-ordered, written a block
-    of rows at a time: each block is promoted into it, each row multiplied by
-    the power of two 2**-e that brings its largest |value| into [0.5, 1),
-    centered by its mean and divided by its ``std(ddof=1)`` while it is in
-    cache. The scaling is exact, so no mean or sum of squares overflows or
-    underflows at any scale, and every rounding is the row's at scale 1
-    while no intermediate is subnormal. Every step is per row, so the bits
-    do not depend on the block size or on the layout of ``X``, which is left
-    as it is. Raises ``ZeroVarianceRow`` on the first constant row (a
+    The result holds ``X.entries`` as it is and three numbers per row,
+    computed a block of rows at a time in one reused float64 buffer: each
+    block is promoted into it, each row multiplied by the power of two
+    2**-e that brings its largest |value| into [0.5, 1), then its mean and
+    its ``std(ddof=1)`` about that mean are taken. The result's ``entries``,
+    formed when first read, and every product of it apply the same
+    operations to each element (promote, scale, center, divide), so its bits
+    do not depend on the block or on the layout of ``X``. The scaling is
+    exact, so no mean or sum of squares overflows or underflows at any
+    scale, and every rounding is the row's at scale 1 while no intermediate
+    is subnormal. Raises ``ZeroVarianceRow`` on the first constant row (a
     single-column matrix is constant), and ``ValidationError`` on a
-    non-finite entry written into ``X.entries`` after it was checked.
+    non-finite entry written into ``X.entries`` after it was checked; write
+    into ``X.entries`` afterwards and the result changes with it.
     Idempotent up to rounding.
     """
     a = X.entries
     p, n = a.shape
     if n < 2:
         raise ZeroVarianceRow(0)
-    out = np.empty((p, n))
-    # the block and the one block-sized temporary of its std stay in cache, and
-    # that temporary is all a standardize holds beside its result
-    step = _block_items(out[0].nbytes)
+    shift, mean, std = np.empty((p, 1), np.int32), np.empty((p, 1)), np.empty((p, 1))
+    # the buffer and the one temporary of its std, as large, make one block
+    step = _block_items(2 * 8 * n)
+    buf = np.empty((min(step, p), n))
     for lo in range(0, p, step):
-        block = out[lo:lo + step]
-        block[...] = a[lo:lo + step]
+        rows = slice(lo, lo + step)
+        block = buf[:min(step, p - lo)]
+        block[...] = a[rows]
         amax = np.maximum(block.max(axis=1, keepdims=True), -block.min(axis=1, keepdims=True))
         if not np.isfinite(amax).all():  # X.entries was changed after it was checked
             raise ValidationError("data matrix contains non-finite entries")
-        np.ldexp(block, -np.frexp(amax)[1], out=block)
-        block -= block.mean(axis=1, keepdims=True)
-        std = block.std(axis=1, ddof=1, keepdims=True)
-        if not std.all():  # argmin of the non-negative std is its first zero
-            raise ZeroVarianceRow(lo + int(np.argmin(std)))
-        block /= std
+        shift[rows] = -np.frexp(amax)[1]
+        np.ldexp(block, shift[rows], out=block)
+        mean[rows] = block.mean(axis=1, keepdims=True)
+        block -= mean[rows]
+        std[rows] = block.std(axis=1, ddof=1, keepdims=True)
+        if not std[rows].all():  # argmin of the non-negative std is its first zero
+            raise ZeroVarianceRow(lo + int(np.argmin(std[rows])))
     # every row was finite with a nonzero std, so every |entry| is at most
-    # sqrt(n - 1): the result skips DataMatrix's scan of it
+    # sqrt(n - 1): the result skips DataMatrix's scan
     Y = object.__new__(DataMatrix)
-    object.__setattr__(Y, "entries", out)
-    object.__setattr__(Y, "standardized", True)
+    Y._source, Y._scale, Y.standardized = a, (shift, mean, std), True
     return Y
 
 
@@ -281,21 +376,84 @@ def _solve(M, symmetric: bool) -> np.ndarray:
     it is a lag-0 matrix.
     """
     from_data = isinstance(M, LaggedMatrix) and not (symmetric and M.tau)
-    if from_data and M.data.shape[1] - M.tau < M.data.shape[0]:
-        d, tau = M.data, M.tau
-        p, T = d.shape
-        m = T - tau
+    if from_data and M.data.n - M.tau < M.data.p:
+        X, tau = M.data, M.tau
+        p, m = X.p, X.n - tau
         with _blas_threads() if _small_side(m, p) else contextlib.nullcontext():
-            # formed in C order and copied: formed F-ordered, the lag product
-            # (and so the spectrum) can differ in the last bits
-            with np.errstate(over="ignore", invalid="ignore"):  # the solve refuses an inf
-                a = np.divide(d[:, tau:].T @ d[:, :m], T, out=_lapack_matrix(m))
-            w = _solve_owned(a, symmetric)
+            w = _solve_owned(_small_side_matrix(X, tau), symmetric)
         return np.concatenate([np.zeros(p - m), w])
     a = _owned(M, symmetric)
     if symmetric and not from_data:
         _require_symmetric(a)
     return _solve_owned(a, symmetric)
+
+
+def _small_side_matrix(X: DataMatrix, tau: int) -> np.ndarray:
+    """The m x m small side ``a[:, tau:]^T a[:, :m] / T`` (m = T - tau) of
+    the lag-tau matrix of X, in a new ``_lapack_matrix``.
+
+    It is numpy's ``a[:, tau:].T @ a[:, :m]`` with ``a`` standardized block
+    by block: OpenBLAS's ``dgemm('N', 'T')`` into a C-ordered m x m array
+    that is then divided into the matrix (formed F-ordered, the lag product,
+    and so the spectrum, can differ in the last bits), or at tau = 0
+    ``dsyrk('L', 'N')`` into the matrix with its lower triangle mirrored,
+    accumulated over blocks of rows (see ``_depths``) from one reused
+    buffer. A 1 x 1 product is the dot product of the two columns; without
+    numpy's vendored OpenBLAS the data is formed whole and ``matmul``
+    called."""
+    p, T = X.p, X.n
+    m = T - tau
+    out = _lapack_matrix(m)
+    blas = _openblas()
+    everything = slice(None)
+    with np.errstate(over="ignore", invalid="ignore"):  # the solve refuses an inf
+        if m == 1:
+            out[0, 0] = np.dot(X._values(everything, slice(tau, T)).ravel(),
+                               X._values(everything, slice(0, 1)).ravel()) / T
+        elif blas is None:
+            a = X._values(everything, everything)
+            np.divide(a[:, tau:].T @ a[:, :m], T, out=out)
+        else:
+            ld = out.strides[1] // out.itemsize
+            product = np.empty((m, m)) if tau else out
+            buf = np.empty(min(p, _DEPTH) * T)
+            for lo, hi in _depths(p):
+                block = X._values(slice(lo, hi), everything,
+                                  out=buf[:(hi - lo) * T].reshape(hi - lo, T))
+                beta = 0.0 if lo == 0 else 1.0
+                if tau:
+                    _blas(blas.dgemm, b"N", b"T", m, m, hi - lo, 1.0, block, T,
+                          block[:, tau:], T, beta, product, m)
+                else:
+                    _blas(blas.dsyrk, b"L", b"N", m, hi - lo, 1.0, block, T, beta, out, ld)
+            if tau:
+                np.divide(product, T, out=out)
+            else:
+                _mirror_lower(out)
+                out /= T
+    return out
+
+
+def _depths(k: int):
+    """The blocks ``(lo, hi)`` of a streamed product over k contraction
+    indices, split as OpenBLAS's level-3 routines split their own: ``_DEPTH``
+    while twice that remains, then what remains in two halves, or whole when
+    it is ``_DEPTH`` or fewer. Each block's sum is added to the matrix as
+    OpenBLAS adds each panel's, so where ``_DEPTH`` is its panel depth the
+    matrix has the bits of one call over all k."""
+    lo = 0
+    while lo < k:
+        left = k - lo
+        step = _DEPTH if left >= 2 * _DEPTH else left if left <= _DEPTH else (left + 1) // 2
+        yield lo, lo + step
+        lo += step
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strictly lower triangle of the square ``a`` onto its upper
+    one, as numpy's ``matmul`` completes the triangle that ``dsyrk`` forms."""
+    for j in range(a.shape[0] - 1):
+        a[j, j + 1:] = a[j + 1:, j]
 
 
 def _solve_owned(a: np.ndarray, symmetric: bool) -> np.ndarray:
@@ -337,7 +495,7 @@ def _owned(M, symmetric: bool = False) -> np.ndarray:
     square, is empty, or is complex when ``symmetric``.
     """
     if isinstance(M, LaggedMatrix) and "entries" not in vars(M):
-        return M._form(_lapack_matrix(M.data.shape[0]))
+        return M._form(_lapack_matrix(M.data.p))
     a = np.asarray(getattr(M, "entries", M))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix of shape {a.shape} is not square")
@@ -359,10 +517,13 @@ def _lapack_matrix(n: int) -> np.ndarray:
     return np.empty((n + _SLACK, n), order="F")[:n]
 
 
-# arguments of each LAPACK routine called, INFO included; all by reference
+# arguments of each LAPACK routine called, INFO included, and of each BLAS
+# routine; all by reference
 _LAPACK_ARGS = {"dsyevd": 11, "dgeev": 14, "dgebal": 8, "dgehrd": 9, "dhseqr": 14}
-# thread count and LAPACK routines of numpy's vendored OpenBLAS
-_OpenBLAS = collections.namedtuple("_OpenBLAS", ["get_threads", "set_threads", *_LAPACK_ARGS])
+_BLAS_ARGS = {"dsyrk": 10, "dgemm": 13}
+# thread count, LAPACK and BLAS routines of numpy's vendored OpenBLAS
+_OpenBLAS = collections.namedtuple("_OpenBLAS",
+                                   ["get_threads", "set_threads", *_LAPACK_ARGS, *_BLAS_ARGS])
 
 
 @functools.cache
@@ -373,7 +534,8 @@ def _openblas() -> _OpenBLAS | None:
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _LAPACK_ARGS}
+            routines = {name: getattr(lib, f"scipy_{name}_64_")
+                        for name in (*_LAPACK_ARGS, *_BLAS_ARGS)}
             get, set_threads = (lib.scipy_openblas_get_num_threads64_,
                                 lib.scipy_openblas_set_num_threads64_)
         except (OSError, AttributeError):
@@ -381,23 +543,33 @@ def _openblas() -> _OpenBLAS | None:
         get.argtypes, get.restype = [], ctypes.c_int
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         for name, routine in routines.items():
-            routine.argtypes = [ctypes.c_void_p] * _LAPACK_ARGS[name]
+            routine.argtypes = [ctypes.c_void_p] * {**_LAPACK_ARGS, **_BLAS_ARGS}[name]
             routine.restype = None
         return _OpenBLAS(get, set_threads, **routines)
     return None
 
 
-def _lapack(routine, *args) -> int:
-    """Call a LAPACK routine of the ILP64 OpenBLAS, passing every argument by
-    reference (a bytes flag as is, an int as an int64, an array as its
-    buffer, a ctypes integer as a pointer) and a trailing INFO; returns INFO
-    when >= 0."""
-    info = ctypes.c_int64()
-    refs = [x if isinstance(x, bytes)
+def _refs(args) -> list:
+    """Arguments for a routine of the ILP64 OpenBLAS, each by reference: a
+    bytes flag as is, an int as an int64, a float as a double, an array as
+    its buffer, a ctypes integer as a pointer."""
+    return [x if isinstance(x, bytes)
             else ctypes.pointer(ctypes.c_int64(x)) if isinstance(x, int)
+            else ctypes.pointer(ctypes.c_double(x)) if isinstance(x, float)
             else ctypes.c_void_p(x.ctypes.data) if isinstance(x, np.ndarray)
             else ctypes.pointer(x) for x in args]
-    routine(*refs, ctypes.pointer(info))
+
+
+def _blas(routine, *args) -> None:
+    """Call a BLAS routine of the ILP64 OpenBLAS (see ``_refs``)."""
+    routine(*_refs(args))
+
+
+def _lapack(routine, *args) -> int:
+    """Call a LAPACK routine of the ILP64 OpenBLAS (see ``_refs``) with a
+    trailing INFO; returns INFO when >= 0."""
+    info = ctypes.c_int64()
+    routine(*_refs(args), ctypes.pointer(info))
     if info.value < 0:
         raise ValueError(f"LAPACK argument {-info.value} is illegal")
     return info.value

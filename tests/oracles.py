@@ -22,7 +22,10 @@ tracking. The capture read, row
 standardization, narrowband generator and kernel density estimate are kept as
 the whole-array forms (one full read, whole-payload conversion, one std over all
 rows, the repeated baseband times the cosine, the old grid chunking) that the
-package's streamed, chunked and in-place forms must match bit for bit.
+package's streamed, chunked and in-place forms must match bit for bit; row
+standardization also as the eager float64 matrix written a block of rows at a
+time, with the power-of-two row scaling, which the package's per-row scales,
+applied where a product or ``entries`` reads the data, must match at any scale.
 ``project_density``, the axis-projection frame change,
 lives here because only the acceptance check and its unit tests use it; so
 does ``mp_density``, the Marcenko-Pastur point density, which the package
@@ -35,7 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from rmtspec import theory
+from rmtspec import curves, theory
 from rmtspec.curves import _MAX_POINTS, DensityCurve
 from rmtspec.errors import (
     BranchAmbiguity,
@@ -552,6 +555,32 @@ def reference_standardize_rows(X):
     if bad.size:
         raise ZeroVarianceRow(int(bad[0]))
     return DataMatrix(centered / std, standardized=True)
+
+
+def reference_standardize_row_blocks(X):
+    """``standardize_rows`` as one new C-ordered float64 matrix, written a
+    block of rows (``curves._BLOCK_BYTES``) at a time: each block promoted,
+    each row scaled by the power of two that brings its largest |value| into
+    [0.5, 1), centered by its mean and divided by its ``std(ddof=1)``."""
+    a = X.entries
+    p, n = a.shape
+    if n < 2:
+        raise ZeroVarianceRow(0)
+    out = np.empty((p, n))
+    step = max(1, curves._BLOCK_BYTES // out[0].nbytes)
+    for lo in range(0, p, step):
+        block = out[lo:lo + step]
+        block[...] = a[lo:lo + step]
+        amax = np.maximum(block.max(axis=1, keepdims=True), -block.min(axis=1, keepdims=True))
+        if not np.isfinite(amax).all():
+            raise ValidationError("data matrix contains non-finite entries")
+        np.ldexp(block, -np.frexp(amax)[1], out=block)
+        block -= block.mean(axis=1, keepdims=True)
+        std = block.std(axis=1, ddof=1, keepdims=True)
+        if not std.all():
+            raise ZeroVarianceRow(lo + int(np.argmin(std)))
+        block /= std
+    return DataMatrix(out, standardized=True)
 
 
 def reference_kde_eval(samples, grid, h):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmtspec import (
@@ -23,10 +23,12 @@ from rmtspec.cli import run_cli
 from rmtspec.errors import NumericalError, ValidationError, ZeroVarianceRow
 from rmtspec import curves, linalg
 
+from test_golden import _openblas_core
 from oracles import (
     charpoly_eigs,
     greedy_pairing_residual,
     lagged_corr_loops,
+    reference_standardize_row_blocks,
     reference_standardize_rows,
     sample_cov_loops,
 )
@@ -119,7 +121,7 @@ class TestStandardizeChunks:
         # of the result is skipped; the result keeps the one-pass form's bits
         n = 64
         X = DataMatrix((rng.standard_normal((40, n)) * 1e3 + 7.0).astype(dtype))
-        with mock.patch.object(DataMatrix, "__post_init__",
+        with mock.patch.object(linalg, "_checked",
                                side_effect=AssertionError("result scanned again")):
             Y = standardize_rows(X)
         assert type(Y) is DataMatrix and Y.standardized
@@ -203,6 +205,162 @@ class TestStandardizeChunks:
         with pytest.raises(ZeroVarianceRow) as err:
             standardize_rows(DataMatrix(np.ones((3, 1))))
         assert err.value.row == 0
+
+
+class TestStandardizeLazily:
+    """``standardize_rows`` keeps its input and three numbers per row, and
+    forms ``entries`` when they are read: the eager row-block form in the
+    oracles, which wrote the standardized float64 matrix at once, is the
+    bit-for-bit reference, refusals included, which are raised by the call
+    itself and not deferred to a product."""
+
+    @given(p=st.integers(1, 12), n=st.integers(2, 40), block_rows=st.integers(1, 5),
+           kind=st.sampled_from(["f64", "f32", "i16"]), constant_row=st.integers(-1, 11),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-150, 1.0, 1e150]))
+    @settings(max_examples=300, deadline=None)
+    @example(p=1, n=2, block_rows=1, kind="f32", constant_row=-1, seed=0, scale=1.0)
+    @example(p=1, n=7, block_rows=1, kind="i16", constant_row=-1, seed=1, scale=1.0)
+    @example(p=5, n=2, block_rows=2, kind="f64", constant_row=3, seed=2, scale=1.0)
+    def test_entries_match_the_eager_row_blocks(self, p, n, block_rows, kind, constant_row,
+                                                seed, scale):
+        rng = np.random.default_rng(seed)
+        if kind == "i16":  # a capture of i16 samples as read: q / 32768 in float32
+            a = rng.integers(-32768, 32768, (p, n)).astype(np.float32) / np.float32(32768.0)
+        elif kind == "f32":  # 1e-30 to 1e30, within float32's range
+            a = ((rng.standard_normal((p, n)) + 3.0) * scale**0.2).astype(np.float32)
+        else:
+            a = (rng.standard_normal((p, n)) + 3.0) * scale
+        if 0 <= constant_row < p:
+            a[constant_row] = a[constant_row, 0]
+        X = DataMatrix(a)
+        # the block spans block_rows rows, so the row counts cross its boundary
+        with mock.patch.object(curves, "_BLOCK_BYTES", block_rows * 8 * n):
+            try:
+                want = reference_standardize_row_blocks(X).entries
+            except ZeroVarianceRow as exc:
+                with pytest.raises(ZeroVarianceRow) as err:
+                    standardize_rows(X)
+                assert err.value.row == exc.row
+                return
+            Y = standardize_rows(X)
+        assert "entries" not in vars(Y)
+        assert Y.entries.dtype == np.float64 and Y.entries.flags.c_contiguous
+        assert np.array_equal(Y.entries.view(np.uint64), want.view(np.uint64))
+        assert Y.entries is Y.entries
+
+    def test_holds_the_input_and_no_float64_copy(self, rng):
+        a = rng.standard_normal((6, 50)).astype(np.float32)
+        Y = standardize_rows(DataMatrix(a))
+        assert Y.p == 6 and Y.n == 50 and Y.standardized
+        assert vars(Y).keys() == {"_source", "_scale", "standardized"}
+        assert Y._source is a and all(s.shape == (6, 1) for s in Y._scale)
+
+
+def _full_product(d, tau):
+    """``LaggedMatrix._form`` of the float64 matrix ``d`` as one numpy
+    ``matmul``, as it was formed before products were streamed."""
+    p, T = d.shape
+    out = np.empty((p, p), order="F")
+    np.matmul(d[:, tau:], d[:, :T - tau].T, out=out.T)
+    out /= T
+    return out
+
+
+def _small_product(d, tau):
+    """The small side of the float64 matrix ``d`` as one numpy product; of
+    one column, the dot product of the two columns taken contiguous (numpy
+    strides its dot along a column of a wider matrix)."""
+    T = d.shape[1]
+    m = T - tau
+    if m == 1:
+        return np.array([[np.dot(d[:, tau].copy(), d[:, 0].copy())]]) / T
+    return np.divide(d[:, tau:].T @ d[:, :m], T)
+
+
+class TestStreamedProducts:
+    """Both products of a lagged matrix, the p x p one and the m x m small
+    side, are summed a block of their contraction (columns, rows) at a time,
+    each block standardized as it is filled. With the contraction in one
+    block they have the bits of one numpy product of the eager standardized
+    matrix. Split into k-term blocks they stay within twice the bound of a
+    k-term dot product, 2 * gamma_k * sum |x_t y_t| / T with gamma_k = k u /
+    (1 - k u), plus the rounding of the division: the one-shot and the
+    streamed sums each lie within gamma_k of the exact one, whatever order
+    BLAS sums in."""
+
+    @staticmethod
+    def _data(p, T, seed, kind):
+        a = np.random.default_rng(seed).standard_normal((p, T)) + 3.0
+        if kind == "raw":  # standardization bypassed: the raw product
+            return DataMatrix(a, standardized=True), a
+        X = DataMatrix(a.astype(np.float32) if kind == "f32" else a)
+        return standardize_rows(X), reference_standardize_row_blocks(X).entries
+
+    @staticmethod
+    def _products(X, tau):
+        full = LaggedMatrix(X, tau).entries
+        # formed again into a padded matrix for a solve: the same bits
+        assert np.array_equal(linalg._owned(LaggedMatrix(X, tau)).view(np.uint64),
+                              full.view(np.uint64))
+        return full, linalg._small_side_matrix(X, tau)
+
+    @given(p=st.integers(1, 16), T=st.integers(2, 16), lag=st.sampled_from(["0", "1", "T-1"]),
+           kind=st.sampled_from(["f64", "f32", "raw"]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_block_has_the_bits_of_one_product(self, p, T, lag, kind, seed):
+        tau = {"0": 0, "1": 1, "T-1": T - 1}[lag]
+        X, d = self._data(p, T, seed, kind)
+        full, small = self._products(X, tau)
+        for got, want in ((full, _full_product(d, tau)), (small, _small_product(d, tau))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            if not tau:
+                assert np.array_equal(got, got.T)
+
+    @given(p=st.integers(2, 24), T=st.integers(2, 24), lag=st.sampled_from(["0", "1", "T-1"]),
+           kind=st.sampled_from(["f64", "f32", "raw"]), depth=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_stay_within_the_dot_product_bound(self, p, T, lag, kind, depth, seed):
+        tau = {"0": 0, "1": 1, "T-1": T - 1}[lag]
+        X, d = self._data(p, T, seed, kind)
+        with mock.patch.object(linalg, "_DEPTH", depth):
+            full, small = self._products(X, tau)
+        m, u = T - tau, 2.0**-53
+        e = np.abs(d)
+        for got, want, k, mass in ((full, _full_product(d, tau), m, e[:, :m] @ e[:, tau:].T),
+                                   (small, _small_product(d, tau), p, e[:, tau:].T @ e[:, :m])):
+            gamma = k * u / (1 - k * u)
+            assert np.all(np.abs(got - want) <= (2 * gamma + 3 * u) * mass / T)
+            if not tau:
+                assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("shape, tau", [((1000, 64), 1), ((64, 1000), 0), ((64, 1000), 1)])
+    def test_default_blocks_keep_the_bits_on_skylakex(self, shape, tau):
+        # 1000 and 999 terms are split 384 + 308 + 308 or 384 + 308 + 307, as
+        # OpenBLAS splits its own depth: on its SkylakeX kernels, whose panels
+        # are 384 deep, each sum is that of one call; elsewhere it is rounded
+        # differently, within 1e-14 of the largest entry here
+        X, d = self._data(*shape, 2, "f32")
+        got, want = ((linalg._small_side_matrix(X, tau), _small_product(d, tau)) if shape[0] > 64
+                     else (LaggedMatrix(X, tau).entries, _full_product(d, tau)))
+        if _openblas_core() == "SkylakeX":
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @given(p=st.integers(1, 16), T=st.integers(2, 16), lag=st.sampled_from(["0", "1", "T-1"]),
+           kind=st.sampled_from(["f64", "f32", "raw"]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_without_openblas_the_spectra_are_the_same(self, p, T, lag, kind, seed):
+        # orders below 75, where the staged general solve has eigvals' bits
+        tau = {"0": 0, "1": 1, "T-1": T - 1}[lag]
+        X, _ = self._data(p, T, seed, kind)
+        spectra = [eigvals_symmetric(sample_covariance(X)).values,
+                   eigvals_general(lagged_correlation(X, tau))]
+        with mock.patch.object(linalg, "_openblas", lambda: None):
+            fallback = [eigvals_symmetric(sample_covariance(X)).values,
+                        eigvals_general(lagged_correlation(X, tau))]
+        for got, want in zip(spectra, fallback):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestSampleCovariance:
@@ -425,14 +583,15 @@ class TestTypes:
         assert DataMatrix(a32.astype(np.float16)).entries.dtype == np.float64
         assert DataMatrix(a32.astype(np.float16), standardized=True).entries.dtype == np.float64
         assert standardize_rows(DataMatrix(a32)).entries.dtype == np.float64
-        assert lagged_correlation(DataMatrix(a32, standardized=True), 1).data.dtype == np.float64
+        # a lagged matrix holds its data as given: blocks are promoted as used
+        assert lagged_correlation(DataMatrix(a32, standardized=True), 1).data.entries is a32
 
     @pytest.mark.parametrize("shape", [(64, 16), (16, 64)])
     def test_lagged_matrix_promotes_float32(self, rng, shape):
         # (64, 16) is solved on the small side, (16, 64) dense
         a32 = rng.standard_normal(shape).astype(np.float32)
         a64 = a32.astype(np.float64)
-        assert LaggedMatrix(a32, 1).data.dtype == np.float64
+        assert LaggedMatrix(a32, 1).data.entries is a32
         got = eigvals_symmetric(LaggedMatrix(a32, 0)).values
         want = eigvals_symmetric(LaggedMatrix(a64, 0)).values
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -444,7 +603,7 @@ class TestTypes:
     def test_sample_covariance_promotes_float32(self, rng):
         a32 = rng.standard_normal((6, 4)).astype(np.float32)
         got, want = (sample_covariance(DataMatrix(a)) for a in (a32, a32.astype(np.float64)))
-        assert got.data.dtype == np.float64 and got.entries.dtype == np.float64
+        assert got.data.entries.dtype == np.float32 and got.entries.dtype == np.float64
         assert np.array_equal(got.entries.view(np.uint64), want.entries.view(np.uint64))
         w32, w64 = (eigvals_symmetric(sample_covariance(DataMatrix(a))).values
                     for a in (a32, a32.astype(np.float64)))
@@ -541,7 +700,9 @@ class TestSmallSide:
 class TestLagZeroSmallSide:
     """The covariance is the lag-0 ``LaggedMatrix``: both solvers hand LAPACK
     the product ``a.T @ a`` divided by n in place when n < p, as the
-    covariance's own small side did, and ``a @ a.T`` divided by n otherwise."""
+    covariance's own small side did, and ``a @ a.T`` divided by n otherwise,
+    each formed from blocks of ``a`` copied C-ordered, so with the bits of
+    the C-ordered ``a`` whatever its layout."""
 
     @given(p=st.integers(1, 40),
            offset=st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-39, 39)),
@@ -567,10 +728,11 @@ class TestLagZeroSmallSide:
             symmetric = eigvals_symmetric(cov).values
             general = eigvals_general(cov)
         assert "entries" not in vars(cov)
+        c = np.ascontiguousarray(d)
         if n < p:
-            want = np.matmul(d.T, d)
+            want = np.matmul(c.T, c)
         else:  # formed as out.T, so the matrix solved is its transpose
-            want = np.matmul(d, d.T).T
+            want = np.matmul(c, c.T).T
         want /= n
         assert len(handed) == 2
         for a in handed:

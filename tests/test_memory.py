@@ -1,10 +1,11 @@
 """Peak memory of the full-rank path's layers, measured with ``tracemalloc``
 (numpy reports its data allocations to it): reading a capture holds the
-float32 matrix it returns and one staging block, standardizing the one new
-float64 matrix and one small block, checking a data matrix or a capture
-payload for non-finite entries nothing of its size, and the kernel density
-estimate one reused block, so that ``analyze cov`` peaks while it reads and
-standardizes. Generating a real stream holds the stream, and a
+float32 matrix it returns and one staging block, standardizing three numbers
+per row and one block, checking a data matrix or a capture payload for
+non-finite entries nothing of its size, and the kernel density estimate one
+reused block. A product holds its matrix and one block of standardized data,
+so no analysis holds a float64 copy of the capture. Generating a real stream
+holds the stream, and a
 capture one complex buffer per stage: the frames, the noisy copy, the
 spectrum, and refuses before any of them exists when two streams would not fit
 in physical memory."""
@@ -17,8 +18,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rmtspec import DataMatrix, read_capture, standardize_rows, write_capture
-from rmtspec import curves, signals
+from rmtspec import (
+    DataMatrix,
+    eigvals_symmetric,
+    read_capture,
+    sample_covariance,
+    standardize_rows,
+    write_capture,
+)
+from rmtspec import curves, linalg, signals
 from rmtspec.cli import run_cli
 from rmtspec.estimation import kde_eval
 from rmtspec.fileio import DTYPE_F32_COMPLEX
@@ -26,6 +34,8 @@ from rmtspec.fileio import DTYPE_F32_COMPLEX
 _MB = 2**20
 # the Python objects of a call (the header, a few array views), not its data
 _OBJECTS = 64 * 2**10
+# numpy's iterator buffers for one ufunc call that broadcasts a per-row column
+_BUFFERS = 128 * 2**10
 
 
 def _peak(fn, *args):
@@ -62,11 +72,13 @@ def test_read_capture_holds_the_result_and_one_block(capture):
     assert peak <= X.entries.nbytes + curves._BLOCK_BYTES + _OBJECTS
 
 
-def test_standardize_rows_holds_the_result_and_one_chunk(capture):
+def test_standardize_rows_holds_the_row_scales_and_one_block(capture):
+    # an exponent, a mean and a std per row; the buffer and its std's
+    # temporary share one block
     X = read_capture(capture)
     Y, peak = _peak(standardize_rows, X)
     assert Y.entries.shape == X.entries.shape and Y.entries.dtype == np.float64
-    assert peak <= Y.entries.nbytes + 1 * _MB
+    assert peak <= X.p * (4 + 8 + 8) + curves._BLOCK_BYTES + _BUFFERS + _OBJECTS
 
 
 def test_data_matrix_finite_check_builds_no_mask():
@@ -96,18 +108,34 @@ def test_kde_eval_chunks_are_small(block):
     assert peak <= out.nbytes + 2 * block + _OBJECTS
 
 
-def test_analyze_cov_peaks_in_read_and_standardize(tmp_path):
-    # the rankdef-capture shape, 2048 x 64 of rank 63: reading and
-    # standardizing hold 12pn bytes and one block, and no later stage (the
-    # small-side solve, the KDE of the 63 nonzero eigenvalues on 1024 points,
-    # the written columns) holds more; the first run pays lazy set-up
-    path = _complex_capture(tmp_path / "c.rmtc", 1024, 64)
+def test_analyze_cov_peaks_within_twelve_bytes_per_entry(tmp_path):
+    # the rankdef-capture shape, 2048 x 64 of rank 63: reading, standardizing,
+    # the small-side solve, the KDE of the 63 nonzero eigenvalues on 1024
+    # points and the written columns hold at most 12pn bytes and one block;
+    # the first run pays lazy set-up
+    p, n = 2048, 64
+    path = _complex_capture(tmp_path / "c.rmtc", p // 2, n)
     argv = ["analyze", "cov", "-i", path, "-o", str(tmp_path / "dens.csv")]
     assert run_cli(argv) == 0
     rc, peak = _peak(run_cli, argv)
-    X, stage = _peak(lambda p: standardize_rows(read_capture(p)), path)
-    assert rc == 0 and X.entries.shape == (2048, 64)
-    assert peak <= stage + _OBJECTS
+    assert rc == 0 and peak <= 12 * p * n + curves._BLOCK_BYTES + _OBJECTS
+
+
+def test_full_rank_analyses_hold_no_float64_copy(tmp_path):
+    # 512 x 2048, full rank: the float32 capture (4pn), the padded p x p
+    # matrix (8p(p + 8)) and one block of standardized columns, the product's
+    # 384 and the lag's one more; a float64 copy of the capture alone is 8pn
+    p, n = 512, 2048
+    path = _complex_capture(tmp_path / "c.rmtc", p // 2, n)
+    bound = 4 * p * n + 8 * p * (p + 8) + 8 * p * (linalg._DEPTH + 1) + _BUFFERS + _OBJECTS
+    argv = ["analyze", "lagged", "-i", path, "--tau", "1", "-o", str(tmp_path / "cloud.csv")]
+    assert run_cli(argv) == 0
+    rc, peak = _peak(run_cli, argv)
+    assert rc == 0 and peak <= bound
+    # the library verdict's path
+    spectrum, peak = _peak(lambda: eigvals_symmetric(sample_covariance(
+        standardize_rows(read_capture(path)))))
+    assert spectrum.values.shape == (p,) and peak <= bound
 
 
 # 512 frames of 1024 bins: an 8 MiB complex stream
