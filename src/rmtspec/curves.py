@@ -51,7 +51,9 @@ class DensityCurve:
         object.__setattr__(self, "ys", ys)
 
     def continuous_mass(self) -> float:
-        return float(np.trapezoid(self.ys, self.xs))
+        # a sum or gap past DBL_MAX makes the mass inf, which require_unit_mass refuses
+        with np.errstate(over="ignore"):
+            return float(np.trapezoid(self.ys, self.xs))
 
     def total_mass(self) -> float:
         return self.continuous_mass() + self.point_mass_at_zero

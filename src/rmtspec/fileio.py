@@ -199,7 +199,8 @@ def write_density_csv(path: str, curves, labels) -> None:
         raise ValidationError("need at least one curve, and one label per curve")
     if not _labels_read_back(labels):
         raise ValidationError(f"labels {labels!r} make no header: each must be unique, not "
-                              f"'x', and free of ',', '=', line breaks and edge blanks")
+                              f"'x', and free of ',', '=', line breaks, edge blanks and "
+                              "surrogates")
     xs = curves[0].xs
     if not all(np.array_equal(c.xs, xs) for c in curves):
         raise ValidationError("curves of one density file must share one grid")
@@ -213,11 +214,12 @@ def write_density_csv(path: str, curves, labels) -> None:
 
 def _labels_read_back(labels) -> bool:
     """Whether a header of ``x`` and ``labels`` reads back as these labels:
-    each once, none ``x``, none holding ``,``, ``=``, a line break or an edge
-    blank. The writer writes, and the reader reads, no other labels."""
+    each once, none ``x``, none holding ``,``, ``=``, a line break, an edge
+    blank or a surrogate code point, which UTF-8 cannot encode. The writer
+    writes, and the reader reads, no other labels."""
     return len(set(labels)) == len(labels) and not any(
         label == "x" or label != label.strip() or any(c in label for c in ",=\r\n")
-        for label in labels)
+        or any("\ud800" <= c <= "\udfff" for c in label) for label in labels)
 
 
 def _require_distinct_text(xs: np.ndarray) -> None:

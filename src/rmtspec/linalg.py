@@ -13,17 +13,29 @@ m x m eigensolve plus p - m exact zeros gives the whole spectrum.
 
 No analysis holds a float64 copy of its data. ``standardize_rows`` keeps the
 array it is given (a capture as read, 4pn bytes in float32) with a power of
-two, a mean and a std per row. Each product, p x p or small side, is summed
-over its contraction index (columns, rows) a block of ``_DEPTH`` = 384 at a
-time: the block is promoted and standardized into one reused float64 buffer
-and added into the matrix by OpenBLAS's ``dsyrk`` or ``dgemm``, the calls
-numpy's ``matmul`` makes, with the bits of ``matmul`` on the whole
-standardized matrix when the contraction fits one block. So a full-rank
+two, a mean and a std per row. Both products of a lagged matrix come from one
+routine, ``_lag_product``: the windows a[:, :m] and a[:, tau:] (m = T - tau)
+summed over their m columns, the p x p matrix, or over their p rows, its m x
+m small side, and divided by T into the array its caller gives. It is numpy's
+``matmul(a[:, tau:], a[:, :m].T)`` or ``a[:, tau:].T @ a[:, :m]`` on ``a``
+standardized a block of the contraction at a time: a block of ``_DEPTH`` =
+384 columns (both windows in one block when they overlap, else one block of
+each) or rows (all T columns) is promoted and standardized into one reused
+float64 buffer and added into the matrix by OpenBLAS's ``dgemm``, the call
+``matmul`` makes ('T', 'N' for the p x p matrix, 'N', 'T' for the small
+side), or at tau = 0 by ``dsyrk('L')`` with the lower triangle mirrored, so
+exactly symmetric. A small side at tau > 0 is formed in a C-ordered m x m
+that the division copies into the F-ordered matrix: formed there, ``dgemm``
+would need its operands swapped, and the product, and so the spectrum, could
+differ in the last bits. A 1 x 1 product is numpy's dot product of the two
+windows. Without numpy's vendored OpenBLAS a product forms the standardized
+matrix whole and calls ``matmul``. A product whose contraction fits one block
+has the bits of ``matmul`` on the whole standardized matrix. So a full-rank
 analysis holds 4pn + 8p(p + 8) bytes and one block (6 MiB at p = 2048),
-against 12pn while standardizing before. The blocks split the contraction
-as OpenBLAS's level-3 routines split their own depth, and 384 is that depth
-on its SkylakeX kernels, so there a product over several blocks keeps the
-bits of one call.
+against 12pn while standardizing before. The blocks split the contraction as
+OpenBLAS's level-3 routines split their own depth, and 384 is that depth on
+its SkylakeX kernels, so there a product over several blocks keeps the bits
+of one call.
 
 A raw array has one intake, ``_owned``: it must be a non-empty square matrix,
 and real for the symmetric solve, and is copied once into an array this
@@ -161,13 +173,14 @@ class DataMatrix:
             return self._source
         return self._values(slice(None), slice(None))
 
-    def _values(self, rows: slice, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """``entries[rows, cols]`` in float64, written into ``out`` or a new
-        C-ordered array: promoted and, for a result of ``standardize_rows``,
-        scaled by the row's power of two, centered by its mean and divided by
-        its std, the operations and so the bits of ``entries``."""
+    def _values(self, rows: slice, cols: slice, buf: np.ndarray | None = None) -> np.ndarray:
+        """``entries[rows, cols]`` in float64, written into the front of the
+        flat float64 ``buf`` or into a new array, C-ordered: promoted and,
+        for a result of ``standardize_rows``, scaled by the row's power of
+        two, centered by its mean and divided by its std, the operations and
+        so the bits of ``entries``."""
         src = self._source[rows, cols]
-        out = np.empty(src.shape) if out is None else out
+        out = np.empty(src.shape) if buf is None else buf[:src.size].reshape(src.shape)
         out[...] = src
         if self._scale is not None:
             shift, mean, std = (s[rows] for s in self._scale)
@@ -213,58 +226,7 @@ class LaggedMatrix:
     @functools.cached_property
     def entries(self) -> np.ndarray:
         p = self.data.p
-        return self._form(np.empty((p, p), order="F"))
-
-    def _form(self, out: np.ndarray) -> np.ndarray:
-        """The matrix, written into the F-ordered p x p array ``out`` and
-        returned: the product of the windows a[:, :m] and a[:, tau:] (m = T -
-        tau) over their m columns, divided by T.
-
-        It is numpy's ``matmul(a[:, tau:], a[:, :m].T, out=out.T)`` with ``a``
-        standardized block by block: OpenBLAS's ``dgemm('T', 'N')``, or at
-        tau = 0 ``dsyrk('L', 'T')`` with its lower triangle mirrored (exactly
-        symmetric), accumulated over blocks of columns (see ``_depths``) from
-        one reused buffer. A 1 x 1 product is numpy's dot product; without
-        numpy's vendored OpenBLAS the data is formed whole and ``matmul``
-        called."""
-        X, tau = self.data, self.tau
-        p, T = X.p, X.n
-        m = T - tau
-        blas = _openblas()
-        everything = slice(None)
-        with np.errstate(over="ignore", invalid="ignore"):  # the solves refuse an inf
-            if p == 1:
-                out[0, 0] = np.dot(X._values(everything, slice(tau, T))[0],
-                                   X._values(everything, slice(0, m))[0])
-            elif blas is None:
-                a = X._values(everything, everything)
-                np.matmul(a[:, tau:], a[:, :m].T, out=out.T)
-            else:
-                ld = out.strides[1] // out.itemsize
-                buf = np.empty(p * (min(m, _DEPTH) + min(tau, _DEPTH)))
-                for lo, hi in _depths(m):
-                    # columns [lo, hi) and [lo + tau, hi + tau): one block of
-                    # both when they overlap, else one block of each
-                    w = hi - lo
-                    if tau < w:
-                        first = X._values(everything, slice(lo, hi + tau),
-                                          out=buf[:p * (w + tau)].reshape(p, w + tau))
-                        second, ld_block = first[:, tau:], w + tau
-                    else:
-                        first = X._values(everything, slice(lo, hi), out=buf[:p * w].reshape(p, w))
-                        second = X._values(everything, slice(lo + tau, hi + tau),
-                                           out=buf[p * w:2 * p * w].reshape(p, w))
-                        ld_block = w
-                    beta = 0.0 if lo == 0 else 1.0
-                    if tau:
-                        _blas(blas.dgemm, b"T", b"N", p, p, w, 1.0, first, ld_block,
-                              second, ld_block, beta, out, ld)
-                    else:
-                        _blas(blas.dsyrk, b"L", b"T", p, w, 1.0, first, w, beta, out, ld)
-                if not tau:
-                    _mirror_lower(out)
-            out /= T
-        return out
+        return _lag_product(self.data, self.tau, 1, np.empty((p, p), order="F"))
 
 
 @dataclass(frozen=True)
@@ -380,7 +342,7 @@ def _solve(M, symmetric: bool) -> np.ndarray:
         X, tau = M.data, M.tau
         p, m = X.p, X.n - tau
         with _blas_threads() if _small_side(m, p) else contextlib.nullcontext():
-            w = _solve_owned(_small_side_matrix(X, tau), symmetric)
+            w = _solve_owned(_lag_product(X, tau, 0, _lapack_matrix(m)), symmetric)
         return np.concatenate([np.zeros(p - m), w])
     a = _owned(M, symmetric)
     if symmetric and not from_data:
@@ -388,49 +350,58 @@ def _solve(M, symmetric: bool) -> np.ndarray:
     return _solve_owned(a, symmetric)
 
 
-def _small_side_matrix(X: DataMatrix, tau: int) -> np.ndarray:
-    """The m x m small side ``a[:, tau:]^T a[:, :m] / T`` (m = T - tau) of
-    the lag-tau matrix of X, in a new ``_lapack_matrix``.
-
-    It is numpy's ``a[:, tau:].T @ a[:, :m]`` with ``a`` standardized block
-    by block: OpenBLAS's ``dgemm('N', 'T')`` into a C-ordered m x m array
-    that is then divided into the matrix (formed F-ordered, the lag product,
-    and so the spectrum, can differ in the last bits), or at tau = 0
-    ``dsyrk('L', 'N')`` into the matrix with its lower triangle mirrored,
-    accumulated over blocks of rows (see ``_depths``) from one reused
-    buffer. A 1 x 1 product is the dot product of the two columns; without
-    numpy's vendored OpenBLAS the data is formed whole and ``matmul``
-    called."""
+def _lag_product(X: DataMatrix, tau: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """The product of the lag-tau windows a[:, :m] and a[:, tau:] (m = T -
+    tau) of X summed over ``axis`` and divided by T, written into the
+    F-ordered square ``out`` and returned: over the m columns (axis 1) the
+    p x p matrix a[:, :m] a[:, tau:]^T / T, over the p rows (axis 0) its
+    small side a[:, tau:]^T a[:, :m] / T. See the module docstring."""
     p, T = X.p, X.n
     m = T - tau
-    out = _lapack_matrix(m)
     blas = _openblas()
-    everything = slice(None)
-    with np.errstate(over="ignore", invalid="ignore"):  # the solve refuses an inf
-        if m == 1:
-            out[0, 0] = np.dot(X._values(everything, slice(tau, T)).ravel(),
-                               X._values(everything, slice(0, 1)).ravel()) / T
+    every = slice(None)
+    if axis:  # blocks of columns; numpy's matmul(a[:, tau:], a[:, :m].T, out=out.T)
+        n, k, trans = p, m, (b"T", b"N")
+        size = p * (min(m, _DEPTH) + min(tau, _DEPTH))
+    else:  # blocks of rows, each holding both windows; numpy's a[:, tau:].T @ a[:, :m]
+        n, k, trans = m, p, (b"N", b"T")
+        size = min(p, _DEPTH) * T
+    # matmul writes the product C-ordered into out.T, BLAS column-major into
+    # out, the same memory; a small side that dsyrk does not form would land
+    # transposed, so it lands in a C-ordered m x m that the division copies
+    apart = not axis and (tau or blas is None)
+    product = np.empty((m, m)) if apart else out.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the solves refuse an inf
+        if n == 1:
+            product[0, 0] = np.dot(X._values(every, slice(tau, T)).ravel(),
+                                   X._values(every, slice(0, m)).ravel())
         elif blas is None:
-            a = X._values(everything, everything)
-            np.divide(a[:, tau:].T @ a[:, :m], T, out=out)
+            a = X._values(every, every)
+            np.matmul(*((a[:, tau:], a[:, :m].T) if axis else (a[:, tau:].T, a[:, :m])),
+                      out=product)
         else:
-            ld = out.strides[1] // out.itemsize
-            product = np.empty((m, m)) if tau else out
-            buf = np.empty(min(p, _DEPTH) * T)
-            for lo, hi in _depths(p):
-                block = X._values(slice(lo, hi), everything,
-                                  out=buf[:(hi - lo) * T].reshape(hi - lo, T))
-                beta = 0.0 if lo == 0 else 1.0
+            ld = product.strides[0] // product.itemsize
+            buf = np.empty(size)
+            for lo, hi in _depths(k):
+                w = hi - lo
+                if not axis or tau < w:
+                    # one block holds both windows, the second tau columns on
+                    rows, cols = (every, slice(lo, hi + tau)) if axis else (slice(lo, hi), every)
+                    first = X._values(rows, cols, buf)
+                    second = first[:, tau:]
+                else:  # columns [lo, hi) and [lo + tau, hi + tau), a block each
+                    first = X._values(every, slice(lo, hi), buf)
+                    second = X._values(every, slice(lo + tau, hi + tau), buf[p * w:])
+                ld_block, beta = first.shape[1], 0.0 if lo == 0 else 1.0
                 if tau:
-                    _blas(blas.dgemm, b"N", b"T", m, m, hi - lo, 1.0, block, T,
-                          block[:, tau:], T, beta, product, m)
+                    _blas(blas.dgemm, *trans, n, n, w, 1.0, first, ld_block, second, ld_block,
+                          beta, product, ld)
                 else:
-                    _blas(blas.dsyrk, b"L", b"N", m, hi - lo, 1.0, block, T, beta, out, ld)
-            if tau:
-                np.divide(product, T, out=out)
-            else:
+                    _blas(blas.dsyrk, b"L", trans[0], n, w, 1.0, first, ld_block, beta,
+                          product, ld)
+            if not tau:
                 _mirror_lower(out)
-                out /= T
+        np.divide(product, T, out=out if apart else product)
     return out
 
 
@@ -495,7 +466,7 @@ def _owned(M, symmetric: bool = False) -> np.ndarray:
     square, is empty, or is complex when ``symmetric``.
     """
     if isinstance(M, LaggedMatrix) and "entries" not in vars(M):
-        return M._form(_lapack_matrix(M.data.p))
+        return _lag_product(M.data, M.tau, 1, _lapack_matrix(M.data.p))
     a = np.asarray(getattr(M, "entries", M))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix of shape {a.shape} is not square")

@@ -839,6 +839,18 @@ class TestCompareContract:
             l1, ks = float(values["L1"]), float(values["KS"])
             assert 0.0 <= ks <= 1.02 + 1e-9 and 0.0 <= l1 <= 2.04 + 1e-9, (l1, ks)
 
+    def test_ordinates_summing_past_doubles(self, tmp_path):
+        # each trapezoid sums two ordinates: past DBL_MAX the mass is inf, and
+        # refused, with no overflow warning
+        emp, th, out = (tmp_path / name for name in ("emp.csv", "mp.csv", "report.txt"))
+        emp.write_text("x,kde\n0,1e308\n1e-308,1e308\n")
+        assert _run_quietly(["theory", "mp", "--c", "0.5", "-o", str(th)]) == (0, "")
+        rc, err = _run_quietly(["compare", "--empirical", str(emp), "--theory", str(th),
+                                "-o", str(out)])
+        _assert_refused(rc, err, out)
+        assert rc == 1
+        assert err == f"error: {emp}: column 'kde' has mass inf, more than 0.02 from 1\n"
+
 
 @st.composite
 def _analyze_case(draw):

@@ -49,7 +49,11 @@ CASES = {
         "curves of one density file must share one grid"),
     "density-bad-label": (lambda path: write_density_csv(str(path), [_BOX], ["kde "]),
                           "labels ['kde '] make no header: each must be unique, not 'x', and "
-                          "free of ',', '=', line breaks and edge blanks"),
+                          "free of ',', '=', line breaks, edge blanks and surrogates"),
+    "density-surrogate-label": (lambda path: write_density_csv(str(path), [_BOX], ["\ud800"]),
+                                "labels ['\\ud800'] make no header: each must be unique, not "
+                                "'x', and free of ',', '=', line breaks, edge blanks and "
+                                "surrogates"),
     "csv-atom": (_read("# point_mass_kde=abc\nx,kde\n0,1\n1,1\n"),
                  "{path}:1: could not convert string to float: 'abc'"),
     "csv-atom-no-column": (_read("# point_mass_kdee=0.5\nx,kde\n0,1\n1,1\n"),

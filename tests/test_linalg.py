@@ -257,7 +257,7 @@ class TestStandardizeLazily:
 
 
 def _full_product(d, tau):
-    """``LaggedMatrix._form`` of the float64 matrix ``d`` as one numpy
+    """The p x p ``_lag_product`` of the float64 matrix ``d`` as one numpy
     ``matmul``, as it was formed before products were streamed."""
     p, T = d.shape
     out = np.empty((p, p), order="F")
@@ -302,7 +302,7 @@ class TestStreamedProducts:
         # formed again into a padded matrix for a solve: the same bits
         assert np.array_equal(linalg._owned(LaggedMatrix(X, tau)).view(np.uint64),
                               full.view(np.uint64))
-        return full, linalg._small_side_matrix(X, tau)
+        return full, linalg._lag_product(X, tau, 0, linalg._lapack_matrix(X.n - tau))
 
     @given(p=st.integers(1, 16), T=st.integers(2, 16), lag=st.sampled_from(["0", "1", "T-1"]),
            kind=st.sampled_from(["f64", "f32", "raw"]), seed=st.integers(0, 2**32 - 1))
@@ -334,14 +334,16 @@ class TestStreamedProducts:
             if not tau:
                 assert np.array_equal(got, got.T)
 
-    @pytest.mark.parametrize("shape, tau", [((1000, 64), 1), ((64, 1000), 0), ((64, 1000), 1)])
+    @pytest.mark.parametrize("shape, tau", [((1000, 64), 0), ((1000, 64), 1), ((64, 1000), 0),
+                                            ((64, 1000), 1)])
     def test_default_blocks_keep_the_bits_on_skylakex(self, shape, tau):
         # 1000 and 999 terms are split 384 + 308 + 308 or 384 + 308 + 307, as
         # OpenBLAS splits its own depth: on its SkylakeX kernels, whose panels
         # are 384 deep, each sum is that of one call; elsewhere it is rounded
         # differently, within 1e-14 of the largest entry here
         X, d = self._data(*shape, 2, "f32")
-        got, want = ((linalg._small_side_matrix(X, tau), _small_product(d, tau)) if shape[0] > 64
+        got, want = ((linalg._lag_product(X, tau, 0, linalg._lapack_matrix(X.n - tau)),
+                      _small_product(d, tau)) if shape[0] > 64
                      else (LaggedMatrix(X, tau).entries, _full_product(d, tau)))
         if _openblas_core() == "SkylakeX":
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
